@@ -63,23 +63,6 @@ def _finish(name: str, lhs: float, rhs: float, tols: Tolerances, metadata: dict)
     return BoundReport(name, lhs, rhs, slack, passed, tols.slack_tol, tuple(flags), metadata)
 
 
-def trace_against_log(
-    state_mat: np.ndarray, base: DensityMatrix, tols: Tolerances = DEFAULT_TOLS
-) -> float:
-    """tr[X log(base)] for a PSD unit-trace X; -inf on support mismatch.
-
-    Support mismatch means X has weight above support_tol on the kernel of
-    ``base`` (eigenvalues clamped at psd_floor).
-    """
-    w, v = mk.herm_eig(base.mat, tols)
-    w = mk.clamp_spectrum(w, tols)
-    overlap = np.real(np.einsum("ik,ij,jk->k", v.conj(), np.asarray(state_mat, dtype=complex), v))
-    kernel = w == 0.0
-    if float(np.sum(overlap[kernel])) > tols.support_tol:
-        return float("-inf")
-    return float(np.sum(overlap[~kernel] * np.log(w[~kernel])))
-
-
 # ---------------------------------------------------------------------------
 # Spohn's inequality:  S(Phi(rho)) - S(rho) >= -tr[(Phi(rho) - rho) log e]
 # ---------------------------------------------------------------------------
@@ -98,8 +81,8 @@ def spohn(
         ness = ch.fixed_point(op, tols)
     out = ch.apply(op, rho, tols=tols)
     lhs = st.von_neumann_entropy(out, tols) - st.von_neumann_entropy(rho, tols)
-    t_out = trace_against_log(out.mat, ness.state, tols)
-    t_in = trace_against_log(rho.mat, ness.state, tols)
+    t_out = st.trace_against_log(out.mat, ness.state, tols)
+    t_in = st.trace_against_log(rho.mat, ness.state, tols)
     rhs = ext_sub(t_in, t_out)   # -tr[(Phi rho - rho) log e]
     meta = {
         "d": op.d_in,
@@ -142,9 +125,9 @@ def main_bound(
     s_out = st.von_neumann_entropy(sigma_p, tols)
     s_op = st.entropy_of_spectrum(mk.clamp_spectrum(np.linalg.eigvalsh(a_d)[::-1], tols))
     lhs = s_out - s_op
-    t_out = trace_against_log(sigma_p.mat, ns.ness, tols)
+    t_out = st.trace_against_log(sigma_p.mat, ns.ness, tols)
     out_marg = mk.partial_trace(a_d, op.choi_shape(), ["out"])
-    t_op = trace_against_log(out_marg, ns.ness, tols)
+    t_op = st.trace_against_log(out_marg, ns.ness, tols)
     rhs = ext_sub(t_op - math.log(d) if not math.isinf(t_op) else t_op, t_out)
     meta = {
         "d_S": sc.d_s,
@@ -251,8 +234,8 @@ def clausius(
     sigma_p = sup.act(sc, op)
     # The entropies of sigma (x) I/d split off a log d on each side.
     lhs = st.von_neumann_entropy(sigma_p, tols) - (st.von_neumann_entropy(sigma, tols) + math.log(d))
-    t_out = trace_against_log(sigma_p.mat, gibbs, tols)
-    t_in = trace_against_log(sigma.mat, gibbs, tols)
+    t_out = st.trace_against_log(sigma_p.mat, gibbs, tols)
+    t_in = st.trace_against_log(sigma.mat, gibbs, tols)
     rhs = ext_sub(t_in - math.log(d) if not math.isinf(t_in) else t_in, t_out)
     meta = {
         "d": d,

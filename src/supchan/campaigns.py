@@ -10,9 +10,10 @@ scheduling, and reports are gathered in trial order.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .config import Tolerances
 from .matkernel import DimShape
 
 FAMILIES = ("spohn", "main", "clausius", "qdpi", "holevo", "mmap-consistency")
+TOLERANCE_NAMES = tuple(f.name for f in fields(Tolerances))
 CONSISTENCY_TOL = 1e-10
 
 
@@ -51,9 +53,7 @@ class Scenario:
         return FAMILIES if self.bound == "all" else (self.bound,)
 
     def tols(self, base: Tolerances) -> Tolerances:
-        known = {"herm_tol", "psd_floor", "recon_tol", "fp_tol", "support_tol", "slack_tol", "trace_tol"}
-        overrides = {k: float(v) for k, v in self.tolerances.items() if k in known}
-        return base.with_overrides(**overrides)
+        return base.with_overrides(**{k: float(v) for k, v in self.tolerances.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +149,8 @@ def load_scenario(text: str) -> Scenario:
     if not isinstance(tolerances, dict):
         raise ScenarioError("tolerances: expected an object")
     for k, v in tolerances.items():
+        if k not in TOLERANCE_NAMES:
+            raise ScenarioError(f"tolerances.{k}: unknown tolerance; expected one of {TOLERANCE_NAMES}")
         if not isinstance(v, (int, float)) or isinstance(v, bool) or v <= 0:
             raise ScenarioError(f"tolerances.{k}: expected a positive number, got {v!r}")
 
@@ -193,8 +195,9 @@ def load_scenario(text: str) -> Scenario:
     return scenario
 
 
-def _validate_explicit(scenario: Scenario, tols: Tolerances = Tolerances()) -> None:
+def _validate_explicit(scenario: Scenario) -> None:
     ex = scenario.explicit
+    tols = scenario.tols(Tolerances())
     try:
         if "U" in ex:
             ch.check_unitary(ex["U"], tols, what="explicit.U")
@@ -374,7 +377,7 @@ def evaluate_trial(scenario: Scenario, family: str, trial: int, tols: Tolerances
         iso = dl.IsometricOperation(v, alpha)
         upsilon, delta_s = dl.mmap(sc, iso, tols)
         reduced = mk.partial_trace(upsilon.mat, upsilon.shape, ["S"])
-        direct = sup.act(sc, dl.operation_of(iso, tols))
+        direct = sup.act(sc, ch.channel_from_dilation(iso.v, iso.alpha, tols))
         residual = mk.max_abs(reduced - direct.mat)
         slack = CONSISTENCY_TOL - residual
         report = bd.BoundReport(
@@ -410,17 +413,17 @@ def report_to_dict(report: bd.BoundReport) -> dict:
     }
 
 
-def _categorize(report: bd.BoundReport) -> str:
-    if "indeterminate" in report.flags:
+def _categorize(record: dict) -> str:
+    if "indeterminate" in record["flags"]:
         return "flagged"
-    return "passed" if report.passed else "failed"
+    return "passed" if record["passed"] else "failed"
 
 
-def summarize(reports: list[bd.BoundReport]) -> dict:
-    cats = [_categorize(r) for r in reports]
-    finite = [r.slack for r in reports if math.isfinite(r.slack)]
+def summarize(records: list[dict]) -> dict:
+    cats = [_categorize(r) for r in records]
+    finite = [r["slack"] for r in records if math.isfinite(r["slack"])]
     return {
-        "trials": len(reports),
+        "trials": len(records),
         "passes": cats.count("passed"),
         "failures": cats.count("failed"),
         "flagged_infinite": cats.count("flagged"),
@@ -429,16 +432,16 @@ def summarize(reports: list[bd.BoundReport]) -> dict:
     }
 
 
-def _eval_task(args) -> tuple[str, int, dict]:
-    scenario_json, family, trial, tols_kwargs = args
-    scenario = load_scenario(scenario_json)
-    report = evaluate_trial(scenario, family, trial, Tolerances(**tols_kwargs))
-    return family, trial, report_to_dict(report)
+def _eval_task(scenario: Scenario, tols: Tolerances, task: tuple[str, int]) -> dict:
+    family, trial = task
+    return report_to_dict(evaluate_trial(scenario, family, trial, tols))
 
 
 def run_campaign(scenario: Scenario, tols: Tolerances, jobs: int = 1) -> dict:
     """Run every family of the scenario; returns the report object.
 
+    Every trial goes through ``_eval_task``, in this process for
+    ``jobs <= 1`` and in a pool of ``jobs`` worker processes otherwise.
     The report is deterministic for a fixed scenario: per-trial seeds are
     derived from (seed, family, trial) and results are ordered by trial
     index, so serial and parallel executions produce identical output.
@@ -446,47 +449,25 @@ def run_campaign(scenario: Scenario, tols: Tolerances, jobs: int = 1) -> dict:
     the CLI reports timing separately.
     """
     families = scenario.families()
-    sections: dict[str, list[dict]] = {}
+    tasks = [(family, t) for family in families for t in range(scenario.trials)]
+    work = functools.partial(_eval_task, scenario, tols)
     if jobs <= 1:
-        for family in families:
-            sections[family] = [
-                report_to_dict(evaluate_trial(scenario, family, t, tols))
-                for t in range(scenario.trials)
-            ]
+        records = list(map(work, tasks))
     else:
+        # Imported here: the pool machinery adds to the start-up time and
+        # resident size of every serial run.
         from concurrent.futures import ProcessPoolExecutor
-        from dataclasses import asdict
 
-        scenario_json = json.dumps(scenario_echo(scenario))
-        tasks = [
-            (scenario_json, family, t, asdict(tols))
-            for family in families
-            for t in range(scenario.trials)
-        ]
-        results: dict[tuple[str, int], dict] = {}
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for family, trial, rep in pool.map(_eval_task, tasks, chunksize=8):
-                results[(family, trial)] = rep
-        for family in families:
-            sections[family] = [results[(family, t)] for t in range(scenario.trials)]
-
-    def from_dicts(ds):
-        return [
-            bd.BoundReport(d["name"], d["lhs"], d["rhs"], d["slack"], d["passed"],
-                           d["tolerance"], tuple(d["flags"]), d["metadata"])
-            for d in ds
-        ]
-
-    section_objs = {
-        family: {"reports": reps, "summary": summarize(from_dicts(reps))}
-        for family, reps in sections.items()
-    }
-    all_reports = [r for reps in sections.values() for r in from_dicts(reps)]
-    total = summarize(all_reports)
+            records = list(pool.map(work, tasks, chunksize=8))
+    n = scenario.trials
+    sections = {family: records[i * n:(i + 1) * n] for i, family in enumerate(families)}
+    total = summarize(records)
     total["wall_time"] = None
     return {
         "scenario": scenario_echo(scenario),
-        "sections": section_objs,
+        "sections": {family: {"reports": reps, "summary": summarize(reps)}
+                     for family, reps in sections.items()},
         "summary": total,
     }
 

@@ -55,7 +55,7 @@ class QuantumOperation:
     def kraus_ops(self) -> tuple[np.ndarray, ...]:
         if self.kraus is not None:
             return self.kraus
-        return kraus_of(self)
+        return kraus_of(self, self._tols)
 
 
 def tr_out_choi(choi: np.ndarray, d_out: int, d_in: int) -> np.ndarray:

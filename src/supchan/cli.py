@@ -47,20 +47,11 @@ def _resolve_tols(scenario: cp.Scenario, slack_tol_flag: float | None) -> config
     return tols
 
 
-def _load_scenario_file(path: str) -> cp.Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return cp.load_scenario(fh.read())
-
-
-def _display(value, bits: bool):
-    if bits and isinstance(value, float) and math.isfinite(value):
-        return value / LN2
-    return value
-
-
-def cmd_verify(args: argparse.Namespace) -> int:
+def _load_scenario_file(path: str) -> cp.Scenario | int:
+    """The validated scenario, or the exit code after reporting why not."""
     try:
-        scenario = _load_scenario_file(args.scenario)
+        with open(path, "r", encoding="utf-8") as fh:
+            return cp.load_scenario(fh.read())
     except OSError as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
@@ -70,6 +61,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except cp.ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION_ERROR
+
+
+def _display(value, bits: bool):
+    if bits and isinstance(value, float) and math.isfinite(value):
+        return value / LN2
+    return value
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    scenario = _load_scenario_file(args.scenario)
+    if isinstance(scenario, int):
+        return scenario
 
     tols = _resolve_tols(scenario, args.slack_tol)
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
@@ -124,17 +127,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    try:
-        scenario = _load_scenario_file(args.scenario)
-    except OSError as exc:
-        print(f"error: cannot read scenario: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    except cp.ScenarioParseError as exc:
-        print(f"scenario parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    except cp.ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION_ERROR
+    scenario = _load_scenario_file(args.scenario)
+    if isinstance(scenario, int):
+        return scenario
     if not 0 <= args.trial < scenario.trials:
         print(f"error: trial {args.trial} out of range [0, {scenario.trials})", file=sys.stderr)
         return EXIT_VALIDATION_ERROR

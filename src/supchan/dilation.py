@@ -4,8 +4,9 @@ that tracks the entropic cost of implementing an operation.
 Tensor orderings are explicit: the dilation triple is a (x) b (x) c with
 a the ancilla, b the operation's output system and c the retained half of
 the maximally entangled input; the isometric-dilation map works in the
-canonical S (x) E (x) A ordering with permutation matrices handling the
-mixed groupings.
+canonical S (x) E (x) A ordering, with one subsystem permutation bringing
+V's S (x) A grouping into it.  The channel an isometric dilation induces on
+the system alone is ``channels.channel_from_dilation(iso.v, iso.alpha)``.
 """
 
 from __future__ import annotations
@@ -127,22 +128,6 @@ class IsometricOperation:
     @property
     def d_s(self) -> int:
         return self.v.shape[0] // self.alpha.dim
-
-
-def operation_of(iso: IsometricOperation, tols: Tolerances = DEFAULT_TOLS) -> ch.QuantumOperation:
-    """The CPTP map tr_A . A induced on the system alone."""
-    d_s, d_a = iso.d_s, iso.d_a
-    w, vecs = mk.herm_eig(iso.alpha.mat, tols)
-    w = mk.clamp_spectrum(w, tols)
-    v4 = iso.v.reshape(d_s, d_a, d_s, d_a)
-    ks = []
-    for lam, avec in zip(w, vecs.T):
-        if lam <= 0.0:
-            continue
-        block = np.einsum("aibj,j->iab", v4, avec)
-        for i in range(d_a):
-            ks.append(np.sqrt(lam) * block[i])
-    return ch.from_kraus(ks, tols=tols)
 
 
 def isometry_choi_state(iso: IsometricOperation, tols: Tolerances = DEFAULT_TOLS) -> DensityMatrix:

@@ -124,19 +124,19 @@ def partial_trace(m: np.ndarray, shape: DimShape, keep: Sequence[str]) -> np.nda
     return t.reshape(d_keep, d_keep)
 
 
+def _axis_order(shape: DimShape, new_order: Sequence[str]) -> list[int]:
+    """Old axis positions of the subsystems listed in ``new_order``."""
+    if sorted(new_order) != sorted(shape.labels):
+        raise ShapeError(f"{list(new_order)} is not a permutation of {shape.labels}")
+    return [shape.index_of(l) for l in new_order]
+
+
 def permutation_matrix(shape: DimShape, new_order: Sequence[str]) -> np.ndarray:
     """Unitary P that reorders subsystems: P |i_old...> = |i_new...>."""
-    new_order = list(new_order)
-    if sorted(new_order) != sorted(shape.labels):
-        raise ShapeError(f"{new_order} is not a permutation of {shape.labels}")
-    perm = [shape.index_of(l) for l in new_order]
+    perm = _axis_order(shape, new_order)
     d = shape.dim
-    P = np.zeros((d, d), dtype=complex)
-    for old_flat, idx in enumerate(np.ndindex(*shape.factors)):
-        new_idx = tuple(idx[p] for p in perm)
-        new_flat = int(np.ravel_multi_index(new_idx, [shape.factors[p] for p in perm]))
-        P[new_flat, old_flat] = 1.0
-    return P
+    rows = np.eye(d, dtype=complex).reshape(shape.factors + (d,))
+    return np.transpose(rows, perm + [len(perm)]).reshape(d, d)
 
 
 def permute_subsystems(
@@ -147,10 +147,7 @@ def permute_subsystems(
     Returns the permuted matrix together with its new shape.
     """
     m = _check_square(m, shape)
-    new_order = list(new_order)
-    if sorted(new_order) != sorted(shape.labels):
-        raise ShapeError(f"{new_order} is not a permutation of {shape.labels}")
-    perm = [shape.index_of(l) for l in new_order]
+    perm = _axis_order(shape, new_order)
     n = len(perm)
     t = m.reshape(shape.factors + shape.factors)
     t = np.transpose(t, perm + [p + n for p in perm])

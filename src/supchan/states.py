@@ -96,26 +96,36 @@ def von_neumann_entropy(rho: DensityMatrix, tols: Tolerances = DEFAULT_TOLS) -> 
     return entropy_of_spectrum(spectrum(rho, tols))
 
 
+def trace_against_log(
+    state_mat: np.ndarray, base: DensityMatrix, tols: Tolerances = DEFAULT_TOLS
+) -> float:
+    """tr[X log(base)] for a PSD unit-trace X; -inf on support mismatch.
+
+    Support mismatch means X has weight above support_tol on the kernel of
+    ``base`` (eigenvalues clamped at psd_floor).
+    """
+    w, v = mk.herm_eig(base.mat, tols)
+    w = mk.clamp_spectrum(w, tols)
+    # Weight of X in each eigenvector of base.
+    overlap = np.real(np.einsum("ik,ij,jk->k", v.conj(), np.asarray(state_mat, dtype=complex), v))
+    kernel = w == 0.0
+    if float(np.sum(overlap[kernel])) > tols.support_tol:
+        return float("-inf")
+    return float(np.sum(overlap[~kernel] * np.log(w[~kernel])))
+
+
 def relative_entropy(
     rho1: DensityMatrix, rho2: DensityMatrix, tols: Tolerances = DEFAULT_TOLS
 ) -> float:
-    """D[rho1 || rho2] in nats; +inf on support mismatch.
-
-    Support mismatch means the weight of rho1 on the kernel of rho2
-    (eigenvalues below psd_floor) exceeds support_tol.
+    """D[rho1 || rho2] = -S(rho1) - tr[rho1 log rho2] in nats; +inf on
+    support mismatch (see ``trace_against_log``).
     """
     if rho1.dim != rho2.dim:
         raise ShapeError(f"dimension mismatch {rho1.dim} != {rho2.dim}")
-    w2, V2 = mk.herm_eig(rho2.mat, tols)
-    w2 = mk.clamp_spectrum(w2, tols)
-    # Weight of rho1 in each eigenvector of rho2.
-    overlap = np.real(np.einsum("ik,ij,jk->k", V2.conj(), rho1.mat, V2))
-    kernel = w2 == 0.0
-    if float(np.sum(overlap[kernel])) > tols.support_tol:
+    cross = trace_against_log(rho1.mat, rho2, tols)
+    if cross == float("-inf"):
         return float("inf")
-    w1, _ = mk.herm_eig(rho1.mat, tols)
-    w1 = mk.clamp_spectrum(w1, tols)
-    d = -entropy_of_spectrum(w1) - float(np.sum(overlap[~kernel] * np.log(w2[~kernel])))
+    d = -von_neumann_entropy(rho1, tols) - cross
     # Clip float noise around zero; genuine negatives would violate Klein's
     # inequality and should surface, so only a tiny band is clipped.
     if -1e-12 < d < 0.0:

@@ -53,9 +53,9 @@ def test_finish_flags_and_pass_logic():
 def test_trace_against_log_support_detection():
     pure = st.density(np.diag([1.0, 0.0]))
     mixed = st.density(np.eye(2) / 2)
-    assert bd.trace_against_log(mixed.mat, pure) == float("-inf")
+    assert st.trace_against_log(mixed.mat, pure) == float("-inf")
     full = st.density(np.diag([0.75, 0.25]))
-    got = bd.trace_against_log(mixed.mat, full)
+    got = st.trace_against_log(mixed.mat, full)
     assert abs(got - 0.5 * (math.log(0.75) + math.log(0.25))) <= 1e-12
 
 

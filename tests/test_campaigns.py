@@ -38,6 +38,20 @@ def test_load_scenario_parse_vs_validation_errors():
         cp.load_scenario(json.dumps({"seed": 1, "trials": 1, "tolerances": {"slack_tol": -1}}))
 
 
+def test_explicit_matrices_are_validated_with_the_scenario_tolerances():
+    # sigma is off-Hermitian by 5e-10: rejected at the default herm_tol,
+    # accepted at load and by every trial under the scenario's override.
+    sigma = np.diag([0.6, 0.4]).astype(complex)
+    sigma[0, 1] = 5e-10j
+    spec = {"seed": 3, "trials": 2, "bound": "spohn", "dims": {"d_S": 2},
+            "explicit": {"sigma": cp.matrix_to_json(sigma)}}
+    with pytest.raises(cp.ScenarioError, match="explicit"):
+        cp.load_scenario(json.dumps(spec))
+    scn = cp.load_scenario(json.dumps({**spec, "tolerances": {"herm_tol": 1e-9}}))
+    report = cp.run_campaign(scn, scn.tols(DEFAULT_TOLS))
+    assert report["summary"]["passes"] == 2
+
+
 def test_load_scenario_matrix_errors_name_field_paths():
     with pytest.raises(cp.ScenarioError, match=r"explicit.U"):
         cp.load_scenario(json.dumps(

@@ -4,6 +4,7 @@ import pytest
 from supchan import channels as ch
 from supchan import matkernel as mk
 from supchan import states as st
+from supchan.config import Tolerances
 from supchan.matkernel import DimShape, ShapeError, ValidationError
 
 
@@ -102,6 +103,19 @@ def test_from_choi_rejects_non_cp():
     bad = np.diag([1.0, 1.0, 1.0, -0.5]).astype(complex)
     with pytest.raises(ValidationError):
         ch.from_choi(bad, 2, 2)
+
+
+def test_kraus_ops_uses_the_operation_tolerances():
+    # Off-Hermitian by 5e-10: above the default herm_tol, within the override.
+    choi = ch.identity_channel(2).choi.copy()
+    choi[0, 3] += 5e-10j
+    tols = Tolerances(herm_tol=1e-9)
+    op = ch.from_choi(choi, 2, 2, tols=tols)
+    with pytest.raises(ValidationError):
+        ch.kraus_of(op)
+    kraus = op.kraus_ops()
+    assert len(kraus) == 1
+    assert mk.max_abs(ch.choi_from_kraus(kraus) - choi) <= 1e-9
 
 
 def test_channel_from_dilation_identity_and_swap():

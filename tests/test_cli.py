@@ -75,6 +75,15 @@ def test_verify_exit_codes_for_bad_scenarios(tmp_path, capsys):
     assert cli.main(["verify", "--scenario", str(tmp_path / "missing.json")]) == cli.EXIT_PARSE_ERROR
 
 
+def test_verify_rejects_unknown_tolerance_key(tmp_path, capsys):
+    scn = write_scenario(tmp_path, tolerances={"slack_tl": 0.5})
+    out = tmp_path / "report.json"
+    code = cli.main(["verify", "--scenario", scn, "--out", str(out), "--jobs", "1"])
+    assert code == cli.EXIT_VALIDATION_ERROR
+    assert "tolerances.slack_tl: unknown tolerance" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_bound_failure_exit_code(tmp_path, capsys):
     sigma = np.diag([0.99, 0.01]).astype(complex)
     rho_se = np.kron(sigma, np.eye(2) / 2)

@@ -137,7 +137,7 @@ def test_operation_of_reproduces_dilation_action():
     alpha_vec = st.random_pure(2, rng)
     alpha = st.density(np.outer(alpha_vec, alpha_vec.conj()), labels=["A"])
     iso = dl.IsometricOperation(v, alpha)
-    op = dl.operation_of(iso)
+    op = ch.channel_from_dilation(iso.v, iso.alpha)
     assert op.is_trace_preserving
     sigma = st.random_density(2, 2, rng)
     direct = mk.partial_trace(
@@ -159,7 +159,7 @@ def test_isometry_choi_state_is_valid_and_tp():
     # tracing the ancilla out of the dilation Choi recovers the reduced map
     shape = DimShape([2, 2, 2], ["So", "Ao", "in"])
     reduced = mk.partial_trace(state.mat * 2, shape, ["So", "in"])
-    assert mk.max_abs(reduced - dl.operation_of(iso).choi) <= 1e-10
+    assert mk.max_abs(reduced - ch.channel_from_dilation(iso.v, iso.alpha).choi) <= 1e-10
 
 
 def test_mmap_decoupled_case():
@@ -180,7 +180,7 @@ def test_mmap_swap_dilation_moves_state_to_ancilla():
     sc, _ = rand_sc(2, 2, seed=10)
     alpha = st.density(np.diag([1.0, 0.0]), labels=["A"])
     iso = dl.IsometricOperation(ch.swap_unitary(2), alpha)
-    op = dl.operation_of(iso)
+    op = ch.channel_from_dilation(iso.v, iso.alpha)
     ket0 = st.density(np.diag([1.0, 0.0]))
     rho = st.random_density(2, 2, np.random.default_rng(11))
     assert mk.max_abs(ch.apply(op, rho).mat - ket0.mat) <= 1e-12
@@ -198,7 +198,7 @@ def test_mmap_marginal_consistency_sweep():
         iso = dl.IsometricOperation(v, alpha)
         upsilon, _ = dl.mmap(sc, iso)
         reduced = mk.partial_trace(upsilon.mat, upsilon.shape, ["S"])
-        direct = sup.act(sc, dl.operation_of(iso))
+        direct = sup.act(sc, ch.channel_from_dilation(iso.v, iso.alpha))
         assert mk.max_abs(reduced - direct.mat) <= 1e-10
 
 
