@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import channels as ch
+from . import dilation as dl
 from . import matkernel as mk
 from . import states as st
 from . import superchannel as sup
@@ -48,7 +49,8 @@ def ext_add(a: float, b: float) -> float:
     return ext_sub(a, -b)
 
 
-def _finish(name: str, lhs: float, rhs: float, tols: Tolerances, metadata: dict) -> BoundReport:
+def _finish(name: str, lhs: float, rhs: float, tols: Tolerances, metadata: dict,
+            extra_flags: tuple[str, ...] = ()) -> BoundReport:
     slack = ext_sub(lhs, rhs)
     flags = []
     if math.isinf(lhs):
@@ -60,7 +62,7 @@ def _finish(name: str, lhs: float, rhs: float, tols: Tolerances, metadata: dict)
         passed = False
     else:
         passed = slack >= -tols.slack_tol
-    return BoundReport(name, lhs, rhs, slack, passed, tols.slack_tol, tuple(flags), metadata)
+    return BoundReport(name, lhs, rhs, slack, passed, tols.slack_tol, tuple(flags) + extra_flags, metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -121,14 +123,13 @@ def main_bound(
         ns = sup.neso(sc)
     d = sc.d_s
     sigma_p = sup.act(sc, op)
-    a_d = op.choi_state
     s_out = st.von_neumann_entropy(sigma_p, tols)
-    s_op = st.entropy_of_spectrum(mk.clamp_spectrum(np.linalg.eigvalsh(a_d)[::-1], tols))
+    s_op = dl.operation_entropy(op, tols)
     lhs = s_out - s_op
     t_out = st.trace_against_log(sigma_p.mat, ns.ness, tols)
-    out_marg = mk.partial_trace(a_d, op.choi_shape(), ["out"])
-    t_op = st.trace_against_log(out_marg, ns.ness, tols)
-    rhs = ext_sub(t_op - math.log(d) if not math.isinf(t_op) else t_op, t_out)
+    out_marg = mk.partial_trace(op.choi_state, op.choi_shape(), ["out"])
+    t_op = st.trace_against_log(out_marg, ns.ness, tols) - math.log(d)
+    rhs = ext_sub(t_op, t_out)
     meta = {
         "d_S": sc.d_s,
         "d_E": sc.d_e,
@@ -142,7 +143,7 @@ def main_bound(
             entropy_sigma_prime=s_out,
             entropy_op_state=s_op,
             tr_sigma_log_ness=t_out,
-            tr_op_log_neso=(t_op - math.log(d)) if not math.isinf(t_op) else t_op,
+            tr_op_log_neso=t_op,
             slack_identity=slack_identity(sc, op, ns, tols),
         )
     return _finish("main", lhs, rhs, tols, meta)
@@ -220,8 +221,7 @@ def clausius(
     throw-and-replace operation A_d = sigma (x) I/d.
     """
     h = mk.as_matrix(h)
-    if not mk.is_hermitian(h, tols.herm_tol * max(1.0, mk.max_abs(h))):
-        raise ValidationError("Hamiltonian is not Hermitian")
+    mk.check_hermitian(h, tols.herm_tol * max(1.0, mk.max_abs(h)), "Hamiltonian")
     gibbs, z = thermal_state(h, beta, tols)
     ns = sup.neso(sc)
     resid = mk.max_abs(ns.ness.mat - gibbs.mat)
@@ -236,7 +236,7 @@ def clausius(
     lhs = st.von_neumann_entropy(sigma_p, tols) - (st.von_neumann_entropy(sigma, tols) + math.log(d))
     t_out = st.trace_against_log(sigma_p.mat, gibbs, tols)
     t_in = st.trace_against_log(sigma.mat, gibbs, tols)
-    rhs = ext_sub(t_in - math.log(d) if not math.isinf(t_in) else t_in, t_out)
+    rhs = ext_sub(t_in - math.log(d), t_out)
     meta = {
         "d": d,
         "beta": beta,
@@ -327,9 +327,9 @@ def qdpi(
     d_rel_out = st.relative_entropy(
         rho_out, density(ref_out, DimShape([d_p, d_q], ["P", "Q"]), tols=tols), tols
     )
-    flags = []
+    flags = ()
     if math.isinf(d_rel_in) or math.isinf(d_rel_out):
-        flags.append("relative_entropy_route_infinite")
+        flags = ("relative_entropy_route_infinite",)
     else:
         if abs(d_rel_in - mi_in) > 1e-8:
             raise ValidationError(
@@ -351,13 +351,7 @@ def qdpi(
     }
     if collect is not None:
         collect.update(mi_in=mi_in, mi_out=mi_out, relent_in=d_rel_in, relent_out=d_rel_out)
-    report = _finish("qdpi", mi_in, mi_out, tols, meta)
-    if flags:
-        report = BoundReport(
-            report.name, report.lhs, report.rhs, report.slack, report.passed,
-            report.tolerance, report.flags + tuple(flags), report.metadata,
-        )
-    return report
+    return _finish("qdpi", mi_in, mi_out, tols, meta, flags)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -53,7 +53,7 @@ class Scenario:
         return FAMILIES if self.bound == "all" else (self.bound,)
 
     def tols(self, base: Tolerances) -> Tolerances:
-        return base.with_overrides(**{k: float(v) for k, v in self.tolerances.items()})
+        return replace(base, **{k: float(v) for k, v in self.tolerances.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +113,15 @@ def jsonable(obj):
 # ---------------------------------------------------------------------------
 
 _EXPLICIT_MATRIX_KEYS = ("U", "rho_se", "op_choi", "H", "sigma", "V", "alpha")
+_EXPLICIT_KEYS = _EXPLICIT_MATRIX_KEYS + ("op_kraus", "beta", "theta", "ensemble")
+_TOP_KEYS = ("seed", "trials", "bound", "dims", "tolerances", "n_measurements", "explicit")
+_DIM_KEYS = ("d_S", "d_E", "d_A", "d_P", "d_Q", "d_E1", "d_E2")
+
+
+def _reject_unknown(obj: dict, known: tuple[str, ...], prefix: str, what: str = "key") -> None:
+    for k in obj:
+        if k not in known:
+            raise ScenarioError(f"{prefix}{k}: unknown {what}; expected one of {known}")
 
 
 def load_scenario(text: str) -> Scenario:
@@ -123,6 +132,7 @@ def load_scenario(text: str) -> Scenario:
         raise ScenarioParseError(f"scenario is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioParseError("scenario: expected a JSON object")
+    _reject_unknown(raw, _TOP_KEYS, "")
 
     def need_int(key, default=None, minimum=0):
         v = raw.get(key, default)
@@ -141,6 +151,7 @@ def load_scenario(text: str) -> Scenario:
     dims = raw.get("dims", {})
     if not isinstance(dims, dict):
         raise ScenarioError("dims: expected an object of positive integers")
+    _reject_unknown(dims, _DIM_KEYS, "dims.")
     for k, v in dims.items():
         if not isinstance(v, int) or isinstance(v, bool) or v <= 0:
             raise ScenarioError(f"dims.{k}: expected a positive integer, got {v!r}")
@@ -148,9 +159,8 @@ def load_scenario(text: str) -> Scenario:
     tolerances = raw.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise ScenarioError("tolerances: expected an object")
+    _reject_unknown(tolerances, TOLERANCE_NAMES, "tolerances.", "tolerance")
     for k, v in tolerances.items():
-        if k not in TOLERANCE_NAMES:
-            raise ScenarioError(f"tolerances.{k}: unknown tolerance; expected one of {TOLERANCE_NAMES}")
         if not isinstance(v, (int, float)) or isinstance(v, bool) or v <= 0:
             raise ScenarioError(f"tolerances.{k}: expected a positive number, got {v!r}")
 
@@ -159,6 +169,7 @@ def load_scenario(text: str) -> Scenario:
     explicit_raw = raw.get("explicit", {})
     if not isinstance(explicit_raw, dict):
         raise ScenarioError("explicit: expected an object")
+    _reject_unknown(explicit_raw, _EXPLICIT_KEYS, "explicit.")
     explicit = {}
     for key in _EXPLICIT_MATRIX_KEYS:
         if key in explicit_raw:
@@ -175,6 +186,8 @@ def load_scenario(text: str) -> Scenario:
             v = explicit_raw[key]
             if not isinstance(v, (int, float)) or isinstance(v, bool):
                 raise ScenarioError(f"explicit.{key}: expected a number, got {v!r}")
+            if key == "beta" and not v > 0:
+                raise ScenarioError(f"explicit.beta: expected a positive number, got {v!r}")
             explicit[key] = float(v)
     if "ensemble" in explicit_raw:
         ens = explicit_raw["ensemble"]
@@ -217,8 +230,8 @@ def _validate_explicit(scenario: Scenario) -> None:
             c = ex["op_choi"]
             d = int(round(math.sqrt(c.shape[0])))
             ch.from_choi(c, d, d, tols=tols)
-        if "H" in ex and not mk.is_hermitian(ex["H"], 1e-10 * max(1.0, mk.max_abs(ex["H"]))):
-            raise ScenarioError("explicit.H: matrix is not Hermitian")
+        if "H" in ex:
+            mk.check_hermitian(ex["H"], tols.herm_tol * max(1.0, mk.max_abs(ex["H"])), "explicit.H")
         if "ensemble" in ex:
             probs, ops_kraus = ex["ensemble"]
             bd.Ensemble(tuple(probs), tuple(ch.from_kraus(op, tols=tols) for op in ops_kraus))

@@ -96,8 +96,7 @@ def from_choi(
     choi = mk.as_matrix(choi)
     if choi.shape != (d_out * d_in, d_out * d_in):
         raise ShapeError(f"Choi shape {choi.shape} != {(d_out * d_in,) * 2}")
-    if not mk.is_hermitian(choi, tols.herm_tol * max(1.0, mk.max_abs(choi))):
-        raise ValidationError("Choi matrix is not Hermitian")
+    mk.check_hermitian(choi, tols.herm_tol * max(1.0, mk.max_abs(choi)), "Choi matrix")
     w = np.linalg.eigvalsh((choi + choi.conj().T) / 2.0)
     if w[0] < -CP_TOL * max(1.0, float(w[-1])):
         raise ValidationError(f"Choi matrix has eigenvalue {w[0]:.3e}: map is not CP")
@@ -111,13 +110,7 @@ def kraus_of(op: QuantumOperation, tols: Tolerances = DEFAULT_TOLS) -> tuple[np.
     numerical Kraus rank.  Kraus sets are unique only up to isometric
     mixing; compare channels through their action, not their Kraus lists.
     """
-    w, V = mk.herm_eig(op.choi, tols)
-    w = mk.clamp_spectrum(w, tols)
-    ops = []
-    for lam, v in zip(w, V.T):
-        if lam > 0.0:
-            ops.append(np.sqrt(lam) * v.reshape(op.d_out, op.d_in))
-    return tuple(ops)
+    return tuple(f.reshape(op.d_out, op.d_in) for f in mk.psd_factors(op.choi, tols))
 
 
 def apply(
@@ -196,15 +189,12 @@ def replace_channel(target: DensityMatrix, d_in: int | None = None, tols: Tolera
     Its Choi matrix is target (x) I, so the normalized Choi is target (x) I/d.
     """
     d_in = target.dim if d_in is None else d_in
-    w, V = mk.herm_eig(target.mat, tols)
-    w = mk.clamp_spectrum(w, tols)
     ks = []
-    for lam, v in zip(w, V.T):
-        if lam > 0.0:
-            for j in range(d_in):
-                k = np.zeros((target.dim, d_in), dtype=complex)
-                k[:, j] = np.sqrt(lam) * v
-                ks.append(k)
+    for f in mk.psd_factors(target.mat, tols):
+        for j in range(d_in):
+            k = np.zeros((target.dim, d_in), dtype=complex)
+            k[:, j] = f
+            ks.append(k)
     return from_kraus(ks, tols=tols)
 
 
@@ -229,7 +219,7 @@ def check_unitary(u: np.ndarray, tols: Tolerances = DEFAULT_TOLS, what: str = "m
     if u.shape[0] != u.shape[1]:
         raise ShapeError(f"{what} is not square: {u.shape}")
     dev = mk.max_abs(u.conj().T @ u - np.eye(u.shape[0]))
-    if dev > 1e-10:
+    if dev > tols.herm_tol:
         raise ValidationError(f"{what} is not unitary: max deviation {dev:.3e}")
 
 
@@ -267,7 +257,6 @@ def channel_from_dilation(
     d_s = d_tot // d_e
     check_unitary(u, tols, what="dilation unitary")
     w, V = mk.herm_eig(tau.mat, tols)
-    w = mk.clamp_spectrum(w, tols)
     u4 = u.reshape(d_s, d_e, d_s, d_e)
     ks = []
     for lam, v in zip(w, V.T):
@@ -302,7 +291,7 @@ class NessResult:
     fixed_space_dim: int
 
 
-def _repair_psd(m: np.ndarray, tols: Tolerances) -> np.ndarray | None:
+def _repair_psd(m: np.ndarray) -> np.ndarray | None:
     """Hermitize, clamp small negative eigenvalues, renormalize; None if the
     negative part is too large to be float noise."""
     m = (m + m.conj().T) / 2.0
@@ -337,7 +326,7 @@ def fixed_point(op: QuantumOperation, tols: Tolerances = DEFAULT_TOLS) -> NessRe
     fixed_space_dim = int(np.sum(np.abs(evals - 1.0) < 1e-8))
 
     def finish(mat: np.ndarray, method: str) -> NessResult | None:
-        repaired = _repair_psd(mat, tols)
+        repaired = _repair_psd(mat)
         if repaired is None:
             return None
         resid = trace_norm(apply_matrix(op, repaired) - repaired)

@@ -14,6 +14,7 @@ file > SUPCHAN_SLACK_TOL environment variable > built-in default.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -32,18 +33,19 @@ EXIT_VALIDATION_ERROR = 3
 
 LN2 = math.log(2.0)
 
-# Detail keys holding entropy-like values (nats), eligible for bits display.
-_ENTROPY_KEYS = (
-    "lhs", "rhs", "slack", "chi", "mi_", "entropy_", "relent", "tr_",
-    "slack_identity", "sampled_information",
-)
+# Prefixes of metadata and detail keys holding entropy-like values (nats),
+# eligible for bits display.
+_ENTROPY_KEYS = ("chi", "mi_", "entropy_", "relent", "tr_", "slack_identity",
+                 "sampled_information", "delta_S")
+# The lhs, rhs and slack of this family are max-abs matrix residuals, not entropies.
+_RESIDUAL_FAMILY = "mmap-consistency"
 
 
 def _resolve_tols(scenario: cp.Scenario, slack_tol_flag: float | None) -> config.Tolerances:
     tols = config.from_env(config.Tolerances())
     tols = scenario.tols(tols)
     if slack_tol_flag is not None:
-        tols = tols.with_overrides(slack_tol=slack_tol_flag)
+        tols = dataclasses.replace(tols, slack_tol=slack_tol_flag)
     return tols
 
 
@@ -64,9 +66,15 @@ def _load_scenario_file(path: str) -> cp.Scenario | int:
 
 
 def _display(value, bits: bool):
+    if bits and isinstance(value, (list, tuple)):
+        return [_display(x, True) for x in value]
     if bits and isinstance(value, float) and math.isfinite(value):
         return value / LN2
     return value
+
+
+def _unit(family: str, bits: bool) -> str:
+    return "max-abs" if family == _RESIDUAL_FAMILY else ("bits" if bits else "nats")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -93,11 +101,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(text)
 
-    unit = "bits" if args.bits else "nats"
     summary = report["summary"]
     for family in sorted(report["sections"]):
         s = report["sections"][family]["summary"]
-        lo = _display(s["min_slack"], args.bits)
+        unit = _unit(family, args.bits)
+        lo = _display(s["min_slack"], unit == "bits")
         lo_txt = f"{lo:.3e}" if isinstance(lo, float) else "n/a"
         print(
             f"[{family}] trials={s['trials']} passes={s['passes']} "
@@ -135,25 +143,22 @@ def cmd_explain(args: argparse.Namespace) -> int:
         return EXIT_VALIDATION_ERROR
 
     tols = _resolve_tols(scenario, args.slack_tol)
-    unit = "bits" if args.bits else "nats"
     try:
         for family in scenario.families():
             details: dict = {}
             report = cp.evaluate_trial(scenario, family, args.trial, tols, collect=details)
             print(f"== {family} | trial {args.trial} | seed {scenario.seed} ==")
             print(f"passed: {report.passed}   flags: {list(report.flags)}")
+            # Output without --bits stays byte-stable: every family keeps "nats".
+            unit = _unit(family, True) if args.bits else "nats"
             for label, v in (("lhs", report.lhs), ("rhs", report.rhs), ("slack", report.slack)):
-                print(f"{label} ({unit}): {cp.ext_to_json(_display(v, args.bits))!r}")
+                print(f"{label} ({unit}): {cp.ext_to_json(_display(v, unit == 'bits'))!r}")
             print(f"tolerance: {report.tolerance!r}")
             for k in sorted(report.metadata):
-                print(f"metadata.{k}: {cp.jsonable(report.metadata[k])!r}")
+                v = _display(report.metadata[k], args.bits and k.startswith(_ENTROPY_KEYS))
+                print(f"metadata.{k}: {cp.jsonable(v)!r}")
             for k in sorted(details):
-                v = details[k]
-                if args.bits and any(k.startswith(p) or k == p.rstrip("_") for p in _ENTROPY_KEYS):
-                    if isinstance(v, float):
-                        v = _display(v, True)
-                    elif isinstance(v, (list, tuple)) and k == "sampled_information":
-                        v = [_display(x, True) for x in v]
+                v = _display(details[k], args.bits and k.startswith(_ENTROPY_KEYS))
                 print(f"{k}: {cp.jsonable(v)!r}")
             print()
     except (ValidationError, ShapeError, cp.ScenarioError, FixedPointError) as exc:

@@ -1,9 +1,14 @@
 """Numerical tolerances shared across the package.
 
-All tolerances live in one frozen dataclass so that a single override
-(e.g. from a scenario file or the SUPCHAN_SLACK_TOL environment variable)
-propagates consistently.  Defaults are sized for double precision on
-matrices of dimension <= 36.
+Every tolerance that can be overridden (scenario file, SUPCHAN_SLACK_TOL,
+``--slack-tol``) lives in one frozen dataclass, so that a single override
+propagates consistently.  Defaults are sized for double precision on matrices
+of dimension <= 36.  Thresholds that no scenario has needed to tune stay
+fixed where they are used: ``channels.CP_TOL``/``TP_TOL``,
+``bounds.THERMAL_MATCH_TOL``, ``campaigns.CONSISTENCY_TOL``, the 1e-12 clip
+bands, the 1e-8 QDPI route cross-checks, and the fixed-point literals in
+``channels`` (the 1e-8 eigenvalue-1 cluster width, the ``_repair_psd``
+limits, the 2^16 Cesaro cap), which go with that routine.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class Tolerances:
-    herm_tol: float = 1e-10      # max-abs deviation allowed from Hermiticity
+    herm_tol: float = 1e-10      # max-abs deviation allowed from Hermiticity and unitarity
     psd_floor: float = 1e-10     # eigenvalues below this are clamped to exactly 0
     recon_tol: float = 1e-9      # eigendecomposition reconstruction residual
     fp_tol: float = 1e-9         # fixed-point residual ||Phi(e) - e||_1
@@ -22,17 +27,13 @@ class Tolerances:
     slack_tol: float = 1e-8      # bound violations beyond this are genuine failures
     trace_tol: float = 1e-10     # unit-trace check for density matrices
 
-    def with_overrides(self, **kwargs: float) -> "Tolerances":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **kwargs)
-
 
 def from_env(base: Tolerances | None = None) -> Tolerances:
     """Apply the SUPCHAN_SLACK_TOL environment override, if set."""
     tols = base if base is not None else Tolerances()
     raw = os.environ.get("SUPCHAN_SLACK_TOL")
     if raw is not None:
-        tols = tols.with_overrides(slack_tol=float(raw))
+        tols = replace(tols, slack_tol=float(raw))
     return tols
 
 

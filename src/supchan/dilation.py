@@ -81,7 +81,7 @@ def stinespring(
     r = len(kraus)
     v = np.vstack(kraus)  # row blocks: ancilla index slow
     dev = mk.max_abs(v.conj().T @ v - np.eye(d))
-    if dev > 1e-10:
+    if dev > tols.herm_tol:
         raise ValidationError(f"operation is not trace preserving: isometry defect {dev:.3e}")
     if r == 1:
         u_ab = v.copy()
@@ -138,15 +138,9 @@ def isometry_choi_state(iso: IsometricOperation, tols: Tolerances = DEFAULT_TOLS
     mmap outputs lets monotonicity be probed without naming a bound.
     """
     d_s, d_a = iso.d_s, iso.d_a
-    w, vecs = mk.herm_eig(iso.alpha.mat, tols)
-    w = mk.clamp_spectrum(w, tols)
     # Kraus K_j = V (I_S (x) sqrt(lam_j) |a_j>), mapping S -> S (x) A
-    ks = []
-    for lam, avec in zip(w, vecs.T):
-        if lam <= 0.0:
-            continue
-        inj = np.kron(np.eye(d_s, dtype=complex), (np.sqrt(lam) * avec)[:, None])
-        ks.append(iso.v @ inj)
+    ks = [iso.v @ np.kron(np.eye(d_s, dtype=complex), f[:, None])
+          for f in mk.psd_factors(iso.alpha.mat, tols)]
     op = ch.from_kraus(ks, tols=tols)
     return density(
         op.choi_state, DimShape([d_s * d_a, d_s], ["out", "in"]), tols=tols

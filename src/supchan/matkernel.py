@@ -160,8 +160,11 @@ def max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m))) if m.size else 0.0
 
 
-def is_hermitian(m: np.ndarray, tol: float) -> bool:
-    return max_abs(m - m.conj().T) <= tol
+def check_hermitian(m: np.ndarray, tol: float, what: str = "matrix") -> None:
+    """Raise ValidationError when ``m`` deviates from its adjoint by more than ``tol``."""
+    dev = max_abs(m - m.conj().T)
+    if dev > tol:
+        raise ValidationError(f"{what} is not Hermitian: max deviation {dev:.3e}")
 
 
 def herm_eig(
@@ -171,21 +174,20 @@ def herm_eig(
 
     Returns ``(w, V)`` with real eigenvalues ``w`` in descending order and
     unitary ``V`` whose columns are the matching eigenvectors, so that
-    ``m == V @ diag(w) @ V.conj().T`` within ``recon_tol``.  No eigenvector
-    order or phase is promised inside degenerate clusters.
+    ``m == V @ diag(w) @ V.conj().T`` within ``recon_tol``, checked on the
+    raw eigenvalues; the returned ``w`` is then clamped (``clamp_spectrum``).
+    No eigenvector order or phase is promised inside degenerate clusters.
     """
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ShapeError(f"expected square matrix, got {m.shape}")
-    dev = max_abs(m - m.conj().T)
-    if dev > tols.herm_tol:
-        raise ValidationError(f"matrix is not Hermitian: max deviation {dev:.3e}")
+    check_hermitian(m, tols.herm_tol)
     w, V = np.linalg.eigh((m + m.conj().T) / 2.0)
     w, V = w[::-1], V[:, ::-1]
     resid = max_abs(V @ np.diag(w) @ V.conj().T - m)
     if resid > tols.recon_tol:
         raise ValidationError(f"eigendecomposition residual {resid:.3e} exceeds recon_tol")
-    return w, V
+    return clamp_spectrum(w, tols), V
 
 
 def clamp_spectrum(w: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
@@ -193,6 +195,12 @@ def clamp_spectrum(w: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray
     w = np.array(w, dtype=float)
     w[np.abs(w) < tols.psd_floor] = 0.0
     return w
+
+
+def psd_factors(m: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> list[np.ndarray]:
+    """``sqrt(lam) * v`` for each clamped eigenpair of ``m`` with lam > 0, in descending order."""
+    w, V = herm_eig(m, tols)
+    return [np.sqrt(lam) * v for lam, v in zip(w, V.T) if lam > 0.0]
 
 
 def herm_fn(
@@ -203,8 +211,8 @@ def herm_fn(
 ) -> np.ndarray:
     """Apply a scalar function to a Hermitian matrix through its spectrum.
 
-    Eigenvalues within ``psd_floor`` of zero are treated as exact zeros
-    before evaluation.  Where ``f`` is undefined at 0 (log), the kernel
+    Eigenvalues come clamped from ``herm_eig``, so those within ``psd_floor``
+    of zero are exact zeros.  Where ``f`` is undefined at 0 (log), the kernel
     policy decides: ``"zero"`` defines the value there to be 0 (the
     0*log(0) = 0 convention is applied by callers), ``"reject"`` raises.
     Functions finite at 0 (exp) are unaffected by the policy.
@@ -212,7 +220,6 @@ def herm_fn(
     if kernel_policy not in ("zero", "reject"):
         raise ValueError(f"unknown kernel_policy {kernel_policy!r}")
     w, V = herm_eig(m, tols)
-    w = clamp_spectrum(w, tols)
     with np.errstate(divide="ignore", invalid="ignore"):
         fw = np.asarray(f(w), dtype=float)
     bad = ~np.isfinite(fw)

@@ -50,6 +50,16 @@ def test_explicit_matrices_are_validated_with_the_scenario_tolerances():
     scn = cp.load_scenario(json.dumps({**spec, "tolerances": {"herm_tol": 1e-9}}))
     report = cp.run_campaign(scn, scn.tols(DEFAULT_TOLS))
     assert report["summary"]["passes"] == 2
+    # The Hermiticity check of H and the unitarity check of U read herm_tol too.
+    h = np.diag([0.0, 1.0]).astype(complex)
+    h[0, 1] = 5e-10j
+    u = (1 + 2e-10) * np.eye(4, dtype=complex)
+    for key, m in (("H", h), ("U", u)):
+        spec = {"seed": 3, "trials": 1, "bound": "clausius", "dims": {"d_S": 2},
+                "explicit": {key: cp.matrix_to_json(m)}}
+        with pytest.raises(cp.ScenarioError, match=f"explicit.{key}"):
+            cp.load_scenario(json.dumps(spec))
+        cp.load_scenario(json.dumps({**spec, "tolerances": {"herm_tol": 1e-9}}))
 
 
 def test_load_scenario_matrix_errors_name_field_paths():

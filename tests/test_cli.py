@@ -1,7 +1,9 @@
+import ast
 import json
 import math
 
 import numpy as np
+import pytest
 
 from supchan import channels as ch
 from supchan import campaigns as cp
@@ -154,3 +156,59 @@ def test_slack_tol_precedence(tmp_path, monkeypatch):
     assert cli._resolve_tols(scn, 0.125).slack_tol == 0.125
     monkeypatch.delenv("SUPCHAN_SLACK_TOL")
     assert config.from_env(config.Tolerances()).slack_tol == 1e-8
+
+
+def test_verify_rejects_unknown_scenario_keys(tmp_path, capsys):
+    cases = [
+        ({"n_measurment": 5}, "n_measurment"),
+        ({"dims": {"d_s": 3}}, "dims.d_s"),
+        ({"explicit": {"sigmaa": [[1, 0], [0, 0]]}}, "explicit.sigmaa"),
+    ]
+    for i, (extra, path) in enumerate(cases):
+        scn = write_scenario(tmp_path, name=f"unknown{i}.json", trials=1, **extra)
+        assert cli.main(["verify", "--scenario", scn, "--jobs", "1"]) == cli.EXIT_VALIDATION_ERROR
+        assert f"{path}: unknown" in capsys.readouterr().err
+
+
+def test_verify_rejects_nonpositive_beta(tmp_path, capsys):
+    for beta in (0, -1.5):
+        scn = write_scenario(tmp_path, trials=1, bound="clausius", dims={"d_S": 2},
+                             explicit={"beta": beta})
+        assert cli.main(["verify", "--scenario", scn, "--jobs", "1"]) == cli.EXIT_VALIDATION_ERROR
+        assert "explicit.beta" in capsys.readouterr().err
+
+
+def explain_lines(capsys, scn, *flags):
+    """``explain --trial 0`` output as {label: value}, values parsed back."""
+    assert cli.main(["explain", "--scenario", scn, "--trial", "0", *flags]) == 0
+    out = {}
+    for line in capsys.readouterr().out.splitlines():
+        label, sep, value = line.partition(": ")
+        if sep and not label.startswith("passed"):
+            out[label] = ast.literal_eval(value)
+    return out
+
+
+def test_explain_bits_converts_every_entropy_and_no_residual(tmp_path, capsys):
+    main = write_scenario(tmp_path, name="main.json", trials=1)
+    nats, bits = explain_lines(capsys, main), explain_lines(capsys, main, "--bits")
+    assert bits["slack_identity"] == pytest.approx([x / math.log(2) for x in nats["slack_identity"]])
+
+    mmap = write_scenario(tmp_path, name="mmap.json", trials=1, bound="mmap-consistency")
+    nats, bits = explain_lines(capsys, mmap), explain_lines(capsys, mmap, "--bits")
+    for key in ("delta_S", "metadata.delta_S"):
+        assert bits[key] == pytest.approx(nats[key] / math.log(2))
+    for label in ("lhs", "rhs", "slack"):
+        assert bits[f"{label} (max-abs)"] == nats[f"{label} (nats)"]
+    assert bits["residual"] == nats["residual"]
+
+
+def test_verify_bits_leaves_the_mmap_residual_slack_unconverted(tmp_path, capsys):
+    scn = write_scenario(tmp_path, trials=1, bound="mmap-consistency")
+    lines = []
+    for flags in ([], ["--bits"]):
+        assert cli.main(["verify", "--scenario", scn, "--jobs", "1", *flags]) == 0
+        err = capsys.readouterr().err
+        lines.append(next(l for l in err.splitlines() if l.startswith("[mmap-consistency]")))
+    assert lines[0] == lines[1]
+    assert lines[0].endswith(" max-abs")

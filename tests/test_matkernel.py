@@ -158,8 +158,24 @@ def test_herm_eig_reconstruction_and_trace():
 
 
 def test_herm_eig_rejects_non_hermitian():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="max deviation 1.000e"):
         mk.herm_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+    with pytest.raises(ValidationError, match="Choi matrix is not Hermitian"):
+        mk.check_hermitian(np.array([[0, 1e-9], [0, 0]]), 1e-10, "Choi matrix")
+    mk.check_hermitian(np.array([[0, 1e-9], [0, 0]]), 1e-9)
+
+
+def test_herm_eig_clamps_and_psd_factors_rebuild_the_matrix():
+    rng = np.random.default_rng(19)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    lam = np.array([0.7, 0.3, 1e-12, -1e-12])
+    m = (q * lam) @ q.conj().T
+    w, _ = mk.herm_eig(m)
+    assert w[2] == 0.0 and w[3] == 0.0
+    fs = mk.psd_factors(m)
+    assert len(fs) == 2
+    assert np.linalg.norm(fs[0]) ** 2 == pytest.approx(0.7)
+    assert mk.max_abs(sum(np.outer(f, f.conj()) for f in fs) - m) < 1e-12
 
 
 def test_herm_fn_log_maximally_mixed():
