@@ -3,9 +3,15 @@
 A scenario is a JSON object selecting a bound family, dimensions, a seed
 and a trial count, with optional explicit matrices overriding the random
 instance generation (complex entries as [re, im] pairs, matrices as
-row-major nested arrays).  Campaign trials are seed-deterministic: trial t
-of family f draws from ``default_rng([seed, f, t])`` regardless of worker
-scheduling, and reports are gathered in trial order.
+row-major nested arrays).  ``load_scenario`` reads each explicit entry once,
+in ``_read_explicit``: states become ``DensityMatrix``, operations
+``QuantumOperation`` and the ensemble ``bounds.Ensemble``, all validated
+under the scenario's tolerances, and trials use these objects as they are.
+``U``, ``V``, ``H`` and ``rho_se`` stay matrices; ``rho_se`` is wrapped per
+use because ``qdpi`` splits it as d_P x d_E1 and d_Q x d_E2.  Campaign
+trials are seed-deterministic: trial t of family f draws from
+``default_rng([seed, f, t])`` regardless of worker scheduling, and reports
+are gathered in trial order.
 """
 
 from __future__ import annotations
@@ -112,8 +118,7 @@ def jsonable(obj):
 # Scenario loading
 # ---------------------------------------------------------------------------
 
-_EXPLICIT_MATRIX_KEYS = ("U", "rho_se", "op_choi", "H", "sigma", "V", "alpha")
-_EXPLICIT_KEYS = _EXPLICIT_MATRIX_KEYS + ("op_kraus", "beta", "theta", "ensemble")
+_EXPLICIT_KEYS = ("U", "rho_se", "op_choi", "H", "sigma", "V", "alpha", "op_kraus", "beta", "theta", "ensemble")
 _TOP_KEYS = ("seed", "trials", "bound", "dims", "tolerances", "n_measurements", "explicit")
 _DIM_KEYS = ("d_S", "d_E", "d_A", "d_P", "d_Q", "d_E1", "d_E2")
 
@@ -170,92 +175,84 @@ def load_scenario(text: str) -> Scenario:
     if not isinstance(explicit_raw, dict):
         raise ScenarioError("explicit: expected an object")
     _reject_unknown(explicit_raw, _EXPLICIT_KEYS, "explicit.")
-    explicit = {}
-    for key in _EXPLICIT_MATRIX_KEYS:
-        if key in explicit_raw:
-            explicit[key] = parse_complex_matrix(explicit_raw[key], f"explicit.{key}")
-    if "op_kraus" in explicit_raw:
-        ops = explicit_raw["op_kraus"]
-        if not isinstance(ops, list) or not ops:
-            raise ScenarioError("explicit.op_kraus: expected a nonempty list of matrices")
-        explicit["op_kraus"] = [
-            parse_complex_matrix(m, f"explicit.op_kraus[{i}]") for i, m in enumerate(ops)
-        ]
-    for key in ("beta", "theta"):
-        if key in explicit_raw:
-            v = explicit_raw[key]
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ScenarioError(f"explicit.{key}: expected a number, got {v!r}")
-            if key == "beta" and not v > 0:
-                raise ScenarioError(f"explicit.beta: expected a positive number, got {v!r}")
-            explicit[key] = float(v)
-    if "ensemble" in explicit_raw:
-        ens = explicit_raw["ensemble"]
-        if not isinstance(ens, dict) or "probs" not in ens or "ops_kraus" not in ens:
-            raise ScenarioError("explicit.ensemble: expected an object with probs and ops_kraus")
-        probs = ens["probs"]
-        if not isinstance(probs, list) or any(not isinstance(p, (int, float)) for p in probs):
-            raise ScenarioError("explicit.ensemble.probs: expected a list of numbers")
-        ops_kraus = [
-            [parse_complex_matrix(m, f"explicit.ensemble.ops_kraus[{i}][{j}]") for j, m in enumerate(op)]
-            for i, op in enumerate(ens["ops_kraus"])
-        ]
-        explicit["ensemble"] = ([float(p) for p in probs], ops_kraus)
+    if "op_kraus" in explicit_raw and "op_choi" in explicit_raw:
+        raise ScenarioError("explicit.op_choi: give either op_kraus or op_choi, not both")
 
     scenario = Scenario(seed, dict(sorted(dims.items())), trials, bound,
-                        dict(sorted(tolerances.items())), explicit, n_meas)
-    _validate_explicit(scenario)
-    return scenario
-
-
-def _validate_explicit(scenario: Scenario) -> None:
-    ex = scenario.explicit
+                        dict(sorted(tolerances.items())), n_measurements=n_meas)
     tols = scenario.tols(Tolerances())
+    explicit = {k: _read_explicit(k, v, dims.get("d_S", 2), tols) for k, v in explicit_raw.items()}
+    return replace(scenario, explicit=explicit)
+
+
+def _kraus_list(obj, path: str) -> list[np.ndarray]:
+    if not isinstance(obj, list) or not obj:
+        raise ScenarioError(f"{path}: expected a nonempty list of matrices")
+    return [parse_complex_matrix(m, f"{path}[{i}]") for i, m in enumerate(obj)]
+
+
+def _read_explicit(key: str, obj, d_s: int, tols: Tolerances):
+    """Parse and validate ``explicit.<key>`` into the value every trial uses."""
+    path = f"explicit.{key}"
+    if key in ("beta", "theta"):
+        if not isinstance(obj, (int, float)) or isinstance(obj, bool):
+            raise ScenarioError(f"{path}: expected a number, got {obj!r}")
+        if key == "beta" and not obj > 0:
+            raise ScenarioError(f"{path}: expected a positive number, got {obj!r}")
+        return float(obj)
     try:
-        if "U" in ex:
-            ch.check_unitary(ex["U"], tols, what="explicit.U")
-        if "rho_se" in ex:
-            d_s = scenario.dims.get("d_S", 2)
-            d = ex["rho_se"].shape[0]
+        if key == "op_kraus":
+            return ch.from_kraus(_kraus_list(obj, path), tols=tols)
+        if key == "ensemble":
+            if not isinstance(obj, dict) or "probs" not in obj or "ops_kraus" not in obj:
+                raise ScenarioError(f"{path}: expected an object with probs and ops_kraus")
+            _reject_unknown(obj, ("probs", "ops_kraus"), f"{path}.")
+            probs, ops = obj["probs"], obj["ops_kraus"]
+            if not isinstance(probs, list) or any(type(p) not in (int, float) for p in probs):
+                raise ScenarioError(f"{path}.probs: expected a list of numbers")
+            if not isinstance(ops, list):
+                raise ScenarioError(f"{path}.ops_kraus: expected a list of Kraus lists")
+            kraus = [_kraus_list(op, f"{path}.ops_kraus[{i}]") for i, op in enumerate(ops)]
+            return bd.Ensemble(tuple(map(float, probs)), tuple(ch.from_kraus(k, tols=tols) for k in kraus))
+        m = parse_complex_matrix(obj, path)
+        if key in ("U", "V"):
+            ch.check_unitary(m, tols)
+        elif key == "H":
+            mk.check_hermitian(m, tols.herm_tol * max(1.0, mk.max_abs(m)))
+        elif key == "rho_se":
+            d = m.shape[0]
             if d % d_s != 0:
-                raise ScenarioError(f"explicit.rho_se: dim {d} does not factor over d_S={d_s}")
-            st.density(ex["rho_se"], DimShape([d_s, d // d_s], ["S", "E"]), tols=tols)
-        if "sigma" in ex:
-            st.density(ex["sigma"], tols=tols)
-        if "alpha" in ex:
-            st.density(ex["alpha"], labels=["A"], tols=tols)
-        if "op_kraus" in ex:
-            ch.from_kraus(ex["op_kraus"], tols=tols)
-        if "op_choi" in ex:
-            c = ex["op_choi"]
-            d = int(round(math.sqrt(c.shape[0])))
-            ch.from_choi(c, d, d, tols=tols)
-        if "H" in ex:
-            mk.check_hermitian(ex["H"], tols.herm_tol * max(1.0, mk.max_abs(ex["H"])), "explicit.H")
-        if "ensemble" in ex:
-            probs, ops_kraus = ex["ensemble"]
-            bd.Ensemble(tuple(probs), tuple(ch.from_kraus(op, tols=tols) for op in ops_kraus))
-        if "V" in ex:
-            ch.check_unitary(ex["V"], tols, what="explicit.V")
+                raise ScenarioError(f"{path}: dim {d} does not factor over d_S={d_s}")
+            st.density(m, DimShape([d_s, d // d_s], ["S", "E"]), tols=tols)
+        elif key == "sigma":
+            return st.density(m, tols=tols)
+        elif key == "alpha":
+            return st.density(m, labels=["A"], tols=tols)
+        elif key == "op_choi":
+            d = int(round(math.sqrt(m.shape[0])))
+            return ch.from_choi(m, d, d, tols=tols)
+        return m
     except ScenarioError:
         raise
-    except (mk.ShapeError, mk.ValidationError, ValueError) as exc:
-        raise ScenarioError(f"explicit: {exc}") from exc
+    except ValueError as exc:  # ShapeError, ValidationError, mismatched shapes
+        raise ScenarioError(f"{path}: {exc}") from exc
+
+
+def _explicit_json(v):
+    """JSON form of a stored explicit value; loading it gives the same value."""
+    if isinstance(v, float):
+        return v
+    if isinstance(v, st.DensityMatrix):
+        return matrix_to_json(v.mat)
+    if isinstance(v, ch.QuantumOperation):
+        return [matrix_to_json(k) for k in v.kraus] if v.kraus is not None else matrix_to_json(v.choi)
+    if isinstance(v, bd.Ensemble):
+        return {"probs": list(v.probs), "ops_kraus": [_explicit_json(op) for op in v.ops]}
+    return matrix_to_json(v)
 
 
 def scenario_echo(scenario: Scenario) -> dict:
     """Canonical JSON-safe form of the scenario for report embedding."""
-    ex = {}
-    for k, v in scenario.explicit.items():
-        if k in ("beta", "theta"):
-            ex[k] = v
-        elif k == "op_kraus":
-            ex[k] = [matrix_to_json(m) for m in v]
-        elif k == "ensemble":
-            probs, ops = v
-            ex[k] = {"probs": probs, "ops_kraus": [[matrix_to_json(m) for m in op] for op in ops]}
-        else:
-            ex[k] = matrix_to_json(v)
     return {
         "seed": scenario.seed,
         "dims": scenario.dims,
@@ -263,7 +260,7 @@ def scenario_echo(scenario: Scenario) -> dict:
         "bound": scenario.bound,
         "tolerances": scenario.tolerances,
         "n_measurements": scenario.n_measurements,
-        "explicit": ex,
+        "explicit": {k: _explicit_json(v) for k, v in scenario.explicit.items()},
     }
 
 
@@ -297,12 +294,13 @@ def random_operation(d: int, rng: np.random.Generator, tols: Tolerances,
                      explicit: dict | None = None,
                      bipartite: tuple[int, int] | None = None) -> ch.QuantumOperation:
     ex = explicit or {}
-    if "op_kraus" in ex:
-        return ch.from_kraus(ex["op_kraus"], bipartite=bipartite, tols=tols)
-    if "op_choi" in ex:
-        return ch.from_choi(ex["op_choi"], d, d, bipartite=bipartite, tols=tols)
-    rank = int(rng.integers(1, d * d + 1))
-    return ch.random_cptp(d, rank, rng, bipartite=bipartite, tols=tols)
+    op = ex.get("op_kraus", ex.get("op_choi"))
+    if op is None:
+        rank = int(rng.integers(1, d * d + 1))
+        return ch.random_cptp(d, rank, rng, bipartite=bipartite, tols=tols)
+    if (op.d_in, op.d_out) != (d, d):
+        raise mk.ShapeError(f"explicit operation maps dim {op.d_in} to {op.d_out}, not {d} to {d}")
+    return replace(op, bipartite=bipartite)
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +320,8 @@ def evaluate_trial(scenario: Scenario, family: str, trial: int, tols: Tolerances
 
     if family == "spohn":
         op = random_operation(d_s, rng, tols, ex)
-        if "sigma" in ex:
-            rho = st.density(ex["sigma"], tols=tols)
-        else:
+        rho = ex.get("sigma")
+        if rho is None:
             rho = st.random_density(d_s, int(rng.integers(1, d_s + 1)), rng, tols=tols)
         report = bd.spohn(op, rho, tols=tols, collect=collect)
 
@@ -348,9 +345,8 @@ def evaluate_trial(scenario: Scenario, family: str, trial: int, tols: Tolerances
             mk.tensor(anchor.mat, gibbs.mat), DimShape([d_s, d_s], ["S", "E"]), tols=tols
         )
         sc = sup.build(u, rho_se, tols)
-        if "sigma" in ex:
-            sigma = st.density(ex["sigma"], tols=tols)
-        else:
+        sigma = ex.get("sigma")
+        if sigma is None:
             sigma = st.random_density(d_s, int(rng.integers(1, d_s + 1)), rng, tols=tols)
         report = bd.clausius(sc, sigma, h, beta, tols, collect=collect)
 
@@ -364,10 +360,8 @@ def evaluate_trial(scenario: Scenario, family: str, trial: int, tols: Tolerances
 
     elif family == "holevo":
         sc = random_superchannel(d_s, d_e, rng, tols, ex)
-        if "ensemble" in ex:
-            probs, ops_kraus = ex["ensemble"]
-            ens = bd.Ensemble(tuple(probs), tuple(ch.from_kraus(op, tols=tols) for op in ops_kraus))
-        else:
+        ens = ex.get("ensemble")
+        if ens is None:
             k = int(rng.integers(2, 5))
             ops = tuple(ch.random_cptp(d_s, int(rng.integers(1, d_s * d_s + 1)), rng, tols=tols)
                         for _ in range(k))
@@ -382,12 +376,11 @@ def evaluate_trial(scenario: Scenario, family: str, trial: int, tols: Tolerances
         v = ex.get("V")
         if v is None:
             v = st.haar_unitary(d_s * d_a, rng)
-        if "alpha" in ex:
-            alpha = st.density(ex["alpha"], labels=["A"], tols=tols)
-        else:
+        alpha = ex.get("alpha")
+        if alpha is None:
             vec = st.random_pure(d_a, rng)
             alpha = st.density(np.outer(vec, vec.conj()), labels=["A"], tols=tols)
-        iso = dl.IsometricOperation(v, alpha)
+        iso = dl.IsometricOperation(v, alpha, tols)
         upsilon, delta_s = dl.mmap(sc, iso, tols)
         reduced = mk.partial_trace(upsilon.mat, upsilon.shape, ["S"])
         direct = sup.act(sc, ch.channel_from_dilation(iso.v, iso.alpha, tols))

@@ -149,8 +149,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
             report = cp.evaluate_trial(scenario, family, args.trial, tols, collect=details)
             print(f"== {family} | trial {args.trial} | seed {scenario.seed} ==")
             print(f"passed: {report.passed}   flags: {list(report.flags)}")
-            # Output without --bits stays byte-stable: every family keeps "nats".
-            unit = _unit(family, True) if args.bits else "nats"
+            unit = _unit(family, args.bits)
             for label, v in (("lhs", report.lhs), ("rhs", report.rhs), ("slack", report.slack)):
                 print(f"{label} ({unit}): {cp.ext_to_json(_display(v, unit == 'bits'))!r}")
             print(f"tolerance: {report.tolerance!r}")

@@ -11,7 +11,7 @@ the system alone is ``channels.channel_from_dilation(iso.v, iso.alpha)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -112,10 +112,11 @@ class IsometricOperation:
 
     v: np.ndarray
     alpha: DensityMatrix
+    tols: InitVar[Tolerances] = DEFAULT_TOLS
 
-    def __post_init__(self):
+    def __post_init__(self, tols: Tolerances):
         object.__setattr__(self, "v", mk.as_matrix(self.v))
-        ch.check_unitary(self.v, what="isometric-dilation unitary")
+        ch.check_unitary(self.v, tols, what="isometric-dilation unitary")
         if self.v.shape[0] % self.alpha.dim != 0:
             raise ShapeError(
                 f"unitary dim {self.v.shape[0]} does not factor over ancilla dim {self.alpha.dim}"

@@ -7,6 +7,7 @@ import pytest
 from supchan import campaigns as cp
 from supchan import channels as ch
 from supchan import matkernel as mk
+from supchan import states as st
 from supchan.config import DEFAULT_TOLS
 
 
@@ -88,12 +89,26 @@ def test_parse_complex_matrix_pairs():
 
 
 def test_scenario_echo_round_trip():
-    u = ch.partial_swap_unitary(2, 0.3)
-    scn = make_scenario(explicit={"U": cp.matrix_to_json(u), "beta": 2.0})
-    echo = cp.scenario_echo(scn)
-    again = cp.load_scenario(json.dumps(echo))
-    assert cp.scenario_echo(again) == echo
-    assert mk.max_abs(again.explicit["U"] - u) == 0
+    # Every explicit key; op_kraus and op_choi are exclusive, so each gets a scenario.
+    rng = np.random.default_rng(7)
+    mats = {"U": ch.partial_swap_unitary(2, 0.3), "rho_se": st.random_density(4, 2, rng).mat,
+            "H": np.diag([0.0, 1.0]).astype(complex), "sigma": st.random_density(2, 2, rng).mat,
+            "V": st.haar_unitary(4, rng), "alpha": st.random_density(2, 1, rng).mat}
+    kraus = [ch.random_cptp(2, 2, rng).kraus_ops() for _ in range(2)]
+    ensemble = {"probs": [0.25, 0.75], "ops_kraus": [[cp.matrix_to_json(k) for k in op] for op in kraus]}
+    ops = {"op_kraus": [cp.matrix_to_json(k) for k in kraus[0]],
+           "op_choi": cp.matrix_to_json(ch.choi_from_kraus(kraus[1]))}
+    for key, op in ops.items():
+        explicit = {k: cp.matrix_to_json(m) for k, m in mats.items()}
+        explicit.update({key: op, "beta": 2.0, "theta": 0.1, "ensemble": ensemble})
+        scn = make_scenario(explicit=explicit)
+        echo = cp.scenario_echo(scn)
+        assert json.dumps(echo["explicit"], sort_keys=True) == json.dumps(explicit, sort_keys=True)
+        again = cp.load_scenario(json.dumps(echo))
+        assert json.dumps(cp.scenario_echo(again)) == json.dumps(echo)
+        for k, m in mats.items():
+            assert getattr(again.explicit[k], "mat", again.explicit[k]).tobytes() == m.tobytes()
+        assert again.explicit[key].choi.tobytes() == scn.explicit[key].choi.tobytes()
 
 
 def test_ext_to_json_values():

@@ -9,6 +9,7 @@ from supchan import channels as ch
 from supchan import campaigns as cp
 from supchan import cli
 from supchan import config
+from supchan import states as st
 
 
 def write_scenario(tmp_path, name="scn.json", **kwargs):
@@ -178,6 +179,49 @@ def test_verify_rejects_nonpositive_beta(tmp_path, capsys):
         assert "explicit.beta" in capsys.readouterr().err
 
 
+EYE2 = cp.matrix_to_json(np.eye(2))
+
+
+@pytest.mark.parametrize("ensemble, path", [
+    ({"probs": [1.0], "ops_kraus": [[EYE2]], "prob": [0.5]}, "explicit.ensemble.prob: unknown key"),
+    ({"probs": [1.0], "ops_kraus": 5}, "explicit.ensemble.ops_kraus: expected"),
+    ({"probs": [1.0], "ops_kraus": [5]}, "explicit.ensemble.ops_kraus[0]: expected"),
+    ({"probs": [1.0], "ops_kraus": [[]]}, "explicit.ensemble.ops_kraus[0]: expected"),
+    ({"probs": [True], "ops_kraus": [[EYE2]]}, "explicit.ensemble.probs: expected"),
+], ids=["unknown-key", "ops-not-a-list", "op-not-a-list", "op-empty", "prob-bool"])
+def test_verify_rejects_malformed_ensemble(tmp_path, capsys, ensemble, path):
+    scn = write_scenario(tmp_path, trials=1, bound="holevo", explicit={"ensemble": ensemble})
+    assert cli.main(["verify", "--scenario", scn, "--jobs", "1"]) == cli.EXIT_VALIDATION_ERROR
+    assert f"scenario error: {path}" in capsys.readouterr().err
+
+
+def test_verify_rejects_an_explicit_operation_of_the_wrong_size(tmp_path, capsys):
+    scn = write_scenario(tmp_path, trials=1, bound="qdpi", dims={}, explicit={"op_kraus": [EYE2]})
+    assert cli.main(["verify", "--scenario", scn, "--jobs", "1"]) == cli.EXIT_VALIDATION_ERROR
+    assert "explicit operation maps dim 2 to 2, not 4 to 4" in capsys.readouterr().err
+
+
+def test_verify_rejects_op_kraus_with_op_choi(tmp_path, capsys):
+    choi = cp.matrix_to_json(ch.choi_from_kraus([np.eye(2)]))
+    scn = write_scenario(tmp_path, trials=1, bound="spohn", explicit={"op_kraus": [EYE2], "op_choi": choi})
+    assert cli.main(["verify", "--scenario", scn, "--jobs", "1"]) == cli.EXIT_VALIDATION_ERROR
+    assert "explicit.op_choi: give either op_kraus or op_choi" in capsys.readouterr().err
+
+
+def test_verify_checks_explicit_v_under_the_scenario_tolerances(tmp_path, capsys):
+    # V^dag V = I + 5e-10 (I (x) X): off-unitary beyond the default herm_tol,
+    # while the ancilla |0><0| keeps every trace at 1.
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    v = st.haar_unitary(4, np.random.default_rng(0)) @ (np.eye(4) + 2.5e-10 * np.kron(np.eye(2), x))
+    spec = {"trials": 2, "bound": "mmap-consistency", "dims": {"d_S": 2, "d_E": 2, "d_A": 2},
+            "explicit": {"V": cp.matrix_to_json(v), "alpha": cp.matrix_to_json(np.diag([1.0, 0.0]))}}
+    scn = write_scenario(tmp_path, **spec)
+    assert cli.main(["verify", "--scenario", scn, "--jobs", "1"]) == cli.EXIT_VALIDATION_ERROR
+    assert "explicit.V: matrix is not unitary" in capsys.readouterr().err
+    scn = write_scenario(tmp_path, tolerances={"herm_tol": 1e-9}, **spec)
+    assert cli.main(["verify", "--scenario", scn, "--jobs", "1"]) == cli.EXIT_OK
+
+
 def explain_lines(capsys, scn, *flags):
     """``explain --trial 0`` output as {label: value}, values parsed back."""
     assert cli.main(["explain", "--scenario", scn, "--trial", "0", *flags]) == 0
@@ -199,7 +243,7 @@ def test_explain_bits_converts_every_entropy_and_no_residual(tmp_path, capsys):
     for key in ("delta_S", "metadata.delta_S"):
         assert bits[key] == pytest.approx(nats[key] / math.log(2))
     for label in ("lhs", "rhs", "slack"):
-        assert bits[f"{label} (max-abs)"] == nats[f"{label} (nats)"]
+        assert bits[f"{label} (max-abs)"] == nats[f"{label} (max-abs)"]
     assert bits["residual"] == nats["residual"]
 
 
