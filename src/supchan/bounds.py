@@ -392,12 +392,14 @@ def classical_mutual_information(joint: np.ndarray) -> float:
     return float(np.sum(joint[mask] * np.log(ratio)))
 
 
-def measured_information(states: list[np.ndarray], probs: np.ndarray, basis: np.ndarray) -> float:
-    """Classical I(K; outcome) for a projective measurement in ``basis`` columns."""
-    joint = np.empty((len(states), basis.shape[1]))
-    for k, s in enumerate(states):
-        joint[k] = probs[k] * np.clip(np.real(np.einsum("im,ij,jm->m", basis.conj(), s, basis)), 0.0, None)
-    return classical_mutual_information(joint)
+def measured_information(states: np.ndarray, probs: np.ndarray, bases: np.ndarray) -> list[float]:
+    """Classical I(K; outcome) for each projective measurement in ``bases``.
+
+    ``bases`` stacks one matrix per measurement, whose columns are the
+    measurement vectors; ``states`` stacks the codeword states.
+    """
+    born = np.clip(np.real(np.einsum("nim,kij,njm->nkm", bases.conj(), states, bases)), 0.0, None)
+    return [classical_mutual_information(probs[:, None] * b) for b in born]
 
 
 def holevo(
@@ -425,11 +427,9 @@ def holevo(
     if -1e-12 < chi < 0.0:
         chi = 0.0
     d = sc.d_s
-    bases = [st.haar_unitary(d, rng) for _ in range(n_meas)]
     _, eigbasis = mk.herm_eig(avg.mat, tols)
-    bases.append(eigbasis)
-    state_mats = [o.mat for o in outs]
-    sampled = [measured_information(state_mats, probs, b) for b in bases]
+    bases = np.concatenate([st.haar_unitaries(n_meas, d, rng), eigbasis[None]])
+    sampled = measured_information(np.stack([o.mat for o in outs]), probs, bases)
     best = int(np.argmax(sampled))
     meta = {
         "d": d,

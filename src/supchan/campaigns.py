@@ -8,15 +8,20 @@ in ``_read_explicit``: states become ``DensityMatrix``, operations
 ``QuantumOperation`` and the ensemble ``bounds.Ensemble``, all validated
 under the scenario's tolerances, and trials use these objects as they are.
 ``U``, ``V``, ``H`` and ``rho_se`` stay matrices; ``rho_se`` is wrapped per
-use because ``qdpi`` splits it as d_P x d_E1 and d_Q x d_E2.  Campaign
-trials are seed-deterministic: trial t of family f draws from
-``default_rng([seed, f, t])`` regardless of worker scheduling, and reports
-are gathered in trial order.
+use because ``qdpi`` splits it as d_P x d_E1 and d_Q x d_E2.  Each entry's
+size is checked at load against every family of the scenario that reads it.
+
+``prepare`` builds once per campaign each object that is the same in every
+trial (a pinned superchannel and its steady operation, the clausius Gibbs
+state and unitary, a pinned dilation), and each pool worker receives it
+once.  Campaign trials are seed-deterministic: trial t of family f draws
+what is not prepared from ``default_rng([seed, f, t])``, in the same order
+whether or not anything is prepared and regardless of worker scheduling,
+and reports are gathered in trial order.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
@@ -181,7 +186,9 @@ def load_scenario(text: str) -> Scenario:
     scenario = Scenario(seed, dict(sorted(dims.items())), trials, bound,
                         dict(sorted(tolerances.items())), n_measurements=n_meas)
     tols = scenario.tols(Tolerances())
-    explicit = {k: _read_explicit(k, v, dims.get("d_S", 2), tols) for k, v in explicit_raw.items()}
+    explicit = {k: _read_explicit(k, v, tols) for k, v in explicit_raw.items()}
+    for family in scenario.families():
+        _check_sizes(explicit, family, dims)
     return replace(scenario, explicit=explicit)
 
 
@@ -191,7 +198,7 @@ def _kraus_list(obj, path: str) -> list[np.ndarray]:
     return [parse_complex_matrix(m, f"{path}[{i}]") for i, m in enumerate(obj)]
 
 
-def _read_explicit(key: str, obj, d_s: int, tols: Tolerances):
+def _read_explicit(key: str, obj, tols: Tolerances):
     """Parse and validate ``explicit.<key>`` into the value every trial uses."""
     path = f"explicit.{key}"
     if key in ("beta", "theta"):
@@ -220,10 +227,7 @@ def _read_explicit(key: str, obj, d_s: int, tols: Tolerances):
         elif key == "H":
             mk.check_hermitian(m, tols.herm_tol * max(1.0, mk.max_abs(m)))
         elif key == "rho_se":
-            d = m.shape[0]
-            if d % d_s != 0:
-                raise ScenarioError(f"{path}: dim {d} does not factor over d_S={d_s}")
-            st.density(m, DimShape([d_s, d // d_s], ["S", "E"]), tols=tols)
+            st.density(m, tols=tols)
         elif key == "sigma":
             return st.density(m, tols=tols)
         elif key == "alpha":
@@ -236,6 +240,42 @@ def _read_explicit(key: str, obj, d_s: int, tols: Tolerances):
         raise
     except ValueError as exc:  # ShapeError, ValidationError, mismatched shapes
         raise ScenarioError(f"{path}: {exc}") from exc
+
+
+# The dimensions at which each family reads each explicit entry, as
+# products of dims (a missing dim is 2, and d_A defaults to d_S).
+_READS = {
+    "spohn": {"sigma": ["d_S"], "op_kraus": ["d_S"], "op_choi": ["d_S"]},
+    "main": {"U": ["d_S*d_E"], "rho_se": ["d_S*d_E"], "op_kraus": ["d_S"], "op_choi": ["d_S"]},
+    "clausius": {"U": ["d_S*d_S"], "H": ["d_S"], "sigma": ["d_S"]},
+    "qdpi": {"U": ["d_P*d_E1", "d_Q*d_E2"], "rho_se": ["d_P*d_E1", "d_Q*d_E2"],
+             "op_kraus": ["d_P*d_Q"], "op_choi": ["d_P*d_Q"]},
+    "holevo": {"U": ["d_S*d_E"], "rho_se": ["d_S*d_E"], "ensemble": ["d_S"]},
+    "mmap-consistency": {"U": ["d_S*d_E"], "rho_se": ["d_S*d_E"], "V": ["d_S*d_A"], "alpha": ["d_A"]},
+}
+
+
+def _check_sizes(explicit: dict, family: str, dims: dict) -> None:
+    """Refuse an explicit entry whose size does not fit ``family`` at ``dims``."""
+    dim = {k: dims.get(k, 2) for k in _DIM_KEYS}
+    dim["d_A"] = dims.get("d_A", dim["d_S"])
+    for key, names in _READS[family].items():
+        value = explicit.get(key)
+        if value is None:
+            continue
+        op = value.ops[0] if isinstance(value, bd.Ensemble) else value
+        for name in names:
+            n = math.prod(dim[k] for k in name.split("*"))
+            if isinstance(op, ch.QuantumOperation):
+                if (op.d_in, op.d_out) == (n, n):
+                    continue
+                got = f"explicit operation maps dim {op.d_in} to {op.d_out}, not {n} to {n}"
+            else:
+                m = getattr(value, "mat", value)
+                if m.shape == (n, n):
+                    continue
+                got = f"it is {m.shape[0]}x{m.shape[1]}, not {n}x{n}"
+            raise ScenarioError(f"explicit.{key}: {family} reads it at {name}={n}; {got}")
 
 
 def _explicit_json(v):
@@ -298,9 +338,64 @@ def random_operation(d: int, rng: np.random.Generator, tols: Tolerances,
     if op is None:
         rank = int(rng.integers(1, d * d + 1))
         return ch.random_cptp(d, rank, rng, bipartite=bipartite, tols=tols)
-    if (op.d_in, op.d_out) != (d, d):
-        raise mk.ShapeError(f"explicit operation maps dim {op.d_in} to {op.d_out}, not {d} to {d}")
     return replace(op, bipartite=bipartite)
+
+
+# ---------------------------------------------------------------------------
+# Trial-invariant objects
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Prepared:
+    """The objects that every trial of a campaign shares; see ``prepare``."""
+
+    superchannels: dict         # (d, d_E) -> Superchannel of the pinned U and rho_se
+    neso: sup.Neso | None       # of superchannels[d_S, d_E], when main runs
+    thermal: tuple | None       # clausius: (H, beta, Gibbs state, U)
+    dilation: tuple | None      # mmap-consistency: (IsometricOperation, its system channel)
+
+
+def _dilation(v: np.ndarray, alpha: st.DensityMatrix, tols: Tolerances) -> tuple:
+    iso = dl.IsometricOperation(v, alpha, tols)
+    return iso, ch.channel_from_dilation(iso.v, iso.alpha, tols)
+
+
+def prepare(scenario: Scenario, tols: Tolerances) -> Prepared:
+    """Build once each object that is the same in every trial of the campaign.
+
+    Only what the scenario's families read is built, and nothing is drawn:
+    a superchannel is shared when ``U`` and ``rho_se`` are both pinned (one
+    per (d, d_E) pair, as ``qdpi`` splits ``rho_se`` as d_P x d_E1 and
+    d_Q x d_E2), with its steady operation when ``main`` runs; the
+    ``clausius`` Hamiltonian, Gibbs state and unitary are fixed in every
+    scenario; the ``mmap-consistency`` dilation is shared when ``V`` and
+    ``alpha`` are both pinned.
+    """
+    ex, dims, families = scenario.explicit, scenario.dims, scenario.families()
+    d_s, d_e = dims.get("d_S", 2), dims.get("d_E", 2)
+    pairs = set()
+    if "U" in ex and "rho_se" in ex:
+        if {"main", "holevo", "mmap-consistency"} & set(families):
+            pairs.add((d_s, d_e))
+        if "qdpi" in families:
+            pairs |= {(dims.get("d_P", 2), dims.get("d_E1", 2)), (dims.get("d_Q", 2), dims.get("d_E2", 2))}
+    # With U and rho_se pinned, random_superchannel draws nothing.
+    scs = {pair: random_superchannel(*pair, None, tols, ex) for pair in sorted(pairs)}
+    ns = sup.neso(scs[d_s, d_e]) if "main" in families and (d_s, d_e) in scs else None
+    thermal = None
+    if "clausius" in families:
+        h = ex.get("H")
+        if h is None:
+            h = np.diag(np.arange(d_s, dtype=float)).astype(complex)
+        beta = ex.get("beta", 1.0)
+        u = ex.get("U")
+        if u is None:
+            u = ch.partial_swap_unitary(d_s, ex.get("theta", math.pi / 4))
+        thermal = (h, beta, bd.thermal_state(h, beta, tols)[0], u)
+    dilation = None
+    if "mmap-consistency" in families and "V" in ex and "alpha" in ex:
+        dilation = _dilation(ex["V"], ex["alpha"], tols)
+    return Prepared(scs, ns, thermal, dilation)
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +403,15 @@ def random_operation(d: int, rng: np.random.Generator, tols: Tolerances,
 # ---------------------------------------------------------------------------
 
 def evaluate_trial(scenario: Scenario, family: str, trial: int, tols: Tolerances,
-                   collect: dict | None = None) -> bd.BoundReport:
-    """Evaluate one seed-deterministic trial of the given bound family."""
+                   collect: dict | None = None, prepared: Prepared | None = None) -> bd.BoundReport:
+    """Evaluate one seed-deterministic trial of the given bound family.
+
+    ``prepared`` is ``prepare(scenario, tols)``, built here when not given;
+    everything it does not hold is drawn from the trial's generator.
+    """
+    if family not in scenario.families():
+        raise ScenarioError(f"bound: family {family!r} is not run by this scenario")
+    prep = prepared if prepared is not None else prepare(scenario, tols)
     rng = np.random.default_rng(
         [np.uint64(scenario.seed), np.uint64(FAMILIES.index(family)), np.uint64(trial)]
     )
@@ -317,6 +419,10 @@ def evaluate_trial(scenario: Scenario, family: str, trial: int, tols: Tolerances
     dims = scenario.dims
     d_s = dims.get("d_S", 2)
     d_e = dims.get("d_E", 2)
+
+    def superchannel(d: int, d_env: int) -> sup.Superchannel:
+        sc = prep.superchannels.get((d, d_env))
+        return sc if sc is not None else random_superchannel(d, d_env, rng, tols, ex)
 
     if family == "spohn":
         op = random_operation(d_s, rng, tols, ex)
@@ -326,20 +432,12 @@ def evaluate_trial(scenario: Scenario, family: str, trial: int, tols: Tolerances
         report = bd.spohn(op, rho, tols=tols, collect=collect)
 
     elif family == "main":
-        sc = random_superchannel(d_s, d_e, rng, tols, ex)
+        sc = superchannel(d_s, d_e)
         op = random_operation(d_s, rng, tols, ex)
-        report = bd.main_bound(sc, op, tols=tols, collect=collect)
+        report = bd.main_bound(sc, op, prep.neso, tols=tols, collect=collect)
 
     elif family == "clausius":
-        h = ex.get("H")
-        if h is None:
-            h = np.diag(np.arange(d_s, dtype=float)).astype(complex)
-        beta = ex.get("beta", 1.0)
-        theta = ex.get("theta", math.pi / 4)
-        gibbs, _ = bd.thermal_state(h, beta, tols)
-        u = ex.get("U")
-        if u is None:
-            u = ch.partial_swap_unitary(d_s, theta)
+        h, beta, gibbs, u = prep.thermal
         anchor = st.random_density(d_s, d_s, rng, tols=tols)
         rho_se = st.density(
             mk.tensor(anchor.mat, gibbs.mat), DimShape([d_s, d_s], ["S", "E"]), tols=tols
@@ -353,13 +451,13 @@ def evaluate_trial(scenario: Scenario, family: str, trial: int, tols: Tolerances
     elif family == "qdpi":
         d_p = dims.get("d_P", 2)
         d_q = dims.get("d_Q", 2)
-        sc1 = random_superchannel(d_p, dims.get("d_E1", 2), rng, tols, ex)
-        sc2 = random_superchannel(d_q, dims.get("d_E2", 2), rng, tols, ex)
+        sc1 = superchannel(d_p, dims.get("d_E1", 2))
+        sc2 = superchannel(d_q, dims.get("d_E2", 2))
         op = random_operation(d_p * d_q, rng, tols, ex, bipartite=(d_p, d_q))
         report = bd.qdpi(sc1, sc2, op, tols, collect=collect)
 
     elif family == "holevo":
-        sc = random_superchannel(d_s, d_e, rng, tols, ex)
+        sc = superchannel(d_s, d_e)
         ens = ex.get("ensemble")
         if ens is None:
             k = int(rng.integers(2, 5))
@@ -370,20 +468,23 @@ def evaluate_trial(scenario: Scenario, family: str, trial: int, tols: Tolerances
             ens = bd.Ensemble(tuple(float(p) for p in probs), ops)
         _, report, _ = bd.holevo(sc, ens, rng, scenario.n_measurements, tols, collect=collect)
 
-    elif family == "mmap-consistency":
+    else:  # mmap-consistency
         d_a = dims.get("d_A", d_s)
-        sc = random_superchannel(d_s, d_e, rng, tols, ex)
-        v = ex.get("V")
-        if v is None:
-            v = st.haar_unitary(d_s * d_a, rng)
-        alpha = ex.get("alpha")
-        if alpha is None:
-            vec = st.random_pure(d_a, rng)
-            alpha = st.density(np.outer(vec, vec.conj()), labels=["A"], tols=tols)
-        iso = dl.IsometricOperation(v, alpha, tols)
+        sc = superchannel(d_s, d_e)
+        dilation = prep.dilation
+        if dilation is None:
+            v = ex.get("V")
+            if v is None:
+                v = st.haar_unitary(d_s * d_a, rng)
+            alpha = ex.get("alpha")
+            if alpha is None:
+                vec = st.random_pure(d_a, rng)
+                alpha = st.density(np.outer(vec, vec.conj()), labels=["A"], tols=tols)
+            dilation = _dilation(v, alpha, tols)
+        iso, iso_channel = dilation
         upsilon, delta_s = dl.mmap(sc, iso, tols)
         reduced = mk.partial_trace(upsilon.mat, upsilon.shape, ["S"])
-        direct = sup.act(sc, ch.channel_from_dilation(iso.v, iso.alpha, tols))
+        direct = sup.act(sc, iso_channel)
         residual = mk.max_abs(reduced - direct.mat)
         slack = CONSISTENCY_TOL - residual
         report = bd.BoundReport(
@@ -393,9 +494,6 @@ def evaluate_trial(scenario: Scenario, family: str, trial: int, tols: Tolerances
         if collect is not None:
             collect.update(residual=residual, delta_S=delta_s,
                            upsilon_eigenvalues=st.spectrum(upsilon, tols).tolist())
-
-    else:
-        raise ScenarioError(f"bound: unknown family {family!r}")
 
     report.metadata["trial"] = trial
     report.metadata["seed"] = scenario.seed
@@ -438,34 +536,50 @@ def summarize(records: list[dict]) -> dict:
     }
 
 
-def _eval_task(scenario: Scenario, tols: Tolerances, task: tuple[str, int]) -> dict:
+# (scenario, tols, prepared) of the campaign, set once in each pool worker.
+_worker_campaign: tuple | None = None
+
+
+def _init_worker(campaign: tuple) -> None:
+    global _worker_campaign
+    _worker_campaign = campaign
+
+
+def _eval_task(task: tuple[str, int], campaign: tuple | None = None) -> dict:
+    """One trial's record; a pool worker reads the campaign its initializer set."""
+    scenario, tols, prepared = campaign if campaign is not None else _worker_campaign
     family, trial = task
-    return report_to_dict(evaluate_trial(scenario, family, trial, tols))
+    return report_to_dict(evaluate_trial(scenario, family, trial, tols, prepared=prepared))
 
 
 def run_campaign(scenario: Scenario, tols: Tolerances, jobs: int = 1) -> dict:
     """Run every family of the scenario; returns the report object.
 
-    Every trial goes through ``_eval_task``, in this process for
-    ``jobs <= 1`` and in a pool of ``jobs`` worker processes otherwise.
-    The report is deterministic for a fixed scenario: per-trial seeds are
-    derived from (seed, family, trial) and results are ordered by trial
-    index, so serial and parallel executions produce identical output.
-    The summary's wall_time field is left null so reports stay byte-stable;
-    the CLI reports timing separately.
+    The objects every trial shares (``prepare``) are built once, before
+    any trial.  Every trial goes through ``_eval_task``: in this process
+    for ``jobs <= 1``, and otherwise in a pool of ``jobs`` worker processes,
+    each of which receives the scenario, the tolerances and the prepared
+    objects once, through the pool initializer.  The report is
+    deterministic for a fixed scenario: per-trial seeds are derived from
+    (seed, family, trial), what is not prepared is drawn from them in the
+    same order, and results are ordered by trial index, so serial and
+    parallel executions produce identical output.  The summary's wall_time
+    field is left null so reports stay byte-stable; the CLI reports timing
+    separately.
     """
     families = scenario.families()
     tasks = [(family, t) for family in families for t in range(scenario.trials)]
-    work = functools.partial(_eval_task, scenario, tols)
+    campaign = (scenario, tols, prepare(scenario, tols))
     if jobs <= 1:
-        records = list(map(work, tasks))
+        records = [_eval_task(task, campaign) for task in tasks]
     else:
         # Imported here: the pool machinery adds to the start-up time and
         # resident size of every serial run.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(work, tasks, chunksize=8))
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+                                 initargs=(campaign,)) as pool:
+            records = list(pool.map(_eval_task, tasks, chunksize=8))
     n = scenario.trials
     sections = {family: records[i * n:(i + 1) * n] for i, family in enumerate(families)}
     total = summarize(records)

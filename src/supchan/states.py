@@ -172,12 +172,23 @@ def random_pure(d: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def haar_unitaries(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """n Haar-random unitaries, shape (n, d, d), via QR of Ginibre matrices
+    with phase fix.
+
+    Draws what n calls of ``haar_unitary`` draw, in the same order (each
+    matrix's real part, then its imaginary part), and gives the same bits.
+    """
+    x = rng.standard_normal((n, 2, d, d))
+    q, r = np.linalg.qr((x[:, 0] + 1j * x[:, 1]) / np.sqrt(2.0))
+    ph = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    ph /= np.abs(ph)
+    return q * ph[:, None, :]
+
+
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary via QR of a Ginibre matrix with phase fix."""
-    q, r = np.linalg.qr(ginibre(d, d, rng))
-    ph = np.diag(r).copy()
-    ph /= np.abs(ph)
-    return q * ph
+    return haar_unitaries(1, d, rng)[0]
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:

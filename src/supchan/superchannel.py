@@ -27,6 +27,7 @@ the identity), which is exactly the domain the formalism gives it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,8 +44,16 @@ class Superchannel:
     rho_se: DensityMatrix         # initial correlated state, labels ("S", "E")
     d_s: int
     d_e: int
-    m_tensor: np.ndarray          # six-index tensor [a, b, c, p, q, r]
     _tols: Tolerances = field(default=DEFAULT_TOLS, repr=False)
+
+    @cached_property
+    def m_tensor(self) -> np.ndarray:
+        """Six-index tensor [a, b, c, p, q, r], built on first use: only the
+        index-formula contractions read it."""
+        d_s, d_e = self.d_s, self.d_e
+        u4 = self.u.reshape(d_s, d_e, d_s, d_e)
+        r4 = self.rho_se.mat.reshape(d_s, d_e, d_s, d_e)
+        return np.einsum("axby,cyrz,pxqz->abcpqr", u4, r4, u4.conj(), optimize=True)
 
     @property
     def sys_marginal(self) -> DensityMatrix:
@@ -72,10 +81,7 @@ def build(u: np.ndarray, rho_se: DensityMatrix, tols: Tolerances = DEFAULT_TOLS)
     if u.shape != (d_s * d_e, d_s * d_e):
         raise ShapeError(f"unitary shape {u.shape} != joint dim {d_s * d_e}")
     ch.check_unitary(u, tols, what="joint unitary")
-    u4 = u.reshape(d_s, d_e, d_s, d_e)
-    r4 = rho_se.mat.reshape(d_s, d_e, d_s, d_e)
-    m = np.einsum("axby,cyrz,pxqz->abcpqr", u4, r4, u4.conj(), optimize=True)
-    return Superchannel(u, rho_se, d_s, d_e, m, tols)
+    return Superchannel(u, rho_se, d_s, d_e, tols)
 
 
 def act(sc: Superchannel, op: ch.QuantumOperation) -> DensityMatrix:

@@ -347,6 +347,39 @@ def test_holevo_orthogonal_ensemble_attains_log2():
     assert rep.passed and abs(rep.slack) <= 1e-8
 
 
+def test_stacked_measurement_bases_match_sequential_draws_bitwise():
+    # Reference: one Ginibre draw, QR and phase fix per basis, and one Born
+    # einsum per (basis, state), as holevo did before it stacked them.
+    def sequential_haar(d, rng):
+        g = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
+        q, r = np.linalg.qr(g)
+        ph = np.diag(r).copy()
+        ph /= np.abs(ph)
+        return q * ph
+
+    for d in (2, 3, 4):
+        for seed in range(50):
+            rng_seq, rng_stk = np.random.default_rng(seed), np.random.default_rng(seed)
+            seq = [sequential_haar(d, rng_seq) for _ in range(20)]
+            stk = st.haar_unitaries(20, d, rng_stk)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(seq, stk))
+            assert rng_seq.random() == rng_stk.random()
+            assert st.haar_unitary(d, np.random.default_rng(seed)).tobytes() == seq[0].tobytes()
+
+            states = np.stack([st.random_density(d, d, rng_seq).mat for _ in range(3)])
+            probs = rng_seq.dirichlet(np.ones(3))
+            _, eig = mk.herm_eig(states.mean(axis=0))
+            expected = []
+            for basis in seq + [eig]:
+                joint = np.empty((3, d))
+                for k, s in enumerate(states):
+                    born = np.real(np.einsum("im,ij,jm->m", basis.conj(), s, basis))
+                    joint[k] = probs[k] * np.clip(born, 0.0, None)
+                expected.append(bd.classical_mutual_information(joint))
+            got = bd.measured_information(states, probs, np.concatenate([stk, eig[None]]))
+            assert [x.hex() for x in got] == [x.hex() for x in expected]
+
+
 def test_holevo_random_sweep_small():
     for seed in range(20):
         sc, rng = rand_sc(2, 2, seed=6100 + seed)

@@ -8,6 +8,7 @@ from supchan import campaigns as cp
 from supchan import channels as ch
 from supchan import matkernel as mk
 from supchan import states as st
+from supchan import superchannel as sup
 from supchan.config import DEFAULT_TOLS
 
 
@@ -163,6 +164,57 @@ def test_run_campaign_serial_equals_parallel():
     serial = cp.render_json(cp.run_campaign(scn, DEFAULT_TOLS, jobs=1))
     parallel = cp.render_json(cp.run_campaign(scn, DEFAULT_TOLS, jobs=2))
     assert serial == parallel
+
+
+def test_a_pinned_superchannel_and_its_neso_are_built_once_per_campaign(monkeypatch):
+    calls = {"build": 0, "neso": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(sup, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(sup, name, counted)
+    rng = np.random.default_rng(4)
+    pinned = make_scenario(trials=5, explicit={
+        "U": cp.matrix_to_json(st.haar_unitary(4, rng)),
+        "rho_se": cp.matrix_to_json(st.random_density(4, 2, rng).mat)})
+    cp.run_campaign(pinned, DEFAULT_TOLS, jobs=1)
+    assert calls == {"build": 1, "neso": 1}
+    calls.update(build=0, neso=0)
+    cp.run_campaign(make_scenario(trials=5), DEFAULT_TOLS, jobs=1)
+    assert calls == {"build": 5, "neso": 5}
+
+
+def test_every_prepared_object_reaches_the_pool_workers():
+    # Pins every trial-invariant entry: the superchannels of main, qdpi,
+    # holevo and mmap-consistency, main's neso, the clausius Gibbs state and
+    # unitary (a partial swap thermalizes), and the mmap dilation.
+    rng = np.random.default_rng(12)
+    explicit = {k: cp.matrix_to_json(m) for k, m in {
+        "U": ch.partial_swap_unitary(2, 0.4), "rho_se": st.random_density(4, 3, rng).mat,
+        "V": st.haar_unitary(4, rng), "alpha": st.random_density(2, 2, rng).mat,
+        "H": np.diag([0.0, 0.7]).astype(complex)}.items()}
+    scn = make_scenario(bound="all", trials=3, n_measurements=5,
+                        explicit={**explicit, "beta": 0.8, "theta": 0.4})
+    prepared = cp.prepare(scn, DEFAULT_TOLS)
+    assert list(prepared.superchannels) == [(2, 2)]
+    assert prepared.neso is not None and prepared.thermal is not None and prepared.dilation is not None
+    serial = cp.render_json(cp.run_campaign(scn, DEFAULT_TOLS, jobs=1))
+    assert cp.render_json(cp.run_campaign(scn, DEFAULT_TOLS, jobs=2)) == serial
+    assert json.loads(serial)["summary"]["failures"] == 0
+
+
+def test_prepare_builds_only_what_the_families_read():
+    rng = np.random.default_rng(5)
+    explicit = {"U": cp.matrix_to_json(st.haar_unitary(6, rng)),
+                "rho_se": cp.matrix_to_json(st.random_density(6, 2, rng).mat)}
+    qdpi = make_scenario(bound="qdpi", dims={"d_P": 2, "d_E1": 3, "d_Q": 3, "d_E2": 2}, explicit=explicit)
+    prepared = cp.prepare(qdpi, DEFAULT_TOLS)
+    assert sorted(prepared.superchannels) == [(2, 3), (3, 2)]
+    assert (prepared.neso, prepared.thermal, prepared.dilation) == (None, None, None)
+    holevo = make_scenario(bound="holevo", dims={"d_S": 2, "d_E": 3}, explicit=explicit)
+    assert cp.prepare(holevo, DEFAULT_TOLS).neso is None
+    with pytest.raises(cp.ScenarioError, match="'main' is not run"):
+        cp.evaluate_trial(holevo, "main", 0, DEFAULT_TOLS)
 
 
 def test_render_csv_shape():

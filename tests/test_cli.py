@@ -201,6 +201,16 @@ def test_verify_rejects_an_explicit_operation_of_the_wrong_size(tmp_path, capsys
     assert "explicit operation maps dim 2 to 2, not 4 to 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bound, key, size, message", [
+    ("clausius", "H", 3, "explicit.H: clausius reads it at d_S=2; it is 3x3, not 2x2"),
+    ("main", "U", 3, "explicit.U: main reads it at d_S*d_E=4; it is 3x3, not 4x4"),
+], ids=["clausius-H", "main-U"])
+def test_verify_rejects_an_explicit_matrix_of_the_wrong_size(tmp_path, capsys, bound, key, size, message):
+    scn = write_scenario(tmp_path, trials=1, bound=bound, explicit={key: cp.matrix_to_json(np.eye(size))})
+    assert cli.main(["verify", "--scenario", scn, "--jobs", "1"]) == cli.EXIT_VALIDATION_ERROR
+    assert f"scenario error: {message}" in capsys.readouterr().err
+
+
 def test_verify_rejects_op_kraus_with_op_choi(tmp_path, capsys):
     choi = cp.matrix_to_json(ch.choi_from_kraus([np.eye(2)]))
     scn = write_scenario(tmp_path, trials=1, bound="spohn", explicit={"op_kraus": [EYE2], "op_choi": choi})
