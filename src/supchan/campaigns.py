@@ -12,12 +12,12 @@ use because ``qdpi`` splits it as d_P x d_E1 and d_Q x d_E2.  Each entry's
 size is checked at load against every family of the scenario that reads it.
 
 ``prepare`` builds once per campaign each object that is the same in every
-trial (a pinned superchannel and its steady operation, the clausius Gibbs
-state and unitary, a pinned dilation), and each pool worker receives it
-once.  Campaign trials are seed-deterministic: trial t of family f draws
-what is not prepared from ``default_rng([seed, f, t])``, in the same order
-whether or not anything is prepared and regardless of worker scheduling,
-and reports are gathered in trial order.
+trial (the superchannel of a pinned ``U`` and ``rho_se`` and its steady
+operation), and each pool worker receives it once.  Campaign trials are
+seed-deterministic: trial t of family f draws what is not prepared from
+``default_rng([seed, f, t])``, in the same order whether or not anything
+is prepared and regardless of worker scheduling, and reports are gathered
+in trial order.
 """
 
 from __future__ import annotations
@@ -255,10 +255,16 @@ _READS = {
 }
 
 
-def _check_sizes(explicit: dict, family: str, dims: dict) -> None:
-    """Refuse an explicit entry whose size does not fit ``family`` at ``dims``."""
+def _dim_values(dims: dict) -> dict:
+    """Every dim of ``_DIM_KEYS``, with the defaults filled in."""
     dim = {k: dims.get(k, 2) for k in _DIM_KEYS}
     dim["d_A"] = dims.get("d_A", dim["d_S"])
+    return dim
+
+
+def _check_sizes(explicit: dict, family: str, dims: dict) -> None:
+    """Refuse an explicit entry whose size does not fit ``family`` at ``dims``."""
+    dim = _dim_values(dims)
     for key, names in _READS[family].items():
         value = explicit.get(key)
         if value is None:
@@ -351,51 +357,28 @@ class Prepared:
 
     superchannels: dict         # (d, d_E) -> Superchannel of the pinned U and rho_se
     neso: sup.Neso | None       # of superchannels[d_S, d_E], when main runs
-    thermal: tuple | None       # clausius: (H, beta, Gibbs state, U)
-    dilation: tuple | None      # mmap-consistency: (IsometricOperation, its system channel)
 
 
-def _dilation(v: np.ndarray, alpha: st.DensityMatrix, tols: Tolerances) -> tuple:
-    iso = dl.IsometricOperation(v, alpha, tols)
-    return iso, ch.channel_from_dilation(iso.v, iso.alpha, tols)
-
-
-def prepare(scenario: Scenario, tols: Tolerances) -> Prepared:
+def prepare(scenario: Scenario, tols: Tolerances, families: tuple[str, ...] | None = None) -> Prepared:
     """Build once each object that is the same in every trial of the campaign.
 
-    Only what the scenario's families read is built, and nothing is drawn:
-    a superchannel is shared when ``U`` and ``rho_se`` are both pinned (one
-    per (d, d_E) pair, as ``qdpi`` splits ``rho_se`` as d_P x d_E1 and
-    d_Q x d_E2), with its steady operation when ``main`` runs; the
-    ``clausius`` Hamiltonian, Gibbs state and unitary are fixed in every
-    scenario; the ``mmap-consistency`` dilation is shared when ``V`` and
-    ``alpha`` are both pinned.
+    When ``U`` and ``rho_se`` are both pinned, the superchannel is built
+    once for each (d, d_E) pair at which one of ``families`` (default: the
+    scenario's) reads ``rho_se`` (``qdpi`` splits it as d_P x d_E1 and
+    d_Q x d_E2), and its steady operation once when ``main`` is among
+    them.  Nothing is drawn.
     """
-    ex, dims, families = scenario.explicit, scenario.dims, scenario.families()
-    d_s, d_e = dims.get("d_S", 2), dims.get("d_E", 2)
+    families = scenario.families() if families is None else families
+    ex, dim = scenario.explicit, _dim_values(scenario.dims)
     pairs = set()
     if "U" in ex and "rho_se" in ex:
-        if {"main", "holevo", "mmap-consistency"} & set(families):
-            pairs.add((d_s, d_e))
-        if "qdpi" in families:
-            pairs |= {(dims.get("d_P", 2), dims.get("d_E1", 2)), (dims.get("d_Q", 2), dims.get("d_E2", 2))}
+        pairs = {tuple(dim[k] for k in name.split("*"))
+                 for family in families for name in _READS[family].get("rho_se", [])}
     # With U and rho_se pinned, random_superchannel draws nothing.
     scs = {pair: random_superchannel(*pair, None, tols, ex) for pair in sorted(pairs)}
-    ns = sup.neso(scs[d_s, d_e]) if "main" in families and (d_s, d_e) in scs else None
-    thermal = None
-    if "clausius" in families:
-        h = ex.get("H")
-        if h is None:
-            h = np.diag(np.arange(d_s, dtype=float)).astype(complex)
-        beta = ex.get("beta", 1.0)
-        u = ex.get("U")
-        if u is None:
-            u = ch.partial_swap_unitary(d_s, ex.get("theta", math.pi / 4))
-        thermal = (h, beta, bd.thermal_state(h, beta, tols)[0], u)
-    dilation = None
-    if "mmap-consistency" in families and "V" in ex and "alpha" in ex:
-        dilation = _dilation(ex["V"], ex["alpha"], tols)
-    return Prepared(scs, ns, thermal, dilation)
+    main_pair = (dim["d_S"], dim["d_E"])
+    ns = sup.neso(scs[main_pair]) if "main" in families and main_pair in scs else None
+    return Prepared(scs, ns)
 
 
 # ---------------------------------------------------------------------------
@@ -406,15 +389,14 @@ def evaluate_trial(scenario: Scenario, family: str, trial: int, tols: Tolerances
                    collect: dict | None = None, prepared: Prepared | None = None) -> bd.BoundReport:
     """Evaluate one seed-deterministic trial of the given bound family.
 
-    ``prepared`` is ``prepare(scenario, tols)``, built here when not given;
-    everything it does not hold is drawn from the trial's generator.
+    ``prepared`` is ``prepare(scenario, tols)``; when it is not given, only
+    what this family reads is prepared here.  Everything it does not hold
+    is drawn from the trial's generator.
     """
-    if family not in scenario.families():
-        raise ScenarioError(f"bound: family {family!r} is not run by this scenario")
-    prep = prepared if prepared is not None else prepare(scenario, tols)
     rng = np.random.default_rng(
         [np.uint64(scenario.seed), np.uint64(FAMILIES.index(family)), np.uint64(trial)]
     )
+    prep = prepared if prepared is not None else prepare(scenario, tols, (family,))
     ex = scenario.explicit
     dims = scenario.dims
     d_s = dims.get("d_S", 2)
@@ -437,7 +419,15 @@ def evaluate_trial(scenario: Scenario, family: str, trial: int, tols: Tolerances
         report = bd.main_bound(sc, op, prep.neso, tols=tols, collect=collect)
 
     elif family == "clausius":
-        h, beta, gibbs, u = prep.thermal
+        h = ex.get("H")
+        if h is None:
+            h = np.diag(np.arange(d_s, dtype=float)).astype(complex)
+        beta = ex.get("beta", 1.0)
+        theta = ex.get("theta", math.pi / 4)
+        gibbs, _ = bd.thermal_state(h, beta, tols)
+        u = ex.get("U")
+        if u is None:
+            u = ch.partial_swap_unitary(d_s, theta)
         anchor = st.random_density(d_s, d_s, rng, tols=tols)
         rho_se = st.density(
             mk.tensor(anchor.mat, gibbs.mat), DimShape([d_s, d_s], ["S", "E"]), tols=tols
@@ -468,23 +458,20 @@ def evaluate_trial(scenario: Scenario, family: str, trial: int, tols: Tolerances
             ens = bd.Ensemble(tuple(float(p) for p in probs), ops)
         _, report, _ = bd.holevo(sc, ens, rng, scenario.n_measurements, tols, collect=collect)
 
-    else:  # mmap-consistency
+    elif family == "mmap-consistency":
         d_a = dims.get("d_A", d_s)
         sc = superchannel(d_s, d_e)
-        dilation = prep.dilation
-        if dilation is None:
-            v = ex.get("V")
-            if v is None:
-                v = st.haar_unitary(d_s * d_a, rng)
-            alpha = ex.get("alpha")
-            if alpha is None:
-                vec = st.random_pure(d_a, rng)
-                alpha = st.density(np.outer(vec, vec.conj()), labels=["A"], tols=tols)
-            dilation = _dilation(v, alpha, tols)
-        iso, iso_channel = dilation
+        v = ex.get("V")
+        if v is None:
+            v = st.haar_unitary(d_s * d_a, rng)
+        alpha = ex.get("alpha")
+        if alpha is None:
+            vec = st.random_pure(d_a, rng)
+            alpha = st.density(np.outer(vec, vec.conj()), labels=["A"], tols=tols)
+        iso = dl.IsometricOperation(v, alpha, tols)
         upsilon, delta_s = dl.mmap(sc, iso, tols)
         reduced = mk.partial_trace(upsilon.mat, upsilon.shape, ["S"])
-        direct = sup.act(sc, iso_channel)
+        direct = sup.act(sc, ch.channel_from_dilation(iso.v, iso.alpha, tols))
         residual = mk.max_abs(reduced - direct.mat)
         slack = CONSISTENCY_TOL - residual
         report = bd.BoundReport(
@@ -494,6 +481,9 @@ def evaluate_trial(scenario: Scenario, family: str, trial: int, tols: Tolerances
         if collect is not None:
             collect.update(residual=residual, delta_S=delta_s,
                            upsilon_eigenvalues=st.spectrum(upsilon, tols).tolist())
+
+    else:
+        raise ScenarioError(f"bound: unknown family {family!r}")
 
     report.metadata["trial"] = trial
     report.metadata["seed"] = scenario.seed

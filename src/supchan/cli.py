@@ -144,11 +144,9 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
     tols = _resolve_tols(scenario, args.slack_tol)
     try:
-        prepared = cp.prepare(scenario, tols)
         for family in scenario.families():
             details: dict = {}
-            report = cp.evaluate_trial(scenario, family, args.trial, tols, collect=details,
-                                       prepared=prepared)
+            report = cp.evaluate_trial(scenario, family, args.trial, tols, collect=details)
             print(f"== {family} | trial {args.trial} | seed {scenario.seed} ==")
             print(f"passed: {report.passed}   flags: {list(report.flags)}")
             unit = _unit(family, args.bits)

@@ -185,9 +185,9 @@ def test_a_pinned_superchannel_and_its_neso_are_built_once_per_campaign(monkeypa
 
 
 def test_every_prepared_object_reaches_the_pool_workers():
-    # Pins every trial-invariant entry: the superchannels of main, qdpi,
-    # holevo and mmap-consistency, main's neso, the clausius Gibbs state and
-    # unitary (a partial swap thermalizes), and the mmap dilation.
+    # Pins every trial-invariant entry, so that main, qdpi, holevo and
+    # mmap-consistency share the prepared superchannel and main its neso;
+    # a partial swap thermalizes, so clausius runs on the same U.
     rng = np.random.default_rng(12)
     explicit = {k: cp.matrix_to_json(m) for k, m in {
         "U": ch.partial_swap_unitary(2, 0.4), "rho_se": st.random_density(4, 3, rng).mat,
@@ -197,7 +197,7 @@ def test_every_prepared_object_reaches_the_pool_workers():
                         explicit={**explicit, "beta": 0.8, "theta": 0.4})
     prepared = cp.prepare(scn, DEFAULT_TOLS)
     assert list(prepared.superchannels) == [(2, 2)]
-    assert prepared.neso is not None and prepared.thermal is not None and prepared.dilation is not None
+    assert prepared.neso is not None
     serial = cp.render_json(cp.run_campaign(scn, DEFAULT_TOLS, jobs=1))
     assert cp.render_json(cp.run_campaign(scn, DEFAULT_TOLS, jobs=2)) == serial
     assert json.loads(serial)["summary"]["failures"] == 0
@@ -210,11 +210,26 @@ def test_prepare_builds_only_what_the_families_read():
     qdpi = make_scenario(bound="qdpi", dims={"d_P": 2, "d_E1": 3, "d_Q": 3, "d_E2": 2}, explicit=explicit)
     prepared = cp.prepare(qdpi, DEFAULT_TOLS)
     assert sorted(prepared.superchannels) == [(2, 3), (3, 2)]
-    assert (prepared.neso, prepared.thermal, prepared.dilation) == (None, None, None)
+    assert prepared.neso is None
     holevo = make_scenario(bound="holevo", dims={"d_S": 2, "d_E": 3}, explicit=explicit)
     assert cp.prepare(holevo, DEFAULT_TOLS).neso is None
-    with pytest.raises(cp.ScenarioError, match="'main' is not run"):
-        cp.evaluate_trial(holevo, "main", 0, DEFAULT_TOLS)
+    assert cp.prepare(holevo, DEFAULT_TOLS, ("spohn",)) == cp.Prepared({}, None)
+
+
+def test_a_trial_without_prepared_objects_prepares_only_its_own_family(monkeypatch):
+    # main's steady operation cannot fail a spohn trial of the same scenario.
+    def failing_neso(sc):
+        raise ch.FixedPointError("no steady state")
+    monkeypatch.setattr(sup, "neso", failing_neso)
+    rng = np.random.default_rng(6)
+    scn = make_scenario(bound="all", trials=1, explicit={
+        "U": cp.matrix_to_json(st.haar_unitary(4, rng)),
+        "rho_se": cp.matrix_to_json(st.random_density(4, 2, rng).mat)})
+    assert cp.evaluate_trial(scn, "spohn", 0, DEFAULT_TOLS).name == "spohn"
+    with pytest.raises(ch.FixedPointError):
+        cp.evaluate_trial(scn, "main", 0, DEFAULT_TOLS)
+    with pytest.raises(ch.FixedPointError):
+        cp.prepare(scn, DEFAULT_TOLS)
 
 
 def test_render_csv_shape():

@@ -211,6 +211,23 @@ def test_verify_rejects_an_explicit_matrix_of_the_wrong_size(tmp_path, capsys, b
     assert f"scenario error: {message}" in capsys.readouterr().err
 
 
+def test_explain_prints_the_families_before_one_that_fails(tmp_path, capsys, monkeypatch):
+    from supchan import superchannel as sup
+
+    def failing_neso(sc):
+        raise ch.FixedPointError("no steady state")
+    monkeypatch.setattr(sup, "neso", failing_neso)
+    rng = np.random.default_rng(6)
+    scn = write_scenario(tmp_path, trials=1, bound="all", explicit={
+        "U": cp.matrix_to_json(st.haar_unitary(4, rng)),
+        "rho_se": cp.matrix_to_json(st.random_density(4, 2, rng).mat)})
+    assert cli.main(["explain", "--scenario", scn, "--trial", "0"]) == cli.EXIT_VALIDATION_ERROR
+    captured = capsys.readouterr()
+    assert captured.out.startswith("== spohn | trial 0 |")
+    assert "== main" not in captured.out
+    assert "validation error: no steady state" in captured.err
+
+
 def test_verify_rejects_op_kraus_with_op_choi(tmp_path, capsys):
     choi = cp.matrix_to_json(ch.choi_from_kraus([np.eye(2)]))
     scn = write_scenario(tmp_path, trials=1, bound="spohn", explicit={"op_kraus": [EYE2], "op_choi": choi})
