@@ -213,16 +213,18 @@ def clausius(
     beta: float,
     tols: Tolerances = DEFAULT_TOLS,
     collect: dict | None = None,
+    thermal: tuple[DensityMatrix, float] | None = None,
 ) -> BoundReport:
     """Clausius-form bound for a thermalizing superchannel.
 
     Validates that the fixed point of the subsequent dynamics is the Gibbs
     state of (h, beta), then evaluates the generalized bound at the
-    throw-and-replace operation A_d = sigma (x) I/d.
+    throw-and-replace operation A_d = sigma (x) I/d.  ``thermal`` is
+    ``thermal_state(h, beta, tols)`` when the caller has built it already.
     """
     h = mk.as_matrix(h)
     mk.check_hermitian(h, tols.herm_tol * max(1.0, mk.max_abs(h)), "Hamiltonian")
-    gibbs, z = thermal_state(h, beta, tols)
+    gibbs, z = thermal if thermal is not None else thermal_state(h, beta, tols)
     ns = sup.neso(sc)
     resid = mk.max_abs(ns.ness.mat - gibbs.mat)
     if resid > THERMAL_MATCH_TOL:
@@ -427,7 +429,7 @@ def holevo(
     if -1e-12 < chi < 0.0:
         chi = 0.0
     d = sc.d_s
-    _, eigbasis = mk.herm_eig(avg.mat, tols)
+    _, eigbasis = avg.eig(tols)
     bases = np.concatenate([st.haar_unitaries(n_meas, d, rng), eigbasis[None]])
     sampled = measured_information(np.stack([o.mat for o in outs]), probs, bases)
     best = int(np.argmax(sampled))

@@ -319,8 +319,8 @@ def random_correlated_state(d_s: int, d_e: int, rng: np.random.Generator,
     """Wishart state on S (x) E with rank drawn from {1..min(4, d_S d_E)}."""
     d = d_s * d_e
     rank = int(rng.integers(1, min(4, d) + 1))
-    rho = st.random_density(d, rank, rng, tols=tols)
-    return st.density(rho.mat, DimShape([d_s, d_e], ["S", "E"]), tols=tols)
+    # random_density has validated the matrix; only its shape changes.
+    return replace(st.random_density(d, rank, rng, tols=tols), shape=DimShape([d_s, d_e], ["S", "E"]))
 
 
 def random_superchannel(d_s: int, d_e: int, rng: np.random.Generator,
@@ -424,7 +424,7 @@ def evaluate_trial(scenario: Scenario, family: str, trial: int, tols: Tolerances
             h = np.diag(np.arange(d_s, dtype=float)).astype(complex)
         beta = ex.get("beta", 1.0)
         theta = ex.get("theta", math.pi / 4)
-        gibbs, _ = bd.thermal_state(h, beta, tols)
+        gibbs, z = bd.thermal_state(h, beta, tols)
         u = ex.get("U")
         if u is None:
             u = ch.partial_swap_unitary(d_s, theta)
@@ -436,7 +436,7 @@ def evaluate_trial(scenario: Scenario, family: str, trial: int, tols: Tolerances
         sigma = ex.get("sigma")
         if sigma is None:
             sigma = st.random_density(d_s, int(rng.integers(1, d_s + 1)), rng, tols=tols)
-        report = bd.clausius(sc, sigma, h, beta, tols, collect=collect)
+        report = bd.clausius(sc, sigma, h, beta, tols, collect=collect, thermal=(gibbs, z))
 
     elif family == "qdpi":
         d_p = dims.get("d_P", 2)

@@ -9,6 +9,7 @@ trace-preserving map has trace d_in.  Equivalently
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +41,7 @@ class QuantumOperation:
     bipartite: tuple[int, int] | None = None
     _tols: Tolerances = field(default=DEFAULT_TOLS, repr=False)
 
-    @property
+    @cached_property
     def is_trace_preserving(self) -> bool:
         return mk.max_abs(tr_out_choi(self.choi, self.d_out, self.d_in) - np.eye(self.d_in)) <= TP_TOL
 
@@ -110,7 +111,7 @@ def kraus_of(op: QuantumOperation, tols: Tolerances = DEFAULT_TOLS) -> tuple[np.
     numerical Kraus rank.  Kraus sets are unique only up to isometric
     mixing; compare channels through their action, not their Kraus lists.
     """
-    return tuple(f.reshape(op.d_out, op.d_in) for f in mk.psd_factors(op.choi, tols))
+    return tuple(f.reshape(op.d_out, op.d_in) for f in mk.psd_factors(*mk.herm_eig(op.choi, tols)))
 
 
 def apply(
@@ -190,7 +191,7 @@ def replace_channel(target: DensityMatrix, d_in: int | None = None, tols: Tolera
     """
     d_in = target.dim if d_in is None else d_in
     ks = []
-    for f in mk.psd_factors(target.mat, tols):
+    for f in mk.psd_factors(*target.eig(tols)):
         for j in range(d_in):
             k = np.zeros((target.dim, d_in), dtype=complex)
             k[:, j] = f
@@ -270,10 +271,11 @@ def channel_from_dilation(
 
 
 def transfer_matrix(op: QuantumOperation) -> np.ndarray:
-    """Superoperator matrix acting on row-major vec(rho)."""
+    """Superoperator on row-major vec(rho): sum of K (x) conj(K) in Kraus order."""
+    ks = np.stack(op.kraus_ops())
     t = np.zeros((op.d_out * op.d_out, op.d_in * op.d_in), dtype=complex)
-    for k in op.kraus_ops():
-        t += np.kron(k, k.conj())
+    for term in mk.kron_stack(ks, ks.conj()):
+        t += term
     return t
 
 
@@ -408,7 +410,8 @@ def random_cptp(
     rw, rv = np.linalg.eigh((r + r.conj().T) / 2.0)
     rw = np.clip(rw, 1e-14, None)
     r_isqrt = (rv * (rw ** -0.5)) @ rv.conj().T
-    choi = np.kron(np.eye(d_out), r_isqrt) @ w @ np.kron(np.eye(d_out), r_isqrt).conj().T
+    lift = mk.kron_stack(np.eye(d_out), r_isqrt)
+    choi = lift @ w @ lift.conj().T
     choi = (choi + choi.conj().T) / 2.0
     op = from_choi(choi, d_out, d, bipartite=bipartite, tols=tols)
     # materialize Kraus form so apply() uses the cheaper route

@@ -141,7 +141,7 @@ def isometry_choi_state(iso: IsometricOperation, tols: Tolerances = DEFAULT_TOLS
     d_s, d_a = iso.d_s, iso.d_a
     # Kraus K_j = V (I_S (x) sqrt(lam_j) |a_j>), mapping S -> S (x) A
     ks = [iso.v @ np.kron(np.eye(d_s, dtype=complex), f[:, None])
-          for f in mk.psd_factors(iso.alpha.mat, tols)]
+          for f in mk.psd_factors(*iso.alpha.eig(tols))]
     op = ch.from_kraus(ks, tols=tols)
     return density(
         op.choi_state, DimShape([d_s * d_a, d_s], ["out", "in"]), tols=tols

@@ -8,6 +8,7 @@ so ``tensor(a, b)`` puts ``a`` on the slow index (plain Kronecker product).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -52,7 +53,7 @@ class DimShape:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.factors))
+        return math.prod(self.factors)
 
     def factor_of(self, label: str) -> int:
         return self.factors[self.index_of(label)]
@@ -76,7 +77,7 @@ def as_matrix(m: np.ndarray) -> np.ndarray:
         raise ShapeError(f"expected a 2-D array, got shape {m.shape}")
     if m.size > MAX_ENTRIES:
         raise ShapeError(f"matrix with {m.size} entries exceeds the dense-storage limit")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValidationError("matrix contains NaN or Inf entries")
     return m
 
@@ -90,6 +91,14 @@ def tensor(*mats: np.ndarray) -> np.ndarray:
             raise ShapeError("tensor product exceeds the dense-storage limit")
         out = np.kron(out, m)
     return out
+
+
+def kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of each pair of matrices of two broadcasting stacks, by the
+    one broadcast multiply ``np.kron`` runs inside, so with its bits."""
+    (p, q), (r, s) = a.shape[-2:], b.shape[-2:]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (p * r, q * s))
 
 
 def _check_square(m: np.ndarray, shape: DimShape) -> np.ndarray:
@@ -120,7 +129,7 @@ def partial_trace(m: np.ndarray, shape: DimShape, keep: Sequence[str]) -> np.nda
         if shape.labels[i] not in keep_set:
             t = np.trace(t, axis1=i, axis2=i + n - removed)
             removed += 1
-    d_keep = int(np.prod([f for f, l in zip(shape.factors, shape.labels) if l in keep_set]))
+    d_keep = math.prod(f for f, l in zip(shape.factors, shape.labels) if l in keep_set)
     return t.reshape(d_keep, d_keep)
 
 
@@ -157,7 +166,7 @@ def permute_subsystems(
 
 
 def max_abs(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m))) if m.size else 0.0
+    return float(np.abs(m).max()) if m.size else 0.0
 
 
 def check_hermitian(m: np.ndarray, tol: float, what: str = "matrix") -> None:
@@ -197,9 +206,9 @@ def clamp_spectrum(w: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray
     return w
 
 
-def psd_factors(m: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> list[np.ndarray]:
-    """``sqrt(lam) * v`` for each clamped eigenpair of ``m`` with lam > 0, in descending order."""
-    w, V = herm_eig(m, tols)
+def psd_factors(w: np.ndarray, V: np.ndarray) -> list[np.ndarray]:
+    """``sqrt(lam) * v`` for each eigenpair with lam > 0 of a decomposition
+    ``(w, V)`` as ``herm_eig`` returns it, in descending order."""
     return [np.sqrt(lam) * v for lam, v in zip(w, V.T) if lam > 0.0]
 
 

@@ -7,7 +7,7 @@ the second, detected by projecting onto the kernel at ``psd_floor``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -19,13 +19,27 @@ from .matkernel import DimShape, ShapeError, ValidationError
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, PSD, unit-trace matrix on a labeled tensor factor structure."""
+    """Hermitian, PSD, unit-trace matrix on a labeled tensor factor structure;
+    ``mat`` is read-only, so what ``eig`` keeps stays its decomposition."""
 
     mat: np.ndarray
     shape: DimShape
+    _eig: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "mat", mk.as_matrix(self.mat))
+        mat = mk.as_matrix(self.mat).view()
+        if mat.shape != (self.shape.dim,) * 2:
+            raise ShapeError(f"shape dim {self.shape.dim} != matrix dim {mat.shape[0]}")
+        mat.flags.writeable = False
+        object.__setattr__(self, "mat", mat)
+
+    def eig(self, tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, np.ndarray]:
+        """``mk.herm_eig(mat, tols)``, computed once per ``tols``; both arrays are read-only."""
+        if tols not in self._eig:
+            w, v = mk.herm_eig(self.mat, tols)
+            w.flags.writeable = v.flags.writeable = False
+            self._eig[tols] = (w, v)
+        return self._eig[tols]
 
     @property
     def dim(self) -> int:
@@ -58,8 +72,7 @@ def density(
             shape = DimShape([d], labels)
         else:
             raise ShapeError("multiple labels require an explicit DimShape")
-    if shape.dim != d:
-        raise ShapeError(f"shape dim {shape.dim} != matrix dim {d}")
+    rho = DensityMatrix(mat, shape)
     mk.check_hermitian(mat, tols.herm_tol, "density matrix")
     tr = float(np.real(np.trace(mat)))
     if abs(tr - 1.0) > tols.trace_tol:
@@ -67,7 +80,7 @@ def density(
     w = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
     if w[0] < -tols.psd_floor:
         raise ValidationError(f"negative eigenvalue {w[0]:.3e} below -psd_floor")
-    return DensityMatrix(mat, shape)
+    return rho
 
 
 def marginal(rho: DensityMatrix, keep: Sequence[str], tols: Tolerances = DEFAULT_TOLS) -> DensityMatrix:
@@ -78,7 +91,7 @@ def marginal(rho: DensityMatrix, keep: Sequence[str], tols: Tolerances = DEFAULT
 
 def spectrum(rho: DensityMatrix, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Descending eigenvalues, clamped at psd_floor."""
-    return mk.herm_eig(rho.mat, tols)[0]
+    return rho.eig(tols)[0]
 
 
 def entropy_of_spectrum(w: np.ndarray) -> float:
@@ -101,7 +114,7 @@ def trace_against_log(
     Support mismatch means X has weight above support_tol on the kernel of
     ``base`` (eigenvalues clamped at psd_floor).
     """
-    w, v = mk.herm_eig(base.mat, tols)
+    w, v = base.eig(tols)
     # Weight of X in each eigenvector of base.
     overlap = np.real(np.einsum("ik,ij,jk->k", v.conj(), np.asarray(state_mat, dtype=complex), v))
     kernel = w == 0.0

@@ -6,7 +6,8 @@ two times to the system state at the later time,
     act(sc, A) = tr_E[ U ((A (x) Id_E)(rho_SE)) U^dag ].
 
 Two equivalent realizations are kept: the operational formula above
-(authoritative) and a six-index tensor M with
+(authoritative), evaluated for all Kraus operators K of A as one stack of
+(K (x) I_E) rho_SE (K (x) I_E)^dag, and a six-index tensor M with
 
     M[a,b,c,p,q,r] = sum_{x,y,z} U[ax,by] rho_SE[cy,rz] conj(U)[px,qz],
 
@@ -85,16 +86,17 @@ def build(u: np.ndarray, rho_se: DensityMatrix, tols: Tolerances = DEFAULT_TOLS)
 
 
 def act(sc: Superchannel, op: ch.QuantumOperation) -> DensityMatrix:
-    """sigma' for a CPTP operation on the system, by the operational formula."""
+    """sigma' for a CPTP operation on the system, by the operational formula:
+    every K (x) I_E comes from one multiply (``mk.kron_stack``) and every
+    term from one stacked product; the terms are added in Kraus order."""
     if op.d_in != sc.d_s or op.d_out != sc.d_s:
         raise ShapeError(f"operation dims ({op.d_out}, {op.d_in}) != system dim {sc.d_s}")
     if not op.is_trace_preserving:
         raise mk.ValidationError("act() requires a CPTP operation; use act_normalized")
-    i_e = np.eye(sc.d_e, dtype=complex)
+    kk = mk.kron_stack(np.stack(op.kraus_ops()), np.eye(sc.d_e, dtype=complex))
     joint = np.zeros_like(sc.rho_se.mat)
-    for k in op.kraus_ops():
-        kk = np.kron(k, i_e)
-        joint += kk @ sc.rho_se.mat @ kk.conj().T
+    for term in kk @ sc.rho_se.mat @ kk.conj().transpose(0, 2, 1):
+        joint += term
     evolved = sc.u @ joint @ sc.u.conj().T
     out = mk.partial_trace(evolved, sc.rho_se.shape, ["S"])
     out = (out + out.conj().T) / 2.0

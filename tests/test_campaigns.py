@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from supchan import bounds as bd
 from supchan import campaigns as cp
 from supchan import channels as ch
 from supchan import matkernel as mk
@@ -182,6 +183,41 @@ def test_a_pinned_superchannel_and_its_neso_are_built_once_per_campaign(monkeypa
     calls.update(build=0, neso=0)
     cp.run_campaign(make_scenario(trials=5), DEFAULT_TOLS, jobs=1)
     assert calls == {"build": 5, "neso": 5}
+
+
+def test_a_clausius_trial_builds_its_gibbs_state_once(monkeypatch):
+    calls = []
+    real = bd.thermal_state
+    monkeypatch.setattr(bd, "thermal_state", lambda *a: calls.append(1) or real(*a))
+    cp.run_campaign(make_scenario(bound="clausius", trials=5), DEFAULT_TOLS, jobs=1)
+    assert len(calls) == 5
+
+
+def test_a_pinned_main_trial_forms_no_kron_and_at_most_two_eigendecompositions(monkeypatch):
+    # act, transfer_matrix and the random_cptp lift form their Kronecker
+    # products in one stacked multiply, and the prepared steady state is
+    # decomposed once, in prepare; what remains per trial is the random
+    # operation's Kraus extraction and the spectrum of sigma'.
+    calls = {"kron": 0, "herm_eig": 0}
+    for mod, name in ((np, "kron"), (mk, "herm_eig")):
+        def counted(*args, _name=name, _real=getattr(mod, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(mod, name, counted)
+    real_prepare = cp.prepare
+
+    def prepare(*args):
+        prepared = real_prepare(*args)
+        calls["herm_eig"] = 0
+        return prepared
+    monkeypatch.setattr(cp, "prepare", prepare)
+    rng = np.random.default_rng(9)
+    scn = make_scenario(trials=20, dims={"d_S": 3, "d_E": 3}, explicit={
+        "U": cp.matrix_to_json(st.haar_unitary(9, rng)),
+        "rho_se": cp.matrix_to_json(st.random_density(9, 3, rng).mat)})
+    cp.run_campaign(scn, DEFAULT_TOLS, jobs=1)
+    assert calls["kron"] == 0
+    assert calls["herm_eig"] <= 2 * 20
 
 
 def test_every_prepared_object_reaches_the_pool_workers():

@@ -267,3 +267,49 @@ def test_random_cptp_is_cptp_and_seeded():
     a = ch.random_cptp(2, 3, np.random.default_rng(77))
     b = ch.random_cptp(2, 3, np.random.default_rng(77))
     assert mk.max_abs(a.choi - b.choi) == 0
+
+
+def transfer_matrix_kron_loop(op):
+    """The sum of np.kron(K, conj(K)) in Kraus order: the bitwise oracle for
+    transfer_matrix."""
+    t = np.zeros((op.d_out * op.d_out, op.d_in * op.d_in), dtype=complex)
+    for k in op.kraus_ops():
+        t += np.kron(k, k.conj())
+    return t
+
+
+def random_cptp_choi_two_kron(d, kraus_rank, rng, d_out):
+    """random_cptp's Choi matrix with the lift I (x) R^-1/2 formed by two
+    np.kron calls: the bitwise oracle for the single stacked lift."""
+    g = st.ginibre(d_out * d, kraus_rank, rng)
+    w = g @ g.conj().T
+    r = ch.tr_out_choi(w, d_out, d)
+    rw, rv = np.linalg.eigh((r + r.conj().T) / 2.0)
+    rw = np.clip(rw, 1e-14, None)
+    r_isqrt = (rv * (rw ** -0.5)) @ rv.conj().T
+    choi = np.kron(np.eye(d_out), r_isqrt) @ w @ np.kron(np.eye(d_out), r_isqrt).conj().T
+    return (choi + choi.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("d,d_out", [(2, 2), (3, 3), (4, 4), (2, 3), (3, 2)])
+def test_transfer_matrix_and_random_cptp_lift_are_bitwise_the_kron_oracles(d, d_out):
+    # Below rank ceil(d / d_out), R = tr_out W is singular and the map is not CP.
+    low = -(-d // d_out)
+    for i in range(200):
+        rank = low + i % (d * d_out - low + 1)
+        op = ch.random_cptp(d, rank, np.random.default_rng([d, d_out, i]), d_out=d_out)
+        oracle = random_cptp_choi_two_kron(d, rank, np.random.default_rng([d, d_out, i]), d_out)
+        assert op.choi.tobytes() == oracle.tobytes()
+        assert ch.transfer_matrix(op).tobytes() == transfer_matrix_kron_loop(op).tobytes()
+
+
+def test_is_trace_preserving_is_computed_once_per_operation(monkeypatch):
+    op = rand_op(3, 4, seed=8)
+    calls = []
+    real = ch.tr_out_choi
+    monkeypatch.setattr(ch, "tr_out_choi", lambda *a: calls.append(1) or real(*a))
+    assert op.is_trace_preserving and op.is_trace_preserving
+    assert len(calls) == 1
+    ch.apply(op, st.random_density(3, 2, np.random.default_rng(8)))
+    ch.fixed_point(op)
+    assert len(calls) == 1

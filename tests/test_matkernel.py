@@ -172,7 +172,7 @@ def test_herm_eig_clamps_and_psd_factors_rebuild_the_matrix():
     m = (q * lam) @ q.conj().T
     w, _ = mk.herm_eig(m)
     assert w[2] == 0.0 and w[3] == 0.0
-    fs = mk.psd_factors(m)
+    fs = mk.psd_factors(*mk.herm_eig(m))
     assert len(fs) == 2
     assert np.linalg.norm(fs[0]) ** 2 == pytest.approx(0.7)
     assert mk.max_abs(sum(np.outer(f, f.conj()) for f in fs) - m) < 1e-12

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from supchan import matkernel as mk
 from supchan import states as st
-from supchan.matkernel import DimShape, ValidationError
+from supchan.config import DEFAULT_TOLS, Tolerances
+from supchan.matkernel import DimShape, ShapeError, ValidationError
 
 
 def test_density_validation():
@@ -151,3 +153,58 @@ def test_haar_unitary_and_trial_rng():
     r3 = st.trial_rng(42, 4).standard_normal(4)
     assert np.all(r1 == r2)
     assert not np.all(r1 == r3)
+
+
+def count_herm_eig(monkeypatch):
+    calls = []
+    real = mk.herm_eig
+    monkeypatch.setattr(mk, "herm_eig", lambda m, tols: calls.append(tols) or real(m, tols))
+    return calls
+
+
+def test_eig_is_bitwise_herm_eig():
+    # The loose floor clamps the 1e-8 eigenvalue that the default floor keeps.
+    loose = Tolerances(psd_floor=1e-6)
+    rhos = [st.density(np.diag([1 - 1e-8, 1e-8]))]
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 7))
+        rhos.append(st.random_density(d, int(rng.integers(1, d + 1)), rng))
+    for rho in rhos:
+        for tols in (DEFAULT_TOLS, loose):
+            for got, want in zip(rho.eig(tols), mk.herm_eig(rho.mat, tols)):
+                assert got.tobytes() == want.tobytes()
+
+
+def test_eig_decomposes_once_per_tolerances(monkeypatch):
+    calls = count_herm_eig(monkeypatch)
+    rho = st.random_density(3, 2, np.random.default_rng(3))
+    loose = Tolerances(psd_floor=1e-6)
+    assert rho.eig() is rho.eig(DEFAULT_TOLS)
+    st.spectrum(rho)
+    st.trace_against_log(rho.mat, rho)
+    st.von_neumann_entropy(rho, Tolerances())
+    rho.eig(loose)
+    st.spectrum(rho, loose)
+    assert calls == [DEFAULT_TOLS, loose]
+
+
+def test_mat_and_cached_eigendecompositions_are_read_only():
+    src = np.diag([0.25, 0.75]).astype(complex)
+    rho = st.density(src)
+    w, v = rho.eig()
+    for arr in (rho.mat, w, v):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, ...] = 0.0
+    src[0, 0] = 0.5   # the caller's own array stays writable
+
+
+def test_replace_gives_an_empty_memo_and_checks_the_shape(monkeypatch):
+    calls = count_herm_eig(monkeypatch)
+    rho = st.random_density(4, 3, np.random.default_rng(4))
+    rho.eig()
+    rho_se = dataclasses.replace(rho, shape=DimShape([2, 2], ["S", "E"]))
+    assert rho_se.eig()[0].tobytes() == rho.eig()[0].tobytes()
+    assert len(calls) == 2
+    with pytest.raises(ShapeError, match="shape dim 6"):
+        dataclasses.replace(rho, shape=DimShape([2, 3], ["S", "E"]))

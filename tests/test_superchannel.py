@@ -231,3 +231,27 @@ def test_msharp_monotonicity_on_operation_states():
         )
         if math.isfinite(before):
             assert after <= before + 1e-8
+
+
+def act_kron_loop(sc, op):
+    """act() with one np.kron(K, I_E) and two products per Kraus operator:
+    the bitwise oracle for the stacked evaluation."""
+    i_e = np.eye(sc.d_e, dtype=complex)
+    joint = np.zeros_like(sc.rho_se.mat)
+    for k in op.kraus_ops():
+        kk = np.kron(k, i_e)
+        joint += kk @ sc.rho_se.mat @ kk.conj().T
+    evolved = sc.u @ joint @ sc.u.conj().T
+    out = mk.partial_trace(evolved, sc.rho_se.shape, ["S"])
+    return (out + out.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("d_s,d_e", [(2, 2), (3, 3), (4, 4), (2, 3), (3, 2)])
+def test_act_is_bitwise_the_per_kraus_kron_loop(d_s, d_e):
+    rng = np.random.default_rng([d_s, d_e])
+    for i in range(200):
+        raw = st.random_density(d_s * d_e, int(rng.integers(1, d_s * d_e + 1)), rng)
+        rho_se = st.density(raw.mat, DimShape([d_s, d_e], ["S", "E"]))
+        sc = sup.build(st.haar_unitary(d_s * d_e, rng), rho_se)
+        op = ch.random_cptp(d_s, 1 + i % (d_s * d_s), rng)
+        assert sup.act(sc, op).mat.tobytes() == act_kron_loop(sc, op).tobytes()
