@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import channels as ch
-from . import dilation as dl
 from . import matkernel as mk
 from . import states as st
 from . import superchannel as sup
@@ -119,34 +118,43 @@ def main_bound(
     With E_d = e (x) I/d, log(E_d) = log(e) (x) I - log(d) I on its support,
     so tr[A_d log E_d] reduces to tr[tr_in(A_d) log e] - log d.
     """
-    if ns is None:
-        ns = sup.neso(sc)
-    d = sc.d_s
-    sigma_p = sup.act(sc, op)
-    s_out = st.von_neumann_entropy(sigma_p, tols)
-    s_op = dl.operation_entropy(op, tols)
-    lhs = s_out - s_op
-    t_out = st.trace_against_log(sigma_p.mat, ns.ness, tols)
-    out_marg = mk.partial_trace(op.choi_state, op.choi_shape(), ["out"])
-    t_op = st.trace_against_log(out_marg, ns.ness, tols) - math.log(d)
-    rhs = ext_sub(t_op, t_out)
-    meta = {
-        "d_S": sc.d_s,
-        "d_E": sc.d_e,
-        "fixed_space_dim": ns.diagnostics.fixed_space_dim,
-        "ness_method": ns.diagnostics.method,
-        "ness_residual": ns.diagnostics.residual,
-    }
-    if collect is not None:
-        collect.update(
-            ness_eigenvalues=st.spectrum(ns.ness, tols).tolist(),
-            entropy_sigma_prime=s_out,
-            entropy_op_state=s_op,
-            tr_sigma_log_ness=t_out,
-            tr_op_log_neso=t_op,
-            slack_identity=slack_identity(sc, op, ns, tols),
-        )
-    return _finish("main", lhs, rhs, tols, meta)
+    ns = sup.neso(sc) if ns is None else ns
+    return main_bounds([sc], [op], [ns], tols, [collect])[0]
+
+
+def main_bounds(scs: list[sup.Superchannel], ops: list[ch.QuantumOperation], nss: list[sup.Neso],
+                tols: Tolerances = DEFAULT_TOLS, collects: list | None = None) -> list[BoundReport]:
+    """``main_bound`` of each (superchannel, operation, steady operation) of
+    a block, all of one (d_S, d_E), with the bits of each on its own.
+
+    sigma', the spectra of sigma' and of A_d, and the weights of sigma' and
+    tr_in(A_d) in the steady state's eigenvectors are each one stacked
+    computation; the entropy sums and the bound arithmetic stay per trial.
+    """
+    d = scs[0].d_s
+    sigma = sup.act_block(scs, ops).reshape(-1, d, d)
+    w_out = mk.herm_eig(sigma, tols)[0]
+    a_d = np.array([op.choi for op in ops]) / d
+    w_op = mk.clamp_spectrum(np.linalg.eigvalsh(a_d)[..., ::-1], tols)
+    marg = mk.partial_trace(a_d, DimShape([d, d], ["out", "in"]), ["out"])
+    eigs = [ns.ness.eig(tols) for ns in nss]
+    v = np.array([e[1] for e in eigs])
+    overlap = np.real(np.einsum("bik,bnij,bjk->bnk", v.conj(), np.stack([sigma, marg], axis=1), v))
+    reports = []
+    for b, (sc, op, ns) in enumerate(zip(scs, ops, nss)):
+        s_out = st.entropy_of_spectrum(w_out[b])
+        s_op = st.entropy_of_spectrum(w_op[b])
+        t_out, t_op = st.log_weight(overlap[b], eigs[b][0], tols).tolist()
+        t_op -= math.log(d)
+        meta = {"d_S": sc.d_s, "d_E": sc.d_e, "fixed_space_dim": ns.diagnostics.fixed_space_dim,
+                "ness_method": ns.diagnostics.method, "ness_residual": ns.diagnostics.residual}
+        if collects is not None and collects[b] is not None:
+            collects[b].update(
+                ness_eigenvalues=st.spectrum(ns.ness, tols).tolist(), entropy_sigma_prime=s_out,
+                entropy_op_state=s_op, tr_sigma_log_ness=t_out, tr_op_log_neso=t_op,
+                slack_identity=slack_identity(sc, op, ns, tols))
+        reports.append(_finish("main", s_out - s_op, ext_sub(t_op, t_out), tols, meta))
+    return reports
 
 
 def slack_identity(
@@ -275,9 +283,8 @@ def joint_act_normalized(
     """(M1# (x) M2#)[X] with X ordered (P_out, P_in, Q_out, Q_in)."""
     d1, d2 = sc1.d_s, sc2.d_s
     x = np.asarray(op_state, dtype=complex).reshape(d1, d1, d2, d2, d1, d1, d2, d2)
-    out = np.einsum(
-        "abcpqr,ABCPQR,bcBCqrQR->aApP",
-        sc1.m_tensor, sc2.m_tensor, (d1 * d2) * x, optimize=True,
+    out = mk.einsum(
+        "abcpqr,ABCPQR,bcBCqrQR->aApP", sc1.m_tensor, sc2.m_tensor, (d1 * d2) * x,
     ).reshape(d1 * d2, d1 * d2)
     out = (out + out.conj().T) / 2.0
     return density(out, DimShape([d1, d2], ["P", "Q"]), tols=tols)

@@ -13,7 +13,9 @@ size is checked at load against every family of the scenario that reads it.
 
 ``prepare`` builds once per campaign each object that is the same in every
 trial (the superchannel of a pinned ``U`` and ``rho_se`` and its steady
-operation), and each pool worker receives it once.  Campaign trials are
+operation), and each pool worker receives it once.  Trials run in blocks
+of ``BLOCK`` consecutive trials of one family, one pool task each; a ``main``
+block is evaluated in stacked steps.  Campaign trials are
 seed-deterministic: trial t of family f draws what is not prepared from
 ``default_rng([seed, f, t])``, in the same order whether or not anything
 is prepared and regardless of worker scheduling, and reports are gathered
@@ -336,15 +338,17 @@ def random_superchannel(d_s: int, d_e: int, rng: np.random.Generator,
     return sup.build(u, rho_se, tols)
 
 
-def random_operation(d: int, rng: np.random.Generator, tols: Tolerances,
-                     explicit: dict | None = None,
-                     bipartite: tuple[int, int] | None = None) -> ch.QuantumOperation:
+def random_operations(d: int, rngs: list[np.random.Generator], tols: Tolerances,
+                      explicit: dict | None = None,
+                      bipartite: tuple[int, int] | None = None) -> list[ch.QuantumOperation]:
+    """One operation per generator: the pinned one, or a random CPTP map
+    whose rank is drawn from {1..d^2}, built for all generators at once."""
     ex = explicit or {}
     op = ex.get("op_kraus", ex.get("op_choi"))
     if op is None:
-        rank = int(rng.integers(1, d * d + 1))
-        return ch.random_cptp(d, rank, rng, bipartite=bipartite, tols=tols)
-    return replace(op, bipartite=bipartite)
+        ranks = [int(rng.integers(1, d * d + 1)) for rng in rngs]
+        return ch.random_cptps(d, ranks, rngs, bipartite=bipartite, tols=tols)
+    return [replace(op, bipartite=bipartite)] * len(rngs)
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +361,12 @@ class Prepared:
 
     superchannels: dict         # (d, d_E) -> Superchannel of the pinned U and rho_se
     neso: sup.Neso | None       # of superchannels[d_S, d_E], when main runs
+
+    def superchannel(self, d: int, d_env: int, rng: np.random.Generator,
+                     tols: Tolerances, ex: dict) -> sup.Superchannel:
+        """The prepared superchannel at (d, d_env), or one drawn from ``rng``."""
+        sc = self.superchannels.get((d, d_env))
+        return sc if sc is not None else random_superchannel(d, d_env, rng, tols, ex)
 
 
 def prepare(scenario: Scenario, tols: Tolerances, families: tuple[str, ...] | None = None) -> Prepared:
@@ -385,38 +395,60 @@ def prepare(scenario: Scenario, tols: Tolerances, families: tuple[str, ...] | No
 # Trial evaluation
 # ---------------------------------------------------------------------------
 
+# Trials per block: one pool task, and one stacked evaluation of `main`.
+BLOCK = 8
+
+
+def _trial_rng(scenario: Scenario, family: str, trial: int) -> np.random.Generator:
+    return np.random.default_rng([np.uint64(scenario.seed), np.uint64(FAMILIES.index(family)), np.uint64(trial)])
+
+
+def evaluate_block(scenario: Scenario, family: str, trials, tols: Tolerances,
+                   prepared: Prepared | None = None,
+                   collect: dict | None = None) -> list[bd.BoundReport]:
+    """Evaluate consecutive trials of one family; ``collect`` serves a block of one.
+
+    ``main`` draws each trial's superchannel and operation from its own
+    generator, unless prepared, and runs ``bounds.main_bounds`` on the block;
+    the other families evaluate one trial at a time.
+    """
+    if family != "main":
+        return [evaluate_trial(scenario, family, t, tols, collect, prepared) for t in trials]
+    prep = prepared if prepared is not None else prepare(scenario, tols, (family,))
+    d_s, d_e = scenario.dims.get("d_S", 2), scenario.dims.get("d_E", 2)
+    rngs = [_trial_rng(scenario, family, t) for t in trials]
+    scs = [prep.superchannel(d_s, d_e, rng, tols, scenario.explicit) for rng in rngs]
+    ops = random_operations(d_s, rngs, tols, scenario.explicit)
+    nss = [prep.neso if prep.neso is not None else sup.neso(sc) for sc in scs]
+    reports = bd.main_bounds(scs, ops, nss, tols, [collect] * len(scs))
+    for t, report in zip(trials, reports):
+        report.metadata.update(trial=t, seed=scenario.seed)
+    return reports
+
+
 def evaluate_trial(scenario: Scenario, family: str, trial: int, tols: Tolerances,
                    collect: dict | None = None, prepared: Prepared | None = None) -> bd.BoundReport:
     """Evaluate one seed-deterministic trial of the given bound family.
 
     ``prepared`` is ``prepare(scenario, tols)``; when it is not given, only
     what this family reads is prepared here.  Everything it does not hold
-    is drawn from the trial's generator.
+    is drawn from the trial's generator.  A ``main`` trial is a block of one.
     """
-    rng = np.random.default_rng(
-        [np.uint64(scenario.seed), np.uint64(FAMILIES.index(family)), np.uint64(trial)]
-    )
+    if family == "main":
+        return evaluate_block(scenario, family, (trial,), tols, prepared, collect)[0]
+    rng = _trial_rng(scenario, family, trial)
     prep = prepared if prepared is not None else prepare(scenario, tols, (family,))
     ex = scenario.explicit
     dims = scenario.dims
     d_s = dims.get("d_S", 2)
     d_e = dims.get("d_E", 2)
 
-    def superchannel(d: int, d_env: int) -> sup.Superchannel:
-        sc = prep.superchannels.get((d, d_env))
-        return sc if sc is not None else random_superchannel(d, d_env, rng, tols, ex)
-
     if family == "spohn":
-        op = random_operation(d_s, rng, tols, ex)
+        op = random_operations(d_s, [rng], tols, ex)[0]
         rho = ex.get("sigma")
         if rho is None:
             rho = st.random_density(d_s, int(rng.integers(1, d_s + 1)), rng, tols=tols)
         report = bd.spohn(op, rho, tols=tols, collect=collect)
-
-    elif family == "main":
-        sc = superchannel(d_s, d_e)
-        op = random_operation(d_s, rng, tols, ex)
-        report = bd.main_bound(sc, op, prep.neso, tols=tols, collect=collect)
 
     elif family == "clausius":
         h = ex.get("H")
@@ -441,13 +473,13 @@ def evaluate_trial(scenario: Scenario, family: str, trial: int, tols: Tolerances
     elif family == "qdpi":
         d_p = dims.get("d_P", 2)
         d_q = dims.get("d_Q", 2)
-        sc1 = superchannel(d_p, dims.get("d_E1", 2))
-        sc2 = superchannel(d_q, dims.get("d_E2", 2))
-        op = random_operation(d_p * d_q, rng, tols, ex, bipartite=(d_p, d_q))
+        sc1 = prep.superchannel(d_p, dims.get("d_E1", 2), rng, tols, ex)
+        sc2 = prep.superchannel(d_q, dims.get("d_E2", 2), rng, tols, ex)
+        op = random_operations(d_p * d_q, [rng], tols, ex, bipartite=(d_p, d_q))[0]
         report = bd.qdpi(sc1, sc2, op, tols, collect=collect)
 
     elif family == "holevo":
-        sc = superchannel(d_s, d_e)
+        sc = prep.superchannel(d_s, d_e, rng, tols, ex)
         ens = ex.get("ensemble")
         if ens is None:
             k = int(rng.integers(2, 5))
@@ -460,7 +492,7 @@ def evaluate_trial(scenario: Scenario, family: str, trial: int, tols: Tolerances
 
     elif family == "mmap-consistency":
         d_a = dims.get("d_A", d_s)
-        sc = superchannel(d_s, d_e)
+        sc = prep.superchannel(d_s, d_e, rng, tols, ex)
         v = ex.get("V")
         if v is None:
             v = st.haar_unitary(d_s * d_a, rng)
@@ -535,21 +567,29 @@ def _init_worker(campaign: tuple) -> None:
     _worker_campaign = campaign
 
 
-def _eval_task(task: tuple[str, int], campaign: tuple | None = None) -> dict:
-    """One trial's record; a pool worker reads the campaign its initializer set."""
+def _eval_task(task: tuple[str, range], campaign: tuple | None = None) -> list[dict]:
+    """The records of one block of trials; a pool worker reads the campaign
+    its initializer set.  A failing block is run again one trial at a time,
+    so that the error raised is the earliest failing trial's first error."""
     scenario, tols, prepared = campaign if campaign is not None else _worker_campaign
-    family, trial = task
-    return report_to_dict(evaluate_trial(scenario, family, trial, tols, prepared=prepared))
+    family, trials = task
+    try:
+        return [report_to_dict(r) for r in evaluate_block(scenario, family, trials, tols, prepared)]
+    except Exception:
+        if len(trials) == 1:
+            raise
+        return [rec for t in trials for rec in _eval_task((family, range(t, t + 1)), campaign)]
 
 
 def run_campaign(scenario: Scenario, tols: Tolerances, jobs: int = 1) -> dict:
     """Run every family of the scenario; returns the report object.
 
     The objects every trial shares (``prepare``) are built once, before
-    any trial.  Every trial goes through ``_eval_task``: in this process
-    for ``jobs <= 1``, and otherwise in a pool of ``jobs`` worker processes,
-    each of which receives the scenario, the tolerances and the prepared
-    objects once, through the pool initializer.  The report is
+    any trial.  The trials of each family go in blocks of ``BLOCK``
+    consecutive trials through ``_eval_task``: in this process for
+    ``jobs <= 1``, and otherwise one block per task in a pool of ``jobs``
+    worker processes, each of which receives the scenario, the tolerances
+    and the prepared objects once, through the pool initializer.  The report is
     deterministic for a fixed scenario: per-trial seeds are derived from
     (seed, family, trial), what is not prepared is drawn from them in the
     same order, and results are ordered by trial index, so serial and
@@ -557,11 +597,11 @@ def run_campaign(scenario: Scenario, tols: Tolerances, jobs: int = 1) -> dict:
     field is left null so reports stay byte-stable; the CLI reports timing
     separately.
     """
-    families = scenario.families()
-    tasks = [(family, t) for family in families for t in range(scenario.trials)]
+    families, n = scenario.families(), scenario.trials
+    tasks = [(family, range(s, min(s + BLOCK, n))) for family in families for s in range(0, n, BLOCK)]
     campaign = (scenario, tols, prepare(scenario, tols))
     if jobs <= 1:
-        records = [_eval_task(task, campaign) for task in tasks]
+        blocks = [_eval_task(task, campaign) for task in tasks]
     else:
         # Imported here: the pool machinery adds to the start-up time and
         # resident size of every serial run.
@@ -569,8 +609,8 @@ def run_campaign(scenario: Scenario, tols: Tolerances, jobs: int = 1) -> dict:
 
         with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
                                  initargs=(campaign,)) as pool:
-            records = list(pool.map(_eval_task, tasks, chunksize=8))
-    n = scenario.trials
+            blocks = list(pool.map(_eval_task, tasks))
+    records = [rec for block in blocks for rec in block]
     sections = {family: records[i * n:(i + 1) * n] for i, family in enumerate(families)}
     total = summarize(records)
     total["wall_time"] = None

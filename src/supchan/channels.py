@@ -28,7 +28,7 @@ class FixedPointError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuantumOperation:
-    """A CP map held in dual form: optional Kraus list plus Choi matrix.
+    """A CP map held in dual form: optional (r, d_out, d_in) Kraus stack plus Choi matrix.
 
     ``bipartite`` optionally records a (d_P, d_Q) tensor split shared by the
     input and output spaces, enabling marginal operations.
@@ -37,13 +37,13 @@ class QuantumOperation:
     d_in: int
     d_out: int
     choi: np.ndarray
-    kraus: tuple[np.ndarray, ...] | None = None
+    kraus: np.ndarray | None = None
     bipartite: tuple[int, int] | None = None
     _tols: Tolerances = field(default=DEFAULT_TOLS, repr=False)
 
     @cached_property
     def is_trace_preserving(self) -> bool:
-        return mk.max_abs(tr_out_choi(self.choi, self.d_out, self.d_in) - np.eye(self.d_in)) <= TP_TOL
+        return bool(trace_preserving(self.choi, self.d_out, self.d_in))
 
     @property
     def choi_state(self) -> np.ndarray:
@@ -53,7 +53,7 @@ class QuantumOperation:
     def choi_shape(self) -> DimShape:
         return DimShape([self.d_out, self.d_in], ["out", "in"])
 
-    def kraus_ops(self) -> tuple[np.ndarray, ...]:
+    def kraus_ops(self) -> np.ndarray:
         if self.kraus is not None:
             return self.kraus
         return kraus_of(self, self._tols)
@@ -62,6 +62,12 @@ class QuantumOperation:
 def tr_out_choi(choi: np.ndarray, d_out: int, d_in: int) -> np.ndarray:
     shape = DimShape([d_out, d_in], ["out", "in"])
     return mk.partial_trace(choi, shape, ["in"])
+
+
+def trace_preserving(choi: np.ndarray, d_out: int, d_in: int):
+    """Whether ||tr_out(choi) - I|| is within TP_TOL, for a Choi matrix or
+    for each of a stack."""
+    return mk.max_abs(tr_out_choi(choi, d_out, d_in) - np.eye(d_in)) <= TP_TOL
 
 
 def choi_from_kraus(kraus: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray:
@@ -83,7 +89,7 @@ def from_kraus(
     d_out, d_in = kraus[0].shape
     if any(k.shape != (d_out, d_in) for k in kraus):
         raise ShapeError("Kraus operators have inconsistent shapes")
-    return QuantumOperation(d_in, d_out, choi_from_kraus(kraus), tuple(kraus), bipartite, tols)
+    return QuantumOperation(d_in, d_out, choi_from_kraus(kraus), np.array(kraus), bipartite, tols)
 
 
 def from_choi(
@@ -97,21 +103,27 @@ def from_choi(
     choi = mk.as_matrix(choi)
     if choi.shape != (d_out * d_in, d_out * d_in):
         raise ShapeError(f"Choi shape {choi.shape} != {(d_out * d_in,) * 2}")
-    mk.check_hermitian(choi, tols.herm_tol * max(1.0, mk.max_abs(choi)), "Choi matrix")
-    w = np.linalg.eigvalsh((choi + choi.conj().T) / 2.0)
-    if w[0] < -CP_TOL * max(1.0, float(w[-1])):
-        raise ValidationError(f"Choi matrix has eigenvalue {w[0]:.3e}: map is not CP")
+    check_cp(choi, tols)
     return QuantumOperation(d_in, d_out, choi, None, bipartite, tols)
 
 
-def kraus_of(op: QuantumOperation, tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, ...]:
+def check_cp(choi: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> None:
+    """``from_choi``'s checks of a Choi matrix, or of each of a stack:
+    Hermitian relative to its largest entry, and CP within CP_TOL."""
+    mk.check_hermitian(choi, tols.herm_tol * np.maximum(1.0, mk.max_abs(choi)), "Choi matrix")
+    w = np.linalg.eigvalsh((choi + mk.dagger(choi)) / 2.0)
+    mk.fail_first(w[..., 0] < -CP_TOL * np.maximum(1.0, w[..., -1]), w[..., 0],
+                  "Choi matrix has eigenvalue {:.3e}: map is not CP")
+
+
+def kraus_of(op: QuantumOperation, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Extract Kraus operators from the Choi matrix.
 
     Eigenvalues below psd_floor are dropped, so the returned rank is the
     numerical Kraus rank.  Kraus sets are unique only up to isometric
     mixing; compare channels through their action, not their Kraus lists.
     """
-    return tuple(f.reshape(op.d_out, op.d_in) for f in mk.psd_factors(*mk.herm_eig(op.choi, tols)))
+    return mk.psd_factors(*mk.herm_eig(op.choi, tols)).reshape(-1, op.d_out, op.d_in)
 
 
 def apply(
@@ -272,7 +284,7 @@ def channel_from_dilation(
 
 def transfer_matrix(op: QuantumOperation) -> np.ndarray:
     """Superoperator on row-major vec(rho): sum of K (x) conj(K) in Kraus order."""
-    ks = np.stack(op.kraus_ops())
+    ks = op.kraus_ops()
     t = np.zeros((op.d_out * op.d_out, op.d_in * op.d_in), dtype=complex)
     for term in mk.kron_stack(ks, ks.conj()):
         t += term
@@ -401,18 +413,36 @@ def random_cptp(
 
     A PSD Wishart matrix W of rank ``kraus_rank`` on out (x) in is projected
     onto the trace-preserving slice via W -> (I (x) R^-1/2) W (I (x) R^-1/2)
-    with R = tr_out W.
+    with R = tr_out W.  A rank below ceil(d / d_out), the least Kraus rank
+    of a CPTP map, would leave R singular and is refused before any draw.
     """
+    return random_cptps(d, [kraus_rank], [rng], d_out, bipartite, tols)[0]
+
+
+def random_cptps(d: int, ranks: list[int], rngs: list[np.random.Generator], d_out: int | None = None,
+                 bipartite: tuple[int, int] | None = None, tols: Tolerances = DEFAULT_TOLS) -> list[QuantumOperation]:
+    """``random_cptp`` for each (rank, generator) pair: each W is drawn from
+    its own generator, then the projection, ``from_choi``'s checks and the
+    Kraus extraction run once over the stack, with the bits of each map."""
     d_out = d if d_out is None else d_out
-    g = ginibre(d_out * d, kraus_rank, rng)
-    w = g @ g.conj().T
+    least = -(-d // d_out)
+    for rank in ranks:
+        if rank < least:
+            raise ValueError(f"kraus_rank {rank} is below {least}, the least Kraus rank "
+                             f"of a CPTP map from dimension {d} to {d_out}")
+    gs = [ginibre(d_out * d, rank, rng) for rank, rng in zip(ranks, rngs)]
+    w = mk.stack([g @ g.conj().T for g in gs])
     r = tr_out_choi(w, d_out, d)
-    rw, rv = np.linalg.eigh((r + r.conj().T) / 2.0)
+    rw, rv = np.linalg.eigh((r + mk.dagger(r)) / 2.0)
     rw = np.clip(rw, 1e-14, None)
-    r_isqrt = (rv * (rw ** -0.5)) @ rv.conj().T
+    r_isqrt = (rv * (rw ** -0.5)[..., None, :]) @ mk.dagger(rv)
     lift = mk.kron_stack(np.eye(d_out), r_isqrt)
-    choi = lift @ w @ lift.conj().T
-    choi = (choi + choi.conj().T) / 2.0
-    op = from_choi(choi, d_out, d, bipartite=bipartite, tols=tols)
-    # materialize Kraus form so apply() uses the cheaper route
-    return QuantumOperation(d, d_out, op.choi, kraus_of(op, tols), bipartite, tols)
+    choi = lift @ w @ mk.dagger(lift)
+    choi = mk.as_matrix((choi + mk.dagger(choi)) / 2.0, stack=True)
+    check_cp(choi, tols)
+    # Kraus form is materialized so that apply() uses the cheaper route.
+    w, v = mk.herm_eig(choi, tols)
+    kraus = mk.psd_factors(w, v).reshape(-1, d_out, d)
+    ends = np.cumsum((w > 0.0).reshape(len(gs), -1).sum(-1)).tolist()
+    return [QuantumOperation(d, d_out, c, kraus[a:b], bipartite, tols)
+            for c, a, b in zip(choi.reshape(len(gs), *choi.shape[-2:]), [0] + ends, ends)]

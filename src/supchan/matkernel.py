@@ -4,10 +4,14 @@ permutations, Hermitian eigendecompositions and matrix functions.
 Index convention used everywhere: a matrix on a composite space is stored
 row-major with the *leftmost* subsystem label as the slowest-varying index,
 so ``tensor(a, b)`` puts ``a`` on the slow index (plain Kronecker product).
+``partial_trace``, ``check_hermitian`` and ``herm_eig`` also take a stack of
+matrices, with the bits of one matrix at a time; a failing check of a stack
+raises the error of its first failing matrix.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -70,10 +74,11 @@ class DimShape:
         return DimShape([self.factor_of(l) for l in kept], kept)
 
 
-def as_matrix(m: np.ndarray) -> np.ndarray:
-    """Validate and return a finite 2-D complex array."""
+def as_matrix(m: np.ndarray, stack: bool = False) -> np.ndarray:
+    """Validate and return a finite 2-D complex array, or with ``stack`` a
+    finite complex array of matrices along its last two axes."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2:
+    if m.ndim != 2 and not (stack and m.ndim > 2):
         raise ShapeError(f"expected a 2-D array, got shape {m.shape}")
     if m.size > MAX_ENTRIES:
         raise ShapeError(f"matrix with {m.size} entries exceeds the dense-storage limit")
@@ -101,12 +106,42 @@ def kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (p * r, q * s))
 
 
+def stack(mats: list[np.ndarray]) -> np.ndarray:
+    """The matrices as one stack, except that one matrix stays itself, and
+    its checks scalar."""
+    return mats[0] if len(mats) == 1 else np.array(mats)
+
+
+def dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def fail_first(bad, values, message: str) -> None:
+    """Raise ``ValidationError(message.format(v))`` with ``v`` the entry of
+    ``values`` at the first true entry of ``bad`` (one entry per matrix)."""
+    if bad.any() if isinstance(bad, np.ndarray) else bad:
+        i = int(np.argmax(np.ravel(bad)))
+        raise ValidationError(message.format(float(np.ravel(values)[i])))
+
+
+@functools.lru_cache(maxsize=64)
+def _einsum_path(subscripts: str, *shapes: tuple[int, ...]) -> list:
+    return np.einsum_path(subscripts, *(np.empty(s) for s in shapes), optimize="greedy")[0]
+
+
+def einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
+    """``np.einsum(subscripts, *operands, optimize=True)``, with the greedy
+    contraction path searched once per operand shapes rather than per call."""
+    return np.einsum(subscripts, *operands, optimize=_einsum_path(subscripts, *(o.shape for o in operands)))
+
+
 def _check_square(m: np.ndarray, shape: DimShape) -> np.ndarray:
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
+    m = as_matrix(m, stack=True)
+    if m.shape[-1] != m.shape[-2]:
         raise ShapeError(f"expected square matrix, got {m.shape}")
-    if m.shape[0] != shape.dim:
-        raise ShapeError(f"matrix dim {m.shape[0]} != shape dim {shape.dim} {shape.factors}")
+    if m.shape[-1] != shape.dim:
+        raise ShapeError(f"matrix dim {m.shape[-1]} != shape dim {shape.dim} {shape.factors}")
     return m
 
 
@@ -114,23 +149,24 @@ def partial_trace(m: np.ndarray, shape: DimShape, keep: Sequence[str]) -> np.nda
     """Trace out every subsystem not named in ``keep``.
 
     Kept subsystems stay in their original relative order; the result has
-    dimension equal to the product of the kept factors.
+    dimension equal to the product of the kept factors.  ``m`` may be a
+    stack of matrices.
     """
     m = _check_square(m, shape)
     keep_set = set(keep)
     for l in keep_set:
         shape.index_of(l)  # raises on unknown labels
-    n = len(shape.factors)
-    t = m.reshape(shape.factors + shape.factors)
+    n, lead = len(shape.factors), m.shape[:-2]
+    t = m.reshape(lead + shape.factors + shape.factors)
     # Trace row/col index pairs of discarded subsystems, highest index first
     # so earlier positions stay valid.
     removed = 0
     for i in reversed(range(n)):
         if shape.labels[i] not in keep_set:
-            t = np.trace(t, axis1=i, axis2=i + n - removed)
+            t = np.trace(t, axis1=len(lead) + i, axis2=len(lead) + i + n - removed)
             removed += 1
     d_keep = math.prod(f for f, l in zip(shape.factors, shape.labels) if l in keep_set)
-    return t.reshape(d_keep, d_keep)
+    return t.reshape(lead + (d_keep, d_keep))
 
 
 def _axis_order(shape: DimShape, new_order: Sequence[str]) -> list[int]:
@@ -165,15 +201,18 @@ def permute_subsystems(
     return t.reshape(d, d), new_shape
 
 
-def max_abs(m: np.ndarray) -> float:
+def max_abs(m: np.ndarray):
+    """Largest entry modulus: a float, or one per matrix of a stack (ndim > 2)."""
+    if m.ndim > 2:
+        return np.abs(m).max(axis=(-2, -1))
     return float(np.abs(m).max()) if m.size else 0.0
 
 
-def check_hermitian(m: np.ndarray, tol: float, what: str = "matrix") -> None:
-    """Raise ValidationError when ``m`` deviates from its adjoint by more than ``tol``."""
-    dev = max_abs(m - m.conj().T)
-    if dev > tol:
-        raise ValidationError(f"{what} is not Hermitian: max deviation {dev:.3e}")
+def check_hermitian(m: np.ndarray, tol, what: str = "matrix") -> None:
+    """Raise ValidationError when ``m`` deviates from its adjoint by more than
+    ``tol`` (for a stack, per matrix; ``tol`` may hold one entry per matrix)."""
+    dev = max_abs(m - dagger(m))
+    fail_first(dev > tol, dev, f"{what} is not Hermitian: max deviation {{:.3e}}")
 
 
 def herm_eig(
@@ -186,16 +225,17 @@ def herm_eig(
     ``m == V @ diag(w) @ V.conj().T`` within ``recon_tol``, checked on the
     raw eigenvalues; the returned ``w`` is then clamped (``clamp_spectrum``).
     No eigenvector order or phase is promised inside degenerate clusters.
+    For a stack of matrices, ``w`` and ``V`` are the stacks of each.
     """
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
+    m = as_matrix(m, stack=True)
+    if m.shape[-1] != m.shape[-2]:
         raise ShapeError(f"expected square matrix, got {m.shape}")
     check_hermitian(m, tols.herm_tol)
-    w, V = np.linalg.eigh((m + m.conj().T) / 2.0)
-    w, V = w[::-1], V[:, ::-1]
-    resid = max_abs(V @ np.diag(w) @ V.conj().T - m)
-    if resid > tols.recon_tol:
-        raise ValidationError(f"eigendecomposition residual {resid:.3e} exceeds recon_tol")
+    w, V = np.linalg.eigh((m + dagger(m)) / 2.0)
+    w, V = w[..., ::-1], V[..., ::-1]
+    # V diag(w) is V * w: the other terms of each sum are exact zeros.
+    resid = max_abs((V * w[..., None, :]) @ dagger(V) - m)
+    fail_first(resid > tols.recon_tol, resid, "eigendecomposition residual {:.3e} exceeds recon_tol")
     return clamp_spectrum(w, tols), V
 
 
@@ -206,10 +246,12 @@ def clamp_spectrum(w: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray
     return w
 
 
-def psd_factors(w: np.ndarray, V: np.ndarray) -> list[np.ndarray]:
+def psd_factors(w: np.ndarray, V: np.ndarray) -> np.ndarray:
     """``sqrt(lam) * v`` for each eigenpair with lam > 0 of a decomposition
-    ``(w, V)`` as ``herm_eig`` returns it, in descending order."""
-    return [np.sqrt(lam) * v for lam, v in zip(w, V.T) if lam > 0.0]
+    ``(w, V)`` as ``herm_eig`` returns it, one row each in descending order;
+    for a stack of decompositions, the rows of each in turn."""
+    pos = w > 0.0
+    return np.sqrt(w[pos])[:, None] * V.swapaxes(-1, -2)[pos]
 
 
 def herm_fn(

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import matkernel as mk
 from .config import DEFAULT_TOLS, Tolerances
-from .matkernel import DimShape, ShapeError, ValidationError
+from .matkernel import DimShape, ShapeError
 
 
 @dataclass(frozen=True)
@@ -73,14 +73,18 @@ def density(
         else:
             raise ShapeError("multiple labels require an explicit DimShape")
     rho = DensityMatrix(mat, shape)
-    mk.check_hermitian(mat, tols.herm_tol, "density matrix")
-    tr = float(np.real(np.trace(mat)))
-    if abs(tr - 1.0) > tols.trace_tol:
-        raise ValidationError(f"trace {tr!r} is not 1 within {tols.trace_tol}")
-    w = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
-    if w[0] < -tols.psd_floor:
-        raise ValidationError(f"negative eigenvalue {w[0]:.3e} below -psd_floor")
+    check_density(mat, tols)
     return rho
+
+
+def check_density(mat: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> None:
+    """``density``'s checks of a matrix, or of each of a stack: Hermitian,
+    unit trace and positive semidefinite."""
+    mk.check_hermitian(mat, tols.herm_tol, "density matrix")
+    tr = mat.trace(axis1=-2, axis2=-1).real
+    mk.fail_first(abs(tr - 1.0) > tols.trace_tol, tr, f"trace {{!r}} is not 1 within {tols.trace_tol}")
+    w = np.linalg.eigvalsh((mat + mk.dagger(mat)) / 2.0)[..., 0]
+    mk.fail_first(w < -tols.psd_floor, w, "negative eigenvalue {:.3e} below -psd_floor")
 
 
 def marginal(rho: DensityMatrix, keep: Sequence[str], tols: Tolerances = DEFAULT_TOLS) -> DensityMatrix:
@@ -98,7 +102,7 @@ def entropy_of_spectrum(w: np.ndarray) -> float:
     """Shannon entropy of a clamped spectrum in nats, with 0 log 0 = 0."""
     w = np.asarray(w, dtype=float)
     pos = w[w > 0.0]
-    return float(-np.sum(pos * np.log(pos)))
+    return float(-(pos * np.log(pos)).sum())
 
 
 def von_neumann_entropy(rho: DensityMatrix, tols: Tolerances = DEFAULT_TOLS) -> float:
@@ -117,10 +121,16 @@ def trace_against_log(
     w, v = base.eig(tols)
     # Weight of X in each eigenvector of base.
     overlap = np.real(np.einsum("ik,ij,jk->k", v.conj(), np.asarray(state_mat, dtype=complex), v))
+    return float(log_weight(overlap, w, tols))
+
+
+def log_weight(overlap: np.ndarray, w: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+    """tr[X log(base)] from the weights ``overlap`` of X in the eigenvectors
+    of base (or of several X, one per row) and the clamped eigenvalues ``w``
+    of base; -inf on support mismatch."""
     kernel = w == 0.0
-    if float(np.sum(overlap[kernel])) > tols.support_tol:
-        return float("-inf")
-    return float(np.sum(overlap[~kernel] * np.log(w[~kernel])))
+    out = (overlap[..., ~kernel] * np.log(w[~kernel])).sum(-1)
+    return np.where(overlap[..., kernel].sum(-1) > tols.support_tol, -np.inf, out)
 
 
 def relative_entropy(

@@ -6,8 +6,7 @@ two times to the system state at the later time,
     act(sc, A) = tr_E[ U ((A (x) Id_E)(rho_SE)) U^dag ].
 
 Two equivalent realizations are kept: the operational formula above
-(authoritative), evaluated for all Kraus operators K of A as one stack of
-(K (x) I_E) rho_SE (K (x) I_E)^dag, and a six-index tensor M with
+(authoritative), and a six-index tensor M with
 
     M[a,b,c,p,q,r] = sum_{x,y,z} U[ax,by] rho_SE[cy,rz] conj(U)[px,qz],
 
@@ -16,9 +15,11 @@ contracted against the operation's Choi matrix C as
     sigma'[a,p] = sum_{b,c,q,r} M[a,b,c,p,q,r] C[bc,qr],
 
 where C is indexed (out, in) x (out, in); their agreement is asserted in
-the test suite.  The trace-normalized superchannel M# acts on unit-trace
-operation-states A_d = C/d and is realized by the same tensor contraction
-with C = d * A_d.
+the test suite.  ``act_block`` evaluates the operational formula for a
+block of (superchannel, operation) pairs in stacked steps, with the bits of
+each pair on its own; ``act`` is the block of one.  The trace-normalized
+superchannel M# acts on unit-trace operation-states A_d = C/d and is
+realized by the same tensor contraction with C = d * A_d.
 
 M# is completely positive; it preserves traces on the span of
 operation-states (matrices whose Choi lifts have tr_out proportional to
@@ -36,7 +37,7 @@ from . import channels as ch
 from . import matkernel as mk
 from .config import DEFAULT_TOLS, Tolerances
 from .matkernel import DimShape, ShapeError
-from .states import DensityMatrix, density, marginal
+from .states import DensityMatrix, check_density, density, marginal
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,7 @@ class Superchannel:
         d_s, d_e = self.d_s, self.d_e
         u4 = self.u.reshape(d_s, d_e, d_s, d_e)
         r4 = self.rho_se.mat.reshape(d_s, d_e, d_s, d_e)
-        return np.einsum("axby,cyrz,pxqz->abcpqr", u4, r4, u4.conj(), optimize=True)
+        return mk.einsum("axby,cyrz,pxqz->abcpqr", u4, r4, u4.conj())
 
     @property
     def sys_marginal(self) -> DensityMatrix:
@@ -86,21 +87,36 @@ def build(u: np.ndarray, rho_se: DensityMatrix, tols: Tolerances = DEFAULT_TOLS)
 
 
 def act(sc: Superchannel, op: ch.QuantumOperation) -> DensityMatrix:
-    """sigma' for a CPTP operation on the system, by the operational formula:
-    every K (x) I_E comes from one multiply (``mk.kron_stack``) and every
-    term from one stacked product; the terms are added in Kraus order."""
-    if op.d_in != sc.d_s or op.d_out != sc.d_s:
-        raise ShapeError(f"operation dims ({op.d_out}, {op.d_in}) != system dim {sc.d_s}")
-    if not op.is_trace_preserving:
-        raise mk.ValidationError("act() requires a CPTP operation; use act_normalized")
-    kk = mk.kron_stack(np.stack(op.kraus_ops()), np.eye(sc.d_e, dtype=complex))
-    joint = np.zeros_like(sc.rho_se.mat)
-    for term in kk @ sc.rho_se.mat @ kk.conj().transpose(0, 2, 1):
-        joint += term
-    evolved = sc.u @ joint @ sc.u.conj().T
+    """sigma' for a CPTP operation on the system, by the operational formula."""
+    return DensityMatrix(act_block([sc], [op]), DimShape([sc.d_s], ["S"]))
+
+
+def act_block(scs: list[Superchannel], ops: list[ch.QuantumOperation]) -> np.ndarray:
+    """sigma' of each (superchannel, operation) pair, all of one (d_S, d_E),
+    as a (B, d_S, d_S) stack (one matrix for one pair) checked as density
+    matrices.  The block's Kraus operators form one ragged stack, every
+    (K (x) I_E) rho_SE (K (x) I_E)^dag comes from one stacked product, and
+    each pair's terms are added into zeros in Kraus order."""
+    sc = scs[0]
+    for op in ops:
+        if op.d_in != sc.d_s or op.d_out != sc.d_s:
+            raise ShapeError(f"operation dims ({op.d_out}, {op.d_in}) != system dim {sc.d_s}")
+    tp = ch.trace_preserving(mk.stack([op.choi for op in ops]), sc.d_s, sc.d_s)
+    mk.fail_first(np.logical_not(tp), tp, "act() requires a CPTP operation; use act_normalized")
+    kraus = [op.kraus_ops() for op in ops]
+    kk = mk.kron_stack(np.concatenate(kraus), np.eye(sc.d_e, dtype=complex))
+    owner = np.repeat(np.arange(len(ops)), [len(k) for k in kraus])
+    rho = mk.stack([s.rho_se.mat for s in scs])
+    joint = np.zeros_like(rho)
+    each = joint.reshape(-1, *rho.shape[-2:])
+    for b, term in zip(owner.tolist(), kk @ rho.reshape(each.shape)[owner] @ mk.dagger(kk)):
+        each[b] += term
+    u = mk.stack([s.u for s in scs])
+    evolved = u @ joint @ mk.dagger(u)
     out = mk.partial_trace(evolved, sc.rho_se.shape, ["S"])
-    out = (out + out.conj().T) / 2.0
-    return density(out, DimShape([sc.d_s], ["S"]), tols=sc._tols)
+    out = mk.as_matrix((out + mk.dagger(out)) / 2.0, stack=True)
+    check_density(out, sc._tols)
+    return out
 
 
 def act_tensor(sc: Superchannel, choi: np.ndarray) -> np.ndarray:

@@ -416,3 +416,21 @@ def test_classical_mutual_information_oracle():
     # independent bits carry none
     joint = np.full((2, 2), 0.25)
     assert abs(bd.classical_mutual_information(joint)) <= 1e-12
+
+
+@pytest.mark.parametrize("d_s,d_e", [(2, 2), (3, 3), (4, 4), (2, 3), (3, 2)])
+def test_main_bounds_are_bitwise_the_per_trial_main_bound(d_s, d_e, oracles):
+    # Blocks of 1-8 trials over a pinned and a random superchannel, random
+    # operations of mixed ranks and an explicit op_kraus and op_choi.
+    tols = DEFAULT_TOLS
+    for scs, ops in oracles.block_instances(d_s, d_e, 200, [d_s, d_e, 1]):
+        nss = [sup.neso(sc) for sc in scs]
+        reports = bd.main_bounds(scs, ops, nss, tols)
+        for sc, op, ns, rep in zip(scs, ops, nss, reports):
+            ks = oracles.kraus(op.choi, d_s, d_s, tols) if op.kraus is None else op.kraus
+            want = oracles.main_bound(sc, op.choi, ks, ns.ness, tols)
+            got = (rep.lhs, rep.rhs, rep.slack)
+            assert all(type(x) is float for x in got)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+            one = bd.main_bound(sc, op, ns, tols)
+            assert np.array((one.lhs, one.rhs, one.slack)).tobytes() == np.array(want).tobytes()

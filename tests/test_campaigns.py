@@ -7,6 +7,7 @@ import pytest
 from supchan import bounds as bd
 from supchan import campaigns as cp
 from supchan import channels as ch
+from supchan import cli
 from supchan import matkernel as mk
 from supchan import states as st
 from supchan import superchannel as sup
@@ -218,6 +219,77 @@ def test_a_pinned_main_trial_forms_no_kron_and_at_most_two_eigendecompositions(m
     cp.run_campaign(scn, DEFAULT_TOLS, jobs=1)
     assert calls["kron"] == 0
     assert calls["herm_eig"] <= 2 * 20
+
+
+def pinned_d3_scenario(trials):
+    rng = np.random.default_rng(9)
+    return make_scenario(trials=trials, dims={"d_S": 3, "d_E": 3}, explicit={
+        "U": cp.matrix_to_json(st.haar_unitary(9, rng)),
+        "rho_se": cp.matrix_to_json(st.random_density(9, 3, rng).mat)})
+
+
+def test_a_pinned_main_block_decomposes_twice_and_is_one_task(monkeypatch):
+    # One stacked Kraus extraction and one stacked spectrum of sigma' per
+    # block of 8 trials, and one _eval_task call per block.
+    calls = {"herm_eig": 0, "_eval_task": 0}
+    for mod, name in ((mk, "herm_eig"), (cp, "_eval_task")):
+        def counted(*args, _name=name, _real=getattr(mod, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(mod, name, counted)
+    real_prepare = cp.prepare
+
+    def prepare(*args):
+        prepared = real_prepare(*args)
+        calls["herm_eig"] = 0
+        return prepared
+    monkeypatch.setattr(cp, "prepare", prepare)
+    cp.run_campaign(pinned_d3_scenario(20), DEFAULT_TOLS, jobs=1)
+    assert calls["herm_eig"] <= 2 * math.ceil(20 / 8)
+    assert calls["_eval_task"] == math.ceil(20 / 8)
+
+
+# Scenarios whose first failing trial is not trial 0, with the line that the
+# per-trial code printed.  In the first, trial 1 fails the trace check of
+# sigma', and trial 6 of the same block fails an earlier check (the
+# reconstruction of its random operation's Choi matrix), which the block
+# meets first.  In the second, trial 18 and then trial 21 fail.
+FIRST_FAILURES = [
+    ({"seed": 3, "dims": {"d_S": 3, "d_E": 2}, "tolerances": {"recon_tol": 1e-15, "trace_tol": 4e-16}},
+     "validation error: trace 0.9999999999999989 is not 1 within 4e-16"),
+    ({"seed": 17, "trials": 24, "tolerances": {"recon_tol": 1e-15}},
+     "validation error: eigendecomposition residual 1.222e-15 exceeds recon_tol"),
+]
+
+
+@pytest.mark.parametrize("spec,line", FIRST_FAILURES)
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_failing_block_reports_the_earliest_failing_trial(tmp_path, capsys, spec, line, jobs):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({"trials": 16, "bound": "main", "dims": {"d_S": 2, "d_E": 2}, **spec}))
+    assert cli.main(["verify", "--scenario", str(path), "--jobs", str(jobs)]) == 3
+    assert capsys.readouterr().err.strip() == line
+
+
+def test_a_later_steady_operation_failure_does_not_hide_an_earlier_trial(monkeypatch):
+    # Trial 4's steady operation fails, but trial 1 fails its trace check
+    # first in trial order.
+    spec = FIRST_FAILURES[0][0]
+    scn = make_scenario(trials=8, dims=spec["dims"], seed=3, tolerances={"trace_tol": 4e-16})
+    tols = scn.tols(DEFAULT_TOLS)
+    rng = cp._trial_rng(scn, "main", 4)
+    bad = cp.random_superchannel(3, 2, rng, tols).rho_se.mat.tobytes()
+    real = sup.neso
+
+    def neso(sc):
+        if sc.rho_se.mat.tobytes() == bad:
+            raise ch.FixedPointError("no steady state")
+        return real(sc)
+    monkeypatch.setattr(sup, "neso", neso)
+    with pytest.raises(ch.FixedPointError):
+        cp.evaluate_block(scn, "main", range(2, 8), tols)
+    with pytest.raises(mk.ValidationError, match="trace 0.9999999999999989 is not 1"):
+        cp.run_campaign(scn, tols, jobs=1)
 
 
 def test_every_prepared_object_reaches_the_pool_workers():

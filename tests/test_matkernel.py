@@ -219,3 +219,13 @@ def test_dimshape_validation():
     assert s.dim == 6
     assert s.factor_of("B") == 3
     assert s.subshape(["B"]).labels == ("B",)
+
+
+def test_a_check_of_a_stack_names_its_first_failing_matrix():
+    good = np.eye(2, dtype=complex)
+    bad = [np.array([[1.0, dev], [0.0, 1.0]], dtype=complex) for dev in (1e-3, 2e-3)]
+    for first, second in (bad, bad[::-1]):
+        with pytest.raises(ValidationError, match=f"max deviation {first[0, 1].real:.3e}"):
+            mk.herm_eig(np.stack([good, first, good, second]))
+    w, v = mk.herm_eig(np.stack([good, 2 * good]))
+    assert w.tolist() == [[1.0, 1.0], [2.0, 2.0]] and v.shape == (2, 2, 2)

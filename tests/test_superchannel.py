@@ -7,6 +7,7 @@ from supchan import channels as ch
 from supchan import matkernel as mk
 from supchan import states as st
 from supchan import superchannel as sup
+from supchan.config import DEFAULT_TOLS
 from supchan.matkernel import DimShape, ShapeError, ValidationError
 
 
@@ -255,3 +256,44 @@ def test_act_is_bitwise_the_per_kraus_kron_loop(d_s, d_e):
         sc = sup.build(st.haar_unitary(d_s * d_e, rng), rho_se)
         op = ch.random_cptp(d_s, 1 + i % (d_s * d_s), rng)
         assert sup.act(sc, op).mat.tobytes() == act_kron_loop(sc, op).tobytes()
+
+
+@pytest.mark.parametrize("d_s,d_e", [(2, 2), (3, 3), (4, 4), (2, 3), (3, 2)])
+def test_act_block_is_bitwise_the_per_trial_act(d_s, d_e, oracles):
+    tols = DEFAULT_TOLS
+    for scs, ops in oracles.block_instances(d_s, d_e, 200, [d_s, d_e]):
+        sigma = sup.act_block(scs, ops).reshape(len(ops), d_s, d_s)
+        w, v = mk.herm_eig(sigma, tols)
+        for b, (sc, op) in enumerate(zip(scs, ops)):
+            want = oracles.act(sc, oracles.kraus(op.choi, d_s, d_s, tols) if op.kraus is None else op.kraus, tols)
+            assert sigma[b].tobytes() == want.tobytes()
+            assert sup.act(sc, op).mat.tobytes() == want.tobytes()
+            w_one, v_one = oracles.herm_eig(want, tols)
+            assert w[b].tobytes() == w_one.tobytes() and v[b].tobytes() == v_one.tobytes()
+
+
+def test_act_block_refuses_an_operation_that_is_not_trace_preserving():
+    sc, rng = rand_sc(2, 2, 3)
+    ops = ch.random_cptps(2, [2, 3], [rng, rng])
+    half = ch.from_choi(ops[1].choi / 2, 2, 2)
+    with pytest.raises(ValidationError, match="requires a CPTP operation"):
+        sup.act_block([sc, sc, sc], [ops[0], half, ops[1]])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_cached_einsum_paths_are_bitwise_optimize_true(d):
+    # m_tensor and the joint contraction of qdpi reuse one greedy path per
+    # operand shapes; the result has the bits of a fresh optimize=True search.
+    sc1, rng = rand_sc(d, 2, seed=[d, 1])
+    sc2, _ = rand_sc(d, 3, seed=[d, 2])
+    u4 = sc1.u.reshape(d, 2, d, 2)
+    r4 = sc1.rho_se.mat.reshape(d, 2, d, 2)
+    want = np.einsum("axby,cyrz,pxqz->abcpqr", u4, r4, u4.conj(), optimize=True)
+    assert sc1.m_tensor.tobytes() == want.tobytes()
+    x = (d * d) * ch.random_cptp(d * d, 3, rng).choi_state.reshape((d,) * 8)
+    joint = "abcpqr,ABCPQR,bcBCqrQR->aApP"
+    want = np.einsum(joint, sc1.m_tensor, sc2.m_tensor, x, optimize=True)
+    hits = mk._einsum_path.cache_info().hits
+    for _ in range(2):
+        assert mk.einsum(joint, sc1.m_tensor, sc2.m_tensor, x).tobytes() == want.tobytes()
+    assert mk._einsum_path.cache_info().hits >= hits + 1
