@@ -21,7 +21,7 @@ from . import states as st
 from . import superchannel as sup
 from .config import DEFAULT_TOLS, Tolerances
 from .matkernel import DimShape, ShapeError, ValidationError
-from .states import DensityMatrix, density
+from .states import DensityMatrix, check_density, density
 
 
 @dataclass(frozen=True)
@@ -269,25 +269,43 @@ def clausius(
 # Quantum data-processing inequality through two superchannels
 # ---------------------------------------------------------------------------
 
-def regroup_joint_choi(choi: np.ndarray, d_p: int, d_q: int) -> np.ndarray:
-    """(PQ)_out (x) (PQ)_in  ->  (P_out, P_in, Q_out, Q_in)."""
-    x = choi.reshape(d_p, d_q, d_p, d_q, d_p, d_q, d_p, d_q)
-    x = np.transpose(x, (0, 2, 1, 3, 4, 6, 5, 7))
-    return x.reshape(d_p * d_p * d_q * d_q, -1)
+def regroup_joint_choi(chois: np.ndarray, d_p: int, d_q: int) -> np.ndarray:
+    """(PQ)_out (x) (PQ)_in  ->  (P_out, P_in, Q_out, Q_in), for each of a
+    stack of matrices."""
+    x = chois.reshape(-1, d_p, d_q, d_p, d_q, d_p, d_q, d_p, d_q)
+    x = np.transpose(x, (0, 1, 3, 2, 4, 5, 7, 6, 8))
+    return x.reshape(len(chois), d_p * d_p * d_q * d_q, -1)
 
 
 def joint_act_normalized(
-    sc1: sup.Superchannel, sc2: sup.Superchannel, op_state: np.ndarray,
+    sc1s: list[sup.Superchannel], sc2s: list[sup.Superchannel], op_states: np.ndarray,
     tols: Tolerances = DEFAULT_TOLS,
-) -> DensityMatrix:
-    """(M1# (x) M2#)[X] with X ordered (P_out, P_in, Q_out, Q_in)."""
-    d1, d2 = sc1.d_s, sc2.d_s
-    x = np.asarray(op_state, dtype=complex).reshape(d1, d1, d2, d2, d1, d1, d2, d2)
-    out = mk.einsum(
-        "abcpqr,ABCPQR,bcBCqrQR->aApP", sc1.m_tensor, sc2.m_tensor, (d1 * d2) * x,
-    ).reshape(d1 * d2, d1 * d2)
-    out = (out + out.conj().T) / 2.0
-    return density(out, DimShape([d1, d2], ["P", "Q"]), tols=tols)
+) -> np.ndarray:
+    """(M1# (x) M2#)[X] of each (sc1, sc2, X) of a block, with X ordered
+    (P_out, P_in, Q_out, Q_in), as a stack checked as density matrices.
+
+    The contraction runs once per trial: a batch index would change its
+    path, and with it the bits."""
+    d1, d2 = sc1s[0].d_s, sc2s[0].d_s
+    out = np.array([
+        mk.einsum("abcpqr,ABCPQR,bcBCqrQR->aApP", sc1.m_tensor, sc2.m_tensor,
+                  (d1 * d2) * np.asarray(x, dtype=complex).reshape(d1, d1, d2, d2, d1, d1, d2, d2),
+                  ).reshape(d1 * d2, d1 * d2)
+        for sc1, sc2, x in zip(sc1s, sc2s, op_states)])
+    out = mk.as_matrix((out + mk.dagger(out)) / 2.0, stack=True)
+    check_density(out, tols)
+    return out
+
+
+def _relative_entropies(rho: np.ndarray, s_rho: list[float], ref: np.ndarray,
+                        tols: Tolerances) -> list[float]:
+    """D[rho || ref] of each pair of two stacks, with S(rho) given, as
+    ``st.relative_entropy`` computes it for one pair."""
+    check_density(ref, tols)
+    w, v = mk.herm_eig(ref, tols)
+    overlap = np.real(np.einsum("bik,bij,bjk->bk", v.conj(), rho, v))
+    return [st.relative_entropy_of(s, float(st.log_weight(o, wb, tols)))
+            for s, o, wb in zip(s_rho, overlap, w)]
 
 
 def qdpi(
@@ -309,58 +327,60 @@ def qdpi(
     dominates the output mutual information and the relative-entropy slack
     can only be tighter than the mutual-information slack.
     """
-    if op_pq.bipartite is None:
-        raise ShapeError("qdpi requires an operation with bipartite structure")
-    d_p, d_q = op_pq.bipartite
-    if d_p != sc1.d_s or d_q != sc2.d_s:
-        raise ShapeError(f"bipartite dims {(d_p, d_q)} do not match superchannels {(sc1.d_s, sc2.d_s)}")
-    if not op_pq.is_trace_preserving:
-        raise ValidationError("qdpi requires a CPTP joint operation")
+    return qdpi_block([sc1], [sc2], [op_pq], tols, [collect])[0]
 
-    x = regroup_joint_choi(op_pq.choi_state, d_p, d_q)
+
+def qdpi_block(sc1s: list[sup.Superchannel], sc2s: list[sup.Superchannel], ops: list[ch.QuantumOperation],
+               tols: Tolerances = DEFAULT_TOLS, collects: list | None = None) -> list[BoundReport]:
+    """``qdpi`` of each (superchannel, superchannel, joint operation) of a
+    block, all of one (d_P, d_Q), with the bits of each on its own.
+
+    The checks, the spectra, the marginal operations, the references and
+    the overlaps are each one stacked step, in the order ``qdpi`` takes
+    them for one trial; the two superchannel contractions run per trial,
+    and the route cross-checks and the bound arithmetic stay per trial.
+    """
+    for sc1, sc2, op_pq in zip(sc1s, sc2s, ops):
+        if op_pq.bipartite is None:
+            raise ShapeError("qdpi requires an operation with bipartite structure")
+        d_p, d_q = op_pq.bipartite
+        if d_p != sc1.d_s or d_q != sc2.d_s:
+            raise ShapeError(f"bipartite dims {(d_p, d_q)} do not match superchannels {(sc1.d_s, sc2.d_s)}")
+    chois = np.array([op.choi for op in ops])
+    tp = ch.trace_preserving(chois, d_p * d_q, d_p * d_q)
+    mk.fail_first(np.logical_not(tp), tp, "qdpi requires a CPTP joint operation")
+
+    x = regroup_joint_choi(np.array([op.choi_state for op in ops]), d_p, d_q)
     shape_in = DimShape([d_p, d_p, d_q, d_q], ["Po", "Pi", "Qo", "Qi"])
-    rho_in = density(x, shape_in, tols=tols)
-    mi_in = st.mutual_information(rho_in, ["Po", "Pi"], tols)
-    rho_out = joint_act_normalized(sc1, sc2, x, tols)
-    mi_out = st.mutual_information(rho_out, ["P"], tols)
+    check_density(x, tols)
+    mi_in, s_in = st.mutual_informations(x, shape_in, ["Po", "Pi"], tols)
+    rho_out = joint_act_normalized(sc1s, sc2s, x, tols)
+    shape_out = DimShape([d_p, d_q], ["P", "Q"])
+    mi_out, s_out = st.mutual_informations(rho_out, shape_out, ["P"], tols)
 
     # Relative-entropy route through the marginal operations.
-    op_p = ch.marginal_operation(op_pq, "P", tols)
-    op_q = ch.marginal_operation(op_pq, "Q", tols)
-    ref_in = np.kron(op_p.choi_state, op_q.choi_state)
-    d_rel_in = st.relative_entropy(rho_in, density(ref_in, shape_in, tols=tols), tols)
-    ref_out = np.kron(
-        sup.act_normalized(sc1, op_p.choi_state).mat,
-        sup.act_normalized(sc2, op_q.choi_state).mat,
-    )
-    d_rel_out = st.relative_entropy(
-        rho_out, density(ref_out, DimShape([d_p, d_q], ["P", "Q"]), tols=tols), tols
-    )
-    flags = ()
-    if math.isinf(d_rel_in) or math.isinf(d_rel_out):
-        flags = ("relative_entropy_route_infinite",)
-    else:
-        if abs(d_rel_in - mi_in) > 1e-8:
-            raise ValidationError(
-                f"QDPI input identity broken: |D_in - I_in| = {abs(d_rel_in - mi_in):.3e}"
-            )
-        if d_rel_out < mi_out - 1e-8:
-            raise ValidationError(
-                f"QDPI output dominance broken: D_out = {d_rel_out:.6e} < I_out = {mi_out:.6e}"
-            )
-        if (d_rel_in - d_rel_out) > (mi_in - mi_out) + 1e-8:
-            raise ValidationError(
-                "QDPI routes disagree: relative-entropy slack exceeds MI slack"
-            )
-    meta = {
-        "d_P": d_p,
-        "d_Q": d_q,
-        "relent_in": d_rel_in,
-        "relent_out": d_rel_out,
-    }
-    if collect is not None:
-        collect.update(mi_in=mi_in, mi_out=mi_out, relent_in=d_rel_in, relent_out=d_rel_out)
-    return _finish("qdpi", mi_in, mi_out, tols, meta, flags)
+    a_p = ch.marginal_chois(chois, (d_p, d_q), "P", tols) / d_p
+    a_q = ch.marginal_chois(chois, (d_p, d_q), "Q", tols) / d_q
+    d_rel_in = _relative_entropies(x, s_in, mk.kron_stack(a_p, a_q), tols)
+    ref_out = mk.kron_stack(sup.act_normalized_block(sc1s, a_p), sup.act_normalized_block(sc2s, a_q))
+    d_rel_out = _relative_entropies(rho_out, s_out, ref_out, tols)
+    reports = []
+    for b, (i_in, i_out, r_in, r_out) in enumerate(zip(mi_in, mi_out, d_rel_in, d_rel_out)):
+        flags = ()
+        if math.isinf(r_in) or math.isinf(r_out):
+            flags = ("relative_entropy_route_infinite",)
+        else:
+            if abs(r_in - i_in) > 1e-8:
+                raise ValidationError(f"QDPI input identity broken: |D_in - I_in| = {abs(r_in - i_in):.3e}")
+            if r_out < i_out - 1e-8:
+                raise ValidationError(f"QDPI output dominance broken: D_out = {r_out:.6e} < I_out = {i_out:.6e}")
+            if (r_in - r_out) > (i_in - i_out) + 1e-8:
+                raise ValidationError("QDPI routes disagree: relative-entropy slack exceeds MI slack")
+        meta = {"d_P": d_p, "d_Q": d_q, "relent_in": r_in, "relent_out": r_out}
+        if collects is not None and collects[b] is not None:
+            collects[b].update(mi_in=i_in, mi_out=i_out, relent_in=r_in, relent_out=r_out)
+        reports.append(_finish("qdpi", i_in, i_out, tols, meta, flags))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -388,27 +408,55 @@ class Ensemble:
 
 def classical_mutual_information(joint: np.ndarray) -> float:
     """I(K;M) in nats for a joint probability table, 0 log 0 = 0."""
-    joint = np.asarray(joint, dtype=float)
-    joint = np.clip(joint, 0.0, None)
-    total = joint.sum()
-    if total <= 0:
-        return 0.0
-    joint = joint / total
-    pk = joint.sum(axis=1, keepdims=True)
-    pm = joint.sum(axis=0, keepdims=True)
-    mask = joint > 0.0
-    ratio = joint[mask] / (pk @ pm)[mask]
-    return float(np.sum(joint[mask] * np.log(ratio)))
+    return float(classical_mutual_informations(np.asarray(joint, dtype=float)[None])[0])
 
 
-def measured_information(states: np.ndarray, probs: np.ndarray, bases: np.ndarray) -> list[float]:
-    """Classical I(K; outcome) for each projective measurement in ``bases``.
+def classical_mutual_informations(joints: np.ndarray) -> np.ndarray:
+    """``classical_mutual_information`` of each table of a stack, with the
+    bits of each on its own.
 
-    ``bases`` stacks one matrix per measurement, whose columns are the
-    measurement vectors; ``states`` stacks the codeword states.
+    The totals, marginals and terms are one vectorized pass.  A table's
+    positive terms are summed as a row of exactly their count, in one sum
+    per count: the pairwise sum of a row depends on its length, so zero
+    padding would move bits.
     """
-    born = np.clip(np.real(np.einsum("nim,kij,njm->nkm", bases.conj(), states, bases)), 0.0, None)
-    return [classical_mutual_information(probs[:, None] * b) for b in born]
+    joints = np.clip(np.asarray(joints, dtype=float), 0.0, None)
+    total = joints.reshape(len(joints), -1).sum(-1)
+    live = total > 0
+    joint = joints[live] / total[live, None, None]
+    mask = joint > 0.0
+    outer = joint.sum(axis=-1, keepdims=True) * joint.sum(axis=-2, keepdims=True)
+    terms = joint[mask] * np.log(joint[mask] / outer[mask])
+    counts = mask.sum(axis=(-2, -1))
+    starts = np.cumsum(counts) - counts
+    info = np.empty(len(joint))
+    for c in set(counts.tolist()):
+        rows = counts == c
+        info[rows] = terms[starts[rows, None] + np.arange(c)].sum(-1)
+    out = np.zeros(len(joints))
+    out[live] = info
+    return out
+
+
+def measured_information(states: list[np.ndarray], probs: list[np.ndarray], bases: np.ndarray) -> np.ndarray:
+    """Classical I(K; outcome) of each projective measurement of each trial
+    of a block, as a (trials, measurements) array.
+
+    ``bases[b]`` stacks trial b's measurements, one matrix each whose
+    columns are the measurement vectors; ``states[b]`` stacks its codeword
+    states and ``probs[b]`` their probabilities.  The trials with one
+    codeword count share one Born-rule contraction and one
+    ``classical_mutual_informations`` pass.
+    """
+    out = np.empty(bases.shape[:2])
+    ks = np.array([len(p) for p in probs])
+    for k in set(ks.tolist()):
+        idx = np.flatnonzero(ks == k)
+        b = bases[idx]
+        born = np.einsum("bnim,bkij,bnjm->bnkm", b.conj(), np.array([states[i] for i in idx]), b)
+        joint = np.array([probs[i] for i in idx])[:, None, :, None] * np.clip(np.real(born), 0.0, None)
+        out[idx] = classical_mutual_informations(joint.reshape(-1, *joint.shape[2:])).reshape(len(idx), -1)
+    return out
 
 
 def holevo(
@@ -423,35 +471,52 @@ def holevo(
 
     Bob receives sigma'_k = M#[A^(k)_d]; chi = S(avg) - sum p_k S(sigma'_k)
     upper-bounds the classical information of every sampled projective
-    measurement (Haar-random bases plus the eigenbasis of the average).
-    The report records the most informative sampled measurement.
+    measurement (``n_meas`` Haar-random bases drawn from ``rng``, plus the
+    eigenbasis of the average).  The report records the most informative
+    sampled measurement.
     """
-    outs = [sup.act(sc, op) for op in ens.ops]
-    probs = np.asarray(ens.probs, dtype=float)
-    avg_mat = sum(p * o.mat for p, o in zip(probs, outs))
-    avg = density(avg_mat, outs[0].shape, tols=tols)
-    chi = st.von_neumann_entropy(avg, tols) - float(
-        sum(p * st.von_neumann_entropy(o, tols) for p, o in zip(probs, outs))
-    )
-    if -1e-12 < chi < 0.0:
-        chi = 0.0
-    d = sc.d_s
-    _, eigbasis = avg.eig(tols)
-    bases = np.concatenate([st.haar_unitaries(n_meas, d, rng), eigbasis[None]])
-    sampled = measured_information(np.stack([o.mat for o in outs]), probs, bases)
-    best = int(np.argmax(sampled))
-    meta = {
-        "d": d,
-        "codewords": len(ens.ops),
-        "n_measurements": len(bases),
-        "best_measurement": best,
-        "chi": chi,
-    }
-    if collect is not None:
-        collect.update(
-            chi=chi,
-            sampled_information=list(sampled),
-            avg_state_eigenvalues=st.spectrum(avg, tols).tolist(),
-        )
-    report = _finish("holevo", chi, max(sampled), tols, meta)
-    return chi, report, sampled
+    return holevo_block([sc], [ens], st.haar_unitaries(n_meas, sc.d_s, rng)[None], tols, [collect])[0]
+
+
+def holevo_block(scs: list[sup.Superchannel], enss: list[Ensemble], haar: np.ndarray,
+                 tols: Tolerances = DEFAULT_TOLS,
+                 collects: list | None = None) -> list[tuple[float, BoundReport, list[float]]]:
+    """``holevo`` of each (superchannel, ensemble) of a block, all of one
+    (d_S, d_E), with ``haar[b]`` the Haar bases of trial b; (chi, report,
+    sampled information) of each, with the bits of each on its own.
+
+    The j-th sigma'_k of every trial is one ``act_block`` (one over all
+    codewords would hold every Kraus operator of the block at once), and
+    each average adds its terms into zeros in codeword order; the spectra
+    are two stacked decompositions, and the information of every
+    measurement is one ``measured_information`` call; chi and the report
+    stay per trial.
+    """
+    d = scs[0].d_s
+    ks = np.array([len(ens.ops) for ens in enss])
+    starts = np.cumsum(ks) - ks
+    probs = [np.asarray(ens.probs, dtype=float) for ens in enss]
+    outs = np.empty((ks.sum(), d, d), dtype=complex)
+    avg = np.zeros((len(scs), d, d), dtype=complex)
+    for j in range(ks.max()):
+        has = np.flatnonzero(ks > j)
+        out = sup.act_block([scs[b] for b in has], [enss[b].ops[j] for b in has]).reshape(-1, d, d)
+        outs[starts[has] + j] = out
+        avg[has] += np.array([probs[b][j] for b in has])[:, None, None] * out
+    check_density(mk.as_matrix(avg, stack=True), tols)
+    w_avg, v_avg = mk.herm_eig(avg, tols)
+    s_outs = [st.entropy_of_spectrum(w) for w in mk.herm_eig(outs, tols)[0]]
+    bases = np.concatenate([haar, v_avg[:, None]], axis=1)
+    infos = measured_information([outs[a:a + k] for a, k in zip(starts, ks)], probs, bases)
+    results = []
+    for b, (a, k) in enumerate(zip(starts, ks)):
+        chi = st.entropy_of_spectrum(w_avg[b]) - float(sum(p * s for p, s in zip(probs[b], s_outs[a:a + k])))
+        if -1e-12 < chi < 0.0:
+            chi = 0.0
+        sampled = infos[b].tolist()
+        meta = {"d": d, "codewords": k, "n_measurements": len(sampled),
+                "best_measurement": int(np.argmax(sampled)), "chi": chi}
+        if collects is not None and collects[b] is not None:
+            collects[b].update(chi=chi, sampled_information=list(sampled), avg_state_eigenvalues=w_avg[b].tolist())
+        results.append((chi, _finish("holevo", chi, max(sampled), tols, meta), sampled))
+    return results

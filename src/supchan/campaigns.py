@@ -14,12 +14,15 @@ size is checked at load against every family of the scenario that reads it.
 ``prepare`` builds once per campaign each object that is the same in every
 trial (the superchannel of a pinned ``U`` and ``rho_se`` and its steady
 operation), and each pool worker receives it once.  Trials run in blocks
-of ``BLOCK`` consecutive trials of one family, one pool task each; a ``main``
-block is evaluated in stacked steps.  Campaign trials are
-seed-deterministic: trial t of family f draws what is not prepared from
-``default_rng([seed, f, t])``, in the same order whether or not anything
-is prepared and regardless of worker scheduling, and reports are gathered
-in trial order.
+of ``BLOCK`` consecutive trials of one family, one pool task each; a block
+of a family in ``BLOCK_FAMILIES`` (``main``, ``qdpi``, ``holevo``) draws
+each trial from its own generator and is then evaluated in stacked steps,
+with the bits of one trial at a time.  A failing block is run again one
+trial at a time, so the error raised is the earliest failing trial's.
+Campaign trials are seed-deterministic: trial t of family f draws what is
+not prepared from ``default_rng([seed, f, t])``, in the same order whether
+or not anything is prepared and regardless of worker scheduling, and
+reports are gathered in trial order.
 """
 
 from __future__ import annotations
@@ -40,6 +43,15 @@ from .config import Tolerances
 from .matkernel import DimShape
 
 FAMILIES = ("spohn", "main", "clausius", "qdpi", "holevo", "mmap-consistency")
+# Trials per block: one pool task, and one stacked evaluation of the
+# families in BLOCK_FAMILIES.
+BLOCK = 8
+BLOCK_FAMILIES = ("main", "qdpi", "holevo")
+# Entries of the joint Choi matrices, (d_P d_Q)^4 each, that one stacked
+# qdpi evaluation holds: larger blocks run in parts, so that a block's
+# stacks stay near the memory of one trial at large d_P d_Q, where
+# stacking saves no time.
+QDPI_STACK_ENTRIES = 1 << 14
 TOLERANCE_NAMES = tuple(f.name for f in fields(Tolerances))
 CONSISTENCY_TOL = 1e-10
 
@@ -136,6 +148,17 @@ def _reject_unknown(obj: dict, known: tuple[str, ...], prefix: str, what: str = 
             raise ScenarioError(f"{prefix}{k}: unknown {what}; expected one of {known}")
 
 
+def _finite_number(v) -> bool:
+    """Whether a JSON value is a number (not a bool) with a finite float value;
+    Python's json reads NaN, Infinity and 1e400 as floats."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:   # an int beyond the float range
+        return False
+
+
 def load_scenario(text: str) -> Scenario:
     """Parse and validate scenario JSON; raises ScenarioError with field paths."""
     try:
@@ -155,6 +178,8 @@ def load_scenario(text: str) -> Scenario:
         return v
 
     seed = need_int("seed", 0, minimum=0)
+    if seed >= 2 ** 64:
+        raise ScenarioError(f"seed: expected an integer below 2**64, got {seed!r}")
     trials = need_int("trials", minimum=1)
     bound = raw.get("bound", "all")
     if bound not in FAMILIES + ("all",):
@@ -173,8 +198,8 @@ def load_scenario(text: str) -> Scenario:
         raise ScenarioError("tolerances: expected an object")
     _reject_unknown(tolerances, TOLERANCE_NAMES, "tolerances.", "tolerance")
     for k, v in tolerances.items():
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or v <= 0:
-            raise ScenarioError(f"tolerances.{k}: expected a positive number, got {v!r}")
+        if not _finite_number(v) or v <= 0:
+            raise ScenarioError(f"tolerances.{k}: expected a finite positive number, got {v!r}")
 
     n_meas = need_int("n_measurements", 50, minimum=1)
 
@@ -187,6 +212,10 @@ def load_scenario(text: str) -> Scenario:
 
     scenario = Scenario(seed, dict(sorted(dims.items())), trials, bound,
                         dict(sorted(tolerances.items())), n_measurements=n_meas)
+    d_s = dims.get("d_S", 2)
+    if "holevo" in scenario.families() and BLOCK * (n_meas + 1) * d_s * d_s > mk.MAX_ENTRIES:
+        raise ScenarioError(f"n_measurements: {n_meas} bases of dimension {d_s} per trial, in blocks of "
+                            f"{BLOCK} trials, exceed the dense-storage limit of {mk.MAX_ENTRIES} entries")
     tols = scenario.tols(Tolerances())
     explicit = {k: _read_explicit(k, v, tols) for k, v in explicit_raw.items()}
     for family in scenario.families():
@@ -204,8 +233,8 @@ def _read_explicit(key: str, obj, tols: Tolerances):
     """Parse and validate ``explicit.<key>`` into the value every trial uses."""
     path = f"explicit.{key}"
     if key in ("beta", "theta"):
-        if not isinstance(obj, (int, float)) or isinstance(obj, bool):
-            raise ScenarioError(f"{path}: expected a number, got {obj!r}")
+        if not _finite_number(obj):
+            raise ScenarioError(f"{path}: expected a finite number, got {obj!r}")
         if key == "beta" and not obj > 0:
             raise ScenarioError(f"{path}: expected a positive number, got {obj!r}")
         return float(obj)
@@ -219,6 +248,9 @@ def _read_explicit(key: str, obj, tols: Tolerances):
             probs, ops = obj["probs"], obj["ops_kraus"]
             if not isinstance(probs, list) or any(type(p) not in (int, float) for p in probs):
                 raise ScenarioError(f"{path}.probs: expected a list of numbers")
+            for i, p in enumerate(probs):
+                if not _finite_number(p):
+                    raise ScenarioError(f"{path}.probs[{i}]: expected a finite number, got {p!r}")
             if not isinstance(ops, list):
                 raise ScenarioError(f"{path}.ops_kraus: expected a list of Kraus lists")
             kraus = [_kraus_list(op, f"{path}.ops_kraus[{i}]") for i, op in enumerate(ops)]
@@ -346,9 +378,27 @@ def random_operations(d: int, rngs: list[np.random.Generator], tols: Tolerances,
     ex = explicit or {}
     op = ex.get("op_kraus", ex.get("op_choi"))
     if op is None:
-        ranks = [int(rng.integers(1, d * d + 1)) for rng in rngs]
-        return ch.random_cptps(d, ranks, rngs, bipartite=bipartite, tols=tols)
+        draws = [ch.bcsz_draw(d, int(rng.integers(1, d * d + 1)), rng) for rng in rngs]
+        return ch.random_cptps(d, draws, bipartite=bipartite, tols=tols)
     return [replace(op, bipartite=bipartite)] * len(rngs)
+
+
+def random_ensembles(d: int, rngs: list[np.random.Generator], tols: Tolerances,
+                     explicit: dict | None = None) -> list[bd.Ensemble]:
+    """One ensemble per generator: the pinned one, or 2-4 random CPTP
+    codewords of ranks drawn from {1..d^2} with Dirichlet probabilities,
+    built for all generators at once."""
+    ens = (explicit or {}).get("ensemble")
+    if ens is not None:
+        return [ens] * len(rngs)
+    draws, probs = [], []
+    for rng in rngs:
+        k = int(rng.integers(2, 5))
+        draws.append([ch.bcsz_draw(d, int(rng.integers(1, d * d + 1)), rng) for _ in range(k)])
+        p = rng.dirichlet(np.ones(k))
+        probs.append(p / p.sum())
+    ops = iter(ch.random_cptps(d, [g for gs in draws for g in gs], tols=tols))
+    return [bd.Ensemble(tuple(float(x) for x in p), tuple(next(ops) for _ in gs)) for gs, p in zip(draws, probs)]
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +445,6 @@ def prepare(scenario: Scenario, tols: Tolerances, families: tuple[str, ...] | No
 # Trial evaluation
 # ---------------------------------------------------------------------------
 
-# Trials per block: one pool task, and one stacked evaluation of `main`.
-BLOCK = 8
-
-
 def _trial_rng(scenario: Scenario, family: str, trial: int) -> np.random.Generator:
     return np.random.default_rng([np.uint64(scenario.seed), np.uint64(FAMILIES.index(family)), np.uint64(trial)])
 
@@ -408,19 +454,38 @@ def evaluate_block(scenario: Scenario, family: str, trials, tols: Tolerances,
                    collect: dict | None = None) -> list[bd.BoundReport]:
     """Evaluate consecutive trials of one family; ``collect`` serves a block of one.
 
-    ``main`` draws each trial's superchannel and operation from its own
-    generator, unless prepared, and runs ``bounds.main_bounds`` on the block;
-    the other families evaluate one trial at a time.
+    A family of ``BLOCK_FAMILIES`` draws each trial's instance from its own
+    generator, in the order a trial of one draws it, and is then evaluated
+    in stacked steps (``bounds.main_bounds``, ``qdpi_block``,
+    ``holevo_block``); the other families evaluate one trial at a time.
     """
-    if family != "main":
+    if family not in BLOCK_FAMILIES:
         return [evaluate_trial(scenario, family, t, tols, collect, prepared) for t in trials]
     prep = prepared if prepared is not None else prepare(scenario, tols, (family,))
-    d_s, d_e = scenario.dims.get("d_S", 2), scenario.dims.get("d_E", 2)
+    ex, dims = scenario.explicit, scenario.dims
+    d_s, d_e = dims.get("d_S", 2), dims.get("d_E", 2)
     rngs = [_trial_rng(scenario, family, t) for t in trials]
-    scs = [prep.superchannel(d_s, d_e, rng, tols, scenario.explicit) for rng in rngs]
-    ops = random_operations(d_s, rngs, tols, scenario.explicit)
-    nss = [prep.neso if prep.neso is not None else sup.neso(sc) for sc in scs]
-    reports = bd.main_bounds(scs, ops, nss, tols, [collect] * len(scs))
+    collects = [collect] * len(rngs)
+    if family == "main":
+        scs = [prep.superchannel(d_s, d_e, rng, tols, ex) for rng in rngs]
+        ops = random_operations(d_s, rngs, tols, ex)
+        nss = [prep.neso if prep.neso is not None else sup.neso(sc) for sc in scs]
+        reports = bd.main_bounds(scs, ops, nss, tols, collects)
+    elif family == "qdpi":
+        d_p, d_q = dims.get("d_P", 2), dims.get("d_Q", 2)
+        step = max(1, QDPI_STACK_ENTRIES // (d_p * d_q) ** 4)
+        reports = []
+        for i in range(0, len(rngs), step):
+            part = rngs[i:i + step]
+            sc1s = [prep.superchannel(d_p, dims.get("d_E1", 2), rng, tols, ex) for rng in part]
+            sc2s = [prep.superchannel(d_q, dims.get("d_E2", 2), rng, tols, ex) for rng in part]
+            ops = random_operations(d_p * d_q, part, tols, ex, bipartite=(d_p, d_q))
+            reports += bd.qdpi_block(sc1s, sc2s, ops, tols, collects[i:i + step])
+    else:
+        scs = [prep.superchannel(d_s, d_e, rng, tols, ex) for rng in rngs]
+        enss = random_ensembles(d_s, rngs, tols, ex)
+        haar = np.array([st.haar_unitaries(scenario.n_measurements, d_s, rng) for rng in rngs])
+        reports = [report for _, report, _ in bd.holevo_block(scs, enss, haar, tols, collects)]
     for t, report in zip(trials, reports):
         report.metadata.update(trial=t, seed=scenario.seed)
     return reports
@@ -432,9 +497,10 @@ def evaluate_trial(scenario: Scenario, family: str, trial: int, tols: Tolerances
 
     ``prepared`` is ``prepare(scenario, tols)``; when it is not given, only
     what this family reads is prepared here.  Everything it does not hold
-    is drawn from the trial's generator.  A ``main`` trial is a block of one.
+    is drawn from the trial's generator.  A trial of a family of
+    ``BLOCK_FAMILIES`` is a block of one.
     """
-    if family == "main":
+    if family in BLOCK_FAMILIES:
         return evaluate_block(scenario, family, (trial,), tols, prepared, collect)[0]
     rng = _trial_rng(scenario, family, trial)
     prep = prepared if prepared is not None else prepare(scenario, tols, (family,))
@@ -469,26 +535,6 @@ def evaluate_trial(scenario: Scenario, family: str, trial: int, tols: Tolerances
         if sigma is None:
             sigma = st.random_density(d_s, int(rng.integers(1, d_s + 1)), rng, tols=tols)
         report = bd.clausius(sc, sigma, h, beta, tols, collect=collect, thermal=(gibbs, z))
-
-    elif family == "qdpi":
-        d_p = dims.get("d_P", 2)
-        d_q = dims.get("d_Q", 2)
-        sc1 = prep.superchannel(d_p, dims.get("d_E1", 2), rng, tols, ex)
-        sc2 = prep.superchannel(d_q, dims.get("d_E2", 2), rng, tols, ex)
-        op = random_operations(d_p * d_q, [rng], tols, ex, bipartite=(d_p, d_q))[0]
-        report = bd.qdpi(sc1, sc2, op, tols, collect=collect)
-
-    elif family == "holevo":
-        sc = prep.superchannel(d_s, d_e, rng, tols, ex)
-        ens = ex.get("ensemble")
-        if ens is None:
-            k = int(rng.integers(2, 5))
-            ops = tuple(ch.random_cptp(d_s, int(rng.integers(1, d_s * d_s + 1)), rng, tols=tols)
-                        for _ in range(k))
-            probs = rng.dirichlet(np.ones(k))
-            probs = probs / probs.sum()
-            ens = bd.Ensemble(tuple(float(p) for p in probs), ops)
-        _, report, _ = bd.holevo(sc, ens, rng, scenario.n_measurements, tols, collect=collect)
 
     elif family == "mmap-consistency":
         d_a = dims.get("d_A", d_s)

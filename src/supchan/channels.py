@@ -386,15 +386,24 @@ def marginal_operation(
     """
     if op.bipartite is None:
         raise ShapeError("operation has no declared bipartite structure")
+    d = op.bipartite[0 if keep == "P" else 1]
+    return QuantumOperation(d, d, marginal_chois(op.choi, op.bipartite, keep, tols), None, None, tols)
+
+
+def marginal_chois(choi: np.ndarray, bipartite: tuple[int, int], keep: str,
+                   tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+    """The Choi matrix of ``marginal_operation`` for the Choi matrix of an
+    operation on P (x) Q, or for each of a stack, with ``from_choi``'s checks."""
     if keep not in ("P", "Q"):
         raise ValueError(f"keep must be 'P' or 'Q', got {keep!r}")
-    d_p, d_q = op.bipartite
+    d_p, d_q = bipartite
     shape = DimShape([d_p, d_q, d_p, d_q], ["Po", "Qo", "Pi", "Qi"])
     if keep == "P":
-        reduced = mk.partial_trace(op.choi, shape, ["Po", "Pi"]) / d_q
-        return from_choi(reduced, d_p, d_p, tols=tols)
-    reduced = mk.partial_trace(op.choi, shape, ["Qo", "Qi"]) / d_p
-    return from_choi(reduced, d_q, d_q, tols=tols)
+        reduced = mk.partial_trace(choi, shape, ["Po", "Pi"]) / d_q
+    else:
+        reduced = mk.partial_trace(choi, shape, ["Qo", "Qi"]) / d_p
+    check_cp(reduced, tols)
+    return reduced
 
 
 # ---------------------------------------------------------------------------
@@ -411,27 +420,34 @@ def random_cptp(
 ) -> QuantumOperation:
     """Random CPTP map from the Wishart/BCSZ construction.
 
-    A PSD Wishart matrix W of rank ``kraus_rank`` on out (x) in is projected
-    onto the trace-preserving slice via W -> (I (x) R^-1/2) W (I (x) R^-1/2)
-    with R = tr_out W.  A rank below ceil(d / d_out), the least Kraus rank
-    of a CPTP map, would leave R singular and is refused before any draw.
+    A PSD Wishart matrix W = G G^dag of rank ``kraus_rank`` on out (x) in
+    (``bcsz_draw``) is projected onto the trace-preserving slice via
+    W -> (I (x) R^-1/2) W (I (x) R^-1/2) with R = tr_out W (``random_cptps``).
     """
-    return random_cptps(d, [kraus_rank], [rng], d_out, bipartite, tols)[0]
+    return random_cptps(d, [bcsz_draw(d, kraus_rank, rng, d_out)], d_out, bipartite, tols)[0]
 
 
-def random_cptps(d: int, ranks: list[int], rngs: list[np.random.Generator], d_out: int | None = None,
-                 bipartite: tuple[int, int] | None = None, tols: Tolerances = DEFAULT_TOLS) -> list[QuantumOperation]:
-    """``random_cptp`` for each (rank, generator) pair: each W is drawn from
-    its own generator, then the projection, ``from_choi``'s checks and the
-    Kraus extraction run once over the stack, with the bits of each map."""
+def bcsz_draw(d: int, kraus_rank: int, rng: np.random.Generator, d_out: int | None = None) -> np.ndarray:
+    """The Ginibre factor G of one ``random_cptp`` map, drawn from ``rng``.
+
+    A rank below ceil(d / d_out), the least Kraus rank of a CPTP map, would
+    leave R = tr_out W singular and is refused before the draw.
+    """
     d_out = d if d_out is None else d_out
     least = -(-d // d_out)
-    for rank in ranks:
-        if rank < least:
-            raise ValueError(f"kraus_rank {rank} is below {least}, the least Kraus rank "
-                             f"of a CPTP map from dimension {d} to {d_out}")
-    gs = [ginibre(d_out * d, rank, rng) for rank, rng in zip(ranks, rngs)]
-    w = mk.stack([g @ g.conj().T for g in gs])
+    if kraus_rank < least:
+        raise ValueError(f"kraus_rank {kraus_rank} is below {least}, the least Kraus rank "
+                         f"of a CPTP map from dimension {d} to {d_out}")
+    return ginibre(d_out * d, kraus_rank, rng)
+
+
+def random_cptps(d: int, draws: list[np.ndarray], d_out: int | None = None,
+                 bipartite: tuple[int, int] | None = None, tols: Tolerances = DEFAULT_TOLS) -> list[QuantumOperation]:
+    """The ``random_cptp`` map of each ``bcsz_draw``: the projection,
+    ``from_choi``'s checks and the Kraus extraction run once over the stack,
+    with the bits of each map."""
+    d_out = d if d_out is None else d_out
+    w = mk.stack([g @ g.conj().T for g in draws])
     r = tr_out_choi(w, d_out, d)
     rw, rv = np.linalg.eigh((r + mk.dagger(r)) / 2.0)
     rw = np.clip(rw, 1e-14, None)
@@ -443,6 +459,6 @@ def random_cptps(d: int, ranks: list[int], rngs: list[np.random.Generator], d_ou
     # Kraus form is materialized so that apply() uses the cheaper route.
     w, v = mk.herm_eig(choi, tols)
     kraus = mk.psd_factors(w, v).reshape(-1, d_out, d)
-    ends = np.cumsum((w > 0.0).reshape(len(gs), -1).sum(-1)).tolist()
+    ends = np.cumsum((w > 0.0).reshape(len(draws), -1).sum(-1)).tolist()
     return [QuantumOperation(d, d_out, c, kraus[a:b], bipartite, tols)
-            for c, a, b in zip(choi.reshape(len(gs), *choi.shape[-2:]), [0] + ends, ends)]
+            for c, a, b in zip(choi.reshape(len(draws), *choi.shape[-2:]), [0] + ends, ends)]

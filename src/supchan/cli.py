@@ -7,8 +7,9 @@ Commands:
   version
 
 Exit codes: 0 success, 1 bound failure, 2 scenario parse error,
-3 validation error.  Tolerance precedence: --slack-tol flag > scenario
-file > SUPCHAN_SLACK_TOL environment variable > built-in default.
+3 validation error (a non-finite --slack-tol or SUPCHAN_SLACK_TOL
+included).  Tolerance precedence: --slack-tol flag > scenario file >
+SUPCHAN_SLACK_TOL environment variable > built-in default.
 """
 
 from __future__ import annotations
@@ -42,18 +43,22 @@ _RESIDUAL_FAMILY = "mmap-consistency"
 
 
 def _resolve_tols(scenario: cp.Scenario, slack_tol_flag: float | None) -> config.Tolerances:
+    """The tolerances by precedence; a non-finite override raises ValueError."""
     tols = config.from_env(config.Tolerances())
     tols = scenario.tols(tols)
     if slack_tol_flag is not None:
+        if not math.isfinite(slack_tol_flag):
+            raise ValueError(f"--slack-tol: expected a finite number, got {slack_tol_flag!r}")
         tols = dataclasses.replace(tols, slack_tol=slack_tol_flag)
     return tols
 
 
-def _load_scenario_file(path: str) -> cp.Scenario | int:
-    """The validated scenario, or the exit code after reporting why not."""
+def _load(args: argparse.Namespace) -> tuple[cp.Scenario, config.Tolerances] | int:
+    """The validated scenario and its tolerances, or the exit code after
+    reporting why not."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return cp.load_scenario(fh.read())
+        with open(args.scenario, "r", encoding="utf-8") as fh:
+            scenario = cp.load_scenario(fh.read())
     except OSError as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
@@ -62,6 +67,11 @@ def _load_scenario_file(path: str) -> cp.Scenario | int:
         return EXIT_PARSE_ERROR
     except cp.ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION_ERROR
+    try:
+        return scenario, _resolve_tols(scenario, args.slack_tol)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION_ERROR
 
 
@@ -78,11 +88,10 @@ def _unit(family: str, bits: bool) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    scenario = _load_scenario_file(args.scenario)
-    if isinstance(scenario, int):
-        return scenario
-
-    tols = _resolve_tols(scenario, args.slack_tol)
+    loaded = _load(args)
+    if isinstance(loaded, int):
+        return loaded
+    scenario, tols = loaded
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     t0 = time.monotonic()
     try:
@@ -135,14 +144,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    scenario = _load_scenario_file(args.scenario)
-    if isinstance(scenario, int):
-        return scenario
+    loaded = _load(args)
+    if isinstance(loaded, int):
+        return loaded
+    scenario, tols = loaded
     if not 0 <= args.trial < scenario.trials:
         print(f"error: trial {args.trial} out of range [0, {scenario.trials})", file=sys.stderr)
         return EXIT_VALIDATION_ERROR
 
-    tols = _resolve_tols(scenario, args.slack_tol)
     try:
         for family in scenario.families():
             details: dict = {}

@@ -13,6 +13,7 @@ limits, the 2^16 Cesaro cap), which go with that routine.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -29,11 +30,18 @@ class Tolerances:
 
 
 def from_env(base: Tolerances | None = None) -> Tolerances:
-    """Apply the SUPCHAN_SLACK_TOL environment override, if set."""
+    """Apply the SUPCHAN_SLACK_TOL environment override, if set; a value that
+    is not a finite number raises ValueError."""
     tols = base if base is not None else Tolerances()
     raw = os.environ.get("SUPCHAN_SLACK_TOL")
     if raw is not None:
-        tols = replace(tols, slack_tol=float(raw))
+        try:
+            value = float(raw)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(f"SUPCHAN_SLACK_TOL: expected a finite number, got {raw!r}")
+        tols = replace(tols, slack_tol=value)
     return tols
 
 

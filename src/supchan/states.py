@@ -144,7 +144,15 @@ def relative_entropy(
     cross = trace_against_log(rho1.mat, rho2, tols)
     if cross == float("-inf"):
         return float("inf")
-    d = -von_neumann_entropy(rho1, tols) - cross
+    return relative_entropy_of(von_neumann_entropy(rho1, tols), cross)
+
+
+def relative_entropy_of(entropy: float, cross: float) -> float:
+    """D[rho1 || rho2] from S(rho1) and tr[rho1 log rho2]; +inf when the
+    latter is -inf."""
+    if cross == float("-inf"):
+        return float("inf")
+    d = -entropy - cross
     # Clip float noise around zero; genuine negatives would violate Klein's
     # inequality and should surface, so only a tiny band is clipped.
     if -1e-12 < d < 0.0:
@@ -157,13 +165,22 @@ def mutual_information(
 ) -> float:
     """I(P:Q) = S(P) + S(Q) - S(PQ) for the bipartition (part, rest)."""
     part_set = set(part)
-    all_labels = set(rho.shape.labels)
-    if not part_set or not part_set < all_labels:
+    if not part_set or not part_set < set(rho.shape.labels):
         raise ShapeError(f"{sorted(part_set)} is not a proper nonempty subset of {rho.shape.labels}")
-    rest = [l for l in rho.shape.labels if l not in part_set]
-    s_p = von_neumann_entropy(marginal(rho, list(part_set), tols), tols)
-    s_q = von_neumann_entropy(marginal(rho, rest, tols), tols)
-    return s_p + s_q - von_neumann_entropy(rho, tols)
+    return mutual_informations(rho.mat[None], rho.shape, list(part_set), tols)[0][0]
+
+
+def mutual_informations(mats: np.ndarray, shape: DimShape, part: Sequence[str],
+                        tols: Tolerances = DEFAULT_TOLS) -> tuple[list[float], list[float]]:
+    """(I(part : rest), S) of each density matrix of a stack on ``shape``:
+    each marginal in turn is checked and decomposed, then the stack is."""
+    entropies = []
+    for keep in (part, [l for l in shape.labels if l not in part]):
+        m = mk.partial_trace(mats, shape, keep)
+        check_density(m, tols)
+        entropies.append([entropy_of_spectrum(w) for w in mk.herm_eig(m, tols)[0]])
+    s = [entropy_of_spectrum(w) for w in mk.herm_eig(mats, tols)[0]]
+    return [s_p + s_q - s_pq for s_p, s_q, s_pq in zip(*entropies, s)], s
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from . import channels as ch
 from . import matkernel as mk
 from .config import DEFAULT_TOLS, Tolerances
 from .matkernel import DimShape, ShapeError
-from .states import DensityMatrix, check_density, density, marginal
+from .states import DensityMatrix, check_density, marginal
 
 
 @dataclass(frozen=True)
@@ -133,13 +133,22 @@ def act_normalized(sc: Superchannel, op_state: np.ndarray) -> DensityMatrix:
     operation-states of trace-preserving maps (tr_out X = tr(X)/d * I), the
     domain on which M# is defined.
     """
-    d = sc.d_s
-    op_state = mk.as_matrix(op_state)
-    if op_state.shape != (d * d, d * d):
-        raise ShapeError(f"operation-state shape {op_state.shape} != {(d * d, d * d)}")
-    out = act_tensor(sc, d * op_state)
-    out = (out + out.conj().T) / 2.0
-    return density(out, DimShape([d], ["S"]), tols=sc._tols)
+    return DensityMatrix(act_normalized_block([sc], [op_state])[0], DimShape([sc.d_s], ["S"]))
+
+
+def act_normalized_block(scs: list[Superchannel], op_states) -> np.ndarray:
+    """M#[X] of each (superchannel, operation-state) pair, all of one d_S, as
+    a (B, d_S, d_S) stack checked as density matrices; the index-formula
+    contraction runs once per pair."""
+    d = scs[0].d_s
+    xs = [mk.as_matrix(x) for x in op_states]
+    for x in xs:
+        if x.shape != (d * d, d * d):
+            raise ShapeError(f"operation-state shape {x.shape} != {(d * d, d * d)}")
+    out = np.array([act_tensor(sc, d * x) for sc, x in zip(scs, xs)])
+    out = mk.as_matrix((out + mk.dagger(out)) / 2.0, stack=True)
+    check_density(out, scs[0]._tols)
+    return out
 
 
 def choi_of_msharp(sc: Superchannel) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Per-trial oracles for the stacked block evaluation.
 
 Each function is the one-matrix-at-a-time code that the library ran before
-``random_cptp``, ``act``, ``density``'s checks and ``main_bound`` became
-blocks of one of stacked routines.  The tests compare the stacked routines
+``random_cptp``, ``act``, ``density``'s checks, ``main_bound``, ``holevo``,
+``qdpi`` and ``classical_mutual_information`` became blocks of one of
+stacked routines.  The tests compare the stacked routines
 with them byte for byte; the ``oracles`` fixture hands them out.
 """
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from supchan import channels as ch
+from supchan import matkernel as mk
 from supchan import states as st
 from supchan import superchannel as sup
 from supchan.matkernel import DimShape, ValidationError
@@ -116,6 +118,102 @@ def main_bound(sc, choi, ks, ness, tols):
     return lhs, rhs, slack
 
 
+def classical_mutual_information(joint):
+    """I(K;M) of one joint probability table."""
+    joint = np.clip(np.asarray(joint, dtype=float), 0.0, None)
+    total = joint.sum()
+    if total <= 0:
+        return 0.0
+    joint = joint / total
+    pk = joint.sum(axis=1, keepdims=True)
+    pm = joint.sum(axis=0, keepdims=True)
+    mask = joint > 0.0
+    ratio = joint[mask] / (pk @ pm)[mask]
+    return float(np.sum(joint[mask] * np.log(ratio)))
+
+
+def holevo(sc, ens, haar, tols):
+    """(chi, sampled information, spectrum of the average) of ``holevo``,
+    with one ``act`` per codeword and one Born einsum and one table per
+    measurement."""
+    outs = [act(sc, op.kraus_ops(), tols) for op in ens.ops]
+    probs = np.asarray(ens.probs, dtype=float)
+    avg = sum(p * o for p, o in zip(probs, outs))
+    check_density(avg, tols)
+    w_avg, v_avg = herm_eig(avg, tols)
+    chi = entropy(w_avg) - float(sum(p * entropy(herm_eig(o, tols)[0]) for p, o in zip(probs, outs)))
+    if -1e-12 < chi < 0.0:
+        chi = 0.0
+    bases = np.concatenate([haar, v_avg[None]])
+    born = np.clip(np.real(np.einsum("nim,kij,njm->nkm", bases.conj(), np.stack(outs), bases)), 0.0, None)
+    return chi, [classical_mutual_information(probs[:, None] * b) for b in born], w_avg
+
+
+def mutual_information(rho, shape, part, tols):
+    """(I(part : rest), S(rho)): each marginal checked and decomposed, then
+    rho decomposed."""
+    s = []
+    for keep in (part, [l for l in shape.labels if l not in part]):
+        m = mk.partial_trace(rho, shape, keep)
+        check_density(m, tols)
+        s.append(entropy(herm_eig(m, tols)[0]))
+    s_rho = entropy(herm_eig(rho, tols)[0])
+    return s[0] + s[1] - s_rho, s_rho
+
+
+def relative_entropy(x, s_x, ref, tols):
+    """D[x || ref] with S(x) given, ref checked as a density matrix."""
+    check_density(ref, tols)
+    w, v = herm_eig(ref, tols)
+    cross = trace_against_log(x, w, v, tols)
+    if cross == float("-inf"):
+        return float("inf")
+    d = -s_x - cross
+    return 0.0 if -1e-12 < d < 0.0 else d
+
+
+def act_normalized(sc, a, tols):
+    d = sc.d_s
+    out = np.einsum("abcpqr,bcqr->ap", sc.m_tensor, (d * a).reshape(d, d, d, d))
+    out = (out + out.conj().T) / 2.0
+    check_density(out, tols)
+    return out
+
+
+def qdpi(sc1, sc2, op, tols):
+    """(I_in, I_out, D_in, D_out, flags) of ``qdpi``, one trial at a time."""
+    d_p, d_q = op.bipartite
+    assert op.is_trace_preserving
+    x = (op.choi / op.d_in).reshape(d_p, d_q, d_p, d_q, d_p, d_q, d_p, d_q)
+    x = np.transpose(x, (0, 2, 1, 3, 4, 6, 5, 7)).reshape(d_p * d_p * d_q * d_q, -1)
+    check_density(x, tols)
+    mi_in, s_in = mutual_information(x, DimShape([d_p, d_p, d_q, d_q], ["Po", "Pi", "Qo", "Qi"]), ["Po", "Pi"], tols)
+    y = (d_p * d_q) * x.reshape(d_p, d_p, d_q, d_q, d_p, d_p, d_q, d_q)
+    out = np.einsum("abcpqr,ABCPQR,bcBCqrQR->aApP", sc1.m_tensor, sc2.m_tensor, y,
+                    optimize=True).reshape(d_p * d_q, d_p * d_q)
+    out = (out + out.conj().T) / 2.0
+    check_density(out, tols)
+    mi_out, s_out = mutual_information(out, DimShape([d_p, d_q], ["P", "Q"]), ["P"], tols)
+    c4 = op.choi.reshape(d_p, d_q, d_p, d_q, d_p, d_q, d_p, d_q)
+    a_p = np.trace(np.trace(c4, axis1=3, axis2=7), axis1=1, axis2=4) / d_q / d_p
+    a_q = np.trace(np.trace(c4, axis1=2, axis2=6), axis1=0, axis2=3) / d_p / d_q
+    d_in = relative_entropy(x, s_in, np.kron(a_p.reshape(d_p * d_p, -1), a_q.reshape(d_q * d_q, -1)), tols)
+    ref_out = np.kron(act_normalized(sc1, a_p.reshape(d_p * d_p, -1), tols),
+                      act_normalized(sc2, a_q.reshape(d_q * d_q, -1), tols))
+    d_out = relative_entropy(out, s_out, ref_out, tols)
+    flags = ("relative_entropy_route_infinite",) if math.isinf(d_in) or math.isinf(d_out) else ()
+    return mi_in, mi_out, d_in, d_out, flags
+
+
+def blocks(n):
+    """Consecutive blocks of 1, 2, ..., 8, 1, 2, ... indices covering range(n)."""
+    out, start, size = [], 0, 1
+    while start < n:
+        out.append(range(start, min(start + size, n)))
+        start, size = start + size, size % 8 + 1
+    return out
+
+
 def block_instances(d_s, d_e, n, seed):
     """``n`` (superchannel, operation) pairs in consecutive blocks of 1-8.
 
@@ -141,7 +239,7 @@ def block_instances(d_s, d_e, n, seed):
         scs = [pinned] * b if kind == 0 else [superchannel(r) for r in rngs]
         if kind < 2:
             ranks = [1 + (start + i) % (d_s * d_s) for i in range(b)]
-            ops = ch.random_cptps(d_s, ranks, rngs)
+            ops = ch.random_cptps(d_s, [ch.bcsz_draw(d_s, r, g) for r, g in zip(ranks, rngs)])
         else:
             ops = [by_kraus if kind == 2 else by_choi] * b
         out.append((scs, ops))
@@ -153,4 +251,6 @@ def block_instances(d_s, d_e, n, seed):
 def oracles():
     return types.SimpleNamespace(herm_eig=herm_eig, kraus=kraus,
                                  random_cptp=random_cptp, act=act, main_bound=main_bound,
-                                 block_instances=block_instances)
+                                 block_instances=block_instances, blocks=blocks,
+                                 classical_mutual_information=classical_mutual_information,
+                                 holevo=holevo, qdpi=qdpi)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from supchan import bounds as bd
+from supchan import campaigns as cp
 from supchan import channels as ch
 from supchan import matkernel as mk
 from supchan import states as st
@@ -347,7 +348,7 @@ def test_holevo_orthogonal_ensemble_attains_log2():
     assert rep.passed and abs(rep.slack) <= 1e-8
 
 
-def test_stacked_measurement_bases_match_sequential_draws_bitwise():
+def test_stacked_measurement_bases_match_sequential_draws_bitwise(oracles):
     # Reference: one Ginibre draw, QR and phase fix per basis, and one Born
     # einsum per (basis, state), as holevo did before it stacked them.
     def sequential_haar(d, rng):
@@ -375,9 +376,9 @@ def test_stacked_measurement_bases_match_sequential_draws_bitwise():
                 for k, s in enumerate(states):
                     born = np.real(np.einsum("im,ij,jm->m", basis.conj(), s, basis))
                     joint[k] = probs[k] * np.clip(born, 0.0, None)
-                expected.append(bd.classical_mutual_information(joint))
-            got = bd.measured_information(states, probs, np.concatenate([stk, eig[None]]))
-            assert [x.hex() for x in got] == [x.hex() for x in expected]
+                expected.append(oracles.classical_mutual_information(joint))
+            got = bd.measured_information([states], [probs], np.concatenate([stk, eig[None]])[None])[0]
+            assert [x.hex() for x in got.tolist()] == [x.hex() for x in expected]
 
 
 def test_holevo_random_sweep_small():
@@ -434,3 +435,104 @@ def test_main_bounds_are_bitwise_the_per_trial_main_bound(d_s, d_e, oracles):
             assert np.array(got).tobytes() == np.array(want).tobytes()
             one = bd.main_bound(sc, op, ns, tols)
             assert np.array((one.lhs, one.rhs, one.slack)).tobytes() == np.array(want).tobytes()
+
+
+def information_tables(rng, n, k, d):
+    """n joint tables (k, d): dense, sparse, with zero rows, and all zero."""
+    tables = rng.random((n, k, d)) * (rng.random((n, k, d)) < rng.random((n, 1, 1)) * 1.5)
+    tables[2::6] = rng.random((len(tables[2::6]), k, d))
+    tables[1::7, : k // 2] = 0.0
+    tables[::5] = 0.0
+    return tables
+
+
+def test_classical_mutual_informations_are_bitwise_the_per_table_oracle(oracles):
+    # Rows of up to 59 * 4 = 236 positive entries: beyond 128 the pairwise
+    # sum splits, so a pass that padded rows would move bits there.
+    rng = np.random.default_rng(71)
+    shapes = [(k, d) for k in (2, 3, 4) for d in (2, 3, 4)] + [(k, 4) for k in (33, 40, 59)]
+    for k, d in shapes:
+        tables = information_tables(rng, 60, k, d)
+        got = bd.classical_mutual_informations(tables)
+        want = [oracles.classical_mutual_information(t) for t in tables]
+        assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
+        assert [bd.classical_mutual_information(t).hex() for t in tables[:12]] == [x.hex() for x in want[:12]]
+        assert got[::5].tolist() == [0.0] * len(tables[::5])
+
+
+def explicit_ensemble(d, rng):
+    """Five codewords, one held by its Choi matrix only, one of weight 0."""
+    ops = [ch.random_cptp(d, 1 + i % (d * d), rng) for i in range(5)]
+    ops[3] = ch.from_choi(ops[3].choi, d, d)
+    probs = rng.dirichlet(np.ones(5))
+    probs[1] = 0.0
+    return bd.Ensemble(tuple(float(p) for p in probs / probs.sum()), tuple(ops))
+
+
+@pytest.mark.parametrize("d_s,d_e", [(2, 2), (3, 3), (4, 4), (2, 3), (3, 2)])
+def test_holevo_blocks_are_bitwise_the_per_trial_holevo(d_s, d_e, oracles):
+    # Blocks of 1-8 trials cycle through a pinned superchannel with random
+    # ensembles, random superchannels with random ensembles, and random
+    # superchannels with an explicit ensemble.  Each random ensemble and the
+    # Haar bases after it are the draws of a trial of one.
+    tols = DEFAULT_TOLS
+    pinned, rng = rand_sc(d_s, d_e, [d_s, d_e, 0])
+    explicit = {"ensemble": explicit_ensemble(d_s, rng)}
+    for kind, block in enumerate(oracles.blocks(48 if d_s < 4 else 20)):
+        kind %= 3
+        rngs = [np.random.default_rng([d_s, d_e, t]) for t in block]
+        scs = [pinned if kind == 0 else rand_sc(d_s, d_e, [d_s, d_e, 1, t])[0] for t in block]
+        enss = cp.random_ensembles(d_s, rngs, tols, explicit if kind == 2 else None)
+        haar = np.array([st.haar_unitaries(6, d_s, r) for r in rngs])
+        collects = [{} for _ in block]
+        results = bd.holevo_block(scs, enss, haar, tols, collects)
+        for t, sc, ens, h, (chi, rep, sampled), details in zip(block, scs, enss, haar, results, collects):
+            if kind < 2:
+                seq = np.random.default_rng([d_s, d_e, t])
+                k = int(seq.integers(2, 5))
+                chois = [oracles.random_cptp(d_s, int(seq.integers(1, d_s * d_s + 1)), seq, d_s, tols)[0]
+                         for _ in range(k)]
+                p = seq.dirichlet(np.ones(k))
+                assert ens.probs == tuple(float(x) for x in p / p.sum())
+                assert [op.choi.tobytes() for op in ens.ops] == [c.tobytes() for c in chois]
+                assert st.haar_unitaries(6, d_s, seq).tobytes() == h.tobytes()
+            want_chi, want_sampled, want_w = oracles.holevo(sc, ens, h, tols)
+            assert [x.hex() for x in sampled] == [x.hex() for x in want_sampled]
+            assert (chi.hex(), rep.lhs.hex(), rep.rhs.hex()) == (want_chi.hex(), want_chi.hex(), max(want_sampled).hex())
+            assert rep.slack == want_chi - max(want_sampled)
+            assert rep.metadata["best_measurement"] == int(np.argmax(want_sampled))
+            assert details["avg_state_eigenvalues"] == want_w.tolist()
+            one = bd.holevo_block([sc], [ens], h[None], tols)[0]
+            assert [x.hex() for x in one[2]] == [x.hex() for x in want_sampled] and one[0] == want_chi
+
+
+@pytest.mark.parametrize("d_p,d_q,d_e1,d_e2", [(2, 2, 2, 2), (3, 3, 3, 3), (4, 4, 4, 4), (2, 3, 3, 2), (3, 2, 2, 3)])
+def test_qdpi_blocks_are_bitwise_the_per_trial_qdpi(d_p, d_q, d_e1, d_e2, oracles):
+    # Blocks of 1-8 trials cycle through a pinned superchannel pair with
+    # random joint operations, random pairs with random operations, and
+    # random pairs with an explicit operation given by its Kraus operators
+    # and by its Choi matrix.
+    tols = DEFAULT_TOLS
+    d = d_p * d_q
+    rng = np.random.default_rng([d_p, d_q, 0])
+    joint = ch.random_cptp(d, 3, rng)
+    explicit = [{"op_kraus": ch.from_kraus(list(joint.kraus))}, {"op_choi": ch.from_choi(joint.choi, d, d)}]
+    pinned = (rand_sc(d_p, d_e1, [d_p, d_q, 1])[0], rand_sc(d_q, d_e2, [d_p, d_q, 2])[0])
+    for kind, block in enumerate(oracles.blocks(36 if d < 9 else 10)):
+        kind %= 4
+        rngs = [np.random.default_rng([d_p, d_q, 3, t]) for t in block]
+        pairs = [pinned if kind == 0 else (rand_sc(d_p, d_e1, [d_p, d_q, 4, t])[0],
+                                           rand_sc(d_q, d_e2, [d_p, d_q, 5, t])[0]) for t in block]
+        ops = cp.random_operations(d, rngs, tols, explicit[kind - 2] if kind >= 2 else None, bipartite=(d_p, d_q))
+        collects = [{} for _ in block]
+        reports = bd.qdpi_block([a for a, _ in pairs], [b for _, b in pairs], ops, tols, collects)
+        for (sc1, sc2), op, rep, details in zip(pairs, ops, reports, collects):
+            mi_in, mi_out, rel_in, rel_out, flags = oracles.qdpi(sc1, sc2, op, tols)
+            want = np.array([mi_in, mi_out, mi_in - mi_out, rel_in, rel_out])
+            got = np.array([rep.lhs, rep.rhs, rep.slack, rep.metadata["relent_in"], rep.metadata["relent_out"]])
+            assert got.tobytes() == want.tobytes()
+            assert rep.flags == flags
+            assert np.array([details[k] for k in ("mi_in", "mi_out", "relent_in", "relent_out")]).tobytes() == \
+                np.array([mi_in, mi_out, rel_in, rel_out]).tobytes()
+            one = bd.qdpi(sc1, sc2, op, tols)
+            assert np.array([one.lhs, one.rhs, one.slack]).tobytes() == want[:3].tobytes()

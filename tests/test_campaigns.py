@@ -271,6 +271,68 @@ def test_a_failing_block_reports_the_earliest_failing_trial(tmp_path, capsys, sp
     assert capsys.readouterr().err.strip() == line
 
 
+# holevo and qdpi scenarios whose first failing trial is 2, 6 and 8, with
+# the line that the per-trial code printed.  In the first, trial 4 of the
+# same block fails another check (a negative eigenvalue).
+BLOCK_FIRST_FAILURES = [
+    ({"bound": "holevo", "seed": 7, "tolerances": {"psd_floor": 1e-18, "trace_tol": 8e-16}},
+     "validation error: trace 1.0000000000000009 is not 1 within 8e-16"),
+    ({"bound": "qdpi", "seed": 1, "tolerances": {"recon_tol": 1e-15}},
+     "validation error: eigendecomposition residual 1.305e-15 exceeds recon_tol"),
+    ({"bound": "qdpi", "seed": 0, "tolerances": {"recon_tol": 1e-15}},
+     "validation error: eigendecomposition residual 1.055e-15 exceeds recon_tol"),
+]
+
+
+@pytest.mark.parametrize("spec,line", BLOCK_FIRST_FAILURES)
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_failing_holevo_or_qdpi_block_reports_the_earliest_failing_trial(tmp_path, capsys, spec, line, jobs):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({"trials": 16, "n_measurements": 5, **spec}))
+    assert cli.main(["verify", "--scenario", str(path), "--jobs", str(jobs)]) == 3
+    assert capsys.readouterr().err.strip() == line
+
+
+@pytest.mark.parametrize("explicit", [False, True])
+def test_a_holevo_block_makes_one_measured_information_call(monkeypatch, explicit):
+    calls = []
+    real = bd.measured_information
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+    monkeypatch.setattr(bd, "measured_information", counted)
+    ex = {}
+    if explicit:
+        rng = np.random.default_rng(4)
+        ops = [ch.random_cptp(2, 1 + i % 4, rng) for i in range(3)]
+        ex = {"ensemble": {"probs": [0.5, 0.25, 0.25], "ops_kraus": [[cp.matrix_to_json(k) for k in op.kraus]
+                                                                      for op in ops]}}
+    scn = make_scenario(trials=20, bound="holevo", n_measurements=7, explicit=ex)
+    reports = cp.evaluate_block(scn, "holevo", range(3, 11), DEFAULT_TOLS)
+    assert calls == [8]
+    assert [r.metadata["trial"] for r in reports] == list(range(3, 11))
+    assert all(r.metadata["n_measurements"] == 8 for r in reports)
+
+
+@pytest.mark.parametrize("d_p,d_q,sizes", [(2, 2, [8]), (2, 3, [8]), (3, 3, [2, 2, 2, 2])])
+def test_a_qdpi_block_stacks_at_most_the_stack_limit_of_joint_choi_entries(monkeypatch, d_p, d_q, sizes):
+    # (d_P d_Q)^4 entries per trial: 256 and 1296 fit eight times into
+    # QDPI_STACK_ENTRIES, 6561 twice; each part gives the per-trial reports.
+    calls = []
+    real = bd.qdpi_block
+
+    def counted(sc1s, *args):
+        calls.append(len(sc1s))
+        return real(sc1s, *args)
+    monkeypatch.setattr(bd, "qdpi_block", counted)
+    scn = make_scenario(trials=8, bound="qdpi", dims={"d_P": d_p, "d_Q": d_q, "d_E1": 2, "d_E2": 3})
+    reports = cp.evaluate_block(scn, "qdpi", range(8), DEFAULT_TOLS)
+    assert calls[:len(sizes)] == sizes
+    one = [cp.evaluate_trial(scn, "qdpi", t, DEFAULT_TOLS) for t in range(8)]
+    assert [cp.report_to_dict(r) for r in reports] == [cp.report_to_dict(r) for r in one]
+
+
 def test_a_later_steady_operation_failure_does_not_hide_an_earlier_trial(monkeypatch):
     # Trial 4's steady operation fails, but trial 1 fails its trace check
     # first in trial order.

@@ -315,24 +315,16 @@ def test_is_trace_preserving_is_computed_once_per_operation(monkeypatch):
     assert len(calls) == 1
 
 
-def blocks(n):
-    """Consecutive blocks of 1, 2, ..., 8, 1, 2, ... trials covering range(n)."""
-    out, start, size = [], 0, 1
-    while start < n:
-        out.append(range(start, min(start + size, n)))
-        start, size = start + size, size % 8 + 1
-    return out
-
-
 @pytest.mark.parametrize("d,d_out", [(2, 2), (3, 3), (4, 4), (2, 3), (3, 2)])
 def test_random_cptps_are_bitwise_the_per_trial_construction(d, d_out, oracles):
     # Blocks of 1-8 maps with mixed ranks: each Choi matrix and Kraus stack
     # has the bytes of the one-map-at-a-time construction.
     tols = Tolerances()
     low = -(-d // d_out)
-    for block in blocks(216):
+    for block in oracles.blocks(216):
         ranks = [low + i % (d * d_out - low + 1) for i in block]
-        ops = ch.random_cptps(d, ranks, [np.random.default_rng([d, d_out, i]) for i in block], d_out)
+        rngs = [np.random.default_rng([d, d_out, i]) for i in block]
+        ops = ch.random_cptps(d, [ch.bcsz_draw(d, r, g, d_out) for r, g in zip(ranks, rngs)], d_out)
         for i, rank, op in zip(block, ranks, ops):
             choi, kraus = oracles.random_cptp(d, rank, np.random.default_rng([d, d_out, i]), d_out, tols)
             assert op.choi.tobytes() == choi.tobytes()

@@ -283,3 +283,55 @@ def test_verify_bits_leaves_the_mmap_residual_slack_unconverted(tmp_path, capsys
         lines.append(next(l for l in err.splitlines() if l.startswith("[mmap-consistency]")))
     assert lines[0] == lines[1]
     assert lines[0].endswith(" max-abs")
+
+
+@pytest.mark.parametrize("extra, path", [
+    ({"tolerances": {"slack_tol": math.nan}}, "tolerances.slack_tol"),
+    ({"tolerances": {"psd_floor": math.inf}}, "tolerances.psd_floor"),
+    ({"tolerances": {"herm_tol": 10 ** 400}}, "tolerances.herm_tol"),
+    ({"bound": "clausius", "explicit": {"beta": math.inf}}, "explicit.beta"),
+    ({"bound": "clausius", "explicit": {"theta": math.nan}}, "explicit.theta"),
+    ({"bound": "holevo", "explicit": {"ensemble": {"probs": [math.nan, 1.0], "ops_kraus": [[EYE2], [EYE2]]}}},
+     "explicit.ensemble.probs[0]"),
+], ids=["slack_tol-nan", "psd_floor-inf", "herm_tol-huge-int", "beta-inf", "theta-nan", "probs-nan"])
+def test_verify_refuses_non_finite_numbers_at_load(tmp_path, capsys, extra, path):
+    # json.dumps writes NaN and Infinity, which Python's json reads back.
+    scn = write_scenario(tmp_path, trials=2, **{"bound": "spohn", **extra})
+    assert cli.main(["verify", "--scenario", scn, "--jobs", "1"]) == cli.EXIT_VALIDATION_ERROR
+    assert f"scenario error: {path}: expected a finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["verify", "--jobs", "1"], ["explain", "--trial", "0"]])
+def test_a_non_finite_slack_tol_override_is_refused(tmp_path, capsys, monkeypatch, command):
+    scn = write_scenario(tmp_path, trials=2, bound="spohn")
+    for value in ("nan", "inf", "-inf"):
+        assert cli.main([command[0], "--scenario", scn, *command[1:], f"--slack-tol={value}"]) == 3
+        assert "error: --slack-tol: expected a finite number" in capsys.readouterr().err
+    for value in ("nan", "Infinity", "tight"):
+        monkeypatch.setenv("SUPCHAN_SLACK_TOL", value)
+        assert cli.main([command[0], "--scenario", scn, *command[1:]]) == cli.EXIT_VALIDATION_ERROR
+        assert f"error: SUPCHAN_SLACK_TOL: expected a finite number, got {value!r}" in capsys.readouterr().err
+    monkeypatch.setenv("SUPCHAN_SLACK_TOL", "1e-6")
+    assert cli.main([command[0], "--scenario", scn, *command[1:], "--slack-tol", "0.5"]) == cli.EXIT_OK
+
+
+def test_a_seed_of_2_64_or_more_is_refused_at_load(tmp_path, capsys):
+    scn = write_scenario(tmp_path, trials=1, bound="spohn", seed=2 ** 64)
+    assert cli.main(["verify", "--scenario", scn, "--jobs", "1"]) == cli.EXIT_VALIDATION_ERROR
+    assert "scenario error: seed: expected an integer below 2**64" in capsys.readouterr().err
+    scn = write_scenario(tmp_path, trials=1, bound="spohn", seed=2 ** 64 - 1)
+    assert cli.main(["verify", "--scenario", scn, "--jobs", "1"]) == cli.EXIT_OK
+
+
+def test_holevo_bases_beyond_the_storage_limit_are_refused_at_load(tmp_path, capsys, monkeypatch):
+    # Refused by load_scenario, before any trial draws a basis.
+    monkeypatch.setattr(st, "haar_unitaries", None)
+    limit = cp.BLOCK * 3 * 3
+    most = cp.mk.MAX_ENTRIES // limit - 1
+    for n, bound in ((10 ** 12, "holevo"), (most + 1, "all")):
+        scn = write_scenario(tmp_path, trials=1, bound=bound, dims={"d_S": 3}, n_measurements=n)
+        assert cli.main(["verify", "--scenario", scn, "--jobs", "1"]) == cli.EXIT_VALIDATION_ERROR
+        assert "scenario error: n_measurements: " in capsys.readouterr().err
+    for n, bound in ((most, "holevo"), (10 ** 12, "main")):
+        scn = cp.load_scenario(json.dumps({"bound": bound, "trials": 1, "dims": {"d_S": 3}, "n_measurements": n}))
+        assert scn.n_measurements == n

@@ -274,7 +274,7 @@ def test_act_block_is_bitwise_the_per_trial_act(d_s, d_e, oracles):
 
 def test_act_block_refuses_an_operation_that_is_not_trace_preserving():
     sc, rng = rand_sc(2, 2, 3)
-    ops = ch.random_cptps(2, [2, 3], [rng, rng])
+    ops = ch.random_cptps(2, [ch.bcsz_draw(2, 2, rng), ch.bcsz_draw(2, 3, rng)])
     half = ch.from_choi(ops[1].choi / 2, 2, 2)
     with pytest.raises(ValidationError, match="requires a CPTP operation"):
         sup.act_block([sc, sc, sc], [ops[0], half, ops[1]])
