@@ -43,11 +43,6 @@ def ext_sub(a: float, b: float) -> float:
     return a - b
 
 
-def ext_add(a: float, b: float) -> float:
-    """a + b with inf + (-inf) mapped to NaN (indeterminate)."""
-    return ext_sub(a, -b)
-
-
 def _finish(name: str, lhs: float, rhs: float, tols: Tolerances, metadata: dict,
             extra_flags: tuple[str, ...] = ()) -> BoundReport:
     slack = ext_sub(lhs, rhs)
@@ -106,26 +101,14 @@ def spohn(
 # Generalized bound:  S(sigma') - S(A_d) >= -tr[sigma' log e] + tr[A_d log E_d]
 # ---------------------------------------------------------------------------
 
-def main_bound(
-    sc: sup.Superchannel,
-    op: ch.QuantumOperation,
-    ns: sup.Neso | None = None,
-    tols: Tolerances = DEFAULT_TOLS,
-    collect: dict | None = None,
-) -> BoundReport:
-    """The generalized entropy-production bound for correlated initial states.
+def main_bounds(scs: list[sup.Superchannel], ops: list[ch.QuantumOperation], nss: list[sup.Neso],
+                tols: Tolerances = DEFAULT_TOLS, collects: list | None = None) -> list[BoundReport]:
+    """The generalized entropy-production bound for correlated initial
+    states, for each (superchannel, operation, steady operation) of a block,
+    all of one (d_S, d_E), with the bits of each on its own.
 
     With E_d = e (x) I/d, log(E_d) = log(e) (x) I - log(d) I on its support,
     so tr[A_d log E_d] reduces to tr[tr_in(A_d) log e] - log d.
-    """
-    ns = sup.neso(sc) if ns is None else ns
-    return main_bounds([sc], [op], [ns], tols, [collect])[0]
-
-
-def main_bounds(scs: list[sup.Superchannel], ops: list[ch.QuantumOperation], nss: list[sup.Neso],
-                tols: Tolerances = DEFAULT_TOLS, collects: list | None = None) -> list[BoundReport]:
-    """``main_bound`` of each (superchannel, operation, steady operation) of
-    a block, all of one (d_S, d_E), with the bits of each on its own.
 
     sigma', the spectra of sigma' and of A_d, and the weights of sigma' and
     tr_in(A_d) in the steady state's eigenvectors are each one stacked
@@ -160,13 +143,11 @@ def main_bounds(scs: list[sup.Superchannel], ops: list[ch.QuantumOperation], nss
 def slack_identity(
     sc: sup.Superchannel,
     op: ch.QuantumOperation,
-    ns: sup.Neso | None = None,
+    ns: sup.Neso,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> tuple[float, float]:
     """(D[A_d || E_d], D[sigma' || e]): the main-bound slack equals their
     difference on finite branches."""
-    if ns is None:
-        ns = sup.neso(sc)
     d = sc.d_s
     choi_shape = DimShape([d, d], ["out", "in"])
     a_d = density(op.choi_state, choi_shape, tols=tols)
@@ -174,28 +155,6 @@ def slack_identity(
     d_in = st.relative_entropy(a_d, e_d, tols)
     d_out = st.relative_entropy(sup.act(sc, op), ns.ness, tols)
     return d_in, d_out
-
-
-@dataclass(frozen=True)
-class CompositionReport:
-    """Spohn's bound for the preparation plus the generalized bound for the
-    subsequent correlated dynamics; slacks add."""
-
-    spohn: BoundReport
-    main: BoundReport
-    combined_slack: float
-
-
-def spohn_composition(
-    op: ch.QuantumOperation,
-    sc: sup.Superchannel,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> CompositionReport:
-    """Bound the total entropy change from tr_E(rho_SE) through sigma'."""
-    sigma = sc.sys_marginal
-    rep_spohn = spohn(op, sigma, None, tols)
-    rep_main = main_bound(sc, op, None, tols)
-    return CompositionReport(rep_spohn, rep_main, ext_add(rep_spohn.slack, rep_main.slack))
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +199,7 @@ def clausius(
             f"fixed point is not the Gibbs state: residual {resid:.3e} > {THERMAL_MATCH_TOL}"
         )
     d = sc.d_s
-    op = ch.replace_channel(sigma, d_in=d, tols=tols)
+    op = ch.replace_channel(sigma, tols=tols)
     sigma_p = sup.act(sc, op)
     # The entropies of sigma (x) I/d split off a log d on each side.
     lhs = st.von_neumann_entropy(sigma_p, tols) - (st.von_neumann_entropy(sigma, tols) + math.log(d))
@@ -308,15 +267,12 @@ def _relative_entropies(rho: np.ndarray, s_rho: list[float], ref: np.ndarray,
             for s, o, wb in zip(s_rho, overlap, w)]
 
 
-def qdpi(
-    sc1: sup.Superchannel,
-    sc2: sup.Superchannel,
-    op_pq: ch.QuantumOperation,
-    tols: Tolerances = DEFAULT_TOLS,
-    collect: dict | None = None,
-) -> BoundReport:
+def qdpi_block(sc1s: list[sup.Superchannel], sc2s: list[sup.Superchannel], ops: list[ch.QuantumOperation],
+               tols: Tolerances = DEFAULT_TOLS, collects: list | None = None) -> list[BoundReport]:
     """Mutual information cannot grow: I[P:Q] of the output state is bounded
-    by I[P:Q] of the joint operation-state.
+    by I[P:Q] of the joint operation-state, for each (superchannel,
+    superchannel, joint operation) of a block, all of one (d_P, d_Q), with
+    the bits of each on its own.
 
     Also evaluates the relative-entropy form through the marginal
     operations A_P, A_Q and cross-checks the two routes: the input-side
@@ -326,19 +282,11 @@ def qdpi(
     is generally *not* the product of the output's marginals, so D_out
     dominates the output mutual information and the relative-entropy slack
     can only be tighter than the mutual-information slack.
-    """
-    return qdpi_block([sc1], [sc2], [op_pq], tols, [collect])[0]
-
-
-def qdpi_block(sc1s: list[sup.Superchannel], sc2s: list[sup.Superchannel], ops: list[ch.QuantumOperation],
-               tols: Tolerances = DEFAULT_TOLS, collects: list | None = None) -> list[BoundReport]:
-    """``qdpi`` of each (superchannel, superchannel, joint operation) of a
-    block, all of one (d_P, d_Q), with the bits of each on its own.
 
     The checks, the spectra, the marginal operations, the references and
-    the overlaps are each one stacked step, in the order ``qdpi`` takes
-    them for one trial; the two superchannel contractions run per trial,
-    and the route cross-checks and the bound arithmetic stay per trial.
+    the overlaps are each one stacked step; the two superchannel
+    contractions run per trial, and the route cross-checks and the bound
+    arithmetic stay per trial.
     """
     for sc1, sc2, op_pq in zip(sc1s, sc2s, ops):
         if op_pq.bipartite is None:
@@ -406,14 +354,9 @@ class Ensemble:
             raise ValidationError(f"ensemble operations have mixed dims {sorted(dims)}")
 
 
-def classical_mutual_information(joint: np.ndarray) -> float:
-    """I(K;M) in nats for a joint probability table, 0 log 0 = 0."""
-    return float(classical_mutual_informations(np.asarray(joint, dtype=float)[None])[0])
-
-
 def classical_mutual_informations(joints: np.ndarray) -> np.ndarray:
-    """``classical_mutual_information`` of each table of a stack, with the
-    bits of each on its own.
+    """I(K;M) in nats, 0 log 0 = 0, of each joint probability table of a
+    stack, with the bits of each on its own.
 
     The totals, marginals and terms are one vectorized pass.  A table's
     positive terms are summed as a row of exactly their count, in one sum
@@ -459,31 +402,19 @@ def measured_information(states: list[np.ndarray], probs: list[np.ndarray], base
     return out
 
 
-def holevo(
-    sc: sup.Superchannel,
-    ens: Ensemble,
-    rng: np.random.Generator,
-    n_meas: int = 50,
-    tols: Tolerances = DEFAULT_TOLS,
-    collect: dict | None = None,
-) -> tuple[float, BoundReport, list[float]]:
-    """Holevo quantity of the received ensemble and sampled-measurement checks.
-
-    Bob receives sigma'_k = M#[A^(k)_d]; chi = S(avg) - sum p_k S(sigma'_k)
-    upper-bounds the classical information of every sampled projective
-    measurement (``n_meas`` Haar-random bases drawn from ``rng``, plus the
-    eigenbasis of the average).  The report records the most informative
-    sampled measurement.
-    """
-    return holevo_block([sc], [ens], st.haar_unitaries(n_meas, sc.d_s, rng)[None], tols, [collect])[0]
-
-
 def holevo_block(scs: list[sup.Superchannel], enss: list[Ensemble], haar: np.ndarray,
                  tols: Tolerances = DEFAULT_TOLS,
                  collects: list | None = None) -> list[tuple[float, BoundReport, list[float]]]:
-    """``holevo`` of each (superchannel, ensemble) of a block, all of one
-    (d_S, d_E), with ``haar[b]`` the Haar bases of trial b; (chi, report,
-    sampled information) of each, with the bits of each on its own.
+    """Holevo quantity of the received ensemble and sampled-measurement
+    checks, for each (superchannel, ensemble) of a block, all of one
+    (d_S, d_E); (chi, report, sampled information) of each, with the bits
+    of each on its own.
+
+    Bob receives sigma'_k = M#[A^(k)_d]; chi = S(avg) - sum p_k S(sigma'_k)
+    upper-bounds the classical information of every sampled projective
+    measurement: the Haar bases ``haar[b]`` of trial b, plus the eigenbasis
+    of its average.  The report records the most informative sampled
+    measurement.
 
     The j-th sigma'_k of every trial is one ``act_block`` (one over all
     codewords would hold every Kraus operator of the block at once), and

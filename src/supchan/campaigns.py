@@ -86,7 +86,8 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 def parse_complex_matrix(obj, path: str) -> np.ndarray:
-    """Nested row-major lists with entries as numbers or [re, im] pairs."""
+    """Nested row-major lists with entries as finite numbers or [re, im]
+    pairs of finite numbers (``_finite_number``)."""
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise ScenarioError(f"{path}: expected a nested list of matrix rows")
     ncols = len(obj[0])
@@ -95,12 +96,13 @@ def parse_complex_matrix(obj, path: str) -> np.ndarray:
     out = np.empty((len(obj), ncols), dtype=complex)
     for i, row in enumerate(obj):
         for j, entry in enumerate(row):
-            if isinstance(entry, (int, float)):
+            if _finite_number(entry):
                 out[i, j] = float(entry)
-            elif isinstance(entry, list) and len(entry) == 2 and all(isinstance(x, (int, float)) for x in entry):
+            elif isinstance(entry, list) and len(entry) == 2 and all(map(_finite_number, entry)):
                 out[i, j] = complex(entry[0], entry[1])
             else:
-                raise ScenarioError(f"{path}[{i}][{j}]: expected a number or an [re, im] pair")
+                raise ScenarioError(f"{path}[{i}][{j}]: expected a finite number or an [re, im] pair "
+                                    "of finite numbers")
     return out
 
 
@@ -632,20 +634,23 @@ def run_campaign(scenario: Scenario, tols: Tolerances, jobs: int = 1) -> dict:
 
     The objects every trial shares (``prepare``) are built once, before
     any trial.  The trials of each family go in blocks of ``BLOCK``
-    consecutive trials through ``_eval_task``: in this process for
-    ``jobs <= 1``, and otherwise one block per task in a pool of ``jobs``
-    worker processes, each of which receives the scenario, the tolerances
-    and the prepared objects once, through the pool initializer.  The report is
-    deterministic for a fixed scenario: per-trial seeds are derived from
-    (seed, family, trial), what is not prepared is drawn from them in the
-    same order, and results are ordered by trial index, so serial and
-    parallel executions produce identical output.  The summary's wall_time
+    consecutive trials through ``_eval_task``: in this process when
+    ``jobs`` or the number of blocks is at most 1, and otherwise one block
+    per task in a pool of ``min(jobs, blocks)`` worker processes (a pool
+    starts all its workers at the first task), each of which receives the
+    scenario, the tolerances and the prepared objects once, through the pool
+    initializer.  The report is deterministic for a fixed scenario:
+    per-trial seeds are derived from (seed, family, trial), what is not
+    prepared is drawn from them in the same order, and results are ordered
+    by trial index, so serial and parallel executions produce identical
+    output.  The summary's wall_time
     field is left null so reports stay byte-stable; the CLI reports timing
     separately.
     """
     families, n = scenario.families(), scenario.trials
     tasks = [(family, range(s, min(s + BLOCK, n))) for family in families for s in range(0, n, BLOCK)]
     campaign = (scenario, tols, prepare(scenario, tols))
+    jobs = min(jobs, len(tasks))
     if jobs <= 1:
         blocks = [_eval_task(task, campaign) for task in tasks]
     else:

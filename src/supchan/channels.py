@@ -50,9 +50,6 @@ class QuantumOperation:
         """Normalized Choi A_d = choi / d_in, a unit-trace PSD matrix."""
         return self.choi / self.d_in
 
-    def choi_shape(self) -> DimShape:
-        return DimShape([self.d_out, self.d_in], ["out", "in"])
-
     def kraus_ops(self) -> np.ndarray:
         if self.kraus is not None:
             return self.kraus
@@ -126,27 +123,16 @@ def kraus_of(op: QuantumOperation, tols: Tolerances = DEFAULT_TOLS) -> np.ndarra
     return mk.psd_factors(*mk.herm_eig(op.choi, tols)).reshape(-1, op.d_out, op.d_in)
 
 
-def apply(
-    op: QuantumOperation,
-    rho: DensityMatrix,
-    allow_non_tp: bool = False,
-    tols: Tolerances = DEFAULT_TOLS,
-):
-    """Apply the map: sum_k K rho K^dag.
-
-    Returns a DensityMatrix for trace-preserving operations.  For non-TP
-    operations the unnormalized output matrix (ndarray) is returned, and
-    only when ``allow_non_tp`` is set.
-    """
+def apply(op: QuantumOperation, rho: DensityMatrix, tols: Tolerances = DEFAULT_TOLS) -> DensityMatrix:
+    """Apply a trace-preserving map: sum_k K rho K^dag.  ``apply_matrix``
+    gives the unnormalized output of any CP map."""
     if rho.dim != op.d_in:
         raise ShapeError(f"state dim {rho.dim} != operation d_in {op.d_in}")
+    if not op.is_trace_preserving:
+        raise ValidationError("operation is not trace preserving")
     out = apply_matrix(op, rho.mat)
-    if op.is_trace_preserving:
-        out = (out + out.conj().T) / 2.0
-        return density(out, DimShape([op.d_out], [rho.shape.labels[0]]), tols=tols)
-    if not allow_non_tp:
-        raise ValidationError("operation is not trace preserving; pass allow_non_tp=True")
-    return out
+    out = (out + out.conj().T) / 2.0
+    return density(out, DimShape([op.d_out], [rho.shape.labels[0]]), tols=tols)
 
 
 def apply_matrix(op: QuantumOperation, mat: np.ndarray) -> np.ndarray:
@@ -165,66 +151,23 @@ def apply_choi(choi: np.ndarray, mat: np.ndarray, d_out: int, d_in: int) -> np.n
     return np.einsum("aibj,ij->ab", c, np.asarray(mat, dtype=complex))
 
 
-def compose(after: QuantumOperation, before: QuantumOperation, tols: Tolerances = DEFAULT_TOLS) -> QuantumOperation:
-    """Composition after . before via Kraus products."""
-    if before.d_out != after.d_in:
-        raise ShapeError(f"cannot compose: {before.d_out} -> {after.d_in}")
-    ks = [a @ b for a in after.kraus_ops() for b in before.kraus_ops()]
-    return from_kraus(ks, tols=tols)
-
-
 # ---------------------------------------------------------------------------
 # Named channels
 # ---------------------------------------------------------------------------
 
-def identity_channel(d: int) -> QuantumOperation:
-    return from_kraus([np.eye(d, dtype=complex)])
-
-
-def unitary_channel(u: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> QuantumOperation:
-    u = mk.as_matrix(u)
-    check_unitary(u, tols)
-    return from_kraus([u], tols=tols)
-
-
-def depolarizing_channel(d: int) -> QuantumOperation:
-    """Completely depolarizing map rho -> I/d."""
-    ks = [np.zeros((d, d), dtype=complex) for _ in range(d * d)]
-    for i in range(d):
-        for j in range(d):
-            ks[i * d + j][i, j] = 1.0 / np.sqrt(d)
-    return from_kraus(ks)
-
-
-def replace_channel(target: DensityMatrix, d_in: int | None = None, tols: Tolerances = DEFAULT_TOLS) -> QuantumOperation:
-    """Map that discards its input and prepares ``target``.
+def replace_channel(target: DensityMatrix, tols: Tolerances = DEFAULT_TOLS) -> QuantumOperation:
+    """Map on the space of ``target`` that discards its input and prepares ``target``.
 
     Its Choi matrix is target (x) I, so the normalized Choi is target (x) I/d.
     """
-    d_in = target.dim if d_in is None else d_in
+    d = target.dim
     ks = []
     for f in mk.psd_factors(*target.eig(tols)):
-        for j in range(d_in):
-            k = np.zeros((target.dim, d_in), dtype=complex)
+        for j in range(d):
+            k = np.zeros((d, d), dtype=complex)
             k[:, j] = f
             ks.append(k)
     return from_kraus(ks, tols=tols)
-
-
-def classical_channel(t: np.ndarray) -> QuantumOperation:
-    """Channel acting as the column-stochastic matrix ``t`` on basis states."""
-    t = np.asarray(t, dtype=float)
-    d_out, d_in = t.shape
-    if np.any(t < 0) or mk.max_abs(t.sum(axis=0) - 1.0) > 1e-12:
-        raise ValidationError("matrix is not column stochastic")
-    ks = []
-    for b in range(d_out):
-        for c in range(d_in):
-            if t[b, c] > 0.0:
-                k = np.zeros((d_out, d_in), dtype=complex)
-                k[b, c] = np.sqrt(t[b, c])
-                ks.append(k)
-    return from_kraus(ks)
 
 
 def check_unitary(u: np.ndarray, tols: Tolerances = DEFAULT_TOLS, what: str = "matrix") -> None:
@@ -375,25 +318,12 @@ def fixed_point(op: QuantumOperation, tols: Tolerances = DEFAULT_TOLS) -> NessRe
     )
 
 
-def marginal_operation(
-    op: QuantumOperation, keep: str, tols: Tolerances = DEFAULT_TOLS
-) -> QuantumOperation:
-    """Reduce a bipartite operation on P (x) Q to the kept subsystem.
-
-    The result's Choi is the partial trace of ``op.choi`` over the discarded
-    subsystem's (out, in) pair, rescaled to trace d_in of the kept part; it
-    is the channel X -> tr_disc[op(X (x) I/d_disc)].
-    """
-    if op.bipartite is None:
-        raise ShapeError("operation has no declared bipartite structure")
-    d = op.bipartite[0 if keep == "P" else 1]
-    return QuantumOperation(d, d, marginal_chois(op.choi, op.bipartite, keep, tols), None, None, tols)
-
-
 def marginal_chois(choi: np.ndarray, bipartite: tuple[int, int], keep: str,
                    tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """The Choi matrix of ``marginal_operation`` for the Choi matrix of an
-    operation on P (x) Q, or for each of a stack, with ``from_choi``'s checks."""
+    """The Choi matrix of the marginal operation X -> tr_disc[op(X (x) I/d_disc)]
+    on the kept subsystem, for the Choi matrix of an operation on P (x) Q or
+    for each of a stack, with ``from_choi``'s checks: the partial trace over
+    the discarded (out, in) pair, rescaled to trace d_in of the kept part."""
     if keep not in ("P", "Q"):
         raise ValueError(f"keep must be 'P' or 'Q', got {keep!r}")
     d_p, d_q = bipartite
@@ -410,25 +340,9 @@ def marginal_chois(choi: np.ndarray, bipartite: tuple[int, int], keep: str,
 # Random channels
 # ---------------------------------------------------------------------------
 
-def random_cptp(
-    d: int,
-    kraus_rank: int,
-    rng: np.random.Generator,
-    d_out: int | None = None,
-    bipartite: tuple[int, int] | None = None,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> QuantumOperation:
-    """Random CPTP map from the Wishart/BCSZ construction.
-
-    A PSD Wishart matrix W = G G^dag of rank ``kraus_rank`` on out (x) in
-    (``bcsz_draw``) is projected onto the trace-preserving slice via
-    W -> (I (x) R^-1/2) W (I (x) R^-1/2) with R = tr_out W (``random_cptps``).
-    """
-    return random_cptps(d, [bcsz_draw(d, kraus_rank, rng, d_out)], d_out, bipartite, tols)[0]
-
-
 def bcsz_draw(d: int, kraus_rank: int, rng: np.random.Generator, d_out: int | None = None) -> np.ndarray:
-    """The Ginibre factor G of one ``random_cptp`` map, drawn from ``rng``.
+    """The Ginibre factor G of one random CPTP map (``random_cptps``), drawn
+    from ``rng``.
 
     A rank below ceil(d / d_out), the least Kraus rank of a CPTP map, would
     leave R = tr_out W singular and is refused before the draw.
@@ -443,7 +357,10 @@ def bcsz_draw(d: int, kraus_rank: int, rng: np.random.Generator, d_out: int | No
 
 def random_cptps(d: int, draws: list[np.ndarray], d_out: int | None = None,
                  bipartite: tuple[int, int] | None = None, tols: Tolerances = DEFAULT_TOLS) -> list[QuantumOperation]:
-    """The ``random_cptp`` map of each ``bcsz_draw``: the projection,
+    """The random CPTP map of each ``bcsz_draw``, by the Wishart/BCSZ
+    construction: the PSD Wishart matrix W = G G^dag on out (x) in is
+    projected onto the trace-preserving slice via
+    W -> (I (x) R^-1/2) W (I (x) R^-1/2) with R = tr_out W.  The projection,
     ``from_choi``'s checks and the Kraus extraction run once over the stack,
     with the bits of each map."""
     d_out = d if d_out is None else d_out

@@ -169,36 +169,14 @@ def partial_trace(m: np.ndarray, shape: DimShape, keep: Sequence[str]) -> np.nda
     return t.reshape(lead + (d_keep, d_keep))
 
 
-def _axis_order(shape: DimShape, new_order: Sequence[str]) -> list[int]:
-    """Old axis positions of the subsystems listed in ``new_order``."""
-    if sorted(new_order) != sorted(shape.labels):
-        raise ShapeError(f"{list(new_order)} is not a permutation of {shape.labels}")
-    return [shape.index_of(l) for l in new_order]
-
-
 def permutation_matrix(shape: DimShape, new_order: Sequence[str]) -> np.ndarray:
     """Unitary P that reorders subsystems: P |i_old...> = |i_new...>."""
-    perm = _axis_order(shape, new_order)
+    if sorted(new_order) != sorted(shape.labels):
+        raise ShapeError(f"{list(new_order)} is not a permutation of {shape.labels}")
+    perm = [shape.index_of(l) for l in new_order]
     d = shape.dim
     rows = np.eye(d, dtype=complex).reshape(shape.factors + (d,))
     return np.transpose(rows, perm + [len(perm)]).reshape(d, d)
-
-
-def permute_subsystems(
-    m: np.ndarray, shape: DimShape, new_order: Sequence[str]
-) -> tuple[np.ndarray, DimShape]:
-    """Similarity transform by the subsystem permutation; spectrum preserved.
-
-    Returns the permuted matrix together with its new shape.
-    """
-    m = _check_square(m, shape)
-    perm = _axis_order(shape, new_order)
-    n = len(perm)
-    t = m.reshape(shape.factors + shape.factors)
-    t = np.transpose(t, perm + [p + n for p in perm])
-    d = shape.dim
-    new_shape = DimShape([shape.factors[p] for p in perm], new_order)
-    return t.reshape(d, d), new_shape
 
 
 def max_abs(m: np.ndarray):
@@ -257,28 +235,21 @@ def psd_factors(w: np.ndarray, V: np.ndarray) -> np.ndarray:
 def herm_fn(
     m: np.ndarray,
     f: Callable[[np.ndarray], np.ndarray],
-    kernel_policy: str = "zero",
     tols: Tolerances = DEFAULT_TOLS,
 ) -> np.ndarray:
     """Apply a scalar function to a Hermitian matrix through its spectrum.
 
     Eigenvalues come clamped from ``herm_eig``, so those within ``psd_floor``
-    of zero are exact zeros.  Where ``f`` is undefined at 0 (log), the kernel
-    policy decides: ``"zero"`` defines the value there to be 0 (the
-    0*log(0) = 0 convention is applied by callers), ``"reject"`` raises.
-    Functions finite at 0 (exp) are unaffected by the policy.
+    of zero are exact zeros.  Where ``f`` is undefined at 0 (log), its value
+    there is defined to be 0 (the 0*log(0) = 0 convention is applied by
+    callers); a value undefined at a nonzero eigenvalue raises.
     """
-    if kernel_policy not in ("zero", "reject"):
-        raise ValueError(f"unknown kernel_policy {kernel_policy!r}")
     w, V = herm_eig(m, tols)
     with np.errstate(divide="ignore", invalid="ignore"):
         fw = np.asarray(f(w), dtype=float)
     bad = ~np.isfinite(fw)
     if np.any(bad & (w != 0.0)):
         raise ValidationError("scalar function undefined on a non-kernel eigenvalue")
-    if np.any(bad):
-        if kernel_policy == "reject":
-            raise ValidationError("matrix has a zero eigenvalue and kernel_policy is 'reject'")
-        fw[bad] = 0.0
+    fw[bad] = 0.0
     out = (V * fw) @ V.conj().T
     return (out + out.conj().T) / 2.0

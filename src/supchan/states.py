@@ -160,20 +160,14 @@ def relative_entropy_of(entropy: float, cross: float) -> float:
     return d
 
 
-def mutual_information(
-    rho: DensityMatrix, part: Sequence[str], tols: Tolerances = DEFAULT_TOLS
-) -> float:
-    """I(P:Q) = S(P) + S(Q) - S(PQ) for the bipartition (part, rest)."""
-    part_set = set(part)
-    if not part_set or not part_set < set(rho.shape.labels):
-        raise ShapeError(f"{sorted(part_set)} is not a proper nonempty subset of {rho.shape.labels}")
-    return mutual_informations(rho.mat[None], rho.shape, list(part_set), tols)[0][0]
-
-
 def mutual_informations(mats: np.ndarray, shape: DimShape, part: Sequence[str],
                         tols: Tolerances = DEFAULT_TOLS) -> tuple[list[float], list[float]]:
-    """(I(part : rest), S) of each density matrix of a stack on ``shape``:
-    each marginal in turn is checked and decomposed, then the stack is."""
+    """(I(part : rest), S) of each density matrix of a stack on ``shape``, with
+    I(P:Q) = S(P) + S(Q) - S(PQ): each marginal in turn is checked and
+    decomposed, then the stack is.  ``part`` must be a proper nonempty subset
+    of the labels."""
+    if not part or not set(part) < set(shape.labels):
+        raise ShapeError(f"{sorted(set(part))} is not a proper nonempty subset of {shape.labels}")
     entropies = []
     for keep in (part, [l for l in shape.labels if l not in part]):
         m = mk.partial_trace(mats, shape, keep)
@@ -230,7 +224,3 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary via QR of a Ginibre matrix with phase fix."""
     return haar_unitaries(1, d, rng)[0]
 
-
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Independent per-trial stream derived from (seed, trial)."""
-    return np.random.default_rng([np.uint64(seed), np.uint64(trial)])

@@ -19,11 +19,11 @@ the test suite.  ``act_block`` evaluates the operational formula for a
 block of (superchannel, operation) pairs in stacked steps, with the bits of
 each pair on its own; ``act`` is the block of one.  The trace-normalized
 superchannel M# acts on unit-trace operation-states A_d = C/d and is
-realized by the same tensor contraction with C = d * A_d.
-
-M# is completely positive; it preserves traces on the span of
-operation-states (matrices whose Choi lifts have tr_out proportional to
-the identity), which is exactly the domain the formalism gives it.
+realized by the same tensor contraction with C = d * A_d
+(``act_normalized_block``).  The subsequent dynamics
+sigma -> tr_E[U (sigma (x) tau) U^dag] is
+``channels.channel_from_dilation(sc.u, sc.env_marginal)``; its steady
+state and steady operation come from ``neso``.
 """
 
 from __future__ import annotations
@@ -67,11 +67,6 @@ class Superchannel:
         """tau = tr_S rho_SE."""
         return marginal(self.rho_se, ["E"], self._tols)
 
-    @property
-    def dilation_channel(self) -> ch.QuantumOperation:
-        """Phi: sigma -> tr_E[U (sigma (x) tau) U^dag], the subsequent dynamics."""
-        return ch.channel_from_dilation(self.u, self.env_marginal, self._tols)
-
 
 def build(u: np.ndarray, rho_se: DensityMatrix, tols: Tolerances = DEFAULT_TOLS) -> Superchannel:
     """Construct the superchannel for a joint unitary and correlated state."""
@@ -102,7 +97,7 @@ def act_block(scs: list[Superchannel], ops: list[ch.QuantumOperation]) -> np.nda
         if op.d_in != sc.d_s or op.d_out != sc.d_s:
             raise ShapeError(f"operation dims ({op.d_out}, {op.d_in}) != system dim {sc.d_s}")
     tp = ch.trace_preserving(mk.stack([op.choi for op in ops]), sc.d_s, sc.d_s)
-    mk.fail_first(np.logical_not(tp), tp, "act() requires a CPTP operation; use act_normalized")
+    mk.fail_first(np.logical_not(tp), tp, "act() requires a CPTP operation")
     kraus = [op.kraus_ops() for op in ops]
     kk = mk.kron_stack(np.concatenate(kraus), np.eye(sc.d_e, dtype=complex))
     owner = np.repeat(np.arange(len(ops)), [len(k) for k in kraus])
@@ -126,20 +121,15 @@ def act_tensor(sc: Superchannel, choi: np.ndarray) -> np.ndarray:
     return np.einsum("abcpqr,bcqr->ap", sc.m_tensor, c4)
 
 
-def act_normalized(sc: Superchannel, op_state: np.ndarray) -> DensityMatrix:
-    """M#[X] for a unit-trace PSD operation-state X on out (x) in.
-
-    Linear in X and CP; trace preservation holds when X lies in the span of
-    operation-states of trace-preserving maps (tr_out X = tr(X)/d * I), the
-    domain on which M# is defined.
-    """
-    return DensityMatrix(act_normalized_block([sc], [op_state])[0], DimShape([sc.d_s], ["S"]))
-
-
 def act_normalized_block(scs: list[Superchannel], op_states) -> np.ndarray:
     """M#[X] of each (superchannel, operation-state) pair, all of one d_S, as
     a (B, d_S, d_S) stack checked as density matrices; the index-formula
-    contraction runs once per pair."""
+    contraction runs once per pair.
+
+    Each X is a unit-trace PSD operation-state on out (x) in.  M# is linear
+    in X and CP; it preserves traces when X lies in the span of
+    operation-states of trace-preserving maps (tr_out X = tr(X)/d * I), the
+    domain on which it is defined."""
     d = scs[0].d_s
     xs = [mk.as_matrix(x) for x in op_states]
     for x in xs:
@@ -151,38 +141,12 @@ def act_normalized_block(scs: list[Superchannel], op_states) -> np.ndarray:
     return out
 
 
-def choi_of_msharp(sc: Superchannel) -> np.ndarray:
-    """Choi matrix of M# on (S_out) (x) (out, in), dimension d^3.
-
-    Equals d * M reshaped to ((a,b,c), (p,q,r)); PSD by construction.
-    """
-    d = sc.d_s
-    c = sc.d_s * sc.m_tensor.reshape(d ** 3, d ** 3)
-    return (c + c.conj().T) / 2.0
-
-
-def msharp_tp_residual(sc: Superchannel) -> float:
-    """Trace-preservation residual of M# on the operation-state span.
-
-    M# preserves traces exactly on inputs X with tr_out X = tr(X)/d * I.
-    Equivalently, W = tr_S Choi(M#) must have the form I (x) G: the residual
-    is the deviation from that form plus the deviation of tr(W) from d^2.
-    """
-    d = sc.d_s
-    choi = choi_of_msharp(sc)
-    shape = DimShape([d, d, d], ["a", "b", "c"])
-    w = mk.partial_trace(choi, shape, ["b", "c"])
-    g = mk.partial_trace(w, DimShape([d, d], ["b", "c"]), ["c"]) / d
-    resid = mk.max_abs(w - np.kron(np.eye(d), g))
-    return max(resid, abs(float(np.trace(w).real) - d * d) / (d * d))
-
-
 @dataclass(frozen=True)
 class Neso:
     """The steady operation: discard the system, prepare the steady state.
 
     ``op`` has Choi ness (x) I, so the unit-trace operation-state is
-    ness (x) I/d and act_normalized maps it back to ``ness``.
+    ness (x) I/d and ``act_normalized_block`` maps it back to ``ness``.
     """
 
     ness: DensityMatrix
@@ -204,5 +168,5 @@ def neso(sc: Superchannel) -> Neso:
     tau = sc.env_marginal
     phi = ch.channel_from_dilation(sc.u, tau, sc._tols)
     fp = ch.fixed_point(phi, sc._tols)
-    op = ch.replace_channel(fp.state, d_in=sc.d_s, tols=sc._tols)
+    op = ch.replace_channel(fp.state, sc._tols)
     return Neso(fp.state, tau, op, fp)

@@ -1,23 +1,31 @@
-"""Per-trial oracles for the stacked block evaluation.
+"""Per-trial oracles for the stacked block evaluation, and the library-level
+constructions that only the tests use.
 
-Each function is the one-matrix-at-a-time code that the library ran before
-``random_cptp``, ``act``, ``density``'s checks, ``main_bound``, ``holevo``,
-``qdpi`` and ``classical_mutual_information`` became blocks of one of
-stacked routines.  The tests compare the stacked routines
+Each oracle is the one-matrix-at-a-time code that the library ran before
+its per-trial routines became the stacked ``random_cptps``, ``act_block``,
+``check_density``, ``main_bounds``, ``holevo_block``, ``qdpi_block`` and
+``classical_mutual_informations``.  The tests compare the stacked routines
 with them byte for byte; the ``oracles`` fixture hands them out.
+
+The helpers below the oracles (named channels, Stinespring dilations, the
+Choi matrix of M#, the Spohn composition) are what the verifier never runs;
+test modules import them with ``from conftest import ...``.
 """
 
 import math
 import types
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from supchan import bounds as bd
 from supchan import channels as ch
 from supchan import matkernel as mk
 from supchan import states as st
 from supchan import superchannel as sup
-from supchan.matkernel import DimShape, ValidationError
+from supchan.config import DEFAULT_TOLS
+from supchan.matkernel import DimShape, ShapeError, ValidationError
 
 
 def herm_eig(m, tols):
@@ -54,7 +62,7 @@ def kraus(choi, d_out, d_in, tols):
     return np.array([(np.sqrt(lam) * f).reshape(d_out, d_in) for lam, f in zip(w, v.T) if lam > 0.0])
 
 
-def random_cptp(d, rank, rng, d_out, tols):
+def random_cptp_parts(d, rank, rng, d_out, tols):
     """(Choi matrix, Kraus stack) of ``random_cptp``, with the checks of ``from_choi``."""
     g = st.ginibre(d_out * d, rank, rng)
     w = g @ g.conj().T
@@ -101,7 +109,7 @@ def trace_against_log(x, w, v, tols):
 
 
 def main_bound(sc, choi, ks, ness, tols):
-    """(lhs, rhs, slack) of ``main_bound``, one trial at a time."""
+    """(lhs, rhs, slack) of ``main_bounds``, one trial at a time."""
     d = sc.d_s
     sigma = act(sc, ks, tols)
     w_out, _ = herm_eig(sigma, tols)
@@ -133,7 +141,7 @@ def classical_mutual_information(joint):
 
 
 def holevo(sc, ens, haar, tols):
-    """(chi, sampled information, spectrum of the average) of ``holevo``,
+    """(chi, sampled information, spectrum of the average) of ``holevo_block``,
     with one ``act`` per codeword and one Born einsum and one table per
     measurement."""
     outs = [act(sc, op.kraus_ops(), tols) for op in ens.ops]
@@ -181,7 +189,7 @@ def act_normalized(sc, a, tols):
 
 
 def qdpi(sc1, sc2, op, tols):
-    """(I_in, I_out, D_in, D_out, flags) of ``qdpi``, one trial at a time."""
+    """(I_in, I_out, D_in, D_out, flags) of ``qdpi_block``, one trial at a time."""
     d_p, d_q = op.bipartite
     assert op.is_trace_preserving
     x = (op.choi / op.d_in).reshape(d_p, d_q, d_p, d_q, d_p, d_q, d_p, d_q)
@@ -228,7 +236,7 @@ def block_instances(d_s, d_e, n, seed):
         return sup.build(st.haar_unitary(d_s * d_e, rng), rho)
 
     rng = np.random.default_rng(seed)
-    explicit = ch.random_cptp(d_s, 2, rng)
+    explicit = random_cptp(d_s, 2, rng)
     by_kraus = ch.from_kraus(list(explicit.kraus))
     by_choi = ch.from_choi(explicit.choi, d_s, d_s)
     pinned = superchannel(rng)
@@ -250,7 +258,167 @@ def block_instances(d_s, d_e, n, seed):
 @pytest.fixture
 def oracles():
     return types.SimpleNamespace(herm_eig=herm_eig, kraus=kraus,
-                                 random_cptp=random_cptp, act=act, main_bound=main_bound,
+                                 random_cptp_parts=random_cptp_parts, act=act, main_bound=main_bound,
                                  block_instances=block_instances, blocks=blocks,
                                  classical_mutual_information=classical_mutual_information,
                                  holevo=holevo, qdpi=qdpi)
+
+
+# ---------------------------------------------------------------------------
+# Library-level constructions that only the tests use
+# ---------------------------------------------------------------------------
+
+def random_cptp(d, kraus_rank, rng, d_out=None, bipartite=None):
+    """One random CPTP map: ``random_cptps`` of one ``bcsz_draw``."""
+    return ch.random_cptps(d, [ch.bcsz_draw(d, kraus_rank, rng, d_out)], d_out, bipartite)[0]
+
+
+def trial_rng(seed, trial):
+    """Independent per-trial stream derived from (seed, trial)."""
+    return np.random.default_rng([np.uint64(seed), np.uint64(trial)])
+
+
+def identity_channel(d):
+    return ch.from_kraus([np.eye(d, dtype=complex)])
+
+
+def unitary_channel(u):
+    ch.check_unitary(u)
+    return ch.from_kraus([u])
+
+
+def depolarizing_channel(d):
+    """Completely depolarizing map rho -> I/d."""
+    ks = [np.zeros((d, d), dtype=complex) for _ in range(d * d)]
+    for i in range(d):
+        for j in range(d):
+            ks[i * d + j][i, j] = 1.0 / np.sqrt(d)
+    return ch.from_kraus(ks)
+
+
+def classical_channel(t):
+    """Channel acting as the column-stochastic matrix ``t`` on basis states."""
+    d_out, d_in = t.shape
+    ks = []
+    for b in range(d_out):
+        for c in range(d_in):
+            if t[b, c] > 0.0:
+                k = np.zeros((d_out, d_in), dtype=complex)
+                k[b, c] = np.sqrt(t[b, c])
+                ks.append(k)
+    return ch.from_kraus(ks)
+
+
+def compose(after, before):
+    """Composition after . before via Kraus products."""
+    return ch.from_kraus([a @ b for a in after.kraus_ops() for b in before.kraus_ops()])
+
+
+def permute_subsystems(m, shape, new_order):
+    """Similarity transform by the subsystem permutation, with the new shape."""
+    perm = [shape.index_of(l) for l in new_order]
+    t = np.transpose(m.reshape(shape.factors * 2), perm + [p + len(perm) for p in perm])
+    return t.reshape(m.shape), DimShape([shape.factors[p] for p in perm], new_order)
+
+
+def choi_of_msharp(sc):
+    """Choi matrix of M# on (S_out) (x) (out, in), dimension d^3: d * M
+    reshaped to ((a,b,c), (p,q,r)), PSD by construction."""
+    d = sc.d_s
+    c = d * sc.m_tensor.reshape(d ** 3, d ** 3)
+    return (c + c.conj().T) / 2.0
+
+
+def msharp_tp_residual(sc):
+    """Trace-preservation residual of M# on the operation-state span.
+
+    M# preserves traces exactly on inputs X with tr_out X = tr(X)/d * I.
+    Equivalently, W = tr_S Choi(M#) must have the form I (x) G: the residual
+    is the deviation from that form plus the deviation of tr(W) from d^2.
+    """
+    d = sc.d_s
+    w = mk.partial_trace(choi_of_msharp(sc), DimShape([d, d, d], ["a", "b", "c"]), ["b", "c"])
+    g = mk.partial_trace(w, DimShape([d, d], ["b", "c"]), ["c"]) / d
+    resid = mk.max_abs(w - np.kron(np.eye(d), g))
+    return max(resid, abs(float(np.trace(w).real) - d * d) / (d * d))
+
+
+def ext_add(a, b):
+    """a + b with inf + (-inf) mapped to NaN (indeterminate)."""
+    return bd.ext_sub(a, -b)
+
+
+def spohn_composition(op, sc):
+    """Spohn's bound for the preparation from tr_E(rho_SE), plus the
+    generalized bound for the subsequent correlated dynamics; slacks add."""
+    rep_spohn = bd.spohn(op, sc.sys_marginal)
+    rep_main = bd.main_bounds([sc], [op], [sup.neso(sc)])[0]
+    return types.SimpleNamespace(spohn=rep_spohn, main=rep_main,
+                                 combined_slack=ext_add(rep_spohn.slack, rep_main.slack))
+
+
+def complete_isometry(v, pivot_order=None):
+    """Extend an isometry's columns to a full unitary, with completion columns
+    from the canonical basis taken in ``pivot_order`` (default: index order)."""
+    n, k = v.shape
+    cols = [v[:, j] for j in range(k)]
+    for i in range(n) if pivot_order is None else pivot_order:
+        if len(cols) == n:
+            break
+        e = np.zeros(n, dtype=complex)
+        e[i] = 1.0
+        for _ in range(2):  # twice for numerical orthogonality
+            for c in cols:
+                e = e - c * np.vdot(c, e)
+        nrm = np.linalg.norm(e)
+        if nrm > 1e-7:
+            cols.append(e / nrm)
+    assert len(cols) == n, "isometry completion failed to span the space"
+    return np.column_stack(cols)
+
+
+@dataclass(frozen=True)
+class StinespringForm:
+    """Unitary dilation data of an operation (ancilla a, system b, input copy c)."""
+
+    v: np.ndarray           # isometry (ancilla_dim * d) x d, V = sum_k |k>_a (x) K_k
+    u_ab: np.ndarray        # unitary completion on a (x) b with U(|0>_a (x) phi) = V phi
+    ancilla_dim: int
+    psi_abc: np.ndarray     # pure output vector on a (x) b (x) c
+
+    def shape_abc(self, d):
+        return DimShape([self.ancilla_dim, d, d], ["a", "b", "c"])
+
+
+def stinespring(op, pivot_order=None):
+    """Dilate a square CPTP operation to a unitary on ancilla (x) system.
+
+    The ancilla dimension is the numerical Kraus rank; feeding the b-side of
+    a maximally entangled pair through V yields the pure state psi_abc whose
+    a-marginal complement reproduces the normalized Choi state.
+    """
+    if op.d_in != op.d_out:
+        raise ShapeError("stinespring dilation requires a square operation")
+    d = op.d_in
+    kraus = op.kraus_ops()
+    v = np.vstack(kraus)  # row blocks: ancilla index slow
+    dev = mk.max_abs(v.conj().T @ v - np.eye(d))
+    if dev > DEFAULT_TOLS.herm_tol:
+        raise ValidationError(f"operation is not trace preserving: isometry defect {dev:.3e}")
+    u_ab = v.copy() if len(kraus) == 1 else complete_isometry(v, pivot_order)
+    # psi[(k, i), j] = V[(k, i), j] / sqrt(d): (V (x) I_c) applied to |beta_bc>
+    return StinespringForm(v, u_ab, len(kraus), (v / np.sqrt(d)).reshape(-1))
+
+
+def operation_entropy(op):
+    """Entropy of the normalized Choi state of a CP map, in nats: for
+    trace-preserving maps, that of the ancilla any unitary dilation discards."""
+    return st.entropy_of_spectrum(mk.clamp_spectrum(np.linalg.eigvalsh(op.choi_state)[::-1]))
+
+
+def isometry_choi_state(iso):
+    """Normalized Choi state of sigma -> V (sigma (x) alpha) V^dag."""
+    d_s, d_a = iso.d_s, iso.d_a
+    # Kraus K_j = V (I_S (x) sqrt(lam_j) |a_j>), mapping S -> S (x) A
+    ks = [iso.v @ np.kron(np.eye(d_s, dtype=complex), f[:, None]) for f in mk.psd_factors(*iso.alpha.eig())]
+    return st.density(ch.from_kraus(ks).choi_state, DimShape([d_s * d_a, d_s], ["out", "in"]))

@@ -19,6 +19,9 @@ from supchan import superchannel as sup
 from supchan.config import DEFAULT_TOLS
 from supchan.matkernel import DimShape
 
+from conftest import (choi_of_msharp, identity_channel, msharp_tp_residual, operation_entropy,
+                      random_cptp, stinespring, trial_rng, unitary_channel)
+
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
     line = f"ACCEPTANCE {name}: {'PASS' if ok else 'FAIL'}"
@@ -52,8 +55,8 @@ def test_criterion_1_monotonicity_foundation():
     violations = 0
     for d in (2, 3):
         for trial in range(500):
-            rng = st.trial_rng(101 + d, trial)
-            op = ch.random_cptp(d, int(rng.integers(1, d * d + 1)), rng)
+            rng = trial_rng(101 + d, trial)
+            op = random_cptp(d, int(rng.integers(1, d * d + 1)), rng)
             r1 = st.random_density(d, int(rng.integers(1, d + 1)), rng)
             r2 = st.random_density(d, d, rng)
             before = st.relative_entropy(r1, r2)
@@ -75,7 +78,7 @@ def test_criterion_2_spohn_sweep():
     ident_ok = True
     for d in (2, 3):
         rho = st.random_density(d, d, rng)
-        r = bd.spohn(ch.identity_channel(d), rho)
+        r = bd.spohn(identity_channel(d), rho)
         ident_ok &= abs(r.slack) < 1e-10
     _report("2 spohn sweep", failures == 0 and ident_ok,
             f"failures={failures}, identity saturation={ident_ok}")
@@ -91,19 +94,19 @@ def test_criterion_3_main_bound_sweep():
 
     neso_ok = True
     for seed in range(20):
-        rng = st.trial_rng(4242, seed)
+        rng = trial_rng(4242, seed)
         sc = rand_sc(2, 2, rng)
         ns = sup.neso(sc)
-        r = bd.main_bound(sc, ns.op, ns)
+        r = bd.main_bounds([sc], [ns.op], [ns])[0]
         neso_ok &= abs(r.slack) < 1e-8
 
     identity_ok = True
     for seed in range(100):
-        rng = st.trial_rng(4343, seed)
+        rng = trial_rng(4343, seed)
         sc = rand_sc(2, 2, rng)
-        op = ch.random_cptp(2, int(rng.integers(1, 5)), rng)
+        op = random_cptp(2, int(rng.integers(1, 5)), rng)
         ns = sup.neso(sc)
-        r = bd.main_bound(sc, op, ns)
+        r = bd.main_bounds([sc], [op], [ns])[0]
         d_in, d_out = bd.slack_identity(sc, op, ns)
         if all(math.isfinite(v) for v in (r.slack, d_in, d_out)):
             identity_ok &= abs(r.slack - (d_in - d_out)) <= 1e-9
@@ -117,11 +120,12 @@ def test_criterion_4_reduction_checks():
     factorized_ok = True
     worst = 0.0
     for seed in range(200):
-        rng = st.trial_rng(99, seed)
+        rng = trial_rng(99, seed)
         sc = rand_sc(2, 2, rng, product=True)
-        op = ch.random_cptp(2, int(rng.integers(1, 5)), rng)
+        op = random_cptp(2, int(rng.integers(1, 5)), rng)
         got = sup.act(sc, op).mat
-        oracle = ch.apply(sc.dilation_channel, ch.apply(op, sc.sys_marginal)).mat
+        phi = ch.channel_from_dilation(sc.u, sc.env_marginal)
+        oracle = ch.apply(phi, ch.apply(op, sc.sys_marginal)).mat
         dev = mk.max_abs(got - oracle)
         worst = max(worst, dev)
         factorized_ok &= dev <= 1e-10
@@ -131,13 +135,13 @@ def test_criterion_4_reduction_checks():
     clausius_ok = True
     worst_c = 0.0
     for seed in range(200):
-        rng = st.trial_rng(111, seed)
+        rng = trial_rng(111, seed)
         anchor = st.random_density(2, 2, rng)
         rho_se = st.density(mk.tensor(anchor.mat, gibbs.mat), DimShape([2, 2], ["S", "E"]))
         sc = sup.build(ch.partial_swap_unitary(2, math.pi / 4), rho_se)
         sigma = st.random_density(2, int(rng.integers(1, 3)), rng)
         rep_c = bd.clausius(sc, sigma, h, 1.0)
-        rep_m = bd.main_bound(sc, ch.replace_channel(sigma))
+        rep_m = bd.main_bounds([sc], [ch.replace_channel(sigma)], [sup.neso(sc)])[0]
         dev = max(abs(rep_c.lhs - rep_m.lhs), abs(rep_c.rhs - rep_m.rhs),
                   abs(rep_c.slack - rep_m.slack))
         worst_c = max(worst_c, dev)
@@ -153,17 +157,17 @@ def test_criterion_5_superchannel_dual_definition():
     min_eig = math.inf
     worst_tp = 0.0
     for seed in range(200):
-        rng = st.trial_rng(500, seed)
+        rng = trial_rng(500, seed)
         d_e = 2 + seed % 2
         sc = rand_sc(2, d_e, rng)
-        op = ch.random_cptp(2, int(rng.integers(1, 5)), rng)
+        op = random_cptp(2, int(rng.integers(1, 5)), rng)
         dev = mk.max_abs(sup.act(sc, op).mat - sup.act_tensor(sc, op.choi))
         worst_dual = max(worst_dual, dev)
         dual_ok &= dev <= 1e-10
-        w = np.linalg.eigvalsh(sup.choi_of_msharp(sc))
+        w = np.linalg.eigvalsh(choi_of_msharp(sc))
         min_eig = min(min_eig, float(w[0]))
         psd_ok &= w[0] >= -1e-9
-        resid = sup.msharp_tp_residual(sc)
+        resid = msharp_tp_residual(sc)
         worst_tp = max(worst_tp, resid)
         tp_ok &= resid <= 1e-9
     _report("5 superchannel dual definition", dual_ok and psd_ok and tp_ok,
@@ -177,16 +181,16 @@ def test_criterion_6_qdpi_sweep():
 
     product_ok = True
     for seed in range(20):
-        rng = st.trial_rng(606, seed)
+        rng = trial_rng(606, seed)
         sc1 = rand_sc(2, 2, rng)
         sc2 = rand_sc(2, 2, rng)
-        a_p = ch.random_cptp(2, int(rng.integers(1, 5)), rng)
-        a_q = ch.random_cptp(2, int(rng.integers(1, 5)), rng)
+        a_p = random_cptp(2, int(rng.integers(1, 5)), rng)
+        a_q = random_cptp(2, int(rng.integers(1, 5)), rng)
         joint = ch.from_kraus(
             [np.kron(kp, kq) for kp in a_p.kraus_ops() for kq in a_q.kraus_ops()],
             bipartite=(2, 2),
         )
-        r = bd.qdpi(sc1, sc2, joint)
+        r = bd.qdpi_block([sc1], [sc2], [joint])[0]
         product_ok &= abs(r.lhs) < 1e-9 and abs(r.rhs) < 1e-9
     _report("6 qdpi sweep", failures == 0 and product_ok,
             f"failures={failures}, min_slack={rep['summary']['min_slack']:.3e}, "
@@ -207,7 +211,8 @@ def test_criterion_7_holevo_sweep():
             ch.replace_channel(st.density(np.diag([0.0, 1.0]))),
         ),
     )
-    chi, _, sampled = bd.holevo(sc, ens, np.random.default_rng(7), n_meas=50)
+    haar = st.haar_unitaries(50, 2, np.random.default_rng(7))
+    chi, _, sampled = bd.holevo_block([sc], [ens], haar[None])[0]
     orth_ok = abs(chi - math.log(2)) <= 1e-9 and max(sampled) >= math.log(2) - 1e-9
     _report("7 holevo sweep", failures == 0 and orth_ok,
             f"failures={failures}, chi={chi:.12f}, best sampled={max(sampled):.12f}")
@@ -217,10 +222,10 @@ def test_criterion_8_dilation_identities():
     choi_ok = sym_ok = True
     worst_choi = worst_sym = 0.0
     for seed in range(200):
-        rng = st.trial_rng(808, seed)
+        rng = trial_rng(808, seed)
         d = 2 + seed % 2
-        op = ch.random_cptp(d, int(rng.integers(1, d * d + 1)), rng)
-        form = dl.stinespring(op)
+        op = random_cptp(d, int(rng.integers(1, d * d + 1)), rng)
+        form = stinespring(op)
         rho = np.outer(form.psi_abc, form.psi_abc.conj())
         shape = form.shape_abc(d)
         dev = mk.max_abs(mk.partial_trace(rho, shape, ["b", "c"]) - op.choi_state)
@@ -237,8 +242,8 @@ def test_criterion_8_dilation_identities():
 
     unitary_ok = True
     for seed in range(20):
-        u = st.haar_unitary(2 + seed % 2, st.trial_rng(809, seed))
-        unitary_ok &= dl.operation_entropy(ch.unitary_channel(u)) < 1e-9
+        u = st.haar_unitary(2 + seed % 2, trial_rng(809, seed))
+        unitary_ok &= operation_entropy(unitary_channel(u)) < 1e-9
     _report("8 dilation identities", choi_ok and sym_ok and unitary_ok,
             f"choi dev {worst_choi:.3e}, entropy symmetry dev {worst_sym:.3e}, "
             f"unitary entropies={unitary_ok}")
@@ -251,13 +256,13 @@ def test_criterion_9_isometric_dilation_map():
 
     decoupled_ok = True
     for seed in range(20):
-        rng = st.trial_rng(909, seed)
+        rng = trial_rng(909, seed)
         sc = rand_sc(2, 2, rng)
         vec = st.random_pure(2, rng)
         alpha = st.density(np.outer(vec, vec.conj()), labels=["A"])
         iso = dl.IsometricOperation(np.eye(4, dtype=complex), alpha)
         _, delta_s = dl.mmap(sc, iso)
-        sigma_p = sup.act(sc, ch.identity_channel(2))
+        sigma_p = sup.act(sc, identity_channel(2))
         expected = st.von_neumann_entropy(sigma_p) - st.von_neumann_entropy(sc.sys_marginal)
         decoupled_ok &= abs(delta_s - expected) <= 1e-10
     _report("9 isometric dilation map", failures == 0 and decoupled_ok,

@@ -12,6 +12,9 @@ from supchan import superchannel as sup
 from supchan.config import DEFAULT_TOLS
 from supchan.matkernel import DimShape, ValidationError
 
+from conftest import (classical_channel, depolarizing_channel, ext_add, identity_channel,
+                      random_cptp, spohn_composition, unitary_channel)
+
 
 def rand_sc(d_s, d_e, seed, product=False):
     rng = np.random.default_rng(seed)
@@ -35,8 +38,8 @@ def test_ext_arithmetic():
     assert bd.ext_sub(-inf, 1.0) == -inf
     assert math.isnan(bd.ext_sub(inf, inf))
     assert bd.ext_sub(inf, -inf) == inf
-    assert math.isnan(bd.ext_add(inf, -inf))
-    assert bd.ext_add(inf, 1.0) == inf
+    assert math.isnan(ext_add(inf, -inf))
+    assert ext_add(inf, 1.0) == inf
 
 
 def test_finish_flags_and_pass_logic():
@@ -66,7 +69,7 @@ def test_trace_against_log_support_detection():
 
 def test_spohn_identity_channel_saturates():
     rho = st.random_density(2, 2, np.random.default_rng(1))
-    rep = bd.spohn(ch.identity_channel(2), rho)
+    rep = bd.spohn(identity_channel(2), rho)
     assert rep.passed
     assert abs(rep.lhs) <= 1e-10 and abs(rep.rhs) <= 1e-10 and abs(rep.slack) <= 1e-10
 
@@ -75,7 +78,7 @@ def test_spohn_depolarizing_arithmetic_oracle():
     rng = np.random.default_rng(2)
     for d in (2, 3):
         rho = st.random_density(d, d, rng)
-        rep = bd.spohn(ch.depolarizing_channel(d), rho)
+        rep = bd.spohn(depolarizing_channel(d), rho)
         assert rep.passed
         assert abs(rep.lhs - (math.log(d) - st.von_neumann_entropy(rho))) <= 1e-10
         assert abs(rep.rhs) <= 1e-10  # log e is proportional to I
@@ -85,7 +88,7 @@ def test_spohn_random_sweep_small():
     for seed in range(100):
         rng = np.random.default_rng(2000 + seed)
         d = int(rng.integers(2, 4))
-        op = ch.random_cptp(d, int(rng.integers(1, d * d + 1)), rng)
+        op = random_cptp(d, int(rng.integers(1, d * d + 1)), rng)
         rho = st.random_density(d, int(rng.integers(1, d + 1)), rng)
         rep = bd.spohn(op, rho)
         assert rep.passed, f"seed {seed}: slack {rep.slack}"
@@ -109,7 +112,7 @@ def test_main_bound_saturates_at_neso():
     for seed in range(10):
         sc, _ = rand_sc(2, 2, seed=3000 + seed)
         ns = sup.neso(sc)
-        rep = bd.main_bound(sc, ns.op, ns)
+        rep = bd.main_bounds([sc], [ns.op], [ns])[0]
         assert rep.passed
         assert abs(rep.slack) <= 1e-8
         assert abs(rep.lhs + math.log(2)) <= 1e-8  # both sides equal -log d
@@ -118,9 +121,9 @@ def test_main_bound_saturates_at_neso():
 def test_main_bound_slack_identity():
     for seed in range(15):
         sc, rng = rand_sc(2, 2, seed=3100 + seed)
-        op = ch.random_cptp(2, int(rng.integers(1, 5)), rng)
+        op = random_cptp(2, int(rng.integers(1, 5)), rng)
         ns = sup.neso(sc)
-        rep = bd.main_bound(sc, op, ns)
+        rep = bd.main_bounds([sc], [op], [ns])[0]
         d_in, d_out = bd.slack_identity(sc, op, ns)
         if math.isfinite(rep.slack) and math.isfinite(d_in) and math.isfinite(d_out):
             assert abs(rep.slack - (d_in - d_out)) <= 1e-9
@@ -131,9 +134,9 @@ def test_main_bound_reduces_to_spohn_for_replace_ops():
     for seed in range(10):
         sc, rng = rand_sc(2, 2, seed=3200 + seed, product=True)
         omega = st.random_density(2, int(rng.integers(1, 3)), rng)
-        rep_main = bd.main_bound(sc, ch.replace_channel(omega))
         ns = sup.neso(sc)
-        rep_spohn = bd.spohn(sc.dilation_channel, omega, ns.diagnostics)
+        rep_main = bd.main_bounds([sc], [ch.replace_channel(omega)], [ns])[0]
+        rep_spohn = bd.spohn(ch.channel_from_dilation(sc.u, sc.env_marginal), omega, ns.diagnostics)
         if math.isfinite(rep_main.slack) and math.isfinite(rep_spohn.slack):
             assert abs(rep_main.slack - rep_spohn.slack) <= 1e-9
 
@@ -141,8 +144,8 @@ def test_main_bound_reduces_to_spohn_for_replace_ops():
 def test_main_bound_random_sweep_small():
     for seed in range(60):
         sc, rng = rand_sc(2, 2 + seed % 2, seed=3300 + seed)
-        op = ch.random_cptp(2, int(rng.integers(1, 5)), rng)
-        rep = bd.main_bound(sc, op)
+        op = random_cptp(2, int(rng.integers(1, 5)), rng)
+        rep = bd.main_bounds([sc], [op], [sup.neso(sc)])[0]
         assert rep.passed, f"seed {seed}: slack {rep.slack}"
 
 
@@ -158,11 +161,12 @@ def test_main_bound_detects_known_adversarial_violation():
     rho_se = st.density(mk.tensor(sigma, tau), DimShape([2, 2], ["S", "E"]))
     theta = math.asin(math.sqrt(0.1))
     sc = sup.build(ch.partial_swap_unitary(2, theta), rho_se)
-    op = ch.classical_channel(np.array([[1.0, 0.5], [0.0, 0.5]]))
-    rep = bd.main_bound(sc, op)
+    op = classical_channel(np.array([[1.0, 0.5], [0.0, 0.5]]))
+    ns = sup.neso(sc)
+    rep = bd.main_bounds([sc], [op], [ns])[0]
     assert not rep.passed
     assert rep.slack < -0.1
-    d_in, d_out = bd.slack_identity(sc, op)
+    d_in, d_out = bd.slack_identity(sc, op, ns)
     assert abs(rep.slack - (d_in - d_out)) <= 1e-9
 
 
@@ -172,14 +176,14 @@ def test_main_bound_detects_known_adversarial_violation():
 
 def test_spohn_composition_identity_degenerates():
     sc, _ = rand_sc(2, 2, seed=4000)
-    comp = bd.spohn_composition(ch.identity_channel(2), sc)
+    comp = spohn_composition(identity_channel(2), sc)
     assert abs(comp.spohn.slack) <= 1e-10
     assert abs(comp.combined_slack - comp.main.slack) <= 1e-12
 
 
 def test_spohn_composition_depolarizing_arithmetic():
     sc, _ = rand_sc(2, 2, seed=4001)
-    comp = bd.spohn_composition(ch.depolarizing_channel(2), sc)
+    comp = spohn_composition(depolarizing_channel(2), sc)
     assert comp.spohn.passed and comp.main.passed
     assert abs(comp.combined_slack - (comp.spohn.slack + comp.main.slack)) <= 1e-12
 
@@ -187,8 +191,8 @@ def test_spohn_composition_depolarizing_arithmetic():
 def test_spohn_composition_random_sweep_small():
     for seed in range(40):
         sc, rng = rand_sc(2, 2, seed=4100 + seed)
-        op = ch.random_cptp(2, int(rng.integers(2, 5)), rng)
-        comp = bd.spohn_composition(op, sc)
+        op = random_cptp(2, int(rng.integers(2, 5)), rng)
+        comp = spohn_composition(op, sc)
         assert comp.spohn.passed and comp.main.passed
 
 
@@ -242,7 +246,7 @@ def test_clausius_agrees_with_main_bound_code_path():
     for _ in range(10):
         sigma = st.random_density(2, 2, rng)
         rep_c = bd.clausius(sc, sigma, h, 1.0)
-        rep_m = bd.main_bound(sc, ch.replace_channel(sigma))
+        rep_m = bd.main_bounds([sc], [ch.replace_channel(sigma)], [sup.neso(sc)])[0]
         assert abs(rep_c.lhs - rep_m.lhs) <= 1e-10
         assert abs(rep_c.rhs - rep_m.rhs) <= 1e-10
         assert abs(rep_c.slack - rep_m.slack) <= 1e-10
@@ -269,13 +273,13 @@ def test_qdpi_product_operation_both_sides_vanish():
     rng = np.random.default_rng(6)
     sc1, _ = rand_sc(2, 2, seed=5000)
     sc2, _ = rand_sc(2, 2, seed=5001)
-    a_p = ch.random_cptp(2, 2, rng)
-    a_q = ch.random_cptp(2, 3, rng)
+    a_p = random_cptp(2, 2, rng)
+    a_q = random_cptp(2, 3, rng)
     joint = ch.from_kraus(
         [np.kron(kp, kq) for kp in a_p.kraus_ops() for kq in a_q.kraus_ops()],
         bipartite=(2, 2),
     )
-    rep = bd.qdpi(sc1, sc2, joint)
+    rep = bd.qdpi_block([sc1], [sc2], [joint])[0]
     assert rep.passed
     assert abs(rep.lhs) <= 1e-9 and abs(rep.rhs) <= 1e-9
 
@@ -286,9 +290,9 @@ def test_qdpi_swap_preparation_through_depolarizing_superchannels():
     rho_se = st.density(np.eye(4) / 4, DimShape([2, 2], ["S", "E"]))
     sc1 = sup.build(ch.swap_unitary(2), rho_se)
     sc2 = sup.build(ch.swap_unitary(2), rho_se)
-    swap_op = ch.unitary_channel(ch.swap_unitary(2))
+    swap_op = unitary_channel(ch.swap_unitary(2))
     swap_op = ch.QuantumOperation(4, 4, swap_op.choi, swap_op.kraus, (2, 2))
-    rep = bd.qdpi(sc1, sc2, swap_op)
+    rep = bd.qdpi_block([sc1], [sc2], [swap_op])[0]
     assert rep.passed
     assert abs(rep.lhs - 2 * math.log(4)) <= 1e-9  # pure maximally entangled pairs
     assert rep.rhs <= 1e-9
@@ -299,8 +303,8 @@ def test_qdpi_random_sweep_small():
         rng = np.random.default_rng(5100 + seed)
         sc1, _ = rand_sc(2, 2, seed=5200 + seed)
         sc2, _ = rand_sc(2, 2, seed=5300 + seed)
-        op = ch.random_cptp(4, int(rng.integers(1, 17)), rng, bipartite=(2, 2))
-        rep = bd.qdpi(sc1, sc2, op)
+        op = random_cptp(4, int(rng.integers(1, 17)), rng, bipartite=(2, 2))
+        rep = bd.qdpi_block([sc1], [sc2], [op])[0]
         assert rep.passed, f"seed {seed}: slack {rep.slack}"
         # input-side identity between the MI and relative-entropy routes
         assert abs(rep.metadata["relent_in"] - rep.lhs) <= 1e-8
@@ -312,7 +316,7 @@ def test_qdpi_requires_structure_and_tp():
     sc1, _ = rand_sc(2, 2, seed=5400)
     sc2, _ = rand_sc(2, 2, seed=5401)
     with pytest.raises(mk.ShapeError):
-        bd.qdpi(sc1, sc2, ch.identity_channel(4))
+        bd.qdpi_block([sc1], [sc2], [identity_channel(4)])
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +325,9 @@ def test_qdpi_requires_structure_and_tp():
 
 def test_holevo_indistinguishable_ensemble():
     sc, rng = rand_sc(2, 2, seed=6000)
-    op = ch.random_cptp(2, 2, rng)
+    op = random_cptp(2, 2, rng)
     ens = bd.Ensemble((0.5, 0.5), (op, op))
-    chi, rep, sampled = bd.holevo(sc, ens, rng, n_meas=10)
+    chi, rep, sampled = bd.holevo_block([sc], [ens], st.haar_unitaries(10, 2, rng)[None])[0]
     assert chi <= 1e-10
     assert max(sampled) <= 1e-9
     assert rep.passed
@@ -341,7 +345,7 @@ def test_holevo_orthogonal_ensemble_attains_log2():
             ch.replace_channel(st.density(np.diag([0.0, 1.0]))),
         ),
     )
-    chi, rep, sampled = bd.holevo(sc, ens, rng, n_meas=10)
+    chi, rep, sampled = bd.holevo_block([sc], [ens], st.haar_unitaries(10, 2, rng)[None])[0]
     assert abs(chi - math.log(2)) <= 1e-9
     # the eigenbasis measurement (appended last) is computational here
     assert max(sampled) >= math.log(2) - 1e-9
@@ -385,10 +389,10 @@ def test_holevo_random_sweep_small():
     for seed in range(20):
         sc, rng = rand_sc(2, 2, seed=6100 + seed)
         k = int(rng.integers(2, 5))
-        ops = tuple(ch.random_cptp(2, int(rng.integers(1, 5)), rng) for _ in range(k))
+        ops = tuple(random_cptp(2, int(rng.integers(1, 5)), rng) for _ in range(k))
         probs = rng.dirichlet(np.ones(k))
         ens = bd.Ensemble(tuple(float(p) for p in probs / probs.sum()), ops)
-        chi, rep, sampled = bd.holevo(sc, ens, rng, n_meas=25)
+        chi, rep, sampled = bd.holevo_block([sc], [ens], st.haar_unitaries(25, 2, rng)[None])[0]
         assert rep.passed, f"seed {seed}"
         assert chi >= -1e-10
         assert chi <= math.log(k) + 1e-9
@@ -397,7 +401,7 @@ def test_holevo_random_sweep_small():
 
 
 def test_ensemble_validation():
-    op = ch.identity_channel(2)
+    op = identity_channel(2)
     with pytest.raises(ValidationError):
         bd.Ensemble((0.7, 0.7), (op, op))
     with pytest.raises(ValidationError):
@@ -405,7 +409,7 @@ def test_ensemble_validation():
     with pytest.raises(ValidationError):
         bd.Ensemble((1.5, -0.5), (op, op))
     with pytest.raises(ValidationError):
-        bd.Ensemble((0.5, 0.5), (op, ch.identity_channel(3)))
+        bd.Ensemble((0.5, 0.5), (op, identity_channel(3)))
     with pytest.raises(ValidationError):
         bd.Ensemble((), ())
 
@@ -413,10 +417,10 @@ def test_ensemble_validation():
 def test_classical_mutual_information_oracle():
     # perfectly correlated uniform bits carry log 2
     joint = np.array([[0.5, 0.0], [0.0, 0.5]])
-    assert abs(bd.classical_mutual_information(joint) - math.log(2)) <= 1e-12
+    assert abs(bd.classical_mutual_informations(joint[None])[0] - math.log(2)) <= 1e-12
     # independent bits carry none
     joint = np.full((2, 2), 0.25)
-    assert abs(bd.classical_mutual_information(joint)) <= 1e-12
+    assert abs(bd.classical_mutual_informations(joint[None])[0]) <= 1e-12
 
 
 @pytest.mark.parametrize("d_s,d_e", [(2, 2), (3, 3), (4, 4), (2, 3), (3, 2)])
@@ -433,7 +437,7 @@ def test_main_bounds_are_bitwise_the_per_trial_main_bound(d_s, d_e, oracles):
             got = (rep.lhs, rep.rhs, rep.slack)
             assert all(type(x) is float for x in got)
             assert np.array(got).tobytes() == np.array(want).tobytes()
-            one = bd.main_bound(sc, op, ns, tols)
+            one = bd.main_bounds([sc], [op], [ns], tols)[0]
             assert np.array((one.lhs, one.rhs, one.slack)).tobytes() == np.array(want).tobytes()
 
 
@@ -456,13 +460,13 @@ def test_classical_mutual_informations_are_bitwise_the_per_table_oracle(oracles)
         got = bd.classical_mutual_informations(tables)
         want = [oracles.classical_mutual_information(t) for t in tables]
         assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
-        assert [bd.classical_mutual_information(t).hex() for t in tables[:12]] == [x.hex() for x in want[:12]]
+        assert [bd.classical_mutual_informations(t[None])[0].hex() for t in tables[:12]] == [x.hex() for x in want[:12]]
         assert got[::5].tolist() == [0.0] * len(tables[::5])
 
 
 def explicit_ensemble(d, rng):
     """Five codewords, one held by its Choi matrix only, one of weight 0."""
-    ops = [ch.random_cptp(d, 1 + i % (d * d), rng) for i in range(5)]
+    ops = [random_cptp(d, 1 + i % (d * d), rng) for i in range(5)]
     ops[3] = ch.from_choi(ops[3].choi, d, d)
     probs = rng.dirichlet(np.ones(5))
     probs[1] = 0.0
@@ -490,7 +494,7 @@ def test_holevo_blocks_are_bitwise_the_per_trial_holevo(d_s, d_e, oracles):
             if kind < 2:
                 seq = np.random.default_rng([d_s, d_e, t])
                 k = int(seq.integers(2, 5))
-                chois = [oracles.random_cptp(d_s, int(seq.integers(1, d_s * d_s + 1)), seq, d_s, tols)[0]
+                chois = [oracles.random_cptp_parts(d_s, int(seq.integers(1, d_s * d_s + 1)), seq, d_s, tols)[0]
                          for _ in range(k)]
                 p = seq.dirichlet(np.ones(k))
                 assert ens.probs == tuple(float(x) for x in p / p.sum())
@@ -515,7 +519,7 @@ def test_qdpi_blocks_are_bitwise_the_per_trial_qdpi(d_p, d_q, d_e1, d_e2, oracle
     tols = DEFAULT_TOLS
     d = d_p * d_q
     rng = np.random.default_rng([d_p, d_q, 0])
-    joint = ch.random_cptp(d, 3, rng)
+    joint = random_cptp(d, 3, rng)
     explicit = [{"op_kraus": ch.from_kraus(list(joint.kraus))}, {"op_choi": ch.from_choi(joint.choi, d, d)}]
     pinned = (rand_sc(d_p, d_e1, [d_p, d_q, 1])[0], rand_sc(d_q, d_e2, [d_p, d_q, 2])[0])
     for kind, block in enumerate(oracles.blocks(36 if d < 9 else 10)):
@@ -534,5 +538,5 @@ def test_qdpi_blocks_are_bitwise_the_per_trial_qdpi(d_p, d_q, d_e1, d_e2, oracle
             assert rep.flags == flags
             assert np.array([details[k] for k in ("mi_in", "mi_out", "relent_in", "relent_out")]).tobytes() == \
                 np.array([mi_in, mi_out, rel_in, rel_out]).tobytes()
-            one = bd.qdpi(sc1, sc2, op, tols)
+            one = bd.qdpi_block([sc1], [sc2], [op], tols)[0]
             assert np.array([one.lhs, one.rhs, one.slack]).tobytes() == want[:3].tobytes()

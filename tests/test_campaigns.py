@@ -13,6 +13,8 @@ from supchan import states as st
 from supchan import superchannel as sup
 from supchan.config import DEFAULT_TOLS
 
+from conftest import classical_channel, random_cptp
+
 
 def make_scenario(**kwargs):
     base = {"seed": 5, "trials": 2, "bound": "main", "dims": {"d_S": 2, "d_E": 2}}
@@ -97,7 +99,7 @@ def test_scenario_echo_round_trip():
     mats = {"U": ch.partial_swap_unitary(2, 0.3), "rho_se": st.random_density(4, 2, rng).mat,
             "H": np.diag([0.0, 1.0]).astype(complex), "sigma": st.random_density(2, 2, rng).mat,
             "V": st.haar_unitary(4, rng), "alpha": st.random_density(2, 1, rng).mat}
-    kraus = [ch.random_cptp(2, 2, rng).kraus_ops() for _ in range(2)]
+    kraus = [random_cptp(2, 2, rng).kraus_ops() for _ in range(2)]
     ensemble = {"probs": [0.25, 0.75], "ops_kraus": [[cp.matrix_to_json(k) for k in op] for op in kraus]}
     ops = {"op_kraus": [cp.matrix_to_json(k) for k in kraus[0]],
            "op_choi": cp.matrix_to_json(ch.choi_from_kraus(kraus[1]))}
@@ -162,10 +164,47 @@ def test_run_campaign_summary_invariant():
 
 
 def test_run_campaign_serial_equals_parallel():
-    scn = make_scenario(trials=3)
+    # Two blocks, so that jobs=2 runs a pool.
+    scn = make_scenario(trials=cp.BLOCK + 1)
     serial = cp.render_json(cp.run_campaign(scn, DEFAULT_TOLS, jobs=1))
     parallel = cp.render_json(cp.run_campaign(scn, DEFAULT_TOLS, jobs=2))
     assert serial == parallel
+
+
+def test_the_pool_has_no_more_workers_than_blocks(monkeypatch):
+    # A fork-context pool starts all its workers at the first task.  The
+    # stand-in records its size and runs the blocks in this process.
+    import concurrent.futures
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(cp, "_worker_campaign", None)
+    def report(scn, jobs):
+        return cp.render_json(cp.run_campaign(scn, DEFAULT_TOLS, jobs=jobs))
+
+    one_block = make_scenario(bound="spohn", trials=1)
+    assert report(one_block, 5000) == report(one_block, 1)
+    assert sizes == []
+    six_blocks = make_scenario(bound="all", trials=1, n_measurements=5)
+    serial = report(six_blocks, 1)
+    for jobs, workers in ((5000, 6), (2, 2)):
+        assert report(six_blocks, jobs) == serial
+        assert sizes.pop() == workers
 
 
 def test_a_pinned_superchannel_and_its_neso_are_built_once_per_campaign(monkeypatch):
@@ -305,7 +344,7 @@ def test_a_holevo_block_makes_one_measured_information_call(monkeypatch, explici
     ex = {}
     if explicit:
         rng = np.random.default_rng(4)
-        ops = [ch.random_cptp(2, 1 + i % 4, rng) for i in range(3)]
+        ops = [random_cptp(2, 1 + i % 4, rng) for i in range(3)]
         ex = {"ensemble": {"probs": [0.5, 0.25, 0.25], "ops_kraus": [[cp.matrix_to_json(k) for k in op.kraus]
                                                                       for op in ops]}}
     scn = make_scenario(trials=20, bound="holevo", n_measurements=7, explicit=ex)
@@ -429,7 +468,7 @@ def test_adversarial_explicit_scenario_fails_campaign():
     rho_se = np.kron(sigma, np.eye(2) / 2)
     theta = math.asin(math.sqrt(0.1))
     u = ch.partial_swap_unitary(2, theta)
-    t_kraus = [m for m in ch.classical_channel(np.array([[1.0, 0.5], [0.0, 0.5]])).kraus]
+    t_kraus = [m for m in classical_channel(np.array([[1.0, 0.5], [0.0, 0.5]])).kraus]
     scn = make_scenario(
         trials=1,
         explicit={

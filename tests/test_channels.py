@@ -1,21 +1,25 @@
 import numpy as np
 import pytest
 
+from supchan import bounds as bd
 from supchan import channels as ch
 from supchan import matkernel as mk
 from supchan import states as st
+from supchan import superchannel as sup
 from supchan.config import Tolerances
 from supchan.matkernel import DimShape, ShapeError, ValidationError
 
+from conftest import compose, depolarizing_channel, identity_channel, random_cptp, unitary_channel
+
 
 def rand_op(d, rank, seed):
-    return ch.random_cptp(d, rank, np.random.default_rng(seed))
+    return random_cptp(d, rank, np.random.default_rng(seed))
 
 
 def test_apply_identity_and_replace():
     rng = np.random.default_rng(1)
     rho = st.random_density(3, 2, rng)
-    assert mk.max_abs(ch.apply(ch.identity_channel(3), rho).mat - rho.mat) <= 1e-12
+    assert mk.max_abs(ch.apply(identity_channel(3), rho).mat - rho.mat) <= 1e-12
     target = st.random_density(3, 3, rng)
     rep = ch.replace_channel(target)
     for _ in range(5):
@@ -27,7 +31,7 @@ def test_apply_matches_choi_contraction_oracle():
     rng = np.random.default_rng(2)
     for d in (2, 3):
         for _ in range(10):
-            op = ch.random_cptp(d, int(rng.integers(1, d * d + 1)), rng)
+            op = random_cptp(d, int(rng.integers(1, d * d + 1)), rng)
             rho = st.random_density(d, d, rng)
             got = ch.apply(op, rho).mat
             oracle = np.einsum(
@@ -43,7 +47,7 @@ def test_apply_non_tp_flagging():
     rho = st.density(np.eye(2) / 2)
     with pytest.raises(ValidationError):
         ch.apply(op, rho)
-    out = ch.apply(op, rho, allow_non_tp=True)
+    out = ch.apply_matrix(op, rho.mat)
     assert isinstance(out, np.ndarray)
     assert abs(np.trace(out) - 0.625) <= 1e-12
 
@@ -72,7 +76,7 @@ def test_choi_equals_kraus_on_maximally_entangled_state():
 
 def test_unitary_choi_is_rank_one():
     u = st.haar_unitary(3, np.random.default_rng(7))
-    op = ch.unitary_channel(u)
+    op = unitary_channel(u)
     w = np.linalg.eigvalsh(op.choi_state)
     assert np.sum(w > 1e-10) == 1
     assert st.entropy_of_spectrum(mk.clamp_spectrum(w)) <= 1e-10
@@ -80,7 +84,7 @@ def test_unitary_choi_is_rank_one():
 
 def test_depolarizing_choi_maximally_mixed():
     d = 2
-    op = ch.depolarizing_channel(d)
+    op = depolarizing_channel(d)
     assert mk.max_abs(op.choi_state - np.eye(d * d) / (d * d)) <= 1e-12
     rho = st.random_density(d, 1, np.random.default_rng(3))
     assert mk.max_abs(ch.apply(op, rho).mat - np.eye(d) / d) <= 1e-12
@@ -90,7 +94,7 @@ def test_kraus_choi_round_trip_action():
     # Kraus sets differ by isometric mixing: compare via action on a basis
     rng = np.random.default_rng(11)
     d = 4
-    op = ch.random_cptp(d, 5, rng)
+    op = random_cptp(d, 5, rng)
     rebuilt = ch.from_kraus(list(ch.kraus_of(op)))
     for i in range(d):
         for j in range(d):
@@ -107,7 +111,7 @@ def test_from_choi_rejects_non_cp():
 
 def test_kraus_ops_uses_the_operation_tolerances():
     # Off-Hermitian by 5e-10: above the default herm_tol, within the override.
-    choi = ch.identity_channel(2).choi.copy()
+    choi = identity_channel(2).choi.copy()
     choi[0, 3] += 5e-10j
     tols = Tolerances(herm_tol=1e-9)
     op = ch.from_choi(choi, 2, 2, tols=tols)
@@ -148,7 +152,7 @@ def test_channel_from_dilation_matches_direct_formula():
 
 
 def test_fixed_point_known_channels():
-    fp = ch.fixed_point(ch.depolarizing_channel(3))
+    fp = ch.fixed_point(depolarizing_channel(3))
     assert mk.max_abs(fp.state.mat - np.eye(3) / 3) <= 1e-9
     assert fp.residual <= 1e-9
 
@@ -161,7 +165,7 @@ def test_fixed_point_known_channels():
 def test_fixed_point_matches_superoperator_eigen_oracle():
     rng = np.random.default_rng(23)
     for _ in range(10):
-        op = ch.random_cptp(2, int(rng.integers(2, 5)), rng)
+        op = random_cptp(2, int(rng.integers(2, 5)), rng)
         fp = ch.fixed_point(op)
         assert fp.residual <= 1e-9
         # independent oracle: eigenvalue-1 eigenvector of the transfer matrix
@@ -179,7 +183,7 @@ def test_fixed_point_invariance_sweep():
     for d in (2, 3, 4):
         for seed in range(100):
             rng = np.random.default_rng([d, seed])
-            op = ch.random_cptp(d, int(rng.integers(1, d * d + 1)), rng)
+            op = random_cptp(d, int(rng.integers(1, d * d + 1)), rng)
             fp = ch.fixed_point(op)
             out = ch.apply(op, fp.state)
             assert ch.trace_norm(out.mat - fp.state.mat) <= 1e-9
@@ -188,7 +192,7 @@ def test_fixed_point_invariance_sweep():
 def test_fixed_point_unital_degenerate_falls_back_to_cesaro():
     # the identity channel has a maximally degenerate fixed space; the
     # Cesaro route returns the maximally mixed representative immediately
-    fp = ch.fixed_point(ch.identity_channel(2))
+    fp = ch.fixed_point(identity_channel(2))
     assert fp.method == "cesaro"
     assert fp.fixed_space_dim == 4
     assert mk.max_abs(fp.state.mat - np.eye(2) / 2) <= 1e-12
@@ -203,7 +207,7 @@ def test_relative_entropy_contractivity_spot_check():
     rng = np.random.default_rng(29)
     for _ in range(25):
         d = int(rng.integers(2, 4))
-        op = ch.random_cptp(d, int(rng.integers(1, d * d + 1)), rng)
+        op = random_cptp(d, int(rng.integers(1, d * d + 1)), rng)
         r1 = st.random_density(d, d, rng)
         r2 = st.random_density(d, d, rng)
         before = st.relative_entropy(r1, r2)
@@ -213,23 +217,23 @@ def test_relative_entropy_contractivity_spot_check():
 
 def test_marginal_operation_product():
     rng = np.random.default_rng(31)
-    a_p = ch.random_cptp(2, 2, rng)
-    a_q = ch.random_cptp(2, 3, rng)
+    a_p = random_cptp(2, 2, rng)
+    a_q = random_cptp(2, 3, rng)
     joint_kraus = [np.kron(kp, kq) for kp in a_p.kraus_ops() for kq in a_q.kraus_ops()]
     joint = ch.from_kraus(joint_kraus, bipartite=(2, 2))
-    got_p = ch.marginal_operation(joint, "P")
-    assert mk.max_abs(got_p.choi - a_p.choi) <= 1e-10
-    got_q = ch.marginal_operation(joint, "Q")
-    assert mk.max_abs(got_q.choi - a_q.choi) <= 1e-10
+    got_p = ch.marginal_chois(joint.choi, joint.bipartite, "P")
+    assert mk.max_abs(got_p - a_p.choi) <= 1e-10
+    got_q = ch.marginal_chois(joint.choi, joint.bipartite, "Q")
+    assert mk.max_abs(got_q - a_q.choi) <= 1e-10
     # repeated extraction from a product operation changes nothing
-    again = ch.marginal_operation(joint, "P")
-    assert mk.max_abs(again.choi - got_p.choi) == 0
+    again = ch.marginal_chois(joint.choi, joint.bipartite, "P")
+    assert mk.max_abs(again - got_p) == 0
 
 
 def test_marginal_operation_swap_is_depolarizing_like():
-    swap_op = ch.unitary_channel(ch.swap_unitary(2))
+    swap_op = unitary_channel(ch.swap_unitary(2))
     swap_op = ch.QuantumOperation(4, 4, swap_op.choi, swap_op.kraus, (2, 2))
-    got = ch.marginal_operation(swap_op, "P")
+    got = ch.from_choi(ch.marginal_chois(swap_op.choi, swap_op.bipartite, "P"), 2, 2)
     # oracle: partial trace of the Choi over the Q pair, rescaled
     shape = DimShape([2, 2, 2, 2], ["Po", "Qo", "Pi", "Qi"])
     oracle = mk.partial_trace(swap_op.choi, shape, ["Po", "Pi"]) / 2
@@ -240,16 +244,19 @@ def test_marginal_operation_swap_is_depolarizing_like():
 
 
 def test_marginal_operation_requires_structure():
+    # qdpi_block reads the (d_P, d_Q) split of its marginal operations from
+    # the joint operation, and refuses one that declares none.
+    sc = sup.build(np.eye(4), st.density(np.eye(4) / 4, DimShape([2, 2], ["S", "E"])))
     with pytest.raises(ShapeError):
-        ch.marginal_operation(ch.identity_channel(4), "P")
+        bd.qdpi_block([sc], [sc], [identity_channel(4)])
 
 
 def test_compose_and_partial_swap():
     rng = np.random.default_rng(37)
-    a = ch.random_cptp(2, 2, rng)
-    b = ch.random_cptp(2, 2, rng)
+    a = random_cptp(2, 2, rng)
+    b = random_cptp(2, 2, rng)
     rho = st.random_density(2, 2, rng)
-    got = ch.apply(ch.compose(a, b), rho).mat
+    got = ch.apply(compose(a, b), rho).mat
     assert mk.max_abs(got - ch.apply(a, ch.apply(b, rho)).mat) <= 1e-11
 
     u = ch.partial_swap_unitary(2, 0.3)
@@ -261,11 +268,11 @@ def test_random_cptp_is_cptp_and_seeded():
     for _ in range(10):
         d = int(rng.integers(2, 4))
         r = int(rng.integers(1, d * d + 1))
-        op = ch.random_cptp(d, r, rng)
+        op = random_cptp(d, r, rng)
         assert op.is_trace_preserving
         assert np.linalg.eigvalsh(op.choi)[0] >= -1e-9
-    a = ch.random_cptp(2, 3, np.random.default_rng(77))
-    b = ch.random_cptp(2, 3, np.random.default_rng(77))
+    a = random_cptp(2, 3, np.random.default_rng(77))
+    b = random_cptp(2, 3, np.random.default_rng(77))
     assert mk.max_abs(a.choi - b.choi) == 0
 
 
@@ -297,7 +304,7 @@ def test_transfer_matrix_and_random_cptp_lift_are_bitwise_the_kron_oracles(d, d_
     low = -(-d // d_out)
     for i in range(200):
         rank = low + i % (d * d_out - low + 1)
-        op = ch.random_cptp(d, rank, np.random.default_rng([d, d_out, i]), d_out=d_out)
+        op = random_cptp(d, rank, np.random.default_rng([d, d_out, i]), d_out=d_out)
         oracle = random_cptp_choi_two_kron(d, rank, np.random.default_rng([d, d_out, i]), d_out)
         assert op.choi.tobytes() == oracle.tobytes()
         assert ch.transfer_matrix(op).tobytes() == transfer_matrix_kron_loop(op).tobytes()
@@ -326,7 +333,7 @@ def test_random_cptps_are_bitwise_the_per_trial_construction(d, d_out, oracles):
         rngs = [np.random.default_rng([d, d_out, i]) for i in block]
         ops = ch.random_cptps(d, [ch.bcsz_draw(d, r, g, d_out) for r, g in zip(ranks, rngs)], d_out)
         for i, rank, op in zip(block, ranks, ops):
-            choi, kraus = oracles.random_cptp(d, rank, np.random.default_rng([d, d_out, i]), d_out, tols)
+            choi, kraus = oracles.random_cptp_parts(d, rank, np.random.default_rng([d, d_out, i]), d_out, tols)
             assert op.choi.tobytes() == choi.tobytes()
             assert op.kraus.tobytes() == kraus.tobytes()
             assert ch.kraus_of(op).tobytes() == kraus.tobytes()
@@ -337,6 +344,6 @@ def test_random_cptp_refuses_a_rank_below_the_least_kraus_rank():
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match=r"kraus_rank 1 is below 2"):
-        ch.random_cptp(3, 1, rng, d_out=2)
+        random_cptp(3, 1, rng, d_out=2)
     assert rng.bit_generator.state == state
-    assert ch.random_cptp(3, 2, rng, d_out=2).is_trace_preserving
+    assert random_cptp(3, 2, rng, d_out=2).is_trace_preserving

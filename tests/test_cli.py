@@ -11,6 +11,8 @@ from supchan import cli
 from supchan import config
 from supchan import states as st
 
+from conftest import classical_channel
+
 
 def write_scenario(tmp_path, name="scn.json", **kwargs):
     base = {"seed": 42, "trials": 2, "bound": "main", "dims": {"d_S": 2, "d_E": 2}}
@@ -91,7 +93,7 @@ def test_verify_bound_failure_exit_code(tmp_path, capsys):
     sigma = np.diag([0.99, 0.01]).astype(complex)
     rho_se = np.kron(sigma, np.eye(2) / 2)
     u = ch.partial_swap_unitary(2, math.asin(math.sqrt(0.1)))
-    kraus = ch.classical_channel(np.array([[1.0, 0.5], [0.0, 0.5]])).kraus
+    kraus = classical_channel(np.array([[1.0, 0.5], [0.0, 0.5]])).kraus
     scn = write_scenario(
         tmp_path, name="adv.json", trials=1,
         explicit={
@@ -299,6 +301,15 @@ def test_verify_refuses_non_finite_numbers_at_load(tmp_path, capsys, extra, path
     scn = write_scenario(tmp_path, trials=2, **{"bound": "spohn", **extra})
     assert cli.main(["verify", "--scenario", scn, "--jobs", "1"]) == cli.EXIT_VALIDATION_ERROR
     assert f"scenario error: {path}: expected a finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", [10 ** 400, True, [1.0, 10 ** 400], [False, 0.5], [0.5, math.nan]],
+                         ids=["huge-int", "bool", "pair-huge-int", "pair-bool", "pair-nan"])
+def test_verify_refuses_matrix_entries_that_are_not_finite_numbers(tmp_path, capsys, entry):
+    # 10**400 used to die in float() with exit 1, and true, false loaded as 1, 0.
+    scn = write_scenario(tmp_path, trials=1, bound="spohn", explicit={"sigma": [[1.0, 0.0], [0.0, entry]]})
+    assert cli.main(["verify", "--scenario", scn, "--jobs", "1"]) == cli.EXIT_VALIDATION_ERROR
+    assert "scenario error: explicit.sigma[1][1]: expected a finite number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [["verify", "--jobs", "1"], ["explain", "--trial", "0"]])

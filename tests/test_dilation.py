@@ -10,6 +10,9 @@ from supchan import states as st
 from supchan import superchannel as sup
 from supchan.matkernel import DimShape, ShapeError, ValidationError
 
+from conftest import (depolarizing_channel, identity_channel, isometry_choi_state,
+                      operation_entropy, random_cptp, stinespring, unitary_channel)
+
 
 def rand_sc(d_s, d_e, seed):
     rng = np.random.default_rng(seed)
@@ -25,7 +28,7 @@ def entropy_of(mat):
 
 def test_stinespring_unitary_operation():
     u = st.haar_unitary(2, np.random.default_rng(0))
-    form = dl.stinespring(ch.unitary_channel(u))
+    form = stinespring(unitary_channel(u))
     assert form.ancilla_dim == 1
     psi = form.psi_abc
     rho = np.outer(psi, psi.conj())
@@ -36,21 +39,21 @@ def test_stinespring_unitary_operation():
 
 
 def test_stinespring_depolarizing_entropy():
-    op = ch.depolarizing_channel(2)
-    form = dl.stinespring(op)
+    op = depolarizing_channel(2)
+    form = stinespring(op)
     psi = form.psi_abc
     rho = np.outer(psi, psi.conj())
     s_bc = entropy_of(mk.partial_trace(rho, form.shape_abc(2), ["b", "c"]))
     assert abs(s_bc - 2 * math.log(2)) <= 1e-10
-    assert abs(dl.operation_entropy(op) - 2 * math.log(2)) <= 1e-10
+    assert abs(operation_entropy(op) - 2 * math.log(2)) <= 1e-10
 
 
 def test_stinespring_reproduces_choi_state():
     rng = np.random.default_rng(1)
     for d in (2, 3):
         for _ in range(10):
-            op = ch.random_cptp(d, int(rng.integers(1, d * d + 1)), rng)
-            form = dl.stinespring(op)
+            op = random_cptp(d, int(rng.integers(1, d * d + 1)), rng)
+            form = stinespring(op)
             assert mk.max_abs(form.v.conj().T @ form.v - np.eye(d)) <= 1e-10
             rho = np.outer(form.psi_abc, form.psi_abc.conj())
             got = mk.partial_trace(rho, form.shape_abc(d), ["b", "c"])
@@ -60,9 +63,9 @@ def test_stinespring_reproduces_choi_state():
 def test_stinespring_choi_origin_round_trip():
     # operations built from a Choi matrix dilate just as well
     rng = np.random.default_rng(2)
-    base = ch.random_cptp(2, 3, rng)
+    base = random_cptp(2, 3, rng)
     op = ch.from_choi(base.choi, 2, 2)
-    form = dl.stinespring(op)
+    form = stinespring(op)
     rho = np.outer(form.psi_abc, form.psi_abc.conj())
     got = mk.partial_trace(rho, form.shape_abc(2), ["b", "c"])
     assert mk.max_abs(got - op.choi_state) <= 1e-10
@@ -70,8 +73,8 @@ def test_stinespring_choi_origin_round_trip():
 
 def test_stinespring_unitary_completion_properties():
     rng = np.random.default_rng(3)
-    op = ch.random_cptp(2, 3, rng)
-    form = dl.stinespring(op)
+    op = random_cptp(2, 3, rng)
+    form = stinespring(op)
     n = form.ancilla_dim * 2
     assert form.u_ab.shape == (n, n)
     assert mk.max_abs(form.u_ab.conj().T @ form.u_ab - np.eye(n)) <= 1e-9
@@ -81,11 +84,11 @@ def test_stinespring_unitary_completion_properties():
 
 def test_stinespring_entropies_are_completion_invariant():
     rng = np.random.default_rng(4)
-    op = ch.random_cptp(2, 4, rng)
+    op = random_cptp(2, 4, rng)
     d = 2
-    form1 = dl.stinespring(op)
+    form1 = stinespring(op)
     n = form1.ancilla_dim * d
-    form2 = dl.stinespring(op, pivot_order=list(reversed(range(n))))
+    form2 = stinespring(op, pivot_order=list(reversed(range(n))))
     assert mk.max_abs(form1.u_ab - form2.u_ab) > 1e-6  # genuinely different completions
     for form in (form1, form2):
         anc0 = np.zeros(form.ancilla_dim, dtype=complex)
@@ -101,26 +104,26 @@ def test_purification_symmetry_sweep():
     rng = np.random.default_rng(5)
     for _ in range(20):
         d = int(rng.integers(2, 4))
-        op = ch.random_cptp(d, int(rng.integers(1, d * d + 1)), rng)
-        form = dl.stinespring(op)
+        op = random_cptp(d, int(rng.integers(1, d * d + 1)), rng)
+        form = stinespring(op)
         rho = np.outer(form.psi_abc, form.psi_abc.conj())
         shape = form.shape_abc(d)
         s_bc = entropy_of(mk.partial_trace(rho, shape, ["b", "c"]))
         s_a = entropy_of(mk.partial_trace(rho, shape, ["a"]))
         assert abs(s_bc - s_a) <= 1e-10
-        assert abs(dl.operation_entropy(op) - s_a) <= 1e-10
+        assert abs(operation_entropy(op) - s_a) <= 1e-10
 
 
 def test_stinespring_rejects_non_tp():
     with pytest.raises(ValidationError):
-        dl.stinespring(ch.from_kraus([np.array([[1, 0], [0, 0.5]], dtype=complex)]))
+        stinespring(ch.from_kraus([np.array([[1, 0], [0, 0.5]], dtype=complex)]))
     with pytest.raises(ShapeError):
-        dl.stinespring(ch.from_kraus([np.zeros((3, 2), dtype=complex)]))
+        stinespring(ch.from_kraus([np.zeros((3, 2), dtype=complex)]))
 
 
 def test_operation_entropy_unitary_is_zero():
     u = st.haar_unitary(3, np.random.default_rng(6))
-    assert dl.operation_entropy(ch.unitary_channel(u)) <= 1e-10
+    assert operation_entropy(unitary_channel(u)) <= 1e-10
 
 
 def test_isometric_operation_validation():
@@ -154,7 +157,7 @@ def test_isometry_choi_state_is_valid_and_tp():
     alpha_vec = st.random_pure(2, rng)
     alpha = st.density(np.outer(alpha_vec, alpha_vec.conj()), labels=["A"])
     iso = dl.IsometricOperation(v, alpha)
-    state = dl.isometry_choi_state(iso)
+    state = isometry_choi_state(iso)
     assert abs(np.trace(state.mat).real - 1.0) <= 1e-10
     # tracing the ancilla out of the dilation Choi recovers the reduced map
     shape = DimShape([2, 2, 2], ["So", "Ao", "in"])
@@ -169,7 +172,7 @@ def test_mmap_decoupled_case():
     alpha = st.density(np.outer(alpha_vec, alpha_vec.conj()), labels=["A"])
     iso = dl.IsometricOperation(np.eye(4, dtype=complex), alpha)
     upsilon, delta_s = dl.mmap(sc, iso)
-    sigma_p = sup.act(sc, ch.identity_channel(2))
+    sigma_p = sup.act(sc, identity_channel(2))
     assert mk.max_abs(upsilon.mat - mk.tensor(sigma_p.mat, alpha.mat)) <= 1e-10
     expected = st.von_neumann_entropy(sigma_p) - st.von_neumann_entropy(sc.sys_marginal)
     assert abs(delta_s - expected) <= 1e-10

@@ -10,6 +10,8 @@ from supchan import superchannel as sup
 from supchan.config import DEFAULT_TOLS
 from supchan.matkernel import DimShape, ShapeError, ValidationError
 
+from conftest import choi_of_msharp, identity_channel, msharp_tp_residual, random_cptp
+
 
 def rand_sc(d_s, d_e, seed, rank=None, product=False):
     rng = np.random.default_rng(seed)
@@ -43,7 +45,7 @@ def test_uncorrelated_trivial_dynamics():
     tau = st.random_density(3, 3, rng)
     rho_se = st.density(mk.tensor(sigma.mat, tau.mat), DimShape([2, 3], ["S", "E"]))
     sc = sup.build(np.eye(6, dtype=complex), rho_se)
-    got = sup.act(sc, ch.identity_channel(2))
+    got = sup.act(sc, identity_channel(2))
     assert mk.max_abs(got.mat - sigma.mat) <= 1e-12
 
 
@@ -52,8 +54,8 @@ def test_factorized_superchannel_oracle():
     for seed in range(20):
         sc, rng = rand_sc(2, 2, seed=100 + seed, product=True)
         sigma = sc.sys_marginal
-        phi = sc.dilation_channel
-        op = ch.random_cptp(2, int(rng.integers(1, 5)), rng)
+        phi = ch.channel_from_dilation(sc.u, sc.env_marginal)
+        op = random_cptp(2, int(rng.integers(1, 5)), rng)
         got = sup.act(sc, op)
         oracle = ch.apply(phi, ch.apply(op, sigma))
         assert mk.max_abs(got.mat - oracle.mat) <= 1e-10
@@ -63,7 +65,7 @@ def test_dual_definition_agreement():
     # index-tensor contraction vs operational formula on correlated instances
     for seed in range(25):
         sc, rng = rand_sc(2, int(2 + seed % 2), seed=200 + seed)
-        op = ch.random_cptp(2, int(rng.integers(1, 5)), rng)
+        op = random_cptp(2, int(rng.integers(1, 5)), rng)
         operational = sup.act(sc, op).mat
         index_formula = sup.act_tensor(sc, op.choi)
         assert mk.max_abs(operational - index_formula) <= 1e-10
@@ -71,7 +73,7 @@ def test_dual_definition_agreement():
 
 def test_act_identity_is_plain_evolution():
     sc, _ = rand_sc(2, 3, seed=7)
-    got = sup.act(sc, ch.identity_channel(2))
+    got = sup.act(sc, identity_channel(2))
     evolved = sc.u @ sc.rho_se.mat @ sc.u.conj().T
     oracle = mk.partial_trace(evolved, sc.rho_se.shape, ["S"])
     assert mk.max_abs(got.mat - oracle) <= 1e-12
@@ -95,17 +97,17 @@ def test_act_requires_cptp():
     with pytest.raises(ValidationError):
         sup.act(sc, non_tp)
     with pytest.raises(ShapeError):
-        sup.act(sc, ch.identity_channel(3))
+        sup.act(sc, identity_channel(3))
 
 
 def test_act_normalized_consistency_and_linearity():
     sc, rng = rand_sc(2, 2, seed=10)
-    a = ch.random_cptp(2, 3, rng)
-    b = ch.random_cptp(2, 1, rng)
-    assert mk.max_abs(sup.act_normalized(sc, a.choi_state).mat - sup.act(sc, a).mat) <= 1e-11
+    a = random_cptp(2, 3, rng)
+    b = random_cptp(2, 1, rng)
+    assert mk.max_abs(sup.act_normalized_block([sc], [a.choi_state])[0] - sup.act(sc, a).mat) <= 1e-11
     lam = 0.37
     mix = lam * a.choi_state + (1 - lam) * b.choi_state
-    got = sup.act_normalized(sc, mix).mat
+    got = sup.act_normalized_block([sc], [mix])[0]
     oracle = lam * sup.act(sc, a).mat + (1 - lam) * sup.act(sc, b).mat
     assert mk.max_abs(got - oracle) <= 1e-11
 
@@ -114,29 +116,29 @@ def test_act_normalized_depolarizing_input_oracle():
     # I/d^2 is the operation-state of the completely depolarizing channel
     sc, _ = rand_sc(2, 2, seed=11)
     d = sc.d_s
-    got = sup.act_normalized(sc, np.eye(d * d) / (d * d))
+    got = sup.act_normalized_block([sc], [np.eye(d * d) / (d * d)])[0]
     joint = mk.tensor(np.eye(d) / d, sc.env_marginal.mat)
     oracle = mk.partial_trace(sc.u @ joint @ sc.u.conj().T, sc.rho_se.shape, ["S"])
-    assert mk.max_abs(got.mat - oracle) <= 1e-11
+    assert mk.max_abs(got - oracle) <= 1e-11
 
 
 def test_act_normalized_trace_preserving_on_operation_states():
     for seed in range(20):
         sc, rng = rand_sc(2, 2, seed=300 + seed)
-        ops = [ch.random_cptp(2, int(rng.integers(1, 5)), rng) for _ in range(3)]
+        ops = [random_cptp(2, int(rng.integers(1, 5)), rng) for _ in range(3)]
         weights = rng.dirichlet(np.ones(3))
         mix = sum(w * op.choi_state for w, op in zip(weights, ops))
-        out = sup.act_normalized(sc, mix)
-        assert abs(np.trace(out.mat).real - 1.0) <= 1e-10
+        out = sup.act_normalized_block([sc], [mix])[0]
+        assert abs(np.trace(out).real - 1.0) <= 1e-10
 
 
 def test_choi_of_msharp_psd_and_tp_residual():
     for seed in range(25):
         sc, _ = rand_sc(2, 2, seed=400 + seed)
-        choi = sup.choi_of_msharp(sc)
+        choi = choi_of_msharp(sc)
         w = np.linalg.eigvalsh(choi)
         assert w[0] >= -1e-9
-        assert sup.msharp_tp_residual(sc) <= 1e-9
+        assert msharp_tp_residual(sc) <= 1e-9
 
 
 def test_choi_of_msharp_maximally_mixed_trivial_case():
@@ -145,7 +147,7 @@ def test_choi_of_msharp_maximally_mixed_trivial_case():
     d_s = d_e = 2
     rho_se = st.density(np.eye(4) / 4, DimShape([d_s, d_e], ["S", "E"]))
     sc = sup.build(np.eye(4, dtype=complex), rho_se)
-    choi = sup.choi_of_msharp(sc)
+    choi = choi_of_msharp(sc)
     shape = DimShape([d_s, d_s, d_s], ["a", "b", "c"])
     w = mk.partial_trace(choi, shape, ["b", "c"])
     assert mk.max_abs(w - np.eye(d_s * d_s)) <= 1e-10
@@ -158,8 +160,8 @@ def test_choi_of_msharp_factorized_composition_oracle():
     sc, _ = rand_sc(2, 2, seed=12, product=True)
     d = sc.d_s
     sigma = sc.sys_marginal
-    phi = sc.dilation_channel
-    choi = sup.choi_of_msharp(sc).reshape(d, d * d, d, d * d)
+    phi = ch.channel_from_dilation(sc.u, sc.env_marginal)
+    choi = choi_of_msharp(sc).reshape(d, d * d, d, d * d)
     for i in range(d * d):
         for j in range(d * d):
             e = np.zeros((d * d, d * d), dtype=complex)
@@ -212,8 +214,8 @@ def test_neso_self_consistency_sweep():
     for seed in range(100):
         sc, _ = rand_sc(2, 2, seed=1000 + seed)
         ns = sup.neso(sc)
-        back = sup.act_normalized(sc, ns.op_state)
-        assert mk.max_abs(back.mat - ns.ness.mat) <= 1e-9
+        back = sup.act_normalized_block([sc], [ns.op_state])[0]
+        assert mk.max_abs(back - ns.ness.mat) <= 1e-9
 
 
 def test_msharp_monotonicity_on_operation_states():
@@ -222,14 +224,13 @@ def test_msharp_monotonicity_on_operation_states():
         sc, rng = rand_sc(2, 2, seed=500 + seed)
         d = sc.d_s
         shape = DimShape([d, d], ["out", "in"])
-        x_op = ch.random_cptp(d, int(rng.integers(1, 5)), rng)
-        y_op = ch.random_cptp(d, int(rng.integers(2, 5)), rng)
+        x_op = random_cptp(d, int(rng.integers(1, 5)), rng)
+        y_op = random_cptp(d, int(rng.integers(2, 5)), rng)
         x = st.density(x_op.choi_state, shape)
         y = st.density(y_op.choi_state, shape)
         before = st.relative_entropy(x, y)
-        after = st.relative_entropy(
-            sup.act_normalized(sc, x.mat), sup.act_normalized(sc, y.mat)
-        )
+        x_out, y_out = sup.act_normalized_block([sc, sc], [x.mat, y.mat])
+        after = st.relative_entropy(st.density(x_out), st.density(y_out))
         if math.isfinite(before):
             assert after <= before + 1e-8
 
@@ -254,7 +255,7 @@ def test_act_is_bitwise_the_per_kraus_kron_loop(d_s, d_e):
         raw = st.random_density(d_s * d_e, int(rng.integers(1, d_s * d_e + 1)), rng)
         rho_se = st.density(raw.mat, DimShape([d_s, d_e], ["S", "E"]))
         sc = sup.build(st.haar_unitary(d_s * d_e, rng), rho_se)
-        op = ch.random_cptp(d_s, 1 + i % (d_s * d_s), rng)
+        op = random_cptp(d_s, 1 + i % (d_s * d_s), rng)
         assert sup.act(sc, op).mat.tobytes() == act_kron_loop(sc, op).tobytes()
 
 
@@ -290,7 +291,7 @@ def test_cached_einsum_paths_are_bitwise_optimize_true(d):
     r4 = sc1.rho_se.mat.reshape(d, 2, d, 2)
     want = np.einsum("axby,cyrz,pxqz->abcpqr", u4, r4, u4.conj(), optimize=True)
     assert sc1.m_tensor.tobytes() == want.tobytes()
-    x = (d * d) * ch.random_cptp(d * d, 3, rng).choi_state.reshape((d,) * 8)
+    x = (d * d) * random_cptp(d * d, 3, rng).choi_state.reshape((d,) * 8)
     joint = "abcpqr,ABCPQR,bcBCqrQR->aApP"
     want = np.einsum(joint, sc1.m_tensor, sc2.m_tensor, x, optimize=True)
     hits = mk._einsum_path.cache_info().hits

@@ -1,16 +1,26 @@
 """Source checks over ``src/supchan``: every function that takes ``tols``
-reads it, and the entry points the benchmark's tracer and launcher hook stay
-as they expect."""
+reads it, every public function, method and property runs under ``verify``
+or ``explain``, and the entry points and names the benchmark's tracer and
+launcher use stay as they expect."""
 
 import ast
+import contextlib
+import functools
+import importlib
 import inspect
+import io
 import pathlib
+import sys
 
+from supchan import bounds as bd
 from supchan import campaigns as cp
 from supchan import cli
+from supchan import states as st
 from supchan import superchannel as sup
 
-SRC = pathlib.Path(__file__).parent.parent / "src" / "supchan"
+ROOT = pathlib.Path(__file__).parent.parent
+SRC = ROOT / "src" / "supchan"
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def unread_tols_parameters() -> list[str]:
@@ -46,3 +56,59 @@ def test_the_hooks_of_the_benchmark_stay_in_place():
     assert any(isinstance(f, ast.Attribute) and f.attr == "run_campaign"
                and isinstance(f.value, ast.Name) and f.value.id == "cp" for f in calls)
     assert not any(isinstance(f, ast.Name) and f.id == "run_campaign" for f in calls)
+    # perfbench/test_perfbench.py reads these names, and the tracer imports
+    # each of its layer modules by name.
+    assert callable(st.haar_unitary) and bd.density is st.density
+    assert cp.FAMILIES and all(map(callable, (cp.report_to_dict, cp.jsonable, cp.load_scenario)))
+    tracer = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    layers = next(ast.literal_eval(n.value) for n in tracer.body
+                  if isinstance(n, ast.Assign) and n.targets[0].id == "LAYER_MODULES")
+    for name in layers:
+        importlib.import_module(f"supchan.{name}")
+
+
+def public_code() -> dict:
+    """``module.name`` -> code object of every public function, method and
+    property defined in ``src/supchan``."""
+    out = {}
+    for path in sorted(SRC.glob("[!_]*.py")):
+        mod = importlib.import_module(f"supchan.{path.stem}")
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            members = vars(obj).items() if inspect.isclass(obj) else [("", obj)]
+            for attr, member in members:
+                if attr.startswith("_"):
+                    continue
+                if isinstance(member, property):
+                    member = member.fget
+                elif isinstance(member, functools.cached_property):
+                    member = member.func
+                if inspect.isfunction(member):
+                    out[f"{path.stem}.{name}" + (f".{attr}" if attr else "")] = member.__code__
+    return out
+
+
+def test_verify_and_explain_reach_every_public_function(tmp_path):
+    # The golden scenarios at jobs=1, so that every call is in this process.
+    reached = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            reached.add(frame.f_code)
+
+    sink = io.StringIO()
+    sys.setprofile(profile)
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            for path in sorted(GOLDEN.glob("*.json")):
+                if path.name == "digests.json":
+                    continue
+                scn = str(path)
+                for fmt in ("json", "csv"):
+                    cli.main(["verify", "--scenario", scn, "--jobs", "1", "--format", fmt,
+                              "--out", str(tmp_path / f"report.{fmt}")])
+                cli.main(["explain", "--scenario", scn, "--trial", "0", "--bits"])
+    finally:
+        sys.setprofile(None)
+    assert sorted(name for name, code in public_code().items() if code not in reached) == []
