@@ -63,38 +63,38 @@ def _finish(name: str, lhs: float, rhs: float, tols: Tolerances, metadata: dict,
 # Spohn's inequality:  S(Phi(rho)) - S(rho) >= -tr[(Phi(rho) - rho) log e]
 # ---------------------------------------------------------------------------
 
-def spohn(
-    op: ch.QuantumOperation,
-    rho: DensityMatrix,
-    ness: ch.NessResult | None = None,
-    tols: Tolerances = DEFAULT_TOLS,
-    collect: dict | None = None,
-) -> BoundReport:
-    """Entropy-production bound of a CPTP map relative to its steady state."""
-    if op.d_in != op.d_out:
-        raise ShapeError("spohn requires a square operation")
-    if ness is None:
-        ness = ch.fixed_point(op, tols)
-    out = ch.apply(op, rho, tols=tols)
-    lhs = st.von_neumann_entropy(out, tols) - st.von_neumann_entropy(rho, tols)
-    t_out = st.trace_against_log(out.mat, ness.state, tols)
-    t_in = st.trace_against_log(rho.mat, ness.state, tols)
-    rhs = ext_sub(t_in, t_out)   # -tr[(Phi rho - rho) log e]
-    meta = {
-        "d": op.d_in,
-        "fixed_space_dim": ness.fixed_space_dim,
-        "ness_method": ness.method,
-        "ness_residual": ness.residual,
-    }
-    if collect is not None:
-        collect.update(
-            ness_eigenvalues=st.spectrum(ness.state, tols).tolist(),
-            entropy_out=st.von_neumann_entropy(out, tols),
-            entropy_in=st.von_neumann_entropy(rho, tols),
-            tr_out_log_ness=t_out,
-            tr_in_log_ness=t_in,
-        )
-    return _finish("spohn", lhs, rhs, tols, meta)
+def spohn_block(ops: list[ch.QuantumOperation], rhos: list[DensityMatrix], tols: Tolerances = DEFAULT_TOLS,
+                collects: list | None = None) -> list[BoundReport]:
+    """Entropy-production bound of each CPTP map of a block relative to its
+    steady state, at its state, all of one dimension, with the bits of each
+    on its own.  The steady states, the outputs, the spectra and the
+    weights in the steady states' eigenvectors are each one stacked step;
+    the entropy sums and the bound arithmetic stay per trial.
+    """
+    nss = ch.fixed_points(ops, tols)
+    for op, rho in zip(ops, rhos):
+        if rho.dim != op.d_in:
+            raise ShapeError(f"state dim {rho.dim} != operation d_in {op.d_in}")
+    # fixed_points has found every operation trace preserving.
+    mats = np.array([rho.mat for rho in rhos])
+    out = ch.apply_matrices(ops, mats)
+    out = (out + mk.dagger(out)) / 2.0
+    w_out = st.decompose(st.densities(out, DimShape([ops[0].d_out], rhos[0].shape.labels[:1]), tols), tols)[0]
+    w_in = st.decompose(rhos, tols)[0]
+    w_n, v_n = st.decompose([ns.state for ns in nss], tols)
+    overlap = np.real(np.einsum("bik,bnij,bjk->bnk", v_n.conj(), np.stack([out, mats], axis=1), v_n))
+    reports = []
+    for b, (op, ns) in enumerate(zip(ops, nss)):
+        s_out, s_in = st.entropy_of_spectrum(w_out[b]), st.entropy_of_spectrum(w_in[b])
+        t_out, t_in = st.log_weight(overlap[b], w_n[b], tols).tolist()
+        meta = {"d": op.d_in, "fixed_space_dim": ns.fixed_space_dim, "ness_method": ns.method,
+                "ness_residual": ns.residual}
+        if collects is not None and collects[b] is not None:
+            collects[b].update(ness_eigenvalues=w_n[b].tolist(), entropy_out=s_out, entropy_in=s_in,
+                               tr_out_log_ness=t_out, tr_in_log_ness=t_in)
+        # rhs = -tr[(Phi rho - rho) log e]
+        reports.append(_finish("spohn", s_out - s_in, ext_sub(t_in, t_out), tols, meta))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -120,14 +120,13 @@ def main_bounds(scs: list[sup.Superchannel], ops: list[ch.QuantumOperation], nss
     a_d = np.array([op.choi for op in ops]) / d
     w_op = mk.clamp_spectrum(np.linalg.eigvalsh(a_d)[..., ::-1], tols)
     marg = mk.partial_trace(a_d, DimShape([d, d], ["out", "in"]), ["out"])
-    eigs = [ns.ness.eig(tols) for ns in nss]
-    v = np.array([e[1] for e in eigs])
+    w_n, v = st.decompose([ns.ness for ns in nss], tols)
     overlap = np.real(np.einsum("bik,bnij,bjk->bnk", v.conj(), np.stack([sigma, marg], axis=1), v))
     reports = []
     for b, (sc, op, ns) in enumerate(zip(scs, ops, nss)):
         s_out = st.entropy_of_spectrum(w_out[b])
         s_op = st.entropy_of_spectrum(w_op[b])
-        t_out, t_op = st.log_weight(overlap[b], eigs[b][0], tols).tolist()
+        t_out, t_op = st.log_weight(overlap[b], w_n[b], tols).tolist()
         t_op -= math.log(d)
         meta = {"d_S": sc.d_s, "d_E": sc.d_e, "fixed_space_dim": ns.diagnostics.fixed_space_dim,
                 "ness_method": ns.diagnostics.method, "ness_residual": ns.diagnostics.residual}
@@ -173,55 +172,41 @@ def thermal_state(h: np.ndarray, beta: float, tols: Tolerances = DEFAULT_TOLS) -
     return density(gibbs / z, DimShape([h.shape[0]], ["S"]), tols=tols), z
 
 
-def clausius(
-    sc: sup.Superchannel,
-    sigma: DensityMatrix,
-    h: np.ndarray,
-    beta: float,
-    tols: Tolerances = DEFAULT_TOLS,
-    collect: dict | None = None,
-    thermal: tuple[DensityMatrix, float] | None = None,
-) -> BoundReport:
-    """Clausius-form bound for a thermalizing superchannel.
+def clausius_block(scs: list[sup.Superchannel], sigmas: list[DensityMatrix], gibbs: DensityMatrix, z: float,
+                   beta: float, tols: Tolerances = DEFAULT_TOLS, collects: list | None = None) -> list[BoundReport]:
+    """Clausius-form bound for each thermalizing superchannel of a block, at
+    its state sigma, all of one (d_S, d_E), with the bits of each on its own;
+    ``(gibbs, z)`` is ``thermal_state(h, beta, tols)``.
 
-    Validates that the fixed point of the subsequent dynamics is the Gibbs
+    Validates that the fixed point of each subsequent dynamics is the Gibbs
     state of (h, beta), then evaluates the generalized bound at the
-    throw-and-replace operation A_d = sigma (x) I/d.  ``thermal`` is
-    ``thermal_state(h, beta, tols)`` when the caller has built it already.
+    throw-and-replace operation A_d = sigma (x) I/d.  The steady states, the
+    operations, sigma' and the spectra and overlaps are each one stacked
+    step; the entropy sums and the bound arithmetic stay per trial.
     """
-    h = mk.as_matrix(h)
-    mk.check_hermitian(h, tols.herm_tol * max(1.0, mk.max_abs(h)), "Hamiltonian")
-    gibbs, z = thermal if thermal is not None else thermal_state(h, beta, tols)
-    ns = sup.neso(sc)
-    resid = mk.max_abs(ns.ness.mat - gibbs.mat)
-    if resid > THERMAL_MATCH_TOL:
-        raise ValidationError(
-            f"fixed point is not the Gibbs state: residual {resid:.3e} > {THERMAL_MATCH_TOL}"
-        )
-    d = sc.d_s
-    op = ch.replace_channel(sigma, tols=tols)
-    sigma_p = sup.act(sc, op)
-    # The entropies of sigma (x) I/d split off a log d on each side.
-    lhs = st.von_neumann_entropy(sigma_p, tols) - (st.von_neumann_entropy(sigma, tols) + math.log(d))
-    t_out = st.trace_against_log(sigma_p.mat, gibbs, tols)
-    t_in = st.trace_against_log(sigma.mat, gibbs, tols)
-    rhs = ext_sub(t_in - math.log(d), t_out)
-    meta = {
-        "d": d,
-        "beta": beta,
-        "Z": z,
-        "F": math.log(z) / beta,
-        "thermal_residual": resid,
-    }
-    if collect is not None:
-        collect.update(
-            gibbs_eigenvalues=st.spectrum(gibbs, tols).tolist(),
-            entropy_sigma_prime=st.von_neumann_entropy(sigma_p, tols),
-            entropy_sigma=st.von_neumann_entropy(sigma, tols),
-            tr_sigma_prime_log_gibbs=t_out,
-            tr_sigma_log_gibbs=t_in,
-        )
-    return _finish("clausius", lhs, rhs, tols, meta)
+    nss = sup.neso_block(scs)
+    resid = mk.max_abs(np.array([ns.ness.mat for ns in nss]) - gibbs.mat)
+    mk.fail_first(resid > THERMAL_MATCH_TOL, resid,
+                  f"fixed point is not the Gibbs state: residual {{:.3e}} > {THERMAL_MATCH_TOL}")
+    d = scs[0].d_s
+    sigma_p = sup.act_block(scs, ch.replace_channels(sigmas, tols))
+    w_p = mk.herm_eig(sigma_p, tols)[0]
+    w_s = st.decompose(sigmas, tols)[0]
+    w_g, v_g = gibbs.eig(tols)
+    v = np.array([v_g] * len(scs))
+    mats = np.stack([sigma_p, [s.mat for s in sigmas]], axis=1)
+    overlap = np.real(np.einsum("bik,bnij,bjk->bnk", v.conj(), mats, v))
+    reports = []
+    for b, r in enumerate(resid.tolist()):
+        s_p, s_s = st.entropy_of_spectrum(w_p[b]), st.entropy_of_spectrum(w_s[b])
+        t_out, t_in = st.log_weight(overlap[b], w_g, tols).tolist()
+        meta = {"d": d, "beta": beta, "Z": z, "F": math.log(z) / beta, "thermal_residual": r}
+        if collects is not None and collects[b] is not None:
+            collects[b].update(gibbs_eigenvalues=w_g.tolist(), entropy_sigma_prime=s_p, entropy_sigma=s_s,
+                               tr_sigma_prime_log_gibbs=t_out, tr_sigma_log_gibbs=t_in)
+        # The entropies of sigma (x) I/d split off a log d on each side.
+        reports.append(_finish("clausius", s_p - (s_s + math.log(d)), ext_sub(t_in - math.log(d), t_out), tols, meta))
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,14 @@ size is checked at load against every family of the scenario that reads it.
 
 ``prepare`` builds once per campaign each object that is the same in every
 trial (the superchannel of a pinned ``U`` and ``rho_se`` and its steady
-operation), and each pool worker receives it once.  Trials run in blocks
-of ``BLOCK`` consecutive trials of one family, one pool task each; a block
-of a family in ``BLOCK_FAMILIES`` (``main``, ``qdpi``, ``holevo``) draws
-each trial from its own generator and is then evaluated in stacked steps,
-with the bits of one trial at a time.  A failing block is run again one
-trial at a time, so the error raised is the earliest failing trial's.
+operation, and the unitary and Gibbs state of ``clausius``), and each pool
+worker receives it once.  Trials run in blocks of ``BLOCK`` consecutive
+trials of one family, one pool task each.  Every family takes the one path
+of ``evaluate_block``: each trial of a block draws from its own generator,
+and the block is then evaluated in stacked steps, with the bits of one
+trial at a time; a trial alone (``evaluate_trial``) is a block of one.  A
+failing block is run again one trial at a time, so the error raised is the
+earliest failing trial's.
 Campaign trials are seed-deterministic: trial t of family f draws what is
 not prepared from ``default_rng([seed, f, t])``, in the same order whether
 or not anything is prepared and regardless of worker scheduling, and
@@ -43,15 +45,13 @@ from .config import Tolerances
 from .matkernel import DimShape
 
 FAMILIES = ("spohn", "main", "clausius", "qdpi", "holevo", "mmap-consistency")
-# Trials per block: one pool task, and one stacked evaluation of the
-# families in BLOCK_FAMILIES.
+# Trials per block: one pool task, and one stacked evaluation.
 BLOCK = 8
-BLOCK_FAMILIES = ("main", "qdpi", "holevo")
-# Entries of the joint Choi matrices, (d_P d_Q)^4 each, that one stacked
-# qdpi evaluation holds: larger blocks run in parts, so that a block's
-# stacks stay near the memory of one trial at large d_P d_Q, where
-# stacking saves no time.
-QDPI_STACK_ENTRIES = 1 << 14
+# Entries of the largest matrices of its trials, (d_P d_Q)^4 for qdpi and
+# (d_S d_E d_A)^2 for mmap-consistency, that one stacked evaluation holds:
+# larger blocks run in parts, so that stacks stay near the memory of one
+# trial at large dimensions, where stacking saves no time.
+STACK_ENTRIES = 1 << 14
 TOLERANCE_NAMES = tuple(f.name for f in fields(Tolerances))
 CONSISTENCY_TOL = 1e-10
 
@@ -165,7 +165,7 @@ def load_scenario(text: str) -> Scenario:
     """Parse and validate scenario JSON; raises ScenarioError with field paths."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # a JSONDecodeError, or an integer beyond the int-to-string digit limit
         raise ScenarioParseError(f"scenario is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioParseError("scenario: expected a JSON object")
@@ -350,26 +350,28 @@ def scenario_echo(scenario: Scenario) -> dict:
 # Random instance generation
 # ---------------------------------------------------------------------------
 
-def random_correlated_state(d_s: int, d_e: int, rng: np.random.Generator,
-                            tols: Tolerances) -> st.DensityMatrix:
-    """Wishart state on S (x) E with rank drawn from {1..min(4, d_S d_E)}."""
-    d = d_s * d_e
-    rank = int(rng.integers(1, min(4, d) + 1))
-    # random_density has validated the matrix; only its shape changes.
-    return replace(st.random_density(d, rank, rng, tols=tols), shape=DimShape([d_s, d_e], ["S", "E"]))
+def random_superchannels(d_s: int, d_e: int, rngs: list[np.random.Generator | None], tols: Tolerances,
+                         explicit: dict | None = None) -> list[sup.Superchannel]:
+    """One superchannel per generator, built for all generators at once.
 
-
-def random_superchannel(d_s: int, d_e: int, rng: np.random.Generator,
-                        tols: Tolerances, explicit: dict | None = None) -> sup.Superchannel:
+    What ``explicit`` does not pin is drawn from each generator in turn:
+    rho_se a Wishart state on S (x) E whose rank is drawn from
+    {1..min(4, d_S d_E)}, then U Haar.  The states and the unitaries are
+    each checked in one stacked step.
+    """
     ex = explicit or {}
+    d = d_s * d_e
+    shape = DimShape([d_s, d_e], ["S", "E"])
+    gs, us = [], []
+    for rng in rngs:
+        if "rho_se" not in ex:
+            gs.append(st.ginibre(d, int(rng.integers(1, min(4, d) + 1)), rng))
+        us.append(ex["U"] if "U" in ex else st.haar_unitary(d, rng))
     if "rho_se" in ex:
-        rho_se = st.density(ex["rho_se"], DimShape([d_s, d_e], ["S", "E"]), tols=tols)
+        rhos = [st.density(ex["rho_se"], shape, tols=tols)] * len(rngs)
     else:
-        rho_se = random_correlated_state(d_s, d_e, rng, tols)
-    u = ex.get("U")
-    if u is None:
-        u = st.haar_unitary(d_s * d_e, rng)
-    return sup.build(u, rho_se, tols)
+        rhos = st.densities(st.wishart(gs), shape, tols)
+    return sup.build_block(us, rhos, tols)
 
 
 def random_operations(d: int, rngs: list[np.random.Generator], tols: Tolerances,
@@ -413,12 +415,13 @@ class Prepared:
 
     superchannels: dict         # (d, d_E) -> Superchannel of the pinned U and rho_se
     neso: sup.Neso | None       # of superchannels[d_S, d_E], when main runs
+    thermal: tuple | None = None    # (U, (Gibbs state, Z), beta) of clausius, when it runs
 
-    def superchannel(self, d: int, d_env: int, rng: np.random.Generator,
-                     tols: Tolerances, ex: dict) -> sup.Superchannel:
-        """The prepared superchannel at (d, d_env), or one drawn from ``rng``."""
+    def draw_superchannels(self, d: int, d_env: int, rngs: list[np.random.Generator],
+                           tols: Tolerances, ex: dict) -> list[sup.Superchannel]:
+        """The prepared superchannel at (d, d_env) for each generator, or one drawn from each."""
         sc = self.superchannels.get((d, d_env))
-        return sc if sc is not None else random_superchannel(d, d_env, rng, tols, ex)
+        return [sc] * len(rngs) if sc is not None else random_superchannels(d, d_env, rngs, tols, ex)
 
 
 def prepare(scenario: Scenario, tols: Tolerances, families: tuple[str, ...] | None = None) -> Prepared:
@@ -428,7 +431,10 @@ def prepare(scenario: Scenario, tols: Tolerances, families: tuple[str, ...] | No
     once for each (d, d_E) pair at which one of ``families`` (default: the
     scenario's) reads ``rho_se`` (``qdpi`` splits it as d_P x d_E1 and
     d_Q x d_E2), and its steady operation once when ``main`` is among
-    them.  Nothing is drawn.
+    them.  When ``clausius`` is among them, its unitary (the pinned ``U``
+    or the partial swap of ``theta``) and the Gibbs state and partition
+    function of (``H``, ``beta``), with defaults H = diag(0, 1, ...) and
+    beta = 1.  Nothing is drawn.
     """
     families = scenario.families() if families is None else families
     ex, dim = scenario.explicit, _dim_values(scenario.dims)
@@ -436,11 +442,17 @@ def prepare(scenario: Scenario, tols: Tolerances, families: tuple[str, ...] | No
     if "U" in ex and "rho_se" in ex:
         pairs = {tuple(dim[k] for k in name.split("*"))
                  for family in families for name in _READS[family].get("rho_se", [])}
-    # With U and rho_se pinned, random_superchannel draws nothing.
-    scs = {pair: random_superchannel(*pair, None, tols, ex) for pair in sorted(pairs)}
+    scs = {pair: sup.build(ex["U"], st.density(ex["rho_se"], DimShape(pair, ["S", "E"]), tols=tols), tols)
+           for pair in sorted(pairs)}
     main_pair = (dim["d_S"], dim["d_E"])
-    ns = sup.neso(scs[main_pair]) if "main" in families and main_pair in scs else None
-    return Prepared(scs, ns)
+    ns = sup.neso_block([scs[main_pair]])[0] if "main" in families and main_pair in scs else None
+    thermal = None
+    if "clausius" in families:
+        d, h, u, beta = dim["d_S"], ex.get("H"), ex.get("U"), ex.get("beta", 1.0)
+        h = np.diag(np.arange(d, dtype=float)).astype(complex) if h is None else h
+        u = ch.partial_swap_unitary(d, ex.get("theta", math.pi / 4)) if u is None else u
+        thermal = (u, bd.thermal_state(h, beta, tols), beta)
+    return Prepared(scs, ns, thermal)
 
 
 # ---------------------------------------------------------------------------
@@ -456,118 +468,96 @@ def evaluate_block(scenario: Scenario, family: str, trials, tols: Tolerances,
                    collect: dict | None = None) -> list[bd.BoundReport]:
     """Evaluate consecutive trials of one family; ``collect`` serves a block of one.
 
-    A family of ``BLOCK_FAMILIES`` draws each trial's instance from its own
-    generator, in the order a trial of one draws it, and is then evaluated
-    in stacked steps (``bounds.main_bounds``, ``qdpi_block``,
-    ``holevo_block``); the other families evaluate one trial at a time.
+    ``prepared`` is ``prepare(scenario, tols)``; when it is not given, only
+    what this family reads is prepared here.  Each trial draws what is not
+    prepared from its own generator, in the order a trial of one draws it,
+    and the block is then evaluated in stacked steps, with the bits of one
+    trial at a time; a block whose largest matrices hold more than
+    ``STACK_ENTRIES`` entries runs in parts.
     """
-    if family not in BLOCK_FAMILIES:
-        return [evaluate_trial(scenario, family, t, tols, collect, prepared) for t in trials]
+    if family not in FAMILIES:
+        raise ScenarioError(f"bound: unknown family {family!r}")
     prep = prepared if prepared is not None else prepare(scenario, tols, (family,))
     ex, dims = scenario.explicit, scenario.dims
     d_s, d_e = dims.get("d_S", 2), dims.get("d_E", 2)
+    d_a, d_p, d_q = dims.get("d_A", d_s), dims.get("d_P", 2), dims.get("d_Q", 2)
+    entries = {"qdpi": (d_p * d_q) ** 4, "mmap-consistency": (d_s * d_e * d_a) ** 2}.get(family, 1)
+    step = max(1, STACK_ENTRIES // entries)
     rngs = [_trial_rng(scenario, family, t) for t in trials]
-    collects = [collect] * len(rngs)
-    if family == "main":
-        scs = [prep.superchannel(d_s, d_e, rng, tols, ex) for rng in rngs]
-        ops = random_operations(d_s, rngs, tols, ex)
-        nss = [prep.neso if prep.neso is not None else sup.neso(sc) for sc in scs]
-        reports = bd.main_bounds(scs, ops, nss, tols, collects)
-    elif family == "qdpi":
-        d_p, d_q = dims.get("d_P", 2), dims.get("d_Q", 2)
-        step = max(1, QDPI_STACK_ENTRIES // (d_p * d_q) ** 4)
-        reports = []
-        for i in range(0, len(rngs), step):
-            part = rngs[i:i + step]
-            sc1s = [prep.superchannel(d_p, dims.get("d_E1", 2), rng, tols, ex) for rng in part]
-            sc2s = [prep.superchannel(d_q, dims.get("d_E2", 2), rng, tols, ex) for rng in part]
+    reports = []
+    for part in (rngs[i:i + step] for i in range(0, len(rngs), step)):
+        collects = [collect] * len(part)
+        if family == "spohn":
+            ops = random_operations(d_s, part, tols, ex)
+            reports += bd.spohn_block(ops, _states(d_s, part, tols, ex.get("sigma")), tols, collects)
+        elif family == "main":
+            scs = prep.draw_superchannels(d_s, d_e, part, tols, ex)
+            ops = random_operations(d_s, part, tols, ex)
+            nss = [prep.neso] * len(scs) if prep.neso is not None else sup.neso_block(scs)
+            reports += bd.main_bounds(scs, ops, nss, tols, collects)
+        elif family == "clausius":
+            u, (gibbs, z), beta = prep.thermal
+            anchors = np.array([a.mat for a in st.random_densities(d_s, [d_s] * len(part), part, tols)])
+            rhos = st.densities(mk.tensor(anchors, gibbs.mat), DimShape([d_s, d_s], ["S", "E"]), tols)
+            scs = sup.build_block([u] * len(part), rhos, tols)
+            reports += bd.clausius_block(scs, _states(d_s, part, tols, ex.get("sigma")), gibbs, z, beta, tols, collects)
+        elif family == "qdpi":
+            sc1s = prep.draw_superchannels(d_p, dims.get("d_E1", 2), part, tols, ex)
+            sc2s = prep.draw_superchannels(d_q, dims.get("d_E2", 2), part, tols, ex)
             ops = random_operations(d_p * d_q, part, tols, ex, bipartite=(d_p, d_q))
-            reports += bd.qdpi_block(sc1s, sc2s, ops, tols, collects[i:i + step])
-    else:
-        scs = [prep.superchannel(d_s, d_e, rng, tols, ex) for rng in rngs]
-        enss = random_ensembles(d_s, rngs, tols, ex)
-        haar = np.array([st.haar_unitaries(scenario.n_measurements, d_s, rng) for rng in rngs])
-        reports = [report for _, report, _ in bd.holevo_block(scs, enss, haar, tols, collects)]
+            reports += bd.qdpi_block(sc1s, sc2s, ops, tols, collects)
+        elif family == "holevo":
+            scs = prep.draw_superchannels(d_s, d_e, part, tols, ex)
+            enss = random_ensembles(d_s, part, tols, ex)
+            haar = np.array([st.haar_unitaries(scenario.n_measurements, d_s, rng) for rng in part])
+            reports += [report for _, report, _ in bd.holevo_block(scs, enss, haar, tols, collects)]
+        else:
+            reports += _mmap_consistency(prep.draw_superchannels(d_s, d_e, part, tols, ex), d_a, part, tols, ex,
+                                         collects)
     for t, report in zip(trials, reports):
         report.metadata.update(trial=t, seed=scenario.seed)
     return reports
 
 
+def _states(d: int, rngs: list[np.random.Generator], tols: Tolerances,
+            pinned: st.DensityMatrix | None) -> list[st.DensityMatrix]:
+    """The pinned state for each generator, or a Wishart state of rank drawn
+    from {1..d} drawn from each."""
+    if pinned is not None:
+        return [pinned] * len(rngs)
+    return st.random_densities(d, [int(rng.integers(1, d + 1)) for rng in rngs], rngs, tols)
+
+
+def _mmap_consistency(scs: list[sup.Superchannel], d_a: int, rngs: list[np.random.Generator], tols: Tolerances,
+                      ex: dict, collects: list) -> list[bd.BoundReport]:
+    """The system marginal of Upsilon must equal the superchannel acting on
+    the channel the isometric dilation induces, within CONSISTENCY_TOL."""
+    d_s, d_e = scs[0].d_s, scs[0].d_e
+    v, alpha = ex.get("V"), ex.get("alpha")
+    vs = [v if v is not None else st.haar_unitary(d_s * d_a, rng) for rng in rngs]
+    if alpha is None:
+        vecs = [st.random_pure(d_a, rng) for rng in rngs]
+        alphas = st.densities(np.array([np.outer(vec, vec.conj()) for vec in vecs]), DimShape([d_a], ["A"]), tols)
+    else:
+        alphas = [alpha] * len(rngs)
+    upsilons, deltas = dl.mmap_block(scs, vs, alphas, tols)
+    reduced = mk.partial_trace(np.array([u.mat for u in upsilons]), upsilons[0].shape, ["S"])
+    direct = sup.act_block(scs, ch.channels_from_dilations(vs, alphas, tols))
+    reports = []
+    for upsilon, delta_s, residual, collect in zip(upsilons, deltas, mk.max_abs(reduced - direct).tolist(), collects):
+        slack = CONSISTENCY_TOL - residual
+        reports.append(bd.BoundReport("mmap-consistency", CONSISTENCY_TOL, residual, slack, slack >= 0.0, 0.0,
+                                      (), {"d_S": d_s, "d_E": d_e, "d_A": d_a, "delta_S": delta_s}))
+        if collect is not None:
+            collect.update(residual=residual, delta_S=delta_s, upsilon_eigenvalues=st.spectrum(upsilon, tols).tolist())
+    return reports
+
+
 def evaluate_trial(scenario: Scenario, family: str, trial: int, tols: Tolerances,
                    collect: dict | None = None, prepared: Prepared | None = None) -> bd.BoundReport:
-    """Evaluate one seed-deterministic trial of the given bound family.
-
-    ``prepared`` is ``prepare(scenario, tols)``; when it is not given, only
-    what this family reads is prepared here.  Everything it does not hold
-    is drawn from the trial's generator.  A trial of a family of
-    ``BLOCK_FAMILIES`` is a block of one.
-    """
-    if family in BLOCK_FAMILIES:
-        return evaluate_block(scenario, family, (trial,), tols, prepared, collect)[0]
-    rng = _trial_rng(scenario, family, trial)
-    prep = prepared if prepared is not None else prepare(scenario, tols, (family,))
-    ex = scenario.explicit
-    dims = scenario.dims
-    d_s = dims.get("d_S", 2)
-    d_e = dims.get("d_E", 2)
-
-    if family == "spohn":
-        op = random_operations(d_s, [rng], tols, ex)[0]
-        rho = ex.get("sigma")
-        if rho is None:
-            rho = st.random_density(d_s, int(rng.integers(1, d_s + 1)), rng, tols=tols)
-        report = bd.spohn(op, rho, tols=tols, collect=collect)
-
-    elif family == "clausius":
-        h = ex.get("H")
-        if h is None:
-            h = np.diag(np.arange(d_s, dtype=float)).astype(complex)
-        beta = ex.get("beta", 1.0)
-        theta = ex.get("theta", math.pi / 4)
-        gibbs, z = bd.thermal_state(h, beta, tols)
-        u = ex.get("U")
-        if u is None:
-            u = ch.partial_swap_unitary(d_s, theta)
-        anchor = st.random_density(d_s, d_s, rng, tols=tols)
-        rho_se = st.density(
-            mk.tensor(anchor.mat, gibbs.mat), DimShape([d_s, d_s], ["S", "E"]), tols=tols
-        )
-        sc = sup.build(u, rho_se, tols)
-        sigma = ex.get("sigma")
-        if sigma is None:
-            sigma = st.random_density(d_s, int(rng.integers(1, d_s + 1)), rng, tols=tols)
-        report = bd.clausius(sc, sigma, h, beta, tols, collect=collect, thermal=(gibbs, z))
-
-    elif family == "mmap-consistency":
-        d_a = dims.get("d_A", d_s)
-        sc = prep.superchannel(d_s, d_e, rng, tols, ex)
-        v = ex.get("V")
-        if v is None:
-            v = st.haar_unitary(d_s * d_a, rng)
-        alpha = ex.get("alpha")
-        if alpha is None:
-            vec = st.random_pure(d_a, rng)
-            alpha = st.density(np.outer(vec, vec.conj()), labels=["A"], tols=tols)
-        iso = dl.IsometricOperation(v, alpha, tols)
-        upsilon, delta_s = dl.mmap(sc, iso, tols)
-        reduced = mk.partial_trace(upsilon.mat, upsilon.shape, ["S"])
-        direct = sup.act(sc, ch.channel_from_dilation(iso.v, iso.alpha, tols))
-        residual = mk.max_abs(reduced - direct.mat)
-        slack = CONSISTENCY_TOL - residual
-        report = bd.BoundReport(
-            "mmap-consistency", CONSISTENCY_TOL, residual, slack, slack >= 0.0, 0.0,
-            (), {"d_S": d_s, "d_E": d_e, "d_A": d_a, "delta_S": delta_s},
-        )
-        if collect is not None:
-            collect.update(residual=residual, delta_S=delta_s,
-                           upsilon_eigenvalues=st.spectrum(upsilon, tols).tolist())
-
-    else:
-        raise ScenarioError(f"bound: unknown family {family!r}")
-
-    report.metadata["trial"] = trial
-    report.metadata["seed"] = scenario.seed
-    return report
+    """Evaluate one seed-deterministic trial of the given bound family: a
+    block of one (``evaluate_block``)."""
+    return evaluate_block(scenario, family, (trial,), tols, prepared, collect)[0]
 
 
 # ---------------------------------------------------------------------------

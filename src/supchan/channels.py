@@ -9,14 +9,14 @@ trace-preserving map has trace d_in.  Equivalently
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from . import matkernel as mk
+from . import states as st
 from .config import DEFAULT_TOLS, Tolerances
-from .matkernel import DimShape, ShapeError, ValidationError
-from .states import DensityMatrix, density, ginibre
+from .matkernel import DimShape, ShapeError
+from .states import DensityMatrix, ginibre
 
 CP_TOL = 1e-9   # Choi min eigenvalue above -CP_TOL means completely positive
 TP_TOL = 1e-9   # ||tr_out(choi) - I|| below TP_TOL means trace preserving
@@ -40,10 +40,8 @@ class QuantumOperation:
     kraus: np.ndarray | None = None
     bipartite: tuple[int, int] | None = None
     _tols: Tolerances = field(default=DEFAULT_TOLS, repr=False)
-
-    @cached_property
-    def is_trace_preserving(self) -> bool:
-        return bool(trace_preserving(self.choi, self.d_out, self.d_in))
+    # Whether the map is trace preserving, once ``require_trace_preserving`` has found it.
+    _tp: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @property
     def choi_state(self) -> np.ndarray:
@@ -67,15 +65,6 @@ def trace_preserving(choi: np.ndarray, d_out: int, d_in: int):
     return mk.max_abs(tr_out_choi(choi, d_out, d_in) - np.eye(d_in)) <= TP_TOL
 
 
-def choi_from_kraus(kraus: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray:
-    d_out, d_in = kraus[0].shape
-    c = np.zeros((d_out * d_in, d_out * d_in), dtype=complex)
-    for k in kraus:
-        v = np.asarray(k, dtype=complex).reshape(-1)
-        c += np.outer(v, v.conj())
-    return c
-
-
 def from_kraus(
     kraus: list[np.ndarray],
     bipartite: tuple[int, int] | None = None,
@@ -83,10 +72,22 @@ def from_kraus(
 ) -> QuantumOperation:
     """Build an operation from its Kraus operators."""
     kraus = [mk.as_matrix(k) for k in kraus]
-    d_out, d_in = kraus[0].shape
-    if any(k.shape != (d_out, d_in) for k in kraus):
+    if any(k.shape != kraus[0].shape for k in kraus):
         raise ShapeError("Kraus operators have inconsistent shapes")
-    return QuantumOperation(d_in, d_out, choi_from_kraus(kraus), np.array(kraus), bipartite, tols)
+    return from_kraus_runs(np.array(kraus), [len(kraus)], tols, bipartite)[0]
+
+
+def from_kraus_runs(kraus: np.ndarray, counts, tols: Tolerances = DEFAULT_TOLS,
+                    bipartite: tuple[int, int] | None = None) -> list[QuantumOperation]:
+    """The operation of each run of ``counts`` consecutive Kraus operators of
+    a stack, with Choi matrix sum_k vec(K_k) vec(K_k)^dag in Kraus order."""
+    kraus = mk.as_matrix(kraus, stack=True)
+    vecs = kraus.reshape(len(kraus), -1)
+    chois = mk.sum_runs(vecs[:, :, None] * vecs.conj()[:, None, :], counts)
+    d_out, d_in = kraus.shape[-2:]
+    ends = np.cumsum(counts).tolist()
+    return [QuantumOperation(d_in, d_out, c, kraus[e - n:e], bipartite, tols)
+            for c, n, e in zip(chois, counts, ends)]
 
 
 def from_choi(
@@ -104,13 +105,28 @@ def from_choi(
     return QuantumOperation(d_in, d_out, choi, None, bipartite, tols)
 
 
-def check_cp(choi: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> None:
+def check_cp(choi: np.ndarray, tols: Tolerances = DEFAULT_TOLS, eig=None):
     """``from_choi``'s checks of a Choi matrix, or of each of a stack:
-    Hermitian relative to its largest entry, and CP within CP_TOL."""
+    Hermitian relative to its largest entry, and CP within CP_TOL on the
+    eigenvalues that ``eig`` (``np.linalg.eigvalsh`` when None, or ``eigh``)
+    finds of (choi + choi^dag) / 2; returns what ``eig`` returns."""
     mk.check_hermitian(choi, tols.herm_tol * np.maximum(1.0, mk.max_abs(choi)), "Choi matrix")
-    w = np.linalg.eigvalsh((choi + mk.dagger(choi)) / 2.0)
+    out = (eig or np.linalg.eigvalsh)((choi + mk.dagger(choi)) / 2.0)
+    w = out[0] if isinstance(out, tuple) else out
     mk.fail_first(w[..., 0] < -CP_TOL * np.maximum(1.0, w[..., -1]), w[..., 0],
                   "Choi matrix has eigenvalue {:.3e}: map is not CP")
+    return out
+
+
+def require_trace_preserving(ops: list[QuantumOperation], message: str) -> None:
+    """Raise ``ValidationError(message)`` unless every operation, all of one
+    size, is trace preserving; each is checked once, in one stacked step."""
+    todo = list({id(op): op for op in ops if not op._tp}.values())
+    if todo:
+        tp = trace_preserving(np.array([op.choi for op in todo]), todo[0].d_out, todo[0].d_in)
+        for op, flag in zip(todo, tp.tolist()):
+            op._tp.append(flag)
+    mk.fail_first(np.array([not op._tp[0] for op in ops]), np.zeros(len(ops)), message)
 
 
 def kraus_of(op: QuantumOperation, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
@@ -123,60 +139,47 @@ def kraus_of(op: QuantumOperation, tols: Tolerances = DEFAULT_TOLS) -> np.ndarra
     return mk.psd_factors(*mk.herm_eig(op.choi, tols)).reshape(-1, op.d_out, op.d_in)
 
 
-def apply(op: QuantumOperation, rho: DensityMatrix, tols: Tolerances = DEFAULT_TOLS) -> DensityMatrix:
-    """Apply a trace-preserving map: sum_k K rho K^dag.  ``apply_matrix``
-    gives the unnormalized output of any CP map."""
-    if rho.dim != op.d_in:
-        raise ShapeError(f"state dim {rho.dim} != operation d_in {op.d_in}")
-    if not op.is_trace_preserving:
-        raise ValidationError("operation is not trace preserving")
-    out = apply_matrix(op, rho.mat)
-    out = (out + out.conj().T) / 2.0
-    return density(out, DimShape([op.d_out], [rho.shape.labels[0]]), tols=tols)
-
-
-def apply_matrix(op: QuantumOperation, mat: np.ndarray) -> np.ndarray:
-    """Linear action on an arbitrary matrix (no TP/validity checks)."""
-    if op.kraus is not None:
-        out = np.zeros((op.d_out, op.d_out), dtype=complex)
-        for k in op.kraus:
-            out += k @ mat @ k.conj().T
-        return out
-    return apply_choi(op.choi, mat, op.d_out, op.d_in)
-
-
-def apply_choi(choi: np.ndarray, mat: np.ndarray, d_out: int, d_in: int) -> np.ndarray:
-    """Choi contraction tr_in[choi (I (x) mat^T)]."""
-    c = choi.reshape(d_out, d_in, d_out, d_in)
-    return np.einsum("aibj,ij->ab", c, np.asarray(mat, dtype=complex))
+def apply_matrices(ops: list[QuantumOperation], mats: np.ndarray) -> np.ndarray:
+    """The linear action of each square operation on its matrix of a stack
+    (no TP/validity checks): sum_k K X K^dag added in Kraus order, or the
+    Choi contraction for an operation held by its Choi matrix alone."""
+    out = np.empty_like(mats, dtype=complex)
+    by_kraus = [b for b, op in enumerate(ops) if op.kraus is not None]
+    if by_kraus:
+        counts = [len(ops[b].kraus) for b in by_kraus]
+        ks = np.concatenate([ops[b].kraus for b in by_kraus])
+        out[by_kraus] = mk.sum_runs(ks @ mats[np.repeat(by_kraus, counts)] @ mk.dagger(ks), counts)
+    for b, op in enumerate(ops):
+        if op.kraus is None:    # tr_in[choi (I (x) X^T)]
+            out[b] = np.einsum("aibj,ij->ab", op.choi.reshape(op.d_out, op.d_in, op.d_out, op.d_in), mats[b])
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Named channels
 # ---------------------------------------------------------------------------
 
-def replace_channel(target: DensityMatrix, tols: Tolerances = DEFAULT_TOLS) -> QuantumOperation:
-    """Map on the space of ``target`` that discards its input and prepares ``target``.
-
-    Its Choi matrix is target (x) I, so the normalized Choi is target (x) I/d.
-    """
-    d = target.dim
-    ks = []
-    for f in mk.psd_factors(*target.eig(tols)):
-        for j in range(d):
-            k = np.zeros((d, d), dtype=complex)
-            k[:, j] = f
-            ks.append(k)
-    return from_kraus(ks, tols=tols)
+def replace_channels(targets: list[DensityMatrix], tols: Tolerances = DEFAULT_TOLS) -> list[QuantumOperation]:
+    """The map on the space of each target, all of one dimension, that
+    discards its input and prepares the target: Kraus operators
+    sqrt(lam) |v><j| for each eigenpair with lam > 0 and each j, so Choi
+    matrix target (x) I and normalized Choi target (x) I/d."""
+    d = targets[0].dim
+    w, v = st.decompose(targets, tols)
+    f = mk.psd_factors(w, v)
+    kraus = np.zeros((len(f), d, d, d), dtype=complex)
+    kraus[:, np.arange(d), :, np.arange(d)] = f
+    return from_kraus_runs(kraus.reshape(-1, d, d), ((w > 0.0).sum(-1) * d).tolist(), tols)
 
 
 def check_unitary(u: np.ndarray, tols: Tolerances = DEFAULT_TOLS, what: str = "matrix") -> None:
-    u = mk.as_matrix(u)
-    if u.shape[0] != u.shape[1]:
+    """Refuse a matrix, or a stack, that is not square or deviates from
+    unitarity by more than herm_tol."""
+    u = mk.as_matrix(u, stack=True)
+    if u.shape[-1] != u.shape[-2]:
         raise ShapeError(f"{what} is not square: {u.shape}")
-    dev = mk.max_abs(u.conj().T @ u - np.eye(u.shape[0]))
-    if dev > tols.herm_tol:
-        raise ValidationError(f"{what} is not unitary: max deviation {dev:.3e}")
+    dev = mk.max_abs(mk.dagger(u) @ u - np.eye(u.shape[-1]))
+    mk.fail_first(dev > tols.herm_tol, dev, f"{what} is not unitary: max deviation {{:.3e}}")
 
 
 def swap_unitary(d1: int, d2: int | None = None) -> np.ndarray:
@@ -196,46 +199,35 @@ def partial_swap_unitary(d: int, theta: float) -> np.ndarray:
 # Dilations and fixed points
 # ---------------------------------------------------------------------------
 
-def channel_from_dilation(
-    u: np.ndarray, tau: DensityMatrix, tols: Tolerances = DEFAULT_TOLS
-) -> QuantumOperation:
-    """The channel sigma -> tr_E[U (sigma (x) tau) U^dag].
-
-    ``u`` acts on system (x) environment with the system on the slow index.
-    Kraus operators are K_(i,j) = sqrt(lam_j) (I (x) <i|) U (I (x) |v_j>)
-    with (lam_j, v_j) the eigenpairs of tau.
-    """
-    u = mk.as_matrix(u)
-    d_e = tau.dim
-    d_tot = u.shape[0]
+def channels_from_dilations(us: list[np.ndarray], taus: list[DensityMatrix],
+                            tols: Tolerances = DEFAULT_TOLS) -> list[QuantumOperation]:
+    """The channel sigma -> tr_E[U (sigma (x) tau) U^dag] of each (U, tau)
+    pair, all of one size, U on system (x) environment with the system on
+    the slow index: Kraus K_(j,i) = sqrt(lam_j) (I (x) <i|) U (I (x) |v_j>),
+    for the eigenpairs (lam_j, v_j) of tau with lam_j > 0, in that order."""
+    us = mk.as_matrix(np.array(us), stack=True)
+    d_e = taus[0].dim
+    d_tot = us.shape[-1]
     if d_tot % d_e != 0:
         raise ShapeError(f"unitary dim {d_tot} does not factor over environment dim {d_e}")
     d_s = d_tot // d_e
-    check_unitary(u, tols, what="dilation unitary")
-    w, V = mk.herm_eig(tau.mat, tols)
-    u4 = u.reshape(d_s, d_e, d_s, d_e)
-    ks = []
-    for lam, v in zip(w, V.T):
-        if lam <= 0.0:
-            continue
-        # block[i] = (I (x) <i|) U (I (x) |v>), one Kraus per env output index
-        block = np.einsum("aibj,j->iab", u4, v)
-        for i in range(d_e):
-            ks.append(np.sqrt(lam) * block[i])
-    return from_kraus(ks, tols=tols)
+    check_unitary(us, tols, what="dilation unitary")
+    w, v = st.decompose(taus, tols)
+    pos = w > 0.0
+    counts = pos.sum(-1)
+    u4 = us.reshape(-1, d_s, d_e, d_s, d_e)[np.repeat(np.arange(len(us)), counts)]
+    # blocks[n, i] = (I (x) <i|) U (I (x) |v>), one Kraus per env output index
+    blocks = np.einsum("zaibj,zj->ziab", u4, v.swapaxes(-1, -2)[pos])
+    kraus = np.sqrt(w[pos])[:, None, None, None] * blocks
+    return from_kraus_runs(kraus.reshape(-1, d_s, d_s), (counts * d_e).tolist(), tols)
 
 
-def transfer_matrix(op: QuantumOperation) -> np.ndarray:
-    """Superoperator on row-major vec(rho): sum of K (x) conj(K) in Kraus order."""
-    ks = op.kraus_ops()
-    t = np.zeros((op.d_out * op.d_out, op.d_in * op.d_in), dtype=complex)
-    for term in mk.kron_stack(ks, ks.conj()):
-        t += term
-    return t
-
-
-def trace_norm(m: np.ndarray) -> float:
-    return float(np.sum(np.linalg.svd(m, compute_uv=False)))
+def transfer_matrices(ops: list[QuantumOperation]) -> np.ndarray:
+    """Superoperator on row-major vec(rho) of each operation: the sum of
+    K (x) conj(K) in Kraus order."""
+    ks = [op.kraus_ops() for op in ops]
+    k = np.concatenate(ks)
+    return mk.sum_runs(mk.kron_stack(k, k.conj()), [len(x) for x in ks])
 
 
 @dataclass(frozen=True)
@@ -248,74 +240,76 @@ class NessResult:
     fixed_space_dim: int
 
 
-def _repair_psd(m: np.ndarray) -> np.ndarray | None:
-    """Hermitize, clamp small negative eigenvalues, renormalize; None if the
-    negative part is too large to be float noise."""
-    m = (m + m.conj().T) / 2.0
-    tr = np.trace(m).real
-    if abs(tr) < 1e-12:
-        return None
-    m = m / tr
-    w, V = np.linalg.eigh(m)
-    if w[0] < -1e-8:
-        return None
-    w = np.clip(w, 0.0, None)
-    m = (V * w) @ V.conj().T
-    return m / np.trace(m).real
+def _steady_states(ops: list[QuantumOperation], mats: np.ndarray, method: str, dims: np.ndarray,
+                   tols: Tolerances) -> list[NessResult | None]:
+    """Each candidate of a stack repaired into a state of its operation:
+    Hermitize, renormalize, clamp small negative eigenvalues, renormalize.
+    None where the trace vanishes, the negative part is too large to be
+    float noise, or the residual ||Phi(e) - e||_1 exceeds fp_tol."""
+    out: list[NessResult | None] = [None] * len(ops)
+    m = (mats + mk.dagger(mats)) / 2.0
+    tr = np.trace(m, axis1=-2, axis2=-1).real
+    live = np.flatnonzero(~(abs(tr) < 1e-12))
+    w, v = np.linalg.eigh(m[live] / tr[live, None, None])
+    keep = ~(w[:, 0] < -1e-8)
+    live, w, v = live[keep], np.clip(w[keep], 0.0, None), v[keep]
+    m = (v * w[:, None, :]) @ mk.dagger(v)
+    m = m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+    resid = np.linalg.svd(apply_matrices([ops[b] for b in live], m) - m, compute_uv=False).sum(-1)
+    good = ~(resid > tols.fp_tol)
+    states = st.densities(m[good], DimShape([m.shape[-1]], ["S"]), tols)
+    for b, r, state in zip(live[good].tolist(), resid[good].tolist(), states):
+        out[b] = NessResult(state, r, method, int(dims[b]))
+    return out
 
 
-def fixed_point(op: QuantumOperation, tols: Tolerances = DEFAULT_TOLS) -> NessResult:
-    """Extract a steady state of a trace-preserving channel.
+def fixed_points(ops: list[QuantumOperation], tols: Tolerances = DEFAULT_TOLS) -> list[NessResult]:
+    """A steady state of each trace-preserving channel of a list, all of one
+    dimension, with the bits of each on its own.
 
     Primary route: eigenvector of the d^2 x d^2 superoperator at the
-    eigenvalue nearest 1.  When the fixed space is degenerate or the
-    eigenvector cannot be repaired into a state, falls back to the Cesaro
-    average (1/N) sum_n Phi^n(I/d) with N doubling up to 2^16, which always
-    converges onto a valid fixed state for trace-preserving maps.
+    eigenvalue nearest 1, all superoperators in one stacked ``eig``.  When
+    the fixed space is degenerate or the eigenvector cannot be repaired
+    into a state, falls back to the Cesaro average (1/N) sum_n Phi^n(I/d)
+    with N doubling up to 2^16, which always converges onto a valid fixed
+    state for trace-preserving maps; the channels that fall back iterate in
+    lockstep.
     """
-    if op.d_in != op.d_out:
-        raise ShapeError("fixed point requires a square operation")
-    if not op.is_trace_preserving:
-        raise ValidationError("fixed point requires a trace-preserving operation")
-    d = op.d_in
-    t = transfer_matrix(op)
-    evals, evecs = np.linalg.eig(t)
-    fixed_space_dim = int(np.sum(np.abs(evals - 1.0) < 1e-8))
-
-    def finish(mat: np.ndarray, method: str) -> NessResult | None:
-        repaired = _repair_psd(mat)
-        if repaired is None:
-            return None
-        resid = trace_norm(apply_matrix(op, repaired) - repaired)
-        if resid > tols.fp_tol:
-            return None
-        state = density(repaired, DimShape([d], ["S"]), tols=tols)
-        return NessResult(state, resid, method, fixed_space_dim)
-
-    if fixed_space_dim == 1:
-        idx = int(np.argmin(np.abs(evals - 1.0)))
-        cand = evecs[:, idx].reshape(d, d)
-        res = finish(cand, "eigen")
-        if res is not None:
-            return res
+    for op in ops:
+        if op.d_in != op.d_out:
+            raise ShapeError("fixed point requires a square operation")
+    require_trace_preserving(ops, "fixed point requires a trace-preserving operation")
+    d = ops[0].d_in
+    evals, evecs = np.linalg.eig(transfer_matrices(ops))
+    near = np.abs(evals - 1.0)
+    dims = np.sum(near < 1e-8, axis=-1)
+    eigen = np.flatnonzero(dims == 1)
+    cands = evecs[eigen, :, np.argmin(near[eigen], axis=-1)].reshape(-1, d, d)
+    out = [None] * len(ops)
+    for b, res in zip(eigen.tolist(), _steady_states([ops[b] for b in eigen], cands, "eigen", dims[eigen], tols)):
+        out[b] = res
 
     # Cesaro fallback from the maximally mixed state.
-    x = np.eye(d, dtype=complex) / d
+    rest = [b for b, res in enumerate(out) if res is None]
+    x = np.array([np.eye(d, dtype=complex) / d] * len(rest))
     total = x.copy()
     n = 1
-    while n <= (1 << 16):
-        res = finish(total / n, "cesaro")
-        if res is not None:
-            return res
+    while rest and n <= (1 << 16):
+        for b, res in zip(rest, _steady_states([ops[b] for b in rest], total / n, "cesaro", dims[rest], tols)):
+            out[b] = res
+        left = [i for i, b in enumerate(rest) if out[b] is None]
+        rest, x, total = [rest[i] for i in left], x[left], total[left]
         # double the number of averaged iterates
-        for _ in range(n):
-            x = apply_matrix(op, x)
+        for _ in range(n if rest else 0):
+            x = apply_matrices([ops[b] for b in rest], x)
             total += x
         n *= 2
-    raise FixedPointError(
-        f"Cesaro average did not reach residual {tols.fp_tol} within 2^16 iterations "
-        f"(fixed_space_dim={fixed_space_dim})"
-    )
+    if rest:
+        raise FixedPointError(
+            f"Cesaro average did not reach residual {tols.fp_tol} within 2^16 iterations "
+            f"(fixed_space_dim={dims[rest[0]]})"
+        )
+    return out
 
 
 def marginal_chois(choi: np.ndarray, bipartite: tuple[int, int], keep: str,
@@ -364,7 +358,7 @@ def random_cptps(d: int, draws: list[np.ndarray], d_out: int | None = None,
     ``from_choi``'s checks and the Kraus extraction run once over the stack,
     with the bits of each map."""
     d_out = d if d_out is None else d_out
-    w = mk.stack([g @ g.conj().T for g in draws])
+    w = np.array([g @ g.conj().T for g in draws])
     r = tr_out_choi(w, d_out, d)
     rw, rv = np.linalg.eigh((r + mk.dagger(r)) / 2.0)
     rw = np.clip(rw, 1e-14, None)
@@ -372,9 +366,9 @@ def random_cptps(d: int, draws: list[np.ndarray], d_out: int | None = None,
     lift = mk.kron_stack(np.eye(d_out), r_isqrt)
     choi = lift @ w @ mk.dagger(lift)
     choi = mk.as_matrix((choi + mk.dagger(choi)) / 2.0, stack=True)
-    check_cp(choi, tols)
-    # Kraus form is materialized so that apply() uses the cheaper route.
-    w, v = mk.herm_eig(choi, tols)
+    # choi is exactly Hermitian, so herm_eig's own checks reduce to the
+    # reconstruction, from the decomposition that check_cp takes.
+    w, v = mk.herm_eig_of(choi, *check_cp(choi, tols, np.linalg.eigh), tols)
     kraus = mk.psd_factors(w, v).reshape(-1, d_out, d)
     ends = np.cumsum((w > 0.0).reshape(len(draws), -1).sum(-1)).tolist()
     return [QuantumOperation(d, d_out, c, kraus[a:b], bipartite, tols)

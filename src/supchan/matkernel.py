@@ -88,13 +88,15 @@ def as_matrix(m: np.ndarray, stack: bool = False) -> np.ndarray:
 
 
 def tensor(*mats: np.ndarray) -> np.ndarray:
-    """Kronecker product, left factor on the slow index."""
-    out = as_matrix(mats[0])
+    """Kronecker product, left factor on the slow index, of matrices or of
+    the matrices of broadcasting stacks (``kron_stack``)."""
+    out = as_matrix(mats[0], stack=True)
     for m in mats[1:]:
-        m = as_matrix(m)
-        if out.size * m.size > MAX_ENTRIES:
+        m = as_matrix(m, stack=True)
+        lead = np.broadcast_shapes(out.shape[:-2], m.shape[:-2])
+        if math.prod(lead) * math.prod(out.shape[-2:]) * math.prod(m.shape[-2:]) > MAX_ENTRIES:
             raise ShapeError("tensor product exceeds the dense-storage limit")
-        out = np.kron(out, m)
+        out = kron_stack(out, m)
     return out
 
 
@@ -106,10 +108,16 @@ def kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (p * r, q * s))
 
 
-def stack(mats: list[np.ndarray]) -> np.ndarray:
-    """The matrices as one stack, except that one matrix stays itself, and
-    its checks scalar."""
-    return mats[0] if len(mats) == 1 else np.array(mats)
+def sum_runs(terms: np.ndarray, counts) -> np.ndarray:
+    """The sum of each run of ``counts`` consecutive terms of a stack, each
+    added into zeros in order, so with the bits of a loop over the run."""
+    counts = np.asarray(counts)
+    starts = np.cumsum(counts) - counts
+    out = np.zeros((len(counts),) + terms.shape[1:], dtype=terms.dtype)
+    for j in range(counts.max(initial=0)):
+        has = np.flatnonzero(counts > j)
+        out[has] += terms[starts[has] + j]
+    return out
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -209,7 +217,13 @@ def herm_eig(
     if m.shape[-1] != m.shape[-2]:
         raise ShapeError(f"expected square matrix, got {m.shape}")
     check_hermitian(m, tols.herm_tol)
-    w, V = np.linalg.eigh((m + dagger(m)) / 2.0)
+    return herm_eig_of(m, *np.linalg.eigh((m + dagger(m)) / 2.0), tols)
+
+
+def herm_eig_of(m: np.ndarray, w: np.ndarray, V: np.ndarray,
+                tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, np.ndarray]:
+    """``herm_eig`` of a checked Hermitian ``m`` (or stack) from the ascending
+    ``np.linalg.eigh((m + m^dag) / 2)`` that a check has taken already."""
     w, V = w[..., ::-1], V[..., ::-1]
     # V diag(w) is V * w: the other terms of each sum are exact zeros.
     resid = max_abs((V * w[..., None, :]) @ dagger(V) - m)

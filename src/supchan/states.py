@@ -24,6 +24,7 @@ class DensityMatrix:
 
     mat: np.ndarray
     shape: DimShape
+    # tols -> what eig returns; None -> (tols, w, v) of the eigh that a check under tols took.
     _eig: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -34,11 +35,11 @@ class DensityMatrix:
         object.__setattr__(self, "mat", mat)
 
     def eig(self, tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, np.ndarray]:
-        """``mk.herm_eig(mat, tols)``, computed once per ``tols``; both arrays are read-only."""
+        """``mk.herm_eig(mat, tols)``, computed once per ``tols``, from the
+        decomposition that ``density``'s checks under ``tols`` took when
+        there is one; both arrays are read-only."""
         if tols not in self._eig:
-            w, v = mk.herm_eig(self.mat, tols)
-            w.flags.writeable = v.flags.writeable = False
-            self._eig[tols] = (w, v)
+            decompose([self], tols)
         return self._eig[tols]
 
     @property
@@ -72,25 +73,51 @@ def density(
             shape = DimShape([d], labels)
         else:
             raise ShapeError("multiple labels require an explicit DimShape")
-    rho = DensityMatrix(mat, shape)
-    check_density(mat, tols)
-    return rho
+    return densities(mat[None], shape, tols)[0]
 
 
-def check_density(mat: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> None:
+def densities(mats: np.ndarray, shape: DimShape, tols: Tolerances = DEFAULT_TOLS) -> list[DensityMatrix]:
+    """``density`` of each matrix of a stack, all on ``shape``, with the
+    checks of the stack in one step; each keeps for ``eig`` the
+    ``np.linalg.eigh`` that its PSD check reads."""
+    rhos = [DensityMatrix(m, shape) for m in mk.as_matrix(mats, stack=True)]
+    w, v = check_density(mats, tols, np.linalg.eigh)
+    for rho, wb, vb in zip(rhos, w, v):
+        rho._eig[None] = (tols, wb, vb)
+    return rhos
+
+
+def check_density(mat: np.ndarray, tols: Tolerances = DEFAULT_TOLS, eig=None):
     """``density``'s checks of a matrix, or of each of a stack: Hermitian,
-    unit trace and positive semidefinite."""
+    unit trace and positive semidefinite, the last on the eigenvalues that
+    ``eig`` (``np.linalg.eigvalsh`` when None, or ``eigh``) finds of
+    (mat + mat^dag) / 2; returns what ``eig`` returns."""
     mk.check_hermitian(mat, tols.herm_tol, "density matrix")
     tr = mat.trace(axis1=-2, axis2=-1).real
     mk.fail_first(abs(tr - 1.0) > tols.trace_tol, tr, f"trace {{!r}} is not 1 within {tols.trace_tol}")
-    w = np.linalg.eigvalsh((mat + mk.dagger(mat)) / 2.0)[..., 0]
-    mk.fail_first(w < -tols.psd_floor, w, "negative eigenvalue {:.3e} below -psd_floor")
+    out = (eig or np.linalg.eigvalsh)((mat + mk.dagger(mat)) / 2.0)
+    w = out[0] if isinstance(out, tuple) else out
+    mk.fail_first(w[..., 0] < -tols.psd_floor, w[..., 0], "negative eigenvalue {:.3e} below -psd_floor")
+    return out
 
 
-def marginal(rho: DensityMatrix, keep: Sequence[str], tols: Tolerances = DEFAULT_TOLS) -> DensityMatrix:
-    """Partial trace onto the subsystems named in ``keep``."""
-    sub = rho.shape.subshape(keep)
-    return density(mk.partial_trace(rho.mat, rho.shape, keep), sub, tols=tols)
+def decompose(rhos: list[DensityMatrix], tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, np.ndarray]:
+    """``rho.eig(tols)`` of each density matrix of a list, as two stacks;
+    those not yet decomposed under ``tols`` are in one stacked step, from
+    what their checks under ``tols`` took when all have it."""
+    todo = list({id(r): r for r in rhos if tols not in r._eig}.values())
+    if todo:
+        mats = np.array([r.mat for r in todo])
+        taken = [r._eig.get(None, (None,)) for r in todo]
+        if all(t[0] == tols for t in taken):
+            w, v = mk.herm_eig_of(mats, np.array([t[1] for t in taken]), np.array([t[2] for t in taken]), tols)
+        else:
+            w, v = mk.herm_eig(mats, tols)
+        for r, wb, vb in zip(todo, w, v):
+            wb.flags.writeable = vb.flags.writeable = False
+            r._eig[tols] = (wb, vb)
+    eigs = [r._eig[tols] for r in rhos]
+    return np.array([e[0] for e in eigs]), np.array([e[1] for e in eigs])
 
 
 def spectrum(rho: DensityMatrix, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
@@ -186,18 +213,19 @@ def ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
 
 
-def random_density(
-    d: int, rank: int, rng: np.random.Generator, labels: Sequence[str] | None = None,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> DensityMatrix:
-    """Normalized Wishart state G G^dag / tr with G a d x rank Ginibre matrix."""
-    if not 1 <= rank <= d:
-        raise ValueError(f"rank {rank} out of range [1, {d}]")
-    g = ginibre(d, rank, rng)
-    m = g @ g.conj().T
-    m /= np.trace(m).real
-    shape = DimShape([d], labels if labels is not None else ["S"])
-    return density(m, shape, tols=tols)
+def wishart(gs: list[np.ndarray]) -> np.ndarray:
+    """The normalized Wishart state G G^dag / tr of each Ginibre matrix G of a
+    list, as one stack."""
+    m = np.array([g @ g.conj().T for g in gs])
+    return m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+
+
+def random_densities(d: int, ranks: list[int], rngs: list[np.random.Generator], tols: Tolerances = DEFAULT_TOLS,
+                     labels: Sequence[str] = ("S",)) -> list[DensityMatrix]:
+    """The normalized Wishart state of a d x rank Ginibre matrix drawn from
+    each generator, for each (rank, generator) pair, checked in one stacked
+    step."""
+    return densities(wishart([ginibre(d, r, rng) for r, rng in zip(ranks, rngs)]), DimShape([d], labels), tols)
 
 
 def random_pure(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -22,8 +22,8 @@ superchannel M# acts on unit-trace operation-states A_d = C/d and is
 realized by the same tensor contraction with C = d * A_d
 (``act_normalized_block``).  The subsequent dynamics
 sigma -> tr_E[U (sigma (x) tau) U^dag] is
-``channels.channel_from_dilation(sc.u, sc.env_marginal)``; its steady
-state and steady operation come from ``neso``.
+``channels.channels_from_dilations``; its steady state and steady
+operation come from ``neso_block``.
 """
 
 from __future__ import annotations
@@ -35,9 +35,10 @@ import numpy as np
 
 from . import channels as ch
 from . import matkernel as mk
+from . import states as st
 from .config import DEFAULT_TOLS, Tolerances
 from .matkernel import DimShape, ShapeError
-from .states import DensityMatrix, check_density, marginal
+from .states import DensityMatrix, check_density
 
 
 @dataclass(frozen=True)
@@ -57,56 +58,58 @@ class Superchannel:
         r4 = self.rho_se.mat.reshape(d_s, d_e, d_s, d_e)
         return mk.einsum("axby,cyrz,pxqz->abcpqr", u4, r4, u4.conj())
 
-    @property
-    def sys_marginal(self) -> DensityMatrix:
-        """sigma = tr_E rho_SE."""
-        return marginal(self.rho_se, ["S"], self._tols)
 
-    @property
-    def env_marginal(self) -> DensityMatrix:
-        """tau = tr_S rho_SE."""
-        return marginal(self.rho_se, ["E"], self._tols)
+def marginals(scs: list[Superchannel], label: str) -> list[DensityMatrix]:
+    """sigma = tr_E rho_SE (``label`` "S") or tau = tr_S rho_SE ("E") of each
+    superchannel, all of one (d_S, d_E), checked in one stacked step."""
+    shape = scs[0].rho_se.shape
+    return st.densities(mk.partial_trace(np.array([sc.rho_se.mat for sc in scs]), shape, [label]),
+                        shape.subshape([label]), scs[0]._tols)
 
 
 def build(u: np.ndarray, rho_se: DensityMatrix, tols: Tolerances = DEFAULT_TOLS) -> Superchannel:
     """Construct the superchannel for a joint unitary and correlated state."""
-    u = mk.as_matrix(u)
-    if tuple(rho_se.shape.labels) != ("S", "E"):
-        raise ShapeError(f"rho_SE must carry labels ('S', 'E'), got {rho_se.shape.labels}")
-    d_s = rho_se.factor_of("S")
-    d_e = rho_se.factor_of("E")
-    if u.shape != (d_s * d_e, d_s * d_e):
-        raise ShapeError(f"unitary shape {u.shape} != joint dim {d_s * d_e}")
-    ch.check_unitary(u, tols, what="joint unitary")
-    return Superchannel(u, rho_se, d_s, d_e, tols)
+    return build_block([u], [rho_se], tols)[0]
+
+
+def build_block(us: list[np.ndarray], rho_ses: list[DensityMatrix],
+                tols: Tolerances = DEFAULT_TOLS) -> list[Superchannel]:
+    """The superchannel of each (joint unitary, correlated state) pair, all of
+    one (d_S, d_E), with the unitaries checked in one stacked step."""
+    for rho_se in rho_ses:
+        if tuple(rho_se.shape.labels) != ("S", "E"):
+            raise ShapeError(f"rho_SE must carry labels ('S', 'E'), got {rho_se.shape.labels}")
+    d_s = rho_ses[0].factor_of("S")
+    d_e = rho_ses[0].factor_of("E")
+    us = mk.as_matrix(np.array(us), stack=True)
+    if us.shape[-2:] != (d_s * d_e, d_s * d_e):
+        raise ShapeError(f"unitary shape {us.shape[-2:]} != joint dim {d_s * d_e}")
+    ch.check_unitary(us, tols, what="joint unitary")
+    return [Superchannel(u, rho_se, d_s, d_e, tols) for u, rho_se in zip(us, rho_ses)]
 
 
 def act(sc: Superchannel, op: ch.QuantumOperation) -> DensityMatrix:
     """sigma' for a CPTP operation on the system, by the operational formula."""
-    return DensityMatrix(act_block([sc], [op]), DimShape([sc.d_s], ["S"]))
+    return DensityMatrix(act_block([sc], [op])[0], DimShape([sc.d_s], ["S"]))
 
 
 def act_block(scs: list[Superchannel], ops: list[ch.QuantumOperation]) -> np.ndarray:
     """sigma' of each (superchannel, operation) pair, all of one (d_S, d_E),
-    as a (B, d_S, d_S) stack (one matrix for one pair) checked as density
-    matrices.  The block's Kraus operators form one ragged stack, every
-    (K (x) I_E) rho_SE (K (x) I_E)^dag comes from one stacked product, and
-    each pair's terms are added into zeros in Kraus order."""
+    as a (B, d_S, d_S) stack checked as density matrices.  The block's Kraus
+    operators form one ragged stack, every (K (x) I_E) rho_SE (K (x) I_E)^dag
+    comes from one stacked product, and each pair's terms are added into
+    zeros in Kraus order."""
     sc = scs[0]
     for op in ops:
         if op.d_in != sc.d_s or op.d_out != sc.d_s:
             raise ShapeError(f"operation dims ({op.d_out}, {op.d_in}) != system dim {sc.d_s}")
-    tp = ch.trace_preserving(mk.stack([op.choi for op in ops]), sc.d_s, sc.d_s)
-    mk.fail_first(np.logical_not(tp), tp, "act() requires a CPTP operation")
+    ch.require_trace_preserving(ops, "act() requires a CPTP operation")
     kraus = [op.kraus_ops() for op in ops]
+    counts = [len(k) for k in kraus]
     kk = mk.kron_stack(np.concatenate(kraus), np.eye(sc.d_e, dtype=complex))
-    owner = np.repeat(np.arange(len(ops)), [len(k) for k in kraus])
-    rho = mk.stack([s.rho_se.mat for s in scs])
-    joint = np.zeros_like(rho)
-    each = joint.reshape(-1, *rho.shape[-2:])
-    for b, term in zip(owner.tolist(), kk @ rho.reshape(each.shape)[owner] @ mk.dagger(kk)):
-        each[b] += term
-    u = mk.stack([s.u for s in scs])
+    rho = np.array([s.rho_se.mat for s in scs])
+    joint = mk.sum_runs(kk @ rho[np.repeat(np.arange(len(ops)), counts)] @ mk.dagger(kk), counts)
+    u = np.array([s.u for s in scs])
     evolved = u @ joint @ mk.dagger(u)
     out = mk.partial_trace(evolved, sc.rho_se.shape, ["S"])
     out = mk.as_matrix((out + mk.dagger(out)) / 2.0, stack=True)
@@ -151,22 +154,28 @@ class Neso:
 
     ness: DensityMatrix
     env_marginal: DensityMatrix
-    op: ch.QuantumOperation
     diagnostics: ch.NessResult
+    _tols: Tolerances = field(default=DEFAULT_TOLS, repr=False)
+
+    @cached_property
+    def op(self) -> ch.QuantumOperation:
+        """Built on first use: only the slack identity reads it."""
+        return ch.replace_channels([self.ness], self._tols)[0]
 
     @property
     def op_state(self) -> np.ndarray:
         return self.op.choi / self.op.d_in
 
 
-def neso(sc: Superchannel) -> Neso:
-    """Steady operation of the superchannel's subsequent dynamics.
-
-    The steady state solves e = tr_E[U (e (x) tau) U^dag] with
-    tau = tr_S rho_SE; failures of the fixed-point search propagate.
+def neso_block(scs: list[Superchannel]) -> list[Neso]:
+    """Steady operation of the subsequent dynamics of each superchannel of a
+    block, all of one (d_S, d_E), with the bits of each on its own: each
+    steady state solves e = tr_E[U (e (x) tau) U^dag] with tau = tr_S rho_SE.
+    The marginals, the channels, the fixed points and the steady states'
+    spectra are each one stacked step; fixed-point failures propagate.
     """
-    tau = sc.env_marginal
-    phi = ch.channel_from_dilation(sc.u, tau, sc._tols)
-    fp = ch.fixed_point(phi, sc._tols)
-    op = ch.replace_channel(fp.state, sc._tols)
-    return Neso(fp.state, tau, op, fp)
+    tols = scs[0]._tols
+    taus = marginals(scs, "E")
+    fps = ch.fixed_points(ch.channels_from_dilations([sc.u for sc in scs], taus, tols), tols)
+    st.decompose([fp.state for fp in fps], tols)
+    return [Neso(fp.state, tau, fp, tols) for fp, tau in zip(fps, taus)]

@@ -3,13 +3,16 @@ constructions that only the tests use.
 
 Each oracle is the one-matrix-at-a-time code that the library ran before
 its per-trial routines became the stacked ``random_cptps``, ``act_block``,
-``check_density``, ``main_bounds``, ``holevo_block``, ``qdpi_block`` and
-``classical_mutual_informations``.  The tests compare the stacked routines
-with them byte for byte; the ``oracles`` fixture hands them out.
+``check_density``, ``main_bounds``, ``holevo_block``, ``qdpi_block``,
+``classical_mutual_informations``, ``fixed_points``, ``neso_block``,
+``spohn_block``, ``clausius_block`` and ``dilation.mmap_block``.  The tests
+compare the stacked routines with them byte for byte; the ``oracles``
+fixture hands them out.
 
-The helpers below the oracles (named channels, Stinespring dilations, the
-Choi matrix of M#, the Spohn composition) are what the verifier never runs;
-test modules import them with ``from conftest import ...``.
+The helpers below the oracles (one-pair forms of the stacked routines,
+named channels, Stinespring dilations, the Choi matrix of M#, the Spohn
+composition) are what the verifier never runs; test modules import them
+with ``from conftest import ...``.
 """
 
 import math
@@ -21,6 +24,7 @@ import pytest
 
 from supchan import bounds as bd
 from supchan import channels as ch
+from supchan import dilation as dl
 from supchan import matkernel as mk
 from supchan import states as st
 from supchan import superchannel as sup
@@ -191,7 +195,7 @@ def act_normalized(sc, a, tols):
 def qdpi(sc1, sc2, op, tols):
     """(I_in, I_out, D_in, D_out, flags) of ``qdpi_block``, one trial at a time."""
     d_p, d_q = op.bipartite
-    assert op.is_trace_preserving
+    assert is_trace_preserving(op)
     x = (op.choi / op.d_in).reshape(d_p, d_q, d_p, d_q, d_p, d_q, d_p, d_q)
     x = np.transpose(x, (0, 2, 1, 3, 4, 6, 5, 7)).reshape(d_p * d_p * d_q * d_q, -1)
     check_density(x, tols)
@@ -213,6 +217,206 @@ def qdpi(sc1, sc2, op, tols):
     return mi_in, mi_out, d_in, d_out, flags
 
 
+def transfer_matrix(ks):
+    """The sum of np.kron(K, conj(K)) in Kraus order."""
+    t = np.zeros((ks[0].shape[0] ** 2, ks[0].shape[1] ** 2), dtype=complex)
+    for k in ks:
+        t += np.kron(k, k.conj())
+    return t
+
+
+def apply_op(op, mat):
+    """sum_k K X K^dag in Kraus order, or the Choi contraction for an
+    operation held by its Choi matrix alone."""
+    if op.kraus is None:
+        return np.einsum("aibj,ij->ab", op.choi.reshape(op.d_out, op.d_in, op.d_out, op.d_in), mat)
+    out = np.zeros((op.d_out, op.d_out), dtype=complex)
+    for k in op.kraus:
+        out += k @ mat @ k.conj().T
+    return out
+
+
+def steady_state(op, tols):
+    """(state, residual, method, fixed_space_dim) of ``fixed_points`` for one
+    operation: the eigen route, then the Cesaro average, each candidate
+    repaired and checked as a density matrix."""
+    d = op.d_in
+    ks = op.kraus if op.kraus is not None else kraus(op.choi, d, d, tols)
+    evals, evecs = np.linalg.eig(transfer_matrix(ks))
+    fixed_space_dim = int(np.sum(np.abs(evals - 1.0) < 1e-8))
+
+    def finish(m, method):
+        m = (m + m.conj().T) / 2.0
+        tr = np.trace(m).real
+        if abs(tr) < 1e-12:
+            return None
+        w, v = np.linalg.eigh(m / tr)
+        if w[0] < -1e-8:
+            return None
+        m = (v * np.clip(w, 0.0, None)) @ v.conj().T
+        m = m / np.trace(m).real
+        resid = float(np.sum(np.linalg.svd(apply_op(op, m) - m, compute_uv=False)))
+        if resid > tols.fp_tol:
+            return None
+        check_density(m, tols)
+        return m, resid, method, fixed_space_dim
+
+    if fixed_space_dim == 1:
+        res = finish(evecs[:, int(np.argmin(np.abs(evals - 1.0)))].reshape(d, d), "eigen")
+        if res is not None:
+            return res
+    x = np.eye(d, dtype=complex) / d
+    total = x.copy()
+    n = 1
+    while n <= (1 << 16):
+        res = finish(total / n, "cesaro")
+        if res is not None:
+            return res
+        for _ in range(n):
+            x = apply_op(op, x)
+            total += x
+        n *= 2
+    raise ch.FixedPointError("Cesaro average did not converge")
+
+
+def dilation_kraus(u, tau, tols):
+    """Kraus operators of sigma -> tr_E[U (sigma (x) tau) U^dag], one
+    einsum per positive eigenpair of tau."""
+    d_e = tau.shape[0]
+    d_s = u.shape[0] // d_e
+    w, v = herm_eig(tau, tols)
+    u4 = u.reshape(d_s, d_e, d_s, d_e)
+    ks = []
+    for lam, vec in zip(w, v.T):
+        if lam > 0.0:
+            block = np.einsum("aibj,j->iab", u4, vec)
+            ks += [np.sqrt(lam) * block[i] for i in range(d_e)]
+    return np.array(ks)
+
+
+def choi(ks):
+    """sum_k vec(K) vec(K)^dag in Kraus order."""
+    c = np.zeros((ks[0].size,) * 2, dtype=complex)
+    for k in ks:
+        c += np.outer(k.reshape(-1), k.reshape(-1).conj())
+    return c
+
+
+def steady_operation(sc, tols):
+    """(steady state, residual, method, fixed_space_dim) of ``neso_block``
+    for one superchannel."""
+    d_s, d_e = sc.d_s, sc.d_e
+    tau = np.trace(sc.rho_se.mat.reshape(d_s, d_e, d_s, d_e), axis1=0, axis2=2)
+    check_density(tau, tols)
+    ks = dilation_kraus(sc.u, tau, tols)
+    return steady_state(ch.QuantumOperation(d_s, d_s, choi(ks), ks), tols)
+
+
+def spohn_bound(op, rho, tols):
+    """(lhs, rhs, slack, steady-state diagnostics) of ``spohn_block`` for one
+    operation at one state."""
+    ness, resid, method, dim = steady_state(op, tols)
+    out = apply_op(op, rho)
+    out = (out + out.conj().T) / 2.0
+    check_density(out, tols)
+    w_n, v_n = herm_eig(ness, tols)
+    lhs = entropy(herm_eig(out, tols)[0]) - entropy(herm_eig(rho, tols)[0])
+    t_out = trace_against_log(out, w_n, v_n, tols)
+    t_in = trace_against_log(rho, w_n, v_n, tols)
+    rhs = bd.ext_sub(t_in, t_out)
+    return lhs, rhs, bd.ext_sub(lhs, rhs), (resid, method, dim)
+
+
+def replace_kraus(sigma, tols):
+    """Kraus operators sqrt(lam) |v><j| of the map that prepares sigma."""
+    d = sigma.shape[0]
+    w, v = herm_eig(sigma, tols)
+    ks = []
+    for lam, f in zip(w, v.T):
+        for j in range(d):
+            if lam > 0.0:
+                k = np.zeros((d, d), dtype=complex)
+                k[:, j] = np.sqrt(lam) * f
+                ks.append(k)
+    return np.array(ks)
+
+
+def clausius_bound(sc, sigma, gibbs, tols):
+    """(lhs, rhs, slack, thermal residual) of ``clausius_block`` for one
+    superchannel and state, with the Gibbs state given."""
+    d = sc.d_s
+    ness = steady_operation(sc, tols)[0]
+    resid = float(np.abs(ness - gibbs).max())
+    assert resid <= bd.THERMAL_MATCH_TOL
+    sigma_p = act(sc, replace_kraus(sigma, tols), tols)
+    w_g, v_g = herm_eig(gibbs, tols)
+    lhs = entropy(herm_eig(sigma_p, tols)[0]) - (entropy(herm_eig(sigma, tols)[0]) + math.log(d))
+    t_out = trace_against_log(sigma_p, w_g, v_g, tols)
+    t_in = trace_against_log(sigma, w_g, v_g, tols)
+    rhs = bd.ext_sub(t_in - math.log(d), t_out)
+    return lhs, rhs, bd.ext_sub(lhs, rhs), resid
+
+
+def mmap_image(sc, v, alpha, tols):
+    """(Upsilon, delta_S, consistency residual) of ``mmap_block`` and the
+    consistency check for one superchannel and isometric dilation, with
+    np.kron and the explicit permutation matrix."""
+    d_s, d_e, d_a = sc.d_s, sc.d_e, alpha.shape[0]
+    p = mk.permutation_matrix(DimShape([d_s, d_e, d_a], ["S", "E", "A"]), ["S", "A", "E"])
+    v_full = p.conj().T @ np.kron(v, np.eye(d_e, dtype=complex)) @ p
+    staged = v_full @ np.kron(sc.rho_se.mat, alpha) @ v_full.conj().T
+    u_full = np.kron(sc.u, np.eye(d_a, dtype=complex))
+    evolved = u_full @ staged @ u_full.conj().T
+    ups = np.trace(evolved.reshape(d_s, d_e, d_a, d_s, d_e, d_a), axis1=1, axis2=4).reshape(d_s * d_a, -1)
+    ups = (ups + ups.conj().T) / 2.0
+    check_density(ups, tols)
+    sigma = np.trace(sc.rho_se.mat.reshape(d_s, d_e, d_s, d_e), axis1=1, axis2=3)
+    check_density(sigma, tols)
+    delta_s = entropy(herm_eig(ups, tols)[0]) - entropy(herm_eig(sigma, tols)[0])
+    reduced = np.trace(ups.reshape(d_s, d_a, d_s, d_a), axis1=1, axis2=3)
+    direct = act(sc, dilation_kraus(v, alpha, tols), tols)
+    return ups, delta_s, float(np.abs(reduced - direct).max())
+
+
+def wishart(d, rank, rng, tols):
+    """``random_density``'s draw: G G^dag / tr, checked as a density matrix."""
+    g = st.ginibre(d, rank, rng)
+    m = g @ g.conj().T
+    m /= np.trace(m).real
+    check_density(m, tols)
+    return m
+
+
+def family_trial(scenario, family, trial, tols):
+    """(lhs, rhs, slack) of one ``spohn``, ``clausius`` or
+    ``mmap-consistency`` trial of a scenario without explicit entries, drawn
+    from the trial's generator in the per-trial order."""
+    d = scenario.dims.get("d_S", 2)
+    rng = np.random.default_rng([np.uint64(scenario.seed), np.uint64(FAMILY_INDEX[family]), np.uint64(trial)])
+    if family == "spohn":
+        c, ks = random_cptp_parts(d, int(rng.integers(1, d * d + 1)), rng, d, tols)
+        rho = wishart(d, int(rng.integers(1, d + 1)), rng, tols)
+        return spohn_bound(ch.QuantumOperation(d, d, c, ks), rho, tols)[:3]
+    if family == "clausius":
+        gibbs, _ = bd.thermal_state(np.diag(np.arange(d, dtype=float)).astype(complex), 1.0, tols)
+        anchor = wishart(d, d, rng, tols)
+        rho_se = np.kron(anchor, gibbs.mat)
+        check_density(rho_se, tols)
+        sc = sup.Superchannel(ch.partial_swap_unitary(d, math.pi / 4), st.DensityMatrix(rho_se, DimShape([d, d], ["S", "E"])), d, d)
+        sigma = wishart(d, int(rng.integers(1, d + 1)), rng, tols)
+        return clausius_bound(sc, sigma, gibbs.mat, tols)[:3]
+    d_e, d_a = scenario.dims.get("d_E", 2), scenario.dims.get("d_A", d)
+    rho_se = wishart(d * d_e, int(rng.integers(1, min(4, d * d_e) + 1)), rng, tols)
+    sc = sup.Superchannel(st.haar_unitary(d * d_e, rng), st.DensityMatrix(rho_se, DimShape([d, d_e], ["S", "E"])), d, d_e)
+    v = st.haar_unitary(d * d_a, rng)
+    vec = st.random_pure(d_a, rng)
+    _, _, residual = mmap_image(sc, v, np.outer(vec, vec.conj()), tols)
+    return 1e-10, residual, 1e-10 - residual
+
+
+FAMILY_INDEX = {"spohn": 0, "clausius": 2, "mmap-consistency": 5}
+
+
 def blocks(n):
     """Consecutive blocks of 1, 2, ..., 8, 1, 2, ... indices covering range(n)."""
     out, start, size = [], 0, 1
@@ -231,7 +435,7 @@ def block_instances(d_s, d_e, n, seed):
     operation given by its Kraus operators or by its Choi matrix.
     """
     def superchannel(rng):
-        raw = st.random_density(d_s * d_e, int(rng.integers(1, d_s * d_e + 1)), rng)
+        raw = random_density(d_s * d_e, int(rng.integers(1, d_s * d_e + 1)), rng)
         rho = st.density(raw.mat, DimShape([d_s, d_e], ["S", "E"]))
         return sup.build(st.haar_unitary(d_s * d_e, rng), rho)
 
@@ -261,7 +465,11 @@ def oracles():
                                  random_cptp_parts=random_cptp_parts, act=act, main_bound=main_bound,
                                  block_instances=block_instances, blocks=blocks,
                                  classical_mutual_information=classical_mutual_information,
-                                 holevo=holevo, qdpi=qdpi)
+                                 holevo=holevo, qdpi=qdpi, transfer_matrix=transfer_matrix,
+                                 steady_state=steady_state, dilation_kraus=dilation_kraus, choi=choi,
+                                 steady_operation=steady_operation, spohn_bound=spohn_bound,
+                                 replace_kraus=replace_kraus, clausius_bound=clausius_bound,
+                                 mmap_image=mmap_image, family_trial=family_trial)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +479,98 @@ def oracles():
 def random_cptp(d, kraus_rank, rng, d_out=None, bipartite=None):
     """One random CPTP map: ``random_cptps`` of one ``bcsz_draw``."""
     return ch.random_cptps(d, [ch.bcsz_draw(d, kraus_rank, rng, d_out)], d_out, bipartite)[0]
+
+
+def fixed_point(op, tols=DEFAULT_TOLS):
+    return ch.fixed_points([op], tols)[0]
+
+
+def neso(sc):
+    return sup.neso_block([sc])[0]
+
+
+def sys_marginal(sc):
+    return sup.marginals([sc], "S")[0]
+
+
+def env_marginal(sc):
+    return sup.marginals([sc], "E")[0]
+
+
+def channel_from_dilation(u, tau, tols=DEFAULT_TOLS):
+    return ch.channels_from_dilations([u], [tau], tols)[0]
+
+
+def replace_channel(target, tols=DEFAULT_TOLS):
+    return ch.replace_channels([target], tols)[0]
+
+
+def marginal(rho, keep, tols=DEFAULT_TOLS):
+    """Partial trace of a density matrix onto the subsystems named in ``keep``."""
+    return st.density(mk.partial_trace(rho.mat, rho.shape, keep), rho.shape.subshape(keep), tols=tols)
+
+
+def is_trace_preserving(op):
+    try:
+        ch.require_trace_preserving([op], "not trace preserving")
+    except ValidationError:
+        return False
+    return True
+
+
+def apply(op, rho, tols=DEFAULT_TOLS):
+    """A trace-preserving map applied to a state: ``apply_matrices`` of one
+    pair, Hermitized and checked as a density matrix."""
+    if rho.dim != op.d_in:
+        raise ShapeError(f"state dim {rho.dim} != operation d_in {op.d_in}")
+    ch.require_trace_preserving([op], "operation is not trace preserving")
+    out = ch.apply_matrices([op], rho.mat[None])[0]
+    return st.density((out + out.conj().T) / 2.0, DimShape([op.d_out], rho.shape.labels[:1]), tols=tols)
+
+
+def spohn(op, rho, tols=DEFAULT_TOLS, collect=None):
+    return bd.spohn_block([op], [rho], tols, [collect])[0]
+
+
+def clausius(sc, sigma, h, beta, tols=DEFAULT_TOLS, collect=None):
+    """``clausius_block`` of one pair, with the Gibbs state of (h, beta)."""
+    gibbs, z = bd.thermal_state(mk.as_matrix(h), beta, tols)
+    return bd.clausius_block([sc], [sigma], gibbs, z, beta, tols, [collect])[0]
+
+
+@dataclass(frozen=True)
+class IsometricOperation:
+    """A[sigma] = V (sigma (x) alpha) V^dag with V unitary on S (x) A."""
+
+    v: np.ndarray
+    alpha: st.DensityMatrix
+
+    def __post_init__(self):
+        object.__setattr__(self, "v", mk.as_matrix(self.v))
+        ch.check_unitary(self.v, what="isometric-dilation unitary")
+        if self.v.shape[0] % self.alpha.dim != 0:
+            raise ShapeError(f"unitary dim {self.v.shape[0]} does not factor over ancilla dim {self.alpha.dim}")
+
+    @property
+    def d_a(self):
+        return self.alpha.dim
+
+    @property
+    def d_s(self):
+        return self.v.shape[0] // self.alpha.dim
+
+
+def mmap(sc, iso, tols=DEFAULT_TOLS):
+    """(Upsilon, delta_S) of ``dilation.mmap_block`` for one pair."""
+    upsilons, deltas = dl.mmap_block([sc], [iso.v], [iso.alpha], tols)
+    return upsilons[0], deltas[0]
+
+
+def random_density(d, rank, rng, labels=None, tols=DEFAULT_TOLS):
+    """Normalized Wishart state G G^dag / tr with G a d x rank Ginibre matrix."""
+    if not 1 <= rank <= d:
+        raise ValueError(f"rank {rank} out of range [1, {d}]")
+    return st.random_densities(d, [rank], [rng], tols, labels if labels is not None else ["S"])[0]
 
 
 def trial_rng(seed, trial):
@@ -351,8 +651,8 @@ def ext_add(a, b):
 def spohn_composition(op, sc):
     """Spohn's bound for the preparation from tr_E(rho_SE), plus the
     generalized bound for the subsequent correlated dynamics; slacks add."""
-    rep_spohn = bd.spohn(op, sc.sys_marginal)
-    rep_main = bd.main_bounds([sc], [op], [sup.neso(sc)])[0]
+    rep_spohn = spohn(op, sys_marginal(sc))
+    rep_main = bd.main_bounds([sc], [op], [neso(sc)])[0]
     return types.SimpleNamespace(spohn=rep_spohn, main=rep_main,
                                  combined_slack=ext_add(rep_spohn.slack, rep_main.slack))
 

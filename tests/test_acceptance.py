@@ -12,15 +12,16 @@ import numpy as np
 from supchan import bounds as bd
 from supchan import campaigns as cp
 from supchan import channels as ch
-from supchan import dilation as dl
 from supchan import matkernel as mk
 from supchan import states as st
 from supchan import superchannel as sup
 from supchan.config import DEFAULT_TOLS
 from supchan.matkernel import DimShape
 
-from conftest import (choi_of_msharp, identity_channel, msharp_tp_residual, operation_entropy,
-                      random_cptp, stinespring, trial_rng, unitary_channel)
+from conftest import (apply, channel_from_dilation, choi_of_msharp, clausius, env_marginal, identity_channel,
+                      IsometricOperation, mmap, msharp_tp_residual, neso, operation_entropy, random_cptp,
+                      random_density, replace_channel, spohn, stinespring, sys_marginal, trial_rng,
+                      unitary_channel)
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -40,11 +41,11 @@ def campaign(seed, trials, bound, dims=None, n_measurements=50, jobs=1):
 
 def rand_sc(d_s, d_e, rng, product=False):
     if product:
-        sigma = st.random_density(d_s, d_s, rng)
-        tau = st.random_density(d_e, d_e, rng)
+        sigma = random_density(d_s, d_s, rng)
+        tau = random_density(d_e, d_e, rng)
         rho = st.density(mk.tensor(sigma.mat, tau.mat), DimShape([d_s, d_e], ["S", "E"]))
     else:
-        raw = st.random_density(d_s * d_e, int(rng.integers(1, min(4, d_s * d_e) + 1)), rng)
+        raw = random_density(d_s * d_e, int(rng.integers(1, min(4, d_s * d_e) + 1)), rng)
         rho = st.density(raw.mat, DimShape([d_s, d_e], ["S", "E"]))
     return sup.build(st.haar_unitary(d_s * d_e, rng), rho)
 
@@ -57,10 +58,10 @@ def test_criterion_1_monotonicity_foundation():
         for trial in range(500):
             rng = trial_rng(101 + d, trial)
             op = random_cptp(d, int(rng.integers(1, d * d + 1)), rng)
-            r1 = st.random_density(d, int(rng.integers(1, d + 1)), rng)
-            r2 = st.random_density(d, d, rng)
+            r1 = random_density(d, int(rng.integers(1, d + 1)), rng)
+            r2 = random_density(d, d, rng)
             before = st.relative_entropy(r1, r2)
-            after = st.relative_entropy(ch.apply(op, r1), ch.apply(op, r2))
+            after = st.relative_entropy(apply(op, r1), apply(op, r2))
             if math.isfinite(before):
                 gap = before - after
                 worst = min(worst, gap)
@@ -77,8 +78,8 @@ def test_criterion_2_spohn_sweep():
     rng = np.random.default_rng(7)
     ident_ok = True
     for d in (2, 3):
-        rho = st.random_density(d, d, rng)
-        r = bd.spohn(identity_channel(d), rho)
+        rho = random_density(d, d, rng)
+        r = spohn(identity_channel(d), rho)
         ident_ok &= abs(r.slack) < 1e-10
     _report("2 spohn sweep", failures == 0 and ident_ok,
             f"failures={failures}, identity saturation={ident_ok}")
@@ -96,7 +97,7 @@ def test_criterion_3_main_bound_sweep():
     for seed in range(20):
         rng = trial_rng(4242, seed)
         sc = rand_sc(2, 2, rng)
-        ns = sup.neso(sc)
+        ns = neso(sc)
         r = bd.main_bounds([sc], [ns.op], [ns])[0]
         neso_ok &= abs(r.slack) < 1e-8
 
@@ -105,7 +106,7 @@ def test_criterion_3_main_bound_sweep():
         rng = trial_rng(4343, seed)
         sc = rand_sc(2, 2, rng)
         op = random_cptp(2, int(rng.integers(1, 5)), rng)
-        ns = sup.neso(sc)
+        ns = neso(sc)
         r = bd.main_bounds([sc], [op], [ns])[0]
         d_in, d_out = bd.slack_identity(sc, op, ns)
         if all(math.isfinite(v) for v in (r.slack, d_in, d_out)):
@@ -124,8 +125,8 @@ def test_criterion_4_reduction_checks():
         sc = rand_sc(2, 2, rng, product=True)
         op = random_cptp(2, int(rng.integers(1, 5)), rng)
         got = sup.act(sc, op).mat
-        phi = ch.channel_from_dilation(sc.u, sc.env_marginal)
-        oracle = ch.apply(phi, ch.apply(op, sc.sys_marginal)).mat
+        phi = channel_from_dilation(sc.u, env_marginal(sc))
+        oracle = apply(phi, apply(op, sys_marginal(sc))).mat
         dev = mk.max_abs(got - oracle)
         worst = max(worst, dev)
         factorized_ok &= dev <= 1e-10
@@ -136,12 +137,12 @@ def test_criterion_4_reduction_checks():
     worst_c = 0.0
     for seed in range(200):
         rng = trial_rng(111, seed)
-        anchor = st.random_density(2, 2, rng)
+        anchor = random_density(2, 2, rng)
         rho_se = st.density(mk.tensor(anchor.mat, gibbs.mat), DimShape([2, 2], ["S", "E"]))
         sc = sup.build(ch.partial_swap_unitary(2, math.pi / 4), rho_se)
-        sigma = st.random_density(2, int(rng.integers(1, 3)), rng)
-        rep_c = bd.clausius(sc, sigma, h, 1.0)
-        rep_m = bd.main_bounds([sc], [ch.replace_channel(sigma)], [sup.neso(sc)])[0]
+        sigma = random_density(2, int(rng.integers(1, 3)), rng)
+        rep_c = clausius(sc, sigma, h, 1.0)
+        rep_m = bd.main_bounds([sc], [replace_channel(sigma)], [neso(sc)])[0]
         dev = max(abs(rep_c.lhs - rep_m.lhs), abs(rep_c.rhs - rep_m.rhs),
                   abs(rep_c.slack - rep_m.slack))
         worst_c = max(worst_c, dev)
@@ -207,8 +208,8 @@ def test_criterion_7_holevo_sweep():
     ens = bd.Ensemble(
         (0.5, 0.5),
         (
-            ch.replace_channel(st.density(np.diag([1.0, 0.0]))),
-            ch.replace_channel(st.density(np.diag([0.0, 1.0]))),
+            replace_channel(st.density(np.diag([1.0, 0.0]))),
+            replace_channel(st.density(np.diag([0.0, 1.0]))),
         ),
     )
     haar = st.haar_unitaries(50, 2, np.random.default_rng(7))
@@ -260,10 +261,10 @@ def test_criterion_9_isometric_dilation_map():
         sc = rand_sc(2, 2, rng)
         vec = st.random_pure(2, rng)
         alpha = st.density(np.outer(vec, vec.conj()), labels=["A"])
-        iso = dl.IsometricOperation(np.eye(4, dtype=complex), alpha)
-        _, delta_s = dl.mmap(sc, iso)
+        iso = IsometricOperation(np.eye(4, dtype=complex), alpha)
+        _, delta_s = mmap(sc, iso)
         sigma_p = sup.act(sc, identity_channel(2))
-        expected = st.von_neumann_entropy(sigma_p) - st.von_neumann_entropy(sc.sys_marginal)
+        expected = st.von_neumann_entropy(sigma_p) - st.von_neumann_entropy(sys_marginal(sc))
         decoupled_ok &= abs(delta_s - expected) <= 1e-10
     _report("9 isometric dilation map", failures == 0 and decoupled_ok,
             f"failures={failures}, decoupled delta_S={decoupled_ok}")

@@ -12,18 +12,19 @@ from supchan import superchannel as sup
 from supchan.config import DEFAULT_TOLS
 from supchan.matkernel import DimShape, ValidationError
 
-from conftest import (classical_channel, depolarizing_channel, ext_add, identity_channel,
-                      random_cptp, spohn_composition, unitary_channel)
+from conftest import (channel_from_dilation, classical_channel, clausius, depolarizing_channel, env_marginal,
+                      ext_add, identity_channel, neso, random_cptp, random_density, replace_channel, spohn,
+                      spohn_composition, unitary_channel)
 
 
 def rand_sc(d_s, d_e, seed, product=False):
     rng = np.random.default_rng(seed)
     if product:
-        sigma = st.random_density(d_s, d_s, rng)
-        tau = st.random_density(d_e, d_e, rng)
+        sigma = random_density(d_s, d_s, rng)
+        tau = random_density(d_e, d_e, rng)
         rho = st.density(mk.tensor(sigma.mat, tau.mat), DimShape([d_s, d_e], ["S", "E"]))
     else:
-        raw = st.random_density(d_s * d_e, int(rng.integers(1, d_s * d_e + 1)), rng)
+        raw = random_density(d_s * d_e, int(rng.integers(1, d_s * d_e + 1)), rng)
         rho = st.density(raw.mat, DimShape([d_s, d_e], ["S", "E"]))
     return sup.build(st.haar_unitary(d_s * d_e, rng), rho), rng
 
@@ -68,8 +69,8 @@ def test_trace_against_log_support_detection():
 # ---------------------------------------------------------------------------
 
 def test_spohn_identity_channel_saturates():
-    rho = st.random_density(2, 2, np.random.default_rng(1))
-    rep = bd.spohn(identity_channel(2), rho)
+    rho = random_density(2, 2, np.random.default_rng(1))
+    rep = spohn(identity_channel(2), rho)
     assert rep.passed
     assert abs(rep.lhs) <= 1e-10 and abs(rep.rhs) <= 1e-10 and abs(rep.slack) <= 1e-10
 
@@ -77,8 +78,8 @@ def test_spohn_identity_channel_saturates():
 def test_spohn_depolarizing_arithmetic_oracle():
     rng = np.random.default_rng(2)
     for d in (2, 3):
-        rho = st.random_density(d, d, rng)
-        rep = bd.spohn(depolarizing_channel(d), rho)
+        rho = random_density(d, d, rng)
+        rep = spohn(depolarizing_channel(d), rho)
         assert rep.passed
         assert abs(rep.lhs - (math.log(d) - st.von_neumann_entropy(rho))) <= 1e-10
         assert abs(rep.rhs) <= 1e-10  # log e is proportional to I
@@ -89,16 +90,16 @@ def test_spohn_random_sweep_small():
         rng = np.random.default_rng(2000 + seed)
         d = int(rng.integers(2, 4))
         op = random_cptp(d, int(rng.integers(1, d * d + 1)), rng)
-        rho = st.random_density(d, int(rng.integers(1, d + 1)), rng)
-        rep = bd.spohn(op, rho)
+        rho = random_density(d, int(rng.integers(1, d + 1)), rng)
+        rep = spohn(op, rho)
         assert rep.passed, f"seed {seed}: slack {rep.slack}"
 
 
 def test_spohn_rank_deficient_ness_flags_neg_inf():
     target = st.density(np.diag([1.0, 0.0]))
-    op = ch.replace_channel(target)
+    op = replace_channel(target)
     rho = st.density(np.eye(2) / 2)
-    rep = bd.spohn(op, rho)
+    rep = spohn(op, rho)
     assert rep.rhs == float("-inf")
     assert rep.passed and "rhs_neg_inf" in rep.flags
     assert rep.slack == float("inf")
@@ -111,7 +112,7 @@ def test_spohn_rank_deficient_ness_flags_neg_inf():
 def test_main_bound_saturates_at_neso():
     for seed in range(10):
         sc, _ = rand_sc(2, 2, seed=3000 + seed)
-        ns = sup.neso(sc)
+        ns = neso(sc)
         rep = bd.main_bounds([sc], [ns.op], [ns])[0]
         assert rep.passed
         assert abs(rep.slack) <= 1e-8
@@ -122,7 +123,7 @@ def test_main_bound_slack_identity():
     for seed in range(15):
         sc, rng = rand_sc(2, 2, seed=3100 + seed)
         op = random_cptp(2, int(rng.integers(1, 5)), rng)
-        ns = sup.neso(sc)
+        ns = neso(sc)
         rep = bd.main_bounds([sc], [op], [ns])[0]
         d_in, d_out = bd.slack_identity(sc, op, ns)
         if math.isfinite(rep.slack) and math.isfinite(d_in) and math.isfinite(d_out):
@@ -133,10 +134,10 @@ def test_main_bound_reduces_to_spohn_for_replace_ops():
     # with A_d = omega (x) I/d the generalized bound is Spohn's bound at omega
     for seed in range(10):
         sc, rng = rand_sc(2, 2, seed=3200 + seed, product=True)
-        omega = st.random_density(2, int(rng.integers(1, 3)), rng)
-        ns = sup.neso(sc)
-        rep_main = bd.main_bounds([sc], [ch.replace_channel(omega)], [ns])[0]
-        rep_spohn = bd.spohn(ch.channel_from_dilation(sc.u, sc.env_marginal), omega, ns.diagnostics)
+        omega = random_density(2, int(rng.integers(1, 3)), rng)
+        ns = neso(sc)
+        rep_main = bd.main_bounds([sc], [replace_channel(omega)], [ns])[0]
+        rep_spohn = spohn(channel_from_dilation(sc.u, env_marginal(sc)), omega)
         if math.isfinite(rep_main.slack) and math.isfinite(rep_spohn.slack):
             assert abs(rep_main.slack - rep_spohn.slack) <= 1e-9
 
@@ -145,7 +146,7 @@ def test_main_bound_random_sweep_small():
     for seed in range(60):
         sc, rng = rand_sc(2, 2 + seed % 2, seed=3300 + seed)
         op = random_cptp(2, int(rng.integers(1, 5)), rng)
-        rep = bd.main_bounds([sc], [op], [sup.neso(sc)])[0]
+        rep = bd.main_bounds([sc], [op], [neso(sc)])[0]
         assert rep.passed, f"seed {seed}: slack {rep.slack}"
 
 
@@ -162,7 +163,7 @@ def test_main_bound_detects_known_adversarial_violation():
     theta = math.asin(math.sqrt(0.1))
     sc = sup.build(ch.partial_swap_unitary(2, theta), rho_se)
     op = classical_channel(np.array([[1.0, 0.5], [0.0, 0.5]]))
-    ns = sup.neso(sc)
+    ns = neso(sc)
     rep = bd.main_bounds([sc], [op], [ns])[0]
     assert not rep.passed
     assert rep.slack < -0.1
@@ -204,7 +205,7 @@ def qubit_thermal_sc(beta=1.0, theta=math.pi / 4, seed=0):
     h = np.diag([0.0, 1.0]).astype(complex)
     gibbs, z = bd.thermal_state(h, beta)
     rng = np.random.default_rng(seed)
-    anchor = st.random_density(2, 2, rng)
+    anchor = random_density(2, 2, rng)
     rho_se = st.density(mk.tensor(anchor.mat, gibbs.mat), DimShape([2, 2], ["S", "E"]))
     sc = sup.build(ch.partial_swap_unitary(2, theta), rho_se)
     return sc, h, gibbs, z, rng
@@ -219,7 +220,7 @@ def test_thermal_state_scalar_oracle():
 
 def test_clausius_stationary_input_saturates():
     sc, h, gibbs, _, _ = qubit_thermal_sc(seed=1)
-    rep = bd.clausius(sc, gibbs, h, 1.0)
+    rep = clausius(sc, gibbs, h, 1.0)
     assert rep.passed
     assert abs(rep.slack) <= 1e-9
 
@@ -227,7 +228,7 @@ def test_clausius_stationary_input_saturates():
 def test_clausius_excited_input_passes():
     sc, h, _, z, _ = qubit_thermal_sc(seed=2)
     excited = st.density(np.diag([0.0, 1.0]))
-    rep = bd.clausius(sc, excited, h, 1.0)
+    rep = clausius(sc, excited, h, 1.0)
     assert rep.passed
     assert abs(rep.metadata["Z"] - z) <= 1e-12
     assert abs(rep.metadata["F"] - math.log(z)) <= 1e-12
@@ -236,17 +237,17 @@ def test_clausius_excited_input_passes():
 def test_clausius_random_sigma_sweep_small():
     sc, h, _, _, rng = qubit_thermal_sc(seed=3)
     for _ in range(50):
-        sigma = st.random_density(2, int(rng.integers(1, 3)), rng)
-        rep = bd.clausius(sc, sigma, h, 1.0)
+        sigma = random_density(2, int(rng.integers(1, 3)), rng)
+        rep = clausius(sc, sigma, h, 1.0)
         assert rep.passed
 
 
 def test_clausius_agrees_with_main_bound_code_path():
     sc, h, _, _, rng = qubit_thermal_sc(seed=4)
     for _ in range(10):
-        sigma = st.random_density(2, 2, rng)
-        rep_c = bd.clausius(sc, sigma, h, 1.0)
-        rep_m = bd.main_bounds([sc], [ch.replace_channel(sigma)], [sup.neso(sc)])[0]
+        sigma = random_density(2, 2, rng)
+        rep_c = clausius(sc, sigma, h, 1.0)
+        rep_m = bd.main_bounds([sc], [replace_channel(sigma)], [neso(sc)])[0]
         assert abs(rep_c.lhs - rep_m.lhs) <= 1e-10
         assert abs(rep_c.rhs - rep_m.rhs) <= 1e-10
         assert abs(rep_c.slack - rep_m.slack) <= 1e-10
@@ -256,13 +257,13 @@ def test_clausius_rejects_non_thermal_fixed_point():
     # a swap against a non-thermal environment has a non-Gibbs fixed point
     h = np.diag([0.0, 1.0]).astype(complex)
     rng = np.random.default_rng(5)
-    tau = st.random_density(2, 2, rng)
+    tau = random_density(2, 2, rng)
     rho_se = st.density(
-        mk.tensor(st.random_density(2, 2, rng).mat, tau.mat), DimShape([2, 2], ["S", "E"])
+        mk.tensor(random_density(2, 2, rng).mat, tau.mat), DimShape([2, 2], ["S", "E"])
     )
     sc = sup.build(ch.swap_unitary(2), rho_se)
     with pytest.raises(ValidationError, match="residual"):
-        bd.clausius(sc, tau, h, 1.0)
+        clausius(sc, tau, h, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +342,8 @@ def test_holevo_orthogonal_ensemble_attains_log2():
     ens = bd.Ensemble(
         (0.5, 0.5),
         (
-            ch.replace_channel(st.density(np.diag([1.0, 0.0]))),
-            ch.replace_channel(st.density(np.diag([0.0, 1.0]))),
+            replace_channel(st.density(np.diag([1.0, 0.0]))),
+            replace_channel(st.density(np.diag([0.0, 1.0]))),
         ),
     )
     chi, rep, sampled = bd.holevo_block([sc], [ens], st.haar_unitaries(10, 2, rng)[None])[0]
@@ -371,7 +372,7 @@ def test_stacked_measurement_bases_match_sequential_draws_bitwise(oracles):
             assert rng_seq.random() == rng_stk.random()
             assert st.haar_unitary(d, np.random.default_rng(seed)).tobytes() == seq[0].tobytes()
 
-            states = np.stack([st.random_density(d, d, rng_seq).mat for _ in range(3)])
+            states = np.stack([random_density(d, d, rng_seq).mat for _ in range(3)])
             probs = rng_seq.dirichlet(np.ones(3))
             _, eig = mk.herm_eig(states.mean(axis=0))
             expected = []
@@ -429,7 +430,7 @@ def test_main_bounds_are_bitwise_the_per_trial_main_bound(d_s, d_e, oracles):
     # operations of mixed ranks and an explicit op_kraus and op_choi.
     tols = DEFAULT_TOLS
     for scs, ops in oracles.block_instances(d_s, d_e, 200, [d_s, d_e, 1]):
-        nss = [sup.neso(sc) for sc in scs]
+        nss = [neso(sc) for sc in scs]
         reports = bd.main_bounds(scs, ops, nss, tols)
         for sc, op, ns, rep in zip(scs, ops, nss, reports):
             ks = oracles.kraus(op.choi, d_s, d_s, tols) if op.kraus is None else op.kraus

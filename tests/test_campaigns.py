@@ -13,7 +13,7 @@ from supchan import states as st
 from supchan import superchannel as sup
 from supchan.config import DEFAULT_TOLS
 
-from conftest import classical_channel, random_cptp
+from conftest import classical_channel, random_cptp, random_density
 
 
 def make_scenario(**kwargs):
@@ -96,13 +96,13 @@ def test_parse_complex_matrix_pairs():
 def test_scenario_echo_round_trip():
     # Every explicit key; op_kraus and op_choi are exclusive, so each gets a scenario.
     rng = np.random.default_rng(7)
-    mats = {"U": ch.partial_swap_unitary(2, 0.3), "rho_se": st.random_density(4, 2, rng).mat,
-            "H": np.diag([0.0, 1.0]).astype(complex), "sigma": st.random_density(2, 2, rng).mat,
-            "V": st.haar_unitary(4, rng), "alpha": st.random_density(2, 1, rng).mat}
+    mats = {"U": ch.partial_swap_unitary(2, 0.3), "rho_se": random_density(4, 2, rng).mat,
+            "H": np.diag([0.0, 1.0]).astype(complex), "sigma": random_density(2, 2, rng).mat,
+            "V": st.haar_unitary(4, rng), "alpha": random_density(2, 1, rng).mat}
     kraus = [random_cptp(2, 2, rng).kraus_ops() for _ in range(2)]
     ensemble = {"probs": [0.25, 0.75], "ops_kraus": [[cp.matrix_to_json(k) for k in op] for op in kraus]}
     ops = {"op_kraus": [cp.matrix_to_json(k) for k in kraus[0]],
-           "op_choi": cp.matrix_to_json(ch.choi_from_kraus(kraus[1]))}
+           "op_choi": cp.matrix_to_json(ch.from_kraus(kraus[1]).choi)}
     for key, op in ops.items():
         explicit = {k: cp.matrix_to_json(m) for k, m in mats.items()}
         explicit.update({key: op, "beta": 2.0, "theta": 0.1, "ensemble": ensemble})
@@ -208,21 +208,26 @@ def test_the_pool_has_no_more_workers_than_blocks(monkeypatch):
 
 
 def test_a_pinned_superchannel_and_its_neso_are_built_once_per_campaign(monkeypatch):
-    calls = {"build": 0, "neso": 0}
+    # The superchannels and the steady operations of a block are each one
+    # stacked step, over every unprepared superchannel of the block at once.
+    calls = {"build_block": [], "neso_block": []}
     for name in calls:
-        def counted(*args, _name=name, _real=getattr(sup, name), **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
+        def counted(scs, *args, _name=name, _real=getattr(sup, name)):
+            calls[_name].append(len(scs))
+            return _real(scs, *args)
         monkeypatch.setattr(sup, name, counted)
     rng = np.random.default_rng(4)
     pinned = make_scenario(trials=5, explicit={
         "U": cp.matrix_to_json(st.haar_unitary(4, rng)),
-        "rho_se": cp.matrix_to_json(st.random_density(4, 2, rng).mat)})
+        "rho_se": cp.matrix_to_json(random_density(4, 2, rng).mat)})
     cp.run_campaign(pinned, DEFAULT_TOLS, jobs=1)
-    assert calls == {"build": 1, "neso": 1}
-    calls.update(build=0, neso=0)
+    assert calls == {"build_block": [1], "neso_block": [1]}
+    calls.update(build_block=[], neso_block=[])
     cp.run_campaign(make_scenario(trials=5), DEFAULT_TOLS, jobs=1)
-    assert calls == {"build": 5, "neso": 5}
+    assert calls == {"build_block": [5], "neso_block": [5]}
+    calls.update(build_block=[], neso_block=[])
+    cp.run_campaign(make_scenario(trials=20), DEFAULT_TOLS, jobs=1)
+    assert calls == {"build_block": [8, 8, 4], "neso_block": [8, 8, 4]}
 
 
 def test_a_clausius_trial_builds_its_gibbs_state_once(monkeypatch):
@@ -230,7 +235,7 @@ def test_a_clausius_trial_builds_its_gibbs_state_once(monkeypatch):
     real = bd.thermal_state
     monkeypatch.setattr(bd, "thermal_state", lambda *a: calls.append(1) or real(*a))
     cp.run_campaign(make_scenario(bound="clausius", trials=5), DEFAULT_TOLS, jobs=1)
-    assert len(calls) == 5
+    assert len(calls) == 1
 
 
 def test_a_pinned_main_trial_forms_no_kron_and_at_most_two_eigendecompositions(monkeypatch):
@@ -254,7 +259,7 @@ def test_a_pinned_main_trial_forms_no_kron_and_at_most_two_eigendecompositions(m
     rng = np.random.default_rng(9)
     scn = make_scenario(trials=20, dims={"d_S": 3, "d_E": 3}, explicit={
         "U": cp.matrix_to_json(st.haar_unitary(9, rng)),
-        "rho_se": cp.matrix_to_json(st.random_density(9, 3, rng).mat)})
+        "rho_se": cp.matrix_to_json(random_density(9, 3, rng).mat)})
     cp.run_campaign(scn, DEFAULT_TOLS, jobs=1)
     assert calls["kron"] == 0
     assert calls["herm_eig"] <= 2 * 20
@@ -264,7 +269,7 @@ def pinned_d3_scenario(trials):
     rng = np.random.default_rng(9)
     return make_scenario(trials=trials, dims={"d_S": 3, "d_E": 3}, explicit={
         "U": cp.matrix_to_json(st.haar_unitary(9, rng)),
-        "rho_se": cp.matrix_to_json(st.random_density(9, 3, rng).mat)})
+        "rho_se": cp.matrix_to_json(random_density(9, 3, rng).mat)})
 
 
 def test_a_pinned_main_block_decomposes_twice_and_is_one_task(monkeypatch):
@@ -314,7 +319,7 @@ def test_a_failing_block_reports_the_earliest_failing_trial(tmp_path, capsys, sp
 # the line that the per-trial code printed.  In the first, trial 4 of the
 # same block fails another check (a negative eigenvalue).
 BLOCK_FIRST_FAILURES = [
-    ({"bound": "holevo", "seed": 7, "tolerances": {"psd_floor": 1e-18, "trace_tol": 8e-16}},
+    ({"bound": "holevo", "seed": 7, "tolerances": {"psd_floor": 1e-16, "trace_tol": 8e-16}},
      "validation error: trace 1.0000000000000009 is not 1 within 8e-16"),
     ({"bound": "qdpi", "seed": 1, "tolerances": {"recon_tol": 1e-15}},
      "validation error: eigendecomposition residual 1.305e-15 exceeds recon_tol"),
@@ -330,6 +335,34 @@ def test_a_failing_holevo_or_qdpi_block_reports_the_earliest_failing_trial(tmp_p
     path.write_text(json.dumps({"trials": 16, "n_measurements": 5, **spec}))
     assert cli.main(["verify", "--scenario", str(path), "--jobs", str(jobs)]) == 3
     assert capsys.readouterr().err.strip() == line
+
+
+# spohn, clausius and mmap-consistency scenarios whose first failing trial is
+# 4, 3 and 2, with the line that the per-trial code printed.  In each,
+# another trial of the same block fails a check that the stacked block meets
+# first.
+STACKED_FIRST_FAILURES = [
+    ({"bound": "spohn", "seed": 38, "tolerances": {"recon_tol": 1e-15}},
+     "validation error: eigendecomposition residual 1.110e-15 exceeds recon_tol"),
+    ({"bound": "clausius", "seed": 73, "tolerances": {"trace_tol": 4e-16}},
+     "validation error: trace 1.0000000000000009 is not 1 within 4e-16"),
+    ({"bound": "mmap-consistency", "seed": 1, "tolerances": {"trace_tol": 4e-16}},
+     "validation error: trace 0.9999999999999996 is not 1 within 4e-16"),
+]
+
+
+@pytest.mark.parametrize("spec,line", STACKED_FIRST_FAILURES)
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_failing_spohn_clausius_or_mmap_block_reports_the_earliest_failing_trial(tmp_path, capsys, spec, line,
+                                                                                    jobs):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({"trials": 16, **spec}))
+    assert cli.main(["verify", "--scenario", str(path), "--jobs", str(jobs)]) == 3
+    assert capsys.readouterr().err.strip() == line
+    scn = cp.load_scenario(path.read_text())
+    with pytest.raises(mk.ValidationError) as raised:
+        cp.evaluate_block(scn, spec["bound"], range(8), scn.tols(DEFAULT_TOLS))
+    assert f"validation error: {raised.value}" != line
 
 
 @pytest.mark.parametrize("explicit", [False, True])
@@ -357,7 +390,7 @@ def test_a_holevo_block_makes_one_measured_information_call(monkeypatch, explici
 @pytest.mark.parametrize("d_p,d_q,sizes", [(2, 2, [8]), (2, 3, [8]), (3, 3, [2, 2, 2, 2])])
 def test_a_qdpi_block_stacks_at_most_the_stack_limit_of_joint_choi_entries(monkeypatch, d_p, d_q, sizes):
     # (d_P d_Q)^4 entries per trial: 256 and 1296 fit eight times into
-    # QDPI_STACK_ENTRIES, 6561 twice; each part gives the per-trial reports.
+    # STACK_ENTRIES, 6561 twice; each part gives the per-trial reports.
     calls = []
     real = bd.qdpi_block
 
@@ -379,14 +412,14 @@ def test_a_later_steady_operation_failure_does_not_hide_an_earlier_trial(monkeyp
     scn = make_scenario(trials=8, dims=spec["dims"], seed=3, tolerances={"trace_tol": 4e-16})
     tols = scn.tols(DEFAULT_TOLS)
     rng = cp._trial_rng(scn, "main", 4)
-    bad = cp.random_superchannel(3, 2, rng, tols).rho_se.mat.tobytes()
-    real = sup.neso
+    bad = cp.random_superchannels(3, 2, [rng], tols)[0].rho_se.mat.tobytes()
+    real = sup.neso_block
 
-    def neso(sc):
-        if sc.rho_se.mat.tobytes() == bad:
+    def neso_block(scs):
+        if any(sc.rho_se.mat.tobytes() == bad for sc in scs):
             raise ch.FixedPointError("no steady state")
-        return real(sc)
-    monkeypatch.setattr(sup, "neso", neso)
+        return real(scs)
+    monkeypatch.setattr(sup, "neso_block", neso_block)
     with pytest.raises(ch.FixedPointError):
         cp.evaluate_block(scn, "main", range(2, 8), tols)
     with pytest.raises(mk.ValidationError, match="trace 0.9999999999999989 is not 1"):
@@ -399,8 +432,8 @@ def test_every_prepared_object_reaches_the_pool_workers():
     # a partial swap thermalizes, so clausius runs on the same U.
     rng = np.random.default_rng(12)
     explicit = {k: cp.matrix_to_json(m) for k, m in {
-        "U": ch.partial_swap_unitary(2, 0.4), "rho_se": st.random_density(4, 3, rng).mat,
-        "V": st.haar_unitary(4, rng), "alpha": st.random_density(2, 2, rng).mat,
+        "U": ch.partial_swap_unitary(2, 0.4), "rho_se": random_density(4, 3, rng).mat,
+        "V": st.haar_unitary(4, rng), "alpha": random_density(2, 2, rng).mat,
         "H": np.diag([0.0, 0.7]).astype(complex)}.items()}
     scn = make_scenario(bound="all", trials=3, n_measurements=5,
                         explicit={**explicit, "beta": 0.8, "theta": 0.4})
@@ -415,7 +448,7 @@ def test_every_prepared_object_reaches_the_pool_workers():
 def test_prepare_builds_only_what_the_families_read():
     rng = np.random.default_rng(5)
     explicit = {"U": cp.matrix_to_json(st.haar_unitary(6, rng)),
-                "rho_se": cp.matrix_to_json(st.random_density(6, 2, rng).mat)}
+                "rho_se": cp.matrix_to_json(random_density(6, 2, rng).mat)}
     qdpi = make_scenario(bound="qdpi", dims={"d_P": 2, "d_E1": 3, "d_Q": 3, "d_E2": 2}, explicit=explicit)
     prepared = cp.prepare(qdpi, DEFAULT_TOLS)
     assert sorted(prepared.superchannels) == [(2, 3), (3, 2)]
@@ -427,13 +460,13 @@ def test_prepare_builds_only_what_the_families_read():
 
 def test_a_trial_without_prepared_objects_prepares_only_its_own_family(monkeypatch):
     # main's steady operation cannot fail a spohn trial of the same scenario.
-    def failing_neso(sc):
+    def failing_neso_block(scs):
         raise ch.FixedPointError("no steady state")
-    monkeypatch.setattr(sup, "neso", failing_neso)
+    monkeypatch.setattr(sup, "neso_block", failing_neso_block)
     rng = np.random.default_rng(6)
     scn = make_scenario(bound="all", trials=1, explicit={
         "U": cp.matrix_to_json(st.haar_unitary(4, rng)),
-        "rho_se": cp.matrix_to_json(st.random_density(4, 2, rng).mat)})
+        "rho_se": cp.matrix_to_json(random_density(4, 2, rng).mat)})
     assert cp.evaluate_trial(scn, "spohn", 0, DEFAULT_TOLS).name == "spohn"
     with pytest.raises(ch.FixedPointError):
         cp.evaluate_trial(scn, "main", 0, DEFAULT_TOLS)
@@ -480,3 +513,26 @@ def test_adversarial_explicit_scenario_fails_campaign():
     rep = cp.run_campaign(scn, DEFAULT_TOLS, jobs=1)
     assert rep["summary"]["failures"] == 1
     assert rep["sections"]["main"]["reports"][0]["slack"] < -0.1
+
+
+def report_bits(lhs, rhs, slack):
+    return np.array([lhs, rhs, slack]).tobytes()
+
+
+@pytest.mark.parametrize("family", ["spohn", "clausius", "mmap-consistency"])
+@pytest.mark.parametrize("dims", [{"d_S": 2, "d_E": 2}, {"d_S": 3, "d_E": 3}, {"d_S": 4, "d_E": 4},
+                                  {"d_S": 2, "d_E": 3, "d_A": 4}])
+def test_spohn_clausius_and_mmap_blocks_are_bitwise_the_per_trial_code(oracles, family, dims):
+    # Blocks of 1-8 trials, each trial drawn from its own generator in the
+    # per-trial order and evaluated by the one-trial-at-a-time code.
+    scn = make_scenario(seed=11 + dims["d_S"], trials=36, bound=family, dims=dims)
+    routes = []
+    for block in oracles.blocks(36):
+        reports = cp.evaluate_block(scn, family, block, DEFAULT_TOLS)
+        assert [r.metadata["trial"] for r in reports] == list(block)
+        for t, rep in zip(block, reports):
+            assert report_bits(rep.lhs, rep.rhs, rep.slack) == report_bits(*oracles.family_trial(scn, family, t, DEFAULT_TOLS))
+        routes.append({r.metadata.get("ness_method") for r in reports})
+    if family == "spohn":
+        # Unitary (rank-1) operations take the Cesaro route; some blocks mix both.
+        assert {"eigen", "cesaro"} in routes

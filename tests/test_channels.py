@@ -9,7 +9,9 @@ from supchan import superchannel as sup
 from supchan.config import Tolerances
 from supchan.matkernel import DimShape, ShapeError, ValidationError
 
-from conftest import compose, depolarizing_channel, identity_channel, random_cptp, unitary_channel
+from conftest import (apply, channel_from_dilation, compose, depolarizing_channel, fixed_point,
+                      identity_channel, is_trace_preserving, random_cptp, random_density, replace_channel,
+                      unitary_channel)
 
 
 def rand_op(d, rank, seed):
@@ -18,13 +20,13 @@ def rand_op(d, rank, seed):
 
 def test_apply_identity_and_replace():
     rng = np.random.default_rng(1)
-    rho = st.random_density(3, 2, rng)
-    assert mk.max_abs(ch.apply(identity_channel(3), rho).mat - rho.mat) <= 1e-12
-    target = st.random_density(3, 3, rng)
-    rep = ch.replace_channel(target)
+    rho = random_density(3, 2, rng)
+    assert mk.max_abs(apply(identity_channel(3), rho).mat - rho.mat) <= 1e-12
+    target = random_density(3, 3, rng)
+    rep = replace_channel(target)
     for _ in range(5):
-        rho = st.random_density(3, int(rng.integers(1, 4)), rng)
-        assert mk.max_abs(ch.apply(rep, rho).mat - target.mat) <= 1e-11
+        rho = random_density(3, int(rng.integers(1, 4)), rng)
+        assert mk.max_abs(apply(rep, rho).mat - target.mat) <= 1e-11
 
 
 def test_apply_matches_choi_contraction_oracle():
@@ -32,8 +34,8 @@ def test_apply_matches_choi_contraction_oracle():
     for d in (2, 3):
         for _ in range(10):
             op = random_cptp(d, int(rng.integers(1, d * d + 1)), rng)
-            rho = st.random_density(d, d, rng)
-            got = ch.apply(op, rho).mat
+            rho = random_density(d, d, rng)
+            got = apply(op, rho).mat
             oracle = np.einsum(
                 "aibj,ij->ab", op.choi.reshape(d, d, d, d), rho.mat
             )
@@ -43,11 +45,11 @@ def test_apply_matches_choi_contraction_oracle():
 def test_apply_non_tp_flagging():
     k = [np.array([[1.0, 0.0], [0.0, 0.5]], dtype=complex)]
     op = ch.from_kraus(k)
-    assert not op.is_trace_preserving
+    assert not is_trace_preserving(op)
     rho = st.density(np.eye(2) / 2)
     with pytest.raises(ValidationError):
-        ch.apply(op, rho)
-    out = ch.apply_matrix(op, rho.mat)
+        apply(op, rho)
+    out = ch.apply_matrices([op], rho.mat[None])[0]
     assert isinstance(out, np.ndarray)
     assert abs(np.trace(out) - 0.625) <= 1e-12
 
@@ -86,8 +88,8 @@ def test_depolarizing_choi_maximally_mixed():
     d = 2
     op = depolarizing_channel(d)
     assert mk.max_abs(op.choi_state - np.eye(d * d) / (d * d)) <= 1e-12
-    rho = st.random_density(d, 1, np.random.default_rng(3))
-    assert mk.max_abs(ch.apply(op, rho).mat - np.eye(d) / d) <= 1e-12
+    rho = random_density(d, 1, np.random.default_rng(3))
+    assert mk.max_abs(apply(op, rho).mat - np.eye(d) / d) <= 1e-12
 
 
 def test_kraus_choi_round_trip_action():
@@ -100,7 +102,7 @@ def test_kraus_choi_round_trip_action():
         for j in range(d):
             e = np.zeros((d, d), dtype=complex)
             e[i, j] = 1.0
-            assert mk.max_abs(ch.apply_matrix(op, e) - ch.apply_matrix(rebuilt, e)) <= 1e-10
+            assert mk.max_abs(ch.apply_matrices([op], e[None])[0] - ch.apply_matrices([rebuilt], e[None])[0]) <= 1e-10
 
 
 def test_from_choi_rejects_non_cp():
@@ -119,45 +121,45 @@ def test_kraus_ops_uses_the_operation_tolerances():
         ch.kraus_of(op)
     kraus = op.kraus_ops()
     assert len(kraus) == 1
-    assert mk.max_abs(ch.choi_from_kraus(kraus) - choi) <= 1e-9
+    assert mk.max_abs(ch.from_kraus(kraus).choi - choi) <= 1e-9
 
 
 def test_channel_from_dilation_identity_and_swap():
     rng = np.random.default_rng(13)
-    tau = st.random_density(2, 2, rng, labels=["E"])
-    ident = ch.channel_from_dilation(np.eye(4, dtype=complex), tau)
-    rho = st.random_density(2, 2, rng)
-    assert mk.max_abs(ch.apply(ident, rho).mat - rho.mat) <= 1e-11
+    tau = random_density(2, 2, rng, labels=["E"])
+    ident = channel_from_dilation(np.eye(4, dtype=complex), tau)
+    rho = random_density(2, 2, rng)
+    assert mk.max_abs(apply(ident, rho).mat - rho.mat) <= 1e-11
 
-    swap = ch.channel_from_dilation(ch.swap_unitary(2), tau)
-    assert mk.max_abs(ch.apply(swap, rho).mat - tau.mat) <= 1e-11
+    swap = channel_from_dilation(ch.swap_unitary(2), tau)
+    assert mk.max_abs(apply(swap, rho).mat - tau.mat) <= 1e-11
 
 
 def test_channel_from_dilation_matches_direct_formula():
     rng = np.random.default_rng(17)
     for d_s, d_e in ((2, 2), (2, 3), (3, 2)):
         u = st.haar_unitary(d_s * d_e, rng)
-        tau = st.random_density(d_e, d_e, rng, labels=["E"])
-        op = ch.channel_from_dilation(u, tau)
-        assert op.is_trace_preserving
-        sigma = st.random_density(d_s, d_s, rng)
+        tau = random_density(d_e, d_e, rng, labels=["E"])
+        op = channel_from_dilation(u, tau)
+        assert is_trace_preserving(op)
+        sigma = random_density(d_s, d_s, rng)
         direct = mk.partial_trace(
             u @ mk.tensor(sigma.mat, tau.mat) @ u.conj().T,
             DimShape([d_s, d_e], ["S", "E"]),
             ["S"],
         )
-        assert mk.max_abs(ch.apply(op, sigma).mat - direct) <= 1e-11
+        assert mk.max_abs(apply(op, sigma).mat - direct) <= 1e-11
     with pytest.raises(ValidationError):
-        ch.channel_from_dilation(np.eye(4) * 2.0, tau)
+        channel_from_dilation(np.eye(4) * 2.0, tau)
 
 
 def test_fixed_point_known_channels():
-    fp = ch.fixed_point(depolarizing_channel(3))
+    fp = fixed_point(depolarizing_channel(3))
     assert mk.max_abs(fp.state.mat - np.eye(3) / 3) <= 1e-9
     assert fp.residual <= 1e-9
 
-    omega = st.random_density(2, 2, np.random.default_rng(19))
-    fp = ch.fixed_point(ch.replace_channel(omega))
+    omega = random_density(2, 2, np.random.default_rng(19))
+    fp = fixed_point(replace_channel(omega))
     assert mk.max_abs(fp.state.mat - omega.mat) <= 1e-9
     assert fp.fixed_space_dim == 1
 
@@ -166,10 +168,10 @@ def test_fixed_point_matches_superoperator_eigen_oracle():
     rng = np.random.default_rng(23)
     for _ in range(10):
         op = random_cptp(2, int(rng.integers(2, 5)), rng)
-        fp = ch.fixed_point(op)
+        fp = fixed_point(op)
         assert fp.residual <= 1e-9
         # independent oracle: eigenvalue-1 eigenvector of the transfer matrix
-        t = ch.transfer_matrix(op)
+        t = ch.transfer_matrices([op])[0]
         evals, evecs = np.linalg.eig(t)
         idx = int(np.argmin(np.abs(evals - 1.0)))
         cand = evecs[:, idx].reshape(2, 2)
@@ -184,15 +186,15 @@ def test_fixed_point_invariance_sweep():
         for seed in range(100):
             rng = np.random.default_rng([d, seed])
             op = random_cptp(d, int(rng.integers(1, d * d + 1)), rng)
-            fp = ch.fixed_point(op)
-            out = ch.apply(op, fp.state)
-            assert ch.trace_norm(out.mat - fp.state.mat) <= 1e-9
+            fp = fixed_point(op)
+            out = apply(op, fp.state)
+            assert np.linalg.svd(out.mat - fp.state.mat, compute_uv=False).sum() <= 1e-9
 
 
 def test_fixed_point_unital_degenerate_falls_back_to_cesaro():
     # the identity channel has a maximally degenerate fixed space; the
     # Cesaro route returns the maximally mixed representative immediately
-    fp = ch.fixed_point(identity_channel(2))
+    fp = fixed_point(identity_channel(2))
     assert fp.method == "cesaro"
     assert fp.fixed_space_dim == 4
     assert mk.max_abs(fp.state.mat - np.eye(2) / 2) <= 1e-12
@@ -200,7 +202,7 @@ def test_fixed_point_unital_degenerate_falls_back_to_cesaro():
 
 def test_fixed_point_requires_square_tp():
     with pytest.raises(ValidationError):
-        ch.fixed_point(ch.from_kraus([np.array([[1, 0], [0, 0.5]], dtype=complex)]))
+        fixed_point(ch.from_kraus([np.array([[1, 0], [0, 0.5]], dtype=complex)]))
 
 
 def test_relative_entropy_contractivity_spot_check():
@@ -208,10 +210,10 @@ def test_relative_entropy_contractivity_spot_check():
     for _ in range(25):
         d = int(rng.integers(2, 4))
         op = random_cptp(d, int(rng.integers(1, d * d + 1)), rng)
-        r1 = st.random_density(d, d, rng)
-        r2 = st.random_density(d, d, rng)
+        r1 = random_density(d, d, rng)
+        r2 = random_density(d, d, rng)
         before = st.relative_entropy(r1, r2)
-        after = st.relative_entropy(ch.apply(op, r1), ch.apply(op, r2))
+        after = st.relative_entropy(apply(op, r1), apply(op, r2))
         assert after <= before + 1e-8
 
 
@@ -239,8 +241,8 @@ def test_marginal_operation_swap_is_depolarizing_like():
     oracle = mk.partial_trace(swap_op.choi, shape, ["Po", "Pi"]) / 2
     assert mk.max_abs(got.choi - oracle) <= 1e-12
     # the marginal of SWAP discards P and hands out the maximally mixed state
-    rho = st.random_density(2, 1, np.random.default_rng(0))
-    assert mk.max_abs(ch.apply(got, rho).mat - np.eye(2) / 2) <= 1e-10
+    rho = random_density(2, 1, np.random.default_rng(0))
+    assert mk.max_abs(apply(got, rho).mat - np.eye(2) / 2) <= 1e-10
 
 
 def test_marginal_operation_requires_structure():
@@ -255,9 +257,9 @@ def test_compose_and_partial_swap():
     rng = np.random.default_rng(37)
     a = random_cptp(2, 2, rng)
     b = random_cptp(2, 2, rng)
-    rho = st.random_density(2, 2, rng)
-    got = ch.apply(compose(a, b), rho).mat
-    assert mk.max_abs(got - ch.apply(a, ch.apply(b, rho)).mat) <= 1e-11
+    rho = random_density(2, 2, rng)
+    got = apply(compose(a, b), rho).mat
+    assert mk.max_abs(got - apply(a, apply(b, rho)).mat) <= 1e-11
 
     u = ch.partial_swap_unitary(2, 0.3)
     assert mk.max_abs(u.conj().T @ u - np.eye(4)) <= 1e-12
@@ -269,20 +271,11 @@ def test_random_cptp_is_cptp_and_seeded():
         d = int(rng.integers(2, 4))
         r = int(rng.integers(1, d * d + 1))
         op = random_cptp(d, r, rng)
-        assert op.is_trace_preserving
+        assert is_trace_preserving(op)
         assert np.linalg.eigvalsh(op.choi)[0] >= -1e-9
     a = random_cptp(2, 3, np.random.default_rng(77))
     b = random_cptp(2, 3, np.random.default_rng(77))
     assert mk.max_abs(a.choi - b.choi) == 0
-
-
-def transfer_matrix_kron_loop(op):
-    """The sum of np.kron(K, conj(K)) in Kraus order: the bitwise oracle for
-    transfer_matrix."""
-    t = np.zeros((op.d_out * op.d_out, op.d_in * op.d_in), dtype=complex)
-    for k in op.kraus_ops():
-        t += np.kron(k, k.conj())
-    return t
 
 
 def random_cptp_choi_two_kron(d, kraus_rank, rng, d_out):
@@ -299,7 +292,7 @@ def random_cptp_choi_two_kron(d, kraus_rank, rng, d_out):
 
 
 @pytest.mark.parametrize("d,d_out", [(2, 2), (3, 3), (4, 4), (2, 3), (3, 2)])
-def test_transfer_matrix_and_random_cptp_lift_are_bitwise_the_kron_oracles(d, d_out):
+def test_transfer_matrix_and_random_cptp_lift_are_bitwise_the_kron_oracles(d, d_out, oracles):
     # Below rank ceil(d / d_out), R = tr_out W is singular and the map is not CP.
     low = -(-d // d_out)
     for i in range(200):
@@ -307,19 +300,25 @@ def test_transfer_matrix_and_random_cptp_lift_are_bitwise_the_kron_oracles(d, d_
         op = random_cptp(d, rank, np.random.default_rng([d, d_out, i]), d_out=d_out)
         oracle = random_cptp_choi_two_kron(d, rank, np.random.default_rng([d, d_out, i]), d_out)
         assert op.choi.tobytes() == oracle.tobytes()
-        assert ch.transfer_matrix(op).tobytes() == transfer_matrix_kron_loop(op).tobytes()
+        assert ch.transfer_matrices([op])[0].tobytes() == oracles.transfer_matrix(op.kraus_ops()).tobytes()
 
 
 def test_is_trace_preserving_is_computed_once_per_operation(monkeypatch):
     op = rand_op(3, 4, seed=8)
+    others = [rand_op(3, 2, seed=9), rand_op(3, 3, seed=10)]
     calls = []
     real = ch.tr_out_choi
     monkeypatch.setattr(ch, "tr_out_choi", lambda *a: calls.append(1) or real(*a))
-    assert op.is_trace_preserving and op.is_trace_preserving
+    assert is_trace_preserving(op) and is_trace_preserving(op)
     assert len(calls) == 1
-    ch.apply(op, st.random_density(3, 2, np.random.default_rng(8)))
-    ch.fixed_point(op)
+    apply(op, random_density(3, 2, np.random.default_rng(8)))
+    fixed_point(op)
     assert len(calls) == 1
+    # The operations of a block not yet checked are checked in one step.
+    ch.fixed_points([op, others[0], op, others[1], others[0]])
+    assert len(calls) == 2
+    ch.require_trace_preserving(others + [op], "not trace preserving")
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("d,d_out", [(2, 2), (3, 3), (4, 4), (2, 3), (3, 2)])
@@ -346,4 +345,50 @@ def test_random_cptp_refuses_a_rank_below_the_least_kraus_rank():
     with pytest.raises(ValueError, match=r"kraus_rank 1 is below 2"):
         random_cptp(3, 1, rng, d_out=2)
     assert rng.bit_generator.state == state
-    assert random_cptp(3, 2, rng, d_out=2).is_trace_preserving
+    assert is_trace_preserving(random_cptp(3, 2, rng, d_out=2))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_fixed_points_are_bitwise_the_per_operation_steady_state(d, oracles):
+    # Blocks of 1-8 operations of ranks 1..d^2 (rank 1 is unitary and takes
+    # the Cesaro route) and explicit operations held by Kraus or by Choi.
+    tols = Tolerances()
+    mixed = 0
+    for _, ops in oracles.block_instances(d, 2, 60, [d, 72]):
+        results = ch.fixed_points(ops, tols)
+        for op, res in zip(ops, results):
+            state, resid, method, dim = oracles.steady_state(op, tols)
+            assert res.state.mat.tobytes() == state.tobytes()
+            assert (res.residual, res.method, res.fixed_space_dim) == (resid, method, dim)
+        mixed += len({res.method for res in results}) == 2
+    assert mixed > 0
+
+
+@pytest.mark.parametrize("d_s,d_e", [(2, 2), (3, 3), (4, 4), (2, 3), (3, 2)])
+def test_dilated_and_replace_channels_are_bitwise_the_per_pair_construction(d_s, d_e, oracles):
+    tols = Tolerances()
+    for block in oracles.blocks(36):
+        rngs = [np.random.default_rng([d_s, d_e, i]) for i in block]
+        us = [st.haar_unitary(d_s * d_e, r) for r in rngs]
+        taus = [random_density(d_e, 1 + i % d_e, r) for i, r in zip(block, rngs)]
+        sigmas = [random_density(d_s, 1 + i % d_s, r) for i, r in zip(block, rngs)]
+        for u, tau, op in zip(us, taus, ch.channels_from_dilations(us, taus, tols)):
+            ks = oracles.dilation_kraus(u, tau.mat, tols)
+            assert op.kraus.tobytes() == ks.tobytes() and op.choi.tobytes() == oracles.choi(ks).tobytes()
+        for sigma, op in zip(sigmas, ch.replace_channels(sigmas, tols)):
+            ks = oracles.replace_kraus(sigma.mat, tols)
+            assert op.kraus.tobytes() == ks.tobytes() and op.choi.tobytes() == oracles.choi(ks).tobytes()
+
+
+def test_random_cptps_decompose_each_choi_matrix_once(monkeypatch):
+    # The CP check reads the eigenvalues of the eigh that the Kraus
+    # extraction uses: one eigh of the R stack and one of the Choi stack.
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(*args, _name=name, _real=getattr(np.linalg, name)):
+            calls.append((_name, args[0].shape))
+            return _real(*args)
+        monkeypatch.setattr(np.linalg, name, counted)
+    rngs = [np.random.default_rng([3, i]) for i in range(5)]
+    ch.random_cptps(3, [ch.bcsz_draw(3, 1 + i, r) for i, r in enumerate(rngs)])
+    assert calls == [("eigh", (5, 3, 3)), ("eigh", (5, 9, 9))]

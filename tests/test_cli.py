@@ -11,7 +11,7 @@ from supchan import cli
 from supchan import config
 from supchan import states as st
 
-from conftest import classical_channel
+from conftest import classical_channel, random_density
 
 
 def write_scenario(tmp_path, name="scn.json", **kwargs):
@@ -78,6 +78,18 @@ def test_verify_exit_codes_for_bad_scenarios(tmp_path, capsys):
     assert "explicit.U" in capsys.readouterr().err
 
     assert cli.main(["verify", "--scenario", str(tmp_path / "missing.json")]) == cli.EXIT_PARSE_ERROR
+
+
+def test_an_integer_beyond_the_digit_limit_is_a_parse_error(tmp_path, capsys):
+    # Python's json refuses integer literals of more than 4300 digits with a
+    # plain ValueError, not a JSONDecodeError.
+    path = tmp_path / "huge.json"
+    path.write_text('{"seed": 1, "trials": 1, "bound": "spohn", "n_measurements": ' + "1" * 5000 + "}")
+    for command in ("verify", "explain"):
+        args = [command, "--scenario", str(path)] + (["--trial", "0"] if command == "explain" else [])
+        assert cli.main(args) == cli.EXIT_PARSE_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("scenario parse error: scenario is not valid JSON") and "4300" in err
 
 
 def test_verify_rejects_unknown_tolerance_key(tmp_path, capsys):
@@ -216,13 +228,13 @@ def test_verify_rejects_an_explicit_matrix_of_the_wrong_size(tmp_path, capsys, b
 def test_explain_prints_the_families_before_one_that_fails(tmp_path, capsys, monkeypatch):
     from supchan import superchannel as sup
 
-    def failing_neso(sc):
+    def failing_neso_block(scs):
         raise ch.FixedPointError("no steady state")
-    monkeypatch.setattr(sup, "neso", failing_neso)
+    monkeypatch.setattr(sup, "neso_block", failing_neso_block)
     rng = np.random.default_rng(6)
     scn = write_scenario(tmp_path, trials=1, bound="all", explicit={
         "U": cp.matrix_to_json(st.haar_unitary(4, rng)),
-        "rho_se": cp.matrix_to_json(st.random_density(4, 2, rng).mat)})
+        "rho_se": cp.matrix_to_json(random_density(4, 2, rng).mat)})
     assert cli.main(["explain", "--scenario", scn, "--trial", "0"]) == cli.EXIT_VALIDATION_ERROR
     captured = capsys.readouterr()
     assert captured.out.startswith("== spohn | trial 0 |")
@@ -231,7 +243,7 @@ def test_explain_prints_the_families_before_one_that_fails(tmp_path, capsys, mon
 
 
 def test_verify_rejects_op_kraus_with_op_choi(tmp_path, capsys):
-    choi = cp.matrix_to_json(ch.choi_from_kraus([np.eye(2)]))
+    choi = cp.matrix_to_json(ch.from_kraus([np.eye(2)]).choi)
     scn = write_scenario(tmp_path, trials=1, bound="spohn", explicit={"op_kraus": [EYE2], "op_choi": choi})
     assert cli.main(["verify", "--scenario", scn, "--jobs", "1"]) == cli.EXIT_VALIDATION_ERROR
     assert "explicit.op_choi: give either op_kraus or op_choi" in capsys.readouterr().err

@@ -10,13 +10,14 @@ from supchan import states as st
 from supchan import superchannel as sup
 from supchan.matkernel import DimShape, ShapeError, ValidationError
 
-from conftest import (depolarizing_channel, identity_channel, isometry_choi_state,
-                      operation_entropy, random_cptp, stinespring, unitary_channel)
+from conftest import (apply, channel_from_dilation, depolarizing_channel, identity_channel,
+                      is_trace_preserving, IsometricOperation, isometry_choi_state, mmap, operation_entropy,
+                      random_cptp, random_density, stinespring, sys_marginal, unitary_channel)
 
 
 def rand_sc(d_s, d_e, seed):
     rng = np.random.default_rng(seed)
-    raw = st.random_density(d_s * d_e, int(rng.integers(1, d_s * d_e + 1)), rng)
+    raw = random_density(d_s * d_e, int(rng.integers(1, d_s * d_e + 1)), rng)
     rho = st.density(raw.mat, DimShape([d_s, d_e], ["S", "E"]))
     return sup.build(st.haar_unitary(d_s * d_e, rng), rho), rng
 
@@ -129,9 +130,16 @@ def test_operation_entropy_unitary_is_zero():
 def test_isometric_operation_validation():
     alpha = st.density(np.diag([1.0, 0.0]), labels=["A"])
     with pytest.raises(ValidationError):
-        dl.IsometricOperation(np.eye(4) * 2.0, alpha)
+        IsometricOperation(np.eye(4) * 2.0, alpha)
     with pytest.raises(ShapeError):
-        dl.IsometricOperation(st.haar_unitary(5, np.random.default_rng(0)), alpha)
+        IsometricOperation(st.haar_unitary(5, np.random.default_rng(0)), alpha)
+    # mmap_block checks each V of a block in the same way.
+    sc, rng = rand_sc(2, 2, seed=12)
+    good = st.haar_unitary(4, rng)
+    with pytest.raises(ValidationError, match="isometric-dilation unitary is not unitary"):
+        dl.mmap_block([sc, sc], [good, np.eye(4) * 2.0], [alpha, alpha])
+    with pytest.raises(ShapeError, match="does not factor over ancilla dim 2"):
+        dl.mmap_block([sc], [st.haar_unitary(5, rng)], [alpha])
 
 
 def test_operation_of_reproduces_dilation_action():
@@ -139,16 +147,16 @@ def test_operation_of_reproduces_dilation_action():
     v = st.haar_unitary(4, rng)
     alpha_vec = st.random_pure(2, rng)
     alpha = st.density(np.outer(alpha_vec, alpha_vec.conj()), labels=["A"])
-    iso = dl.IsometricOperation(v, alpha)
-    op = ch.channel_from_dilation(iso.v, iso.alpha)
-    assert op.is_trace_preserving
-    sigma = st.random_density(2, 2, rng)
+    iso = IsometricOperation(v, alpha)
+    op = channel_from_dilation(iso.v, iso.alpha)
+    assert is_trace_preserving(op)
+    sigma = random_density(2, 2, rng)
     direct = mk.partial_trace(
         v @ mk.tensor(sigma.mat, alpha.mat) @ v.conj().T,
         DimShape([2, 2], ["S", "A"]),
         ["S"],
     )
-    assert mk.max_abs(ch.apply(op, sigma).mat - direct) <= 1e-10
+    assert mk.max_abs(apply(op, sigma).mat - direct) <= 1e-10
 
 
 def test_isometry_choi_state_is_valid_and_tp():
@@ -156,13 +164,13 @@ def test_isometry_choi_state_is_valid_and_tp():
     v = st.haar_unitary(4, rng)
     alpha_vec = st.random_pure(2, rng)
     alpha = st.density(np.outer(alpha_vec, alpha_vec.conj()), labels=["A"])
-    iso = dl.IsometricOperation(v, alpha)
+    iso = IsometricOperation(v, alpha)
     state = isometry_choi_state(iso)
     assert abs(np.trace(state.mat).real - 1.0) <= 1e-10
     # tracing the ancilla out of the dilation Choi recovers the reduced map
     shape = DimShape([2, 2, 2], ["So", "Ao", "in"])
     reduced = mk.partial_trace(state.mat * 2, shape, ["So", "in"])
-    assert mk.max_abs(reduced - ch.channel_from_dilation(iso.v, iso.alpha).choi) <= 1e-10
+    assert mk.max_abs(reduced - channel_from_dilation(iso.v, iso.alpha).choi) <= 1e-10
 
 
 def test_mmap_decoupled_case():
@@ -170,11 +178,11 @@ def test_mmap_decoupled_case():
     sc, rng = rand_sc(2, 2, seed=9)
     alpha_vec = st.random_pure(2, rng)
     alpha = st.density(np.outer(alpha_vec, alpha_vec.conj()), labels=["A"])
-    iso = dl.IsometricOperation(np.eye(4, dtype=complex), alpha)
-    upsilon, delta_s = dl.mmap(sc, iso)
+    iso = IsometricOperation(np.eye(4, dtype=complex), alpha)
+    upsilon, delta_s = mmap(sc, iso)
     sigma_p = sup.act(sc, identity_channel(2))
     assert mk.max_abs(upsilon.mat - mk.tensor(sigma_p.mat, alpha.mat)) <= 1e-10
-    expected = st.von_neumann_entropy(sigma_p) - st.von_neumann_entropy(sc.sys_marginal)
+    expected = st.von_neumann_entropy(sigma_p) - st.von_neumann_entropy(sys_marginal(sc))
     assert abs(delta_s - expected) <= 1e-10
 
 
@@ -182,12 +190,12 @@ def test_mmap_swap_dilation_moves_state_to_ancilla():
     # V = SWAP_SA with alpha = |0><0| implements replace-by-|0> on the system
     sc, _ = rand_sc(2, 2, seed=10)
     alpha = st.density(np.diag([1.0, 0.0]), labels=["A"])
-    iso = dl.IsometricOperation(ch.swap_unitary(2), alpha)
-    op = ch.channel_from_dilation(iso.v, iso.alpha)
+    iso = IsometricOperation(ch.swap_unitary(2), alpha)
+    op = channel_from_dilation(iso.v, iso.alpha)
     ket0 = st.density(np.diag([1.0, 0.0]))
-    rho = st.random_density(2, 2, np.random.default_rng(11))
-    assert mk.max_abs(ch.apply(op, rho).mat - ket0.mat) <= 1e-12
-    upsilon, _ = dl.mmap(sc, iso)
+    rho = random_density(2, 2, np.random.default_rng(11))
+    assert mk.max_abs(apply(op, rho).mat - ket0.mat) <= 1e-12
+    upsilon, _ = mmap(sc, iso)
     reduced = mk.partial_trace(upsilon.mat, upsilon.shape, ["S"])
     assert mk.max_abs(reduced - sup.act(sc, op).mat) <= 1e-10
 
@@ -198,10 +206,10 @@ def test_mmap_marginal_consistency_sweep():
         v = st.haar_unitary(4, rng)
         alpha_vec = st.random_pure(2, rng)
         alpha = st.density(np.outer(alpha_vec, alpha_vec.conj()), labels=["A"])
-        iso = dl.IsometricOperation(v, alpha)
-        upsilon, _ = dl.mmap(sc, iso)
+        iso = IsometricOperation(v, alpha)
+        upsilon, _ = mmap(sc, iso)
         reduced = mk.partial_trace(upsilon.mat, upsilon.shape, ["S"])
-        direct = sup.act(sc, ch.channel_from_dilation(iso.v, iso.alpha))
+        direct = sup.act(sc, channel_from_dilation(iso.v, iso.alpha))
         assert mk.max_abs(reduced - direct.mat) <= 1e-10
 
 
@@ -209,4 +217,4 @@ def test_mmap_dim_mismatch():
     sc, _ = rand_sc(2, 2, seed=12)
     alpha = st.density(np.diag([1.0, 0.0, 0.0]), labels=["A"])
     with pytest.raises(ShapeError):
-        dl.mmap(sc, dl.IsometricOperation(st.haar_unitary(9, np.random.default_rng(0)), alpha))
+        mmap(sc, IsometricOperation(st.haar_unitary(9, np.random.default_rng(0)), alpha))

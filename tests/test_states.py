@@ -9,7 +9,7 @@ from supchan import states as st
 from supchan.config import DEFAULT_TOLS, Tolerances
 from supchan.matkernel import DimShape, ShapeError, ValidationError
 
-from conftest import trial_rng
+from conftest import marginal, random_density, trial_rng
 
 
 def test_density_validation():
@@ -38,7 +38,7 @@ def test_entropy_scalar_oracle():
 
 def test_relative_entropy_basic():
     rng = np.random.default_rng(2)
-    rho = st.random_density(3, 3, rng)
+    rho = random_density(3, 3, rng)
     assert st.relative_entropy(rho, rho) <= 1e-10
     p0 = st.density(np.diag([1.0, 0.0]))
     p1 = st.density(np.diag([0.0, 1.0]))
@@ -57,18 +57,18 @@ def test_relative_entropy_classical_kl_oracle():
 def test_relative_entropy_nonnegative_and_faithful():
     rng = np.random.default_rng(4)
     for _ in range(25):
-        a = st.random_density(3, int(rng.integers(2, 4)), rng)
-        b = st.random_density(3, 3, rng)
+        a = random_density(3, int(rng.integers(2, 4)), rng)
+        b = random_density(3, 3, rng)
         assert st.relative_entropy(a, b) >= 0.0
 
 
 def test_relative_entropy_joint_convexity_spot_check():
     rng = np.random.default_rng(8)
     for _ in range(15):
-        a1 = st.random_density(2, 2, rng)
-        a2 = st.random_density(2, 2, rng)
-        b1 = st.random_density(2, 2, rng)
-        b2 = st.random_density(2, 2, rng)
+        a1 = random_density(2, 2, rng)
+        a2 = random_density(2, 2, rng)
+        b1 = random_density(2, 2, rng)
+        b2 = random_density(2, 2, rng)
         mix_a = st.density((a1.mat + a2.mat) / 2)
         mix_b = st.density((b1.mat + b2.mat) / 2)
         lhs = st.relative_entropy(mix_a, mix_b)
@@ -79,8 +79,8 @@ def test_relative_entropy_joint_convexity_spot_check():
 def test_entropy_concavity_spot_check():
     rng = np.random.default_rng(21)
     for _ in range(15):
-        r1 = st.random_density(3, 2, rng)
-        r2 = st.random_density(3, 3, rng)
+        r1 = random_density(3, 2, rng)
+        r2 = random_density(3, 3, rng)
         mixed = st.density((r1.mat + r2.mat) / 2)
         s_mix = st.von_neumann_entropy(mixed)
         avg_s = (st.von_neumann_entropy(r1) + st.von_neumann_entropy(r2)) / 2
@@ -90,8 +90,8 @@ def test_entropy_concavity_spot_check():
 def test_mutual_information_product_bell_classical():
     rng = np.random.default_rng(5)
     shape = DimShape([2, 2], ["P", "Q"])
-    a = st.random_density(2, 2, rng)
-    b = st.random_density(2, 1, rng)
+    a = random_density(2, 2, rng)
+    b = random_density(2, 1, rng)
     prod = st.density(mk.tensor(a.mat, b.mat), shape)
     assert abs(st.mutual_informations(prod.mat[None], shape, ["P"])[0][0]) <= 1e-10
 
@@ -107,7 +107,7 @@ def test_mutual_information_product_bell_classical():
 def test_mutual_information_symmetry_and_errors():
     rng = np.random.default_rng(6)
     shape = DimShape([2, 3], ["P", "Q"])
-    rho = st.random_density(6, 4, rng)
+    rho = random_density(6, 4, rng)
     rho = st.density(rho.mat, shape)
     assert abs(st.mutual_informations(rho.mat[None], shape, ["P"])[0][0]
                - st.mutual_informations(rho.mat[None], shape, ["Q"])[0][0]) <= 1e-12
@@ -123,29 +123,29 @@ def test_schmidt_symmetry_for_pure_bipartite():
     for _ in range(10):
         psi = st.random_pure(6, rng)
         rho = st.density(np.outer(psi, psi.conj()), shape)
-        sp = st.von_neumann_entropy(st.marginal(rho, ["P"]))
-        sq = st.von_neumann_entropy(st.marginal(rho, ["Q"]))
+        sp = st.von_neumann_entropy(marginal(rho, ["P"]))
+        sq = st.von_neumann_entropy(marginal(rho, ["Q"]))
         assert abs(sp - sq) <= 1e-10
 
 
 def test_random_density_properties():
     rng = np.random.default_rng(31)
-    pure = st.random_density(4, 1, rng)
+    pure = random_density(4, 1, rng)
     assert st.von_neumann_entropy(pure) < 1e-9
 
-    a = st.random_density(3, 2, np.random.default_rng(99))
-    b = st.random_density(3, 2, np.random.default_rng(99))
+    a = random_density(3, 2, np.random.default_rng(99))
+    b = random_density(3, 2, np.random.default_rng(99))
     assert mk.max_abs(a.mat - b.mat) == 0  # same seed, same state
 
     for seed in range(100):
-        full = st.random_density(4, 4, np.random.default_rng(seed))
+        full = random_density(4, 4, np.random.default_rng(seed))
         w = np.linalg.eigvalsh(full.mat)
         assert w[0] > 0.0
 
     with pytest.raises(ValueError):
-        st.random_density(3, 4, rng)
+        random_density(3, 4, rng)
     with pytest.raises(ValueError):
-        st.random_density(3, 0, rng)
+        random_density(3, 0, rng)
 
 
 def test_haar_unitary_and_trial_rng():
@@ -158,10 +158,14 @@ def test_haar_unitary_and_trial_rng():
     assert not np.all(r1 == r3)
 
 
-def count_herm_eig(monkeypatch):
+def count_decompositions(monkeypatch):
+    """The name of each numpy eigendecomposition called, in order."""
     calls = []
-    real = mk.herm_eig
-    monkeypatch.setattr(mk, "herm_eig", lambda m, tols: calls.append(tols) or real(m, tols))
+    for name in ("eigh", "eigvalsh"):
+        def counted(*args, _name=name, _real=getattr(np.linalg, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(np.linalg, name, counted)
     return calls
 
 
@@ -172,7 +176,7 @@ def test_eig_is_bitwise_herm_eig():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         d = int(rng.integers(2, 7))
-        rhos.append(st.random_density(d, int(rng.integers(1, d + 1)), rng))
+        rhos.append(random_density(d, int(rng.integers(1, d + 1)), rng))
     for rho in rhos:
         for tols in (DEFAULT_TOLS, loose):
             for got, want in zip(rho.eig(tols), mk.herm_eig(rho.mat, tols)):
@@ -180,16 +184,42 @@ def test_eig_is_bitwise_herm_eig():
 
 
 def test_eig_decomposes_once_per_tolerances(monkeypatch):
-    calls = count_herm_eig(monkeypatch)
-    rho = st.random_density(3, 2, np.random.default_rng(3))
+    # The PSD check of density takes the decomposition that eig keeps
+    # under the same tolerances; other tolerances decompose once more.
+    calls = count_decompositions(monkeypatch)
+    rho = random_density(3, 2, np.random.default_rng(3))
+    assert calls == ["eigh"]
     loose = Tolerances(psd_floor=1e-6)
     assert rho.eig() is rho.eig(DEFAULT_TOLS)
     st.spectrum(rho)
     st.trace_against_log(rho.mat, rho)
     st.von_neumann_entropy(rho, Tolerances())
+    assert calls == ["eigh"]
     rho.eig(loose)
     st.spectrum(rho, loose)
-    assert calls == [DEFAULT_TOLS, loose]
+    assert calls == ["eigh", "eigh"]
+
+
+def test_the_psd_check_at_the_psd_floor_reads_the_kept_decomposition(monkeypatch):
+    # An eigenvalue of exactly -psd_floor passes, one just below fails with
+    # its value; a passing matrix keeps the eigh that its check took, which
+    # eig finishes without decomposing again, bitwise as herm_eig.
+    tols = Tolerances(psd_floor=1e-10, trace_tol=1e-9)
+    edge = np.diag([1.0 + 1e-10, -1e-10]).astype(complex)
+    beyond = np.diag([1.0 + 1.5e-10, -1.5e-10]).astype(complex)
+    with pytest.raises(ValidationError, match="negative eigenvalue -1.500e-10 below -psd_floor"):
+        st.density(beyond, tols=tols)
+    with pytest.raises(ValidationError, match="negative eigenvalue -1.500e-10 below -psd_floor"):
+        st.densities(np.array([edge, beyond]), DimShape([2], ["S"]), tols)
+    rotated = st.haar_unitary(2, np.random.default_rng(5))
+    rho = st.density(edge, tols=tols)
+    stacked = st.densities(np.array([edge, rotated @ np.diag([0.7, 0.3]) @ rotated.conj().T]), DimShape([2], ["S"]), tols)
+    calls = count_decompositions(monkeypatch)
+    for r in [rho] + stacked:
+        w, v = mk.herm_eig(r.mat, tols)
+        assert r.eig(tols)[0].tobytes() == w.tobytes() and r.eig(tols)[1].tobytes() == v.tobytes()
+    assert calls == ["eigh"] * 3
+    assert rho.eig(tols)[0].tolist() == [1.0 + 1e-10, -1e-10]
 
 
 def test_mat_and_cached_eigendecompositions_are_read_only():
@@ -203,11 +233,11 @@ def test_mat_and_cached_eigendecompositions_are_read_only():
 
 
 def test_replace_gives_an_empty_memo_and_checks_the_shape(monkeypatch):
-    calls = count_herm_eig(monkeypatch)
-    rho = st.random_density(4, 3, np.random.default_rng(4))
+    calls = count_decompositions(monkeypatch)
+    rho = random_density(4, 3, np.random.default_rng(4))
     rho.eig()
     rho_se = dataclasses.replace(rho, shape=DimShape([2, 2], ["S", "E"]))
     assert rho_se.eig()[0].tobytes() == rho.eig()[0].tobytes()
-    assert len(calls) == 2
+    assert calls == ["eigh", "eigh"]
     with pytest.raises(ShapeError, match="shape dim 6"):
         dataclasses.replace(rho, shape=DimShape([2, 3], ["S", "E"]))

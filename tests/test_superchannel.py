@@ -10,25 +10,26 @@ from supchan import superchannel as sup
 from supchan.config import DEFAULT_TOLS
 from supchan.matkernel import DimShape, ShapeError, ValidationError
 
-from conftest import choi_of_msharp, identity_channel, msharp_tp_residual, random_cptp
+from conftest import (apply, channel_from_dilation, choi_of_msharp, env_marginal, identity_channel,
+                      msharp_tp_residual, neso, random_cptp, random_density, replace_channel, sys_marginal)
 
 
 def rand_sc(d_s, d_e, seed, rank=None, product=False):
     rng = np.random.default_rng(seed)
     if product:
-        sigma = st.random_density(d_s, d_s, rng)
-        tau = st.random_density(d_e, d_e, rng)
+        sigma = random_density(d_s, d_s, rng)
+        tau = random_density(d_e, d_e, rng)
         rho = st.density(mk.tensor(sigma.mat, tau.mat), DimShape([d_s, d_e], ["S", "E"]))
     else:
         r = rank if rank is not None else int(rng.integers(1, d_s * d_e + 1))
-        raw = st.random_density(d_s * d_e, r, rng)
+        raw = random_density(d_s * d_e, r, rng)
         rho = st.density(raw.mat, DimShape([d_s, d_e], ["S", "E"]))
     return sup.build(st.haar_unitary(d_s * d_e, rng), rho), rng
 
 
 def test_build_validation():
     rng = np.random.default_rng(0)
-    rho = st.random_density(4, 4, rng)
+    rho = random_density(4, 4, rng)
     rho_se = st.density(rho.mat, DimShape([2, 2], ["S", "E"]))
     with pytest.raises(ValidationError):
         sup.build(np.eye(4) * 1.5, rho_se)
@@ -41,8 +42,8 @@ def test_build_validation():
 def test_uncorrelated_trivial_dynamics():
     # rho_SE = sigma (x) tau with U = I: the identity operation returns sigma
     rng = np.random.default_rng(1)
-    sigma = st.random_density(2, 2, rng)
-    tau = st.random_density(3, 3, rng)
+    sigma = random_density(2, 2, rng)
+    tau = random_density(3, 3, rng)
     rho_se = st.density(mk.tensor(sigma.mat, tau.mat), DimShape([2, 3], ["S", "E"]))
     sc = sup.build(np.eye(6, dtype=complex), rho_se)
     got = sup.act(sc, identity_channel(2))
@@ -53,11 +54,11 @@ def test_factorized_superchannel_oracle():
     # for product rho_SE the superchannel factorizes: act(A) = Phi(A(sigma))
     for seed in range(20):
         sc, rng = rand_sc(2, 2, seed=100 + seed, product=True)
-        sigma = sc.sys_marginal
-        phi = ch.channel_from_dilation(sc.u, sc.env_marginal)
+        sigma = sys_marginal(sc)
+        phi = channel_from_dilation(sc.u, env_marginal(sc))
         op = random_cptp(2, int(rng.integers(1, 5)), rng)
         got = sup.act(sc, op)
-        oracle = ch.apply(phi, ch.apply(op, sigma))
+        oracle = apply(phi, apply(op, sigma))
         assert mk.max_abs(got.mat - oracle.mat) <= 1e-10
 
 
@@ -84,8 +85,8 @@ def test_act_replace_conditions_environment():
     sc, rng = rand_sc(2, 2, seed=8)
     pi_vec = st.random_pure(2, rng)
     pi = st.density(np.outer(pi_vec, pi_vec.conj()))
-    got = sup.act(sc, ch.replace_channel(pi))
-    tau = sc.env_marginal
+    got = sup.act(sc, replace_channel(pi))
+    tau = env_marginal(sc)
     joint = mk.tensor(pi.mat, tau.mat)
     oracle = mk.partial_trace(sc.u @ joint @ sc.u.conj().T, sc.rho_se.shape, ["S"])
     assert mk.max_abs(got.mat - oracle) <= 1e-11
@@ -117,7 +118,7 @@ def test_act_normalized_depolarizing_input_oracle():
     sc, _ = rand_sc(2, 2, seed=11)
     d = sc.d_s
     got = sup.act_normalized_block([sc], [np.eye(d * d) / (d * d)])[0]
-    joint = mk.tensor(np.eye(d) / d, sc.env_marginal.mat)
+    joint = mk.tensor(np.eye(d) / d, env_marginal(sc).mat)
     oracle = mk.partial_trace(sc.u @ joint @ sc.u.conj().T, sc.rho_se.shape, ["S"])
     assert mk.max_abs(got - oracle) <= 1e-11
 
@@ -159,8 +160,8 @@ def test_choi_of_msharp_factorized_composition_oracle():
     # compare Choi matrices column by column through matrix units
     sc, _ = rand_sc(2, 2, seed=12, product=True)
     d = sc.d_s
-    sigma = sc.sys_marginal
-    phi = ch.channel_from_dilation(sc.u, sc.env_marginal)
+    sigma = sys_marginal(sc)
+    phi = channel_from_dilation(sc.u, env_marginal(sc))
     choi = choi_of_msharp(sc).reshape(d, d * d, d, d * d)
     for i in range(d * d):
         for j in range(d * d):
@@ -168,17 +169,17 @@ def test_choi_of_msharp_factorized_composition_oracle():
             e[i, j] = 1.0
             # lift E_ij to the operation d*E_ij and run the composition
             lifted = d * np.einsum("aibj,ij->ab", e.reshape(d, d, d, d), sigma.mat)
-            oracle = ch.apply_matrix(phi, lifted)
+            oracle = ch.apply_matrices([phi], lifted[None])[0]
             assert mk.max_abs(choi[:, i, :, j] - oracle) <= 1e-10
 
 
 def test_neso_swap_gives_env_marginal():
     rng = np.random.default_rng(13)
-    tau = st.random_density(2, 2, rng)
-    sigma = st.random_density(2, 2, rng)
+    tau = random_density(2, 2, rng)
+    sigma = random_density(2, 2, rng)
     rho_se = st.density(mk.tensor(sigma.mat, tau.mat), DimShape([2, 2], ["S", "E"]))
     sc = sup.build(ch.swap_unitary(2), rho_se)
-    ns = sup.neso(sc)
+    ns = neso(sc)
     assert mk.max_abs(ns.ness.mat - tau.mat) <= 1e-9
     assert mk.max_abs(ns.env_marginal.mat - tau.mat) <= 1e-12
 
@@ -190,16 +191,16 @@ def test_neso_thermal_fixed_point_oracle():
     gibbs /= np.trace(gibbs)
     tau = st.density(gibbs.astype(complex), labels=["E"])
     rng = np.random.default_rng(14)
-    sigma = st.random_density(2, 2, rng)
+    sigma = random_density(2, 2, rng)
     rho_se = st.density(mk.tensor(sigma.mat, tau.mat), DimShape([2, 2], ["S", "E"]))
     sc = sup.build(ch.partial_swap_unitary(2, 0.6), rho_se)
-    ns = sup.neso(sc)
+    ns = neso(sc)
     assert mk.max_abs(ns.ness.mat - tau.mat) <= 1e-9
 
 
 def test_neso_choi_structure_and_entropy_split():
     sc, _ = rand_sc(2, 2, seed=15)
-    ns = sup.neso(sc)
+    ns = neso(sc)
     d = sc.d_s
     assert mk.max_abs(ns.op.choi - mk.tensor(ns.ness.mat, np.eye(d))) <= 1e-10
     s_opstate = st.von_neumann_entropy(
@@ -213,7 +214,7 @@ def test_neso_self_consistency_sweep():
     # M#[E_d] == e across 100 random instances
     for seed in range(100):
         sc, _ = rand_sc(2, 2, seed=1000 + seed)
-        ns = sup.neso(sc)
+        ns = neso(sc)
         back = sup.act_normalized_block([sc], [ns.op_state])[0]
         assert mk.max_abs(back - ns.ness.mat) <= 1e-9
 
@@ -252,7 +253,7 @@ def act_kron_loop(sc, op):
 def test_act_is_bitwise_the_per_kraus_kron_loop(d_s, d_e):
     rng = np.random.default_rng([d_s, d_e])
     for i in range(200):
-        raw = st.random_density(d_s * d_e, int(rng.integers(1, d_s * d_e + 1)), rng)
+        raw = random_density(d_s * d_e, int(rng.integers(1, d_s * d_e + 1)), rng)
         rho_se = st.density(raw.mat, DimShape([d_s, d_e], ["S", "E"]))
         sc = sup.build(st.haar_unitary(d_s * d_e, rng), rho_se)
         op = random_cptp(d_s, 1 + i % (d_s * d_s), rng)
@@ -298,3 +299,18 @@ def test_cached_einsum_paths_are_bitwise_optimize_true(d):
     for _ in range(2):
         assert mk.einsum(joint, sc1.m_tensor, sc2.m_tensor, x).tobytes() == want.tobytes()
     assert mk._einsum_path.cache_info().hits >= hits + 1
+
+
+@pytest.mark.parametrize("d_s,d_e", [(2, 2), (3, 3), (4, 4), (2, 3), (3, 2)])
+def test_neso_blocks_are_bitwise_the_per_superchannel_steady_operation(d_s, d_e, oracles):
+    tols = DEFAULT_TOLS
+    for scs, _ in oracles.block_instances(d_s, d_e, 36, [d_s, d_e, 73]):
+        for sc, ns in zip(scs, sup.neso_block(scs)):
+            state, resid, method, dim = oracles.steady_operation(sc, tols)
+            assert ns.ness.mat.tobytes() == state.tobytes()
+            assert (ns.diagnostics.residual, ns.diagnostics.method, ns.diagnostics.fixed_space_dim) == (resid, method, dim)
+            # The steady state is decomposed in the block, as the steady
+            # operation's construction decomposed it.
+            assert tols in ns.ness._eig
+            ks = oracles.replace_kraus(state, tols)
+            assert ns.op.kraus.tobytes() == ks.tobytes() and ns.op.choi.tobytes() == oracles.choi(ks).tobytes()

@@ -112,3 +112,20 @@ def test_verify_and_explain_reach_every_public_function(tmp_path):
     finally:
         sys.setprofile(None)
     assert sorted(name for name, code in public_code().items() if code not in reached) == []
+
+
+def test_every_trial_of_a_campaign_takes_the_one_block_path(monkeypatch):
+    # In a bound "all" campaign, evaluate_block runs once per block and no
+    # trial is evaluated through any other entry point.
+    blocks, outside = [], []
+    real_block = cp.evaluate_block
+
+    def evaluate_block(scenario, family, trials, *args):
+        blocks.append((family, list(trials)))
+        return real_block(scenario, family, trials, *args)
+    monkeypatch.setattr(cp, "evaluate_block", evaluate_block)
+    monkeypatch.setattr(cp, "evaluate_trial", lambda *args, **kwargs: outside.append(args))
+    scn = cp.load_scenario('{"seed": 4, "trials": 19, "bound": "all", "n_measurements": 3}')
+    report = cp.run_campaign(scn, cp.Tolerances(), jobs=1)
+    assert outside == [] and report["summary"]["trials"] == 19 * len(cp.FAMILIES)
+    assert blocks == [(f, list(range(s, min(s + cp.BLOCK, 19)))) for f in cp.FAMILIES for s in range(0, 19, cp.BLOCK)]
