@@ -82,11 +82,11 @@ def spohn_block(ops: list[ch.QuantumOperation], rhos: list[DensityMatrix], tols:
     w_out = st.decompose(st.densities(out, DimShape([ops[0].d_out], rhos[0].shape.labels[:1]), tols), tols)[0]
     w_in = st.decompose(rhos, tols)[0]
     w_n, v_n = st.decompose([ns.state for ns in nss], tols)
-    overlap = np.real(np.einsum("bik,bnij,bjk->bnk", v_n.conj(), np.stack([out, mats], axis=1), v_n))
+    cross = st.log_weights(np.stack([out, mats], axis=1), w_n, v_n, tols)
     reports = []
     for b, (op, ns) in enumerate(zip(ops, nss)):
         s_out, s_in = st.entropy_of_spectrum(w_out[b]), st.entropy_of_spectrum(w_in[b])
-        t_out, t_in = st.log_weight(overlap[b], w_n[b], tols).tolist()
+        t_out, t_in = cross[b]
         meta = {"d": op.d_in, "fixed_space_dim": ns.fixed_space_dim, "ness_method": ns.method,
                 "ness_residual": ns.residual}
         if collects is not None and collects[b] is not None:
@@ -115,45 +115,37 @@ def main_bounds(scs: list[sup.Superchannel], ops: list[ch.QuantumOperation], nss
     computation; the entropy sums and the bound arithmetic stay per trial.
     """
     d = scs[0].d_s
-    sigma = sup.act_block(scs, ops).reshape(-1, d, d)
-    w_out = mk.herm_eig(sigma, tols)[0]
+    sigma, (w_out, _) = sup.act_block(scs, ops)
     a_d = np.array([op.choi for op in ops]) / d
     w_op = mk.clamp_spectrum(np.linalg.eigvalsh(a_d)[..., ::-1], tols)
     marg = mk.partial_trace(a_d, DimShape([d, d], ["out", "in"]), ["out"])
     w_n, v = st.decompose([ns.ness for ns in nss], tols)
-    overlap = np.real(np.einsum("bik,bnij,bjk->bnk", v.conj(), np.stack([sigma, marg], axis=1), v))
+    cross = st.log_weights(np.stack([sigma, marg], axis=1), w_n, v, tols)
     reports = []
     for b, (sc, op, ns) in enumerate(zip(scs, ops, nss)):
         s_out = st.entropy_of_spectrum(w_out[b])
         s_op = st.entropy_of_spectrum(w_op[b])
-        t_out, t_op = st.log_weight(overlap[b], w_n[b], tols).tolist()
+        t_out, t_op = cross[b]
         t_op -= math.log(d)
         meta = {"d_S": sc.d_s, "d_E": sc.d_e, "fixed_space_dim": ns.diagnostics.fixed_space_dim,
                 "ness_method": ns.diagnostics.method, "ness_residual": ns.diagnostics.residual}
         if collects is not None and collects[b] is not None:
             collects[b].update(
-                ness_eigenvalues=st.spectrum(ns.ness, tols).tolist(), entropy_sigma_prime=s_out,
+                ness_eigenvalues=w_n[b].tolist(), entropy_sigma_prime=s_out,
                 entropy_op_state=s_op, tr_sigma_log_ness=t_out, tr_op_log_neso=t_op,
-                slack_identity=slack_identity(sc, op, ns, tols))
+                slack_identity=slack_identity(op, ns, s_out, t_out, tols))
         reports.append(_finish("main", s_out - s_op, ext_sub(t_op, t_out), tols, meta))
     return reports
 
 
-def slack_identity(
-    sc: sup.Superchannel,
-    op: ch.QuantumOperation,
-    ns: sup.Neso,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> tuple[float, float]:
-    """(D[A_d || E_d], D[sigma' || e]): the main-bound slack equals their
-    difference on finite branches."""
-    d = sc.d_s
-    choi_shape = DimShape([d, d], ["out", "in"])
-    a_d = density(op.choi_state, choi_shape, tols=tols)
-    e_d = density(ns.op_state, choi_shape, tols=tols)
-    d_in = st.relative_entropy(a_d, e_d, tols)
-    d_out = st.relative_entropy(sup.act(sc, op), ns.ness, tols)
-    return d_in, d_out
+def slack_identity(op: ch.QuantumOperation, ns: sup.Neso, entropy_out: float, cross_out: float,
+                   tols: Tolerances = DEFAULT_TOLS) -> tuple[float, float]:
+    """(D[A_d || E_d], D[sigma' || e]), given S(sigma') and tr[sigma' log e]
+    of the trial: the main-bound slack equals their difference on finite
+    branches."""
+    a_d = density(op.choi_state, DimShape([op.d_in, op.d_in], ["out", "in"]), tols=tols)
+    d_in = st.relative_entropies(a_d.mat[None], [st.entropy_of_spectrum(a_d.eig(tols)[0])], ns.op_state[None], tols)
+    return d_in[0], st.relative_entropy_of(entropy_out, cross_out)
 
 
 # ---------------------------------------------------------------------------
@@ -189,17 +181,15 @@ def clausius_block(scs: list[sup.Superchannel], sigmas: list[DensityMatrix], gib
     mk.fail_first(resid > THERMAL_MATCH_TOL, resid,
                   f"fixed point is not the Gibbs state: residual {{:.3e}} > {THERMAL_MATCH_TOL}")
     d = scs[0].d_s
-    sigma_p = sup.act_block(scs, ch.replace_channels(sigmas, tols))
-    w_p = mk.herm_eig(sigma_p, tols)[0]
+    sigma_p, (w_p, _) = sup.act_block(scs, ch.replace_channels(sigmas, tols))
     w_s = st.decompose(sigmas, tols)[0]
     w_g, v_g = gibbs.eig(tols)
-    v = np.array([v_g] * len(scs))
     mats = np.stack([sigma_p, [s.mat for s in sigmas]], axis=1)
-    overlap = np.real(np.einsum("bik,bnij,bjk->bnk", v.conj(), mats, v))
+    cross = st.log_weights(mats, [w_g] * len(scs), np.array([v_g] * len(scs)), tols)
     reports = []
     for b, r in enumerate(resid.tolist()):
         s_p, s_s = st.entropy_of_spectrum(w_p[b]), st.entropy_of_spectrum(w_s[b])
-        t_out, t_in = st.log_weight(overlap[b], w_g, tols).tolist()
+        t_out, t_in = cross[b]
         meta = {"d": d, "beta": beta, "Z": z, "F": math.log(z) / beta, "thermal_residual": r}
         if collects is not None and collects[b] is not None:
             collects[b].update(gibbs_eigenvalues=w_g.tolist(), entropy_sigma_prime=s_p, entropy_sigma=s_s,
@@ -221,12 +211,10 @@ def regroup_joint_choi(chois: np.ndarray, d_p: int, d_q: int) -> np.ndarray:
     return x.reshape(len(chois), d_p * d_p * d_q * d_q, -1)
 
 
-def joint_act_normalized(
-    sc1s: list[sup.Superchannel], sc2s: list[sup.Superchannel], op_states: np.ndarray,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> np.ndarray:
+def joint_act_normalized(sc1s: list[sup.Superchannel], sc2s: list[sup.Superchannel],
+                         op_states: np.ndarray) -> np.ndarray:
     """(M1# (x) M2#)[X] of each (sc1, sc2, X) of a block, with X ordered
-    (P_out, P_in, Q_out, Q_in), as a stack checked as density matrices.
+    (P_out, P_in, Q_out, Q_in), as a Hermitian stack.
 
     The contraction runs once per trial: a batch index would change its
     path, and with it the bits."""
@@ -236,20 +224,7 @@ def joint_act_normalized(
                   (d1 * d2) * np.asarray(x, dtype=complex).reshape(d1, d1, d2, d2, d1, d1, d2, d2),
                   ).reshape(d1 * d2, d1 * d2)
         for sc1, sc2, x in zip(sc1s, sc2s, op_states)])
-    out = mk.as_matrix((out + mk.dagger(out)) / 2.0, stack=True)
-    check_density(out, tols)
-    return out
-
-
-def _relative_entropies(rho: np.ndarray, s_rho: list[float], ref: np.ndarray,
-                        tols: Tolerances) -> list[float]:
-    """D[rho || ref] of each pair of two stacks, with S(rho) given, as
-    ``st.relative_entropy`` computes it for one pair."""
-    check_density(ref, tols)
-    w, v = mk.herm_eig(ref, tols)
-    overlap = np.real(np.einsum("bik,bij,bjk->bk", v.conj(), rho, v))
-    return [st.relative_entropy_of(s, float(st.log_weight(o, wb, tols)))
-            for s, o, wb in zip(s_rho, overlap, w)]
+    return mk.as_matrix((out + mk.dagger(out)) / 2.0, stack=True)
 
 
 def qdpi_block(sc1s: list[sup.Superchannel], sc2s: list[sup.Superchannel], ops: list[ch.QuantumOperation],
@@ -285,18 +260,17 @@ def qdpi_block(sc1s: list[sup.Superchannel], sc2s: list[sup.Superchannel], ops: 
 
     x = regroup_joint_choi(np.array([op.choi_state for op in ops]), d_p, d_q)
     shape_in = DimShape([d_p, d_p, d_q, d_q], ["Po", "Pi", "Qo", "Qi"])
-    check_density(x, tols)
     mi_in, s_in = st.mutual_informations(x, shape_in, ["Po", "Pi"], tols)
-    rho_out = joint_act_normalized(sc1s, sc2s, x, tols)
+    rho_out = joint_act_normalized(sc1s, sc2s, x)
     shape_out = DimShape([d_p, d_q], ["P", "Q"])
     mi_out, s_out = st.mutual_informations(rho_out, shape_out, ["P"], tols)
 
     # Relative-entropy route through the marginal operations.
     a_p = ch.marginal_chois(chois, (d_p, d_q), "P", tols) / d_p
     a_q = ch.marginal_chois(chois, (d_p, d_q), "Q", tols) / d_q
-    d_rel_in = _relative_entropies(x, s_in, mk.kron_stack(a_p, a_q), tols)
+    d_rel_in = st.relative_entropies(x, s_in, mk.kron_stack(a_p, a_q), tols)
     ref_out = mk.kron_stack(sup.act_normalized_block(sc1s, a_p), sup.act_normalized_block(sc2s, a_q))
-    d_rel_out = _relative_entropies(rho_out, s_out, ref_out, tols)
+    d_rel_out = st.relative_entropies(rho_out, s_out, ref_out, tols)
     reports = []
     for b, (i_in, i_out, r_in, r_out) in enumerate(zip(mi_in, mi_out, d_rel_in, d_rel_out)):
         flags = ()
@@ -413,15 +387,15 @@ def holevo_block(scs: list[sup.Superchannel], enss: list[Ensemble], haar: np.nda
     starts = np.cumsum(ks) - ks
     probs = [np.asarray(ens.probs, dtype=float) for ens in enss]
     outs = np.empty((ks.sum(), d, d), dtype=complex)
+    s_outs = np.empty(ks.sum())
     avg = np.zeros((len(scs), d, d), dtype=complex)
     for j in range(ks.max()):
         has = np.flatnonzero(ks > j)
-        out = sup.act_block([scs[b] for b in has], [enss[b].ops[j] for b in has]).reshape(-1, d, d)
+        out, (w, _) = sup.act_block([scs[b] for b in has], [enss[b].ops[j] for b in has])
         outs[starts[has] + j] = out
+        s_outs[starts[has] + j] = [st.entropy_of_spectrum(wb) for wb in w]
         avg[has] += np.array([probs[b][j] for b in has])[:, None, None] * out
-    check_density(mk.as_matrix(avg, stack=True), tols)
-    w_avg, v_avg = mk.herm_eig(avg, tols)
-    s_outs = [st.entropy_of_spectrum(w) for w in mk.herm_eig(outs, tols)[0]]
+    w_avg, v_avg = check_density(mk.as_matrix(avg, stack=True), tols)
     bases = np.concatenate([haar, v_avg[:, None]], axis=1)
     infos = measured_information([outs[a:a + k] for a, k in zip(starts, ks)], probs, bases)
     results = []

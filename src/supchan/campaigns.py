@@ -214,10 +214,17 @@ def load_scenario(text: str) -> Scenario:
 
     scenario = Scenario(seed, dict(sorted(dims.items())), trials, bound,
                         dict(sorted(tolerances.items())), n_measurements=n_meas)
-    d_s = dims.get("d_S", 2)
-    if "holevo" in scenario.families() and BLOCK * (n_meas + 1) * d_s * d_s > mk.MAX_ENTRIES:
-        raise ScenarioError(f"n_measurements: {n_meas} bases of dimension {d_s} per trial, in blocks of "
+    dim = _dim_values(dims)
+    if "holevo" in scenario.families() and BLOCK * (n_meas + 1) * dim["d_S"] ** 2 > mk.MAX_ENTRIES:
+        raise ScenarioError(f"n_measurements: {n_meas} bases of dimension {dim['d_S']} per trial, in blocks of "
                             f"{BLOCK} trials, exceed the dense-storage limit of {mk.MAX_ENTRIES} entries")
+    for family in scenario.families():
+        count = min(BLOCK, trials, _part_size(family, dim))
+        for name in _STACKED[family]:
+            n = math.prod(dim[k] for k in name.split("*"))
+            if count * n * n > mk.MAX_ENTRIES:
+                raise ScenarioError(f"dims: {family} stacks {count} matrices of dimension {name}={n}, which exceed "
+                                    f"the dense-storage limit of {mk.MAX_ENTRIES} entries")
     tols = scenario.tols(Tolerances())
     explicit = {k: _read_explicit(k, v, tols) for k, v in explicit_raw.items()}
     for family in scenario.families():
@@ -289,6 +296,21 @@ _READS = {
     "holevo": {"U": ["d_S*d_E"], "rho_se": ["d_S*d_E"], "ensemble": ["d_S"]},
     "mmap-consistency": {"U": ["d_S*d_E"], "rho_se": ["d_S*d_E"], "V": ["d_S*d_A"], "alpha": ["d_A"]},
 }
+
+
+# The matrices that the trials of each family stack, by their dimension as a
+# product of dims: joint unitaries and states, Choi and transfer matrices
+# (d_S*d_S), and the joint images of qdpi and mmap-consistency.
+_STACKED = {"spohn": ["d_S*d_S"], "main": ["d_S*d_E", "d_S*d_S"], "clausius": ["d_S*d_S"],
+            "qdpi": ["d_P*d_E1", "d_Q*d_E2", "d_P*d_Q*d_P*d_Q"], "holevo": ["d_S*d_E", "d_S*d_S"],
+            "mmap-consistency": ["d_S*d_E", "d_S*d_S", "d_S*d_E*d_A"]}
+
+
+def _part_size(family: str, dim: dict) -> int:
+    """Trials in one stacked step of ``family`` (see ``STACK_ENTRIES``)."""
+    entries = {"qdpi": (dim["d_P"] * dim["d_Q"]) ** 4,
+               "mmap-consistency": (dim["d_S"] * dim["d_E"] * dim["d_A"]) ** 2}.get(family, 1)
+    return max(1, STACK_ENTRIES // entries)
 
 
 def _dim_values(dims: dict) -> dict:
@@ -478,11 +500,9 @@ def evaluate_block(scenario: Scenario, family: str, trials, tols: Tolerances,
     if family not in FAMILIES:
         raise ScenarioError(f"bound: unknown family {family!r}")
     prep = prepared if prepared is not None else prepare(scenario, tols, (family,))
-    ex, dims = scenario.explicit, scenario.dims
-    d_s, d_e = dims.get("d_S", 2), dims.get("d_E", 2)
-    d_a, d_p, d_q = dims.get("d_A", d_s), dims.get("d_P", 2), dims.get("d_Q", 2)
-    entries = {"qdpi": (d_p * d_q) ** 4, "mmap-consistency": (d_s * d_e * d_a) ** 2}.get(family, 1)
-    step = max(1, STACK_ENTRIES // entries)
+    ex, dim = scenario.explicit, _dim_values(scenario.dims)
+    d_s, d_e, d_a, d_p, d_q = (dim[k] for k in ("d_S", "d_E", "d_A", "d_P", "d_Q"))
+    step = _part_size(family, dim)
     rngs = [_trial_rng(scenario, family, t) for t in trials]
     reports = []
     for part in (rngs[i:i + step] for i in range(0, len(rngs), step)):
@@ -502,8 +522,8 @@ def evaluate_block(scenario: Scenario, family: str, trials, tols: Tolerances,
             scs = sup.build_block([u] * len(part), rhos, tols)
             reports += bd.clausius_block(scs, _states(d_s, part, tols, ex.get("sigma")), gibbs, z, beta, tols, collects)
         elif family == "qdpi":
-            sc1s = prep.draw_superchannels(d_p, dims.get("d_E1", 2), part, tols, ex)
-            sc2s = prep.draw_superchannels(d_q, dims.get("d_E2", 2), part, tols, ex)
+            sc1s = prep.draw_superchannels(d_p, dim["d_E1"], part, tols, ex)
+            sc2s = prep.draw_superchannels(d_q, dim["d_E2"], part, tols, ex)
             ops = random_operations(d_p * d_q, part, tols, ex, bipartite=(d_p, d_q))
             reports += bd.qdpi_block(sc1s, sc2s, ops, tols, collects)
         elif family == "holevo":
@@ -542,14 +562,14 @@ def _mmap_consistency(scs: list[sup.Superchannel], d_a: int, rngs: list[np.rando
         alphas = [alpha] * len(rngs)
     upsilons, deltas = dl.mmap_block(scs, vs, alphas, tols)
     reduced = mk.partial_trace(np.array([u.mat for u in upsilons]), upsilons[0].shape, ["S"])
-    direct = sup.act_block(scs, ch.channels_from_dilations(vs, alphas, tols))
+    direct = sup.act_block(scs, ch.channels_from_dilations(vs, alphas, tols))[0]
     reports = []
     for upsilon, delta_s, residual, collect in zip(upsilons, deltas, mk.max_abs(reduced - direct).tolist(), collects):
         slack = CONSISTENCY_TOL - residual
         reports.append(bd.BoundReport("mmap-consistency", CONSISTENCY_TOL, residual, slack, slack >= 0.0, 0.0,
                                       (), {"d_S": d_s, "d_E": d_e, "d_A": d_a, "delta_S": delta_s}))
         if collect is not None:
-            collect.update(residual=residual, delta_S=delta_s, upsilon_eigenvalues=st.spectrum(upsilon, tols).tolist())
+            collect.update(residual=residual, delta_S=delta_s, upsilon_eigenvalues=upsilon.eig(tols)[0].tolist())
     return reports
 
 

@@ -105,17 +105,17 @@ def from_choi(
     return QuantumOperation(d_in, d_out, choi, None, bipartite, tols)
 
 
-def check_cp(choi: np.ndarray, tols: Tolerances = DEFAULT_TOLS, eig=None):
+def check_cp(choi: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, np.ndarray]:
     """``from_choi``'s checks of a Choi matrix, or of each of a stack:
     Hermitian relative to its largest entry, and CP within CP_TOL on the
-    eigenvalues that ``eig`` (``np.linalg.eigvalsh`` when None, or ``eigh``)
-    finds of (choi + choi^dag) / 2; returns what ``eig`` returns."""
+    eigenvalues of the one ``np.linalg.eigh`` of (choi + choi^dag) / 2;
+    returns that decomposition as ``mk.herm_eig`` returns it, after its
+    reconstruction check and clamp."""
     mk.check_hermitian(choi, tols.herm_tol * np.maximum(1.0, mk.max_abs(choi)), "Choi matrix")
-    out = (eig or np.linalg.eigvalsh)((choi + mk.dagger(choi)) / 2.0)
-    w = out[0] if isinstance(out, tuple) else out
+    w, v = np.linalg.eigh((choi + mk.dagger(choi)) / 2.0)
     mk.fail_first(w[..., 0] < -CP_TOL * np.maximum(1.0, w[..., -1]), w[..., 0],
                   "Choi matrix has eigenvalue {:.3e}: map is not CP")
-    return out
+    return mk.herm_eig_of(choi, w, v, tols)
 
 
 def require_trace_preserving(ops: list[QuantumOperation], message: str) -> None:
@@ -366,9 +366,7 @@ def random_cptps(d: int, draws: list[np.ndarray], d_out: int | None = None,
     lift = mk.kron_stack(np.eye(d_out), r_isqrt)
     choi = lift @ w @ mk.dagger(lift)
     choi = mk.as_matrix((choi + mk.dagger(choi)) / 2.0, stack=True)
-    # choi is exactly Hermitian, so herm_eig's own checks reduce to the
-    # reconstruction, from the decomposition that check_cp takes.
-    w, v = mk.herm_eig_of(choi, *check_cp(choi, tols, np.linalg.eigh), tols)
+    w, v = check_cp(choi, tols)
     kraus = mk.psd_factors(w, v).reshape(-1, d_out, d)
     ends = np.cumsum((w > 0.0).reshape(len(draws), -1).sum(-1)).tolist()
     return [QuantumOperation(d, d_out, c, kraus[a:b], bipartite, tols)

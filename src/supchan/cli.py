@@ -7,9 +7,9 @@ Commands:
   version
 
 Exit codes: 0 success, 1 bound failure, 2 scenario parse error,
-3 validation error (a non-finite --slack-tol or SUPCHAN_SLACK_TOL
-included).  Tolerance precedence: --slack-tol flag > scenario file >
-SUPCHAN_SLACK_TOL environment variable > built-in default.
+3 validation error (a non-finite --slack-tol or SUPCHAN_SLACK_TOL, and a
+--jobs below 1, included).  Tolerance precedence: --slack-tol flag >
+scenario file > SUPCHAN_SLACK_TOL environment variable > built-in default.
 """
 
 from __future__ import annotations
@@ -92,6 +92,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if isinstance(loaded, int):
         return loaded
     scenario, tols = loaded
+    if args.jobs is not None and args.jobs < 1:
+        print(f"error: --jobs: expected an integer >= 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_VALIDATION_ERROR
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     t0 = time.monotonic()
     try:

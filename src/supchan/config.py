@@ -7,7 +7,7 @@ of dimension <= 36.  Thresholds that no scenario has needed to tune stay
 fixed where they are used: ``channels.CP_TOL``/``TP_TOL``,
 ``bounds.THERMAL_MATCH_TOL``, ``campaigns.CONSISTENCY_TOL``, the 1e-12 clip
 bands, the 1e-8 QDPI route cross-checks, and the fixed-point literals in
-``channels`` (the 1e-8 eigenvalue-1 cluster width, the ``_repair_psd``
+``channels`` (the 1e-8 eigenvalue-1 cluster width, the ``_steady_states``
 limits, the 2^16 Cesaro cap), which go with that routine.
 """
 

@@ -1,8 +1,9 @@
 """Density matrices and entropic functionals.
 
-All entropies are in nats (natural logarithm).  Relative entropy returns
-``float('inf')`` when the first argument has support outside the support of
-the second, detected by projecting onto the kernel at ``psd_floor``.
+A state is decomposed once, by the ``eigh`` that ``check_density`` takes,
+and every entropy, tr[X log rho] and relative entropy reads it.  Entropies
+are in nats; relative entropy is ``float('inf')`` when the first argument
+has weight above ``support_tol`` on the kernel of the second.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ class DensityMatrix:
 
     mat: np.ndarray
     shape: DimShape
-    # tols -> what eig returns; None -> (tols, w, v) of the eigh that a check under tols took.
+    # tols -> what eig returns: the decomposition that the check under tols took, or herm_eig's.
     _eig: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -35,7 +36,7 @@ class DensityMatrix:
         object.__setattr__(self, "mat", mat)
 
     def eig(self, tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, np.ndarray]:
-        """``mk.herm_eig(mat, tols)``, computed once per ``tols``, from the
+        """``mk.herm_eig(mat, tols)``, computed once per ``tols``: the
         decomposition that ``density``'s checks under ``tols`` took when
         there is one; both arrays are read-only."""
         if tols not in self._eig:
@@ -78,51 +79,42 @@ def density(
 
 def densities(mats: np.ndarray, shape: DimShape, tols: Tolerances = DEFAULT_TOLS) -> list[DensityMatrix]:
     """``density`` of each matrix of a stack, all on ``shape``, with the
-    checks of the stack in one step; each keeps for ``eig`` the
-    ``np.linalg.eigh`` that its PSD check reads."""
-    rhos = [DensityMatrix(m, shape) for m in mk.as_matrix(mats, stack=True)]
-    w, v = check_density(mats, tols, np.linalg.eigh)
-    for rho, wb, vb in zip(rhos, w, v):
-        rho._eig[None] = (tols, wb, vb)
+    checks of the stack in one step; each keeps for ``eig(tols)`` the
+    decomposition that its check took."""
+    mats = mk.as_matrix(mats, stack=True)
+    rhos = [DensityMatrix(m, shape) for m in mats]
+    _keep(rhos, *check_density(mats, tols), tols)
     return rhos
 
 
-def check_density(mat: np.ndarray, tols: Tolerances = DEFAULT_TOLS, eig=None):
-    """``density``'s checks of a matrix, or of each of a stack: Hermitian,
-    unit trace and positive semidefinite, the last on the eigenvalues that
-    ``eig`` (``np.linalg.eigvalsh`` when None, or ``eigh``) finds of
-    (mat + mat^dag) / 2; returns what ``eig`` returns."""
-    mk.check_hermitian(mat, tols.herm_tol, "density matrix")
-    tr = mat.trace(axis1=-2, axis2=-1).real
+def check_density(mats: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, np.ndarray]:
+    """``density``'s checks of each matrix of a stack: Hermitian, unit trace
+    and positive semidefinite, the last on the eigenvalues of the one
+    ``np.linalg.eigh`` of (m + m^dag) / 2; returns that decomposition as
+    ``mk.herm_eig`` returns it, after its reconstruction check and clamp."""
+    mk.check_hermitian(mats, tols.herm_tol, "density matrix")
+    tr = mats.trace(axis1=-2, axis2=-1).real
     mk.fail_first(abs(tr - 1.0) > tols.trace_tol, tr, f"trace {{!r}} is not 1 within {tols.trace_tol}")
-    out = (eig or np.linalg.eigvalsh)((mat + mk.dagger(mat)) / 2.0)
-    w = out[0] if isinstance(out, tuple) else out
+    w, v = np.linalg.eigh((mats + mk.dagger(mats)) / 2.0)
     mk.fail_first(w[..., 0] < -tols.psd_floor, w[..., 0], "negative eigenvalue {:.3e} below -psd_floor")
-    return out
+    return mk.herm_eig_of(mats, w, v, tols)
 
 
 def decompose(rhos: list[DensityMatrix], tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, np.ndarray]:
     """``rho.eig(tols)`` of each density matrix of a list, as two stacks;
-    those not yet decomposed under ``tols`` are in one stacked step, from
-    what their checks under ``tols`` took when all have it."""
+    those not yet decomposed under ``tols`` are in one stacked step."""
     todo = list({id(r): r for r in rhos if tols not in r._eig}.values())
     if todo:
-        mats = np.array([r.mat for r in todo])
-        taken = [r._eig.get(None, (None,)) for r in todo]
-        if all(t[0] == tols for t in taken):
-            w, v = mk.herm_eig_of(mats, np.array([t[1] for t in taken]), np.array([t[2] for t in taken]), tols)
-        else:
-            w, v = mk.herm_eig(mats, tols)
-        for r, wb, vb in zip(todo, w, v):
-            wb.flags.writeable = vb.flags.writeable = False
-            r._eig[tols] = (wb, vb)
+        _keep(todo, *mk.herm_eig(np.array([r.mat for r in todo]), tols), tols)
     eigs = [r._eig[tols] for r in rhos]
     return np.array([e[0] for e in eigs]), np.array([e[1] for e in eigs])
 
 
-def spectrum(rho: DensityMatrix, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """Descending eigenvalues, clamped at psd_floor."""
-    return rho.eig(tols)[0]
+def _keep(rhos: list[DensityMatrix], w: np.ndarray, v: np.ndarray, tols: Tolerances) -> None:
+    """Keep each row of ``(w, v)``, read-only, as its state's ``eig(tols)``."""
+    for r, wb, vb in zip(rhos, w, v):
+        wb.flags.writeable = vb.flags.writeable = False
+        r._eig[tols] = (wb, vb)
 
 
 def entropy_of_spectrum(w: np.ndarray) -> float:
@@ -132,46 +124,26 @@ def entropy_of_spectrum(w: np.ndarray) -> float:
     return float(-(pos * np.log(pos)).sum())
 
 
-def von_neumann_entropy(rho: DensityMatrix, tols: Tolerances = DEFAULT_TOLS) -> float:
-    """S(rho) = -tr[rho log rho] in nats."""
-    return entropy_of_spectrum(spectrum(rho, tols))
+def log_weights(xs: np.ndarray, w: np.ndarray, v: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> list[list[float]]:
+    """tr[X log(base_b)] of each X of ``xs[b]``, a (B, n, d, d) stack, with
+    ``(w[b], v[b])`` as ``mk.herm_eig`` returns it for base b; -inf when X
+    has weight above support_tol on its kernel.  The weights are one stacked
+    step; each trial sums its own, as a zero-padded row sum could move bits."""
+    overlap = np.real(np.einsum("bik,bnij,bjk->bnk", v.conj(), xs, v))
+    out = []
+    for o, wb in zip(overlap, w):
+        kernel = wb == 0.0
+        t = (o[..., ~kernel] * np.log(wb[~kernel])).sum(-1)
+        out.append(np.where(o[..., kernel].sum(-1) > tols.support_tol, -np.inf, t).tolist())
+    return out
 
 
-def trace_against_log(
-    state_mat: np.ndarray, base: DensityMatrix, tols: Tolerances = DEFAULT_TOLS
-) -> float:
-    """tr[X log(base)] for a PSD unit-trace X; -inf on support mismatch.
-
-    Support mismatch means X has weight above support_tol on the kernel of
-    ``base`` (eigenvalues clamped at psd_floor).
-    """
-    w, v = base.eig(tols)
-    # Weight of X in each eigenvector of base.
-    overlap = np.real(np.einsum("ik,ij,jk->k", v.conj(), np.asarray(state_mat, dtype=complex), v))
-    return float(log_weight(overlap, w, tols))
-
-
-def log_weight(overlap: np.ndarray, w: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """tr[X log(base)] from the weights ``overlap`` of X in the eigenvectors
-    of base (or of several X, one per row) and the clamped eigenvalues ``w``
-    of base; -inf on support mismatch."""
-    kernel = w == 0.0
-    out = (overlap[..., ~kernel] * np.log(w[~kernel])).sum(-1)
-    return np.where(overlap[..., kernel].sum(-1) > tols.support_tol, -np.inf, out)
-
-
-def relative_entropy(
-    rho1: DensityMatrix, rho2: DensityMatrix, tols: Tolerances = DEFAULT_TOLS
-) -> float:
-    """D[rho1 || rho2] = -S(rho1) - tr[rho1 log rho2] in nats; +inf on
-    support mismatch (see ``trace_against_log``).
-    """
-    if rho1.dim != rho2.dim:
-        raise ShapeError(f"dimension mismatch {rho1.dim} != {rho2.dim}")
-    cross = trace_against_log(rho1.mat, rho2, tols)
-    if cross == float("-inf"):
-        return float("inf")
-    return relative_entropy_of(von_neumann_entropy(rho1, tols), cross)
+def relative_entropies(rhos: np.ndarray, s_rhos: list, refs: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> list[float]:
+    """D[rho || ref] = -S(rho) - tr[rho log ref] in nats of each pair of two
+    stacks, with S(rho) given and each ref checked as a density matrix; +inf
+    on support mismatch (``log_weights``)."""
+    w, v = check_density(refs, tols)
+    return [relative_entropy_of(s, t) for s, (t,) in zip(s_rhos, log_weights(rhos[:, None], w, v, tols))]
 
 
 def relative_entropy_of(entropy: float, cross: float) -> float:
@@ -182,26 +154,21 @@ def relative_entropy_of(entropy: float, cross: float) -> float:
     d = -entropy - cross
     # Clip float noise around zero; genuine negatives would violate Klein's
     # inequality and should surface, so only a tiny band is clipped.
-    if -1e-12 < d < 0.0:
-        d = 0.0
-    return d
+    return 0.0 if -1e-12 < d < 0.0 else d
 
 
 def mutual_informations(mats: np.ndarray, shape: DimShape, part: Sequence[str],
                         tols: Tolerances = DEFAULT_TOLS) -> tuple[list[float], list[float]]:
     """(I(part : rest), S) of each density matrix of a stack on ``shape``, with
-    I(P:Q) = S(P) + S(Q) - S(PQ): each marginal in turn is checked and
-    decomposed, then the stack is.  ``part`` must be a proper nonempty subset
-    of the labels."""
+    I(P:Q) = S(P) + S(Q) - S(PQ): the stack is checked, and then each marginal
+    in turn, each check taking the spectra.  ``part`` must be a proper
+    nonempty subset of the labels."""
     if not part or not set(part) < set(shape.labels):
         raise ShapeError(f"{sorted(set(part))} is not a proper nonempty subset of {shape.labels}")
-    entropies = []
-    for keep in (part, [l for l in shape.labels if l not in part]):
-        m = mk.partial_trace(mats, shape, keep)
-        check_density(m, tols)
-        entropies.append([entropy_of_spectrum(w) for w in mk.herm_eig(m, tols)[0]])
-    s = [entropy_of_spectrum(w) for w in mk.herm_eig(mats, tols)[0]]
-    return [s_p + s_q - s_pq for s_p, s_q, s_pq in zip(*entropies, s)], s
+    s = [entropy_of_spectrum(w) for w in check_density(mats, tols)[0]]
+    s_p, s_q = ([entropy_of_spectrum(w) for w in check_density(mk.partial_trace(mats, shape, keep), tols)[0]]
+                for keep in (part, [l for l in shape.labels if l not in part]))
+    return [a + b - c for a, b, c in zip(s_p, s_q, s)], s
 
 
 # ---------------------------------------------------------------------------

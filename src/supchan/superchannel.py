@@ -17,13 +17,13 @@ contracted against the operation's Choi matrix C as
 where C is indexed (out, in) x (out, in); their agreement is asserted in
 the test suite.  ``act_block`` evaluates the operational formula for a
 block of (superchannel, operation) pairs in stacked steps, with the bits of
-each pair on its own; ``act`` is the block of one.  The trace-normalized
-superchannel M# acts on unit-trace operation-states A_d = C/d and is
-realized by the same tensor contraction with C = d * A_d
-(``act_normalized_block``).  The subsequent dynamics
-sigma -> tr_E[U (sigma (x) tau) U^dag] is
-``channels.channels_from_dilations``; its steady state and steady
-operation come from ``neso_block``.
+each pair on its own, and returns each sigma' with the decomposition that
+its density check took.  The trace-normalized superchannel M# acts on
+unit-trace operation-states A_d = C/d and is realized by the same tensor
+contraction with C = d * A_d (``act_normalized_block``).  The subsequent
+dynamics sigma -> tr_E[U (sigma (x) tau) U^dag] is
+``channels.channels_from_dilations``; its steady state and steady operation
+come from ``neso_block``.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from . import channels as ch
 from . import matkernel as mk
 from . import states as st
 from .config import DEFAULT_TOLS, Tolerances
-from .matkernel import DimShape, ShapeError
+from .matkernel import ShapeError
 from .states import DensityMatrix, check_density
 
 
@@ -88,14 +88,10 @@ def build_block(us: list[np.ndarray], rho_ses: list[DensityMatrix],
     return [Superchannel(u, rho_se, d_s, d_e, tols) for u, rho_se in zip(us, rho_ses)]
 
 
-def act(sc: Superchannel, op: ch.QuantumOperation) -> DensityMatrix:
-    """sigma' for a CPTP operation on the system, by the operational formula."""
-    return DensityMatrix(act_block([sc], [op])[0], DimShape([sc.d_s], ["S"]))
-
-
-def act_block(scs: list[Superchannel], ops: list[ch.QuantumOperation]) -> np.ndarray:
+def act_block(scs: list[Superchannel], ops: list[ch.QuantumOperation]) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """sigma' of each (superchannel, operation) pair, all of one (d_S, d_E),
-    as a (B, d_S, d_S) stack checked as density matrices.  The block's Kraus
+    as a (B, d_S, d_S) stack, with the ``(w, V)`` that its check as density
+    matrices under the superchannels' tolerances took.  The block's Kraus
     operators form one ragged stack, every (K (x) I_E) rho_SE (K (x) I_E)^dag
     comes from one stacked product, and each pair's terms are added into
     zeros in Kraus order."""
@@ -113,8 +109,7 @@ def act_block(scs: list[Superchannel], ops: list[ch.QuantumOperation]) -> np.nda
     evolved = u @ joint @ mk.dagger(u)
     out = mk.partial_trace(evolved, sc.rho_se.shape, ["S"])
     out = mk.as_matrix((out + mk.dagger(out)) / 2.0, stack=True)
-    check_density(out, sc._tols)
-    return out
+    return out, check_density(out, sc._tols)
 
 
 def act_tensor(sc: Superchannel, choi: np.ndarray) -> np.ndarray:

@@ -12,7 +12,10 @@ fixture hands them out.
 The helpers below the oracles (one-pair forms of the stacked routines,
 named channels, Stinespring dilations, the Choi matrix of M#, the Spohn
 composition) are what the verifier never runs; test modules import them
-with ``from conftest import ...``.
+with ``from conftest import ...``.  Among them, ``act``,
+``von_neumann_entropy``, ``trace_against_log`` and ``relative_entropy``
+give the bits of the one-pair routines that ``act_block`` and
+``states.relative_entropies`` replaced in the library.
 """
 
 import math
@@ -83,7 +86,7 @@ def random_cptp_parts(d, rank, rng, d_out, tols):
     return choi, kraus(choi, d_out, d, tols)
 
 
-def act(sc, ks, tols):
+def act_kraus(sc, ks, tols):
     """sigma' by one np.kron(K, I_E) and two products per Kraus operator,
     checked as a density matrix."""
     d_s, d_e = sc.d_s, sc.d_e
@@ -104,7 +107,9 @@ def entropy(w):
     return float(-np.sum(pos * np.log(pos)))
 
 
-def trace_against_log(x, w, v, tols):
+def trace_log(x, w, v, tols):
+    """tr[x log base] from the decomposition (w, v) of base; -inf when x has
+    weight above support_tol on its kernel."""
     overlap = np.real(np.einsum("ik,ij,jk->k", v.conj(), x, v))
     kernel = w == 0.0
     if float(np.sum(overlap[kernel])) > tols.support_tol:
@@ -115,15 +120,15 @@ def trace_against_log(x, w, v, tols):
 def main_bound(sc, choi, ks, ness, tols):
     """(lhs, rhs, slack) of ``main_bounds``, one trial at a time."""
     d = sc.d_s
-    sigma = act(sc, ks, tols)
+    sigma = act_kraus(sc, ks, tols)
     w_out, _ = herm_eig(sigma, tols)
     a_d = choi / d
     w_op = np.linalg.eigvalsh(a_d)[::-1].copy()
     w_op[np.abs(w_op) < tols.psd_floor] = 0.0
     w_n, v_n = herm_eig(ness.mat, tols)
-    t_out = trace_against_log(sigma, w_n, v_n, tols)
+    t_out = trace_log(sigma, w_n, v_n, tols)
     marg = np.trace(a_d.reshape(d, d, d, d), axis1=1, axis2=3)
-    t_op = trace_against_log(marg, w_n, v_n, tols) - math.log(d)
+    t_op = trace_log(marg, w_n, v_n, tols) - math.log(d)
     lhs = entropy(w_out) - entropy(w_op)
     rhs = math.nan if math.isinf(t_op) and math.isinf(t_out) and (t_op > 0) == (t_out > 0) else t_op - t_out
     slack = math.nan if math.isinf(lhs) and math.isinf(rhs) and (lhs > 0) == (rhs > 0) else lhs - rhs
@@ -148,7 +153,7 @@ def holevo(sc, ens, haar, tols):
     """(chi, sampled information, spectrum of the average) of ``holevo_block``,
     with one ``act`` per codeword and one Born einsum and one table per
     measurement."""
-    outs = [act(sc, op.kraus_ops(), tols) for op in ens.ops]
+    outs = [act_kraus(sc, op.kraus_ops(), tols) for op in ens.ops]
     probs = np.asarray(ens.probs, dtype=float)
     avg = sum(p * o for p, o in zip(probs, outs))
     check_density(avg, tols)
@@ -173,11 +178,11 @@ def mutual_information(rho, shape, part, tols):
     return s[0] + s[1] - s_rho, s_rho
 
 
-def relative_entropy(x, s_x, ref, tols):
+def relative_entropy_to(x, s_x, ref, tols):
     """D[x || ref] with S(x) given, ref checked as a density matrix."""
     check_density(ref, tols)
     w, v = herm_eig(ref, tols)
-    cross = trace_against_log(x, w, v, tols)
+    cross = trace_log(x, w, v, tols)
     if cross == float("-inf"):
         return float("inf")
     d = -s_x - cross
@@ -209,10 +214,10 @@ def qdpi(sc1, sc2, op, tols):
     c4 = op.choi.reshape(d_p, d_q, d_p, d_q, d_p, d_q, d_p, d_q)
     a_p = np.trace(np.trace(c4, axis1=3, axis2=7), axis1=1, axis2=4) / d_q / d_p
     a_q = np.trace(np.trace(c4, axis1=2, axis2=6), axis1=0, axis2=3) / d_p / d_q
-    d_in = relative_entropy(x, s_in, np.kron(a_p.reshape(d_p * d_p, -1), a_q.reshape(d_q * d_q, -1)), tols)
+    d_in = relative_entropy_to(x, s_in, np.kron(a_p.reshape(d_p * d_p, -1), a_q.reshape(d_q * d_q, -1)), tols)
     ref_out = np.kron(act_normalized(sc1, a_p.reshape(d_p * d_p, -1), tols),
                       act_normalized(sc2, a_q.reshape(d_q * d_q, -1), tols))
-    d_out = relative_entropy(out, s_out, ref_out, tols)
+    d_out = relative_entropy_to(out, s_out, ref_out, tols)
     flags = ("relative_entropy_route_infinite",) if math.isinf(d_in) or math.isinf(d_out) else ()
     return mi_in, mi_out, d_in, d_out, flags
 
@@ -321,8 +326,8 @@ def spohn_bound(op, rho, tols):
     check_density(out, tols)
     w_n, v_n = herm_eig(ness, tols)
     lhs = entropy(herm_eig(out, tols)[0]) - entropy(herm_eig(rho, tols)[0])
-    t_out = trace_against_log(out, w_n, v_n, tols)
-    t_in = trace_against_log(rho, w_n, v_n, tols)
+    t_out = trace_log(out, w_n, v_n, tols)
+    t_in = trace_log(rho, w_n, v_n, tols)
     rhs = bd.ext_sub(t_in, t_out)
     return lhs, rhs, bd.ext_sub(lhs, rhs), (resid, method, dim)
 
@@ -348,11 +353,11 @@ def clausius_bound(sc, sigma, gibbs, tols):
     ness = steady_operation(sc, tols)[0]
     resid = float(np.abs(ness - gibbs).max())
     assert resid <= bd.THERMAL_MATCH_TOL
-    sigma_p = act(sc, replace_kraus(sigma, tols), tols)
+    sigma_p = act_kraus(sc, replace_kraus(sigma, tols), tols)
     w_g, v_g = herm_eig(gibbs, tols)
     lhs = entropy(herm_eig(sigma_p, tols)[0]) - (entropy(herm_eig(sigma, tols)[0]) + math.log(d))
-    t_out = trace_against_log(sigma_p, w_g, v_g, tols)
-    t_in = trace_against_log(sigma, w_g, v_g, tols)
+    t_out = trace_log(sigma_p, w_g, v_g, tols)
+    t_in = trace_log(sigma, w_g, v_g, tols)
     rhs = bd.ext_sub(t_in - math.log(d), t_out)
     return lhs, rhs, bd.ext_sub(lhs, rhs), resid
 
@@ -374,7 +379,7 @@ def mmap_image(sc, v, alpha, tols):
     check_density(sigma, tols)
     delta_s = entropy(herm_eig(ups, tols)[0]) - entropy(herm_eig(sigma, tols)[0])
     reduced = np.trace(ups.reshape(d_s, d_a, d_s, d_a), axis1=1, axis2=3)
-    direct = act(sc, dilation_kraus(v, alpha, tols), tols)
+    direct = act_kraus(sc, dilation_kraus(v, alpha, tols), tols)
     return ups, delta_s, float(np.abs(reduced - direct).max())
 
 
@@ -462,7 +467,7 @@ def block_instances(d_s, d_e, n, seed):
 @pytest.fixture
 def oracles():
     return types.SimpleNamespace(herm_eig=herm_eig, kraus=kraus,
-                                 random_cptp_parts=random_cptp_parts, act=act, main_bound=main_bound,
+                                 random_cptp_parts=random_cptp_parts, act=act_kraus, main_bound=main_bound,
                                  block_instances=block_instances, blocks=blocks,
                                  classical_mutual_information=classical_mutual_information,
                                  holevo=holevo, qdpi=qdpi, transfer_matrix=transfer_matrix,
@@ -526,6 +531,37 @@ def apply(op, rho, tols=DEFAULT_TOLS):
     ch.require_trace_preserving([op], "operation is not trace preserving")
     out = ch.apply_matrices([op], rho.mat[None])[0]
     return st.density((out + out.conj().T) / 2.0, DimShape([op.d_out], rho.shape.labels[:1]), tols=tols)
+
+
+def act(sc, op):
+    """sigma' for a CPTP operation on the system: ``act_block`` of one pair."""
+    return st.DensityMatrix(sup.act_block([sc], [op])[0][0], DimShape([sc.d_s], ["S"]))
+
+
+def von_neumann_entropy(rho, tols=DEFAULT_TOLS):
+    """S(rho) = -tr[rho log rho] in nats."""
+    return st.entropy_of_spectrum(rho.eig(tols)[0])
+
+
+def trace_against_log(state_mat, base, tols=DEFAULT_TOLS):
+    """tr[X log(base)] for a PSD unit-trace X, from ``base.eig(tols)``."""
+    return trace_log(np.asarray(state_mat, dtype=complex), *base.eig(tols), tols)
+
+
+def relative_entropy(rho1, rho2, tols=DEFAULT_TOLS):
+    """D[rho1 || rho2] = -S(rho1) - tr[rho1 log rho2] in nats; +inf on
+    support mismatch (see ``trace_against_log``)."""
+    if rho1.dim != rho2.dim:
+        raise ShapeError(f"dimension mismatch {rho1.dim} != {rho2.dim}")
+    cross = trace_against_log(rho1.mat, rho2, tols)
+    return st.relative_entropy_of(von_neumann_entropy(rho1, tols), cross)
+
+
+def slack_identity(sc, op, ns, tols=DEFAULT_TOLS):
+    """(D[A_d || E_d], D[sigma' || e]) of one main trial, as ``main_bounds`` records it."""
+    collect = {}
+    bd.main_bounds([sc], [op], [ns], tols, [collect])
+    return collect["slack_identity"]
 
 
 def spohn(op, rho, tols=DEFAULT_TOLS, collect=None):

@@ -18,10 +18,10 @@ from supchan import superchannel as sup
 from supchan.config import DEFAULT_TOLS
 from supchan.matkernel import DimShape
 
-from conftest import (apply, channel_from_dilation, choi_of_msharp, clausius, env_marginal, identity_channel,
+from conftest import (act, apply, channel_from_dilation, choi_of_msharp, clausius, env_marginal, identity_channel,
                       IsometricOperation, mmap, msharp_tp_residual, neso, operation_entropy, random_cptp,
-                      random_density, replace_channel, spohn, stinespring, sys_marginal, trial_rng,
-                      unitary_channel)
+                      random_density, relative_entropy, replace_channel, slack_identity, spohn, stinespring,
+                      sys_marginal, trial_rng, unitary_channel, von_neumann_entropy)
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -60,8 +60,8 @@ def test_criterion_1_monotonicity_foundation():
             op = random_cptp(d, int(rng.integers(1, d * d + 1)), rng)
             r1 = random_density(d, int(rng.integers(1, d + 1)), rng)
             r2 = random_density(d, d, rng)
-            before = st.relative_entropy(r1, r2)
-            after = st.relative_entropy(apply(op, r1), apply(op, r2))
+            before = relative_entropy(r1, r2)
+            after = relative_entropy(apply(op, r1), apply(op, r2))
             if math.isfinite(before):
                 gap = before - after
                 worst = min(worst, gap)
@@ -108,7 +108,7 @@ def test_criterion_3_main_bound_sweep():
         op = random_cptp(2, int(rng.integers(1, 5)), rng)
         ns = neso(sc)
         r = bd.main_bounds([sc], [op], [ns])[0]
-        d_in, d_out = bd.slack_identity(sc, op, ns)
+        d_in, d_out = slack_identity(sc, op, ns)
         if all(math.isfinite(v) for v in (r.slack, d_in, d_out)):
             identity_ok &= abs(r.slack - (d_in - d_out)) <= 1e-9
 
@@ -124,7 +124,7 @@ def test_criterion_4_reduction_checks():
         rng = trial_rng(99, seed)
         sc = rand_sc(2, 2, rng, product=True)
         op = random_cptp(2, int(rng.integers(1, 5)), rng)
-        got = sup.act(sc, op).mat
+        got = act(sc, op).mat
         phi = channel_from_dilation(sc.u, env_marginal(sc))
         oracle = apply(phi, apply(op, sys_marginal(sc))).mat
         dev = mk.max_abs(got - oracle)
@@ -162,7 +162,7 @@ def test_criterion_5_superchannel_dual_definition():
         d_e = 2 + seed % 2
         sc = rand_sc(2, d_e, rng)
         op = random_cptp(2, int(rng.integers(1, 5)), rng)
-        dev = mk.max_abs(sup.act(sc, op).mat - sup.act_tensor(sc, op.choi))
+        dev = mk.max_abs(act(sc, op).mat - sup.act_tensor(sc, op.choi))
         worst_dual = max(worst_dual, dev)
         dual_ok &= dev <= 1e-10
         w = np.linalg.eigvalsh(choi_of_msharp(sc))
@@ -263,8 +263,8 @@ def test_criterion_9_isometric_dilation_map():
         alpha = st.density(np.outer(vec, vec.conj()), labels=["A"])
         iso = IsometricOperation(np.eye(4, dtype=complex), alpha)
         _, delta_s = mmap(sc, iso)
-        sigma_p = sup.act(sc, identity_channel(2))
-        expected = st.von_neumann_entropy(sigma_p) - st.von_neumann_entropy(sys_marginal(sc))
+        sigma_p = act(sc, identity_channel(2))
+        expected = von_neumann_entropy(sigma_p) - von_neumann_entropy(sys_marginal(sc))
         decoupled_ok &= abs(delta_s - expected) <= 1e-10
     _report("9 isometric dilation map", failures == 0 and decoupled_ok,
             f"failures={failures}, decoupled delta_S={decoupled_ok}")

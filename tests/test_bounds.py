@@ -13,8 +13,8 @@ from supchan.config import DEFAULT_TOLS
 from supchan.matkernel import DimShape, ValidationError
 
 from conftest import (channel_from_dilation, classical_channel, clausius, depolarizing_channel, env_marginal,
-                      ext_add, identity_channel, neso, random_cptp, random_density, replace_channel, spohn,
-                      spohn_composition, unitary_channel)
+                      ext_add, identity_channel, neso, random_cptp, random_density, replace_channel, slack_identity,
+                      spohn, spohn_composition, trace_against_log, unitary_channel, von_neumann_entropy)
 
 
 def rand_sc(d_s, d_e, seed, product=False):
@@ -58,9 +58,9 @@ def test_finish_flags_and_pass_logic():
 def test_trace_against_log_support_detection():
     pure = st.density(np.diag([1.0, 0.0]))
     mixed = st.density(np.eye(2) / 2)
-    assert st.trace_against_log(mixed.mat, pure) == float("-inf")
+    assert trace_against_log(mixed.mat, pure) == float("-inf")
     full = st.density(np.diag([0.75, 0.25]))
-    got = st.trace_against_log(mixed.mat, full)
+    got = trace_against_log(mixed.mat, full)
     assert abs(got - 0.5 * (math.log(0.75) + math.log(0.25))) <= 1e-12
 
 
@@ -81,7 +81,7 @@ def test_spohn_depolarizing_arithmetic_oracle():
         rho = random_density(d, d, rng)
         rep = spohn(depolarizing_channel(d), rho)
         assert rep.passed
-        assert abs(rep.lhs - (math.log(d) - st.von_neumann_entropy(rho))) <= 1e-10
+        assert abs(rep.lhs - (math.log(d) - von_neumann_entropy(rho))) <= 1e-10
         assert abs(rep.rhs) <= 1e-10  # log e is proportional to I
 
 
@@ -125,7 +125,7 @@ def test_main_bound_slack_identity():
         op = random_cptp(2, int(rng.integers(1, 5)), rng)
         ns = neso(sc)
         rep = bd.main_bounds([sc], [op], [ns])[0]
-        d_in, d_out = bd.slack_identity(sc, op, ns)
+        d_in, d_out = slack_identity(sc, op, ns)
         if math.isfinite(rep.slack) and math.isfinite(d_in) and math.isfinite(d_out):
             assert abs(rep.slack - (d_in - d_out)) <= 1e-9
 
@@ -167,7 +167,7 @@ def test_main_bound_detects_known_adversarial_violation():
     rep = bd.main_bounds([sc], [op], [ns])[0]
     assert not rep.passed
     assert rep.slack < -0.1
-    d_in, d_out = bd.slack_identity(sc, op, ns)
+    d_in, d_out = slack_identity(sc, op, ns)
     assert abs(rep.slack - (d_in - d_out)) <= 1e-9
 
 

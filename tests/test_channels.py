@@ -9,8 +9,8 @@ from supchan import superchannel as sup
 from supchan.config import Tolerances
 from supchan.matkernel import DimShape, ShapeError, ValidationError
 
-from conftest import (apply, channel_from_dilation, compose, depolarizing_channel, fixed_point,
-                      identity_channel, is_trace_preserving, random_cptp, random_density, replace_channel,
+from conftest import (apply, channel_from_dilation, compose, depolarizing_channel, fixed_point, identity_channel,
+                      is_trace_preserving, random_cptp, random_density, relative_entropy, replace_channel,
                       unitary_channel)
 
 
@@ -212,8 +212,8 @@ def test_relative_entropy_contractivity_spot_check():
         op = random_cptp(d, int(rng.integers(1, d * d + 1)), rng)
         r1 = random_density(d, d, rng)
         r2 = random_density(d, d, rng)
-        before = st.relative_entropy(r1, r2)
-        after = st.relative_entropy(apply(op, r1), apply(op, r2))
+        before = relative_entropy(r1, r2)
+        after = relative_entropy(apply(op, r1), apply(op, r2))
         assert after <= before + 1e-8
 
 

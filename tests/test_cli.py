@@ -358,3 +358,33 @@ def test_holevo_bases_beyond_the_storage_limit_are_refused_at_load(tmp_path, cap
     for n, bound in ((most, "holevo"), (10 ** 12, "main")):
         scn = cp.load_scenario(json.dumps({"bound": bound, "trials": 1, "dims": {"d_S": 3}, "n_measurements": n}))
         assert scn.n_measurements == n
+
+
+def test_dims_whose_stacked_matrices_exceed_the_storage_limit_are_refused_at_load(tmp_path, capsys, monkeypatch):
+    # A 40000 x 40000 joint unitary would be drawn by the first trial; the
+    # scenario is refused by load_scenario instead, before anything is drawn.
+    for name in ("haar_unitaries", "haar_unitary", "ginibre"):
+        monkeypatch.setattr(st, name, None)
+    scn = write_scenario(tmp_path, trials=1, bound="main", dims={"d_S": 200, "d_E": 200})
+    assert cli.main(["verify", "--scenario", scn, "--jobs", "1"]) == cli.EXIT_VALIDATION_ERROR
+    assert "scenario error: dims: main stacks 1 matrices of dimension d_S*d_E=40000" in capsys.readouterr().err
+    # A block stacks min(BLOCK, trials) matrices; qdpi and mmap-consistency
+    # stack as many as their parts of STACK_ENTRIES hold.
+    at = {"d_S": 2, "d_E": 1024}
+    assert cp.load_scenario(json.dumps({"bound": "main", "trials": 4, "dims": at})).dims == at
+    with pytest.raises(cp.ScenarioError, match=r"^dims: main stacks 5 matrices of dimension d_S\*d_E=2048"):
+        cp.load_scenario(json.dumps({"bound": "main", "trials": 5, "dims": at}))
+    cube = {"d_S": 16, "d_E": 16, "d_A": 16}
+    assert cp.load_scenario(json.dumps({"bound": "mmap-consistency", "trials": 8, "dims": cube})).dims == cube
+    with pytest.raises(cp.ScenarioError, match=r"^dims: mmap-consistency stacks 1 matrices of dimension d_S\*d_E\*d_A"):
+        cp.load_scenario(json.dumps({"bound": "mmap-consistency", "trials": 8, "dims": {**cube, "d_A": 17}}))
+    with pytest.raises(cp.ScenarioError, match=r"^dims: qdpi stacks 1 matrices of dimension d_P\*d_Q\*d_P\*d_Q=4225"):
+        cp.load_scenario(json.dumps({"bound": "all", "trials": 8, "dims": {"d_P": 5, "d_Q": 13}}))
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_refuses_jobs_below_one(tmp_path, capsys, jobs):
+    scn = write_scenario(tmp_path, trials=2, bound="spohn")
+    assert cli.main(["verify", "--scenario", scn, "--jobs", jobs]) == cli.EXIT_VALIDATION_ERROR
+    assert capsys.readouterr().err == f"error: --jobs: expected an integer >= 1, got {jobs}\n"
+    assert cli.main(["verify", "--scenario", scn, "--jobs", "1", "--out", str(tmp_path / "r.json")]) == cli.EXIT_OK

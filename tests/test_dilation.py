@@ -10,9 +10,9 @@ from supchan import states as st
 from supchan import superchannel as sup
 from supchan.matkernel import DimShape, ShapeError, ValidationError
 
-from conftest import (apply, channel_from_dilation, depolarizing_channel, identity_channel,
+from conftest import (act, apply, channel_from_dilation, depolarizing_channel, identity_channel,
                       is_trace_preserving, IsometricOperation, isometry_choi_state, mmap, operation_entropy,
-                      random_cptp, random_density, stinespring, sys_marginal, unitary_channel)
+                      random_cptp, random_density, stinespring, sys_marginal, unitary_channel, von_neumann_entropy)
 
 
 def rand_sc(d_s, d_e, seed):
@@ -180,9 +180,9 @@ def test_mmap_decoupled_case():
     alpha = st.density(np.outer(alpha_vec, alpha_vec.conj()), labels=["A"])
     iso = IsometricOperation(np.eye(4, dtype=complex), alpha)
     upsilon, delta_s = mmap(sc, iso)
-    sigma_p = sup.act(sc, identity_channel(2))
+    sigma_p = act(sc, identity_channel(2))
     assert mk.max_abs(upsilon.mat - mk.tensor(sigma_p.mat, alpha.mat)) <= 1e-10
-    expected = st.von_neumann_entropy(sigma_p) - st.von_neumann_entropy(sys_marginal(sc))
+    expected = von_neumann_entropy(sigma_p) - von_neumann_entropy(sys_marginal(sc))
     assert abs(delta_s - expected) <= 1e-10
 
 
@@ -197,7 +197,7 @@ def test_mmap_swap_dilation_moves_state_to_ancilla():
     assert mk.max_abs(apply(op, rho).mat - ket0.mat) <= 1e-12
     upsilon, _ = mmap(sc, iso)
     reduced = mk.partial_trace(upsilon.mat, upsilon.shape, ["S"])
-    assert mk.max_abs(reduced - sup.act(sc, op).mat) <= 1e-10
+    assert mk.max_abs(reduced - act(sc, op).mat) <= 1e-10
 
 
 def test_mmap_marginal_consistency_sweep():
@@ -209,7 +209,7 @@ def test_mmap_marginal_consistency_sweep():
         iso = IsometricOperation(v, alpha)
         upsilon, _ = mmap(sc, iso)
         reduced = mk.partial_trace(upsilon.mat, upsilon.shape, ["S"])
-        direct = sup.act(sc, channel_from_dilation(iso.v, iso.alpha))
+        direct = act(sc, channel_from_dilation(iso.v, iso.alpha))
         assert mk.max_abs(reduced - direct.mat) <= 1e-10
 
 

@@ -4,12 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from supchan import bounds as bd
+from supchan import channels as ch
 from supchan import matkernel as mk
 from supchan import states as st
+from supchan import superchannel as sup
 from supchan.config import DEFAULT_TOLS, Tolerances
 from supchan.matkernel import DimShape, ShapeError, ValidationError
 
-from conftest import marginal, random_density, trial_rng
+from conftest import marginal, random_density, relative_entropy, trace_against_log, trial_rng, von_neumann_entropy
 
 
 def test_density_validation():
@@ -22,27 +25,27 @@ def test_density_validation():
 
 
 def test_entropy_pure_and_mixed():
-    assert st.von_neumann_entropy(st.density(np.diag([1.0, 0.0]))) <= 1e-12
+    assert von_neumann_entropy(st.density(np.diag([1.0, 0.0]))) <= 1e-12
     for d in (2, 3, 5):
         rho = st.density(np.eye(d) / d)
-        assert abs(st.von_neumann_entropy(rho) - math.log(d)) <= 1e-10
+        assert abs(von_neumann_entropy(rho) - math.log(d)) <= 1e-10
 
 
 def test_entropy_scalar_oracle():
     # direct scalar formula for diag(3/4, 1/4)
     expected = -(0.75 * math.log(0.75) + 0.25 * math.log(0.25))
     rho = st.density(np.diag([0.75, 0.25]))
-    assert abs(st.von_neumann_entropy(rho) - expected) <= 1e-10
+    assert abs(von_neumann_entropy(rho) - expected) <= 1e-10
     assert abs(expected - 0.5623351446188083) <= 1e-12
 
 
 def test_relative_entropy_basic():
     rng = np.random.default_rng(2)
     rho = random_density(3, 3, rng)
-    assert st.relative_entropy(rho, rho) <= 1e-10
+    assert relative_entropy(rho, rho) <= 1e-10
     p0 = st.density(np.diag([1.0, 0.0]))
     p1 = st.density(np.diag([0.0, 1.0]))
-    assert st.relative_entropy(p0, p1) == float("inf")
+    assert relative_entropy(p0, p1) == float("inf")
 
 
 def test_relative_entropy_classical_kl_oracle():
@@ -50,7 +53,7 @@ def test_relative_entropy_classical_kl_oracle():
     expected = 0.5 * math.log(0.5 / 0.75) + 0.5 * math.log(0.5 / 0.25)
     a = st.density(np.diag([0.5, 0.5]))
     b = st.density(np.diag([0.75, 0.25]))
-    assert abs(st.relative_entropy(a, b) - expected) <= 1e-10
+    assert abs(relative_entropy(a, b) - expected) <= 1e-10
     assert abs(expected - 0.14384103622589045) <= 1e-12
 
 
@@ -59,7 +62,20 @@ def test_relative_entropy_nonnegative_and_faithful():
     for _ in range(25):
         a = random_density(3, int(rng.integers(2, 4)), rng)
         b = random_density(3, 3, rng)
-        assert st.relative_entropy(a, b) >= 0.0
+        assert relative_entropy(a, b) >= 0.0
+
+
+def test_relative_entropies_are_bitwise_the_one_pair_relative_entropy():
+    # The stacked routine, with its one overlap step, gives the bits of the
+    # one-pair routine it replaced, support mismatches (+inf) included.
+    rng = np.random.default_rng(11)
+    for d in (2, 3, 4, 8, 9):
+        pairs = [tuple(random_density(d, int(rng.integers(1, d + 1)), rng) for _ in range(2)) for _ in range(8)]
+        got = st.relative_entropies(np.array([a.mat for a, _ in pairs]), [von_neumann_entropy(a) for a, _ in pairs],
+                                    np.array([b.mat for _, b in pairs]))
+        want = [relative_entropy(a, b) for a, b in pairs]
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        assert math.inf in want
 
 
 def test_relative_entropy_joint_convexity_spot_check():
@@ -71,8 +87,8 @@ def test_relative_entropy_joint_convexity_spot_check():
         b2 = random_density(2, 2, rng)
         mix_a = st.density((a1.mat + a2.mat) / 2)
         mix_b = st.density((b1.mat + b2.mat) / 2)
-        lhs = st.relative_entropy(mix_a, mix_b)
-        rhs = (st.relative_entropy(a1, b1) + st.relative_entropy(a2, b2)) / 2
+        lhs = relative_entropy(mix_a, mix_b)
+        rhs = (relative_entropy(a1, b1) + relative_entropy(a2, b2)) / 2
         assert lhs <= rhs + 1e-9
 
 
@@ -82,8 +98,8 @@ def test_entropy_concavity_spot_check():
         r1 = random_density(3, 2, rng)
         r2 = random_density(3, 3, rng)
         mixed = st.density((r1.mat + r2.mat) / 2)
-        s_mix = st.von_neumann_entropy(mixed)
-        avg_s = (st.von_neumann_entropy(r1) + st.von_neumann_entropy(r2)) / 2
+        s_mix = von_neumann_entropy(mixed)
+        avg_s = (von_neumann_entropy(r1) + von_neumann_entropy(r2)) / 2
         assert s_mix >= avg_s - 1e-10
 
 
@@ -123,15 +139,15 @@ def test_schmidt_symmetry_for_pure_bipartite():
     for _ in range(10):
         psi = st.random_pure(6, rng)
         rho = st.density(np.outer(psi, psi.conj()), shape)
-        sp = st.von_neumann_entropy(marginal(rho, ["P"]))
-        sq = st.von_neumann_entropy(marginal(rho, ["Q"]))
+        sp = von_neumann_entropy(marginal(rho, ["P"]))
+        sq = von_neumann_entropy(marginal(rho, ["Q"]))
         assert abs(sp - sq) <= 1e-10
 
 
 def test_random_density_properties():
     rng = np.random.default_rng(31)
     pure = random_density(4, 1, rng)
-    assert st.von_neumann_entropy(pure) < 1e-9
+    assert von_neumann_entropy(pure) < 1e-9
 
     a = random_density(3, 2, np.random.default_rng(99))
     b = random_density(3, 2, np.random.default_rng(99))
@@ -191,13 +207,32 @@ def test_eig_decomposes_once_per_tolerances(monkeypatch):
     assert calls == ["eigh"]
     loose = Tolerances(psd_floor=1e-6)
     assert rho.eig() is rho.eig(DEFAULT_TOLS)
-    st.spectrum(rho)
-    st.trace_against_log(rho.mat, rho)
-    st.von_neumann_entropy(rho, Tolerances())
+    trace_against_log(rho.mat, rho)
+    von_neumann_entropy(rho, Tolerances())
     assert calls == ["eigh"]
-    rho.eig(loose)
-    st.spectrum(rho, loose)
+    assert rho.eig(loose) is rho.eig(loose)
     assert calls == ["eigh", "eigh"]
+
+
+def block_checks(tols):
+    """For each block path that checks a state it builds, a function of a
+    2 x 2 diagonal matrix m that runs the path on a state with m's spectrum."""
+    ident = ch.from_kraus([np.eye(2, dtype=complex)])
+
+    def superchannel(m, sc_tols=tols):
+        # With U and the operation the identity and d_E = 1, sigma' is m exactly.
+        return sup.build(np.eye(2, dtype=complex), st.DensityMatrix(m, DimShape([2, 1], ["S", "E"])), sc_tols)
+
+    def holevo_average(m):
+        # The codeword passes the superchannel's looser floor, so the check
+        # that meets m is the one of the average, under tols.
+        sc = superchannel(m, Tolerances(psd_floor=1e-9, trace_tol=tols.trace_tol))
+        return bd.holevo_block([sc], [bd.Ensemble((1.0,), (ident,))], np.eye(2, dtype=complex)[None, None], tols)
+
+    return [lambda m: sup.act_block([superchannel(m)], [ident]),
+            lambda m: st.mutual_informations(np.kron(m, np.diag([1.0, 0.0]))[None], DimShape([2, 2], ["P", "Q"]),
+                                             ["P"], tols),
+            holevo_average]
 
 
 def test_the_psd_check_at_the_psd_floor_reads_the_kept_decomposition(monkeypatch):
@@ -211,6 +246,12 @@ def test_the_psd_check_at_the_psd_floor_reads_the_kept_decomposition(monkeypatch
         st.density(beyond, tols=tols)
     with pytest.raises(ValidationError, match="negative eigenvalue -1.500e-10 below -psd_floor"):
         st.densities(np.array([edge, beyond]), DimShape([2], ["S"]), tols)
+    # So do act_block's sigma', the input of mutual_informations and the
+    # average state of holevo_block.
+    for check in block_checks(tols):
+        check(edge)
+        with pytest.raises(ValidationError, match="negative eigenvalue -1.500e-10 below -psd_floor"):
+            check(beyond)
     rotated = st.haar_unitary(2, np.random.default_rng(5))
     rho = st.density(edge, tols=tols)
     stacked = st.densities(np.array([edge, rotated @ np.diag([0.7, 0.3]) @ rotated.conj().T]), DimShape([2], ["S"]), tols)

@@ -10,8 +10,9 @@ from supchan import superchannel as sup
 from supchan.config import DEFAULT_TOLS
 from supchan.matkernel import DimShape, ShapeError, ValidationError
 
-from conftest import (apply, channel_from_dilation, choi_of_msharp, env_marginal, identity_channel,
-                      msharp_tp_residual, neso, random_cptp, random_density, replace_channel, sys_marginal)
+from conftest import (act, apply, channel_from_dilation, choi_of_msharp, env_marginal, identity_channel,
+                      msharp_tp_residual, neso, random_cptp, random_density, relative_entropy, replace_channel,
+                      sys_marginal, von_neumann_entropy)
 
 
 def rand_sc(d_s, d_e, seed, rank=None, product=False):
@@ -46,7 +47,7 @@ def test_uncorrelated_trivial_dynamics():
     tau = random_density(3, 3, rng)
     rho_se = st.density(mk.tensor(sigma.mat, tau.mat), DimShape([2, 3], ["S", "E"]))
     sc = sup.build(np.eye(6, dtype=complex), rho_se)
-    got = sup.act(sc, identity_channel(2))
+    got = act(sc, identity_channel(2))
     assert mk.max_abs(got.mat - sigma.mat) <= 1e-12
 
 
@@ -57,7 +58,7 @@ def test_factorized_superchannel_oracle():
         sigma = sys_marginal(sc)
         phi = channel_from_dilation(sc.u, env_marginal(sc))
         op = random_cptp(2, int(rng.integers(1, 5)), rng)
-        got = sup.act(sc, op)
+        got = act(sc, op)
         oracle = apply(phi, apply(op, sigma))
         assert mk.max_abs(got.mat - oracle.mat) <= 1e-10
 
@@ -67,14 +68,14 @@ def test_dual_definition_agreement():
     for seed in range(25):
         sc, rng = rand_sc(2, int(2 + seed % 2), seed=200 + seed)
         op = random_cptp(2, int(rng.integers(1, 5)), rng)
-        operational = sup.act(sc, op).mat
+        operational = act(sc, op).mat
         index_formula = sup.act_tensor(sc, op.choi)
         assert mk.max_abs(operational - index_formula) <= 1e-10
 
 
 def test_act_identity_is_plain_evolution():
     sc, _ = rand_sc(2, 3, seed=7)
-    got = sup.act(sc, identity_channel(2))
+    got = act(sc, identity_channel(2))
     evolved = sc.u @ sc.rho_se.mat @ sc.u.conj().T
     oracle = mk.partial_trace(evolved, sc.rho_se.shape, ["S"])
     assert mk.max_abs(got.mat - oracle) <= 1e-12
@@ -85,7 +86,7 @@ def test_act_replace_conditions_environment():
     sc, rng = rand_sc(2, 2, seed=8)
     pi_vec = st.random_pure(2, rng)
     pi = st.density(np.outer(pi_vec, pi_vec.conj()))
-    got = sup.act(sc, replace_channel(pi))
+    got = act(sc, replace_channel(pi))
     tau = env_marginal(sc)
     joint = mk.tensor(pi.mat, tau.mat)
     oracle = mk.partial_trace(sc.u @ joint @ sc.u.conj().T, sc.rho_se.shape, ["S"])
@@ -96,20 +97,20 @@ def test_act_requires_cptp():
     sc, _ = rand_sc(2, 2, seed=9)
     non_tp = ch.from_kraus([np.array([[1, 0], [0, 0.5]], dtype=complex)])
     with pytest.raises(ValidationError):
-        sup.act(sc, non_tp)
+        act(sc, non_tp)
     with pytest.raises(ShapeError):
-        sup.act(sc, identity_channel(3))
+        act(sc, identity_channel(3))
 
 
 def test_act_normalized_consistency_and_linearity():
     sc, rng = rand_sc(2, 2, seed=10)
     a = random_cptp(2, 3, rng)
     b = random_cptp(2, 1, rng)
-    assert mk.max_abs(sup.act_normalized_block([sc], [a.choi_state])[0] - sup.act(sc, a).mat) <= 1e-11
+    assert mk.max_abs(sup.act_normalized_block([sc], [a.choi_state])[0] - act(sc, a).mat) <= 1e-11
     lam = 0.37
     mix = lam * a.choi_state + (1 - lam) * b.choi_state
     got = sup.act_normalized_block([sc], [mix])[0]
-    oracle = lam * sup.act(sc, a).mat + (1 - lam) * sup.act(sc, b).mat
+    oracle = lam * act(sc, a).mat + (1 - lam) * act(sc, b).mat
     assert mk.max_abs(got - oracle) <= 1e-11
 
 
@@ -203,10 +204,10 @@ def test_neso_choi_structure_and_entropy_split():
     ns = neso(sc)
     d = sc.d_s
     assert mk.max_abs(ns.op.choi - mk.tensor(ns.ness.mat, np.eye(d))) <= 1e-10
-    s_opstate = st.von_neumann_entropy(
+    s_opstate = von_neumann_entropy(
         st.density(ns.op_state, DimShape([d, d], ["out", "in"]))
     )
-    s_ness = st.von_neumann_entropy(ns.ness)
+    s_ness = von_neumann_entropy(ns.ness)
     assert abs(s_opstate - (s_ness + math.log(d))) <= 1e-10
 
 
@@ -229,9 +230,9 @@ def test_msharp_monotonicity_on_operation_states():
         y_op = random_cptp(d, int(rng.integers(2, 5)), rng)
         x = st.density(x_op.choi_state, shape)
         y = st.density(y_op.choi_state, shape)
-        before = st.relative_entropy(x, y)
+        before = relative_entropy(x, y)
         x_out, y_out = sup.act_normalized_block([sc, sc], [x.mat, y.mat])
-        after = st.relative_entropy(st.density(x_out), st.density(y_out))
+        after = relative_entropy(st.density(x_out), st.density(y_out))
         if math.isfinite(before):
             assert after <= before + 1e-8
 
@@ -257,19 +258,22 @@ def test_act_is_bitwise_the_per_kraus_kron_loop(d_s, d_e):
         rho_se = st.density(raw.mat, DimShape([d_s, d_e], ["S", "E"]))
         sc = sup.build(st.haar_unitary(d_s * d_e, rng), rho_se)
         op = random_cptp(d_s, 1 + i % (d_s * d_s), rng)
-        assert sup.act(sc, op).mat.tobytes() == act_kron_loop(sc, op).tobytes()
+        assert act(sc, op).mat.tobytes() == act_kron_loop(sc, op).tobytes()
 
 
 @pytest.mark.parametrize("d_s,d_e", [(2, 2), (3, 3), (4, 4), (2, 3), (3, 2)])
 def test_act_block_is_bitwise_the_per_trial_act(d_s, d_e, oracles):
     tols = DEFAULT_TOLS
     for scs, ops in oracles.block_instances(d_s, d_e, 200, [d_s, d_e]):
-        sigma = sup.act_block(scs, ops).reshape(len(ops), d_s, d_s)
-        w, v = mk.herm_eig(sigma, tols)
+        # sigma' comes with the decomposition its check took, bitwise herm_eig's.
+        sigma, (w, v) = sup.act_block(scs, ops)
+        assert sigma.shape == (len(ops), d_s, d_s)
+        for got, want in zip((w, v), mk.herm_eig(sigma, tols)):
+            assert got.tobytes() == want.tobytes()
         for b, (sc, op) in enumerate(zip(scs, ops)):
             want = oracles.act(sc, oracles.kraus(op.choi, d_s, d_s, tols) if op.kraus is None else op.kraus, tols)
             assert sigma[b].tobytes() == want.tobytes()
-            assert sup.act(sc, op).mat.tobytes() == want.tobytes()
+            assert act(sc, op).mat.tobytes() == want.tobytes()
             w_one, v_one = oracles.herm_eig(want, tols)
             assert w[b].tobytes() == w_one.tobytes() and v[b].tobytes() == v_one.tobytes()
 

@@ -1,7 +1,8 @@
 """Source checks over ``src/supchan``: every function that takes ``tols``
 reads it, every public function, method and property runs under ``verify``
-or ``explain``, and the entry points and names the benchmark's tracer and
-launcher use stay as they expect."""
+or ``explain``, no matrix is decomposed twice by a check and then an
+entropy, and the entry points and names the benchmark's tracer and launcher
+use stay as they expect."""
 
 import ast
 import contextlib
@@ -9,8 +10,11 @@ import functools
 import importlib
 import inspect
 import io
+import json
 import pathlib
 import sys
+
+import numpy as np
 
 from supchan import bounds as bd
 from supchan import campaigns as cp
@@ -129,3 +133,31 @@ def test_every_trial_of_a_campaign_takes_the_one_block_path(monkeypatch):
     report = cp.run_campaign(scn, cp.Tolerances(), jobs=1)
     assert outside == [] and report["summary"]["trials"] == 19 * len(cp.FAMILIES)
     assert blocks == [(f, list(range(s, min(s + cp.BLOCK, 19)))) for f in cp.FAMILIES for s in range(0, 19, cp.BLOCK)]
+
+
+def test_no_matrix_goes_to_eigvalsh_and_then_to_eigh(monkeypatch):
+    # Each check decomposes with the eigh that the entropies then read, so a
+    # matrix that a check gives eigvalsh is never decomposed again by eigh.
+    # eigh after eigh is not counted: clausius meets the same Gibbs state as
+    # the marginal of rho_SE and as the fixed point.
+    seen, repeats = set(), []
+
+    def recorded(name, real):
+        def call(a, *args, **kwargs):
+            a = np.asarray(a)
+            for m in a.reshape(-1, *a.shape[-2:]):
+                key = (m.shape, m.dtype.str, m.tobytes())
+                if name == "eigvalsh":
+                    seen.add(key)
+                elif key in seen:
+                    repeats.append(m.shape)
+            return real(a, *args, **kwargs)
+        return call
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, recorded(name, getattr(np.linalg, name)))
+    for d in (2, 3):
+        scn = cp.load_scenario(json.dumps({"seed": 4, "trials": 16, "bound": "all", "dims": {"d_S": d, "d_E": d}}))
+        report = cp.run_campaign(scn, cp.Tolerances(), jobs=1)
+        assert report["summary"]["trials"] == 16 * len(cp.FAMILIES)
+    assert seen
+    assert repeats == []
