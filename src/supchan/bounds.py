@@ -130,22 +130,16 @@ def main_bounds(scs: list[sup.Superchannel], ops: list[ch.QuantumOperation], nss
         meta = {"d_S": sc.d_s, "d_E": sc.d_e, "fixed_space_dim": ns.diagnostics.fixed_space_dim,
                 "ness_method": ns.diagnostics.method, "ness_residual": ns.diagnostics.residual}
         if collects is not None and collects[b] is not None:
+            # (D[A_d || E_d], D[sigma' || e]): the slack equals their difference on finite branches.
+            a_d_state = density(op.choi_state, DimShape([d, d], ["out", "in"]), tols=tols)
+            d_in = st.relative_entropies(a_d_state.mat[None], [st.entropy_of_spectrum(a_d_state.eig(tols)[0])],
+                                         ns.op_state[None], tols)[0]
             collects[b].update(
                 ness_eigenvalues=w_n[b].tolist(), entropy_sigma_prime=s_out,
                 entropy_op_state=s_op, tr_sigma_log_ness=t_out, tr_op_log_neso=t_op,
-                slack_identity=slack_identity(op, ns, s_out, t_out, tols))
+                slack_identity=(d_in, st.relative_entropy_of(s_out, t_out)))
         reports.append(_finish("main", s_out - s_op, ext_sub(t_op, t_out), tols, meta))
     return reports
-
-
-def slack_identity(op: ch.QuantumOperation, ns: sup.Neso, entropy_out: float, cross_out: float,
-                   tols: Tolerances = DEFAULT_TOLS) -> tuple[float, float]:
-    """(D[A_d || E_d], D[sigma' || e]), given S(sigma') and tr[sigma' log e]
-    of the trial: the main-bound slack equals their difference on finite
-    branches."""
-    a_d = density(op.choi_state, DimShape([op.d_in, op.d_in], ["out", "in"]), tols=tols)
-    d_in = st.relative_entropies(a_d.mat[None], [st.entropy_of_spectrum(a_d.eig(tols)[0])], ns.op_state[None], tols)
-    return d_in[0], st.relative_entropy_of(entropy_out, cross_out)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ The helpers below the oracles (one-pair forms of the stacked routines,
 named channels, Stinespring dilations, the Choi matrix of M#, the Spohn
 composition) are what the verifier never runs; test modules import them
 with ``from conftest import ...``.  Among them, ``act``,
-``von_neumann_entropy``, ``trace_against_log`` and ``relative_entropy``
-give the bits of the one-pair routines that ``act_block`` and
-``states.relative_entropies`` replaced in the library.
+``von_neumann_entropy`` and ``relative_entropy`` give the bits of the
+one-pair routines that ``act_block`` and ``states.relative_entropies``
+replaced in the library.
 """
 
 import math
@@ -543,25 +543,21 @@ def von_neumann_entropy(rho, tols=DEFAULT_TOLS):
     return st.entropy_of_spectrum(rho.eig(tols)[0])
 
 
-def trace_against_log(state_mat, base, tols=DEFAULT_TOLS):
-    """tr[X log(base)] for a PSD unit-trace X, from ``base.eig(tols)``."""
-    return trace_log(np.asarray(state_mat, dtype=complex), *base.eig(tols), tols)
-
-
 def relative_entropy(rho1, rho2, tols=DEFAULT_TOLS):
-    """D[rho1 || rho2] = -S(rho1) - tr[rho1 log rho2] in nats; +inf on
-    support mismatch (see ``trace_against_log``)."""
+    """D[rho1 || rho2] of two density matrices (see ``relative_entropy_to``)."""
     if rho1.dim != rho2.dim:
         raise ShapeError(f"dimension mismatch {rho1.dim} != {rho2.dim}")
-    cross = trace_against_log(rho1.mat, rho2, tols)
-    return st.relative_entropy_of(von_neumann_entropy(rho1, tols), cross)
+    return relative_entropy_to(rho1.mat, von_neumann_entropy(rho1, tols), rho2.mat, tols)
 
 
 def slack_identity(sc, op, ns, tols=DEFAULT_TOLS):
-    """(D[A_d || E_d], D[sigma' || e]) of one main trial, as ``main_bounds`` records it."""
-    collect = {}
-    bd.main_bounds([sc], [op], [ns], tols, [collect])
-    return collect["slack_identity"]
+    """(D[A_d || E_d], D[sigma' || e]) of one main trial, each from the
+    one-pair relative entropy of its own two states: the main-bound slack
+    equals their difference on finite branches."""
+    shape = DimShape([sc.d_s, sc.d_s], ["out", "in"])
+    d_in = relative_entropy(st.density(op.choi_state, shape, tols=tols), st.density(ns.op_state, shape, tols=tols),
+                            tols)
+    return d_in, relative_entropy(act(sc, op), ns.ness, tols)
 
 
 def spohn(op, rho, tols=DEFAULT_TOLS, collect=None):

@@ -14,7 +14,7 @@ from supchan.matkernel import DimShape, ValidationError
 
 from conftest import (channel_from_dilation, classical_channel, clausius, depolarizing_channel, env_marginal,
                       ext_add, identity_channel, neso, random_cptp, random_density, replace_channel, slack_identity,
-                      spohn, spohn_composition, trace_against_log, unitary_channel, von_neumann_entropy)
+                      spohn, spohn_composition, unitary_channel, von_neumann_entropy)
 
 
 def rand_sc(d_s, d_e, seed, product=False):
@@ -58,9 +58,9 @@ def test_finish_flags_and_pass_logic():
 def test_trace_against_log_support_detection():
     pure = st.density(np.diag([1.0, 0.0]))
     mixed = st.density(np.eye(2) / 2)
-    assert trace_against_log(mixed.mat, pure) == float("-inf")
+    assert st.log_weights(mixed.mat[None, None], *(a[None] for a in pure.eig())) == [[float("-inf")]]
     full = st.density(np.diag([0.75, 0.25]))
-    got = trace_against_log(mixed.mat, full)
+    [[got]] = st.log_weights(mixed.mat[None, None], *(a[None] for a in full.eig()))
     assert abs(got - 0.5 * (math.log(0.75) + math.log(0.25))) <= 1e-12
 
 
@@ -124,8 +124,11 @@ def test_main_bound_slack_identity():
         sc, rng = rand_sc(2, 2, seed=3100 + seed)
         op = random_cptp(2, int(rng.integers(1, 5)), rng)
         ns = neso(sc)
-        rep = bd.main_bounds([sc], [op], [ns])[0]
+        collect = {}
+        rep = bd.main_bounds([sc], [op], [ns], DEFAULT_TOLS, [collect])[0]
         d_in, d_out = slack_identity(sc, op, ns)
+        # The explain record gives the bits of the one-pair relative entropies.
+        assert [x.hex() for x in collect["slack_identity"]] == [d_in.hex(), d_out.hex()]
         if math.isfinite(rep.slack) and math.isfinite(d_in) and math.isfinite(d_out):
             assert abs(rep.slack - (d_in - d_out)) <= 1e-9
 

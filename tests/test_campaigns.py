@@ -365,6 +365,25 @@ def test_a_failing_spohn_clausius_or_mmap_block_reports_the_earliest_failing_tri
     assert f"validation error: {raised.value}" != line
 
 
+def test_an_explicit_rho_se_just_above_recon_tol_is_refused_at_load(tmp_path, capsys):
+    # Every density check ends in the reconstruction check, so rho_SE faces
+    # recon_tol although no trial decomposes it: at its own residual the
+    # scenario loads, just below it verify exits 3 before any trial.
+    g = np.random.default_rng(5).standard_normal((4, 3, 2)) @ [1, 1j]
+    rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
+    rho = (rho + rho.conj().T) / 2.0
+    w, v = np.linalg.eigh(rho)
+    resid = mk.max_abs((v[:, ::-1] * w[::-1]) @ v[:, ::-1].conj().T - rho)
+    assert resid > 0.0
+    spec = {"seed": 1, "trials": 1, "bound": "main", "explicit": {"rho_se": cp.matrix_to_json(rho)}}
+    assert cp.load_scenario(json.dumps({**spec, "tolerances": {"recon_tol": resid}})).trials == 1
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({**spec, "tolerances": {"recon_tol": resid * (1 - 1e-6)}}))
+    assert cli.main(["verify", "--scenario", str(path), "--jobs", "1"]) == 3
+    assert capsys.readouterr().err.strip() == (f"scenario error: explicit.rho_se: eigendecomposition residual "
+                                               f"{resid:.3e} exceeds recon_tol")
+
+
 @pytest.mark.parametrize("explicit", [False, True])
 def test_a_holevo_block_makes_one_measured_information_call(monkeypatch, explicit):
     calls = []

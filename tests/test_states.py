@@ -12,7 +12,7 @@ from supchan import superchannel as sup
 from supchan.config import DEFAULT_TOLS, Tolerances
 from supchan.matkernel import DimShape, ShapeError, ValidationError
 
-from conftest import marginal, random_density, relative_entropy, trace_against_log, trial_rng, von_neumann_entropy
+from conftest import marginal, random_density, relative_entropy, trace_log, trial_rng, von_neumann_entropy
 
 
 def test_density_validation():
@@ -207,7 +207,7 @@ def test_eig_decomposes_once_per_tolerances(monkeypatch):
     assert calls == ["eigh"]
     loose = Tolerances(psd_floor=1e-6)
     assert rho.eig() is rho.eig(DEFAULT_TOLS)
-    trace_against_log(rho.mat, rho)
+    trace_log(rho.mat, *rho.eig(), DEFAULT_TOLS)
     von_neumann_entropy(rho, Tolerances())
     assert calls == ["eigh"]
     assert rho.eig(loose) is rho.eig(loose)
