@@ -79,9 +79,9 @@ def spohn_block(ops: list[ch.QuantumOperation], rhos: list[DensityMatrix], tols:
     mats = np.array([rho.mat for rho in rhos])
     out = ch.apply_matrices(ops, mats)
     out = (out + mk.dagger(out)) / 2.0
-    w_out = st.decompose(st.densities(out, DimShape([ops[0].d_out], rhos[0].shape.labels[:1]), tols), tols)[0]
-    w_in = st.decompose(rhos, tols)[0]
-    w_n, v_n = st.decompose([ns.state for ns in nss], tols)
+    w_out = st.decompose(st.densities(out, DimShape([ops[0].d_out], rhos[0].shape.labels[:1]), tols))[0]
+    w_in = st.decompose(rhos)[0]
+    w_n, v_n = st.decompose([ns.state for ns in nss])
     cross = st.log_weights(np.stack([out, mats], axis=1), w_n, v_n, tols)
     reports = []
     for b, (op, ns) in enumerate(zip(ops, nss)):
@@ -101,10 +101,10 @@ def spohn_block(ops: list[ch.QuantumOperation], rhos: list[DensityMatrix], tols:
 # Generalized bound:  S(sigma') - S(A_d) >= -tr[sigma' log e] + tr[A_d log E_d]
 # ---------------------------------------------------------------------------
 
-def main_bounds(scs: list[sup.Superchannel], ops: list[ch.QuantumOperation], nss: list[sup.Neso],
+def main_bounds(scs: list[sup.Superchannel], ops: list[ch.QuantumOperation], nss: list[ch.NessResult],
                 tols: Tolerances = DEFAULT_TOLS, collects: list | None = None) -> list[BoundReport]:
     """The generalized entropy-production bound for correlated initial
-    states, for each (superchannel, operation, steady operation) of a block,
+    states, for each (superchannel, operation, steady state) of a block,
     all of one (d_S, d_E), with the bits of each on its own.
 
     With E_d = e (x) I/d, log(E_d) = log(e) (x) I - log(d) I on its support,
@@ -115,11 +115,11 @@ def main_bounds(scs: list[sup.Superchannel], ops: list[ch.QuantumOperation], nss
     computation; the entropy sums and the bound arithmetic stay per trial.
     """
     d = scs[0].d_s
-    sigma, (w_out, _) = sup.act_block(scs, ops)
+    sigma, (w_out, _) = sup.act_block(scs, ops, tols)
     a_d = np.array([op.choi for op in ops]) / d
     w_op = mk.clamp_spectrum(np.linalg.eigvalsh(a_d)[..., ::-1], tols)
     marg = mk.partial_trace(a_d, DimShape([d, d], ["out", "in"]), ["out"])
-    w_n, v = st.decompose([ns.ness for ns in nss], tols)
+    w_n, v = st.decompose([ns.state for ns in nss])
     cross = st.log_weights(np.stack([sigma, marg], axis=1), w_n, v, tols)
     reports = []
     for b, (sc, op, ns) in enumerate(zip(scs, ops, nss)):
@@ -127,13 +127,13 @@ def main_bounds(scs: list[sup.Superchannel], ops: list[ch.QuantumOperation], nss
         s_op = st.entropy_of_spectrum(w_op[b])
         t_out, t_op = cross[b]
         t_op -= math.log(d)
-        meta = {"d_S": sc.d_s, "d_E": sc.d_e, "fixed_space_dim": ns.diagnostics.fixed_space_dim,
-                "ness_method": ns.diagnostics.method, "ness_residual": ns.diagnostics.residual}
+        meta = {"d_S": sc.d_s, "d_E": sc.d_e, "fixed_space_dim": ns.fixed_space_dim,
+                "ness_method": ns.method, "ness_residual": ns.residual}
         if collects is not None and collects[b] is not None:
             # (D[A_d || E_d], D[sigma' || e]): the slack equals their difference on finite branches.
             a_d_state = density(op.choi_state, DimShape([d, d], ["out", "in"]), tols=tols)
-            d_in = st.relative_entropies(a_d_state.mat[None], [st.entropy_of_spectrum(a_d_state.eig(tols)[0])],
-                                         ns.op_state[None], tols)[0]
+            e_d = ch.replace_channels([ns.state])[0].choi_state
+            d_in = st.relative_entropies(a_d_state.mat[None], [st.entropy_of_spectrum(a_d_state.w)], e_d[None], tols)[0]
             collects[b].update(
                 ness_eigenvalues=w_n[b].tolist(), entropy_sigma_prime=s_out,
                 entropy_op_state=s_op, tr_sigma_log_ness=t_out, tr_op_log_neso=t_op,
@@ -170,14 +170,14 @@ def clausius_block(scs: list[sup.Superchannel], sigmas: list[DensityMatrix], gib
     operations, sigma' and the spectra and overlaps are each one stacked
     step; the entropy sums and the bound arithmetic stay per trial.
     """
-    nss = sup.neso_block(scs)
-    resid = mk.max_abs(np.array([ns.ness.mat for ns in nss]) - gibbs.mat)
+    nss = sup.neso_block(scs, tols)
+    resid = mk.max_abs(np.array([ns.state.mat for ns in nss]) - gibbs.mat)
     mk.fail_first(resid > THERMAL_MATCH_TOL, resid,
                   f"fixed point is not the Gibbs state: residual {{:.3e}} > {THERMAL_MATCH_TOL}")
     d = scs[0].d_s
-    sigma_p, (w_p, _) = sup.act_block(scs, ch.replace_channels(sigmas, tols))
-    w_s = st.decompose(sigmas, tols)[0]
-    w_g, v_g = gibbs.eig(tols)
+    sigma_p, (w_p, _) = sup.act_block(scs, ch.replace_channels(sigmas), tols)
+    w_s = st.decompose(sigmas)[0]
+    w_g, v_g = gibbs.w, gibbs.v
     mats = np.stack([sigma_p, [s.mat for s in sigmas]], axis=1)
     cross = st.log_weights(mats, [w_g] * len(scs), np.array([v_g] * len(scs)), tols)
     reports = []
@@ -248,9 +248,8 @@ def qdpi_block(sc1s: list[sup.Superchannel], sc2s: list[sup.Superchannel], ops: 
         d_p, d_q = op_pq.bipartite
         if d_p != sc1.d_s or d_q != sc2.d_s:
             raise ShapeError(f"bipartite dims {(d_p, d_q)} do not match superchannels {(sc1.d_s, sc2.d_s)}")
+    ch.require_trace_preserving(ops, "qdpi requires a CPTP joint operation")
     chois = np.array([op.choi for op in ops])
-    tp = ch.trace_preserving(chois, d_p * d_q, d_p * d_q)
-    mk.fail_first(np.logical_not(tp), tp, "qdpi requires a CPTP joint operation")
 
     x = regroup_joint_choi(np.array([op.choi_state for op in ops]), d_p, d_q)
     shape_in = DimShape([d_p, d_p, d_q, d_q], ["Po", "Pi", "Qo", "Qi"])
@@ -263,7 +262,7 @@ def qdpi_block(sc1s: list[sup.Superchannel], sc2s: list[sup.Superchannel], ops: 
     a_p = ch.marginal_chois(chois, (d_p, d_q), "P", tols) / d_p
     a_q = ch.marginal_chois(chois, (d_p, d_q), "Q", tols) / d_q
     d_rel_in = st.relative_entropies(x, s_in, mk.kron_stack(a_p, a_q), tols)
-    ref_out = mk.kron_stack(sup.act_normalized_block(sc1s, a_p), sup.act_normalized_block(sc2s, a_q))
+    ref_out = mk.kron_stack(sup.act_normalized_block(sc1s, a_p, tols), sup.act_normalized_block(sc2s, a_q, tols))
     d_rel_out = st.relative_entropies(rho_out, s_out, ref_out, tols)
     reports = []
     for b, (i_in, i_out, r_in, r_out) in enumerate(zip(mi_in, mi_out, d_rel_in, d_rel_out)):
@@ -385,7 +384,7 @@ def holevo_block(scs: list[sup.Superchannel], enss: list[Ensemble], haar: np.nda
     avg = np.zeros((len(scs), d, d), dtype=complex)
     for j in range(ks.max()):
         has = np.flatnonzero(ks > j)
-        out, (w, _) = sup.act_block([scs[b] for b in has], [enss[b].ops[j] for b in has])
+        out, (w, _) = sup.act_block([scs[b] for b in has], [enss[b].ops[j] for b in has], tols)
         outs[starts[has] + j] = out
         s_outs[starts[has] + j] = [st.entropy_of_spectrum(wb) for wb in w]
         avg[has] += np.array([probs[b][j] for b in has])[:, None, None] * out

@@ -13,7 +13,7 @@ size is checked at load against every family of the scenario that reads it.
 
 ``prepare`` builds once per campaign each object that is the same in every
 trial (the superchannel of a pinned ``U`` and ``rho_se`` and its steady
-operation, and the unitary and Gibbs state of ``clausius``), and each pool
+state, and the unitary and Gibbs state of ``clausius``), and each pool
 worker receives it once.  Trials run in blocks of ``BLOCK`` consecutive
 trials of one family, one pool task each.  Every family takes the one path
 of ``evaluate_block``: each trial of a block draws from its own generator,
@@ -249,7 +249,7 @@ def _read_explicit(key: str, obj, tols: Tolerances):
         return float(obj)
     try:
         if key == "op_kraus":
-            return ch.from_kraus(_kraus_list(obj, path), tols=tols)
+            return ch.from_kraus(_kraus_list(obj, path))
         if key == "ensemble":
             if not isinstance(obj, dict) or "probs" not in obj or "ops_kraus" not in obj:
                 raise ScenarioError(f"{path}: expected an object with probs and ops_kraus")
@@ -263,7 +263,7 @@ def _read_explicit(key: str, obj, tols: Tolerances):
             if not isinstance(ops, list):
                 raise ScenarioError(f"{path}.ops_kraus: expected a list of Kraus lists")
             kraus = [_kraus_list(op, f"{path}.ops_kraus[{i}]") for i, op in enumerate(ops)]
-            return bd.Ensemble(tuple(map(float, probs)), tuple(ch.from_kraus(k, tols=tols) for k in kraus))
+            return bd.Ensemble(tuple(map(float, probs)), tuple(ch.from_kraus(k) for k in kraus))
         m = parse_complex_matrix(obj, path)
         if key in ("U", "V"):
             ch.check_unitary(m, tols)
@@ -349,7 +349,7 @@ def _explicit_json(v):
     if isinstance(v, st.DensityMatrix):
         return matrix_to_json(v.mat)
     if isinstance(v, ch.QuantumOperation):
-        return [matrix_to_json(k) for k in v.kraus] if v.kraus is not None else matrix_to_json(v.choi)
+        return matrix_to_json(v.choi) if v.by_choi else [matrix_to_json(k) for k in v.kraus]
     if isinstance(v, bd.Ensemble):
         return {"probs": list(v.probs), "ops_kraus": [_explicit_json(op) for op in v.ops]}
     return matrix_to_json(v)
@@ -436,7 +436,7 @@ class Prepared:
     """The objects that every trial of a campaign shares; see ``prepare``."""
 
     superchannels: dict         # (d, d_E) -> Superchannel of the pinned U and rho_se
-    neso: sup.Neso | None       # of superchannels[d_S, d_E], when main runs
+    neso: ch.NessResult | None  # steady state of superchannels[d_S, d_E], when main runs
     thermal: tuple | None = None    # (U, (Gibbs state, Z), beta) of clausius, when it runs
 
     def draw_superchannels(self, d: int, d_env: int, rngs: list[np.random.Generator],
@@ -452,7 +452,7 @@ def prepare(scenario: Scenario, tols: Tolerances, families: tuple[str, ...] | No
     When ``U`` and ``rho_se`` are both pinned, the superchannel is built
     once for each (d, d_E) pair at which one of ``families`` (default: the
     scenario's) reads ``rho_se`` (``qdpi`` splits it as d_P x d_E1 and
-    d_Q x d_E2), and its steady operation once when ``main`` is among
+    d_Q x d_E2), and its steady state once when ``main`` is among
     them.  When ``clausius`` is among them, its unitary (the pinned ``U``
     or the partial swap of ``theta``) and the Gibbs state and partition
     function of (``H``, ``beta``), with defaults H = diag(0, 1, ...) and
@@ -467,7 +467,7 @@ def prepare(scenario: Scenario, tols: Tolerances, families: tuple[str, ...] | No
     scs = {pair: sup.build(ex["U"], st.density(ex["rho_se"], DimShape(pair, ["S", "E"]), tols=tols), tols)
            for pair in sorted(pairs)}
     main_pair = (dim["d_S"], dim["d_E"])
-    ns = sup.neso_block([scs[main_pair]])[0] if "main" in families and main_pair in scs else None
+    ns = sup.neso_block([scs[main_pair]], tols)[0] if "main" in families and main_pair in scs else None
     thermal = None
     if "clausius" in families:
         d, h, u, beta = dim["d_S"], ex.get("H"), ex.get("U"), ex.get("beta", 1.0)
@@ -513,7 +513,7 @@ def evaluate_block(scenario: Scenario, family: str, trials, tols: Tolerances,
         elif family == "main":
             scs = prep.draw_superchannels(d_s, d_e, part, tols, ex)
             ops = random_operations(d_s, part, tols, ex)
-            nss = [prep.neso] * len(scs) if prep.neso is not None else sup.neso_block(scs)
+            nss = [prep.neso] * len(scs) if prep.neso is not None else sup.neso_block(scs, tols)
             reports += bd.main_bounds(scs, ops, nss, tols, collects)
         elif family == "clausius":
             u, (gibbs, z), beta = prep.thermal
@@ -562,14 +562,14 @@ def _mmap_consistency(scs: list[sup.Superchannel], d_a: int, rngs: list[np.rando
         alphas = [alpha] * len(rngs)
     upsilons, deltas = dl.mmap_block(scs, vs, alphas, tols)
     reduced = mk.partial_trace(np.array([u.mat for u in upsilons]), upsilons[0].shape, ["S"])
-    direct = sup.act_block(scs, ch.channels_from_dilations(vs, alphas, tols))[0]
+    direct = sup.act_block(scs, ch.channels_from_dilations(vs, alphas, tols), tols)[0]
     reports = []
     for upsilon, delta_s, residual, collect in zip(upsilons, deltas, mk.max_abs(reduced - direct).tolist(), collects):
         slack = CONSISTENCY_TOL - residual
         reports.append(bd.BoundReport("mmap-consistency", CONSISTENCY_TOL, residual, slack, slack >= 0.0, 0.0,
                                       (), {"d_S": d_s, "d_E": d_e, "d_A": d_a, "delta_S": delta_s}))
         if collect is not None:
-            collect.update(residual=residual, delta_S=delta_s, upsilon_eigenvalues=upsilon.eig(tols)[0].tolist())
+            collect.update(residual=residual, delta_S=delta_s, upsilon_eigenvalues=upsilon.w.tolist())
     return reports
 
 

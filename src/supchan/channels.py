@@ -8,7 +8,7 @@ trace-preserving map has trace d_in.  Equivalently
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,30 +28,25 @@ class FixedPointError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuantumOperation:
-    """A CP map held in dual form: optional (r, d_out, d_in) Kraus stack plus Choi matrix.
+    """A CP map held in dual form: an (r, d_out, d_in) Kraus stack and its Choi matrix.
 
     ``bipartite`` optionally records a (d_P, d_Q) tensor split shared by the
-    input and output spaces, enabling marginal operations.
+    input and output spaces, enabling marginal operations.  ``by_choi``
+    marks an operation given by its Choi matrix (``from_choi``), whose Kraus
+    operators come from the decomposition that its CP check took.
     """
 
     d_in: int
     d_out: int
     choi: np.ndarray
-    kraus: np.ndarray | None = None
+    kraus: np.ndarray
     bipartite: tuple[int, int] | None = None
-    _tols: Tolerances = field(default=DEFAULT_TOLS, repr=False)
-    # Whether the map is trace preserving, once ``require_trace_preserving`` has found it.
-    _tp: list = field(default_factory=list, init=False, repr=False, compare=False)
+    by_choi: bool = False
 
     @property
     def choi_state(self) -> np.ndarray:
         """Normalized Choi A_d = choi / d_in, a unit-trace PSD matrix."""
         return self.choi / self.d_in
-
-    def kraus_ops(self) -> np.ndarray:
-        if self.kraus is not None:
-            return self.kraus
-        return kraus_of(self, self._tols)
 
 
 def tr_out_choi(choi: np.ndarray, d_out: int, d_in: int) -> np.ndarray:
@@ -65,20 +60,15 @@ def trace_preserving(choi: np.ndarray, d_out: int, d_in: int):
     return mk.max_abs(tr_out_choi(choi, d_out, d_in) - np.eye(d_in)) <= TP_TOL
 
 
-def from_kraus(
-    kraus: list[np.ndarray],
-    bipartite: tuple[int, int] | None = None,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> QuantumOperation:
+def from_kraus(kraus: list[np.ndarray], bipartite: tuple[int, int] | None = None) -> QuantumOperation:
     """Build an operation from its Kraus operators."""
     kraus = [mk.as_matrix(k) for k in kraus]
     if any(k.shape != kraus[0].shape for k in kraus):
         raise ShapeError("Kraus operators have inconsistent shapes")
-    return from_kraus_runs(np.array(kraus), [len(kraus)], tols, bipartite)[0]
+    return from_kraus_runs(np.array(kraus), [len(kraus)], bipartite)[0]
 
 
-def from_kraus_runs(kraus: np.ndarray, counts, tols: Tolerances = DEFAULT_TOLS,
-                    bipartite: tuple[int, int] | None = None) -> list[QuantumOperation]:
+def from_kraus_runs(kraus: np.ndarray, counts, bipartite: tuple[int, int] | None = None) -> list[QuantumOperation]:
     """The operation of each run of ``counts`` consecutive Kraus operators of
     a stack, with Choi matrix sum_k vec(K_k) vec(K_k)^dag in Kraus order."""
     kraus = mk.as_matrix(kraus, stack=True)
@@ -86,7 +76,7 @@ def from_kraus_runs(kraus: np.ndarray, counts, tols: Tolerances = DEFAULT_TOLS,
     chois = mk.sum_runs(vecs[:, :, None] * vecs.conj()[:, None, :], counts)
     d_out, d_in = kraus.shape[-2:]
     ends = np.cumsum(counts).tolist()
-    return [QuantumOperation(d_in, d_out, c, kraus[e - n:e], bipartite, tols)
+    return [QuantumOperation(d_in, d_out, c, kraus[e - n:e], bipartite)
             for c, n, e in zip(chois, counts, ends)]
 
 
@@ -97,12 +87,15 @@ def from_choi(
     bipartite: tuple[int, int] | None = None,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> QuantumOperation:
-    """Build an operation from its (unnormalized, trace-d_in) Choi matrix."""
+    """Build an operation from its (unnormalized, trace-d_in) Choi matrix,
+    with Kraus operators sqrt(lam) * v for each eigenpair with lam > 0 of
+    the decomposition that its CP check took (the numerical Kraus rank;
+    compare channels through their action, not their Kraus lists)."""
     choi = mk.as_matrix(choi)
     if choi.shape != (d_out * d_in, d_out * d_in):
         raise ShapeError(f"Choi shape {choi.shape} != {(d_out * d_in,) * 2}")
-    check_cp(choi, tols)
-    return QuantumOperation(d_in, d_out, choi, None, bipartite, tols)
+    kraus = mk.psd_factors(*check_cp(choi, tols)).reshape(-1, d_out, d_in)
+    return QuantumOperation(d_in, d_out, choi, kraus, bipartite, by_choi=True)
 
 
 def check_cp(choi: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, np.ndarray]:
@@ -120,37 +113,23 @@ def check_cp(choi: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndar
 
 def require_trace_preserving(ops: list[QuantumOperation], message: str) -> None:
     """Raise ``ValidationError(message)`` unless every operation, all of one
-    size, is trace preserving; each is checked once, in one stacked step."""
-    todo = list({id(op): op for op in ops if not op._tp}.values())
-    if todo:
-        tp = trace_preserving(np.array([op.choi for op in todo]), todo[0].d_out, todo[0].d_in)
-        for op, flag in zip(todo, tp.tolist()):
-            op._tp.append(flag)
-    mk.fail_first(np.array([not op._tp[0] for op in ops]), np.zeros(len(ops)), message)
-
-
-def kraus_of(op: QuantumOperation, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """Extract Kraus operators from the Choi matrix.
-
-    Eigenvalues below psd_floor are dropped, so the returned rank is the
-    numerical Kraus rank.  Kraus sets are unique only up to isometric
-    mixing; compare channels through their action, not their Kraus lists.
-    """
-    return mk.psd_factors(*mk.herm_eig(op.choi, tols)).reshape(-1, op.d_out, op.d_in)
+    size, is trace preserving, checked in one stacked step."""
+    tp = trace_preserving(np.array([op.choi for op in ops]), ops[0].d_out, ops[0].d_in)
+    mk.fail_first(np.logical_not(tp), tp, message)
 
 
 def apply_matrices(ops: list[QuantumOperation], mats: np.ndarray) -> np.ndarray:
     """The linear action of each square operation on its matrix of a stack
     (no TP/validity checks): sum_k K X K^dag added in Kraus order, or the
-    Choi contraction for an operation held by its Choi matrix alone."""
+    Choi contraction for an operation given by its Choi matrix."""
     out = np.empty_like(mats, dtype=complex)
-    by_kraus = [b for b, op in enumerate(ops) if op.kraus is not None]
+    by_kraus = [b for b, op in enumerate(ops) if not op.by_choi]
     if by_kraus:
         counts = [len(ops[b].kraus) for b in by_kraus]
         ks = np.concatenate([ops[b].kraus for b in by_kraus])
         out[by_kraus] = mk.sum_runs(ks @ mats[np.repeat(by_kraus, counts)] @ mk.dagger(ks), counts)
     for b, op in enumerate(ops):
-        if op.kraus is None:    # tr_in[choi (I (x) X^T)]
+        if op.by_choi:    # tr_in[choi (I (x) X^T)]
             out[b] = np.einsum("aibj,ij->ab", op.choi.reshape(op.d_out, op.d_in, op.d_out, op.d_in), mats[b])
     return out
 
@@ -159,17 +138,17 @@ def apply_matrices(ops: list[QuantumOperation], mats: np.ndarray) -> np.ndarray:
 # Named channels
 # ---------------------------------------------------------------------------
 
-def replace_channels(targets: list[DensityMatrix], tols: Tolerances = DEFAULT_TOLS) -> list[QuantumOperation]:
+def replace_channels(targets: list[DensityMatrix]) -> list[QuantumOperation]:
     """The map on the space of each target, all of one dimension, that
     discards its input and prepares the target: Kraus operators
     sqrt(lam) |v><j| for each eigenpair with lam > 0 and each j, so Choi
     matrix target (x) I and normalized Choi target (x) I/d."""
     d = targets[0].dim
-    w, v = st.decompose(targets, tols)
+    w, v = st.decompose(targets)
     f = mk.psd_factors(w, v)
     kraus = np.zeros((len(f), d, d, d), dtype=complex)
     kraus[:, np.arange(d), :, np.arange(d)] = f
-    return from_kraus_runs(kraus.reshape(-1, d, d), ((w > 0.0).sum(-1) * d).tolist(), tols)
+    return from_kraus_runs(kraus.reshape(-1, d, d), ((w > 0.0).sum(-1) * d).tolist())
 
 
 def check_unitary(u: np.ndarray, tols: Tolerances = DEFAULT_TOLS, what: str = "matrix") -> None:
@@ -212,20 +191,20 @@ def channels_from_dilations(us: list[np.ndarray], taus: list[DensityMatrix],
         raise ShapeError(f"unitary dim {d_tot} does not factor over environment dim {d_e}")
     d_s = d_tot // d_e
     check_unitary(us, tols, what="dilation unitary")
-    w, v = st.decompose(taus, tols)
+    w, v = st.decompose(taus)
     pos = w > 0.0
     counts = pos.sum(-1)
     u4 = us.reshape(-1, d_s, d_e, d_s, d_e)[np.repeat(np.arange(len(us)), counts)]
     # blocks[n, i] = (I (x) <i|) U (I (x) |v>), one Kraus per env output index
     blocks = np.einsum("zaibj,zj->ziab", u4, v.swapaxes(-1, -2)[pos])
     kraus = np.sqrt(w[pos])[:, None, None, None] * blocks
-    return from_kraus_runs(kraus.reshape(-1, d_s, d_s), (counts * d_e).tolist(), tols)
+    return from_kraus_runs(kraus.reshape(-1, d_s, d_s), (counts * d_e).tolist())
 
 
 def transfer_matrices(ops: list[QuantumOperation]) -> np.ndarray:
     """Superoperator on row-major vec(rho) of each operation: the sum of
     K (x) conj(K) in Kraus order."""
-    ks = [op.kraus_ops() for op in ops]
+    ks = [op.kraus for op in ops]
     k = np.concatenate(ks)
     return mk.sum_runs(mk.kron_stack(k, k.conj()), [len(x) for x in ks])
 
@@ -369,5 +348,5 @@ def random_cptps(d: int, draws: list[np.ndarray], d_out: int | None = None,
     w, v = check_cp(choi, tols)
     kraus = mk.psd_factors(w, v).reshape(-1, d_out, d)
     ends = np.cumsum((w > 0.0).reshape(len(draws), -1).sum(-1)).tolist()
-    return [QuantumOperation(d, d_out, c, kraus[a:b], bipartite, tols)
+    return [QuantumOperation(d, d_out, c, kraus[a:b], bipartite)
             for c, a, b in zip(choi.reshape(len(draws), *choi.shape[-2:]), [0] + ends, ends)]

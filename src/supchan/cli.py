@@ -6,9 +6,10 @@ Commands:
   explain --scenario FILE --trial K [--bits]
   version
 
-Exit codes: 0 success, 1 bound failure, 2 scenario parse error,
-3 validation error (a non-finite --slack-tol or SUPCHAN_SLACK_TOL, and a
---jobs below 1, included).  Tolerance precedence: --slack-tol flag >
+Exit codes: 0 success, 1 bound failure, 2 parse error, or a file that
+cannot be read or written, 3 validation error (a --slack-tol or
+SUPCHAN_SLACK_TOL that is not a finite positive number, and a --jobs below
+1, included).  Tolerance precedence: --slack-tol flag >
 scenario file > SUPCHAN_SLACK_TOL environment variable > built-in default.
 """
 
@@ -43,12 +44,15 @@ _RESIDUAL_FAMILY = "mmap-consistency"
 
 
 def _resolve_tols(scenario: cp.Scenario, slack_tol_flag: float | None) -> config.Tolerances:
-    """The tolerances by precedence; a non-finite override raises ValueError."""
+    """The tolerances by precedence; an override that is not a finite
+    positive number raises ValueError."""
     tols = config.from_env(config.Tolerances())
     tols = scenario.tols(tols)
     if slack_tol_flag is not None:
         if not math.isfinite(slack_tol_flag):
             raise ValueError(f"--slack-tol: expected a finite number, got {slack_tol_flag!r}")
+        if slack_tol_flag <= 0:
+            raise ValueError(f"--slack-tol: expected a positive number, got {slack_tol_flag!r}")
         tols = dataclasses.replace(tols, slack_tol=slack_tol_flag)
     return tols
 
@@ -108,8 +112,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     text = cp.render_csv(report) if args.format == "csv" else cp.render_json(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return EXIT_PARSE_ERROR
     else:
         sys.stdout.write(text)
 

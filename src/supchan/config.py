@@ -1,9 +1,11 @@
 """Numerical tolerances shared across the package.
 
 Every tolerance that can be overridden (scenario file, SUPCHAN_SLACK_TOL,
-``--slack-tol``) lives in one frozen dataclass, so that a single override
-propagates consistently.  Defaults are sized for double precision on matrices
-of dimension <= 36.  Thresholds that no scenario has needed to tune stay
+``--slack-tol``) lives in one frozen dataclass, and no state, operation or
+superchannel stores one: each routine that checks or decomposes reads the
+``tols`` its caller passes, so that a single override propagates
+consistently.  Defaults are sized for double precision on matrices of
+dimension <= 36.  Thresholds that no scenario has needed to tune stay
 fixed where they are used: ``channels.CP_TOL``/``TP_TOL``,
 ``bounds.THERMAL_MATCH_TOL``, ``campaigns.CONSISTENCY_TOL``, the 1e-12 clip
 bands, the 1e-8 QDPI route cross-checks, and the fixed-point literals in
@@ -31,7 +33,7 @@ class Tolerances:
 
 def from_env(base: Tolerances | None = None) -> Tolerances:
     """Apply the SUPCHAN_SLACK_TOL environment override, if set; a value that
-    is not a finite number raises ValueError."""
+    is not a finite positive number raises ValueError."""
     tols = base if base is not None else Tolerances()
     raw = os.environ.get("SUPCHAN_SLACK_TOL")
     if raw is not None:
@@ -41,6 +43,8 @@ def from_env(base: Tolerances | None = None) -> Tolerances:
             value = math.nan
         if not math.isfinite(value):
             raise ValueError(f"SUPCHAN_SLACK_TOL: expected a finite number, got {raw!r}")
+        if value <= 0:
+            raise ValueError(f"SUPCHAN_SLACK_TOL: expected a positive number, got {raw!r}")
         tols = replace(tols, slack_tol=value)
     return tols
 

@@ -49,7 +49,7 @@ def mmap_block(
     evolved = u_full @ staged @ mk.dagger(u_full)
     ups = mk.partial_trace(evolved, shape_sea, ["S", "A"])
     upsilons = st.densities((ups + mk.dagger(ups)) / 2.0, DimShape([d_s, d_a], ["S", "A"]), tols)
-    sigmas = sup.marginals(scs, "S")
-    s_ups = [st.entropy_of_spectrum(w) for w in st.decompose(upsilons, tols)[0]]
-    s_sig = [st.entropy_of_spectrum(w) for w in st.decompose(sigmas, tols)[0]]
+    sigmas = sup.marginals(scs, "S", tols)
+    s_ups = [st.entropy_of_spectrum(w) for w in st.decompose(upsilons)[0]]
+    s_sig = [st.entropy_of_spectrum(w) for w in st.decompose(sigmas)[0]]
     return upsilons, [a - b for a, b in zip(s_ups, s_sig)]

@@ -8,7 +8,7 @@ has weight above ``support_tol`` on the kernel of the second.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -20,28 +20,22 @@ from .matkernel import DimShape, ShapeError
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, PSD, unit-trace matrix on a labeled tensor factor structure;
-    ``mat`` is read-only, so what ``eig`` keeps stays its decomposition."""
+    """Hermitian, PSD, unit-trace matrix on a labeled tensor factor structure,
+    with the decomposition ``(w, v)`` that its check took, as ``mk.herm_eig``
+    returns it; all three arrays are read-only."""
 
     mat: np.ndarray
     shape: DimShape
-    # tols -> what eig returns: the decomposition that the check under tols took, or herm_eig's.
-    _eig: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    w: np.ndarray
+    v: np.ndarray
 
     def __post_init__(self):
         mat = mk.as_matrix(self.mat).view()
         if mat.shape != (self.shape.dim,) * 2:
             raise ShapeError(f"shape dim {self.shape.dim} != matrix dim {mat.shape[0]}")
-        mat.flags.writeable = False
-        object.__setattr__(self, "mat", mat)
-
-    def eig(self, tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, np.ndarray]:
-        """``mk.herm_eig(mat, tols)``, computed once per ``tols``: the
-        decomposition that ``density``'s checks under ``tols`` took when
-        there is one; both arrays are read-only."""
-        if tols not in self._eig:
-            decompose([self], tols)
-        return self._eig[tols]
+        for name, arr in (("mat", mat), ("w", np.asarray(self.w).view()), ("v", np.asarray(self.v).view())):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
@@ -79,12 +73,10 @@ def density(
 
 def densities(mats: np.ndarray, shape: DimShape, tols: Tolerances = DEFAULT_TOLS) -> list[DensityMatrix]:
     """``density`` of each matrix of a stack, all on ``shape``, with the
-    checks of the stack in one step; each keeps for ``eig(tols)`` the
-    decomposition that its check took."""
+    checks of the stack in one step; each keeps the decomposition that its
+    check took."""
     mats = mk.as_matrix(mats, stack=True)
-    rhos = [DensityMatrix(m, shape) for m in mats]
-    _keep(rhos, *check_density(mats, tols), tols)
-    return rhos
+    return [DensityMatrix(m, shape, w, v) for m, w, v in zip(mats, *check_density(mats, tols))]
 
 
 def check_density(mats: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, np.ndarray]:
@@ -100,21 +92,9 @@ def check_density(mats: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> tuple[np
     return mk.herm_eig_of(mats, w, v, tols)
 
 
-def decompose(rhos: list[DensityMatrix], tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, np.ndarray]:
-    """``rho.eig(tols)`` of each density matrix of a list, as two stacks;
-    those not yet decomposed under ``tols`` are in one stacked step."""
-    todo = list({id(r): r for r in rhos if tols not in r._eig}.values())
-    if todo:
-        _keep(todo, *mk.herm_eig(np.array([r.mat for r in todo]), tols), tols)
-    eigs = [r._eig[tols] for r in rhos]
-    return np.array([e[0] for e in eigs]), np.array([e[1] for e in eigs])
-
-
-def _keep(rhos: list[DensityMatrix], w: np.ndarray, v: np.ndarray, tols: Tolerances) -> None:
-    """Keep each row of ``(w, v)``, read-only, as its state's ``eig(tols)``."""
-    for r, wb, vb in zip(rhos, w, v):
-        wb.flags.writeable = vb.flags.writeable = False
-        r._eig[tols] = (wb, vb)
+def decompose(rhos: list[DensityMatrix]) -> tuple[np.ndarray, np.ndarray]:
+    """The kept ``(w, v)`` of each density matrix of a list, as two stacks."""
+    return np.array([r.w for r in rhos]), np.array([r.v for r in rhos])
 
 
 def entropy_of_spectrum(w: np.ndarray) -> float:

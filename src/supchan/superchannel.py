@@ -22,13 +22,13 @@ its density check took.  The trace-normalized superchannel M# acts on
 unit-trace operation-states A_d = C/d and is realized by the same tensor
 contraction with C = d * A_d (``act_normalized_block``).  The subsequent
 dynamics sigma -> tr_E[U (sigma (x) tau) U^dag] is
-``channels.channels_from_dilations``; its steady state and steady operation
-come from ``neso_block``.
+``channels.channels_from_dilations``; its steady state comes from
+``neso_block``.  Each action takes the caller's ``tols``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -47,7 +47,6 @@ class Superchannel:
     rho_se: DensityMatrix         # initial correlated state, labels ("S", "E")
     d_s: int
     d_e: int
-    _tols: Tolerances = field(default=DEFAULT_TOLS, repr=False)
 
     @cached_property
     def m_tensor(self) -> np.ndarray:
@@ -59,12 +58,12 @@ class Superchannel:
         return mk.einsum("axby,cyrz,pxqz->abcpqr", u4, r4, u4.conj())
 
 
-def marginals(scs: list[Superchannel], label: str) -> list[DensityMatrix]:
+def marginals(scs: list[Superchannel], label: str, tols: Tolerances = DEFAULT_TOLS) -> list[DensityMatrix]:
     """sigma = tr_E rho_SE (``label`` "S") or tau = tr_S rho_SE ("E") of each
     superchannel, all of one (d_S, d_E), checked in one stacked step."""
     shape = scs[0].rho_se.shape
     return st.densities(mk.partial_trace(np.array([sc.rho_se.mat for sc in scs]), shape, [label]),
-                        shape.subshape([label]), scs[0]._tols)
+                        shape.subshape([label]), tols)
 
 
 def build(u: np.ndarray, rho_se: DensityMatrix, tols: Tolerances = DEFAULT_TOLS) -> Superchannel:
@@ -85,22 +84,22 @@ def build_block(us: list[np.ndarray], rho_ses: list[DensityMatrix],
     if us.shape[-2:] != (d_s * d_e, d_s * d_e):
         raise ShapeError(f"unitary shape {us.shape[-2:]} != joint dim {d_s * d_e}")
     ch.check_unitary(us, tols, what="joint unitary")
-    return [Superchannel(u, rho_se, d_s, d_e, tols) for u, rho_se in zip(us, rho_ses)]
+    return [Superchannel(u, rho_se, d_s, d_e) for u, rho_se in zip(us, rho_ses)]
 
 
-def act_block(scs: list[Superchannel], ops: list[ch.QuantumOperation]) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+def act_block(scs: list[Superchannel], ops: list[ch.QuantumOperation],
+              tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """sigma' of each (superchannel, operation) pair, all of one (d_S, d_E),
     as a (B, d_S, d_S) stack, with the ``(w, V)`` that its check as density
-    matrices under the superchannels' tolerances took.  The block's Kraus
-    operators form one ragged stack, every (K (x) I_E) rho_SE (K (x) I_E)^dag
-    comes from one stacked product, and each pair's terms are added into
-    zeros in Kraus order."""
+    matrices took.  The block's Kraus operators form one ragged stack, every
+    (K (x) I_E) rho_SE (K (x) I_E)^dag comes from one stacked product, and
+    each pair's terms are added into zeros in Kraus order."""
     sc = scs[0]
     for op in ops:
         if op.d_in != sc.d_s or op.d_out != sc.d_s:
             raise ShapeError(f"operation dims ({op.d_out}, {op.d_in}) != system dim {sc.d_s}")
     ch.require_trace_preserving(ops, "act() requires a CPTP operation")
-    kraus = [op.kraus_ops() for op in ops]
+    kraus = [op.kraus for op in ops]
     counts = [len(k) for k in kraus]
     kk = mk.kron_stack(np.concatenate(kraus), np.eye(sc.d_e, dtype=complex))
     rho = np.array([s.rho_se.mat for s in scs])
@@ -109,7 +108,7 @@ def act_block(scs: list[Superchannel], ops: list[ch.QuantumOperation]) -> tuple[
     evolved = u @ joint @ mk.dagger(u)
     out = mk.partial_trace(evolved, sc.rho_se.shape, ["S"])
     out = mk.as_matrix((out + mk.dagger(out)) / 2.0, stack=True)
-    return out, check_density(out, sc._tols)
+    return out, check_density(out, tols)
 
 
 def act_tensor(sc: Superchannel, choi: np.ndarray) -> np.ndarray:
@@ -119,7 +118,7 @@ def act_tensor(sc: Superchannel, choi: np.ndarray) -> np.ndarray:
     return np.einsum("abcpqr,bcqr->ap", sc.m_tensor, c4)
 
 
-def act_normalized_block(scs: list[Superchannel], op_states) -> np.ndarray:
+def act_normalized_block(scs: list[Superchannel], op_states, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """M#[X] of each (superchannel, operation-state) pair, all of one d_S, as
     a (B, d_S, d_S) stack checked as density matrices; the index-formula
     contraction runs once per pair.
@@ -135,42 +134,18 @@ def act_normalized_block(scs: list[Superchannel], op_states) -> np.ndarray:
             raise ShapeError(f"operation-state shape {x.shape} != {(d * d, d * d)}")
     out = np.array([act_tensor(sc, d * x) for sc, x in zip(scs, xs)])
     out = mk.as_matrix((out + mk.dagger(out)) / 2.0, stack=True)
-    check_density(out, scs[0]._tols)
+    check_density(out, tols)
     return out
 
 
-@dataclass(frozen=True)
-class Neso:
-    """The steady operation: discard the system, prepare the steady state.
-
-    ``op`` has Choi ness (x) I, so the unit-trace operation-state is
-    ness (x) I/d and ``act_normalized_block`` maps it back to ``ness``.
-    """
-
-    ness: DensityMatrix
-    env_marginal: DensityMatrix
-    diagnostics: ch.NessResult
-    _tols: Tolerances = field(default=DEFAULT_TOLS, repr=False)
-
-    @cached_property
-    def op(self) -> ch.QuantumOperation:
-        """Built on first use: only the slack identity reads it."""
-        return ch.replace_channels([self.ness], self._tols)[0]
-
-    @property
-    def op_state(self) -> np.ndarray:
-        return self.op.choi / self.op.d_in
-
-
-def neso_block(scs: list[Superchannel]) -> list[Neso]:
-    """Steady operation of the subsequent dynamics of each superchannel of a
+def neso_block(scs: list[Superchannel], tols: Tolerances = DEFAULT_TOLS) -> list[ch.NessResult]:
+    """Steady state of the subsequent dynamics of each superchannel of a
     block, all of one (d_S, d_E), with the bits of each on its own: each
-    steady state solves e = tr_E[U (e (x) tau) U^dag] with tau = tr_S rho_SE.
-    The marginals, the channels, the fixed points and the steady states'
-    spectra are each one stacked step; fixed-point failures propagate.
+    solves e = tr_E[U (e (x) tau) U^dag] with tau = tr_S rho_SE.  The
+    marginals, the channels and the fixed points are each one stacked step;
+    fixed-point failures propagate.  The steady operation prepares e
+    (``channels.replace_channels``): ``act_normalized_block`` maps its
+    operation-state e (x) I/d back to e.
     """
-    tols = scs[0]._tols
-    taus = marginals(scs, "E")
-    fps = ch.fixed_points(ch.channels_from_dilations([sc.u for sc in scs], taus, tols), tols)
-    st.decompose([fp.state for fp in fps], tols)
-    return [Neso(fp.state, tau, fp, tols) for fp, tau in zip(fps, taus)]
+    taus = marginals(scs, "E", tols)
+    return ch.fixed_points(ch.channels_from_dilations([sc.u for sc in scs], taus, tols), tols)

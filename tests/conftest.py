@@ -64,7 +64,8 @@ def check_density(mat, tols):
 
 
 def kraus(choi, d_out, d_in, tols):
-    """``kraus_of``: the sqrt(lam) * v factors of the Choi matrix, one at a time."""
+    """The Kraus operators of ``from_choi``: the sqrt(lam) * v factors of the
+    Choi matrix, one at a time."""
     w, v = herm_eig(choi, tols)
     return np.array([(np.sqrt(lam) * f).reshape(d_out, d_in) for lam, f in zip(w, v.T) if lam > 0.0])
 
@@ -153,7 +154,7 @@ def holevo(sc, ens, haar, tols):
     """(chi, sampled information, spectrum of the average) of ``holevo_block``,
     with one ``act`` per codeword and one Born einsum and one table per
     measurement."""
-    outs = [act_kraus(sc, op.kraus_ops(), tols) for op in ens.ops]
+    outs = [act_kraus(sc, op.kraus, tols) for op in ens.ops]
     probs = np.asarray(ens.probs, dtype=float)
     avg = sum(p * o for p, o in zip(probs, outs))
     check_density(avg, tols)
@@ -232,8 +233,8 @@ def transfer_matrix(ks):
 
 def apply_op(op, mat):
     """sum_k K X K^dag in Kraus order, or the Choi contraction for an
-    operation held by its Choi matrix alone."""
-    if op.kraus is None:
+    operation given by its Choi matrix."""
+    if op.by_choi:
         return np.einsum("aibj,ij->ab", op.choi.reshape(op.d_out, op.d_in, op.d_out, op.d_in), mat)
     out = np.zeros((op.d_out, op.d_out), dtype=complex)
     for k in op.kraus:
@@ -246,7 +247,7 @@ def steady_state(op, tols):
     operation: the eigen route, then the Cesaro average, each candidate
     repaired and checked as a density matrix."""
     d = op.d_in
-    ks = op.kraus if op.kraus is not None else kraus(op.choi, d, d, tols)
+    ks = kraus(op.choi, d, d, tols) if op.by_choi else op.kraus
     evals, evecs = np.linalg.eig(transfer_matrix(ks))
     fixed_space_dim = int(np.sum(np.abs(evals - 1.0) < 1e-8))
 
@@ -407,12 +408,14 @@ def family_trial(scenario, family, trial, tols):
         anchor = wishart(d, d, rng, tols)
         rho_se = np.kron(anchor, gibbs.mat)
         check_density(rho_se, tols)
-        sc = sup.Superchannel(ch.partial_swap_unitary(d, math.pi / 4), st.DensityMatrix(rho_se, DimShape([d, d], ["S", "E"])), d, d)
+        rho = st.DensityMatrix(rho_se, DimShape([d, d], ["S", "E"]), *herm_eig(rho_se, tols))
+        sc = sup.Superchannel(ch.partial_swap_unitary(d, math.pi / 4), rho, d, d)
         sigma = wishart(d, int(rng.integers(1, d + 1)), rng, tols)
         return clausius_bound(sc, sigma, gibbs.mat, tols)[:3]
     d_e, d_a = scenario.dims.get("d_E", 2), scenario.dims.get("d_A", d)
     rho_se = wishart(d * d_e, int(rng.integers(1, min(4, d * d_e) + 1)), rng, tols)
-    sc = sup.Superchannel(st.haar_unitary(d * d_e, rng), st.DensityMatrix(rho_se, DimShape([d, d_e], ["S", "E"])), d, d_e)
+    rho = st.DensityMatrix(rho_se, DimShape([d, d_e], ["S", "E"]), *herm_eig(rho_se, tols))
+    sc = sup.Superchannel(st.haar_unitary(d * d_e, rng), rho, d, d_e)
     v = st.haar_unitary(d * d_a, rng)
     vec = st.random_pure(d_a, rng)
     _, _, residual = mmap_image(sc, v, np.outer(vec, vec.conj()), tols)
@@ -494,6 +497,12 @@ def neso(sc):
     return sup.neso_block([sc])[0]
 
 
+def neso_op(ns):
+    """The steady operation of a steady state: discard the system and
+    prepare the state, so its Choi matrix is ness (x) I."""
+    return ch.replace_channels([ns.state])[0]
+
+
 def sys_marginal(sc):
     return sup.marginals([sc], "S")[0]
 
@@ -506,8 +515,8 @@ def channel_from_dilation(u, tau, tols=DEFAULT_TOLS):
     return ch.channels_from_dilations([u], [tau], tols)[0]
 
 
-def replace_channel(target, tols=DEFAULT_TOLS):
-    return ch.replace_channels([target], tols)[0]
+def replace_channel(target):
+    return ch.replace_channels([target])[0]
 
 
 def marginal(rho, keep, tols=DEFAULT_TOLS):
@@ -535,19 +544,20 @@ def apply(op, rho, tols=DEFAULT_TOLS):
 
 def act(sc, op):
     """sigma' for a CPTP operation on the system: ``act_block`` of one pair."""
-    return st.DensityMatrix(sup.act_block([sc], [op])[0][0], DimShape([sc.d_s], ["S"]))
+    sigma, (w, v) = sup.act_block([sc], [op])
+    return st.DensityMatrix(sigma[0], DimShape([sc.d_s], ["S"]), w[0], v[0])
 
 
-def von_neumann_entropy(rho, tols=DEFAULT_TOLS):
+def von_neumann_entropy(rho):
     """S(rho) = -tr[rho log rho] in nats."""
-    return st.entropy_of_spectrum(rho.eig(tols)[0])
+    return st.entropy_of_spectrum(rho.w)
 
 
 def relative_entropy(rho1, rho2, tols=DEFAULT_TOLS):
     """D[rho1 || rho2] of two density matrices (see ``relative_entropy_to``)."""
     if rho1.dim != rho2.dim:
         raise ShapeError(f"dimension mismatch {rho1.dim} != {rho2.dim}")
-    return relative_entropy_to(rho1.mat, von_neumann_entropy(rho1, tols), rho2.mat, tols)
+    return relative_entropy_to(rho1.mat, von_neumann_entropy(rho1), rho2.mat, tols)
 
 
 def slack_identity(sc, op, ns, tols=DEFAULT_TOLS):
@@ -555,9 +565,9 @@ def slack_identity(sc, op, ns, tols=DEFAULT_TOLS):
     one-pair relative entropy of its own two states: the main-bound slack
     equals their difference on finite branches."""
     shape = DimShape([sc.d_s, sc.d_s], ["out", "in"])
-    d_in = relative_entropy(st.density(op.choi_state, shape, tols=tols), st.density(ns.op_state, shape, tols=tols),
-                            tols)
-    return d_in, relative_entropy(act(sc, op), ns.ness, tols)
+    d_in = relative_entropy(st.density(op.choi_state, shape, tols=tols),
+                            st.density(neso_op(ns).choi_state, shape, tols=tols), tols)
+    return d_in, relative_entropy(act(sc, op), ns.state, tols)
 
 
 def spohn(op, rho, tols=DEFAULT_TOLS, collect=None):
@@ -643,7 +653,7 @@ def classical_channel(t):
 
 def compose(after, before):
     """Composition after . before via Kraus products."""
-    return ch.from_kraus([a @ b for a in after.kraus_ops() for b in before.kraus_ops()])
+    return ch.from_kraus([a @ b for a in after.kraus for b in before.kraus])
 
 
 def permute_subsystems(m, shape, new_order):
@@ -732,7 +742,7 @@ def stinespring(op, pivot_order=None):
     if op.d_in != op.d_out:
         raise ShapeError("stinespring dilation requires a square operation")
     d = op.d_in
-    kraus = op.kraus_ops()
+    kraus = op.kraus
     v = np.vstack(kraus)  # row blocks: ancilla index slow
     dev = mk.max_abs(v.conj().T @ v - np.eye(d))
     if dev > DEFAULT_TOLS.herm_tol:
@@ -752,5 +762,5 @@ def isometry_choi_state(iso):
     """Normalized Choi state of sigma -> V (sigma (x) alpha) V^dag."""
     d_s, d_a = iso.d_s, iso.d_a
     # Kraus K_j = V (I_S (x) sqrt(lam_j) |a_j>), mapping S -> S (x) A
-    ks = [iso.v @ np.kron(np.eye(d_s, dtype=complex), f[:, None]) for f in mk.psd_factors(*iso.alpha.eig())]
+    ks = [iso.v @ np.kron(np.eye(d_s, dtype=complex), f[:, None]) for f in mk.psd_factors(iso.alpha.w, iso.alpha.v)]
     return st.density(ch.from_kraus(ks).choi_state, DimShape([d_s * d_a, d_s], ["out", "in"]))

@@ -19,7 +19,7 @@ from supchan.config import DEFAULT_TOLS
 from supchan.matkernel import DimShape
 
 from conftest import (act, apply, channel_from_dilation, choi_of_msharp, clausius, env_marginal, identity_channel,
-                      IsometricOperation, mmap, msharp_tp_residual, neso, operation_entropy, random_cptp,
+                      IsometricOperation, mmap, msharp_tp_residual, neso, neso_op, operation_entropy, random_cptp,
                       random_density, relative_entropy, replace_channel, slack_identity, spohn, stinespring,
                       sys_marginal, trial_rng, unitary_channel, von_neumann_entropy)
 
@@ -98,7 +98,7 @@ def test_criterion_3_main_bound_sweep():
         rng = trial_rng(4242, seed)
         sc = rand_sc(2, 2, rng)
         ns = neso(sc)
-        r = bd.main_bounds([sc], [ns.op], [ns])[0]
+        r = bd.main_bounds([sc], [neso_op(ns)], [ns])[0]
         neso_ok &= abs(r.slack) < 1e-8
 
     identity_ok = True
@@ -188,7 +188,7 @@ def test_criterion_6_qdpi_sweep():
         a_p = random_cptp(2, int(rng.integers(1, 5)), rng)
         a_q = random_cptp(2, int(rng.integers(1, 5)), rng)
         joint = ch.from_kraus(
-            [np.kron(kp, kq) for kp in a_p.kraus_ops() for kq in a_q.kraus_ops()],
+            [np.kron(kp, kq) for kp in a_p.kraus for kq in a_q.kraus],
             bipartite=(2, 2),
         )
         r = bd.qdpi_block([sc1], [sc2], [joint])[0]

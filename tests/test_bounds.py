@@ -13,8 +13,8 @@ from supchan.config import DEFAULT_TOLS
 from supchan.matkernel import DimShape, ValidationError
 
 from conftest import (channel_from_dilation, classical_channel, clausius, depolarizing_channel, env_marginal,
-                      ext_add, identity_channel, neso, random_cptp, random_density, replace_channel, slack_identity,
-                      spohn, spohn_composition, unitary_channel, von_neumann_entropy)
+                      ext_add, identity_channel, neso, neso_op, random_cptp, random_density, replace_channel,
+                      slack_identity, spohn, spohn_composition, unitary_channel, von_neumann_entropy)
 
 
 def rand_sc(d_s, d_e, seed, product=False):
@@ -58,9 +58,9 @@ def test_finish_flags_and_pass_logic():
 def test_trace_against_log_support_detection():
     pure = st.density(np.diag([1.0, 0.0]))
     mixed = st.density(np.eye(2) / 2)
-    assert st.log_weights(mixed.mat[None, None], *(a[None] for a in pure.eig())) == [[float("-inf")]]
+    assert st.log_weights(mixed.mat[None, None], pure.w[None], pure.v[None]) == [[float("-inf")]]
     full = st.density(np.diag([0.75, 0.25]))
-    [[got]] = st.log_weights(mixed.mat[None, None], *(a[None] for a in full.eig()))
+    [[got]] = st.log_weights(mixed.mat[None, None], full.w[None], full.v[None])
     assert abs(got - 0.5 * (math.log(0.75) + math.log(0.25))) <= 1e-12
 
 
@@ -113,7 +113,7 @@ def test_main_bound_saturates_at_neso():
     for seed in range(10):
         sc, _ = rand_sc(2, 2, seed=3000 + seed)
         ns = neso(sc)
-        rep = bd.main_bounds([sc], [ns.op], [ns])[0]
+        rep = bd.main_bounds([sc], [neso_op(ns)], [ns])[0]
         assert rep.passed
         assert abs(rep.slack) <= 1e-8
         assert abs(rep.lhs + math.log(2)) <= 1e-8  # both sides equal -log d
@@ -280,7 +280,7 @@ def test_qdpi_product_operation_both_sides_vanish():
     a_p = random_cptp(2, 2, rng)
     a_q = random_cptp(2, 3, rng)
     joint = ch.from_kraus(
-        [np.kron(kp, kq) for kp in a_p.kraus_ops() for kq in a_q.kraus_ops()],
+        [np.kron(kp, kq) for kp in a_p.kraus for kq in a_q.kraus],
         bipartite=(2, 2),
     )
     rep = bd.qdpi_block([sc1], [sc2], [joint])[0]
@@ -436,8 +436,8 @@ def test_main_bounds_are_bitwise_the_per_trial_main_bound(d_s, d_e, oracles):
         nss = [neso(sc) for sc in scs]
         reports = bd.main_bounds(scs, ops, nss, tols)
         for sc, op, ns, rep in zip(scs, ops, nss, reports):
-            ks = oracles.kraus(op.choi, d_s, d_s, tols) if op.kraus is None else op.kraus
-            want = oracles.main_bound(sc, op.choi, ks, ns.ness, tols)
+            ks = oracles.kraus(op.choi, d_s, d_s, tols) if op.by_choi else op.kraus
+            want = oracles.main_bound(sc, op.choi, ks, ns.state, tols)
             got = (rep.lhs, rep.rhs, rep.slack)
             assert all(type(x) is float for x in got)
             assert np.array(got).tobytes() == np.array(want).tobytes()

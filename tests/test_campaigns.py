@@ -99,7 +99,7 @@ def test_scenario_echo_round_trip():
     mats = {"U": ch.partial_swap_unitary(2, 0.3), "rho_se": random_density(4, 2, rng).mat,
             "H": np.diag([0.0, 1.0]).astype(complex), "sigma": random_density(2, 2, rng).mat,
             "V": st.haar_unitary(4, rng), "alpha": random_density(2, 1, rng).mat}
-    kraus = [random_cptp(2, 2, rng).kraus_ops() for _ in range(2)]
+    kraus = [random_cptp(2, 2, rng).kraus for _ in range(2)]
     ensemble = {"probs": [0.25, 0.75], "ops_kraus": [[cp.matrix_to_json(k) for k in op] for op in kraus]}
     ops = {"op_kraus": [cp.matrix_to_json(k) for k in kraus[0]],
            "op_choi": cp.matrix_to_json(ch.from_kraus(kraus[1]).choi)}
@@ -434,10 +434,10 @@ def test_a_later_steady_operation_failure_does_not_hide_an_earlier_trial(monkeyp
     bad = cp.random_superchannels(3, 2, [rng], tols)[0].rho_se.mat.tobytes()
     real = sup.neso_block
 
-    def neso_block(scs):
+    def neso_block(scs, tols):
         if any(sc.rho_se.mat.tobytes() == bad for sc in scs):
             raise ch.FixedPointError("no steady state")
-        return real(scs)
+        return real(scs, tols)
     monkeypatch.setattr(sup, "neso_block", neso_block)
     with pytest.raises(ch.FixedPointError):
         cp.evaluate_block(scn, "main", range(2, 8), tols)
@@ -479,7 +479,7 @@ def test_prepare_builds_only_what_the_families_read():
 
 def test_a_trial_without_prepared_objects_prepares_only_its_own_family(monkeypatch):
     # main's steady operation cannot fail a spohn trial of the same scenario.
-    def failing_neso_block(scs):
+    def failing_neso_block(scs, tols):
         raise ch.FixedPointError("no steady state")
     monkeypatch.setattr(sup, "neso_block", failing_neso_block)
     rng = np.random.default_rng(6)

@@ -70,7 +70,7 @@ def test_choi_equals_kraus_on_maximally_entangled_state():
     op = rand_op(d, 4, seed=6)
     beta = np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
     acc = np.zeros((d * d, d * d), dtype=complex)
-    for k in op.kraus_ops():
+    for k in op.kraus:
         v = np.kron(k, np.eye(d)) @ beta
         acc += np.outer(v, v.conj())
     assert mk.max_abs(op.choi - d * acc) <= 1e-10
@@ -97,7 +97,7 @@ def test_kraus_choi_round_trip_action():
     rng = np.random.default_rng(11)
     d = 4
     op = random_cptp(d, 5, rng)
-    rebuilt = ch.from_kraus(list(ch.kraus_of(op)))
+    rebuilt = ch.from_kraus(list(ch.from_choi(op.choi, d, d).kraus))
     for i in range(d):
         for j in range(d):
             e = np.zeros((d, d), dtype=complex)
@@ -111,17 +111,21 @@ def test_from_choi_rejects_non_cp():
         ch.from_choi(bad, 2, 2)
 
 
-def test_kraus_ops_uses_the_operation_tolerances():
+def test_from_choi_keeps_the_kraus_operators_of_its_cp_check(monkeypatch, oracles):
     # Off-Hermitian by 5e-10: above the default herm_tol, within the override.
     choi = identity_channel(2).choi.copy()
     choi[0, 3] += 5e-10j
     tols = Tolerances(herm_tol=1e-9)
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        ch.from_choi(choi, 2, 2)
+    calls = []
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or real(m))
     op = ch.from_choi(choi, 2, 2, tols=tols)
-    with pytest.raises(ValidationError):
-        ch.kraus_of(op)
-    kraus = op.kraus_ops()
-    assert len(kraus) == 1
-    assert mk.max_abs(ch.from_kraus(kraus).choi - choi) <= 1e-9
+    assert calls == [(4, 4)] and op.by_choi
+    assert op.kraus.tobytes() == oracles.kraus(choi, 2, 2, tols).tobytes()
+    assert len(op.kraus) == 1
+    assert mk.max_abs(ch.from_kraus(op.kraus).choi - choi) <= 1e-9
 
 
 def test_channel_from_dilation_identity_and_swap():
@@ -221,7 +225,7 @@ def test_marginal_operation_product():
     rng = np.random.default_rng(31)
     a_p = random_cptp(2, 2, rng)
     a_q = random_cptp(2, 3, rng)
-    joint_kraus = [np.kron(kp, kq) for kp in a_p.kraus_ops() for kq in a_q.kraus_ops()]
+    joint_kraus = [np.kron(kp, kq) for kp in a_p.kraus for kq in a_q.kraus]
     joint = ch.from_kraus(joint_kraus, bipartite=(2, 2))
     got_p = ch.marginal_chois(joint.choi, joint.bipartite, "P")
     assert mk.max_abs(got_p - a_p.choi) <= 1e-10
@@ -300,25 +304,21 @@ def test_transfer_matrix_and_random_cptp_lift_are_bitwise_the_kron_oracles(d, d_
         op = random_cptp(d, rank, np.random.default_rng([d, d_out, i]), d_out=d_out)
         oracle = random_cptp_choi_two_kron(d, rank, np.random.default_rng([d, d_out, i]), d_out)
         assert op.choi.tobytes() == oracle.tobytes()
-        assert ch.transfer_matrices([op])[0].tobytes() == oracles.transfer_matrix(op.kraus_ops()).tobytes()
+        assert ch.transfer_matrices([op])[0].tobytes() == oracles.transfer_matrix(op.kraus).tobytes()
 
 
-def test_is_trace_preserving_is_computed_once_per_operation(monkeypatch):
-    op = rand_op(3, 4, seed=8)
-    others = [rand_op(3, 2, seed=9), rand_op(3, 3, seed=10)]
+def test_require_trace_preserving_checks_each_call_in_one_step(monkeypatch):
+    ops = [rand_op(3, 4, seed=8), rand_op(3, 2, seed=9), rand_op(3, 3, seed=10)]
+    half = ch.from_choi(ops[1].choi / 2, 3, 3)
     calls = []
     real = ch.tr_out_choi
-    monkeypatch.setattr(ch, "tr_out_choi", lambda *a: calls.append(1) or real(*a))
-    assert is_trace_preserving(op) and is_trace_preserving(op)
-    assert len(calls) == 1
-    apply(op, random_density(3, 2, np.random.default_rng(8)))
-    fixed_point(op)
-    assert len(calls) == 1
-    # The operations of a block not yet checked are checked in one step.
-    ch.fixed_points([op, others[0], op, others[1], others[0]])
-    assert len(calls) == 2
-    ch.require_trace_preserving(others + [op], "not trace preserving")
-    assert len(calls) == 2
+    monkeypatch.setattr(ch, "tr_out_choi", lambda choi, *a: calls.append(len(choi)) or real(choi, *a))
+    ch.require_trace_preserving(ops + [ops[0]], "not trace preserving")
+    ch.fixed_points(ops)
+    assert calls == [4, 3]
+    with pytest.raises(ValidationError, match="^not trace preserving$"):
+        ch.require_trace_preserving([ops[0], half, ops[2]], "not trace preserving")
+    assert calls == [4, 3, 3]
 
 
 @pytest.mark.parametrize("d,d_out", [(2, 2), (3, 3), (4, 4), (2, 3), (3, 2)])
@@ -335,7 +335,7 @@ def test_random_cptps_are_bitwise_the_per_trial_construction(d, d_out, oracles):
             choi, kraus = oracles.random_cptp_parts(d, rank, np.random.default_rng([d, d_out, i]), d_out, tols)
             assert op.choi.tobytes() == choi.tobytes()
             assert op.kraus.tobytes() == kraus.tobytes()
-            assert ch.kraus_of(op).tobytes() == kraus.tobytes()
+            assert ch.from_choi(op.choi, d_out, d).kraus.tobytes() == kraus.tobytes()
 
 
 def test_random_cptp_refuses_a_rank_below_the_least_kraus_rank():
@@ -375,7 +375,7 @@ def test_dilated_and_replace_channels_are_bitwise_the_per_pair_construction(d_s,
         for u, tau, op in zip(us, taus, ch.channels_from_dilations(us, taus, tols)):
             ks = oracles.dilation_kraus(u, tau.mat, tols)
             assert op.kraus.tobytes() == ks.tobytes() and op.choi.tobytes() == oracles.choi(ks).tobytes()
-        for sigma, op in zip(sigmas, ch.replace_channels(sigmas, tols)):
+        for sigma, op in zip(sigmas, ch.replace_channels(sigmas)):
             ks = oracles.replace_kraus(sigma.mat, tols)
             assert op.kraus.tobytes() == ks.tobytes() and op.choi.tobytes() == oracles.choi(ks).tobytes()
 

@@ -1,6 +1,7 @@
 import ast
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -228,7 +229,7 @@ def test_verify_rejects_an_explicit_matrix_of_the_wrong_size(tmp_path, capsys, b
 def test_explain_prints_the_families_before_one_that_fails(tmp_path, capsys, monkeypatch):
     from supchan import superchannel as sup
 
-    def failing_neso_block(scs):
+    def failing_neso_block(scs, tols):
         raise ch.FixedPointError("no steady state")
     monkeypatch.setattr(sup, "neso_block", failing_neso_block)
     rng = np.random.default_rng(6)
@@ -336,6 +337,39 @@ def test_a_non_finite_slack_tol_override_is_refused(tmp_path, capsys, monkeypatc
         assert f"error: SUPCHAN_SLACK_TOL: expected a finite number, got {value!r}" in capsys.readouterr().err
     monkeypatch.setenv("SUPCHAN_SLACK_TOL", "1e-6")
     assert cli.main([command[0], "--scenario", scn, *command[1:], "--slack-tol", "0.5"]) == cli.EXIT_OK
+
+
+GOLDEN_ALL_D2 = str(pathlib.Path(__file__).parent / "golden" / "random-all-d2.json")
+
+
+def test_a_non_positive_slack_tol_flag_is_refused(capsys, monkeypatch):
+    # -0.5 used to pass every slack above it and fail main trial 1 with exit 1.
+    monkeypatch.delenv("SUPCHAN_SLACK_TOL", raising=False)
+    for value in ("-0.5", "0"):
+        assert cli.main(["verify", "--scenario", GOLDEN_ALL_D2, "--jobs", "1", f"--slack-tol={value}"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "FAILURE" not in captured.err
+        assert f"error: --slack-tol: expected a positive number, got {float(value)!r}" in captured.err
+
+
+def test_a_non_positive_slack_tol_environment_override_is_refused(capsys, monkeypatch):
+    # 0 used to fail spohn trial 2, whose slack is -1.3e-15, with exit 1.
+    for value in ("0", "-1e-8"):
+        monkeypatch.setenv("SUPCHAN_SLACK_TOL", value)
+        assert cli.main(["verify", "--scenario", GOLDEN_ALL_D2, "--jobs", "1"]) == cli.EXIT_VALIDATION_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == "" and "FAILURE" not in captured.err
+        assert f"error: SUPCHAN_SLACK_TOL: expected a positive number, got {value!r}" in captured.err
+
+
+def test_an_unwritable_report_path_is_exit_2_not_a_bound_failure(tmp_path, capsys):
+    scn = write_scenario(tmp_path, trials=1, bound="spohn")
+    out = tmp_path / "no" / "such" / "dir" / "r.json"
+    assert cli.main(["verify", "--scenario", scn, "--jobs", "1", "--out", str(out)]) == cli.EXIT_PARSE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write report: ") and str(out) in captured.err
+    assert not out.exists()
 
 
 def test_a_seed_of_2_64_or_more_is_refused_at_load(tmp_path, capsys):

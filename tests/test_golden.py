@@ -10,6 +10,7 @@ explain`` (into ``golden/explain/digests.json``), and records the largest
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -59,6 +60,27 @@ def test_every_golden_scenario_has_an_explain_digest():
 def test_golden_explain_bytes(name, monkeypatch):
     monkeypatch.delenv("SUPCHAN_SLACK_TOL", raising=False)
     assert explain_sha256(name) == EXPLAIN_DIGESTS[name]
+
+
+EXPLICIT = sorted(n for n in DIGESTS if json.loads((GOLDEN / f"{n}.json").read_text()).get("explicit"))
+
+
+def trial_numbers(scenario, tols) -> list[str]:
+    """The lhs, rhs, slack and metadata of every record of a campaign, in
+    their exact JSON form."""
+    report = cp.run_campaign(scenario, tols, jobs=1)
+    return [json.dumps(cp.jsonable([rec[k] for k in ("lhs", "rhs", "slack", "metadata")]))
+            for section in report["sections"].values() for rec in section["reports"]]
+
+
+@pytest.mark.parametrize("name", EXPLICIT)
+def test_load_time_objects_do_not_depend_on_the_run_slack_tolerance(name):
+    # The explicit entries are read under the scenario's tolerances, before a
+    # --slack-tol or SUPCHAN_SLACK_TOL override applies: the one case in which
+    # the tolerances at load and at run differ.
+    scenario = cp.load_scenario((GOLDEN / f"{name}.json").read_text())
+    tols = scenario.tols(Tolerances())
+    assert trial_numbers(scenario, dataclasses.replace(tols, slack_tol=2e-8)) == trial_numbers(scenario, tols)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from supchan import superchannel as sup
 from supchan.config import DEFAULT_TOLS, Tolerances
 from supchan.matkernel import DimShape, ShapeError, ValidationError
 
-from conftest import marginal, random_density, relative_entropy, trace_log, trial_rng, von_neumann_entropy
+from conftest import marginal, random_density, relative_entropy, trial_rng, von_neumann_entropy
 
 
 def test_density_validation():
@@ -188,30 +188,34 @@ def count_decompositions(monkeypatch):
 def test_eig_is_bitwise_herm_eig():
     # The loose floor clamps the 1e-8 eigenvalue that the default floor keeps.
     loose = Tolerances(psd_floor=1e-6)
-    rhos = [st.density(np.diag([1 - 1e-8, 1e-8]))]
+    mats = [np.diag([1 - 1e-8, 1e-8])]
     for seed in range(20):
         rng = np.random.default_rng(seed)
         d = int(rng.integers(2, 7))
-        rhos.append(random_density(d, int(rng.integers(1, d + 1)), rng))
-    for rho in rhos:
+        mats.append(random_density(d, int(rng.integers(1, d + 1)), rng).mat)
+    for m in mats:
         for tols in (DEFAULT_TOLS, loose):
-            for got, want in zip(rho.eig(tols), mk.herm_eig(rho.mat, tols)):
+            rho = st.density(m, tols=tols)
+            for got, want in zip((rho.w, rho.v), mk.herm_eig(rho.mat, tols)):
                 assert got.tobytes() == want.tobytes()
 
 
-def test_eig_decomposes_once_per_tolerances(monkeypatch):
-    # The PSD check of density takes the decomposition that eig keeps
-    # under the same tolerances; other tolerances decompose once more.
+def test_a_state_is_decomposed_once_by_its_check(monkeypatch):
+    # The PSD check of densities takes the decomposition that each state
+    # keeps; decompose, the entropies and the operations built on the
+    # states read it.
+    rng = np.random.default_rng(3)
+    mats = st.wishart([st.ginibre(3, r, rng) for r in (1, 2, 3)])
     calls = count_decompositions(monkeypatch)
-    rho = random_density(3, 2, np.random.default_rng(3))
+    rhos = st.densities(mats, DimShape([3], ["S"]))
     assert calls == ["eigh"]
-    loose = Tolerances(psd_floor=1e-6)
-    assert rho.eig() is rho.eig(DEFAULT_TOLS)
-    trace_log(rho.mat, *rho.eig(), DEFAULT_TOLS)
-    von_neumann_entropy(rho, Tolerances())
+    w, v = st.decompose(rhos)
+    assert [von_neumann_entropy(r) for r in rhos] == [st.entropy_of_spectrum(wb) for wb in w]
+    st.log_weights(mats[:, None], w, v)
+    ch.replace_channels(rhos)
     assert calls == ["eigh"]
-    assert rho.eig(loose) is rho.eig(loose)
-    assert calls == ["eigh", "eigh"]
+    for r, wb, vb in zip(rhos, w, v):
+        assert r.w.tobytes() == wb.tobytes() and r.v.tobytes() == vb.tobytes()
 
 
 def block_checks(tols):
@@ -219,26 +223,26 @@ def block_checks(tols):
     2 x 2 diagonal matrix m that runs the path on a state with m's spectrum."""
     ident = ch.from_kraus([np.eye(2, dtype=complex)])
 
-    def superchannel(m, sc_tols=tols):
+    def superchannel(m):
         # With U and the operation the identity and d_E = 1, sigma' is m exactly.
-        return sup.build(np.eye(2, dtype=complex), st.DensityMatrix(m, DimShape([2, 1], ["S", "E"])), sc_tols)
+        rho_se = st.DensityMatrix(m, DimShape([2, 1], ["S", "E"]), *np.linalg.eigh(m))
+        return sup.build(np.eye(2, dtype=complex), rho_se, tols)
 
-    def holevo_average(m):
-        # The codeword passes the superchannel's looser floor, so the check
-        # that meets m is the one of the average, under tols.
-        sc = superchannel(m, Tolerances(psd_floor=1e-9, trace_tol=tols.trace_tol))
-        return bd.holevo_block([sc], [bd.Ensemble((1.0,), (ident,))], np.eye(2, dtype=complex)[None, None], tols)
+    def holevo(m):
+        # Both the codeword and the average state are m; the codeword's check meets it first.
+        return bd.holevo_block([superchannel(m)], [bd.Ensemble((1.0,), (ident,))], np.eye(2, dtype=complex)[None, None],
+                               tols)
 
-    return [lambda m: sup.act_block([superchannel(m)], [ident]),
+    return [lambda m: sup.act_block([superchannel(m)], [ident], tols),
             lambda m: st.mutual_informations(np.kron(m, np.diag([1.0, 0.0]))[None], DimShape([2, 2], ["P", "Q"]),
                                              ["P"], tols),
-            holevo_average]
+            holevo]
 
 
 def test_the_psd_check_at_the_psd_floor_reads_the_kept_decomposition(monkeypatch):
     # An eigenvalue of exactly -psd_floor passes, one just below fails with
-    # its value; a passing matrix keeps the eigh that its check took, which
-    # eig finishes without decomposing again, bitwise as herm_eig.
+    # its value; a passing matrix keeps the eigh that its check took,
+    # bitwise as herm_eig.
     tols = Tolerances(psd_floor=1e-10, trace_tol=1e-9)
     edge = np.diag([1.0 + 1e-10, -1e-10]).astype(complex)
     beyond = np.diag([1.0 + 1.5e-10, -1.5e-10]).astype(complex)
@@ -247,7 +251,7 @@ def test_the_psd_check_at_the_psd_floor_reads_the_kept_decomposition(monkeypatch
     with pytest.raises(ValidationError, match="negative eigenvalue -1.500e-10 below -psd_floor"):
         st.densities(np.array([edge, beyond]), DimShape([2], ["S"]), tols)
     # So do act_block's sigma', the input of mutual_informations and the
-    # average state of holevo_block.
+    # states of holevo_block.
     for check in block_checks(tols):
         check(edge)
         with pytest.raises(ValidationError, match="negative eigenvalue -1.500e-10 below -psd_floor"):
@@ -258,27 +262,25 @@ def test_the_psd_check_at_the_psd_floor_reads_the_kept_decomposition(monkeypatch
     calls = count_decompositions(monkeypatch)
     for r in [rho] + stacked:
         w, v = mk.herm_eig(r.mat, tols)
-        assert r.eig(tols)[0].tobytes() == w.tobytes() and r.eig(tols)[1].tobytes() == v.tobytes()
+        assert r.w.tobytes() == w.tobytes() and r.v.tobytes() == v.tobytes()
     assert calls == ["eigh"] * 3
-    assert rho.eig(tols)[0].tolist() == [1.0 + 1e-10, -1e-10]
+    assert rho.w.tolist() == [1.0 + 1e-10, -1e-10]
 
 
 def test_mat_and_cached_eigendecompositions_are_read_only():
     src = np.diag([0.25, 0.75]).astype(complex)
     rho = st.density(src)
-    w, v = rho.eig()
-    for arr in (rho.mat, w, v):
+    for arr in (rho.mat, rho.w, rho.v):
         with pytest.raises(ValueError, match="read-only"):
             arr[0, ...] = 0.0
     src[0, 0] = 0.5   # the caller's own array stays writable
 
 
-def test_replace_gives_an_empty_memo_and_checks_the_shape(monkeypatch):
-    calls = count_decompositions(monkeypatch)
+def test_replace_keeps_the_decomposition_and_checks_the_shape(monkeypatch):
     rho = random_density(4, 3, np.random.default_rng(4))
-    rho.eig()
+    calls = count_decompositions(monkeypatch)
     rho_se = dataclasses.replace(rho, shape=DimShape([2, 2], ["S", "E"]))
-    assert rho_se.eig()[0].tobytes() == rho.eig()[0].tobytes()
-    assert calls == ["eigh", "eigh"]
+    assert rho_se.w.tobytes() == rho.w.tobytes() and rho_se.v.tobytes() == rho.v.tobytes()
+    assert calls == []
     with pytest.raises(ShapeError, match="shape dim 6"):
         dataclasses.replace(rho, shape=DimShape([2, 3], ["S", "E"]))

@@ -47,6 +47,31 @@ def test_every_tols_parameter_is_read():
     assert unread_tols_parameters() == []
 
 
+def dataclass_fields_holding_tolerances_or_memos() -> list[str]:
+    """``module:Class.field`` for each dataclass field annotated ``Tolerances``
+    or declared with ``init=False``."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not (isinstance(node, ast.ClassDef) and any("dataclass" in ast.unparse(d) for d in node.decorator_list)):
+                continue
+            for stmt in node.body:
+                if not isinstance(stmt, ast.AnnAssign):
+                    continue
+                no_init = isinstance(stmt.value, ast.Call) and any(
+                    k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False
+                    for k in stmt.value.keywords)
+                if no_init or "Tolerances" in ast.unparse(stmt.annotation):
+                    found.append(f"{path.stem}:{node.name}.{ast.unparse(stmt.target)}")
+    return found
+
+
+def test_no_dataclass_holds_tolerances_or_a_memo():
+    # Tolerances come only from the caller's tols argument, and an object
+    # holds its data and what its own check computed.
+    assert dataclass_fields_holding_tolerances_or_memos() == []
+
+
 def test_the_hooks_of_the_benchmark_stay_in_place():
     # perfbench/tracer.py reads the family of evaluate_trial as its second
     # argument and the (U, rho_SE) of build as its first two, and counts
