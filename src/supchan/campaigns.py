@@ -215,9 +215,10 @@ def load_scenario(text: str) -> Scenario:
     scenario = Scenario(seed, dict(sorted(dims.items())), trials, bound,
                         dict(sorted(tolerances.items())), n_measurements=n_meas)
     dim = _dim_values(dims)
-    if "holevo" in scenario.families() and BLOCK * (n_meas + 1) * dim["d_S"] ** 2 > mk.MAX_ENTRIES:
+    block = min(BLOCK, trials)
+    if "holevo" in scenario.families() and block * (n_meas + 1) * dim["d_S"] ** 2 > mk.MAX_ENTRIES:
         raise ScenarioError(f"n_measurements: {n_meas} bases of dimension {dim['d_S']} per trial, in blocks of "
-                            f"{BLOCK} trials, exceed the dense-storage limit of {mk.MAX_ENTRIES} entries")
+                            f"{block} trials, exceed the dense-storage limit of {mk.MAX_ENTRIES} entries")
     for family in scenario.families():
         count = min(BLOCK, trials, _part_size(family, dim))
         for name in _STACKED[family]:

@@ -23,7 +23,7 @@ TP_TOL = 1e-9   # ||tr_out(choi) - I|| below TP_TOL means trace preserving
 
 
 class FixedPointError(RuntimeError):
-    """Fixed-point extraction failed to converge."""
+    """A channel has no candidate steady state within fp_tol."""
 
 
 @dataclass(frozen=True)
@@ -249,10 +249,11 @@ def fixed_points(ops: list[QuantumOperation], tols: Tolerances = DEFAULT_TOLS) -
     Primary route: eigenvector of the d^2 x d^2 superoperator at the
     eigenvalue nearest 1, all superoperators in one stacked ``eig``.  When
     the fixed space is degenerate or the eigenvector cannot be repaired
-    into a state, falls back to the Cesaro average (1/N) sum_n Phi^n(I/d)
-    with N doubling up to 2^16, which always converges onto a valid fixed
-    state for trace-preserving maps; the channels that fall back iterate in
-    lockstep.
+    into a state, the Cesaro route takes I/d if it is fixed, and otherwise
+    the limit of the Cesaro average (1/N) sum_n Phi^n(I/d): the part of I/d
+    in the eigenvalue-1 eigenspace, from one stacked ``solve`` against the
+    eigenvectors of the same ``eig``.  Raises ``FixedPointError`` for a
+    channel with no candidate within fp_tol.
     """
     for op in ops:
         if op.d_in != op.d_out:
@@ -261,33 +262,30 @@ def fixed_points(ops: list[QuantumOperation], tols: Tolerances = DEFAULT_TOLS) -
     d = ops[0].d_in
     evals, evecs = np.linalg.eig(transfer_matrices(ops))
     near = np.abs(evals - 1.0)
-    dims = np.sum(near < 1e-8, axis=-1)
+    fixed = near < 1e-8
+    dims = np.sum(fixed, axis=-1)
     eigen = np.flatnonzero(dims == 1)
     cands = evecs[eigen, :, np.argmin(near[eigen], axis=-1)].reshape(-1, d, d)
     out = [None] * len(ops)
-    for b, res in zip(eigen.tolist(), _steady_states([ops[b] for b in eigen], cands, "eigen", dims[eigen], tols)):
-        out[b] = res
 
-    # Cesaro fallback from the maximally mixed state.
-    rest = [b for b, res in enumerate(out) if res is None]
-    x = np.array([np.eye(d, dtype=complex) / d] * len(rest))
-    total = x.copy()
-    n = 1
-    while rest and n <= (1 << 16):
-        for b, res in zip(rest, _steady_states([ops[b] for b in rest], total / n, "cesaro", dims[rest], tols)):
+    def settle(idx, mats, method):
+        for b, res in zip(idx, _steady_states([ops[b] for b in idx], mats, method, dims[idx], tols)):
             out[b] = res
-        left = [i for i, b in enumerate(rest) if out[b] is None]
-        rest, x, total = [rest[i] for i in left], x[left], total[left]
-        # double the number of averaged iterates
-        for _ in range(n if rest else 0):
-            x = apply_matrices([ops[b] for b in rest], x)
-            total += x
-        n *= 2
+        return [b for b, res in enumerate(out) if res is None]
+
+    rest = settle(eigen.tolist(), cands, "eigen")
+    mixed = np.broadcast_to(np.eye(d, dtype=complex) / d, (len(ops), d, d))
     if rest:
-        raise FixedPointError(
-            f"Cesaro average did not reach residual {tols.fp_tol} within 2^16 iterations "
-            f"(fixed_space_dim={dims[rest[0]]})"
-        )
+        rest = settle(rest, mixed[rest], "cesaro")
+    if rest:
+        try:
+            coef = np.linalg.solve(evecs[rest], mixed[rest].reshape(-1, d * d, 1))
+        except np.linalg.LinAlgError:
+            pass    # singular eigenvectors give no limit: refused below
+        else:
+            rest = settle(rest, (evecs[rest] @ np.where(fixed[rest, :, None], coef, 0.0)).reshape(-1, d, d), "cesaro")
+    if rest:
+        raise FixedPointError(f"no steady state within residual {tols.fp_tol} (fixed_space_dim={dims[rest[0]]})")
     return out
 
 

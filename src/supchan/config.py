@@ -9,8 +9,8 @@ dimension <= 36.  Thresholds that no scenario has needed to tune stay
 fixed where they are used: ``channels.CP_TOL``/``TP_TOL``,
 ``bounds.THERMAL_MATCH_TOL``, ``campaigns.CONSISTENCY_TOL``, the 1e-12 clip
 bands, the 1e-8 QDPI route cross-checks, and the fixed-point literals in
-``channels`` (the 1e-8 eigenvalue-1 cluster width, the ``_steady_states``
-limits, the 2^16 Cesaro cap), which go with that routine.
+``channels`` (the 1e-8 eigenvalue-1 cluster width and the
+``_steady_states`` limits), which go with that routine.
 """
 
 from __future__ import annotations

@@ -244,8 +244,9 @@ def apply_op(op, mat):
 
 def steady_state(op, tols):
     """(state, residual, method, fixed_space_dim) of ``fixed_points`` for one
-    operation: the eigen route, then the Cesaro average, each candidate
-    repaired and checked as a density matrix."""
+    operation: the eigen route, then I/d and the limit of the Cesaro
+    average from it, each candidate repaired and checked as a density
+    matrix."""
     d = op.d_in
     ks = kraus(op.choi, d, d, tols) if op.by_choi else op.kraus
     evals, evecs = np.linalg.eig(transfer_matrix(ks))
@@ -271,18 +272,16 @@ def steady_state(op, tols):
         res = finish(evecs[:, int(np.argmin(np.abs(evals - 1.0)))].reshape(d, d), "eigen")
         if res is not None:
             return res
-    x = np.eye(d, dtype=complex) / d
-    total = x.copy()
-    n = 1
-    while n <= (1 << 16):
-        res = finish(total / n, "cesaro")
-        if res is not None:
-            return res
-        for _ in range(n):
-            x = apply_op(op, x)
-            total += x
-        n *= 2
-    raise ch.FixedPointError("Cesaro average did not converge")
+    mixed = np.eye(d, dtype=complex) / d
+    res = finish(mixed, "cesaro")
+    if res is not None:
+        return res
+    # The Cesaro limit: the part of I/d in the eigenvalue-1 eigenspace.
+    coef = np.linalg.solve(evecs, mixed.reshape(-1))
+    res = finish((evecs @ np.where(np.abs(evals - 1.0) < 1e-8, coef, 0.0)).reshape(d, d), "cesaro")
+    if res is not None:
+        return res
+    raise ch.FixedPointError("no steady state")
 
 
 def dilation_kraus(u, tau, tols):
@@ -636,6 +635,18 @@ def depolarizing_channel(d):
         for j in range(d):
             ks[i * d + j][i, j] = 1.0 / np.sqrt(d)
     return ch.from_kraus(ks)
+
+
+def partial_damping_kraus(d, gamma=0.5):
+    """Kraus operators of the map that damps |1> into |0> with probability
+    ``gamma`` and keeps every other basis state.  Its fixed space holds the
+    operators on span{|0>, |2>, ..., |d-1>}: dimension (d - 1)^2 for d >= 3,
+    so the eigen route does not apply, and I/d is not fixed."""
+    k0 = np.eye(d, dtype=complex)
+    k0[1, 1] = np.sqrt(1.0 - gamma)
+    k1 = np.zeros((d, d), dtype=complex)
+    k1[0, 1] = np.sqrt(gamma)
+    return [k0, k1]
 
 
 def classical_channel(t):

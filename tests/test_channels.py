@@ -10,8 +10,8 @@ from supchan.config import Tolerances
 from supchan.matkernel import DimShape, ShapeError, ValidationError
 
 from conftest import (apply, channel_from_dilation, compose, depolarizing_channel, fixed_point, identity_channel,
-                      is_trace_preserving, random_cptp, random_density, relative_entropy, replace_channel,
-                      unitary_channel)
+                      is_trace_preserving, partial_damping_kraus, random_cptp, random_density, relative_entropy,
+                      replace_channel, unitary_channel)
 
 
 def rand_op(d, rank, seed):
@@ -204,6 +204,36 @@ def test_fixed_point_unital_degenerate_falls_back_to_cesaro():
     assert mk.max_abs(fp.state.mat - np.eye(2) / 2) <= 1e-12
 
 
+@pytest.mark.parametrize("d,dim,diag", [(3, 4, [2 / 3, 0, 1 / 3]), (4, 9, [1 / 2, 0, 1 / 4, 1 / 4])])
+@pytest.mark.parametrize("by_choi", [False, True])
+def test_fixed_point_of_a_degenerate_channel_is_the_cesaro_limit(d, dim, diag, by_choi):
+    # I/d is not fixed, and the Cesaro average reaches the fixed space only
+    # at rate 1/N; its limit, the part of I/d in the eigenvalue-1
+    # eigenspace, is exactly fixed.
+    op = ch.from_kraus(partial_damping_kraus(d))
+    fp = fixed_point(ch.from_choi(op.choi, d, d) if by_choi else op)
+    assert (fp.method, fp.residual, fp.fixed_space_dim) == ("cesaro", 0.0, dim)
+    assert mk.max_abs(fp.state.mat - np.diag(diag)) <= 1e-12
+
+
+def test_fixed_points_check_one_residual_per_candidate(monkeypatch):
+    # The eigen candidate, I/d and the Cesaro limit: no iteration of the channel.
+    calls = []
+    real = ch.apply_matrices
+    monkeypatch.setattr(ch, "apply_matrices", lambda ops, mats: calls.append(len(ops)) or real(ops, mats))
+    ops = [ch.from_kraus(partial_damping_kraus(3)), rand_op(3, 4, seed=8)]
+    assert [fp.method for fp in ch.fixed_points(ops)] == ["cesaro", "eigen"]
+    assert calls == [1, 1, 1]
+
+
+def test_a_singular_eigenvector_matrix_is_a_fixed_point_error(monkeypatch):
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(ch.FixedPointError, match=r"^no steady state within residual 1e-09 \(fixed_space_dim=4\)$"):
+        fixed_point(ch.from_kraus(partial_damping_kraus(3)))
+
+
 def test_fixed_point_requires_square_tp():
     with pytest.raises(ValidationError):
         fixed_point(ch.from_kraus([np.array([[1, 0], [0, 0.5]], dtype=complex)]))
@@ -351,10 +381,17 @@ def test_random_cptp_refuses_a_rank_below_the_least_kraus_rank():
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_fixed_points_are_bitwise_the_per_operation_steady_state(d, oracles):
     # Blocks of 1-8 operations of ranks 1..d^2 (rank 1 is unitary and takes
-    # the Cesaro route) and explicit operations held by Kraus or by Choi.
+    # the Cesaro route at I/d) and explicit operations held by Kraus or by
+    # Choi; from d = 3, each block also holds a channel whose steady state
+    # is the Cesaro limit, held by Kraus or by Choi.
     tols = Tolerances()
     mixed = 0
-    for _, ops in oracles.block_instances(d, 2, 60, [d, 72]):
+    limits = []
+    if d > 2:
+        damping = ch.from_kraus(partial_damping_kraus(d))
+        limits = [damping, ch.from_choi(damping.choi, d, d)]
+    for i, (_, ops) in enumerate(oracles.block_instances(d, 2, 60, [d, 72])):
+        ops = ops[:i % 3] + limits[i % 2:i % 2 + 1] + ops[i % 3:]
         results = ch.fixed_points(ops, tols)
         for op, res in zip(ops, results):
             state, resid, method, dim = oracles.steady_state(op, tols)

@@ -12,7 +12,7 @@ from supchan import cli
 from supchan import config
 from supchan import states as st
 
-from conftest import classical_channel, random_density
+from conftest import classical_channel, partial_damping_kraus, random_density
 
 
 def write_scenario(tmp_path, name="scn.json", **kwargs):
@@ -120,6 +120,46 @@ def test_verify_bound_failure_exit_code(tmp_path, capsys):
     assert code == cli.EXIT_BOUND_FAILURE
     err = capsys.readouterr().err
     assert "FAILURE main trial=0 seed=42" in err
+
+
+def degenerate_spohn_scenario(tmp_path):
+    # The steady state of this channel is the limit of the Cesaro average
+    # from I/3, which the average itself approaches only at rate 1/N.
+    return write_scenario(tmp_path, trials=3, bound="spohn", dims={"d_S": 3}, explicit={
+        "op_kraus": [cp.matrix_to_json(k) for k in partial_damping_kraus(3)],
+        "sigma": [[0.5, 0, 0.2], [0, 0, 0], [0.2, 0, 0.5]],
+    })
+
+
+def test_verify_passes_spohn_on_a_channel_whose_steady_state_is_the_cesaro_limit(tmp_path, capsys):
+    scn = degenerate_spohn_scenario(tmp_path)
+    assert cli.main(["verify", "--scenario", scn, "--jobs", "1", "--out", str(tmp_path / "r.json")]) == cli.EXIT_OK
+    assert "total: 3/3 passed" in capsys.readouterr().err
+
+
+def test_a_singular_eigenvector_matrix_exits_3_without_a_traceback(tmp_path, capsys, monkeypatch):
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    scn = degenerate_spohn_scenario(tmp_path)
+    assert cli.main(["verify", "--scenario", scn, "--jobs", "1"]) == cli.EXIT_VALIDATION_ERROR
+    assert "no steady state within residual 1e-09 (fixed_space_dim=4)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("theta, code, message", [
+    (1e-3, cli.EXIT_OK, "total: 2/2 passed"),
+    (1e-4, cli.EXIT_VALIDATION_ERROR, "no steady state within residual 1e-09 (fixed_space_dim=2)"),
+    (1e-5, cli.EXIT_VALIDATION_ERROR, "fixed point is not the Gibbs state"),
+    (1e-6, cli.EXIT_VALIDATION_ERROR, "fixed point is not the Gibbs state"),
+    (1e-7, cli.EXIT_VALIDATION_ERROR, "fixed point is not the Gibbs state"),
+])
+def test_slow_mixing_clausius_sweep(tmp_path, capsys, theta, code, message):
+    # The partial swap mixes at rate ~theta^2.  At seed 1 and theta = 1e-4,
+    # the eigenvalue-1 cluster holds two eigenvalues and no candidate is
+    # fixed; from 1e-5 on, I/d passes as fixed and the Gibbs check refuses it.
+    scn = write_scenario(tmp_path, seed=1, trials=2, bound="clausius", dims={"d_S": 2}, explicit={"theta": theta})
+    assert cli.main(["verify", "--scenario", scn, "--jobs", "1", "--out", str(tmp_path / "r.json")]) == code
+    assert message in capsys.readouterr().err
 
 
 def test_explain_matches_run_report_bitwise(tmp_path, capsys):
@@ -386,12 +426,22 @@ def test_holevo_bases_beyond_the_storage_limit_are_refused_at_load(tmp_path, cap
     limit = cp.BLOCK * 3 * 3
     most = cp.mk.MAX_ENTRIES // limit - 1
     for n, bound in ((10 ** 12, "holevo"), (most + 1, "all")):
-        scn = write_scenario(tmp_path, trials=1, bound=bound, dims={"d_S": 3}, n_measurements=n)
+        scn = write_scenario(tmp_path, trials=cp.BLOCK, bound=bound, dims={"d_S": 3}, n_measurements=n)
         assert cli.main(["verify", "--scenario", scn, "--jobs", "1"]) == cli.EXIT_VALIDATION_ERROR
         assert "scenario error: n_measurements: " in capsys.readouterr().err
     for n, bound in ((most, "holevo"), (10 ** 12, "main")):
-        scn = cp.load_scenario(json.dumps({"bound": bound, "trials": 1, "dims": {"d_S": 3}, "n_measurements": n}))
+        scn = cp.load_scenario(json.dumps({"bound": bound, "trials": cp.BLOCK, "dims": {"d_S": 3}, "n_measurements": n}))
         assert scn.n_measurements == n
+
+
+def test_holevo_bases_are_sized_by_the_trials_of_one_block():
+    # A block holds min(BLOCK, trials) trials: one trial's 2^19 bases fit,
+    # eight trials' do not.
+    one = {"bound": "holevo", "trials": 1, "n_measurements": 524288}
+    assert cp.load_scenario(json.dumps(one)).n_measurements == 524288
+    with pytest.raises(cp.ScenarioError, match=r"^n_measurements: 524288 bases of dimension 2 per trial, "
+                                               r"in blocks of 8 trials, exceed"):
+        cp.load_scenario(json.dumps({**one, "trials": 8}))
 
 
 def test_dims_whose_stacked_matrices_exceed_the_storage_limit_are_refused_at_load(tmp_path, capsys, monkeypatch):
