@@ -1,8 +1,9 @@
 """Inequality verifiers: Spohn's bound, the generalized entropy-production
 bound, its Clausius reduction, the data-processing inequality for
-superchannels, and the Holevo bound.
+superchannels, the Holevo bound, and the isometric-dilation consistency.
 
-Every verifier emits a BoundReport with lhs, rhs and slack = lhs - rhs as
+Each family's ``<family>_block`` evaluates a block of trials and returns
+one BoundReport per trial, with lhs, rhs and slack = lhs - rhs as
 extended reals (float with +-inf; an undefined inf - inf becomes NaN and is
 flagged "indeterminate", never silently passed).  A report passes when
 slack >= -slack_tol under extended-real ordering.
@@ -16,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import channels as ch
+from . import dilation as dl
 from . import matkernel as mk
 from . import states as st
 from . import superchannel as sup
@@ -101,7 +103,7 @@ def spohn_block(ops: list[ch.QuantumOperation], rhos: list[DensityMatrix], tols:
 # Generalized bound:  S(sigma') - S(A_d) >= -tr[sigma' log e] + tr[A_d log E_d]
 # ---------------------------------------------------------------------------
 
-def main_bounds(scs: list[sup.Superchannel], ops: list[ch.QuantumOperation], nss: list[ch.NessResult],
+def main_block(scs: list[sup.Superchannel], ops: list[ch.QuantumOperation], nss: list[ch.NessResult],
                 tols: Tolerances = DEFAULT_TOLS, collects: list | None = None) -> list[BoundReport]:
     """The generalized entropy-production bound for correlated initial
     states, for each (superchannel, operation, steady state) of a block,
@@ -150,10 +152,19 @@ THERMAL_MATCH_TOL = 1e-6
 
 
 def thermal_state(h: np.ndarray, beta: float, tols: Tolerances = DEFAULT_TOLS) -> tuple[DensityMatrix, float]:
-    """(exp(-beta H)/Z, Z) for a Hermitian Hamiltonian."""
+    """(exp(-beta H)/Z, Z) for a Hamiltonian checked Hermitian at load, from
+    one checked ``eigh`` of (H + H^dag)/2; an exp(-beta H) out of float range is refused."""
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    gibbs = mk.herm_fn(h, lambda w: np.exp(-beta * w), tols=tols)
+    h = (h + mk.dagger(h)) / 2.0
+    w, v = mk.herm_eig_of(h, *np.linalg.eigh(h), tols)
+    with np.errstate(over="ignore"):
+        fw = np.exp(-beta * w)
+    if not (np.isfinite(fw).all() and fw.max() > 0.0):
+        raise ValidationError(f"exp(-beta H) is out of float range: -beta times the least eigenvalue of H is "
+                              f"{-beta * w[-1]:.6e}")
+    gibbs = (v * fw) @ v.conj().T
+    gibbs = (gibbs + gibbs.conj().T) / 2.0
     z = float(np.trace(gibbs).real)
     return density(gibbs / z, DimShape([h.shape[0]], ["S"]), tols=tols), z
 
@@ -205,22 +216,6 @@ def regroup_joint_choi(chois: np.ndarray, d_p: int, d_q: int) -> np.ndarray:
     return x.reshape(len(chois), d_p * d_p * d_q * d_q, -1)
 
 
-def joint_act_normalized(sc1s: list[sup.Superchannel], sc2s: list[sup.Superchannel],
-                         op_states: np.ndarray) -> np.ndarray:
-    """(M1# (x) M2#)[X] of each (sc1, sc2, X) of a block, with X ordered
-    (P_out, P_in, Q_out, Q_in), as a Hermitian stack.
-
-    The contraction runs once per trial: a batch index would change its
-    path, and with it the bits."""
-    d1, d2 = sc1s[0].d_s, sc2s[0].d_s
-    out = np.array([
-        mk.einsum("abcpqr,ABCPQR,bcBCqrQR->aApP", sc1.m_tensor, sc2.m_tensor,
-                  (d1 * d2) * np.asarray(x, dtype=complex).reshape(d1, d1, d2, d2, d1, d1, d2, d2),
-                  ).reshape(d1 * d2, d1 * d2)
-        for sc1, sc2, x in zip(sc1s, sc2s, op_states)])
-    return mk.as_matrix((out + mk.dagger(out)) / 2.0, stack=True)
-
-
 def qdpi_block(sc1s: list[sup.Superchannel], sc2s: list[sup.Superchannel], ops: list[ch.QuantumOperation],
                tols: Tolerances = DEFAULT_TOLS, collects: list | None = None) -> list[BoundReport]:
     """Mutual information cannot grow: I[P:Q] of the output state is bounded
@@ -238,9 +233,9 @@ def qdpi_block(sc1s: list[sup.Superchannel], sc2s: list[sup.Superchannel], ops: 
     can only be tighter than the mutual-information slack.
 
     The checks, the spectra, the marginal operations, the references and
-    the overlaps are each one stacked step; the two superchannel
-    contractions run per trial, and the route cross-checks and the bound
-    arithmetic stay per trial.
+    the overlaps are each one stacked step; each superchannel's six-index
+    tensor is computed once and read by both contractions, which run per
+    trial, as do the route cross-checks and the bound arithmetic.
     """
     for sc1, sc2, op_pq in zip(sc1s, sc2s, ops):
         if op_pq.bipartite is None:
@@ -254,7 +249,9 @@ def qdpi_block(sc1s: list[sup.Superchannel], sc2s: list[sup.Superchannel], ops: 
     x = regroup_joint_choi(np.array([op.choi_state for op in ops]), d_p, d_q)
     shape_in = DimShape([d_p, d_p, d_q, d_q], ["Po", "Pi", "Qo", "Qi"])
     mi_in, s_in = st.mutual_informations(x, shape_in, ["Po", "Pi"], tols)
-    rho_out = joint_act_normalized(sc1s, sc2s, x)
+    ms = sup.m_tensors(sc1s + sc2s)
+    m1s, m2s = ms[:len(sc1s)], ms[len(sc1s):]
+    rho_out = sup.joint_act_normalized(m1s, m2s, x)
     shape_out = DimShape([d_p, d_q], ["P", "Q"])
     mi_out, s_out = st.mutual_informations(rho_out, shape_out, ["P"], tols)
 
@@ -262,7 +259,7 @@ def qdpi_block(sc1s: list[sup.Superchannel], sc2s: list[sup.Superchannel], ops: 
     a_p = ch.marginal_chois(chois, (d_p, d_q), "P", tols) / d_p
     a_q = ch.marginal_chois(chois, (d_p, d_q), "Q", tols) / d_q
     d_rel_in = st.relative_entropies(x, s_in, mk.kron_stack(a_p, a_q), tols)
-    ref_out = mk.kron_stack(sup.act_normalized_block(sc1s, a_p, tols), sup.act_normalized_block(sc2s, a_q, tols))
+    ref_out = mk.kron_stack(sup.act_normalized_block(m1s, a_p, tols), sup.act_normalized_block(m2s, a_q, tols))
     d_rel_out = st.relative_entropies(rho_out, s_out, ref_out, tols)
     reports = []
     for b, (i_in, i_out, r_in, r_out) in enumerate(zip(mi_in, mi_out, d_rel_in, d_rel_out)):
@@ -355,12 +352,11 @@ def measured_information(states: list[np.ndarray], probs: list[np.ndarray], base
 
 
 def holevo_block(scs: list[sup.Superchannel], enss: list[Ensemble], haar: np.ndarray,
-                 tols: Tolerances = DEFAULT_TOLS,
-                 collects: list | None = None) -> list[tuple[float, BoundReport, list[float]]]:
+                 tols: Tolerances = DEFAULT_TOLS, collects: list | None = None) -> list[BoundReport]:
     """Holevo quantity of the received ensemble and sampled-measurement
     checks, for each (superchannel, ensemble) of a block, all of one
-    (d_S, d_E); (chi, report, sampled information) of each, with the bits
-    of each on its own.
+    (d_S, d_E), with the bits of each on its own; chi is the report's lhs,
+    and the sampled information goes to its collect.
 
     Bob receives sigma'_k = M#[A^(k)_d]; chi = S(avg) - sum p_k S(sigma'_k)
     upper-bounds the classical information of every sampled projective
@@ -391,7 +387,7 @@ def holevo_block(scs: list[sup.Superchannel], enss: list[Ensemble], haar: np.nda
     w_avg, v_avg = check_density(mk.as_matrix(avg, stack=True), tols)
     bases = np.concatenate([haar, v_avg[:, None]], axis=1)
     infos = measured_information([outs[a:a + k] for a, k in zip(starts, ks)], probs, bases)
-    results = []
+    reports = []
     for b, (a, k) in enumerate(zip(starts, ks)):
         chi = st.entropy_of_spectrum(w_avg[b]) - float(sum(p * s for p, s in zip(probs[b], s_outs[a:a + k])))
         if -1e-12 < chi < 0.0:
@@ -401,5 +397,31 @@ def holevo_block(scs: list[sup.Superchannel], enss: list[Ensemble], haar: np.nda
                 "best_measurement": int(np.argmax(sampled)), "chi": chi}
         if collects is not None and collects[b] is not None:
             collects[b].update(chi=chi, sampled_information=list(sampled), avg_state_eigenvalues=w_avg[b].tolist())
-        results.append((chi, _finish("holevo", chi, max(sampled), tols, meta), sampled))
-    return results
+        reports.append(_finish("holevo", chi, max(sampled), tols, meta))
+    return reports
+
+
+# ---------------------------------------------------------------------------
+# Consistency of the isometric-dilation image with the superchannel
+# ---------------------------------------------------------------------------
+
+CONSISTENCY_TOL = 1e-10
+
+
+def mmap_consistency_block(scs: list[sup.Superchannel], vs: list[np.ndarray], alphas: list[DensityMatrix],
+                           tols: Tolerances = DEFAULT_TOLS, collects: list | None = None) -> list[BoundReport]:
+    """The system marginal of Upsilon must equal the superchannel acting on
+    the channel that the isometric dilation (V, alpha) induces, within
+    CONSISTENCY_TOL (lhs; rhs is the residual), for each trial of a block."""
+    d_s, d_e, d_a = scs[0].d_s, scs[0].d_e, alphas[0].dim
+    upsilons, deltas = dl.mmap_block(scs, vs, alphas, tols)
+    reduced = mk.partial_trace(np.array([u.mat for u in upsilons]), upsilons[0].shape, ["S"])
+    direct = sup.act_block(scs, ch.channels_from_dilations(vs, alphas, tols), tols)[0]
+    reports = []
+    for b, (upsilon, delta_s, residual) in enumerate(zip(upsilons, deltas, mk.max_abs(reduced - direct).tolist())):
+        slack = CONSISTENCY_TOL - residual
+        reports.append(BoundReport("mmap-consistency", CONSISTENCY_TOL, residual, slack, slack >= 0.0, 0.0,
+                                   (), {"d_S": d_s, "d_E": d_e, "d_A": d_a, "delta_S": delta_s}))
+        if collects is not None and collects[b] is not None:
+            collects[b].update(residual=residual, delta_S=delta_s, upsilon_eigenvalues=upsilon.w.tolist())
+    return reports

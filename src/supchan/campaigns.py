@@ -14,13 +14,13 @@ size is checked at load against every family of the scenario that reads it.
 ``prepare`` builds once per campaign each object that is the same in every
 trial (the superchannel of a pinned ``U`` and ``rho_se`` and its steady
 state, and the unitary and Gibbs state of ``clausius``), and each pool
-worker receives it once.  Trials run in blocks of ``BLOCK`` consecutive
-trials of one family, one pool task each.  Every family takes the one path
-of ``evaluate_block``: each trial of a block draws from its own generator,
-and the block is then evaluated in stacked steps, with the bits of one
-trial at a time; a trial alone (``evaluate_trial``) is a block of one.  A
-failing block is run again one trial at a time, so the error raised is the
-earliest failing trial's.
+worker receives it once.  Trials run in blocks of ``_block_size``
+consecutive trials of one family, one pool task each.  Every family takes
+the one path of ``evaluate_block``: each trial of a block draws from its
+own generator, and one ``bounds.<family>_block`` call evaluates the block
+in stacked steps, with the bits of one trial at a time; a trial alone
+(``evaluate_trial``) is a block of one.  A failing block is run again one
+trial at a time, so the error raised is the earliest failing trial's.
 Campaign trials are seed-deterministic: trial t of family f draws what is
 not prepared from ``default_rng([seed, f, t])``, in the same order whether
 or not anything is prepared and regardless of worker scheduling, and
@@ -37,7 +37,6 @@ import numpy as np
 
 from . import bounds as bd
 from . import channels as ch
-from . import dilation as dl
 from . import matkernel as mk
 from . import states as st
 from . import superchannel as sup
@@ -48,12 +47,11 @@ FAMILIES = ("spohn", "main", "clausius", "qdpi", "holevo", "mmap-consistency")
 # Trials per block: one pool task, and one stacked evaluation.
 BLOCK = 8
 # Entries of the largest matrices of its trials, (d_P d_Q)^4 for qdpi and
-# (d_S d_E d_A)^2 for mmap-consistency, that one stacked evaluation holds:
-# larger blocks run in parts, so that stacks stay near the memory of one
-# trial at large dimensions, where stacking saves no time.
+# (d_S d_E d_A)^2 for mmap-consistency, that one block holds, so that stacks
+# stay near the memory of one trial at large dimensions, where stacking
+# saves no time.
 STACK_ENTRIES = 1 << 14
 TOLERANCE_NAMES = tuple(f.name for f in fields(Tolerances))
-CONSISTENCY_TOL = 1e-10
 
 
 class ScenarioError(ValueError):
@@ -215,12 +213,11 @@ def load_scenario(text: str) -> Scenario:
     scenario = Scenario(seed, dict(sorted(dims.items())), trials, bound,
                         dict(sorted(tolerances.items())), n_measurements=n_meas)
     dim = _dim_values(dims)
-    block = min(BLOCK, trials)
-    if "holevo" in scenario.families() and block * (n_meas + 1) * dim["d_S"] ** 2 > mk.MAX_ENTRIES:
-        raise ScenarioError(f"n_measurements: {n_meas} bases of dimension {dim['d_S']} per trial, in blocks of "
-                            f"{block} trials, exceed the dense-storage limit of {mk.MAX_ENTRIES} entries")
     for family in scenario.families():
-        count = min(BLOCK, trials, _part_size(family, dim))
+        count = min(trials, _block_size(family, dim))
+        if family == "holevo" and count * (n_meas + 1) * dim["d_S"] ** 2 > mk.MAX_ENTRIES:
+            raise ScenarioError(f"n_measurements: {n_meas} bases of dimension {dim['d_S']} per trial, in blocks of "
+                                f"{count} trials, exceed the dense-storage limit of {mk.MAX_ENTRIES} entries")
         for name in _STACKED[family]:
             n = math.prod(dim[k] for k in name.split("*"))
             if count * n * n > mk.MAX_ENTRIES:
@@ -307,11 +304,12 @@ _STACKED = {"spohn": ["d_S*d_S"], "main": ["d_S*d_E", "d_S*d_S"], "clausius": ["
             "mmap-consistency": ["d_S*d_E", "d_S*d_S", "d_S*d_E*d_A"]}
 
 
-def _part_size(family: str, dim: dict) -> int:
-    """Trials in one stacked step of ``family`` (see ``STACK_ENTRIES``)."""
+def _block_size(family: str, dim: dict) -> int:
+    """Trials in one block of ``family``: ``BLOCK``, or fewer, so that a
+    block holds at most ``STACK_ENTRIES`` entries of its largest matrices."""
     entries = {"qdpi": (dim["d_P"] * dim["d_Q"]) ** 4,
                "mmap-consistency": (dim["d_S"] * dim["d_E"] * dim["d_A"]) ** 2}.get(family, 1)
-    return max(1, STACK_ENTRIES // entries)
+    return min(BLOCK, max(1, STACK_ENTRIES // entries))
 
 
 def _dim_values(dims: dict) -> dict:
@@ -494,47 +492,49 @@ def evaluate_block(scenario: Scenario, family: str, trials, tols: Tolerances,
     ``prepared`` is ``prepare(scenario, tols)``; when it is not given, only
     what this family reads is prepared here.  Each trial draws what is not
     prepared from its own generator, in the order a trial of one draws it,
-    and the block is then evaluated in stacked steps, with the bits of one
-    trial at a time; a block whose largest matrices hold more than
-    ``STACK_ENTRIES`` entries runs in parts.
+    and one ``bounds.<family>_block`` call then evaluates the block in
+    stacked steps, with the bits of one trial at a time.
     """
     if family not in FAMILIES:
         raise ScenarioError(f"bound: unknown family {family!r}")
     prep = prepared if prepared is not None else prepare(scenario, tols, (family,))
     ex, dim = scenario.explicit, _dim_values(scenario.dims)
     d_s, d_e, d_a, d_p, d_q = (dim[k] for k in ("d_S", "d_E", "d_A", "d_P", "d_Q"))
-    step = _part_size(family, dim)
     rngs = [_trial_rng(scenario, family, t) for t in trials]
-    reports = []
-    for part in (rngs[i:i + step] for i in range(0, len(rngs), step)):
-        collects = [collect] * len(part)
-        if family == "spohn":
-            ops = random_operations(d_s, part, tols, ex)
-            reports += bd.spohn_block(ops, _states(d_s, part, tols, ex.get("sigma")), tols, collects)
-        elif family == "main":
-            scs = prep.draw_superchannels(d_s, d_e, part, tols, ex)
-            ops = random_operations(d_s, part, tols, ex)
-            nss = [prep.neso] * len(scs) if prep.neso is not None else sup.neso_block(scs, tols)
-            reports += bd.main_bounds(scs, ops, nss, tols, collects)
-        elif family == "clausius":
-            u, (gibbs, z), beta = prep.thermal
-            anchors = np.array([a.mat for a in st.random_densities(d_s, [d_s] * len(part), part, tols)])
-            rhos = st.densities(mk.tensor(anchors, gibbs.mat), DimShape([d_s, d_s], ["S", "E"]), tols)
-            scs = sup.build_block([u] * len(part), rhos, tols)
-            reports += bd.clausius_block(scs, _states(d_s, part, tols, ex.get("sigma")), gibbs, z, beta, tols, collects)
-        elif family == "qdpi":
-            sc1s = prep.draw_superchannels(d_p, dim["d_E1"], part, tols, ex)
-            sc2s = prep.draw_superchannels(d_q, dim["d_E2"], part, tols, ex)
-            ops = random_operations(d_p * d_q, part, tols, ex, bipartite=(d_p, d_q))
-            reports += bd.qdpi_block(sc1s, sc2s, ops, tols, collects)
-        elif family == "holevo":
-            scs = prep.draw_superchannels(d_s, d_e, part, tols, ex)
-            enss = random_ensembles(d_s, part, tols, ex)
-            haar = np.array([st.haar_unitaries(scenario.n_measurements, d_s, rng) for rng in part])
-            reports += [report for _, report, _ in bd.holevo_block(scs, enss, haar, tols, collects)]
+    collects = [collect] * len(rngs)
+    if family == "spohn":
+        ops = random_operations(d_s, rngs, tols, ex)
+        reports = bd.spohn_block(ops, _states(d_s, rngs, tols, ex.get("sigma")), tols, collects)
+    elif family == "main":
+        scs = prep.draw_superchannels(d_s, d_e, rngs, tols, ex)
+        ops = random_operations(d_s, rngs, tols, ex)
+        nss = [prep.neso] * len(scs) if prep.neso is not None else sup.neso_block(scs, tols)
+        reports = bd.main_block(scs, ops, nss, tols, collects)
+    elif family == "clausius":
+        u, (gibbs, z), beta = prep.thermal
+        anchors = np.array([a.mat for a in st.random_densities(d_s, [d_s] * len(rngs), rngs, tols)])
+        rhos = st.densities(mk.tensor(anchors, gibbs.mat), DimShape([d_s, d_s], ["S", "E"]), tols)
+        scs = sup.build_block([u] * len(rngs), rhos, tols)
+        reports = bd.clausius_block(scs, _states(d_s, rngs, tols, ex.get("sigma")), gibbs, z, beta, tols, collects)
+    elif family == "qdpi":
+        sc1s = prep.draw_superchannels(d_p, dim["d_E1"], rngs, tols, ex)
+        sc2s = prep.draw_superchannels(d_q, dim["d_E2"], rngs, tols, ex)
+        ops = random_operations(d_p * d_q, rngs, tols, ex, bipartite=(d_p, d_q))
+        reports = bd.qdpi_block(sc1s, sc2s, ops, tols, collects)
+    elif family == "holevo":
+        scs = prep.draw_superchannels(d_s, d_e, rngs, tols, ex)
+        enss = random_ensembles(d_s, rngs, tols, ex)
+        haar = np.array([st.haar_unitaries(scenario.n_measurements, d_s, rng) for rng in rngs])
+        reports = bd.holevo_block(scs, enss, haar, tols, collects)
+    else:
+        scs = prep.draw_superchannels(d_s, d_e, rngs, tols, ex)
+        vs = [ex["V"] if "V" in ex else st.haar_unitary(d_s * d_a, rng) for rng in rngs]
+        if "alpha" in ex:
+            alphas = [ex["alpha"]] * len(rngs)
         else:
-            reports += _mmap_consistency(prep.draw_superchannels(d_s, d_e, part, tols, ex), d_a, part, tols, ex,
-                                         collects)
+            vecs = [st.random_pure(d_a, rng) for rng in rngs]
+            alphas = st.densities(np.array([np.outer(vec, vec.conj()) for vec in vecs]), DimShape([d_a], ["A"]), tols)
+        reports = bd.mmap_consistency_block(scs, vs, alphas, tols, collects)
     for t, report in zip(trials, reports):
         report.metadata.update(trial=t, seed=scenario.seed)
     return reports
@@ -547,31 +547,6 @@ def _states(d: int, rngs: list[np.random.Generator], tols: Tolerances,
     if pinned is not None:
         return [pinned] * len(rngs)
     return st.random_densities(d, [int(rng.integers(1, d + 1)) for rng in rngs], rngs, tols)
-
-
-def _mmap_consistency(scs: list[sup.Superchannel], d_a: int, rngs: list[np.random.Generator], tols: Tolerances,
-                      ex: dict, collects: list) -> list[bd.BoundReport]:
-    """The system marginal of Upsilon must equal the superchannel acting on
-    the channel the isometric dilation induces, within CONSISTENCY_TOL."""
-    d_s, d_e = scs[0].d_s, scs[0].d_e
-    v, alpha = ex.get("V"), ex.get("alpha")
-    vs = [v if v is not None else st.haar_unitary(d_s * d_a, rng) for rng in rngs]
-    if alpha is None:
-        vecs = [st.random_pure(d_a, rng) for rng in rngs]
-        alphas = st.densities(np.array([np.outer(vec, vec.conj()) for vec in vecs]), DimShape([d_a], ["A"]), tols)
-    else:
-        alphas = [alpha] * len(rngs)
-    upsilons, deltas = dl.mmap_block(scs, vs, alphas, tols)
-    reduced = mk.partial_trace(np.array([u.mat for u in upsilons]), upsilons[0].shape, ["S"])
-    direct = sup.act_block(scs, ch.channels_from_dilations(vs, alphas, tols), tols)[0]
-    reports = []
-    for upsilon, delta_s, residual, collect in zip(upsilons, deltas, mk.max_abs(reduced - direct).tolist(), collects):
-        slack = CONSISTENCY_TOL - residual
-        reports.append(bd.BoundReport("mmap-consistency", CONSISTENCY_TOL, residual, slack, slack >= 0.0, 0.0,
-                                      (), {"d_S": d_s, "d_E": d_e, "d_A": d_a, "delta_S": delta_s}))
-        if collect is not None:
-            collect.update(residual=residual, delta_S=delta_s, upsilon_eigenvalues=upsilon.w.tolist())
-    return reports
 
 
 def evaluate_trial(scenario: Scenario, family: str, trial: int, tols: Tolerances,
@@ -644,7 +619,7 @@ def run_campaign(scenario: Scenario, tols: Tolerances, jobs: int = 1) -> dict:
     """Run every family of the scenario; returns the report object.
 
     The objects every trial shares (``prepare``) are built once, before
-    any trial.  The trials of each family go in blocks of ``BLOCK``
+    any trial.  The trials of each family go in blocks of ``_block_size``
     consecutive trials through ``_eval_task``: in this process when
     ``jobs`` or the number of blocks is at most 1, and otherwise one block
     per task in a pool of ``min(jobs, blocks)`` worker processes (a pool
@@ -658,8 +633,9 @@ def run_campaign(scenario: Scenario, tols: Tolerances, jobs: int = 1) -> dict:
     field is left null so reports stay byte-stable; the CLI reports timing
     separately.
     """
-    families, n = scenario.families(), scenario.trials
-    tasks = [(family, range(s, min(s + BLOCK, n))) for family in families for s in range(0, n, BLOCK)]
+    families, n, dim = scenario.families(), scenario.trials, _dim_values(scenario.dims)
+    sizes = {family: _block_size(family, dim) for family in families}
+    tasks = [(f, range(s, min(s + sizes[f], n))) for f in families for s in range(0, n, sizes[f])]
     campaign = (scenario, tols, prepare(scenario, tols))
     jobs = min(jobs, len(tasks))
     if jobs <= 1:

@@ -54,12 +54,6 @@ def tr_out_choi(choi: np.ndarray, d_out: int, d_in: int) -> np.ndarray:
     return mk.partial_trace(choi, shape, ["in"])
 
 
-def trace_preserving(choi: np.ndarray, d_out: int, d_in: int):
-    """Whether ||tr_out(choi) - I|| is within TP_TOL, for a Choi matrix or
-    for each of a stack."""
-    return mk.max_abs(tr_out_choi(choi, d_out, d_in) - np.eye(d_in)) <= TP_TOL
-
-
 def from_kraus(kraus: list[np.ndarray], bipartite: tuple[int, int] | None = None) -> QuantumOperation:
     """Build an operation from its Kraus operators."""
     kraus = [mk.as_matrix(k) for k in kraus]
@@ -102,7 +96,7 @@ def check_cp(choi: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndar
     """``from_choi``'s checks of a Choi matrix, or of each of a stack:
     Hermitian relative to its largest entry, and CP within CP_TOL on the
     eigenvalues of the one ``np.linalg.eigh`` of (choi + choi^dag) / 2;
-    returns that decomposition as ``mk.herm_eig`` returns it, after its
+    returns that decomposition as ``mk.herm_eig_of`` returns it, after its
     reconstruction check and clamp."""
     mk.check_hermitian(choi, tols.herm_tol * np.maximum(1.0, mk.max_abs(choi)), "Choi matrix")
     w, v = np.linalg.eigh((choi + mk.dagger(choi)) / 2.0)
@@ -113,9 +107,11 @@ def check_cp(choi: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndar
 
 def require_trace_preserving(ops: list[QuantumOperation], message: str) -> None:
     """Raise ``ValidationError(message)`` unless every operation, all of one
-    size, is trace preserving, checked in one stacked step."""
-    tp = trace_preserving(np.array([op.choi for op in ops]), ops[0].d_out, ops[0].d_in)
-    mk.fail_first(np.logical_not(tp), tp, message)
+    size, is trace preserving: ||tr_out(choi) - I|| within TP_TOL, checked
+    in one stacked step."""
+    d_out, d_in = ops[0].d_out, ops[0].d_in
+    dev = mk.max_abs(tr_out_choi(np.array([op.choi for op in ops]), d_out, d_in) - np.eye(d_in))
+    mk.fail_first(dev > TP_TOL, dev, message)
 
 
 def apply_matrices(ops: list[QuantumOperation], mats: np.ndarray) -> np.ndarray:
@@ -161,16 +157,9 @@ def check_unitary(u: np.ndarray, tols: Tolerances = DEFAULT_TOLS, what: str = "m
     mk.fail_first(dev > tols.herm_tol, dev, f"{what} is not unitary: max deviation {{:.3e}}")
 
 
-def swap_unitary(d1: int, d2: int | None = None) -> np.ndarray:
-    """SWAP between two subsystems (equal dims required for a square swap)."""
-    d2 = d1 if d2 is None else d2
-    shape = DimShape([d1, d2], ["1", "2"])
-    return mk.permutation_matrix(shape, ["2", "1"])
-
-
 def partial_swap_unitary(d: int, theta: float) -> np.ndarray:
     """cos(theta) I + i sin(theta) SWAP on two d-dimensional factors."""
-    s = swap_unitary(d)
+    s = mk.permutation_matrix(DimShape([d, d], ["1", "2"]), ["2", "1"])
     return np.cos(theta) * np.eye(d * d, dtype=complex) + 1j * np.sin(theta) * s
 
 
@@ -311,40 +300,38 @@ def marginal_chois(choi: np.ndarray, bipartite: tuple[int, int], keep: str,
 # Random channels
 # ---------------------------------------------------------------------------
 
-def bcsz_draw(d: int, kraus_rank: int, rng: np.random.Generator, d_out: int | None = None) -> np.ndarray:
-    """The Ginibre factor G of one random CPTP map (``random_cptps``), drawn
-    from ``rng``.
-
-    A rank below ceil(d / d_out), the least Kraus rank of a CPTP map, would
-    leave R = tr_out W singular and is refused before the draw.
-    """
-    d_out = d if d_out is None else d_out
-    least = -(-d // d_out)
-    if kraus_rank < least:
-        raise ValueError(f"kraus_rank {kraus_rank} is below {least}, the least Kraus rank "
-                         f"of a CPTP map from dimension {d} to {d_out}")
-    return ginibre(d_out * d, kraus_rank, rng)
+def bcsz_draw(d: int, kraus_rank: int, rng: np.random.Generator) -> np.ndarray:
+    """The Ginibre factor G of one random CPTP map on dimension d
+    (``random_cptps``), drawn from ``rng``."""
+    return ginibre(d * d, kraus_rank, rng)
 
 
-def random_cptps(d: int, draws: list[np.ndarray], d_out: int | None = None,
-                 bipartite: tuple[int, int] | None = None, tols: Tolerances = DEFAULT_TOLS) -> list[QuantumOperation]:
-    """The random CPTP map of each ``bcsz_draw``, by the Wishart/BCSZ
-    construction: the PSD Wishart matrix W = G G^dag on out (x) in is
-    projected onto the trace-preserving slice via
-    W -> (I (x) R^-1/2) W (I (x) R^-1/2) with R = tr_out W.  The projection,
-    ``from_choi``'s checks and the Kraus extraction run once over the stack,
-    with the bits of each map."""
-    d_out = d if d_out is None else d_out
-    w = np.array([g @ g.conj().T for g in draws])
-    r = tr_out_choi(w, d_out, d)
+def _tp_projection(w: np.ndarray, d: int) -> np.ndarray:
+    """W -> (I (x) R^-1/2) W (I (x) R^-1/2), Hermitized and checked finite,
+    with R = tr_out W, for each PSD matrix W of a stack on out (x) in."""
+    r = tr_out_choi(w, d, d)
     rw, rv = np.linalg.eigh((r + mk.dagger(r)) / 2.0)
     rw = np.clip(rw, 1e-14, None)
     r_isqrt = (rv * (rw ** -0.5)[..., None, :]) @ mk.dagger(rv)
-    lift = mk.kron_stack(np.eye(d_out), r_isqrt)
+    lift = mk.kron_stack(np.eye(d), r_isqrt)
     choi = lift @ w @ mk.dagger(lift)
-    choi = mk.as_matrix((choi + mk.dagger(choi)) / 2.0, stack=True)
+    return mk.as_matrix((choi + mk.dagger(choi)) / 2.0, stack=True)
+
+
+def random_cptps(d: int, draws: list[np.ndarray], bipartite: tuple[int, int] | None = None,
+                 tols: Tolerances = DEFAULT_TOLS) -> list[QuantumOperation]:
+    """The random CPTP map of each ``bcsz_draw``, by the Wishart/BCSZ
+    construction: the PSD Wishart matrix W = G G^dag on out (x) in is
+    projected onto the trace-preserving slice (``_tp_projection``), and
+    again where an ill-conditioned R left it off by more than float noise
+    (1e-12).  The projections, ``from_choi``'s checks and the Kraus
+    extraction run once over the stack, with the bits of each map."""
+    choi = _tp_projection(np.array([g @ g.conj().T for g in draws]), d)
+    off = np.flatnonzero(mk.max_abs(tr_out_choi(choi, d, d) - np.eye(d)) > 1e-12)
+    if off.size:
+        choi[off] = _tp_projection(choi[off], d)
     w, v = check_cp(choi, tols)
-    kraus = mk.psd_factors(w, v).reshape(-1, d_out, d)
+    kraus = mk.psd_factors(w, v).reshape(-1, d, d)
     ends = np.cumsum((w > 0.0).reshape(len(draws), -1).sum(-1)).tolist()
-    return [QuantumOperation(d, d_out, c, kraus[a:b], bipartite)
+    return [QuantumOperation(d, d, c, kraus[a:b], bipartite)
             for c, a, b in zip(choi.reshape(len(draws), *choi.shape[-2:]), [0] + ends, ends)]

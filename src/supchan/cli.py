@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
-import os
 import sys
 import time
 
@@ -96,13 +95,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if isinstance(loaded, int):
         return loaded
     scenario, tols = loaded
-    if args.jobs is not None and args.jobs < 1:
+    if args.jobs < 1:
         print(f"error: --jobs: expected an integer >= 1, got {args.jobs}", file=sys.stderr)
         return EXIT_VALIDATION_ERROR
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     t0 = time.monotonic()
     try:
-        report = cp.run_campaign(scenario, tols, jobs=jobs)
+        report = cp.run_campaign(scenario, tols, jobs=args.jobs)
     except (ValidationError, ShapeError, cp.ScenarioError, FixedPointError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION_ERROR
@@ -197,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--scenario", required=True, help="path to the scenario JSON file")
     p_verify.add_argument("--out", default=None, help="write the report here instead of stdout")
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
-    p_verify.add_argument("--jobs", type=int, default=None, help="worker processes (default: all cores)")
+    p_verify.add_argument("--jobs", type=int, default=1, help="worker processes (default: 1, this process)")
     p_verify.add_argument("--bits", action="store_true", help="display entropies in bits")
     p_verify.add_argument("--slack-tol", type=float, default=None, help="override the slack tolerance")
     p_verify.add_argument("--timing", action="store_true",

@@ -7,10 +7,11 @@ superchannel stores one: each routine that checks or decomposes reads the
 consistently.  Defaults are sized for double precision on matrices of
 dimension <= 36.  Thresholds that no scenario has needed to tune stay
 fixed where they are used: ``channels.CP_TOL``/``TP_TOL``,
-``bounds.THERMAL_MATCH_TOL``, ``campaigns.CONSISTENCY_TOL``, the 1e-12 clip
-bands, the 1e-8 QDPI route cross-checks, and the fixed-point literals in
-``channels`` (the 1e-8 eigenvalue-1 cluster width and the
-``_steady_states`` limits), which go with that routine.
+``bounds.THERMAL_MATCH_TOL`` and ``CONSISTENCY_TOL``, the 1e-12 clip bands
+and trace-preservation noise of ``channels.random_cptps``, the 1e-8 QDPI
+route cross-checks, and the fixed-point literals in ``channels`` (the 1e-8
+eigenvalue-1 cluster width and the ``_steady_states`` limits), which go
+with that routine.
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
 """Dense complex-matrix kernel: tensor products, partial traces, subsystem
-permutations, Hermitian eigendecompositions and matrix functions.
+permutations and the checks of Hermitian eigendecompositions.
 
 Index convention used everywhere: a matrix on a composite space is stored
 row-major with the *leftmost* subsystem label as the slowest-varying index,
 so ``tensor(a, b)`` puts ``a`` on the slow index (plain Kronecker product).
-``partial_trace``, ``check_hermitian`` and ``herm_eig`` also take a stack of
-matrices, with the bits of one matrix at a time; a failing check of a stack
-raises the error of its first failing matrix.
+``partial_trace``, ``check_hermitian`` and ``herm_eig_of`` also take a stack
+of matrices, with the bits of one matrix at a time; a failing check of a
+stack raises the error of its first failing matrix.  No routine here
+decomposes: each check hands its one ``eigh`` to ``herm_eig_of``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -201,29 +202,14 @@ def check_hermitian(m: np.ndarray, tol, what: str = "matrix") -> None:
     fail_first(dev > tol, dev, f"{what} is not Hermitian: max deviation {{:.3e}}")
 
 
-def herm_eig(
-    m: np.ndarray, tols: Tolerances = DEFAULT_TOLS
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(w, V)`` with real eigenvalues ``w`` in descending order and
-    unitary ``V`` whose columns are the matching eigenvectors, so that
-    ``m == V @ diag(w) @ V.conj().T`` within ``recon_tol``, checked on the
-    raw eigenvalues; the returned ``w`` is then clamped (``clamp_spectrum``).
-    No eigenvector order or phase is promised inside degenerate clusters.
-    For a stack of matrices, ``w`` and ``V`` are the stacks of each.
-    """
-    m = as_matrix(m, stack=True)
-    if m.shape[-1] != m.shape[-2]:
-        raise ShapeError(f"expected square matrix, got {m.shape}")
-    check_hermitian(m, tols.herm_tol)
-    return herm_eig_of(m, *np.linalg.eigh((m + dagger(m)) / 2.0), tols)
-
-
 def herm_eig_of(m: np.ndarray, w: np.ndarray, V: np.ndarray,
                 tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, np.ndarray]:
-    """``herm_eig`` of a checked Hermitian ``m`` (or stack) from the ascending
-    ``np.linalg.eigh((m + m^dag) / 2)`` that a check has taken already."""
+    """``(w, V)`` of a checked Hermitian ``m`` (or of each of a stack) from the
+    ascending ``np.linalg.eigh((m + m^dag) / 2)`` that its check took: ``w``
+    descending with its eigenvectors the columns of ``V``, clamped
+    (``clamp_spectrum``) once ``m == V diag(w) V^dag`` holds within
+    ``recon_tol``.  No eigenvector order or phase is promised inside
+    degenerate clusters."""
     w, V = w[..., ::-1], V[..., ::-1]
     # V diag(w) is V * w: the other terms of each sum are exact zeros.
     resid = max_abs((V * w[..., None, :]) @ dagger(V) - m)
@@ -240,30 +226,7 @@ def clamp_spectrum(w: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray
 
 def psd_factors(w: np.ndarray, V: np.ndarray) -> np.ndarray:
     """``sqrt(lam) * v`` for each eigenpair with lam > 0 of a decomposition
-    ``(w, V)`` as ``herm_eig`` returns it, one row each in descending order;
+    ``(w, V)`` as ``herm_eig_of`` returns it, one row each in descending order;
     for a stack of decompositions, the rows of each in turn."""
     pos = w > 0.0
     return np.sqrt(w[pos])[:, None] * V.swapaxes(-1, -2)[pos]
-
-
-def herm_fn(
-    m: np.ndarray,
-    f: Callable[[np.ndarray], np.ndarray],
-    tols: Tolerances = DEFAULT_TOLS,
-) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix through its spectrum.
-
-    Eigenvalues come clamped from ``herm_eig``, so those within ``psd_floor``
-    of zero are exact zeros.  Where ``f`` is undefined at 0 (log), its value
-    there is defined to be 0 (the 0*log(0) = 0 convention is applied by
-    callers); a value undefined at a nonzero eigenvalue raises.
-    """
-    w, V = herm_eig(m, tols)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fw = np.asarray(f(w), dtype=float)
-    bad = ~np.isfinite(fw)
-    if np.any(bad & (w != 0.0)):
-        raise ValidationError("scalar function undefined on a non-kernel eigenvalue")
-    fw[bad] = 0.0
-    out = (V * fw) @ V.conj().T
-    return (out + out.conj().T) / 2.0

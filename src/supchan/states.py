@@ -21,7 +21,7 @@ from .matkernel import DimShape, ShapeError
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, PSD, unit-trace matrix on a labeled tensor factor structure,
-    with the decomposition ``(w, v)`` that its check took, as ``mk.herm_eig``
+    with the decomposition ``(w, v)`` that its check took, as ``mk.herm_eig_of``
     returns it; all three arrays are read-only."""
 
     mat: np.ndarray
@@ -83,7 +83,7 @@ def check_density(mats: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> tuple[np
     """``density``'s checks of each matrix of a stack: Hermitian, unit trace
     and positive semidefinite, the last on the eigenvalues of the one
     ``np.linalg.eigh`` of (m + m^dag) / 2; returns that decomposition as
-    ``mk.herm_eig`` returns it, after its reconstruction check and clamp."""
+    ``mk.herm_eig_of`` returns it, after its reconstruction check and clamp."""
     mk.check_hermitian(mats, tols.herm_tol, "density matrix")
     tr = mats.trace(axis1=-2, axis2=-1).real
     mk.fail_first(abs(tr - 1.0) > tols.trace_tol, tr, f"trace {{!r}} is not 1 within {tols.trace_tol}")
@@ -106,7 +106,7 @@ def entropy_of_spectrum(w: np.ndarray) -> float:
 
 def log_weights(xs: np.ndarray, w: np.ndarray, v: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> list[list[float]]:
     """tr[X log(base_b)] of each X of ``xs[b]``, a (B, n, d, d) stack, with
-    ``(w[b], v[b])`` as ``mk.herm_eig`` returns it for base b; -inf when X
+    ``(w[b], v[b])`` as ``mk.herm_eig_of`` returns it for base b; -inf when X
     has weight above support_tol on its kernel.  The weights are one stacked
     step; each trial sums its own, as a zero-padded row sum could move bits."""
     overlap = np.real(np.einsum("bik,bnij,bjk->bnk", v.conj(), xs, v))

@@ -18,10 +18,11 @@ where C is indexed (out, in) x (out, in); their agreement is asserted in
 the test suite.  ``act_block`` evaluates the operational formula for a
 block of (superchannel, operation) pairs in stacked steps, with the bits of
 each pair on its own, and returns each sigma' with the decomposition that
-its density check took.  The trace-normalized superchannel M# acts on
-unit-trace operation-states A_d = C/d and is realized by the same tensor
-contraction with C = d * A_d (``act_normalized_block``).  The subsequent
-dynamics sigma -> tr_E[U (sigma (x) tau) U^dag] is
+its density check took.  ``m_tensors`` computes M once per superchannel
+of a block for the caller to pass to each contraction: the normalized M#
+on unit-trace operation-states A_d = C/d (``act_normalized_block``, with
+C = d * A_d), and M1# (x) M2# on joint ones (``joint_act_normalized``).
+The subsequent dynamics sigma -> tr_E[U (sigma (x) tau) U^dag] is
 ``channels.channels_from_dilations``; its steady state comes from
 ``neso_block``.  Each action takes the caller's ``tols``.
 """
@@ -29,7 +30,6 @@ dynamics sigma -> tr_E[U (sigma (x) tau) U^dag] is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -47,15 +47,6 @@ class Superchannel:
     rho_se: DensityMatrix         # initial correlated state, labels ("S", "E")
     d_s: int
     d_e: int
-
-    @cached_property
-    def m_tensor(self) -> np.ndarray:
-        """Six-index tensor [a, b, c, p, q, r], built on first use: only the
-        index-formula contractions read it."""
-        d_s, d_e = self.d_s, self.d_e
-        u4 = self.u.reshape(d_s, d_e, d_s, d_e)
-        r4 = self.rho_se.mat.reshape(d_s, d_e, d_s, d_e)
-        return mk.einsum("axby,cyrz,pxqz->abcpqr", u4, r4, u4.conj())
 
 
 def marginals(scs: list[Superchannel], label: str, tols: Tolerances = DEFAULT_TOLS) -> list[DensityMatrix]:
@@ -111,31 +102,50 @@ def act_block(scs: list[Superchannel], ops: list[ch.QuantumOperation],
     return out, check_density(out, tols)
 
 
-def act_tensor(sc: Superchannel, choi: np.ndarray) -> np.ndarray:
-    """Index-formula contraction of M against an (unnormalized) Choi matrix."""
-    d = sc.d_s
-    c4 = np.asarray(choi, dtype=complex).reshape(d, d, d, d)
-    return np.einsum("abcpqr,bcqr->ap", sc.m_tensor, c4)
+def m_tensors(scs: list[Superchannel]) -> list[np.ndarray]:
+    """The six-index tensor M[a, b, c, p, q, r] of each superchannel of a
+    block, computed once for each distinct superchannel in it."""
+    ms = {}
+    for sc in scs:
+        if id(sc) not in ms:
+            u4 = sc.u.reshape(sc.d_s, sc.d_e, sc.d_s, sc.d_e)
+            r4 = sc.rho_se.mat.reshape(sc.d_s, sc.d_e, sc.d_s, sc.d_e)
+            ms[id(sc)] = mk.einsum("axby,cyrz,pxqz->abcpqr", u4, r4, u4.conj())
+    return [ms[id(sc)] for sc in scs]
 
 
-def act_normalized_block(scs: list[Superchannel], op_states, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """M#[X] of each (superchannel, operation-state) pair, all of one d_S, as
-    a (B, d_S, d_S) stack checked as density matrices; the index-formula
-    contraction runs once per pair.
+def act_normalized_block(ms: list[np.ndarray], op_states, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+    """M#[X] of each (six-index tensor, operation-state) pair, all of one
+    d_S, as a (B, d_S, d_S) stack checked as density matrices; the
+    contraction against the Choi matrix d * X runs once per pair.
 
     Each X is a unit-trace PSD operation-state on out (x) in.  M# is linear
     in X and CP; it preserves traces when X lies in the span of
     operation-states of trace-preserving maps (tr_out X = tr(X)/d * I), the
     domain on which it is defined."""
-    d = scs[0].d_s
-    xs = [mk.as_matrix(x) for x in op_states]
-    for x in xs:
-        if x.shape != (d * d, d * d):
-            raise ShapeError(f"operation-state shape {x.shape} != {(d * d, d * d)}")
-    out = np.array([act_tensor(sc, d * x) for sc, x in zip(scs, xs)])
+    d = ms[0].shape[0]
+    xs = mk.as_matrix(op_states, stack=True)
+    if xs.shape[-2:] != (d * d, d * d):
+        raise ShapeError(f"operation-state shape {xs.shape[-2:]} != {(d * d, d * d)}")
+    out = np.array([np.einsum("abcpqr,bcqr->ap", m, (d * x).reshape(d, d, d, d)) for m, x in zip(ms, xs)])
     out = mk.as_matrix((out + mk.dagger(out)) / 2.0, stack=True)
     check_density(out, tols)
     return out
+
+
+def joint_act_normalized(m1s: list[np.ndarray], m2s: list[np.ndarray], op_states: np.ndarray) -> np.ndarray:
+    """(M1# (x) M2#)[X] of each (M1, M2, X) of a block, with X ordered
+    (P_out, P_in, Q_out, Q_in), as a Hermitian stack.
+
+    The contraction runs once per trial: a batch index would change its
+    path, and with it the bits."""
+    d1, d2 = m1s[0].shape[0], m2s[0].shape[0]
+    out = np.array([
+        mk.einsum("abcpqr,ABCPQR,bcBCqrQR->aApP", m1, m2,
+                  (d1 * d2) * np.asarray(x, dtype=complex).reshape(d1, d1, d2, d2, d1, d1, d2, d2),
+                  ).reshape(d1 * d2, d1 * d2)
+        for m1, m2, x in zip(m1s, m2s, op_states)])
+    return mk.as_matrix((out + mk.dagger(out)) / 2.0, stack=True)
 
 
 def neso_block(scs: list[Superchannel], tols: Tolerances = DEFAULT_TOLS) -> list[ch.NessResult]:

@@ -3,9 +3,10 @@ constructions that only the tests use.
 
 Each oracle is the one-matrix-at-a-time code that the library ran before
 its per-trial routines became the stacked ``random_cptps``, ``act_block``,
-``check_density``, ``main_bounds``, ``holevo_block``, ``qdpi_block``,
+``check_density``, ``main_block``, ``holevo_block``, ``qdpi_block``,
 ``classical_mutual_informations``, ``fixed_points``, ``neso_block``,
-``spohn_block``, ``clausius_block`` and ``dilation.mmap_block``.  The tests
+``spohn_block``, ``clausius_block``, ``dilation.mmap_block`` and
+``mmap_consistency_block``.  The tests
 compare the stacked routines with them byte for byte; the ``oracles``
 fixture hands them out.
 
@@ -70,21 +71,27 @@ def kraus(choi, d_out, d_in, tols):
     return np.array([(np.sqrt(lam) * f).reshape(d_out, d_in) for lam, f in zip(w, v.T) if lam > 0.0])
 
 
-def random_cptp_parts(d, rank, rng, d_out, tols):
-    """(Choi matrix, Kraus stack) of ``random_cptp``, with the checks of ``from_choi``."""
-    g = st.ginibre(d_out * d, rank, rng)
-    w = g @ g.conj().T
-    r = np.trace(w.reshape(d_out, d, d_out, d), axis1=0, axis2=2)
+def tp_projection(w, d):
+    """W -> (I (x) R^-1/2) W (I (x) R^-1/2), Hermitized, with R = tr_out W."""
+    r = np.trace(w.reshape(d, d, d, d), axis1=0, axis2=2)
     rw, rv = np.linalg.eigh((r + r.conj().T) / 2.0)
     rw = np.clip(rw, 1e-14, None)
     r_isqrt = (rv * (rw ** -0.5)) @ rv.conj().T
-    lift = np.kron(np.eye(d_out), r_isqrt)
+    lift = np.kron(np.eye(d), r_isqrt)
     choi = lift @ w @ lift.conj().T
-    choi = (choi + choi.conj().T) / 2.0
+    return (choi + choi.conj().T) / 2.0
+
+
+def random_cptp_parts(d, rank, rng, tols):
+    """(Choi matrix, Kraus stack) of ``random_cptp``, with the checks of ``from_choi``."""
+    g = st.ginibre(d * d, rank, rng)
+    choi = tp_projection(g @ g.conj().T, d)
+    if float(np.abs(np.trace(choi.reshape(d, d, d, d), axis1=0, axis2=2) - np.eye(d)).max()) > 1e-12:
+        choi = tp_projection(choi, d)
     assert float(np.abs(choi - choi.conj().T).max()) <= tols.herm_tol * max(1.0, float(np.abs(choi).max()))
     wc = np.linalg.eigvalsh((choi + choi.conj().T) / 2.0)
     assert not wc[0] < -1e-9 * max(1.0, float(wc[-1]))
-    return choi, kraus(choi, d_out, d, tols)
+    return choi, kraus(choi, d, d, tols)
 
 
 def act_kraus(sc, ks, tols):
@@ -190,9 +197,17 @@ def relative_entropy_to(x, s_x, ref, tols):
     return 0.0 if -1e-12 < d < 0.0 else d
 
 
+def m_tensor(sc):
+    """The six-index tensor of ``superchannel.m_tensors``, by one fresh
+    optimize=True einsum."""
+    u4 = sc.u.reshape(sc.d_s, sc.d_e, sc.d_s, sc.d_e)
+    r4 = sc.rho_se.mat.reshape(sc.d_s, sc.d_e, sc.d_s, sc.d_e)
+    return np.einsum("axby,cyrz,pxqz->abcpqr", u4, r4, u4.conj(), optimize=True)
+
+
 def act_normalized(sc, a, tols):
     d = sc.d_s
-    out = np.einsum("abcpqr,bcqr->ap", sc.m_tensor, (d * a).reshape(d, d, d, d))
+    out = np.einsum("abcpqr,bcqr->ap", m_tensor(sc), (d * a).reshape(d, d, d, d))
     out = (out + out.conj().T) / 2.0
     check_density(out, tols)
     return out
@@ -207,7 +222,7 @@ def qdpi(sc1, sc2, op, tols):
     check_density(x, tols)
     mi_in, s_in = mutual_information(x, DimShape([d_p, d_p, d_q, d_q], ["Po", "Pi", "Qo", "Qi"]), ["Po", "Pi"], tols)
     y = (d_p * d_q) * x.reshape(d_p, d_p, d_q, d_q, d_p, d_p, d_q, d_q)
-    out = np.einsum("abcpqr,ABCPQR,bcBCqrQR->aApP", sc1.m_tensor, sc2.m_tensor, y,
+    out = np.einsum("abcpqr,ABCPQR,bcBCqrQR->aApP", m_tensor(sc1), m_tensor(sc2), y,
                     optimize=True).reshape(d_p * d_q, d_p * d_q)
     out = (out + out.conj().T) / 2.0
     check_density(out, tols)
@@ -399,7 +414,7 @@ def family_trial(scenario, family, trial, tols):
     d = scenario.dims.get("d_S", 2)
     rng = np.random.default_rng([np.uint64(scenario.seed), np.uint64(FAMILY_INDEX[family]), np.uint64(trial)])
     if family == "spohn":
-        c, ks = random_cptp_parts(d, int(rng.integers(1, d * d + 1)), rng, d, tols)
+        c, ks = random_cptp_parts(d, int(rng.integers(1, d * d + 1)), rng, tols)
         rho = wishart(d, int(rng.integers(1, d + 1)), rng, tols)
         return spohn_bound(ch.QuantumOperation(d, d, c, ks), rho, tols)[:3]
     if family == "clausius":
@@ -483,9 +498,9 @@ def oracles():
 # Library-level constructions that only the tests use
 # ---------------------------------------------------------------------------
 
-def random_cptp(d, kraus_rank, rng, d_out=None, bipartite=None):
+def random_cptp(d, kraus_rank, rng, bipartite=None):
     """One random CPTP map: ``random_cptps`` of one ``bcsz_draw``."""
-    return ch.random_cptps(d, [ch.bcsz_draw(d, kraus_rank, rng, d_out)], d_out, bipartite)[0]
+    return ch.random_cptps(d, [ch.bcsz_draw(d, kraus_rank, rng)], bipartite)[0]
 
 
 def fixed_point(op, tols=DEFAULT_TOLS):
@@ -573,6 +588,14 @@ def spohn(op, rho, tols=DEFAULT_TOLS, collect=None):
     return bd.spohn_block([op], [rho], tols, [collect])[0]
 
 
+def holevo_trial(sc, ens, haar, tols=DEFAULT_TOLS):
+    """(chi, report, sampled information) of ``holevo_block`` of one pair,
+    with the Haar bases ``haar`` of the trial."""
+    collect = {}
+    rep = bd.holevo_block([sc], [ens], haar[None], tols, [collect])[0]
+    return rep.metadata["chi"], rep, collect["sampled_information"]
+
+
 def clausius(sc, sigma, h, beta, tols=DEFAULT_TOLS, collect=None):
     """``clausius_block`` of one pair, with the Gibbs state of (h, beta)."""
     gibbs, z = bd.thermal_state(mk.as_matrix(h), beta, tols)
@@ -617,6 +640,11 @@ def random_density(d, rank, rng, labels=None, tols=DEFAULT_TOLS):
 def trial_rng(seed, trial):
     """Independent per-trial stream derived from (seed, trial)."""
     return np.random.default_rng([np.uint64(seed), np.uint64(trial)])
+
+
+def swap_unitary(d):
+    """SWAP of two d-dimensional factors."""
+    return mk.permutation_matrix(DimShape([d, d], ["1", "2"]), ["2", "1"])
 
 
 def identity_channel(d):
@@ -678,7 +706,7 @@ def choi_of_msharp(sc):
     """Choi matrix of M# on (S_out) (x) (out, in), dimension d^3: d * M
     reshaped to ((a,b,c), (p,q,r)), PSD by construction."""
     d = sc.d_s
-    c = d * sc.m_tensor.reshape(d ** 3, d ** 3)
+    c = d * m_tensor(sc).reshape(d ** 3, d ** 3)
     return (c + c.conj().T) / 2.0
 
 
@@ -705,7 +733,7 @@ def spohn_composition(op, sc):
     """Spohn's bound for the preparation from tr_E(rho_SE), plus the
     generalized bound for the subsequent correlated dynamics; slacks add."""
     rep_spohn = spohn(op, sys_marginal(sc))
-    rep_main = bd.main_bounds([sc], [op], [neso(sc)])[0]
+    rep_main = bd.main_block([sc], [op], [neso(sc)])[0]
     return types.SimpleNamespace(spohn=rep_spohn, main=rep_main,
                                  combined_slack=ext_add(rep_spohn.slack, rep_main.slack))
 

@@ -18,8 +18,9 @@ from supchan import superchannel as sup
 from supchan.config import DEFAULT_TOLS
 from supchan.matkernel import DimShape
 
-from conftest import (act, apply, channel_from_dilation, choi_of_msharp, clausius, env_marginal, identity_channel,
-                      IsometricOperation, mmap, msharp_tp_residual, neso, neso_op, operation_entropy, random_cptp,
+from conftest import (act, apply, channel_from_dilation, choi_of_msharp, clausius, env_marginal, holevo_trial,
+                      identity_channel, IsometricOperation, mmap, msharp_tp_residual, neso, neso_op, operation_entropy,
+                      random_cptp,
                       random_density, relative_entropy, replace_channel, slack_identity, spohn, stinespring,
                       sys_marginal, trial_rng, unitary_channel, von_neumann_entropy)
 
@@ -98,7 +99,7 @@ def test_criterion_3_main_bound_sweep():
         rng = trial_rng(4242, seed)
         sc = rand_sc(2, 2, rng)
         ns = neso(sc)
-        r = bd.main_bounds([sc], [neso_op(ns)], [ns])[0]
+        r = bd.main_block([sc], [neso_op(ns)], [ns])[0]
         neso_ok &= abs(r.slack) < 1e-8
 
     identity_ok = True
@@ -107,7 +108,7 @@ def test_criterion_3_main_bound_sweep():
         sc = rand_sc(2, 2, rng)
         op = random_cptp(2, int(rng.integers(1, 5)), rng)
         ns = neso(sc)
-        r = bd.main_bounds([sc], [op], [ns])[0]
+        r = bd.main_block([sc], [op], [ns])[0]
         d_in, d_out = slack_identity(sc, op, ns)
         if all(math.isfinite(v) for v in (r.slack, d_in, d_out)):
             identity_ok &= abs(r.slack - (d_in - d_out)) <= 1e-9
@@ -142,7 +143,7 @@ def test_criterion_4_reduction_checks():
         sc = sup.build(ch.partial_swap_unitary(2, math.pi / 4), rho_se)
         sigma = random_density(2, int(rng.integers(1, 3)), rng)
         rep_c = clausius(sc, sigma, h, 1.0)
-        rep_m = bd.main_bounds([sc], [replace_channel(sigma)], [neso(sc)])[0]
+        rep_m = bd.main_block([sc], [replace_channel(sigma)], [neso(sc)])[0]
         dev = max(abs(rep_c.lhs - rep_m.lhs), abs(rep_c.rhs - rep_m.rhs),
                   abs(rep_c.slack - rep_m.slack))
         worst_c = max(worst_c, dev)
@@ -162,7 +163,7 @@ def test_criterion_5_superchannel_dual_definition():
         d_e = 2 + seed % 2
         sc = rand_sc(2, d_e, rng)
         op = random_cptp(2, int(rng.integers(1, 5)), rng)
-        dev = mk.max_abs(act(sc, op).mat - sup.act_tensor(sc, op.choi))
+        dev = mk.max_abs(act(sc, op).mat - sup.act_normalized_block(sup.m_tensors([sc]), [op.choi_state])[0])
         worst_dual = max(worst_dual, dev)
         dual_ok &= dev <= 1e-10
         w = np.linalg.eigvalsh(choi_of_msharp(sc))
@@ -213,7 +214,7 @@ def test_criterion_7_holevo_sweep():
         ),
     )
     haar = st.haar_unitaries(50, 2, np.random.default_rng(7))
-    chi, _, sampled = bd.holevo_block([sc], [ens], haar[None])[0]
+    chi, _, sampled = holevo_trial(sc, ens, haar)
     orth_ok = abs(chi - math.log(2)) <= 1e-9 and max(sampled) >= math.log(2) - 1e-9
     _report("7 holevo sweep", failures == 0 and orth_ok,
             f"failures={failures}, chi={chi:.12f}, best sampled={max(sampled):.12f}")

@@ -14,7 +14,8 @@ from supchan.matkernel import DimShape, ValidationError
 
 from conftest import (channel_from_dilation, classical_channel, clausius, depolarizing_channel, env_marginal,
                       ext_add, identity_channel, neso, neso_op, random_cptp, random_density, replace_channel,
-                      slack_identity, spohn, spohn_composition, unitary_channel, von_neumann_entropy)
+                      holevo_trial, slack_identity, spohn, spohn_composition, swap_unitary, unitary_channel,
+                      von_neumann_entropy)
 
 
 def rand_sc(d_s, d_e, seed, product=False):
@@ -113,7 +114,7 @@ def test_main_bound_saturates_at_neso():
     for seed in range(10):
         sc, _ = rand_sc(2, 2, seed=3000 + seed)
         ns = neso(sc)
-        rep = bd.main_bounds([sc], [neso_op(ns)], [ns])[0]
+        rep = bd.main_block([sc], [neso_op(ns)], [ns])[0]
         assert rep.passed
         assert abs(rep.slack) <= 1e-8
         assert abs(rep.lhs + math.log(2)) <= 1e-8  # both sides equal -log d
@@ -125,7 +126,7 @@ def test_main_bound_slack_identity():
         op = random_cptp(2, int(rng.integers(1, 5)), rng)
         ns = neso(sc)
         collect = {}
-        rep = bd.main_bounds([sc], [op], [ns], DEFAULT_TOLS, [collect])[0]
+        rep = bd.main_block([sc], [op], [ns], DEFAULT_TOLS, [collect])[0]
         d_in, d_out = slack_identity(sc, op, ns)
         # The explain record gives the bits of the one-pair relative entropies.
         assert [x.hex() for x in collect["slack_identity"]] == [d_in.hex(), d_out.hex()]
@@ -139,7 +140,7 @@ def test_main_bound_reduces_to_spohn_for_replace_ops():
         sc, rng = rand_sc(2, 2, seed=3200 + seed, product=True)
         omega = random_density(2, int(rng.integers(1, 3)), rng)
         ns = neso(sc)
-        rep_main = bd.main_bounds([sc], [replace_channel(omega)], [ns])[0]
+        rep_main = bd.main_block([sc], [replace_channel(omega)], [ns])[0]
         rep_spohn = spohn(channel_from_dilation(sc.u, env_marginal(sc)), omega)
         if math.isfinite(rep_main.slack) and math.isfinite(rep_spohn.slack):
             assert abs(rep_main.slack - rep_spohn.slack) <= 1e-9
@@ -149,7 +150,7 @@ def test_main_bound_random_sweep_small():
     for seed in range(60):
         sc, rng = rand_sc(2, 2 + seed % 2, seed=3300 + seed)
         op = random_cptp(2, int(rng.integers(1, 5)), rng)
-        rep = bd.main_bounds([sc], [op], [neso(sc)])[0]
+        rep = bd.main_block([sc], [op], [neso(sc)])[0]
         assert rep.passed, f"seed {seed}: slack {rep.slack}"
 
 
@@ -167,7 +168,7 @@ def test_main_bound_detects_known_adversarial_violation():
     sc = sup.build(ch.partial_swap_unitary(2, theta), rho_se)
     op = classical_channel(np.array([[1.0, 0.5], [0.0, 0.5]]))
     ns = neso(sc)
-    rep = bd.main_bounds([sc], [op], [ns])[0]
+    rep = bd.main_block([sc], [op], [ns])[0]
     assert not rep.passed
     assert rep.slack < -0.1
     d_in, d_out = slack_identity(sc, op, ns)
@@ -250,7 +251,7 @@ def test_clausius_agrees_with_main_bound_code_path():
     for _ in range(10):
         sigma = random_density(2, 2, rng)
         rep_c = clausius(sc, sigma, h, 1.0)
-        rep_m = bd.main_bounds([sc], [replace_channel(sigma)], [neso(sc)])[0]
+        rep_m = bd.main_block([sc], [replace_channel(sigma)], [neso(sc)])[0]
         assert abs(rep_c.lhs - rep_m.lhs) <= 1e-10
         assert abs(rep_c.rhs - rep_m.rhs) <= 1e-10
         assert abs(rep_c.slack - rep_m.slack) <= 1e-10
@@ -264,7 +265,7 @@ def test_clausius_rejects_non_thermal_fixed_point():
     rho_se = st.density(
         mk.tensor(random_density(2, 2, rng).mat, tau.mat), DimShape([2, 2], ["S", "E"])
     )
-    sc = sup.build(ch.swap_unitary(2), rho_se)
+    sc = sup.build(swap_unitary(2), rho_se)
     with pytest.raises(ValidationError, match="residual"):
         clausius(sc, tau, h, 1.0)
 
@@ -292,9 +293,9 @@ def test_qdpi_swap_preparation_through_depolarizing_superchannels():
     # SWAP's operation-state is maximally correlated across the P/Q pairs;
     # superchannels that discard the system output no mutual information
     rho_se = st.density(np.eye(4) / 4, DimShape([2, 2], ["S", "E"]))
-    sc1 = sup.build(ch.swap_unitary(2), rho_se)
-    sc2 = sup.build(ch.swap_unitary(2), rho_se)
-    swap_op = unitary_channel(ch.swap_unitary(2))
+    sc1 = sup.build(swap_unitary(2), rho_se)
+    sc2 = sup.build(swap_unitary(2), rho_se)
+    swap_op = unitary_channel(swap_unitary(2))
     swap_op = ch.QuantumOperation(4, 4, swap_op.choi, swap_op.kraus, (2, 2))
     rep = bd.qdpi_block([sc1], [sc2], [swap_op])[0]
     assert rep.passed
@@ -331,7 +332,7 @@ def test_holevo_indistinguishable_ensemble():
     sc, rng = rand_sc(2, 2, seed=6000)
     op = random_cptp(2, 2, rng)
     ens = bd.Ensemble((0.5, 0.5), (op, op))
-    chi, rep, sampled = bd.holevo_block([sc], [ens], st.haar_unitaries(10, 2, rng)[None])[0]
+    chi, rep, sampled = holevo_trial(sc, ens, st.haar_unitaries(10, 2, rng))
     assert chi <= 1e-10
     assert max(sampled) <= 1e-9
     assert rep.passed
@@ -349,7 +350,7 @@ def test_holevo_orthogonal_ensemble_attains_log2():
             replace_channel(st.density(np.diag([0.0, 1.0]))),
         ),
     )
-    chi, rep, sampled = bd.holevo_block([sc], [ens], st.haar_unitaries(10, 2, rng)[None])[0]
+    chi, rep, sampled = holevo_trial(sc, ens, st.haar_unitaries(10, 2, rng))
     assert abs(chi - math.log(2)) <= 1e-9
     # the eigenbasis measurement (appended last) is computational here
     assert max(sampled) >= math.log(2) - 1e-9
@@ -377,7 +378,8 @@ def test_stacked_measurement_bases_match_sequential_draws_bitwise(oracles):
 
             states = np.stack([random_density(d, d, rng_seq).mat for _ in range(3)])
             probs = rng_seq.dirichlet(np.ones(3))
-            _, eig = mk.herm_eig(states.mean(axis=0))
+            avg = states.mean(axis=0)
+            _, eig = mk.herm_eig_of(avg, *np.linalg.eigh((avg + mk.dagger(avg)) / 2.0))
             expected = []
             for basis in seq + [eig]:
                 joint = np.empty((3, d))
@@ -396,7 +398,7 @@ def test_holevo_random_sweep_small():
         ops = tuple(random_cptp(2, int(rng.integers(1, 5)), rng) for _ in range(k))
         probs = rng.dirichlet(np.ones(k))
         ens = bd.Ensemble(tuple(float(p) for p in probs / probs.sum()), ops)
-        chi, rep, sampled = bd.holevo_block([sc], [ens], st.haar_unitaries(25, 2, rng)[None])[0]
+        chi, rep, sampled = holevo_trial(sc, ens, st.haar_unitaries(25, 2, rng))
         assert rep.passed, f"seed {seed}"
         assert chi >= -1e-10
         assert chi <= math.log(k) + 1e-9
@@ -434,14 +436,14 @@ def test_main_bounds_are_bitwise_the_per_trial_main_bound(d_s, d_e, oracles):
     tols = DEFAULT_TOLS
     for scs, ops in oracles.block_instances(d_s, d_e, 200, [d_s, d_e, 1]):
         nss = [neso(sc) for sc in scs]
-        reports = bd.main_bounds(scs, ops, nss, tols)
+        reports = bd.main_block(scs, ops, nss, tols)
         for sc, op, ns, rep in zip(scs, ops, nss, reports):
             ks = oracles.kraus(op.choi, d_s, d_s, tols) if op.by_choi else op.kraus
             want = oracles.main_bound(sc, op.choi, ks, ns.state, tols)
             got = (rep.lhs, rep.rhs, rep.slack)
             assert all(type(x) is float for x in got)
             assert np.array(got).tobytes() == np.array(want).tobytes()
-            one = bd.main_bounds([sc], [op], [ns], tols)[0]
+            one = bd.main_block([sc], [op], [ns], tols)[0]
             assert np.array((one.lhs, one.rhs, one.slack)).tobytes() == np.array(want).tobytes()
 
 
@@ -493,12 +495,13 @@ def test_holevo_blocks_are_bitwise_the_per_trial_holevo(d_s, d_e, oracles):
         enss = cp.random_ensembles(d_s, rngs, tols, explicit if kind == 2 else None)
         haar = np.array([st.haar_unitaries(6, d_s, r) for r in rngs])
         collects = [{} for _ in block]
-        results = bd.holevo_block(scs, enss, haar, tols, collects)
-        for t, sc, ens, h, (chi, rep, sampled), details in zip(block, scs, enss, haar, results, collects):
+        reports = bd.holevo_block(scs, enss, haar, tols, collects)
+        for t, sc, ens, h, rep, details in zip(block, scs, enss, haar, reports, collects):
+            chi, sampled = rep.metadata["chi"], details["sampled_information"]
             if kind < 2:
                 seq = np.random.default_rng([d_s, d_e, t])
                 k = int(seq.integers(2, 5))
-                chois = [oracles.random_cptp_parts(d_s, int(seq.integers(1, d_s * d_s + 1)), seq, d_s, tols)[0]
+                chois = [oracles.random_cptp_parts(d_s, int(seq.integers(1, d_s * d_s + 1)), seq, tols)[0]
                          for _ in range(k)]
                 p = seq.dirichlet(np.ones(k))
                 assert ens.probs == tuple(float(x) for x in p / p.sum())
@@ -510,8 +513,8 @@ def test_holevo_blocks_are_bitwise_the_per_trial_holevo(d_s, d_e, oracles):
             assert rep.slack == want_chi - max(want_sampled)
             assert rep.metadata["best_measurement"] == int(np.argmax(want_sampled))
             assert details["avg_state_eigenvalues"] == want_w.tolist()
-            one = bd.holevo_block([sc], [ens], h[None], tols)[0]
-            assert [x.hex() for x in one[2]] == [x.hex() for x in want_sampled] and one[0] == want_chi
+            one_chi, _, one_sampled = holevo_trial(sc, ens, h, tols)
+            assert [x.hex() for x in one_sampled] == [x.hex() for x in want_sampled] and one_chi == want_chi
 
 
 @pytest.mark.parametrize("d_p,d_q,d_e1,d_e2", [(2, 2, 2, 2), (3, 3, 3, 3), (4, 4, 4, 4), (2, 3, 3, 2), (3, 2, 2, 3)])

@@ -243,8 +243,8 @@ def test_a_pinned_main_trial_forms_no_kron_and_at_most_two_eigendecompositions(m
     # products in one stacked multiply, and the prepared steady state is
     # decomposed once, in prepare; what remains per trial is the random
     # operation's Kraus extraction and the spectrum of sigma'.
-    calls = {"kron": 0, "herm_eig": 0}
-    for mod, name in ((np, "kron"), (mk, "herm_eig")):
+    calls = {"kron": 0, "herm_eig_of": 0}
+    for mod, name in ((np, "kron"), (mk, "herm_eig_of")):
         def counted(*args, _name=name, _real=getattr(mod, name), **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
@@ -253,7 +253,7 @@ def test_a_pinned_main_trial_forms_no_kron_and_at_most_two_eigendecompositions(m
 
     def prepare(*args):
         prepared = real_prepare(*args)
-        calls["herm_eig"] = 0
+        calls["herm_eig_of"] = 0
         return prepared
     monkeypatch.setattr(cp, "prepare", prepare)
     rng = np.random.default_rng(9)
@@ -262,7 +262,7 @@ def test_a_pinned_main_trial_forms_no_kron_and_at_most_two_eigendecompositions(m
         "rho_se": cp.matrix_to_json(random_density(9, 3, rng).mat)})
     cp.run_campaign(scn, DEFAULT_TOLS, jobs=1)
     assert calls["kron"] == 0
-    assert calls["herm_eig"] <= 2 * 20
+    assert calls["herm_eig_of"] <= 2 * 20
 
 
 def pinned_d3_scenario(trials):
@@ -275,8 +275,8 @@ def pinned_d3_scenario(trials):
 def test_a_pinned_main_block_decomposes_twice_and_is_one_task(monkeypatch):
     # One stacked Kraus extraction and one stacked spectrum of sigma' per
     # block of 8 trials, and one _eval_task call per block.
-    calls = {"herm_eig": 0, "_eval_task": 0}
-    for mod, name in ((mk, "herm_eig"), (cp, "_eval_task")):
+    calls = {"herm_eig_of": 0, "_eval_task": 0}
+    for mod, name in ((mk, "herm_eig_of"), (cp, "_eval_task")):
         def counted(*args, _name=name, _real=getattr(mod, name), **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
@@ -285,11 +285,11 @@ def test_a_pinned_main_block_decomposes_twice_and_is_one_task(monkeypatch):
 
     def prepare(*args):
         prepared = real_prepare(*args)
-        calls["herm_eig"] = 0
+        calls["herm_eig_of"] = 0
         return prepared
     monkeypatch.setattr(cp, "prepare", prepare)
     cp.run_campaign(pinned_d3_scenario(20), DEFAULT_TOLS, jobs=1)
-    assert calls["herm_eig"] <= 2 * math.ceil(20 / 8)
+    assert calls["herm_eig_of"] <= 2 * math.ceil(20 / 8)
     assert calls["_eval_task"] == math.ceil(20 / 8)
 
 
@@ -409,7 +409,8 @@ def test_a_holevo_block_makes_one_measured_information_call(monkeypatch, explici
 @pytest.mark.parametrize("d_p,d_q,sizes", [(2, 2, [8]), (2, 3, [8]), (3, 3, [2, 2, 2, 2])])
 def test_a_qdpi_block_stacks_at_most_the_stack_limit_of_joint_choi_entries(monkeypatch, d_p, d_q, sizes):
     # (d_P d_Q)^4 entries per trial: 256 and 1296 fit eight times into
-    # STACK_ENTRIES, 6561 twice; each part gives the per-trial reports.
+    # STACK_ENTRIES, 6561 twice; so a campaign cuts its qdpi trials into
+    # blocks of that many, and each block gives the per-trial reports.
     calls = []
     real = bd.qdpi_block
 
@@ -418,10 +419,10 @@ def test_a_qdpi_block_stacks_at_most_the_stack_limit_of_joint_choi_entries(monke
         return real(sc1s, *args)
     monkeypatch.setattr(bd, "qdpi_block", counted)
     scn = make_scenario(trials=8, bound="qdpi", dims={"d_P": d_p, "d_Q": d_q, "d_E1": 2, "d_E2": 3})
-    reports = cp.evaluate_block(scn, "qdpi", range(8), DEFAULT_TOLS)
-    assert calls[:len(sizes)] == sizes
+    reports = cp.run_campaign(scn, DEFAULT_TOLS, jobs=1)["sections"]["qdpi"]["reports"]
+    assert calls == sizes
     one = [cp.evaluate_trial(scn, "qdpi", t, DEFAULT_TOLS) for t in range(8)]
-    assert [cp.report_to_dict(r) for r in reports] == [cp.report_to_dict(r) for r in one]
+    assert reports == [cp.report_to_dict(r) for r in one]
 
 
 def test_a_later_steady_operation_failure_does_not_hide_an_earlier_trial(monkeypatch):

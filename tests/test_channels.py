@@ -11,7 +11,7 @@ from supchan.matkernel import DimShape, ShapeError, ValidationError
 
 from conftest import (apply, channel_from_dilation, compose, depolarizing_channel, fixed_point, identity_channel,
                       is_trace_preserving, partial_damping_kraus, random_cptp, random_density, relative_entropy,
-                      replace_channel, unitary_channel)
+                      replace_channel, swap_unitary, unitary_channel)
 
 
 def rand_op(d, rank, seed):
@@ -135,7 +135,7 @@ def test_channel_from_dilation_identity_and_swap():
     rho = random_density(2, 2, rng)
     assert mk.max_abs(apply(ident, rho).mat - rho.mat) <= 1e-11
 
-    swap = channel_from_dilation(ch.swap_unitary(2), tau)
+    swap = channel_from_dilation(swap_unitary(2), tau)
     assert mk.max_abs(apply(swap, rho).mat - tau.mat) <= 1e-11
 
 
@@ -267,7 +267,7 @@ def test_marginal_operation_product():
 
 
 def test_marginal_operation_swap_is_depolarizing_like():
-    swap_op = unitary_channel(ch.swap_unitary(2))
+    swap_op = unitary_channel(swap_unitary(2))
     swap_op = ch.QuantumOperation(4, 4, swap_op.choi, swap_op.kraus, (2, 2))
     got = ch.from_choi(ch.marginal_chois(swap_op.choi, swap_op.bipartite, "P"), 2, 2)
     # oracle: partial trace of the Choi over the Q pair, rescaled
@@ -312,11 +312,9 @@ def test_random_cptp_is_cptp_and_seeded():
     assert mk.max_abs(a.choi - b.choi) == 0
 
 
-def random_cptp_choi_two_kron(d, kraus_rank, rng, d_out):
-    """random_cptp's Choi matrix with the lift I (x) R^-1/2 formed by two
-    np.kron calls: the bitwise oracle for the single stacked lift."""
-    g = st.ginibre(d_out * d, kraus_rank, rng)
-    w = g @ g.conj().T
+def two_kron_projection(w, d, d_out):
+    """W -> (I (x) R^-1/2) W (I (x) R^-1/2), Hermitized, with R = tr_out W on
+    out (x) in and the lift formed by two np.kron calls."""
     r = ch.tr_out_choi(w, d_out, d)
     rw, rv = np.linalg.eigh((r + r.conj().T) / 2.0)
     rw = np.clip(rw, 1e-14, None)
@@ -325,14 +323,31 @@ def random_cptp_choi_two_kron(d, kraus_rank, rng, d_out):
     return (choi + choi.conj().T) / 2.0
 
 
+def random_cptp_choi_two_kron(d, kraus_rank, rng, d_out):
+    """random_cptp's Choi matrix for d_out = d, and the same construction of
+    a d -> d_out map, with each lift formed by two np.kron calls: the
+    bitwise oracle for the single stacked lift.  A map off trace
+    preservation by more than 1e-12 is projected once more."""
+    g = st.ginibre(d_out * d, kraus_rank, rng)
+    choi = two_kron_projection(g @ g.conj().T, d, d_out)
+    if mk.max_abs(ch.tr_out_choi(choi, d_out, d) - np.eye(d)) > 1e-12:
+        choi = two_kron_projection(choi, d, d_out)
+    return choi
+
+
 @pytest.mark.parametrize("d,d_out", [(2, 2), (3, 3), (4, 4), (2, 3), (3, 2)])
 def test_transfer_matrix_and_random_cptp_lift_are_bitwise_the_kron_oracles(d, d_out, oracles):
     # Below rank ceil(d / d_out), R = tr_out W is singular and the map is not CP.
+    # random_cptp draws maps on one dimension; a d -> d_out map is built from
+    # the oracle's Choi matrix.
     low = -(-d // d_out)
     for i in range(200):
         rank = low + i % (d * d_out - low + 1)
-        op = random_cptp(d, rank, np.random.default_rng([d, d_out, i]), d_out=d_out)
         oracle = random_cptp_choi_two_kron(d, rank, np.random.default_rng([d, d_out, i]), d_out)
+        if d == d_out:
+            op = random_cptp(d, rank, np.random.default_rng([d, d_out, i]))
+        else:
+            op = ch.from_choi(oracle, d_out, d)
         assert op.choi.tobytes() == oracle.tobytes()
         assert ch.transfer_matrices([op])[0].tobytes() == oracles.transfer_matrix(op.kraus).tobytes()
 
@@ -351,31 +366,36 @@ def test_require_trace_preserving_checks_each_call_in_one_step(monkeypatch):
     assert calls == [4, 3, 3]
 
 
-@pytest.mark.parametrize("d,d_out", [(2, 2), (3, 3), (4, 4), (2, 3), (3, 2)])
+@pytest.mark.parametrize("d,d_out", [(2, 2), (3, 3), (4, 4)])
 def test_random_cptps_are_bitwise_the_per_trial_construction(d, d_out, oracles):
     # Blocks of 1-8 maps with mixed ranks: each Choi matrix and Kraus stack
-    # has the bytes of the one-map-at-a-time construction.
+    # has the bytes of the one-map-at-a-time construction (d_out = d seeds
+    # the draws).
     tols = Tolerances()
-    low = -(-d // d_out)
     for block in oracles.blocks(216):
-        ranks = [low + i % (d * d_out - low + 1) for i in block]
+        ranks = [1 + i % (d * d) for i in block]
         rngs = [np.random.default_rng([d, d_out, i]) for i in block]
-        ops = ch.random_cptps(d, [ch.bcsz_draw(d, r, g, d_out) for r, g in zip(ranks, rngs)], d_out)
+        ops = ch.random_cptps(d, [ch.bcsz_draw(d, r, g) for r, g in zip(ranks, rngs)])
         for i, rank, op in zip(block, ranks, ops):
-            choi, kraus = oracles.random_cptp_parts(d, rank, np.random.default_rng([d, d_out, i]), d_out, tols)
+            choi, kraus = oracles.random_cptp_parts(d, rank, np.random.default_rng([d, d_out, i]), tols)
             assert op.choi.tobytes() == choi.tobytes()
             assert op.kraus.tobytes() == kraus.tobytes()
-            assert ch.from_choi(op.choi, d_out, d).kraus.tobytes() == kraus.tobytes()
+            assert ch.from_choi(op.choi, d, d).kraus.tobytes() == kraus.tobytes()
 
 
-def test_random_cptp_refuses_a_rank_below_the_least_kraus_rank():
-    # Rank 1 cannot carry a 3 -> 2 map: R = tr_out W would be singular.
-    rng = np.random.default_rng(0)
-    state = rng.bit_generator.state
-    with pytest.raises(ValueError, match=r"kraus_rank 1 is below 2"):
-        random_cptp(3, 1, rng, d_out=2)
-    assert rng.bit_generator.state == state
-    assert is_trace_preserving(random_cptp(3, 2, rng, d_out=2))
+@pytest.mark.parametrize("d,seed", [(2, [2, 1, 712]), (3, [3, 1, 2966])])
+def test_random_cptps_project_again_a_map_off_trace_preservation(d, seed):
+    # A Kraus-rank-1 draw leaves R = tr_out W ill-conditioned, and one
+    # projection misses trace preservation by 1e-11 (d = 2) or 6e-12
+    # (d = 3); that map is projected again, and the others of its stack keep
+    # the bits of one projection.
+    g = ch.bcsz_draw(d, 1, np.random.default_rng(seed))
+    full = ch.bcsz_draw(d, d * d, np.random.default_rng(seed))
+    ops = ch.random_cptps(d, [full, g, full])
+    dev = mk.max_abs(ch.tr_out_choi(np.array([op.choi for op in ops]), d, d) - np.eye(d))
+    assert dev.max() <= 1e-12
+    once = ch.random_cptps(d, [full])[0].choi
+    assert ops[0].choi.tobytes() == ops[2].choi.tobytes() == once.tobytes()
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

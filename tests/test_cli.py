@@ -453,7 +453,7 @@ def test_dims_whose_stacked_matrices_exceed_the_storage_limit_are_refused_at_loa
     assert cli.main(["verify", "--scenario", scn, "--jobs", "1"]) == cli.EXIT_VALIDATION_ERROR
     assert "scenario error: dims: main stacks 1 matrices of dimension d_S*d_E=40000" in capsys.readouterr().err
     # A block stacks min(BLOCK, trials) matrices; qdpi and mmap-consistency
-    # stack as many as their parts of STACK_ENTRIES hold.
+    # blocks hold as many trials as STACK_ENTRIES entries allow.
     at = {"d_S": 2, "d_E": 1024}
     assert cp.load_scenario(json.dumps({"bound": "main", "trials": 4, "dims": at})).dims == at
     with pytest.raises(cp.ScenarioError, match=r"^dims: main stacks 5 matrices of dimension d_S\*d_E=2048"):
@@ -472,3 +472,42 @@ def test_verify_refuses_jobs_below_one(tmp_path, capsys, jobs):
     assert cli.main(["verify", "--scenario", scn, "--jobs", jobs]) == cli.EXIT_VALIDATION_ERROR
     assert capsys.readouterr().err == f"error: --jobs: expected an integer >= 1, got {jobs}\n"
     assert cli.main(["verify", "--scenario", scn, "--jobs", "1", "--out", str(tmp_path / "r.json")]) == cli.EXIT_OK
+
+
+def test_verify_runs_in_one_process_unless_jobs_is_given(tmp_path, monkeypatch):
+    seen = []
+    real = cp.run_campaign
+    monkeypatch.setattr(cp, "run_campaign", lambda scenario, tols, jobs: seen.append(jobs) or real(scenario, tols))
+    scn = write_scenario(tmp_path, trials=2, bound="spohn")
+    for flags in ([], ["--jobs", "2"]):
+        assert cli.main(["verify", "--scenario", scn, "--out", str(tmp_path / "r.json"), *flags]) == cli.EXIT_OK
+    assert seen == [1, 2]
+
+
+def test_a_random_map_off_trace_preservation_by_1e_10_is_projected_again(tmp_path, capsys):
+    # Trial 20 draws a Kraus-rank-1 map on P (x) Q whose one projection
+    # misses trace preservation by 9.6e-11, enough to move the trace of its
+    # image through both superchannels past trace_tol.
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({"seed": 236408525, "trials": 21, "bound": "qdpi"}))
+    assert cli.main(["verify", "--scenario", str(path), "--out", str(tmp_path / "r.json")]) == cli.EXIT_OK
+    assert json.loads((tmp_path / "r.json").read_text())["summary"]["passes"] == 21
+
+
+def test_a_hamiltonian_that_load_accepts_is_not_refused_later(tmp_path):
+    # H is Hermitian within herm_tol relative to its largest entry (5e-8 of
+    # 1000), as load_scenario checks it; the Gibbs state takes its spectrum
+    # from (H + H^dag) / 2 with no second, absolute check.
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({"seed": 1, "trials": 2, "bound": "clausius", "dims": {"d_S": 2},
+                                "explicit": {"H": [[1000, 5e-8], [0, 0]], "beta": 0.001}}))
+    assert cli.main(["verify", "--scenario", str(path), "--out", str(tmp_path / "r.json")]) == cli.EXIT_OK
+
+
+def test_an_overflowing_gibbs_weight_is_a_named_refusal(tmp_path, capsys):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({"seed": 1, "trials": 2, "bound": "clausius", "dims": {"d_S": 2},
+                                "explicit": {"H": [[-1000, 0], [0, 0]], "beta": 1}}))
+    assert cli.main(["verify", "--scenario", str(path)]) == cli.EXIT_VALIDATION_ERROR
+    assert capsys.readouterr().err == ("validation error: exp(-beta H) is out of float range: -beta times the least "
+                                       "eigenvalue of H is 1.000000e+03\n")

@@ -12,7 +12,8 @@ from supchan.matkernel import DimShape, ShapeError, ValidationError
 
 from conftest import (act, apply, channel_from_dilation, depolarizing_channel, identity_channel,
                       is_trace_preserving, IsometricOperation, isometry_choi_state, mmap, operation_entropy,
-                      random_cptp, random_density, stinespring, sys_marginal, unitary_channel, von_neumann_entropy)
+                      random_cptp, random_density, stinespring, swap_unitary, sys_marginal, unitary_channel,
+                      von_neumann_entropy)
 
 
 def rand_sc(d_s, d_e, seed):
@@ -190,7 +191,7 @@ def test_mmap_swap_dilation_moves_state_to_ancilla():
     # V = SWAP_SA with alpha = |0><0| implements replace-by-|0> on the system
     sc, _ = rand_sc(2, 2, seed=10)
     alpha = st.density(np.diag([1.0, 0.0]), labels=["A"])
-    iso = IsometricOperation(ch.swap_unitary(2), alpha)
+    iso = IsometricOperation(swap_unitary(2), alpha)
     op = channel_from_dilation(iso.v, iso.alpha)
     ket0 = st.density(np.diag([1.0, 0.0]))
     rho = random_density(2, 2, np.random.default_rng(11))

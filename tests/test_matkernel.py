@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from supchan import bounds as bd
 from supchan import matkernel as mk
 from supchan.matkernel import DimShape, ShapeError, ValidationError
 
@@ -13,6 +14,14 @@ Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 def rand_herm(d, rng):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return (g + g.conj().T) / 2
+
+
+def eig(m):
+    """The decomposition a check takes of ``m`` (or of each of a stack):
+    Hermitian, then one eigh of (m + m^dag) / 2 through ``herm_eig_of``."""
+    m = mk.as_matrix(m, stack=True)
+    mk.check_hermitian(m, 1e-10)
+    return mk.herm_eig_of(m, *np.linalg.eigh((m + mk.dagger(m)) / 2.0))
 
 
 def test_tensor_identities():
@@ -133,13 +142,13 @@ def test_permutation_matrix_is_unitary():
 
 
 def test_herm_eig_diagonal():
-    w, v = mk.herm_eig(np.diag([3.0, 1.0]).astype(complex))
+    w, v = eig(np.diag([3.0, 1.0]).astype(complex))
     assert np.allclose(w, [3.0, 1.0])
     assert mk.max_abs(np.abs(v) - np.eye(2)) <= 1e-12
 
 
 def test_herm_eig_pauli_x():
-    w, v = mk.herm_eig(X)
+    w, v = eig(X)
     assert np.allclose(w, [1.0, -1.0], atol=1e-12)
     plus = np.array([1, 1]) / np.sqrt(2)
     minus = np.array([1, -1]) / np.sqrt(2)
@@ -152,7 +161,7 @@ def test_herm_eig_reconstruction_and_trace():
     rng = np.random.default_rng(13)
     for _ in range(10):
         m = rand_herm(6, rng)
-        w, v = mk.herm_eig(m)
+        w, v = eig(m)
         assert mk.max_abs(v @ np.diag(w) @ v.conj().T - m) < 1e-10
         assert mk.max_abs(v.conj().T @ v - np.eye(6)) < 1e-10
         assert abs(np.sum(w) - np.trace(m).real) <= 1e-10
@@ -161,7 +170,7 @@ def test_herm_eig_reconstruction_and_trace():
 
 def test_herm_eig_rejects_non_hermitian():
     with pytest.raises(ValidationError, match="max deviation 1.000e"):
-        mk.herm_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+        eig(np.array([[0, 1], [0, 0]], dtype=complex))
     with pytest.raises(ValidationError, match="Choi matrix is not Hermitian"):
         mk.check_hermitian(np.array([[0, 1e-9], [0, 0]]), 1e-10, "Choi matrix")
     mk.check_hermitian(np.array([[0, 1e-9], [0, 0]]), 1e-9)
@@ -172,38 +181,48 @@ def test_herm_eig_clamps_and_psd_factors_rebuild_the_matrix():
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     lam = np.array([0.7, 0.3, 1e-12, -1e-12])
     m = (q * lam) @ q.conj().T
-    w, _ = mk.herm_eig(m)
+    w, _ = eig(m)
     assert w[2] == 0.0 and w[3] == 0.0
-    fs = mk.psd_factors(*mk.herm_eig(m))
+    fs = mk.psd_factors(*eig(m))
     assert len(fs) == 2
     assert np.linalg.norm(fs[0]) ** 2 == pytest.approx(0.7)
     assert mk.max_abs(sum(np.outer(f, f.conj()) for f in fs) - m) < 1e-12
 
 
 def test_herm_fn_log_maximally_mixed():
-    got = mk.herm_fn(np.eye(3) / 3, np.log)
-    assert mk.max_abs(got + np.log(3) * np.eye(3)) <= 1e-12
+    # exp(-beta H) through thermal_state: H = log(3) I gives I/3 with Z = 1.
+    gibbs, z = bd.thermal_state(np.log(3) * np.eye(3, dtype=complex), 1.0)
+    assert mk.max_abs(gibbs.mat - np.eye(3) / 3) <= 1e-12 and abs(z - 1.0) <= 1e-12
 
 
 def test_herm_fn_exp_of_zero_matrix():
-    assert mk.max_abs(mk.herm_fn(np.zeros((2, 2)), np.exp) - np.eye(2)) <= 1e-12
+    gibbs, z = bd.thermal_state(np.zeros((2, 2), dtype=complex), 0.7)
+    assert mk.max_abs(gibbs.mat - np.eye(2) / 2) <= 1e-12 and z == 2.0
 
 
 def test_herm_fn_log_exp_round_trip():
+    # The Gibbs state of H = -log(rho) at beta = 1 is rho, with Z = 1.
     rng = np.random.default_rng(17)
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
-    back = mk.herm_fn(mk.herm_fn(rho, np.log), np.exp)
-    assert mk.max_abs(back - rho) < 1e-10
+    w, v = np.linalg.eigh(rho)
+    gibbs, z = bd.thermal_state((v * -np.log(w)) @ v.conj().T, 1.0)
+    assert mk.max_abs(gibbs.mat - rho) < 1e-10 and abs(z - 1.0) < 1e-10
 
 
 def test_herm_fn_kernel_policies():
-    singular = np.diag([1.0, 0.0]).astype(complex)
-    got = mk.herm_fn(singular, np.log)
-    assert mk.max_abs(got) <= 1e-12  # log(1) = 0 and kernel mapped to 0
-    with pytest.raises(ValidationError):
-        mk.herm_fn(np.diag([1.0, -2.0]).astype(complex), np.log)
+    # A singular H is a valid Hamiltonian; an exp(-beta H) that overflows,
+    # or underflows to a zero partition function, is refused by name, and so
+    # is a nonpositive beta.
+    gibbs, z = bd.thermal_state(np.diag([1.0, 0.0]).astype(complex), 1.0)
+    assert mk.max_abs(gibbs.mat - np.diag([1.0, np.e]) / (1.0 + np.e)) <= 1e-12
+    for h, x in (([1.0, -1000.0], "1\\.000000e\\+03"), ([1000.0, 2000.0], "-1\\.000000e\\+03")):
+        with pytest.raises(ValidationError, match=f"^exp\\(-beta H\\) is out of float range: -beta times the "
+                                                  f"least eigenvalue of H is {x}$"):
+            bd.thermal_state(np.diag(h).astype(complex), 1.0)
+    with pytest.raises(ValueError, match="beta must be positive"):
+        bd.thermal_state(np.eye(2, dtype=complex), 0.0)
 
 
 def test_dimshape_validation():
@@ -224,6 +243,6 @@ def test_a_check_of_a_stack_names_its_first_failing_matrix():
     bad = [np.array([[1.0, dev], [0.0, 1.0]], dtype=complex) for dev in (1e-3, 2e-3)]
     for first, second in (bad, bad[::-1]):
         with pytest.raises(ValidationError, match=f"max deviation {first[0, 1].real:.3e}"):
-            mk.herm_eig(np.stack([good, first, good, second]))
-    w, v = mk.herm_eig(np.stack([good, 2 * good]))
+            eig(np.stack([good, first, good, second]))
+    w, v = eig(np.stack([good, 2 * good]))
     assert w.tolist() == [[1.0, 1.0], [2.0, 2.0]] and v.shape == (2, 2, 2)

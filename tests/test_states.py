@@ -12,7 +12,7 @@ from supchan import superchannel as sup
 from supchan.config import DEFAULT_TOLS, Tolerances
 from supchan.matkernel import DimShape, ShapeError, ValidationError
 
-from conftest import marginal, random_density, relative_entropy, trial_rng, von_neumann_entropy
+from conftest import herm_eig, marginal, random_density, relative_entropy, trial_rng, von_neumann_entropy
 
 
 def test_density_validation():
@@ -196,7 +196,7 @@ def test_eig_is_bitwise_herm_eig():
     for m in mats:
         for tols in (DEFAULT_TOLS, loose):
             rho = st.density(m, tols=tols)
-            for got, want in zip((rho.w, rho.v), mk.herm_eig(rho.mat, tols)):
+            for got, want in zip((rho.w, rho.v), herm_eig(rho.mat, tols)):
                 assert got.tobytes() == want.tobytes()
 
 
@@ -261,7 +261,7 @@ def test_the_psd_check_at_the_psd_floor_reads_the_kept_decomposition(monkeypatch
     stacked = st.densities(np.array([edge, rotated @ np.diag([0.7, 0.3]) @ rotated.conj().T]), DimShape([2], ["S"]), tols)
     calls = count_decompositions(monkeypatch)
     for r in [rho] + stacked:
-        w, v = mk.herm_eig(r.mat, tols)
+        w, v = herm_eig(r.mat, tols)
         assert r.w.tobytes() == w.tobytes() and r.v.tobytes() == v.tobytes()
     assert calls == ["eigh"] * 3
     assert rho.w.tolist() == [1.0 + 1e-10, -1e-10]

@@ -1,12 +1,12 @@
 """Source checks over ``src/supchan``: every function that takes ``tols``
-reads it, every public function, method and property runs under ``verify``
-or ``explain``, no matrix is decomposed twice by a check and then an
-entropy, and the entry points and names the benchmark's tracer and launcher
-use stay as they expect."""
+reads it and every call passes it, no dataclass holds a memo, every family
+is one block function that returns reports, every public function, method
+and property runs under ``verify`` or ``explain``, no matrix is decomposed
+twice by a check and then an entropy, and the entry points and names the
+benchmark's tracer and launcher use stay as they expect."""
 
 import ast
 import contextlib
-import functools
 import importlib
 import inspect
 import io
@@ -47,15 +47,59 @@ def test_every_tols_parameter_is_read():
     assert unread_tols_parameters() == []
 
 
+def calls_relying_on_default_tols(sources: dict[str, str]) -> tuple[list[str], int, int]:
+    """(``module:line function`` for each call in ``sources`` that passes no
+    ``tols`` to a function defined there with a ``tols`` parameter, the
+    number of such functions, the number of their calls)."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    takes = {}   # function name -> positional index of tols, None when keyword-only
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                params = [p.arg for p in a.posonlyargs + a.args]
+                params = params[1:] if params[:1] == ["self"] else params
+                if "tols" in params:
+                    takes[node.name] = params.index("tols")
+                elif "tols" in [p.arg for p in a.kwonlyargs]:
+                    takes[node.name] = None
+    found, calls = [], 0
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            f = getattr(node, "func", None)
+            callee = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if not isinstance(node, ast.Call) or callee not in takes:
+                continue
+            calls += 1
+            pos = takes[callee]
+            if not (any(k.arg in ("tols", None) for k in node.keywords)
+                    or any(isinstance(x, ast.Starred) for x in node.args)
+                    or (pos is not None and len(node.args) > pos)):
+                found.append(f"{name}:{node.lineno} {callee}")
+    return found, len(takes), calls
+
+
+def test_no_call_relies_on_the_default_tolerances():
+    # A call that leaves out tols would run under DEFAULT_TOLS whatever the
+    # scenario or --slack-tol sets.
+    found, functions, calls = calls_relying_on_default_tols({p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))})
+    assert found == [] and functions > 40 and calls > 100
+    probe = "def f(x, tols=None):\n    return x\n\nf(1)\nf(1, None)\nf(1, tols=None)\nm.f(*a)\nm.f(2)\n"
+    assert calls_relying_on_default_tols({"probe": probe}) == (["probe:4 f", "probe:8 f"], 1, 5)
+
+
 def dataclass_fields_holding_tolerances_or_memos() -> list[str]:
     """``module:Class.field`` for each dataclass field annotated ``Tolerances``
-    or declared with ``init=False``."""
+    or declared with ``init=False``, and for each ``cached_property``."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if not (isinstance(node, ast.ClassDef) and any("dataclass" in ast.unparse(d) for d in node.decorator_list)):
                 continue
             for stmt in node.body:
+                if isinstance(stmt, ast.FunctionDef) and any("cached_property" in ast.unparse(d)
+                                                             for d in stmt.decorator_list):
+                    found.append(f"{path.stem}:{node.name}.{stmt.name}")
                 if not isinstance(stmt, ast.AnnAssign):
                     continue
                 no_init = isinstance(stmt.value, ast.Call) and any(
@@ -70,6 +114,29 @@ def test_no_dataclass_holds_tolerances_or_a_memo():
     # Tolerances come only from the caller's tols argument, and an object
     # holds its data and what its own check computed.
     assert dataclass_fields_holding_tolerances_or_memos() == []
+    assert not any("cached_property" in p.read_text() for p in SRC.glob("*.py"))
+
+
+def test_every_family_is_one_block_function_that_returns_reports(monkeypatch):
+    # bounds.<family>_block takes (..., tols, collects) and returns one
+    # BoundReport per trial; a campaign calls it once per block.
+    calls = []
+    for family in cp.FAMILIES:
+        name = family.replace("-", "_") + "_block"
+        real = getattr(bd, name)
+        sig = inspect.signature(real)
+        assert sig.return_annotation == "list[BoundReport]"
+        assert list(sig.parameters)[-2:] == ["tols", "collects"]
+
+        def counted(*args, _family=family, _real=real):
+            reports = _real(*args)
+            calls.append((_family, len(reports)))
+            assert all(isinstance(r, bd.BoundReport) and r.name == _family for r in reports)
+            return reports
+        monkeypatch.setattr(bd, name, counted)
+    scn = cp.load_scenario('{"seed": 4, "trials": 11, "bound": "all", "n_measurements": 3}')
+    assert cp.run_campaign(scn, cp.Tolerances(), jobs=1)["summary"]["trials"] == 11 * len(cp.FAMILIES)
+    assert calls == [(f, n) for f in cp.FAMILIES for n in (8, 3)]
 
 
 def test_the_hooks_of_the_benchmark_stay_in_place():
@@ -111,8 +178,6 @@ def public_code() -> dict:
                     continue
                 if isinstance(member, property):
                     member = member.fget
-                elif isinstance(member, functools.cached_property):
-                    member = member.func
                 if inspect.isfunction(member):
                     out[f"{path.stem}.{name}" + (f".{attr}" if attr else "")] = member.__code__
     return out
