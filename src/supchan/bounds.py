@@ -21,7 +21,7 @@ from . import dilation as dl
 from . import matkernel as mk
 from . import states as st
 from . import superchannel as sup
-from .config import DEFAULT_TOLS, Tolerances
+from .config import Tolerances
 from .matkernel import DimShape, ShapeError, ValidationError
 from .states import DensityMatrix, check_density, density
 
@@ -65,7 +65,7 @@ def _finish(name: str, lhs: float, rhs: float, tols: Tolerances, metadata: dict,
 # Spohn's inequality:  S(Phi(rho)) - S(rho) >= -tr[(Phi(rho) - rho) log e]
 # ---------------------------------------------------------------------------
 
-def spohn_block(ops: list[ch.QuantumOperation], rhos: list[DensityMatrix], tols: Tolerances = DEFAULT_TOLS,
+def spohn_block(ops: list[ch.QuantumOperation], rhos: list[DensityMatrix], tols: Tolerances,
                 collects: list | None = None) -> list[BoundReport]:
     """Entropy-production bound of each CPTP map of a block relative to its
     steady state, at its state, all of one dimension, with the bits of each
@@ -104,7 +104,7 @@ def spohn_block(ops: list[ch.QuantumOperation], rhos: list[DensityMatrix], tols:
 # ---------------------------------------------------------------------------
 
 def main_block(scs: list[sup.Superchannel], ops: list[ch.QuantumOperation], nss: list[ch.NessResult],
-                tols: Tolerances = DEFAULT_TOLS, collects: list | None = None) -> list[BoundReport]:
+                tols: Tolerances, collects: list | None = None) -> list[BoundReport]:
     """The generalized entropy-production bound for correlated initial
     states, for each (superchannel, operation, steady state) of a block,
     all of one (d_S, d_E), with the bits of each on its own.
@@ -151,7 +151,7 @@ def main_block(scs: list[sup.Superchannel], ops: list[ch.QuantumOperation], nss:
 THERMAL_MATCH_TOL = 1e-6
 
 
-def thermal_state(h: np.ndarray, beta: float, tols: Tolerances = DEFAULT_TOLS) -> tuple[DensityMatrix, float]:
+def thermal_state(h: np.ndarray, beta: float, tols: Tolerances) -> tuple[DensityMatrix, float]:
     """(exp(-beta H)/Z, Z) for a Hamiltonian checked Hermitian at load, from
     one checked ``eigh`` of (H + H^dag)/2; an exp(-beta H) out of float range is refused."""
     if beta <= 0:
@@ -170,7 +170,7 @@ def thermal_state(h: np.ndarray, beta: float, tols: Tolerances = DEFAULT_TOLS) -
 
 
 def clausius_block(scs: list[sup.Superchannel], sigmas: list[DensityMatrix], gibbs: DensityMatrix, z: float,
-                   beta: float, tols: Tolerances = DEFAULT_TOLS, collects: list | None = None) -> list[BoundReport]:
+                   beta: float, tols: Tolerances, collects: list | None = None) -> list[BoundReport]:
     """Clausius-form bound for each thermalizing superchannel of a block, at
     its state sigma, all of one (d_S, d_E), with the bits of each on its own;
     ``(gibbs, z)`` is ``thermal_state(h, beta, tols)``.
@@ -217,7 +217,7 @@ def regroup_joint_choi(chois: np.ndarray, d_p: int, d_q: int) -> np.ndarray:
 
 
 def qdpi_block(sc1s: list[sup.Superchannel], sc2s: list[sup.Superchannel], ops: list[ch.QuantumOperation],
-               tols: Tolerances = DEFAULT_TOLS, collects: list | None = None) -> list[BoundReport]:
+               tols: Tolerances, collects: list | None = None) -> list[BoundReport]:
     """Mutual information cannot grow: I[P:Q] of the output state is bounded
     by I[P:Q] of the joint operation-state, for each (superchannel,
     superchannel, joint operation) of a block, all of one (d_P, d_Q), with
@@ -352,7 +352,7 @@ def measured_information(states: list[np.ndarray], probs: list[np.ndarray], base
 
 
 def holevo_block(scs: list[sup.Superchannel], enss: list[Ensemble], haar: np.ndarray,
-                 tols: Tolerances = DEFAULT_TOLS, collects: list | None = None) -> list[BoundReport]:
+                 tols: Tolerances, collects: list | None = None) -> list[BoundReport]:
     """Holevo quantity of the received ensemble and sampled-measurement
     checks, for each (superchannel, ensemble) of a block, all of one
     (d_S, d_E), with the bits of each on its own; chi is the report's lhs,
@@ -409,7 +409,7 @@ CONSISTENCY_TOL = 1e-10
 
 
 def mmap_consistency_block(scs: list[sup.Superchannel], vs: list[np.ndarray], alphas: list[DensityMatrix],
-                           tols: Tolerances = DEFAULT_TOLS, collects: list | None = None) -> list[BoundReport]:
+                           tols: Tolerances, collects: list | None = None) -> list[BoundReport]:
     """The system marginal of Upsilon must equal the superchannel acting on
     the channel that the isometric dilation (V, alpha) induces, within
     CONSISTENCY_TOL (lhs; rhs is the residual), for each trial of a block."""

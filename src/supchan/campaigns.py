@@ -9,7 +9,8 @@ in ``_read_explicit``: states become ``DensityMatrix``, operations
 under the scenario's tolerances, and trials use these objects as they are.
 ``U``, ``V``, ``H`` and ``rho_se`` stay matrices; ``rho_se`` is wrapped per
 use because ``qdpi`` splits it as d_P x d_E1 and d_Q x d_E2.  Each entry's
-size is checked at load against every family of the scenario that reads it.
+size is checked at load against every family of the scenario that reads it,
+and an entry that no family of the scenario reads is refused.
 
 ``prepare`` builds once per campaign each object that is the same in every
 trial (the superchannel of a pinned ``U`` and ``rho_se`` and its steady
@@ -212,6 +213,11 @@ def load_scenario(text: str) -> Scenario:
 
     scenario = Scenario(seed, dict(sorted(dims.items())), trials, bound,
                         dict(sorted(tolerances.items())), n_measurements=n_meas)
+    for key in explicit_raw:
+        if not any(key in _READS[family] for family in scenario.families()):
+            raise ScenarioError(f"explicit.{key}: no family of bound {bound!r} reads it")
+    if "clausius" in scenario.families() and "U" in explicit_raw and "theta" in explicit_raw:
+        raise ScenarioError("explicit.theta: clausius runs on the pinned U and does not read theta")
     dim = _dim_values(dims)
     for family in scenario.families():
         count = min(trials, _block_size(family, dim))
@@ -272,7 +278,7 @@ def _read_explicit(key: str, obj, tols: Tolerances):
         elif key == "sigma":
             return st.density(m, tols=tols)
         elif key == "alpha":
-            return st.density(m, labels=["A"], tols=tols)
+            return st.density(m, DimShape([m.shape[0]], ["A"]), tols=tols)
         elif key == "op_choi":
             d = int(round(math.sqrt(m.shape[0])))
             return ch.from_choi(m, d, d, tols=tols)
@@ -283,12 +289,13 @@ def _read_explicit(key: str, obj, tols: Tolerances):
         raise ScenarioError(f"{path}: {exc}") from exc
 
 
-# The dimensions at which each family reads each explicit entry, as
-# products of dims (a missing dim is 2, and d_A defaults to d_S).
+# The explicit entries that each family reads, with the dimensions at which
+# it reads them, as products of dims (a missing dim is 2, and d_A defaults
+# to d_S); the numbers beta and theta have none.
 _READS = {
     "spohn": {"sigma": ["d_S"], "op_kraus": ["d_S"], "op_choi": ["d_S"]},
     "main": {"U": ["d_S*d_E"], "rho_se": ["d_S*d_E"], "op_kraus": ["d_S"], "op_choi": ["d_S"]},
-    "clausius": {"U": ["d_S*d_S"], "H": ["d_S"], "sigma": ["d_S"]},
+    "clausius": {"U": ["d_S*d_S"], "H": ["d_S"], "sigma": ["d_S"], "beta": [], "theta": []},
     "qdpi": {"U": ["d_P*d_E1", "d_Q*d_E2"], "rho_se": ["d_P*d_E1", "d_Q*d_E2"],
              "op_kraus": ["d_P*d_Q"], "op_choi": ["d_P*d_Q"]},
     "holevo": {"U": ["d_S*d_E"], "rho_se": ["d_S*d_E"], "ensemble": ["d_S"]},
@@ -513,7 +520,7 @@ def evaluate_block(scenario: Scenario, family: str, trials, tols: Tolerances,
     elif family == "clausius":
         u, (gibbs, z), beta = prep.thermal
         anchors = np.array([a.mat for a in st.random_densities(d_s, [d_s] * len(rngs), rngs, tols)])
-        rhos = st.densities(mk.tensor(anchors, gibbs.mat), DimShape([d_s, d_s], ["S", "E"]), tols)
+        rhos = st.densities(mk.kron_stack(anchors, gibbs.mat), DimShape([d_s, d_s], ["S", "E"]), tols)
         scs = sup.build_block([u] * len(rngs), rhos, tols)
         reports = bd.clausius_block(scs, _states(d_s, rngs, tols, ex.get("sigma")), gibbs, z, beta, tols, collects)
     elif family == "qdpi":
@@ -550,10 +557,10 @@ def _states(d: int, rngs: list[np.random.Generator], tols: Tolerances,
 
 
 def evaluate_trial(scenario: Scenario, family: str, trial: int, tols: Tolerances,
-                   collect: dict | None = None, prepared: Prepared | None = None) -> bd.BoundReport:
+                   collect: dict | None = None) -> bd.BoundReport:
     """Evaluate one seed-deterministic trial of the given bound family: a
     block of one (``evaluate_block``)."""
-    return evaluate_block(scenario, family, (trial,), tols, prepared, collect)[0]
+    return evaluate_block(scenario, family, (trial,), tols, collect=collect)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import matkernel as mk
 from . import states as st
-from .config import DEFAULT_TOLS, Tolerances
+from .config import Tolerances
 from .matkernel import DimShape, ShapeError
 from .states import DensityMatrix, ginibre
 
@@ -31,9 +31,10 @@ class QuantumOperation:
     """A CP map held in dual form: an (r, d_out, d_in) Kraus stack and its Choi matrix.
 
     ``bipartite`` optionally records a (d_P, d_Q) tensor split shared by the
-    input and output spaces, enabling marginal operations.  ``by_choi``
-    marks an operation given by its Choi matrix (``from_choi``), whose Kraus
-    operators come from the decomposition that its CP check took.
+    input and output spaces, enabling marginal operations; ``random_cptps``
+    sets it, and ``dataclasses.replace`` sets it on a given operation.
+    ``by_choi`` marks an operation given by its Choi matrix (``from_choi``),
+    whose Kraus operators come from the decomposition that its CP check took.
     """
 
     d_in: int
@@ -54,15 +55,15 @@ def tr_out_choi(choi: np.ndarray, d_out: int, d_in: int) -> np.ndarray:
     return mk.partial_trace(choi, shape, ["in"])
 
 
-def from_kraus(kraus: list[np.ndarray], bipartite: tuple[int, int] | None = None) -> QuantumOperation:
+def from_kraus(kraus: list[np.ndarray]) -> QuantumOperation:
     """Build an operation from its Kraus operators."""
     kraus = [mk.as_matrix(k) for k in kraus]
     if any(k.shape != kraus[0].shape for k in kraus):
         raise ShapeError("Kraus operators have inconsistent shapes")
-    return from_kraus_runs(np.array(kraus), [len(kraus)], bipartite)[0]
+    return from_kraus_runs(np.array(kraus), [len(kraus)])[0]
 
 
-def from_kraus_runs(kraus: np.ndarray, counts, bipartite: tuple[int, int] | None = None) -> list[QuantumOperation]:
+def from_kraus_runs(kraus: np.ndarray, counts) -> list[QuantumOperation]:
     """The operation of each run of ``counts`` consecutive Kraus operators of
     a stack, with Choi matrix sum_k vec(K_k) vec(K_k)^dag in Kraus order."""
     kraus = mk.as_matrix(kraus, stack=True)
@@ -70,17 +71,10 @@ def from_kraus_runs(kraus: np.ndarray, counts, bipartite: tuple[int, int] | None
     chois = mk.sum_runs(vecs[:, :, None] * vecs.conj()[:, None, :], counts)
     d_out, d_in = kraus.shape[-2:]
     ends = np.cumsum(counts).tolist()
-    return [QuantumOperation(d_in, d_out, c, kraus[e - n:e], bipartite)
-            for c, n, e in zip(chois, counts, ends)]
+    return [QuantumOperation(d_in, d_out, c, kraus[e - n:e]) for c, n, e in zip(chois, counts, ends)]
 
 
-def from_choi(
-    choi: np.ndarray,
-    d_out: int,
-    d_in: int,
-    bipartite: tuple[int, int] | None = None,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> QuantumOperation:
+def from_choi(choi: np.ndarray, d_out: int, d_in: int, tols: Tolerances) -> QuantumOperation:
     """Build an operation from its (unnormalized, trace-d_in) Choi matrix,
     with Kraus operators sqrt(lam) * v for each eigenpair with lam > 0 of
     the decomposition that its CP check took (the numerical Kraus rank;
@@ -89,10 +83,10 @@ def from_choi(
     if choi.shape != (d_out * d_in, d_out * d_in):
         raise ShapeError(f"Choi shape {choi.shape} != {(d_out * d_in,) * 2}")
     kraus = mk.psd_factors(*check_cp(choi, tols)).reshape(-1, d_out, d_in)
-    return QuantumOperation(d_in, d_out, choi, kraus, bipartite, by_choi=True)
+    return QuantumOperation(d_in, d_out, choi, kraus, by_choi=True)
 
 
-def check_cp(choi: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, np.ndarray]:
+def check_cp(choi: np.ndarray, tols: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     """``from_choi``'s checks of a Choi matrix, or of each of a stack:
     Hermitian relative to its largest entry, and CP within CP_TOL on the
     eigenvalues of the one ``np.linalg.eigh`` of (choi + choi^dag) / 2;
@@ -147,7 +141,7 @@ def replace_channels(targets: list[DensityMatrix]) -> list[QuantumOperation]:
     return from_kraus_runs(kraus.reshape(-1, d, d), ((w > 0.0).sum(-1) * d).tolist())
 
 
-def check_unitary(u: np.ndarray, tols: Tolerances = DEFAULT_TOLS, what: str = "matrix") -> None:
+def check_unitary(u: np.ndarray, tols: Tolerances, what: str = "matrix") -> None:
     """Refuse a matrix, or a stack, that is not square or deviates from
     unitarity by more than herm_tol."""
     u = mk.as_matrix(u, stack=True)
@@ -159,7 +153,7 @@ def check_unitary(u: np.ndarray, tols: Tolerances = DEFAULT_TOLS, what: str = "m
 
 def partial_swap_unitary(d: int, theta: float) -> np.ndarray:
     """cos(theta) I + i sin(theta) SWAP on two d-dimensional factors."""
-    s = mk.permutation_matrix(DimShape([d, d], ["1", "2"]), ["2", "1"])
+    s = np.eye(d * d, dtype=complex).reshape(d, d, d * d).transpose(1, 0, 2).reshape(d * d, d * d)
     return np.cos(theta) * np.eye(d * d, dtype=complex) + 1j * np.sin(theta) * s
 
 
@@ -168,7 +162,7 @@ def partial_swap_unitary(d: int, theta: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def channels_from_dilations(us: list[np.ndarray], taus: list[DensityMatrix],
-                            tols: Tolerances = DEFAULT_TOLS) -> list[QuantumOperation]:
+                            tols: Tolerances) -> list[QuantumOperation]:
     """The channel sigma -> tr_E[U (sigma (x) tau) U^dag] of each (U, tau)
     pair, all of one size, U on system (x) environment with the system on
     the slow index: Kraus K_(j,i) = sqrt(lam_j) (I (x) <i|) U (I (x) |v_j>),
@@ -231,7 +225,7 @@ def _steady_states(ops: list[QuantumOperation], mats: np.ndarray, method: str, d
     return out
 
 
-def fixed_points(ops: list[QuantumOperation], tols: Tolerances = DEFAULT_TOLS) -> list[NessResult]:
+def fixed_points(ops: list[QuantumOperation], tols: Tolerances) -> list[NessResult]:
     """A steady state of each trace-preserving channel of a list, all of one
     dimension, with the bits of each on its own.
 
@@ -278,8 +272,7 @@ def fixed_points(ops: list[QuantumOperation], tols: Tolerances = DEFAULT_TOLS) -
     return out
 
 
-def marginal_chois(choi: np.ndarray, bipartite: tuple[int, int], keep: str,
-                   tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def marginal_chois(choi: np.ndarray, bipartite: tuple[int, int], keep: str, tols: Tolerances) -> np.ndarray:
     """The Choi matrix of the marginal operation X -> tr_disc[op(X (x) I/d_disc)]
     on the kept subsystem, for the Choi matrix of an operation on P (x) Q or
     for each of a stack, with ``from_choi``'s checks: the partial trace over
@@ -318,8 +311,8 @@ def _tp_projection(w: np.ndarray, d: int) -> np.ndarray:
     return mk.as_matrix((choi + mk.dagger(choi)) / 2.0, stack=True)
 
 
-def random_cptps(d: int, draws: list[np.ndarray], bipartite: tuple[int, int] | None = None,
-                 tols: Tolerances = DEFAULT_TOLS) -> list[QuantumOperation]:
+def random_cptps(d: int, draws: list[np.ndarray], tols: Tolerances,
+                 bipartite: tuple[int, int] | None = None) -> list[QuantumOperation]:
     """The random CPTP map of each ``bcsz_draw``, by the Wishart/BCSZ
     construction: the PSD Wishart matrix W = G G^dag on out (x) in is
     projected onto the trace-preserving slice (``_tp_projection``), and

@@ -2,9 +2,10 @@
 
 Every tolerance that can be overridden (scenario file, SUPCHAN_SLACK_TOL,
 ``--slack-tol``) lives in one frozen dataclass, and no state, operation or
-superchannel stores one: each routine that checks or decomposes reads the
-``tols`` its caller passes, so that a single override propagates
-consistently.  Defaults are sized for double precision on matrices of
+superchannel stores one: each routine that checks or decomposes takes
+``tols`` as a required argument, so that a single override propagates
+consistently and no call can fall back on ``DEFAULT_TOLS``, which only
+callers outside the package name.  Defaults are sized for double precision on matrices of
 dimension <= 36.  Thresholds that no scenario has needed to tune stay
 fixed where they are used: ``channels.CP_TOL``/``TP_TOL``,
 ``bounds.THERMAL_MATCH_TOL`` and ``CONSISTENCY_TOL``, the 1e-12 clip bands
@@ -32,10 +33,9 @@ class Tolerances:
     trace_tol: float = 1e-10     # unit-trace check for density matrices
 
 
-def from_env(base: Tolerances | None = None) -> Tolerances:
+def from_env(tols: Tolerances) -> Tolerances:
     """Apply the SUPCHAN_SLACK_TOL environment override, if set; a value that
     is not a finite positive number raises ValueError."""
-    tols = base if base is not None else Tolerances()
     raw = os.environ.get("SUPCHAN_SLACK_TOL")
     if raw is not None:
         try:

@@ -13,23 +13,21 @@ from . import channels as ch
 from . import matkernel as mk
 from . import states as st
 from . import superchannel as sup
-from .config import DEFAULT_TOLS, Tolerances
+from .config import Tolerances
 from .matkernel import DimShape, ShapeError
 from .states import DensityMatrix
 
 
-def mmap_block(
-    scs: list[sup.Superchannel], vs: list[np.ndarray], alphas: list[DensityMatrix],
-    tols: Tolerances = DEFAULT_TOLS,
-) -> tuple[list[DensityMatrix], list[float]]:
+def mmap_block(scs: list[sup.Superchannel], vs: list[np.ndarray], alphas: list[DensityMatrix],
+               tols: Tolerances) -> tuple[list[DensityMatrix], list[float]]:
     """Joint system+ancilla image Upsilon of the isometric dilation (V, alpha)
     of each trial of a block, all of one (d_S, d_E, d_A), and the entropy
     change delta_S = S(Upsilon) - S(tr_E rho_SE), with the bits of each on
     its own.
 
-    Upsilon = tr_E[(U_SE (x) I_A) P (V_SA (x) I_E)(rho_SE (x) alpha)(...)^dag P^dag]
-    in the canonical S, E, A ordering, with P the subsystem permutation
-    bringing V's S, A grouping back to S, E, A; each step is stacked.
+    Upsilon = tr_E[(U_SE (x) I_A) V_SEA (rho_SE (x) alpha) V_SEA^dag (U_SE (x) I_A)^dag]
+    in the canonical S, E, A ordering, with V_SEA the entries of V_SA (x) I_E
+    moved from the (S, A, E) index order to (S, E, A); each step is stacked.
     """
     vs = mk.as_matrix(np.array(vs), stack=True)
     ch.check_unitary(vs, tols, what="isometric-dilation unitary")
@@ -40,12 +38,11 @@ def mmap_block(
     if vs.shape[-1] // d_a != d_s:
         raise ShapeError(f"isometry system dim {vs.shape[-1] // d_a} != superchannel system dim {d_s}")
     shape_sea = DimShape([d_s, d_e, d_a], ["S", "E", "A"])
-    rho_sea = mk.tensor(np.array([sc.rho_se.mat for sc in scs]), np.array([a.mat for a in alphas]))
-    # apply V on (S, A): permute S,E,A -> S,A,E, act, permute back
-    p_sae = mk.permutation_matrix(shape_sea, ["S", "A", "E"])
-    v_full = mk.dagger(p_sae) @ mk.tensor(vs, np.eye(d_e)) @ p_sae
+    rho_sea = mk.kron_stack(np.array([sc.rho_se.mat for sc in scs]), np.array([a.mat for a in alphas]))
+    v_sae = mk.kron_stack(vs, np.eye(d_e, dtype=complex)).reshape(-1, d_s, d_a, d_e, d_s, d_a, d_e)
+    v_full = v_sae.transpose(0, 1, 3, 2, 4, 6, 5).reshape(-1, shape_sea.dim, shape_sea.dim)
     staged = v_full @ rho_sea @ mk.dagger(v_full)
-    u_full = mk.tensor(np.array([sc.u for sc in scs]), np.eye(d_a))
+    u_full = mk.kron_stack(np.array([sc.u for sc in scs]), np.eye(d_a, dtype=complex))
     evolved = u_full @ staged @ mk.dagger(u_full)
     ups = mk.partial_trace(evolved, shape_sea, ["S", "A"])
     upsilons = st.densities((ups + mk.dagger(ups)) / 2.0, DimShape([d_s, d_a], ["S", "A"]), tols)

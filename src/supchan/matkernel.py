@@ -1,9 +1,9 @@
-"""Dense complex-matrix kernel: tensor products, partial traces, subsystem
-permutations and the checks of Hermitian eigendecompositions.
+"""Dense complex-matrix kernel: stacked Kronecker products, partial traces
+and the checks of Hermitian eigendecompositions.
 
 Index convention used everywhere: a matrix on a composite space is stored
 row-major with the *leftmost* subsystem label as the slowest-varying index,
-so ``tensor(a, b)`` puts ``a`` on the slow index (plain Kronecker product).
+so ``kron_stack(a, b)`` puts ``a`` on the slow index (plain Kronecker product).
 ``partial_trace``, ``check_hermitian`` and ``herm_eig_of`` also take a stack
 of matrices, with the bits of one matrix at a time; a failing check of a
 stack raises the error of its first failing matrix.  No routine here
@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import Tolerances
 
 # Dimension guard: dense storage only, desk-scale problems.
 MAX_ENTRIES = 1 << 24
@@ -86,19 +86,6 @@ def as_matrix(m: np.ndarray, stack: bool = False) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValidationError("matrix contains NaN or Inf entries")
     return m
-
-
-def tensor(*mats: np.ndarray) -> np.ndarray:
-    """Kronecker product, left factor on the slow index, of matrices or of
-    the matrices of broadcasting stacks (``kron_stack``)."""
-    out = as_matrix(mats[0], stack=True)
-    for m in mats[1:]:
-        m = as_matrix(m, stack=True)
-        lead = np.broadcast_shapes(out.shape[:-2], m.shape[:-2])
-        if math.prod(lead) * math.prod(out.shape[-2:]) * math.prod(m.shape[-2:]) > MAX_ENTRIES:
-            raise ShapeError("tensor product exceeds the dense-storage limit")
-        out = kron_stack(out, m)
-    return out
 
 
 def kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -178,16 +165,6 @@ def partial_trace(m: np.ndarray, shape: DimShape, keep: Sequence[str]) -> np.nda
     return t.reshape(lead + (d_keep, d_keep))
 
 
-def permutation_matrix(shape: DimShape, new_order: Sequence[str]) -> np.ndarray:
-    """Unitary P that reorders subsystems: P |i_old...> = |i_new...>."""
-    if sorted(new_order) != sorted(shape.labels):
-        raise ShapeError(f"{list(new_order)} is not a permutation of {shape.labels}")
-    perm = [shape.index_of(l) for l in new_order]
-    d = shape.dim
-    rows = np.eye(d, dtype=complex).reshape(shape.factors + (d,))
-    return np.transpose(rows, perm + [len(perm)]).reshape(d, d)
-
-
 def max_abs(m: np.ndarray):
     """Largest entry modulus: a float, or one per matrix of a stack (ndim > 2)."""
     if m.ndim > 2:
@@ -202,8 +179,7 @@ def check_hermitian(m: np.ndarray, tol, what: str = "matrix") -> None:
     fail_first(dev > tol, dev, f"{what} is not Hermitian: max deviation {{:.3e}}")
 
 
-def herm_eig_of(m: np.ndarray, w: np.ndarray, V: np.ndarray,
-                tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, np.ndarray]:
+def herm_eig_of(m: np.ndarray, w: np.ndarray, V: np.ndarray, tols: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     """``(w, V)`` of a checked Hermitian ``m`` (or of each of a stack) from the
     ascending ``np.linalg.eigh((m + m^dag) / 2)`` that its check took: ``w``
     descending with its eigenvectors the columns of ``V``, clamped
@@ -217,7 +193,7 @@ def herm_eig_of(m: np.ndarray, w: np.ndarray, V: np.ndarray,
     return clamp_spectrum(w, tols), V
 
 
-def clamp_spectrum(w: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def clamp_spectrum(w: np.ndarray, tols: Tolerances) -> np.ndarray:
     """Snap eigenvalues within psd_floor of zero to exactly zero."""
     w = np.array(w, dtype=float)
     w[np.abs(w) < tols.psd_floor] = 0.0

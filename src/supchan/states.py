@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from . import matkernel as mk
-from .config import DEFAULT_TOLS, Tolerances
+from .config import Tolerances
 from .matkernel import DimShape, ShapeError
 
 
@@ -45,33 +45,16 @@ class DensityMatrix:
         return self.shape.factor_of(label)
 
 
-def density(
-    mat: np.ndarray,
-    shape: DimShape | None = None,
-    labels: Sequence[str] | None = None,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> DensityMatrix:
-    """Validate a matrix as a density matrix and attach its shape.
-
-    With neither ``shape`` nor ``labels`` given, a single subsystem labeled
-    "S" is assumed.  ``labels`` alone means one factor per label is not
-    inferable, so it is only valid for a single label.
-    """
+def density(mat: np.ndarray, shape: DimShape | None = None, *, tols: Tolerances) -> DensityMatrix:
+    """Validate a matrix as a density matrix and attach its shape; without
+    ``shape``, a single subsystem labeled "S"."""
     mat = mk.as_matrix(mat)
     if mat.shape[0] != mat.shape[1]:
         raise ShapeError(f"density matrix must be square, got {mat.shape}")
-    d = mat.shape[0]
-    if shape is None:
-        if labels is None:
-            shape = DimShape([d], ["S"])
-        elif len(labels) == 1:
-            shape = DimShape([d], labels)
-        else:
-            raise ShapeError("multiple labels require an explicit DimShape")
-    return densities(mat[None], shape, tols)[0]
+    return densities(mat[None], shape if shape is not None else DimShape([mat.shape[0]], ["S"]), tols)[0]
 
 
-def densities(mats: np.ndarray, shape: DimShape, tols: Tolerances = DEFAULT_TOLS) -> list[DensityMatrix]:
+def densities(mats: np.ndarray, shape: DimShape, tols: Tolerances) -> list[DensityMatrix]:
     """``density`` of each matrix of a stack, all on ``shape``, with the
     checks of the stack in one step; each keeps the decomposition that its
     check took."""
@@ -79,7 +62,7 @@ def densities(mats: np.ndarray, shape: DimShape, tols: Tolerances = DEFAULT_TOLS
     return [DensityMatrix(m, shape, w, v) for m, w, v in zip(mats, *check_density(mats, tols))]
 
 
-def check_density(mats: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, np.ndarray]:
+def check_density(mats: np.ndarray, tols: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     """``density``'s checks of each matrix of a stack: Hermitian, unit trace
     and positive semidefinite, the last on the eigenvalues of the one
     ``np.linalg.eigh`` of (m + m^dag) / 2; returns that decomposition as
@@ -104,7 +87,7 @@ def entropy_of_spectrum(w: np.ndarray) -> float:
     return float(-(pos * np.log(pos)).sum())
 
 
-def log_weights(xs: np.ndarray, w: np.ndarray, v: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> list[list[float]]:
+def log_weights(xs: np.ndarray, w: np.ndarray, v: np.ndarray, tols: Tolerances) -> list[list[float]]:
     """tr[X log(base_b)] of each X of ``xs[b]``, a (B, n, d, d) stack, with
     ``(w[b], v[b])`` as ``mk.herm_eig_of`` returns it for base b; -inf when X
     has weight above support_tol on its kernel.  The weights are one stacked
@@ -118,7 +101,7 @@ def log_weights(xs: np.ndarray, w: np.ndarray, v: np.ndarray, tols: Tolerances =
     return out
 
 
-def relative_entropies(rhos: np.ndarray, s_rhos: list, refs: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> list[float]:
+def relative_entropies(rhos: np.ndarray, s_rhos: list, refs: np.ndarray, tols: Tolerances) -> list[float]:
     """D[rho || ref] = -S(rho) - tr[rho log ref] in nats of each pair of two
     stacks, with S(rho) given and each ref checked as a density matrix; +inf
     on support mismatch (``log_weights``)."""
@@ -138,7 +121,7 @@ def relative_entropy_of(entropy: float, cross: float) -> float:
 
 
 def mutual_informations(mats: np.ndarray, shape: DimShape, part: Sequence[str],
-                        tols: Tolerances = DEFAULT_TOLS) -> tuple[list[float], list[float]]:
+                        tols: Tolerances) -> tuple[list[float], list[float]]:
     """(I(part : rest), S) of each density matrix of a stack on ``shape``, with
     I(P:Q) = S(P) + S(Q) - S(PQ): the stack is checked, and then each marginal
     in turn, each check taking the spectra.  ``part`` must be a proper
@@ -167,12 +150,11 @@ def wishart(gs: list[np.ndarray]) -> np.ndarray:
     return m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
 
 
-def random_densities(d: int, ranks: list[int], rngs: list[np.random.Generator], tols: Tolerances = DEFAULT_TOLS,
-                     labels: Sequence[str] = ("S",)) -> list[DensityMatrix]:
+def random_densities(d: int, ranks: list[int], rngs: list[np.random.Generator], tols: Tolerances) -> list[DensityMatrix]:
     """The normalized Wishart state of a d x rank Ginibre matrix drawn from
     each generator, for each (rank, generator) pair, checked in one stacked
     step."""
-    return densities(wishart([ginibre(d, r, rng) for r, rng in zip(ranks, rngs)]), DimShape([d], labels), tols)
+    return densities(wishart([ginibre(d, r, rng) for r, rng in zip(ranks, rngs)]), DimShape([d], ["S"]), tols)
 
 
 def random_pure(d: int, rng: np.random.Generator) -> np.ndarray:

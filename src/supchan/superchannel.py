@@ -36,7 +36,7 @@ import numpy as np
 from . import channels as ch
 from . import matkernel as mk
 from . import states as st
-from .config import DEFAULT_TOLS, Tolerances
+from .config import Tolerances
 from .matkernel import ShapeError
 from .states import DensityMatrix, check_density
 
@@ -49,7 +49,7 @@ class Superchannel:
     d_e: int
 
 
-def marginals(scs: list[Superchannel], label: str, tols: Tolerances = DEFAULT_TOLS) -> list[DensityMatrix]:
+def marginals(scs: list[Superchannel], label: str, tols: Tolerances) -> list[DensityMatrix]:
     """sigma = tr_E rho_SE (``label`` "S") or tau = tr_S rho_SE ("E") of each
     superchannel, all of one (d_S, d_E), checked in one stacked step."""
     shape = scs[0].rho_se.shape
@@ -57,13 +57,12 @@ def marginals(scs: list[Superchannel], label: str, tols: Tolerances = DEFAULT_TO
                         shape.subshape([label]), tols)
 
 
-def build(u: np.ndarray, rho_se: DensityMatrix, tols: Tolerances = DEFAULT_TOLS) -> Superchannel:
+def build(u: np.ndarray, rho_se: DensityMatrix, tols: Tolerances) -> Superchannel:
     """Construct the superchannel for a joint unitary and correlated state."""
     return build_block([u], [rho_se], tols)[0]
 
 
-def build_block(us: list[np.ndarray], rho_ses: list[DensityMatrix],
-                tols: Tolerances = DEFAULT_TOLS) -> list[Superchannel]:
+def build_block(us: list[np.ndarray], rho_ses: list[DensityMatrix], tols: Tolerances) -> list[Superchannel]:
     """The superchannel of each (joint unitary, correlated state) pair, all of
     one (d_S, d_E), with the unitaries checked in one stacked step."""
     for rho_se in rho_ses:
@@ -79,7 +78,7 @@ def build_block(us: list[np.ndarray], rho_ses: list[DensityMatrix],
 
 
 def act_block(scs: list[Superchannel], ops: list[ch.QuantumOperation],
-              tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+              tols: Tolerances) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """sigma' of each (superchannel, operation) pair, all of one (d_S, d_E),
     as a (B, d_S, d_S) stack, with the ``(w, V)`` that its check as density
     matrices took.  The block's Kraus operators form one ragged stack, every
@@ -114,7 +113,7 @@ def m_tensors(scs: list[Superchannel]) -> list[np.ndarray]:
     return [ms[id(sc)] for sc in scs]
 
 
-def act_normalized_block(ms: list[np.ndarray], op_states, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def act_normalized_block(ms: list[np.ndarray], op_states, tols: Tolerances) -> np.ndarray:
     """M#[X] of each (six-index tensor, operation-state) pair, all of one
     d_S, as a (B, d_S, d_S) stack checked as density matrices; the
     contraction against the Choi matrix d * X runs once per pair.
@@ -148,7 +147,7 @@ def joint_act_normalized(m1s: list[np.ndarray], m2s: list[np.ndarray], op_states
     return mk.as_matrix((out + mk.dagger(out)) / 2.0, stack=True)
 
 
-def neso_block(scs: list[Superchannel], tols: Tolerances = DEFAULT_TOLS) -> list[ch.NessResult]:
+def neso_block(scs: list[Superchannel], tols: Tolerances) -> list[ch.NessResult]:
     """Steady state of the subsequent dynamics of each superchannel of a
     block, all of one (d_S, d_E), with the bits of each on its own: each
     solves e = tr_E[U (e (x) tau) U^dag] with tau = tr_S rho_SE.  The

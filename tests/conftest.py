@@ -21,7 +21,7 @@ replaced in the library.
 
 import math
 import types
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -380,9 +380,9 @@ def clausius_bound(sc, sigma, gibbs, tols):
 def mmap_image(sc, v, alpha, tols):
     """(Upsilon, delta_S, consistency residual) of ``mmap_block`` and the
     consistency check for one superchannel and isometric dilation, with
-    np.kron and the explicit permutation matrix."""
+    np.kron and the explicit permutation matrix (``permutation_matrix``)."""
     d_s, d_e, d_a = sc.d_s, sc.d_e, alpha.shape[0]
-    p = mk.permutation_matrix(DimShape([d_s, d_e, d_a], ["S", "E", "A"]), ["S", "A", "E"])
+    p = permutation_matrix(DimShape([d_s, d_e, d_a], ["S", "E", "A"]), ["S", "A", "E"])
     v_full = p.conj().T @ np.kron(v, np.eye(d_e, dtype=complex)) @ p
     staged = v_full @ np.kron(sc.rho_se.mat, alpha) @ v_full.conj().T
     u_full = np.kron(sc.u, np.eye(d_a, dtype=complex))
@@ -458,13 +458,13 @@ def block_instances(d_s, d_e, n, seed):
     """
     def superchannel(rng):
         raw = random_density(d_s * d_e, int(rng.integers(1, d_s * d_e + 1)), rng)
-        rho = st.density(raw.mat, DimShape([d_s, d_e], ["S", "E"]))
-        return sup.build(st.haar_unitary(d_s * d_e, rng), rho)
+        rho = st.density(raw.mat, DimShape([d_s, d_e], ["S", "E"]), tols=DEFAULT_TOLS)
+        return sup.build(st.haar_unitary(d_s * d_e, rng), rho, tols=DEFAULT_TOLS)
 
     rng = np.random.default_rng(seed)
     explicit = random_cptp(d_s, 2, rng)
     by_kraus = ch.from_kraus(list(explicit.kraus))
-    by_choi = ch.from_choi(explicit.choi, d_s, d_s)
+    by_choi = ch.from_choi(explicit.choi, d_s, d_s, tols=DEFAULT_TOLS)
     pinned = superchannel(rng)
     out, start, size, kind = [], 0, 1, 0
     while start < n:
@@ -473,7 +473,7 @@ def block_instances(d_s, d_e, n, seed):
         scs = [pinned] * b if kind == 0 else [superchannel(r) for r in rngs]
         if kind < 2:
             ranks = [1 + (start + i) % (d_s * d_s) for i in range(b)]
-            ops = ch.random_cptps(d_s, [ch.bcsz_draw(d_s, r, g) for r, g in zip(ranks, rngs)])
+            ops = ch.random_cptps(d_s, [ch.bcsz_draw(d_s, r, g) for r, g in zip(ranks, rngs)], tols=DEFAULT_TOLS)
         else:
             ops = [by_kraus if kind == 2 else by_choi] * b
         out.append((scs, ops))
@@ -500,7 +500,7 @@ def oracles():
 
 def random_cptp(d, kraus_rank, rng, bipartite=None):
     """One random CPTP map: ``random_cptps`` of one ``bcsz_draw``."""
-    return ch.random_cptps(d, [ch.bcsz_draw(d, kraus_rank, rng)], bipartite)[0]
+    return ch.random_cptps(d, [ch.bcsz_draw(d, kraus_rank, rng)], DEFAULT_TOLS, bipartite)[0]
 
 
 def fixed_point(op, tols=DEFAULT_TOLS):
@@ -508,7 +508,7 @@ def fixed_point(op, tols=DEFAULT_TOLS):
 
 
 def neso(sc):
-    return sup.neso_block([sc])[0]
+    return sup.neso_block([sc], tols=DEFAULT_TOLS)[0]
 
 
 def neso_op(ns):
@@ -518,11 +518,11 @@ def neso_op(ns):
 
 
 def sys_marginal(sc):
-    return sup.marginals([sc], "S")[0]
+    return sup.marginals([sc], "S", tols=DEFAULT_TOLS)[0]
 
 
 def env_marginal(sc):
-    return sup.marginals([sc], "E")[0]
+    return sup.marginals([sc], "E", tols=DEFAULT_TOLS)[0]
 
 
 def channel_from_dilation(u, tau, tols=DEFAULT_TOLS):
@@ -558,7 +558,7 @@ def apply(op, rho, tols=DEFAULT_TOLS):
 
 def act(sc, op):
     """sigma' for a CPTP operation on the system: ``act_block`` of one pair."""
-    sigma, (w, v) = sup.act_block([sc], [op])
+    sigma, (w, v) = sup.act_block([sc], [op], tols=DEFAULT_TOLS)
     return st.DensityMatrix(sigma[0], DimShape([sc.d_s], ["S"]), w[0], v[0])
 
 
@@ -611,7 +611,7 @@ class IsometricOperation:
 
     def __post_init__(self):
         object.__setattr__(self, "v", mk.as_matrix(self.v))
-        ch.check_unitary(self.v, what="isometric-dilation unitary")
+        ch.check_unitary(self.v, what="isometric-dilation unitary", tols=DEFAULT_TOLS)
         if self.v.shape[0] % self.alpha.dim != 0:
             raise ShapeError(f"unitary dim {self.v.shape[0]} does not factor over ancilla dim {self.alpha.dim}")
 
@@ -634,7 +634,8 @@ def random_density(d, rank, rng, labels=None, tols=DEFAULT_TOLS):
     """Normalized Wishart state G G^dag / tr with G a d x rank Ginibre matrix."""
     if not 1 <= rank <= d:
         raise ValueError(f"rank {rank} out of range [1, {d}]")
-    return st.random_densities(d, [rank], [rng], tols, labels if labels is not None else ["S"])[0]
+    rho = st.random_densities(d, [rank], [rng], tols)[0]
+    return rho if labels is None else replace(rho, shape=DimShape([d], labels))
 
 
 def trial_rng(seed, trial):
@@ -642,9 +643,21 @@ def trial_rng(seed, trial):
     return np.random.default_rng([np.uint64(seed), np.uint64(trial)])
 
 
+def permutation_matrix(shape, new_order):
+    """Unitary P that reorders subsystems: P |i_old...> = |i_new...>, the
+    dense form of the index moves that ``mmap_block`` and
+    ``partial_swap_unitary`` make."""
+    if sorted(new_order) != sorted(shape.labels):
+        raise ShapeError(f"{list(new_order)} is not a permutation of {shape.labels}")
+    perm = [shape.index_of(l) for l in new_order]
+    d = shape.dim
+    rows = np.eye(d, dtype=complex).reshape(shape.factors + (d,))
+    return np.transpose(rows, perm + [len(perm)]).reshape(d, d)
+
+
 def swap_unitary(d):
     """SWAP of two d-dimensional factors."""
-    return mk.permutation_matrix(DimShape([d, d], ["1", "2"]), ["2", "1"])
+    return permutation_matrix(DimShape([d, d], ["1", "2"]), ["2", "1"])
 
 
 def identity_channel(d):
@@ -652,7 +665,7 @@ def identity_channel(d):
 
 
 def unitary_channel(u):
-    ch.check_unitary(u)
+    ch.check_unitary(u, tols=DEFAULT_TOLS)
     return ch.from_kraus([u])
 
 
@@ -733,7 +746,7 @@ def spohn_composition(op, sc):
     """Spohn's bound for the preparation from tr_E(rho_SE), plus the
     generalized bound for the subsequent correlated dynamics; slacks add."""
     rep_spohn = spohn(op, sys_marginal(sc))
-    rep_main = bd.main_block([sc], [op], [neso(sc)])[0]
+    rep_main = bd.main_block([sc], [op], [neso(sc)], tols=DEFAULT_TOLS)[0]
     return types.SimpleNamespace(spohn=rep_spohn, main=rep_main,
                                  combined_slack=ext_add(rep_spohn.slack, rep_main.slack))
 
@@ -794,7 +807,7 @@ def stinespring(op, pivot_order=None):
 def operation_entropy(op):
     """Entropy of the normalized Choi state of a CP map, in nats: for
     trace-preserving maps, that of the ancilla any unitary dilation discards."""
-    return st.entropy_of_spectrum(mk.clamp_spectrum(np.linalg.eigvalsh(op.choi_state)[::-1]))
+    return st.entropy_of_spectrum(mk.clamp_spectrum(np.linalg.eigvalsh(op.choi_state)[::-1], tols=DEFAULT_TOLS))
 
 
 def isometry_choi_state(iso):
@@ -802,4 +815,4 @@ def isometry_choi_state(iso):
     d_s, d_a = iso.d_s, iso.d_a
     # Kraus K_j = V (I_S (x) sqrt(lam_j) |a_j>), mapping S -> S (x) A
     ks = [iso.v @ np.kron(np.eye(d_s, dtype=complex), f[:, None]) for f in mk.psd_factors(iso.alpha.w, iso.alpha.v)]
-    return st.density(ch.from_kraus(ks).choi_state, DimShape([d_s * d_a, d_s], ["out", "in"]))
+    return st.density(ch.from_kraus(ks).choi_state, DimShape([d_s * d_a, d_s], ["out", "in"]), tols=DEFAULT_TOLS)

@@ -6,6 +6,7 @@ is deterministic and sized to finish in well under ten minutes.
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -44,11 +45,11 @@ def rand_sc(d_s, d_e, rng, product=False):
     if product:
         sigma = random_density(d_s, d_s, rng)
         tau = random_density(d_e, d_e, rng)
-        rho = st.density(mk.tensor(sigma.mat, tau.mat), DimShape([d_s, d_e], ["S", "E"]))
+        rho = st.density(np.kron(sigma.mat, tau.mat), DimShape([d_s, d_e], ["S", "E"]), tols=DEFAULT_TOLS)
     else:
         raw = random_density(d_s * d_e, int(rng.integers(1, min(4, d_s * d_e) + 1)), rng)
-        rho = st.density(raw.mat, DimShape([d_s, d_e], ["S", "E"]))
-    return sup.build(st.haar_unitary(d_s * d_e, rng), rho)
+        rho = st.density(raw.mat, DimShape([d_s, d_e], ["S", "E"]), tols=DEFAULT_TOLS)
+    return sup.build(st.haar_unitary(d_s * d_e, rng), rho, tols=DEFAULT_TOLS)
 
 
 def test_criterion_1_monotonicity_foundation():
@@ -99,7 +100,7 @@ def test_criterion_3_main_bound_sweep():
         rng = trial_rng(4242, seed)
         sc = rand_sc(2, 2, rng)
         ns = neso(sc)
-        r = bd.main_block([sc], [neso_op(ns)], [ns])[0]
+        r = bd.main_block([sc], [neso_op(ns)], [ns], tols=DEFAULT_TOLS)[0]
         neso_ok &= abs(r.slack) < 1e-8
 
     identity_ok = True
@@ -108,7 +109,7 @@ def test_criterion_3_main_bound_sweep():
         sc = rand_sc(2, 2, rng)
         op = random_cptp(2, int(rng.integers(1, 5)), rng)
         ns = neso(sc)
-        r = bd.main_block([sc], [op], [ns])[0]
+        r = bd.main_block([sc], [op], [ns], tols=DEFAULT_TOLS)[0]
         d_in, d_out = slack_identity(sc, op, ns)
         if all(math.isfinite(v) for v in (r.slack, d_in, d_out)):
             identity_ok &= abs(r.slack - (d_in - d_out)) <= 1e-9
@@ -133,17 +134,17 @@ def test_criterion_4_reduction_checks():
         factorized_ok &= dev <= 1e-10
 
     h = np.diag([0.0, 1.0]).astype(complex)
-    gibbs, _ = bd.thermal_state(h, 1.0)
+    gibbs, _ = bd.thermal_state(h, 1.0, tols=DEFAULT_TOLS)
     clausius_ok = True
     worst_c = 0.0
     for seed in range(200):
         rng = trial_rng(111, seed)
         anchor = random_density(2, 2, rng)
-        rho_se = st.density(mk.tensor(anchor.mat, gibbs.mat), DimShape([2, 2], ["S", "E"]))
-        sc = sup.build(ch.partial_swap_unitary(2, math.pi / 4), rho_se)
+        rho_se = st.density(np.kron(anchor.mat, gibbs.mat), DimShape([2, 2], ["S", "E"]), tols=DEFAULT_TOLS)
+        sc = sup.build(ch.partial_swap_unitary(2, math.pi / 4), rho_se, tols=DEFAULT_TOLS)
         sigma = random_density(2, int(rng.integers(1, 3)), rng)
         rep_c = clausius(sc, sigma, h, 1.0)
-        rep_m = bd.main_block([sc], [replace_channel(sigma)], [neso(sc)])[0]
+        rep_m = bd.main_block([sc], [replace_channel(sigma)], [neso(sc)], tols=DEFAULT_TOLS)[0]
         dev = max(abs(rep_c.lhs - rep_m.lhs), abs(rep_c.rhs - rep_m.rhs),
                   abs(rep_c.slack - rep_m.slack))
         worst_c = max(worst_c, dev)
@@ -163,7 +164,8 @@ def test_criterion_5_superchannel_dual_definition():
         d_e = 2 + seed % 2
         sc = rand_sc(2, d_e, rng)
         op = random_cptp(2, int(rng.integers(1, 5)), rng)
-        dev = mk.max_abs(act(sc, op).mat - sup.act_normalized_block(sup.m_tensors([sc]), [op.choi_state])[0])
+        via_m = sup.act_normalized_block(sup.m_tensors([sc]), [op.choi_state], DEFAULT_TOLS)[0]
+        dev = mk.max_abs(act(sc, op).mat - via_m)
         worst_dual = max(worst_dual, dev)
         dual_ok &= dev <= 1e-10
         w = np.linalg.eigvalsh(choi_of_msharp(sc))
@@ -188,11 +190,8 @@ def test_criterion_6_qdpi_sweep():
         sc2 = rand_sc(2, 2, rng)
         a_p = random_cptp(2, int(rng.integers(1, 5)), rng)
         a_q = random_cptp(2, int(rng.integers(1, 5)), rng)
-        joint = ch.from_kraus(
-            [np.kron(kp, kq) for kp in a_p.kraus for kq in a_q.kraus],
-            bipartite=(2, 2),
-        )
-        r = bd.qdpi_block([sc1], [sc2], [joint])[0]
+        joint = replace(ch.from_kraus([np.kron(kp, kq) for kp in a_p.kraus for kq in a_q.kraus]), bipartite=(2, 2))
+        r = bd.qdpi_block([sc1], [sc2], [joint], tols=DEFAULT_TOLS)[0]
         product_ok &= abs(r.lhs) < 1e-9 and abs(r.rhs) < 1e-9
     _report("6 qdpi sweep", failures == 0 and product_ok,
             f"failures={failures}, min_slack={rep['summary']['min_slack']:.3e}, "
@@ -204,13 +203,13 @@ def test_criterion_7_holevo_sweep():
                    dims={"d_S": 2, "d_E": 2}, n_measurements=50)
     failures = rep["summary"]["failures"]
 
-    rho_se = st.density(np.eye(4) / 4, DimShape([2, 2], ["S", "E"]))
-    sc = sup.build(np.eye(4, dtype=complex), rho_se)
+    rho_se = st.density(np.eye(4) / 4, DimShape([2, 2], ["S", "E"]), tols=DEFAULT_TOLS)
+    sc = sup.build(np.eye(4, dtype=complex), rho_se, tols=DEFAULT_TOLS)
     ens = bd.Ensemble(
         (0.5, 0.5),
         (
-            replace_channel(st.density(np.diag([1.0, 0.0]))),
-            replace_channel(st.density(np.diag([0.0, 1.0]))),
+            replace_channel(st.density(np.diag([1.0, 0.0]), tols=DEFAULT_TOLS)),
+            replace_channel(st.density(np.diag([0.0, 1.0]), tols=DEFAULT_TOLS)),
         ),
     )
     haar = st.haar_unitaries(50, 2, np.random.default_rng(7))
@@ -234,10 +233,10 @@ def test_criterion_8_dilation_identities():
         worst_choi = max(worst_choi, dev)
         choi_ok &= dev <= 1e-10
         s_bc = st.entropy_of_spectrum(
-            mk.clamp_spectrum(np.linalg.eigvalsh(mk.partial_trace(rho, shape, ["b", "c"]))[::-1])
+            mk.clamp_spectrum(np.linalg.eigvalsh(mk.partial_trace(rho, shape, ["b", "c"]))[::-1], tols=DEFAULT_TOLS)
         )
         s_a = st.entropy_of_spectrum(
-            mk.clamp_spectrum(np.linalg.eigvalsh(mk.partial_trace(rho, shape, ["a"]))[::-1])
+            mk.clamp_spectrum(np.linalg.eigvalsh(mk.partial_trace(rho, shape, ["a"]))[::-1], tols=DEFAULT_TOLS)
         )
         worst_sym = max(worst_sym, abs(s_bc - s_a))
         sym_ok &= abs(s_bc - s_a) <= 1e-10
@@ -261,7 +260,7 @@ def test_criterion_9_isometric_dilation_map():
         rng = trial_rng(909, seed)
         sc = rand_sc(2, 2, rng)
         vec = st.random_pure(2, rng)
-        alpha = st.density(np.outer(vec, vec.conj()), labels=["A"])
+        alpha = st.density(np.outer(vec, vec.conj()), DimShape([2], ["A"]), tols=DEFAULT_TOLS)
         iso = IsometricOperation(np.eye(4, dtype=complex), alpha)
         _, delta_s = mmap(sc, iso)
         sigma_p = act(sc, identity_channel(2))

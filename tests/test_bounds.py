@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,11 +24,11 @@ def rand_sc(d_s, d_e, seed, product=False):
     if product:
         sigma = random_density(d_s, d_s, rng)
         tau = random_density(d_e, d_e, rng)
-        rho = st.density(mk.tensor(sigma.mat, tau.mat), DimShape([d_s, d_e], ["S", "E"]))
+        rho = st.density(np.kron(sigma.mat, tau.mat), DimShape([d_s, d_e], ["S", "E"]), tols=DEFAULT_TOLS)
     else:
         raw = random_density(d_s * d_e, int(rng.integers(1, d_s * d_e + 1)), rng)
-        rho = st.density(raw.mat, DimShape([d_s, d_e], ["S", "E"]))
-    return sup.build(st.haar_unitary(d_s * d_e, rng), rho), rng
+        rho = st.density(raw.mat, DimShape([d_s, d_e], ["S", "E"]), tols=DEFAULT_TOLS)
+    return sup.build(st.haar_unitary(d_s * d_e, rng), rho, tols=DEFAULT_TOLS), rng
 
 
 # ---------------------------------------------------------------------------
@@ -57,11 +58,11 @@ def test_finish_flags_and_pass_logic():
 
 
 def test_trace_against_log_support_detection():
-    pure = st.density(np.diag([1.0, 0.0]))
-    mixed = st.density(np.eye(2) / 2)
-    assert st.log_weights(mixed.mat[None, None], pure.w[None], pure.v[None]) == [[float("-inf")]]
-    full = st.density(np.diag([0.75, 0.25]))
-    [[got]] = st.log_weights(mixed.mat[None, None], full.w[None], full.v[None])
+    pure = st.density(np.diag([1.0, 0.0]), tols=DEFAULT_TOLS)
+    mixed = st.density(np.eye(2) / 2, tols=DEFAULT_TOLS)
+    assert st.log_weights(mixed.mat[None, None], pure.w[None], pure.v[None], tols=DEFAULT_TOLS) == [[float("-inf")]]
+    full = st.density(np.diag([0.75, 0.25]), tols=DEFAULT_TOLS)
+    [[got]] = st.log_weights(mixed.mat[None, None], full.w[None], full.v[None], tols=DEFAULT_TOLS)
     assert abs(got - 0.5 * (math.log(0.75) + math.log(0.25))) <= 1e-12
 
 
@@ -97,9 +98,9 @@ def test_spohn_random_sweep_small():
 
 
 def test_spohn_rank_deficient_ness_flags_neg_inf():
-    target = st.density(np.diag([1.0, 0.0]))
+    target = st.density(np.diag([1.0, 0.0]), tols=DEFAULT_TOLS)
     op = replace_channel(target)
-    rho = st.density(np.eye(2) / 2)
+    rho = st.density(np.eye(2) / 2, tols=DEFAULT_TOLS)
     rep = spohn(op, rho)
     assert rep.rhs == float("-inf")
     assert rep.passed and "rhs_neg_inf" in rep.flags
@@ -114,7 +115,7 @@ def test_main_bound_saturates_at_neso():
     for seed in range(10):
         sc, _ = rand_sc(2, 2, seed=3000 + seed)
         ns = neso(sc)
-        rep = bd.main_block([sc], [neso_op(ns)], [ns])[0]
+        rep = bd.main_block([sc], [neso_op(ns)], [ns], tols=DEFAULT_TOLS)[0]
         assert rep.passed
         assert abs(rep.slack) <= 1e-8
         assert abs(rep.lhs + math.log(2)) <= 1e-8  # both sides equal -log d
@@ -140,7 +141,7 @@ def test_main_bound_reduces_to_spohn_for_replace_ops():
         sc, rng = rand_sc(2, 2, seed=3200 + seed, product=True)
         omega = random_density(2, int(rng.integers(1, 3)), rng)
         ns = neso(sc)
-        rep_main = bd.main_block([sc], [replace_channel(omega)], [ns])[0]
+        rep_main = bd.main_block([sc], [replace_channel(omega)], [ns], tols=DEFAULT_TOLS)[0]
         rep_spohn = spohn(channel_from_dilation(sc.u, env_marginal(sc)), omega)
         if math.isfinite(rep_main.slack) and math.isfinite(rep_spohn.slack):
             assert abs(rep_main.slack - rep_spohn.slack) <= 1e-9
@@ -150,7 +151,7 @@ def test_main_bound_random_sweep_small():
     for seed in range(60):
         sc, rng = rand_sc(2, 2 + seed % 2, seed=3300 + seed)
         op = random_cptp(2, int(rng.integers(1, 5)), rng)
-        rep = bd.main_block([sc], [op], [neso(sc)])[0]
+        rep = bd.main_block([sc], [op], [neso(sc)], tols=DEFAULT_TOLS)[0]
         assert rep.passed, f"seed {seed}: slack {rep.slack}"
 
 
@@ -163,12 +164,12 @@ def test_main_bound_detects_known_adversarial_violation():
     # contractivity argument needs.  The verifier must report the violation.
     sigma = np.diag([0.99, 0.01]).astype(complex)
     tau = np.eye(2, dtype=complex) / 2
-    rho_se = st.density(mk.tensor(sigma, tau), DimShape([2, 2], ["S", "E"]))
+    rho_se = st.density(np.kron(sigma, tau), DimShape([2, 2], ["S", "E"]), tols=DEFAULT_TOLS)
     theta = math.asin(math.sqrt(0.1))
-    sc = sup.build(ch.partial_swap_unitary(2, theta), rho_se)
+    sc = sup.build(ch.partial_swap_unitary(2, theta), rho_se, tols=DEFAULT_TOLS)
     op = classical_channel(np.array([[1.0, 0.5], [0.0, 0.5]]))
     ns = neso(sc)
-    rep = bd.main_block([sc], [op], [ns])[0]
+    rep = bd.main_block([sc], [op], [ns], tols=DEFAULT_TOLS)[0]
     assert not rep.passed
     assert rep.slack < -0.1
     d_in, d_out = slack_identity(sc, op, ns)
@@ -207,17 +208,17 @@ def test_spohn_composition_random_sweep_small():
 
 def qubit_thermal_sc(beta=1.0, theta=math.pi / 4, seed=0):
     h = np.diag([0.0, 1.0]).astype(complex)
-    gibbs, z = bd.thermal_state(h, beta)
+    gibbs, z = bd.thermal_state(h, beta, tols=DEFAULT_TOLS)
     rng = np.random.default_rng(seed)
     anchor = random_density(2, 2, rng)
-    rho_se = st.density(mk.tensor(anchor.mat, gibbs.mat), DimShape([2, 2], ["S", "E"]))
-    sc = sup.build(ch.partial_swap_unitary(2, theta), rho_se)
+    rho_se = st.density(np.kron(anchor.mat, gibbs.mat), DimShape([2, 2], ["S", "E"]), tols=DEFAULT_TOLS)
+    sc = sup.build(ch.partial_swap_unitary(2, theta), rho_se, tols=DEFAULT_TOLS)
     return sc, h, gibbs, z, rng
 
 
 def test_thermal_state_scalar_oracle():
     h = np.diag([0.0, 1.0]).astype(complex)
-    gibbs, z = bd.thermal_state(h, 1.0)
+    gibbs, z = bd.thermal_state(h, 1.0, tols=DEFAULT_TOLS)
     assert abs(z - (1.0 + math.exp(-1.0))) <= 1e-12
     assert mk.max_abs(gibbs.mat - np.diag([1.0 / z, math.exp(-1.0) / z])) <= 1e-12
 
@@ -231,7 +232,7 @@ def test_clausius_stationary_input_saturates():
 
 def test_clausius_excited_input_passes():
     sc, h, _, z, _ = qubit_thermal_sc(seed=2)
-    excited = st.density(np.diag([0.0, 1.0]))
+    excited = st.density(np.diag([0.0, 1.0]), tols=DEFAULT_TOLS)
     rep = clausius(sc, excited, h, 1.0)
     assert rep.passed
     assert abs(rep.metadata["Z"] - z) <= 1e-12
@@ -251,7 +252,7 @@ def test_clausius_agrees_with_main_bound_code_path():
     for _ in range(10):
         sigma = random_density(2, 2, rng)
         rep_c = clausius(sc, sigma, h, 1.0)
-        rep_m = bd.main_block([sc], [replace_channel(sigma)], [neso(sc)])[0]
+        rep_m = bd.main_block([sc], [replace_channel(sigma)], [neso(sc)], tols=DEFAULT_TOLS)[0]
         assert abs(rep_c.lhs - rep_m.lhs) <= 1e-10
         assert abs(rep_c.rhs - rep_m.rhs) <= 1e-10
         assert abs(rep_c.slack - rep_m.slack) <= 1e-10
@@ -263,9 +264,9 @@ def test_clausius_rejects_non_thermal_fixed_point():
     rng = np.random.default_rng(5)
     tau = random_density(2, 2, rng)
     rho_se = st.density(
-        mk.tensor(random_density(2, 2, rng).mat, tau.mat), DimShape([2, 2], ["S", "E"])
+        np.kron(random_density(2, 2, rng).mat, tau.mat), DimShape([2, 2], ["S", "E"]), tols=DEFAULT_TOLS
     )
-    sc = sup.build(swap_unitary(2), rho_se)
+    sc = sup.build(swap_unitary(2), rho_se, tols=DEFAULT_TOLS)
     with pytest.raises(ValidationError, match="residual"):
         clausius(sc, tau, h, 1.0)
 
@@ -280,11 +281,8 @@ def test_qdpi_product_operation_both_sides_vanish():
     sc2, _ = rand_sc(2, 2, seed=5001)
     a_p = random_cptp(2, 2, rng)
     a_q = random_cptp(2, 3, rng)
-    joint = ch.from_kraus(
-        [np.kron(kp, kq) for kp in a_p.kraus for kq in a_q.kraus],
-        bipartite=(2, 2),
-    )
-    rep = bd.qdpi_block([sc1], [sc2], [joint])[0]
+    joint = replace(ch.from_kraus([np.kron(kp, kq) for kp in a_p.kraus for kq in a_q.kraus]), bipartite=(2, 2))
+    rep = bd.qdpi_block([sc1], [sc2], [joint], tols=DEFAULT_TOLS)[0]
     assert rep.passed
     assert abs(rep.lhs) <= 1e-9 and abs(rep.rhs) <= 1e-9
 
@@ -292,12 +290,12 @@ def test_qdpi_product_operation_both_sides_vanish():
 def test_qdpi_swap_preparation_through_depolarizing_superchannels():
     # SWAP's operation-state is maximally correlated across the P/Q pairs;
     # superchannels that discard the system output no mutual information
-    rho_se = st.density(np.eye(4) / 4, DimShape([2, 2], ["S", "E"]))
-    sc1 = sup.build(swap_unitary(2), rho_se)
-    sc2 = sup.build(swap_unitary(2), rho_se)
+    rho_se = st.density(np.eye(4) / 4, DimShape([2, 2], ["S", "E"]), tols=DEFAULT_TOLS)
+    sc1 = sup.build(swap_unitary(2), rho_se, tols=DEFAULT_TOLS)
+    sc2 = sup.build(swap_unitary(2), rho_se, tols=DEFAULT_TOLS)
     swap_op = unitary_channel(swap_unitary(2))
     swap_op = ch.QuantumOperation(4, 4, swap_op.choi, swap_op.kraus, (2, 2))
-    rep = bd.qdpi_block([sc1], [sc2], [swap_op])[0]
+    rep = bd.qdpi_block([sc1], [sc2], [swap_op], tols=DEFAULT_TOLS)[0]
     assert rep.passed
     assert abs(rep.lhs - 2 * math.log(4)) <= 1e-9  # pure maximally entangled pairs
     assert rep.rhs <= 1e-9
@@ -309,7 +307,7 @@ def test_qdpi_random_sweep_small():
         sc1, _ = rand_sc(2, 2, seed=5200 + seed)
         sc2, _ = rand_sc(2, 2, seed=5300 + seed)
         op = random_cptp(4, int(rng.integers(1, 17)), rng, bipartite=(2, 2))
-        rep = bd.qdpi_block([sc1], [sc2], [op])[0]
+        rep = bd.qdpi_block([sc1], [sc2], [op], tols=DEFAULT_TOLS)[0]
         assert rep.passed, f"seed {seed}: slack {rep.slack}"
         # input-side identity between the MI and relative-entropy routes
         assert abs(rep.metadata["relent_in"] - rep.lhs) <= 1e-8
@@ -321,7 +319,7 @@ def test_qdpi_requires_structure_and_tp():
     sc1, _ = rand_sc(2, 2, seed=5400)
     sc2, _ = rand_sc(2, 2, seed=5401)
     with pytest.raises(mk.ShapeError):
-        bd.qdpi_block([sc1], [sc2], [identity_channel(4)])
+        bd.qdpi_block([sc1], [sc2], [identity_channel(4)], tols=DEFAULT_TOLS)
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +338,14 @@ def test_holevo_indistinguishable_ensemble():
 
 def test_holevo_orthogonal_ensemble_attains_log2():
     # identity-like superchannel: product maximally mixed rho_SE with U = I
-    rho_se = st.density(np.eye(4) / 4, DimShape([2, 2], ["S", "E"]))
-    sc = sup.build(np.eye(4, dtype=complex), rho_se)
+    rho_se = st.density(np.eye(4) / 4, DimShape([2, 2], ["S", "E"]), tols=DEFAULT_TOLS)
+    sc = sup.build(np.eye(4, dtype=complex), rho_se, tols=DEFAULT_TOLS)
     rng = np.random.default_rng(7)
     ens = bd.Ensemble(
         (0.5, 0.5),
         (
-            replace_channel(st.density(np.diag([1.0, 0.0]))),
-            replace_channel(st.density(np.diag([0.0, 1.0]))),
+            replace_channel(st.density(np.diag([1.0, 0.0]), tols=DEFAULT_TOLS)),
+            replace_channel(st.density(np.diag([0.0, 1.0]), tols=DEFAULT_TOLS)),
         ),
     )
     chi, rep, sampled = holevo_trial(sc, ens, st.haar_unitaries(10, 2, rng))
@@ -379,7 +377,7 @@ def test_stacked_measurement_bases_match_sequential_draws_bitwise(oracles):
             states = np.stack([random_density(d, d, rng_seq).mat for _ in range(3)])
             probs = rng_seq.dirichlet(np.ones(3))
             avg = states.mean(axis=0)
-            _, eig = mk.herm_eig_of(avg, *np.linalg.eigh((avg + mk.dagger(avg)) / 2.0))
+            _, eig = mk.herm_eig_of(avg, *np.linalg.eigh((avg + mk.dagger(avg)) / 2.0), DEFAULT_TOLS)
             expected = []
             for basis in seq + [eig]:
                 joint = np.empty((3, d))
@@ -473,7 +471,7 @@ def test_classical_mutual_informations_are_bitwise_the_per_table_oracle(oracles)
 def explicit_ensemble(d, rng):
     """Five codewords, one held by its Choi matrix only, one of weight 0."""
     ops = [random_cptp(d, 1 + i % (d * d), rng) for i in range(5)]
-    ops[3] = ch.from_choi(ops[3].choi, d, d)
+    ops[3] = ch.from_choi(ops[3].choi, d, d, tols=DEFAULT_TOLS)
     probs = rng.dirichlet(np.ones(5))
     probs[1] = 0.0
     return bd.Ensemble(tuple(float(p) for p in probs / probs.sum()), tuple(ops))
@@ -527,7 +525,7 @@ def test_qdpi_blocks_are_bitwise_the_per_trial_qdpi(d_p, d_q, d_e1, d_e2, oracle
     d = d_p * d_q
     rng = np.random.default_rng([d_p, d_q, 0])
     joint = random_cptp(d, 3, rng)
-    explicit = [{"op_kraus": ch.from_kraus(list(joint.kraus))}, {"op_choi": ch.from_choi(joint.choi, d, d)}]
+    explicit = [{"op_kraus": ch.from_kraus(list(joint.kraus))}, {"op_choi": ch.from_choi(joint.choi, d, d, DEFAULT_TOLS)}]
     pinned = (rand_sc(d_p, d_e1, [d_p, d_q, 1])[0], rand_sc(d_q, d_e2, [d_p, d_q, 2])[0])
     for kind, block in enumerate(oracles.blocks(36 if d < 9 else 10)):
         kind %= 4

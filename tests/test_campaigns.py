@@ -94,26 +94,33 @@ def test_parse_complex_matrix_pairs():
 
 
 def test_scenario_echo_round_trip():
-    # Every explicit key; op_kraus and op_choi are exclusive, so each gets a scenario.
+    # Every explicit key, each in a scenario whose family reads it; op_kraus
+    # and op_choi are exclusive, and clausius reads theta only without U.
     rng = np.random.default_rng(7)
     mats = {"U": ch.partial_swap_unitary(2, 0.3), "rho_se": random_density(4, 2, rng).mat,
             "H": np.diag([0.0, 1.0]).astype(complex), "sigma": random_density(2, 2, rng).mat,
             "V": st.haar_unitary(4, rng), "alpha": random_density(2, 1, rng).mat}
     kraus = [random_cptp(2, 2, rng).kraus for _ in range(2)]
-    ensemble = {"probs": [0.25, 0.75], "ops_kraus": [[cp.matrix_to_json(k) for k in op] for op in kraus]}
-    ops = {"op_kraus": [cp.matrix_to_json(k) for k in kraus[0]],
-           "op_choi": cp.matrix_to_json(ch.from_kraus(kraus[1]).choi)}
-    for key, op in ops.items():
-        explicit = {k: cp.matrix_to_json(m) for k, m in mats.items()}
-        explicit.update({key: op, "beta": 2.0, "theta": 0.1, "ensemble": ensemble})
-        scn = make_scenario(explicit=explicit)
+    values = {k: cp.matrix_to_json(m) for k, m in mats.items()}
+    values.update({"op_kraus": [cp.matrix_to_json(k) for k in kraus[0]],
+                   "op_choi": cp.matrix_to_json(ch.from_kraus(kraus[1]).choi), "beta": 2.0, "theta": 0.1,
+                   "ensemble": {"probs": [0.25, 0.75],
+                                "ops_kraus": [[cp.matrix_to_json(k) for k in op] for op in kraus]}})
+    cases = [("main", ["U", "rho_se", "op_kraus"]), ("main", ["U", "rho_se", "op_choi"]),
+             ("clausius", ["H", "sigma", "beta", "theta"]), ("mmap-consistency", ["U", "rho_se", "V", "alpha"]),
+             ("holevo", ["U", "rho_se", "ensemble"])]
+    assert {k for _, keys in cases for k in keys} == set(cp._EXPLICIT_KEYS)
+    for bound, keys in cases:
+        explicit = {k: values[k] for k in keys}
+        scn = make_scenario(bound=bound, explicit=explicit)
         echo = cp.scenario_echo(scn)
         assert json.dumps(echo["explicit"], sort_keys=True) == json.dumps(explicit, sort_keys=True)
         again = cp.load_scenario(json.dumps(echo))
         assert json.dumps(cp.scenario_echo(again)) == json.dumps(echo)
-        for k, m in mats.items():
-            assert getattr(again.explicit[k], "mat", again.explicit[k]).tobytes() == m.tobytes()
-        assert again.explicit[key].choi.tobytes() == scn.explicit[key].choi.tobytes()
+        for k in set(keys) & set(mats):
+            assert getattr(again.explicit[k], "mat", again.explicit[k]).tobytes() == mats[k].tobytes()
+        for k in set(keys) & {"op_kraus", "op_choi"}:
+            assert again.explicit[k].choi.tobytes() == scn.explicit[k].choi.tobytes()
 
 
 def test_ext_to_json_values():
@@ -455,11 +462,16 @@ def test_every_prepared_object_reaches_the_pool_workers():
         "U": ch.partial_swap_unitary(2, 0.4), "rho_se": random_density(4, 3, rng).mat,
         "V": st.haar_unitary(4, rng), "alpha": random_density(2, 2, rng).mat,
         "H": np.diag([0.0, 0.7]).astype(complex)}.items()}
-    scn = make_scenario(bound="all", trials=3, n_measurements=5,
-                        explicit={**explicit, "beta": 0.8, "theta": 0.4})
+    scn = make_scenario(bound="all", trials=3, n_measurements=5, explicit={**explicit, "beta": 0.8})
     prepared = cp.prepare(scn, DEFAULT_TOLS)
     assert list(prepared.superchannels) == [(2, 2)]
     assert prepared.neso is not None
+    serial = cp.render_json(cp.run_campaign(scn, DEFAULT_TOLS, jobs=1))
+    assert cp.render_json(cp.run_campaign(scn, DEFAULT_TOLS, jobs=2)) == serial
+    assert json.loads(serial)["summary"]["failures"] == 0
+    # Without U, clausius runs on the partial swap of theta.
+    scn = make_scenario(bound="clausius", trials=9, explicit={"H": explicit["H"], "beta": 0.8, "theta": 0.4})
+    assert cp.prepare(scn, DEFAULT_TOLS).thermal[0].tobytes() == ch.partial_swap_unitary(2, 0.4).tobytes()
     serial = cp.render_json(cp.run_campaign(scn, DEFAULT_TOLS, jobs=1))
     assert cp.render_json(cp.run_campaign(scn, DEFAULT_TOLS, jobs=2)) == serial
     assert json.loads(serial)["summary"]["failures"] == 0

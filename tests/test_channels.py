@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,7 @@ from supchan import channels as ch
 from supchan import matkernel as mk
 from supchan import states as st
 from supchan import superchannel as sup
-from supchan.config import Tolerances
+from supchan.config import DEFAULT_TOLS, Tolerances
 from supchan.matkernel import DimShape, ShapeError, ValidationError
 
 from conftest import (apply, channel_from_dilation, compose, depolarizing_channel, fixed_point, identity_channel,
@@ -46,7 +49,7 @@ def test_apply_non_tp_flagging():
     k = [np.array([[1.0, 0.0], [0.0, 0.5]], dtype=complex)]
     op = ch.from_kraus(k)
     assert not is_trace_preserving(op)
-    rho = st.density(np.eye(2) / 2)
+    rho = st.density(np.eye(2) / 2, tols=DEFAULT_TOLS)
     with pytest.raises(ValidationError):
         apply(op, rho)
     out = ch.apply_matrices([op], rho.mat[None])[0]
@@ -81,7 +84,7 @@ def test_unitary_choi_is_rank_one():
     op = unitary_channel(u)
     w = np.linalg.eigvalsh(op.choi_state)
     assert np.sum(w > 1e-10) == 1
-    assert st.entropy_of_spectrum(mk.clamp_spectrum(w)) <= 1e-10
+    assert st.entropy_of_spectrum(mk.clamp_spectrum(w, tols=DEFAULT_TOLS)) <= 1e-10
 
 
 def test_depolarizing_choi_maximally_mixed():
@@ -97,7 +100,7 @@ def test_kraus_choi_round_trip_action():
     rng = np.random.default_rng(11)
     d = 4
     op = random_cptp(d, 5, rng)
-    rebuilt = ch.from_kraus(list(ch.from_choi(op.choi, d, d).kraus))
+    rebuilt = ch.from_kraus(list(ch.from_choi(op.choi, d, d, tols=DEFAULT_TOLS).kraus))
     for i in range(d):
         for j in range(d):
             e = np.zeros((d, d), dtype=complex)
@@ -108,7 +111,7 @@ def test_kraus_choi_round_trip_action():
 def test_from_choi_rejects_non_cp():
     bad = np.diag([1.0, 1.0, 1.0, -0.5]).astype(complex)
     with pytest.raises(ValidationError):
-        ch.from_choi(bad, 2, 2)
+        ch.from_choi(bad, 2, 2, tols=DEFAULT_TOLS)
 
 
 def test_from_choi_keeps_the_kraus_operators_of_its_cp_check(monkeypatch, oracles):
@@ -117,7 +120,7 @@ def test_from_choi_keeps_the_kraus_operators_of_its_cp_check(monkeypatch, oracle
     choi[0, 3] += 5e-10j
     tols = Tolerances(herm_tol=1e-9)
     with pytest.raises(ValidationError, match="not Hermitian"):
-        ch.from_choi(choi, 2, 2)
+        ch.from_choi(choi, 2, 2, tols=DEFAULT_TOLS)
     calls = []
     real = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or real(m))
@@ -148,7 +151,7 @@ def test_channel_from_dilation_matches_direct_formula():
         assert is_trace_preserving(op)
         sigma = random_density(d_s, d_s, rng)
         direct = mk.partial_trace(
-            u @ mk.tensor(sigma.mat, tau.mat) @ u.conj().T,
+            u @ np.kron(sigma.mat, tau.mat) @ u.conj().T,
             DimShape([d_s, d_e], ["S", "E"]),
             ["S"],
         )
@@ -211,7 +214,7 @@ def test_fixed_point_of_a_degenerate_channel_is_the_cesaro_limit(d, dim, diag, b
     # at rate 1/N; its limit, the part of I/d in the eigenvalue-1
     # eigenspace, is exactly fixed.
     op = ch.from_kraus(partial_damping_kraus(d))
-    fp = fixed_point(ch.from_choi(op.choi, d, d) if by_choi else op)
+    fp = fixed_point(ch.from_choi(op.choi, d, d, tols=DEFAULT_TOLS) if by_choi else op)
     assert (fp.method, fp.residual, fp.fixed_space_dim) == ("cesaro", 0.0, dim)
     assert mk.max_abs(fp.state.mat - np.diag(diag)) <= 1e-12
 
@@ -222,7 +225,7 @@ def test_fixed_points_check_one_residual_per_candidate(monkeypatch):
     real = ch.apply_matrices
     monkeypatch.setattr(ch, "apply_matrices", lambda ops, mats: calls.append(len(ops)) or real(ops, mats))
     ops = [ch.from_kraus(partial_damping_kraus(3)), rand_op(3, 4, seed=8)]
-    assert [fp.method for fp in ch.fixed_points(ops)] == ["cesaro", "eigen"]
+    assert [fp.method for fp in ch.fixed_points(ops, tols=DEFAULT_TOLS)] == ["cesaro", "eigen"]
     assert calls == [1, 1, 1]
 
 
@@ -256,20 +259,20 @@ def test_marginal_operation_product():
     a_p = random_cptp(2, 2, rng)
     a_q = random_cptp(2, 3, rng)
     joint_kraus = [np.kron(kp, kq) for kp in a_p.kraus for kq in a_q.kraus]
-    joint = ch.from_kraus(joint_kraus, bipartite=(2, 2))
-    got_p = ch.marginal_chois(joint.choi, joint.bipartite, "P")
+    joint = replace(ch.from_kraus(joint_kraus), bipartite=(2, 2))
+    got_p = ch.marginal_chois(joint.choi, joint.bipartite, "P", tols=DEFAULT_TOLS)
     assert mk.max_abs(got_p - a_p.choi) <= 1e-10
-    got_q = ch.marginal_chois(joint.choi, joint.bipartite, "Q")
+    got_q = ch.marginal_chois(joint.choi, joint.bipartite, "Q", tols=DEFAULT_TOLS)
     assert mk.max_abs(got_q - a_q.choi) <= 1e-10
     # repeated extraction from a product operation changes nothing
-    again = ch.marginal_chois(joint.choi, joint.bipartite, "P")
+    again = ch.marginal_chois(joint.choi, joint.bipartite, "P", tols=DEFAULT_TOLS)
     assert mk.max_abs(again - got_p) == 0
 
 
 def test_marginal_operation_swap_is_depolarizing_like():
     swap_op = unitary_channel(swap_unitary(2))
     swap_op = ch.QuantumOperation(4, 4, swap_op.choi, swap_op.kraus, (2, 2))
-    got = ch.from_choi(ch.marginal_chois(swap_op.choi, swap_op.bipartite, "P"), 2, 2)
+    got = ch.from_choi(ch.marginal_chois(swap_op.choi, swap_op.bipartite, "P", DEFAULT_TOLS), 2, 2, DEFAULT_TOLS)
     # oracle: partial trace of the Choi over the Q pair, rescaled
     shape = DimShape([2, 2, 2, 2], ["Po", "Qo", "Pi", "Qi"])
     oracle = mk.partial_trace(swap_op.choi, shape, ["Po", "Pi"]) / 2
@@ -282,9 +285,9 @@ def test_marginal_operation_swap_is_depolarizing_like():
 def test_marginal_operation_requires_structure():
     # qdpi_block reads the (d_P, d_Q) split of its marginal operations from
     # the joint operation, and refuses one that declares none.
-    sc = sup.build(np.eye(4), st.density(np.eye(4) / 4, DimShape([2, 2], ["S", "E"])))
+    sc = sup.build(np.eye(4), st.density(np.eye(4) / 4, DimShape([2, 2], ["S", "E"]), tols=DEFAULT_TOLS), DEFAULT_TOLS)
     with pytest.raises(ShapeError):
-        bd.qdpi_block([sc], [sc], [identity_channel(4)])
+        bd.qdpi_block([sc], [sc], [identity_channel(4)], tols=DEFAULT_TOLS)
 
 
 def test_compose_and_partial_swap():
@@ -297,6 +300,15 @@ def test_compose_and_partial_swap():
 
     u = ch.partial_swap_unitary(2, 0.3)
     assert mk.max_abs(u.conj().T @ u - np.eye(4)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_partial_swap_is_the_dense_swap_formula_bitwise(d):
+    # SWAP comes from an index move of the identity; the dense permutation
+    # matrix of the same move gives the same bits.
+    for theta in (0.0, 0.3, math.pi / 4, 2.0):
+        dense = np.cos(theta) * np.eye(d * d, dtype=complex) + 1j * np.sin(theta) * swap_unitary(d)
+        assert ch.partial_swap_unitary(d, theta).tobytes() == dense.tobytes()
 
 
 def test_random_cptp_is_cptp_and_seeded():
@@ -347,19 +359,19 @@ def test_transfer_matrix_and_random_cptp_lift_are_bitwise_the_kron_oracles(d, d_
         if d == d_out:
             op = random_cptp(d, rank, np.random.default_rng([d, d_out, i]))
         else:
-            op = ch.from_choi(oracle, d_out, d)
+            op = ch.from_choi(oracle, d_out, d, tols=DEFAULT_TOLS)
         assert op.choi.tobytes() == oracle.tobytes()
         assert ch.transfer_matrices([op])[0].tobytes() == oracles.transfer_matrix(op.kraus).tobytes()
 
 
 def test_require_trace_preserving_checks_each_call_in_one_step(monkeypatch):
     ops = [rand_op(3, 4, seed=8), rand_op(3, 2, seed=9), rand_op(3, 3, seed=10)]
-    half = ch.from_choi(ops[1].choi / 2, 3, 3)
+    half = ch.from_choi(ops[1].choi / 2, 3, 3, tols=DEFAULT_TOLS)
     calls = []
     real = ch.tr_out_choi
     monkeypatch.setattr(ch, "tr_out_choi", lambda choi, *a: calls.append(len(choi)) or real(choi, *a))
     ch.require_trace_preserving(ops + [ops[0]], "not trace preserving")
-    ch.fixed_points(ops)
+    ch.fixed_points(ops, tols=DEFAULT_TOLS)
     assert calls == [4, 3]
     with pytest.raises(ValidationError, match="^not trace preserving$"):
         ch.require_trace_preserving([ops[0], half, ops[2]], "not trace preserving")
@@ -375,12 +387,12 @@ def test_random_cptps_are_bitwise_the_per_trial_construction(d, d_out, oracles):
     for block in oracles.blocks(216):
         ranks = [1 + i % (d * d) for i in block]
         rngs = [np.random.default_rng([d, d_out, i]) for i in block]
-        ops = ch.random_cptps(d, [ch.bcsz_draw(d, r, g) for r, g in zip(ranks, rngs)])
+        ops = ch.random_cptps(d, [ch.bcsz_draw(d, r, g) for r, g in zip(ranks, rngs)], tols=DEFAULT_TOLS)
         for i, rank, op in zip(block, ranks, ops):
             choi, kraus = oracles.random_cptp_parts(d, rank, np.random.default_rng([d, d_out, i]), tols)
             assert op.choi.tobytes() == choi.tobytes()
             assert op.kraus.tobytes() == kraus.tobytes()
-            assert ch.from_choi(op.choi, d, d).kraus.tobytes() == kraus.tobytes()
+            assert ch.from_choi(op.choi, d, d, tols=DEFAULT_TOLS).kraus.tobytes() == kraus.tobytes()
 
 
 @pytest.mark.parametrize("d,seed", [(2, [2, 1, 712]), (3, [3, 1, 2966])])
@@ -391,10 +403,10 @@ def test_random_cptps_project_again_a_map_off_trace_preservation(d, seed):
     # the bits of one projection.
     g = ch.bcsz_draw(d, 1, np.random.default_rng(seed))
     full = ch.bcsz_draw(d, d * d, np.random.default_rng(seed))
-    ops = ch.random_cptps(d, [full, g, full])
+    ops = ch.random_cptps(d, [full, g, full], tols=DEFAULT_TOLS)
     dev = mk.max_abs(ch.tr_out_choi(np.array([op.choi for op in ops]), d, d) - np.eye(d))
     assert dev.max() <= 1e-12
-    once = ch.random_cptps(d, [full])[0].choi
+    once = ch.random_cptps(d, [full], tols=DEFAULT_TOLS)[0].choi
     assert ops[0].choi.tobytes() == ops[2].choi.tobytes() == once.tobytes()
 
 
@@ -409,7 +421,7 @@ def test_fixed_points_are_bitwise_the_per_operation_steady_state(d, oracles):
     limits = []
     if d > 2:
         damping = ch.from_kraus(partial_damping_kraus(d))
-        limits = [damping, ch.from_choi(damping.choi, d, d)]
+        limits = [damping, ch.from_choi(damping.choi, d, d, tols=DEFAULT_TOLS)]
     for i, (_, ops) in enumerate(oracles.block_instances(d, 2, 60, [d, 72])):
         ops = ops[:i % 3] + limits[i % 2:i % 2 + 1] + ops[i % 3:]
         results = ch.fixed_points(ops, tols)
@@ -447,5 +459,5 @@ def test_random_cptps_decompose_each_choi_matrix_once(monkeypatch):
             return _real(*args)
         monkeypatch.setattr(np.linalg, name, counted)
     rngs = [np.random.default_rng([3, i]) for i in range(5)]
-    ch.random_cptps(3, [ch.bcsz_draw(3, 1 + i, r) for i, r in enumerate(rngs)])
+    ch.random_cptps(3, [ch.bcsz_draw(3, 1 + i, r) for i, r in enumerate(rngs)], tols=DEFAULT_TOLS)
     assert calls == [("eigh", (5, 3, 3)), ("eigh", (5, 9, 9))]

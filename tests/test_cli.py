@@ -356,6 +356,19 @@ def test_verify_refuses_non_finite_numbers_at_load(tmp_path, capsys, extra, path
     assert f"scenario error: {path}: expected a finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bound, explicit, message", [
+    ("spohn", {"U": np.eye(4).tolist(), "beta": 3.0}, "explicit.U: no family of bound 'spohn' reads it"),
+    ("spohn", {"beta": 3.0}, "explicit.beta: no family of bound 'spohn' reads it"),
+    ("clausius", {"U": np.eye(4)[[0, 2, 1, 3]].tolist(), "theta": 0.3},
+     "explicit.theta: clausius runs on the pinned U and does not read theta"),
+], ids=["spohn-U-beta", "spohn-beta", "clausius-U-theta"])
+def test_verify_refuses_explicit_entries_that_no_trial_reads(tmp_path, capsys, bound, explicit, message):
+    # Such entries used to be echoed in the report and silently ignored.
+    scn = write_scenario(tmp_path, seed=1, trials=2, bound=bound, dims={"d_S": 2}, explicit=explicit)
+    assert cli.main(["verify", "--scenario", scn, "--jobs", "1"]) == cli.EXIT_VALIDATION_ERROR
+    assert f"scenario error: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("entry", [10 ** 400, True, [1.0, 10 ** 400], [False, 0.5], [0.5, math.nan]],
                          ids=["huge-int", "bool", "pair-huge-int", "pair-bool", "pair-nan"])
 def test_verify_refuses_matrix_entries_that_are_not_finite_numbers(tmp_path, capsys, entry):

@@ -8,6 +8,7 @@ from supchan import dilation as dl
 from supchan import matkernel as mk
 from supchan import states as st
 from supchan import superchannel as sup
+from supchan.config import DEFAULT_TOLS
 from supchan.matkernel import DimShape, ShapeError, ValidationError
 
 from conftest import (act, apply, channel_from_dilation, depolarizing_channel, identity_channel,
@@ -19,12 +20,12 @@ from conftest import (act, apply, channel_from_dilation, depolarizing_channel, i
 def rand_sc(d_s, d_e, seed):
     rng = np.random.default_rng(seed)
     raw = random_density(d_s * d_e, int(rng.integers(1, d_s * d_e + 1)), rng)
-    rho = st.density(raw.mat, DimShape([d_s, d_e], ["S", "E"]))
-    return sup.build(st.haar_unitary(d_s * d_e, rng), rho), rng
+    rho = st.density(raw.mat, DimShape([d_s, d_e], ["S", "E"]), tols=DEFAULT_TOLS)
+    return sup.build(st.haar_unitary(d_s * d_e, rng), rho, tols=DEFAULT_TOLS), rng
 
 
 def entropy_of(mat):
-    w = mk.clamp_spectrum(np.linalg.eigvalsh(mat)[::-1])
+    w = mk.clamp_spectrum(np.linalg.eigvalsh(mat)[::-1], tols=DEFAULT_TOLS)
     return st.entropy_of_spectrum(w)
 
 
@@ -66,7 +67,7 @@ def test_stinespring_choi_origin_round_trip():
     # operations built from a Choi matrix dilate just as well
     rng = np.random.default_rng(2)
     base = random_cptp(2, 3, rng)
-    op = ch.from_choi(base.choi, 2, 2)
+    op = ch.from_choi(base.choi, 2, 2, tols=DEFAULT_TOLS)
     form = stinespring(op)
     rho = np.outer(form.psi_abc, form.psi_abc.conj())
     got = mk.partial_trace(rho, form.shape_abc(2), ["b", "c"])
@@ -129,7 +130,7 @@ def test_operation_entropy_unitary_is_zero():
 
 
 def test_isometric_operation_validation():
-    alpha = st.density(np.diag([1.0, 0.0]), labels=["A"])
+    alpha = st.density(np.diag([1.0, 0.0]), DimShape([2], ["A"]), tols=DEFAULT_TOLS)
     with pytest.raises(ValidationError):
         IsometricOperation(np.eye(4) * 2.0, alpha)
     with pytest.raises(ShapeError):
@@ -138,22 +139,22 @@ def test_isometric_operation_validation():
     sc, rng = rand_sc(2, 2, seed=12)
     good = st.haar_unitary(4, rng)
     with pytest.raises(ValidationError, match="isometric-dilation unitary is not unitary"):
-        dl.mmap_block([sc, sc], [good, np.eye(4) * 2.0], [alpha, alpha])
+        dl.mmap_block([sc, sc], [good, np.eye(4) * 2.0], [alpha, alpha], tols=DEFAULT_TOLS)
     with pytest.raises(ShapeError, match="does not factor over ancilla dim 2"):
-        dl.mmap_block([sc], [st.haar_unitary(5, rng)], [alpha])
+        dl.mmap_block([sc], [st.haar_unitary(5, rng)], [alpha], tols=DEFAULT_TOLS)
 
 
 def test_operation_of_reproduces_dilation_action():
     rng = np.random.default_rng(7)
     v = st.haar_unitary(4, rng)
     alpha_vec = st.random_pure(2, rng)
-    alpha = st.density(np.outer(alpha_vec, alpha_vec.conj()), labels=["A"])
+    alpha = st.density(np.outer(alpha_vec, alpha_vec.conj()), DimShape([2], ["A"]), tols=DEFAULT_TOLS)
     iso = IsometricOperation(v, alpha)
     op = channel_from_dilation(iso.v, iso.alpha)
     assert is_trace_preserving(op)
     sigma = random_density(2, 2, rng)
     direct = mk.partial_trace(
-        v @ mk.tensor(sigma.mat, alpha.mat) @ v.conj().T,
+        v @ np.kron(sigma.mat, alpha.mat) @ v.conj().T,
         DimShape([2, 2], ["S", "A"]),
         ["S"],
     )
@@ -164,7 +165,7 @@ def test_isometry_choi_state_is_valid_and_tp():
     rng = np.random.default_rng(8)
     v = st.haar_unitary(4, rng)
     alpha_vec = st.random_pure(2, rng)
-    alpha = st.density(np.outer(alpha_vec, alpha_vec.conj()), labels=["A"])
+    alpha = st.density(np.outer(alpha_vec, alpha_vec.conj()), DimShape([2], ["A"]), tols=DEFAULT_TOLS)
     iso = IsometricOperation(v, alpha)
     state = isometry_choi_state(iso)
     assert abs(np.trace(state.mat).real - 1.0) <= 1e-10
@@ -178,11 +179,11 @@ def test_mmap_decoupled_case():
     # V = I: Upsilon = sigma' (x) alpha and delta_S = S(sigma') - S(sigma)
     sc, rng = rand_sc(2, 2, seed=9)
     alpha_vec = st.random_pure(2, rng)
-    alpha = st.density(np.outer(alpha_vec, alpha_vec.conj()), labels=["A"])
+    alpha = st.density(np.outer(alpha_vec, alpha_vec.conj()), DimShape([2], ["A"]), tols=DEFAULT_TOLS)
     iso = IsometricOperation(np.eye(4, dtype=complex), alpha)
     upsilon, delta_s = mmap(sc, iso)
     sigma_p = act(sc, identity_channel(2))
-    assert mk.max_abs(upsilon.mat - mk.tensor(sigma_p.mat, alpha.mat)) <= 1e-10
+    assert mk.max_abs(upsilon.mat - np.kron(sigma_p.mat, alpha.mat)) <= 1e-10
     expected = von_neumann_entropy(sigma_p) - von_neumann_entropy(sys_marginal(sc))
     assert abs(delta_s - expected) <= 1e-10
 
@@ -190,10 +191,10 @@ def test_mmap_decoupled_case():
 def test_mmap_swap_dilation_moves_state_to_ancilla():
     # V = SWAP_SA with alpha = |0><0| implements replace-by-|0> on the system
     sc, _ = rand_sc(2, 2, seed=10)
-    alpha = st.density(np.diag([1.0, 0.0]), labels=["A"])
+    alpha = st.density(np.diag([1.0, 0.0]), DimShape([2], ["A"]), tols=DEFAULT_TOLS)
     iso = IsometricOperation(swap_unitary(2), alpha)
     op = channel_from_dilation(iso.v, iso.alpha)
-    ket0 = st.density(np.diag([1.0, 0.0]))
+    ket0 = st.density(np.diag([1.0, 0.0]), tols=DEFAULT_TOLS)
     rho = random_density(2, 2, np.random.default_rng(11))
     assert mk.max_abs(apply(op, rho).mat - ket0.mat) <= 1e-12
     upsilon, _ = mmap(sc, iso)
@@ -206,7 +207,7 @@ def test_mmap_marginal_consistency_sweep():
         sc, rng = rand_sc(2, 2, seed=100 + seed)
         v = st.haar_unitary(4, rng)
         alpha_vec = st.random_pure(2, rng)
-        alpha = st.density(np.outer(alpha_vec, alpha_vec.conj()), labels=["A"])
+        alpha = st.density(np.outer(alpha_vec, alpha_vec.conj()), DimShape([2], ["A"]), tols=DEFAULT_TOLS)
         iso = IsometricOperation(v, alpha)
         upsilon, _ = mmap(sc, iso)
         reduced = mk.partial_trace(upsilon.mat, upsilon.shape, ["S"])
@@ -214,8 +215,23 @@ def test_mmap_marginal_consistency_sweep():
         assert mk.max_abs(reduced - direct.mat) <= 1e-10
 
 
+@pytest.mark.parametrize("d_s, d_e, d_a", [(2, 2, 2), (4, 4, 4), (3, 2, 5)])
+def test_mmap_block_is_bitwise_the_dense_lift(oracles, d_s, d_e, d_a):
+    # mmap_block moves the entries of V (x) I_E from (S, A, E) to (S, E, A)
+    # order; the oracle conjugates it by the dense permutation matrix.
+    rng = np.random.default_rng([d_s, d_e, d_a])
+    scs = [rand_sc(d_s, d_e, seed=int(rng.integers(1 << 30)))[0] for _ in range(3)]
+    vs = [st.haar_unitary(d_s * d_a, rng) for _ in scs]
+    alphas = [random_density(d_a, int(rng.integers(1, d_a + 1)), rng, labels=["A"]) for _ in scs]
+    upsilons, deltas = dl.mmap_block(scs, vs, alphas, DEFAULT_TOLS)
+    for sc, v, alpha, upsilon, delta_s in zip(scs, vs, alphas, upsilons, deltas):
+        ups, want, _ = oracles.mmap_image(sc, v, alpha.mat, DEFAULT_TOLS)
+        assert upsilon.mat.tobytes() == ups.tobytes()
+        assert delta_s == want
+
+
 def test_mmap_dim_mismatch():
     sc, _ = rand_sc(2, 2, seed=12)
-    alpha = st.density(np.diag([1.0, 0.0, 0.0]), labels=["A"])
+    alpha = st.density(np.diag([1.0, 0.0, 0.0]), DimShape([3], ["A"]), tols=DEFAULT_TOLS)
     with pytest.raises(ShapeError):
         mmap(sc, IsometricOperation(st.haar_unitary(9, np.random.default_rng(0)), alpha))

@@ -17,24 +17,24 @@ from conftest import herm_eig, marginal, random_density, relative_entropy, trial
 
 def test_density_validation():
     with pytest.raises(ValidationError):
-        st.density(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not Hermitian
+        st.density(np.array([[0.5, 0.5], [0.0, 0.5]]), tols=DEFAULT_TOLS)  # not Hermitian
     with pytest.raises(ValidationError):
-        st.density(np.eye(2))  # trace 2
+        st.density(np.eye(2), tols=DEFAULT_TOLS)  # trace 2
     with pytest.raises(ValidationError):
-        st.density(np.diag([1.5, -0.5]))  # negative eigenvalue
+        st.density(np.diag([1.5, -0.5]), tols=DEFAULT_TOLS)  # negative eigenvalue
 
 
 def test_entropy_pure_and_mixed():
-    assert von_neumann_entropy(st.density(np.diag([1.0, 0.0]))) <= 1e-12
+    assert von_neumann_entropy(st.density(np.diag([1.0, 0.0]), tols=DEFAULT_TOLS)) <= 1e-12
     for d in (2, 3, 5):
-        rho = st.density(np.eye(d) / d)
+        rho = st.density(np.eye(d) / d, tols=DEFAULT_TOLS)
         assert abs(von_neumann_entropy(rho) - math.log(d)) <= 1e-10
 
 
 def test_entropy_scalar_oracle():
     # direct scalar formula for diag(3/4, 1/4)
     expected = -(0.75 * math.log(0.75) + 0.25 * math.log(0.25))
-    rho = st.density(np.diag([0.75, 0.25]))
+    rho = st.density(np.diag([0.75, 0.25]), tols=DEFAULT_TOLS)
     assert abs(von_neumann_entropy(rho) - expected) <= 1e-10
     assert abs(expected - 0.5623351446188083) <= 1e-12
 
@@ -43,16 +43,16 @@ def test_relative_entropy_basic():
     rng = np.random.default_rng(2)
     rho = random_density(3, 3, rng)
     assert relative_entropy(rho, rho) <= 1e-10
-    p0 = st.density(np.diag([1.0, 0.0]))
-    p1 = st.density(np.diag([0.0, 1.0]))
+    p0 = st.density(np.diag([1.0, 0.0]), tols=DEFAULT_TOLS)
+    p1 = st.density(np.diag([0.0, 1.0]), tols=DEFAULT_TOLS)
     assert relative_entropy(p0, p1) == float("inf")
 
 
 def test_relative_entropy_classical_kl_oracle():
     # KL(.5,.5 || .75,.25) computed from the scalar formula
     expected = 0.5 * math.log(0.5 / 0.75) + 0.5 * math.log(0.5 / 0.25)
-    a = st.density(np.diag([0.5, 0.5]))
-    b = st.density(np.diag([0.75, 0.25]))
+    a = st.density(np.diag([0.5, 0.5]), tols=DEFAULT_TOLS)
+    b = st.density(np.diag([0.75, 0.25]), tols=DEFAULT_TOLS)
     assert abs(relative_entropy(a, b) - expected) <= 1e-10
     assert abs(expected - 0.14384103622589045) <= 1e-12
 
@@ -72,7 +72,7 @@ def test_relative_entropies_are_bitwise_the_one_pair_relative_entropy():
     for d in (2, 3, 4, 8, 9):
         pairs = [tuple(random_density(d, int(rng.integers(1, d + 1)), rng) for _ in range(2)) for _ in range(8)]
         got = st.relative_entropies(np.array([a.mat for a, _ in pairs]), [von_neumann_entropy(a) for a, _ in pairs],
-                                    np.array([b.mat for _, b in pairs]))
+                                    np.array([b.mat for _, b in pairs]), tols=DEFAULT_TOLS)
         want = [relative_entropy(a, b) for a, b in pairs]
         assert [x.hex() for x in got] == [x.hex() for x in want]
         assert math.inf in want
@@ -85,8 +85,8 @@ def test_relative_entropy_joint_convexity_spot_check():
         a2 = random_density(2, 2, rng)
         b1 = random_density(2, 2, rng)
         b2 = random_density(2, 2, rng)
-        mix_a = st.density((a1.mat + a2.mat) / 2)
-        mix_b = st.density((b1.mat + b2.mat) / 2)
+        mix_a = st.density((a1.mat + a2.mat) / 2, tols=DEFAULT_TOLS)
+        mix_b = st.density((b1.mat + b2.mat) / 2, tols=DEFAULT_TOLS)
         lhs = relative_entropy(mix_a, mix_b)
         rhs = (relative_entropy(a1, b1) + relative_entropy(a2, b2)) / 2
         assert lhs <= rhs + 1e-9
@@ -97,7 +97,7 @@ def test_entropy_concavity_spot_check():
     for _ in range(15):
         r1 = random_density(3, 2, rng)
         r2 = random_density(3, 3, rng)
-        mixed = st.density((r1.mat + r2.mat) / 2)
+        mixed = st.density((r1.mat + r2.mat) / 2, tols=DEFAULT_TOLS)
         s_mix = von_neumann_entropy(mixed)
         avg_s = (von_neumann_entropy(r1) + von_neumann_entropy(r2)) / 2
         assert s_mix >= avg_s - 1e-10
@@ -108,29 +108,29 @@ def test_mutual_information_product_bell_classical():
     shape = DimShape([2, 2], ["P", "Q"])
     a = random_density(2, 2, rng)
     b = random_density(2, 1, rng)
-    prod = st.density(mk.tensor(a.mat, b.mat), shape)
-    assert abs(st.mutual_informations(prod.mat[None], shape, ["P"])[0][0]) <= 1e-10
+    prod = st.density(np.kron(a.mat, b.mat), shape, tols=DEFAULT_TOLS)
+    assert abs(st.mutual_informations(prod.mat[None], shape, ["P"], tols=DEFAULT_TOLS)[0][0]) <= 1e-10
 
     beta = np.zeros(4, dtype=complex)
     beta[0] = beta[3] = 1 / np.sqrt(2)
-    bell = st.density(np.outer(beta, beta.conj()), shape)
-    assert abs(st.mutual_informations(bell.mat[None], shape, ["P"])[0][0] - 2 * math.log(2)) <= 1e-10
+    bell = st.density(np.outer(beta, beta.conj()), shape, tols=DEFAULT_TOLS)
+    assert abs(st.mutual_informations(bell.mat[None], shape, ["P"], tols=DEFAULT_TOLS)[0][0] - 2 * math.log(2)) <= 1e-10
 
-    classical = st.density(np.diag([0.5, 0.0, 0.0, 0.5]), shape)
-    assert abs(st.mutual_informations(classical.mat[None], shape, ["P"])[0][0] - math.log(2)) <= 1e-10
+    classical = st.density(np.diag([0.5, 0.0, 0.0, 0.5]), shape, tols=DEFAULT_TOLS)
+    assert abs(st.mutual_informations(classical.mat[None], shape, ["P"], DEFAULT_TOLS)[0][0] - math.log(2)) <= 1e-10
 
 
 def test_mutual_information_symmetry_and_errors():
     rng = np.random.default_rng(6)
     shape = DimShape([2, 3], ["P", "Q"])
     rho = random_density(6, 4, rng)
-    rho = st.density(rho.mat, shape)
-    assert abs(st.mutual_informations(rho.mat[None], shape, ["P"])[0][0]
-               - st.mutual_informations(rho.mat[None], shape, ["Q"])[0][0]) <= 1e-12
+    rho = st.density(rho.mat, shape, tols=DEFAULT_TOLS)
+    assert abs(st.mutual_informations(rho.mat[None], shape, ["P"], tols=DEFAULT_TOLS)[0][0]
+               - st.mutual_informations(rho.mat[None], shape, ["Q"], tols=DEFAULT_TOLS)[0][0]) <= 1e-12
     with pytest.raises(mk.ShapeError):
-        st.mutual_informations(rho.mat[None], shape, ["P", "Q"])
+        st.mutual_informations(rho.mat[None], shape, ["P", "Q"], tols=DEFAULT_TOLS)
     with pytest.raises(mk.ShapeError):
-        st.mutual_informations(rho.mat[None], shape, [])
+        st.mutual_informations(rho.mat[None], shape, [], tols=DEFAULT_TOLS)
 
 
 def test_schmidt_symmetry_for_pure_bipartite():
@@ -138,7 +138,7 @@ def test_schmidt_symmetry_for_pure_bipartite():
     shape = DimShape([2, 3], ["P", "Q"])
     for _ in range(10):
         psi = st.random_pure(6, rng)
-        rho = st.density(np.outer(psi, psi.conj()), shape)
+        rho = st.density(np.outer(psi, psi.conj()), shape, tols=DEFAULT_TOLS)
         sp = von_neumann_entropy(marginal(rho, ["P"]))
         sq = von_neumann_entropy(marginal(rho, ["Q"]))
         assert abs(sp - sq) <= 1e-10
@@ -207,11 +207,11 @@ def test_a_state_is_decomposed_once_by_its_check(monkeypatch):
     rng = np.random.default_rng(3)
     mats = st.wishart([st.ginibre(3, r, rng) for r in (1, 2, 3)])
     calls = count_decompositions(monkeypatch)
-    rhos = st.densities(mats, DimShape([3], ["S"]))
+    rhos = st.densities(mats, DimShape([3], ["S"]), tols=DEFAULT_TOLS)
     assert calls == ["eigh"]
     w, v = st.decompose(rhos)
     assert [von_neumann_entropy(r) for r in rhos] == [st.entropy_of_spectrum(wb) for wb in w]
-    st.log_weights(mats[:, None], w, v)
+    st.log_weights(mats[:, None], w, v, tols=DEFAULT_TOLS)
     ch.replace_channels(rhos)
     assert calls == ["eigh"]
     for r, wb, vb in zip(rhos, w, v):
@@ -269,7 +269,7 @@ def test_the_psd_check_at_the_psd_floor_reads_the_kept_decomposition(monkeypatch
 
 def test_mat_and_cached_eigendecompositions_are_read_only():
     src = np.diag([0.25, 0.75]).astype(complex)
-    rho = st.density(src)
+    rho = st.density(src, tols=DEFAULT_TOLS)
     for arr in (rho.mat, rho.w, rho.v):
         with pytest.raises(ValueError, match="read-only"):
             arr[0, ...] = 0.0

@@ -20,24 +20,24 @@ def rand_sc(d_s, d_e, seed, rank=None, product=False):
     if product:
         sigma = random_density(d_s, d_s, rng)
         tau = random_density(d_e, d_e, rng)
-        rho = st.density(mk.tensor(sigma.mat, tau.mat), DimShape([d_s, d_e], ["S", "E"]))
+        rho = st.density(np.kron(sigma.mat, tau.mat), DimShape([d_s, d_e], ["S", "E"]), tols=DEFAULT_TOLS)
     else:
         r = rank if rank is not None else int(rng.integers(1, d_s * d_e + 1))
         raw = random_density(d_s * d_e, r, rng)
-        rho = st.density(raw.mat, DimShape([d_s, d_e], ["S", "E"]))
-    return sup.build(st.haar_unitary(d_s * d_e, rng), rho), rng
+        rho = st.density(raw.mat, DimShape([d_s, d_e], ["S", "E"]), tols=DEFAULT_TOLS)
+    return sup.build(st.haar_unitary(d_s * d_e, rng), rho, tols=DEFAULT_TOLS), rng
 
 
 def test_build_validation():
     rng = np.random.default_rng(0)
     rho = random_density(4, 4, rng)
-    rho_se = st.density(rho.mat, DimShape([2, 2], ["S", "E"]))
+    rho_se = st.density(rho.mat, DimShape([2, 2], ["S", "E"]), tols=DEFAULT_TOLS)
     with pytest.raises(ValidationError):
-        sup.build(np.eye(4) * 1.5, rho_se)
+        sup.build(np.eye(4) * 1.5, rho_se, tols=DEFAULT_TOLS)
     with pytest.raises(ShapeError):
-        sup.build(st.haar_unitary(6, rng), rho_se)
+        sup.build(st.haar_unitary(6, rng), rho_se, tols=DEFAULT_TOLS)
     with pytest.raises(ShapeError):
-        sup.build(np.eye(4), st.density(rho.mat, DimShape([2, 2], ["A", "B"])))
+        sup.build(np.eye(4), st.density(rho.mat, DimShape([2, 2], ["A", "B"]), tols=DEFAULT_TOLS), tols=DEFAULT_TOLS)
 
 
 def test_uncorrelated_trivial_dynamics():
@@ -45,8 +45,8 @@ def test_uncorrelated_trivial_dynamics():
     rng = np.random.default_rng(1)
     sigma = random_density(2, 2, rng)
     tau = random_density(3, 3, rng)
-    rho_se = st.density(mk.tensor(sigma.mat, tau.mat), DimShape([2, 3], ["S", "E"]))
-    sc = sup.build(np.eye(6, dtype=complex), rho_se)
+    rho_se = st.density(np.kron(sigma.mat, tau.mat), DimShape([2, 3], ["S", "E"]), tols=DEFAULT_TOLS)
+    sc = sup.build(np.eye(6, dtype=complex), rho_se, tols=DEFAULT_TOLS)
     got = act(sc, identity_channel(2))
     assert mk.max_abs(got.mat - sigma.mat) <= 1e-12
 
@@ -69,7 +69,7 @@ def test_dual_definition_agreement():
         sc, rng = rand_sc(2, int(2 + seed % 2), seed=200 + seed)
         op = random_cptp(2, int(rng.integers(1, 5)), rng)
         operational = act(sc, op).mat
-        index_formula = sup.act_normalized_block(sup.m_tensors([sc]), [op.choi_state])[0]
+        index_formula = sup.act_normalized_block(sup.m_tensors([sc]), [op.choi_state], DEFAULT_TOLS)[0]
         assert mk.max_abs(operational - index_formula) <= 1e-10
 
 
@@ -85,10 +85,10 @@ def test_act_replace_conditions_environment():
     # a replace preparation decorrelates: sigma' = tr_E[U (pi (x) tau) U^dag]
     sc, rng = rand_sc(2, 2, seed=8)
     pi_vec = st.random_pure(2, rng)
-    pi = st.density(np.outer(pi_vec, pi_vec.conj()))
+    pi = st.density(np.outer(pi_vec, pi_vec.conj()), tols=DEFAULT_TOLS)
     got = act(sc, replace_channel(pi))
     tau = env_marginal(sc)
-    joint = mk.tensor(pi.mat, tau.mat)
+    joint = np.kron(pi.mat, tau.mat)
     oracle = mk.partial_trace(sc.u @ joint @ sc.u.conj().T, sc.rho_se.shape, ["S"])
     assert mk.max_abs(got.mat - oracle) <= 1e-11
 
@@ -106,10 +106,11 @@ def test_act_normalized_consistency_and_linearity():
     sc, rng = rand_sc(2, 2, seed=10)
     a = random_cptp(2, 3, rng)
     b = random_cptp(2, 1, rng)
-    assert mk.max_abs(sup.act_normalized_block(sup.m_tensors([sc]), [a.choi_state])[0] - act(sc, a).mat) <= 1e-11
+    via_m = sup.act_normalized_block(sup.m_tensors([sc]), [a.choi_state], DEFAULT_TOLS)[0]
+    assert mk.max_abs(via_m - act(sc, a).mat) <= 1e-11
     lam = 0.37
     mix = lam * a.choi_state + (1 - lam) * b.choi_state
-    got = sup.act_normalized_block(sup.m_tensors([sc]), [mix])[0]
+    got = sup.act_normalized_block(sup.m_tensors([sc]), [mix], tols=DEFAULT_TOLS)[0]
     oracle = lam * act(sc, a).mat + (1 - lam) * act(sc, b).mat
     assert mk.max_abs(got - oracle) <= 1e-11
 
@@ -118,8 +119,8 @@ def test_act_normalized_depolarizing_input_oracle():
     # I/d^2 is the operation-state of the completely depolarizing channel
     sc, _ = rand_sc(2, 2, seed=11)
     d = sc.d_s
-    got = sup.act_normalized_block(sup.m_tensors([sc]), [np.eye(d * d) / (d * d)])[0]
-    joint = mk.tensor(np.eye(d) / d, env_marginal(sc).mat)
+    got = sup.act_normalized_block(sup.m_tensors([sc]), [np.eye(d * d) / (d * d)], tols=DEFAULT_TOLS)[0]
+    joint = np.kron(np.eye(d) / d, env_marginal(sc).mat)
     oracle = mk.partial_trace(sc.u @ joint @ sc.u.conj().T, sc.rho_se.shape, ["S"])
     assert mk.max_abs(got - oracle) <= 1e-11
 
@@ -130,7 +131,7 @@ def test_act_normalized_trace_preserving_on_operation_states():
         ops = [random_cptp(2, int(rng.integers(1, 5)), rng) for _ in range(3)]
         weights = rng.dirichlet(np.ones(3))
         mix = sum(w * op.choi_state for w, op in zip(weights, ops))
-        out = sup.act_normalized_block(sup.m_tensors([sc]), [mix])[0]
+        out = sup.act_normalized_block(sup.m_tensors([sc]), [mix], tols=DEFAULT_TOLS)[0]
         assert abs(np.trace(out).real - 1.0) <= 1e-10
 
 
@@ -147,8 +148,8 @@ def test_choi_of_msharp_maximally_mixed_trivial_case():
     # with rho_SE maximally mixed the system marginal is I/d and M# is
     # trace preserving on the whole operation-state space: tr_out Choi = I
     d_s = d_e = 2
-    rho_se = st.density(np.eye(4) / 4, DimShape([d_s, d_e], ["S", "E"]))
-    sc = sup.build(np.eye(4, dtype=complex), rho_se)
+    rho_se = st.density(np.eye(4) / 4, DimShape([d_s, d_e], ["S", "E"]), tols=DEFAULT_TOLS)
+    sc = sup.build(np.eye(4, dtype=complex), rho_se, tols=DEFAULT_TOLS)
     choi = choi_of_msharp(sc)
     shape = DimShape([d_s, d_s, d_s], ["a", "b", "c"])
     w = mk.partial_trace(choi, shape, ["b", "c"])
@@ -178,8 +179,8 @@ def test_neso_swap_gives_env_marginal():
     rng = np.random.default_rng(13)
     tau = random_density(2, 2, rng)
     sigma = random_density(2, 2, rng)
-    rho_se = st.density(mk.tensor(sigma.mat, tau.mat), DimShape([2, 2], ["S", "E"]))
-    sc = sup.build(swap_unitary(2), rho_se)
+    rho_se = st.density(np.kron(sigma.mat, tau.mat), DimShape([2, 2], ["S", "E"]), tols=DEFAULT_TOLS)
+    sc = sup.build(swap_unitary(2), rho_se, tols=DEFAULT_TOLS)
     ns = neso(sc)
     assert mk.max_abs(ns.state.mat - tau.mat) <= 1e-9
     assert mk.max_abs(env_marginal(sc).mat - tau.mat) <= 1e-12
@@ -190,11 +191,11 @@ def test_neso_thermal_fixed_point_oracle():
     beta, energies = 1.0, np.array([0.0, 1.0])
     gibbs = np.diag(np.exp(-beta * energies))
     gibbs /= np.trace(gibbs)
-    tau = st.density(gibbs.astype(complex), labels=["E"])
+    tau = st.density(gibbs.astype(complex), DimShape([2], ["E"]), tols=DEFAULT_TOLS)
     rng = np.random.default_rng(14)
     sigma = random_density(2, 2, rng)
-    rho_se = st.density(mk.tensor(sigma.mat, tau.mat), DimShape([2, 2], ["S", "E"]))
-    sc = sup.build(ch.partial_swap_unitary(2, 0.6), rho_se)
+    rho_se = st.density(np.kron(sigma.mat, tau.mat), DimShape([2, 2], ["S", "E"]), tols=DEFAULT_TOLS)
+    sc = sup.build(ch.partial_swap_unitary(2, 0.6), rho_se, tols=DEFAULT_TOLS)
     ns = neso(sc)
     assert mk.max_abs(ns.state.mat - tau.mat) <= 1e-9
 
@@ -204,9 +205,9 @@ def test_neso_choi_structure_and_entropy_split():
     ns = neso(sc)
     d = sc.d_s
     op = neso_op(ns)
-    assert mk.max_abs(op.choi - mk.tensor(ns.state.mat, np.eye(d))) <= 1e-10
+    assert mk.max_abs(op.choi - np.kron(ns.state.mat, np.eye(d))) <= 1e-10
     s_opstate = von_neumann_entropy(
-        st.density(op.choi_state, DimShape([d, d], ["out", "in"]))
+        st.density(op.choi_state, DimShape([d, d], ["out", "in"]), tols=DEFAULT_TOLS)
     )
     s_ness = von_neumann_entropy(ns.state)
     assert abs(s_opstate - (s_ness + math.log(d))) <= 1e-10
@@ -217,7 +218,7 @@ def test_neso_self_consistency_sweep():
     for seed in range(100):
         sc, _ = rand_sc(2, 2, seed=1000 + seed)
         ns = neso(sc)
-        back = sup.act_normalized_block(sup.m_tensors([sc]), [neso_op(ns).choi_state])[0]
+        back = sup.act_normalized_block(sup.m_tensors([sc]), [neso_op(ns).choi_state], tols=DEFAULT_TOLS)[0]
         assert mk.max_abs(back - ns.state.mat) <= 1e-9
 
 
@@ -229,11 +230,11 @@ def test_msharp_monotonicity_on_operation_states():
         shape = DimShape([d, d], ["out", "in"])
         x_op = random_cptp(d, int(rng.integers(1, 5)), rng)
         y_op = random_cptp(d, int(rng.integers(2, 5)), rng)
-        x = st.density(x_op.choi_state, shape)
-        y = st.density(y_op.choi_state, shape)
+        x = st.density(x_op.choi_state, shape, tols=DEFAULT_TOLS)
+        y = st.density(y_op.choi_state, shape, tols=DEFAULT_TOLS)
         before = relative_entropy(x, y)
-        x_out, y_out = sup.act_normalized_block(sup.m_tensors([sc, sc]), [x.mat, y.mat])
-        after = relative_entropy(st.density(x_out), st.density(y_out))
+        x_out, y_out = sup.act_normalized_block(sup.m_tensors([sc, sc]), [x.mat, y.mat], tols=DEFAULT_TOLS)
+        after = relative_entropy(st.density(x_out, tols=DEFAULT_TOLS), st.density(y_out, tols=DEFAULT_TOLS))
         if math.isfinite(before):
             assert after <= before + 1e-8
 
@@ -256,8 +257,8 @@ def test_act_is_bitwise_the_per_kraus_kron_loop(d_s, d_e):
     rng = np.random.default_rng([d_s, d_e])
     for i in range(200):
         raw = random_density(d_s * d_e, int(rng.integers(1, d_s * d_e + 1)), rng)
-        rho_se = st.density(raw.mat, DimShape([d_s, d_e], ["S", "E"]))
-        sc = sup.build(st.haar_unitary(d_s * d_e, rng), rho_se)
+        rho_se = st.density(raw.mat, DimShape([d_s, d_e], ["S", "E"]), tols=DEFAULT_TOLS)
+        sc = sup.build(st.haar_unitary(d_s * d_e, rng), rho_se, tols=DEFAULT_TOLS)
         op = random_cptp(d_s, 1 + i % (d_s * d_s), rng)
         assert act(sc, op).mat.tobytes() == act_kron_loop(sc, op).tobytes()
 
@@ -268,7 +269,7 @@ def test_act_block_is_bitwise_the_per_trial_act(d_s, d_e, oracles):
     for scs, ops in oracles.block_instances(d_s, d_e, 200, [d_s, d_e]):
         # sigma' comes with the decomposition its check took, bitwise the
         # per-matrix oracle's (below).
-        sigma, (w, v) = sup.act_block(scs, ops)
+        sigma, (w, v) = sup.act_block(scs, ops, tols=DEFAULT_TOLS)
         assert sigma.shape == (len(ops), d_s, d_s)
         for b, (sc, op) in enumerate(zip(scs, ops)):
             want = oracles.act(sc, oracles.kraus(op.choi, d_s, d_s, tols) if op.by_choi else op.kraus, tols)
@@ -280,10 +281,10 @@ def test_act_block_is_bitwise_the_per_trial_act(d_s, d_e, oracles):
 
 def test_act_block_refuses_an_operation_that_is_not_trace_preserving():
     sc, rng = rand_sc(2, 2, 3)
-    ops = ch.random_cptps(2, [ch.bcsz_draw(2, 2, rng), ch.bcsz_draw(2, 3, rng)])
-    half = ch.from_choi(ops[1].choi / 2, 2, 2)
+    ops = ch.random_cptps(2, [ch.bcsz_draw(2, 2, rng), ch.bcsz_draw(2, 3, rng)], tols=DEFAULT_TOLS)
+    half = ch.from_choi(ops[1].choi / 2, 2, 2, tols=DEFAULT_TOLS)
     with pytest.raises(ValidationError, match="requires a CPTP operation"):
-        sup.act_block([sc, sc, sc], [ops[0], half, ops[1]])
+        sup.act_block([sc, sc, sc], [ops[0], half, ops[1]], tols=DEFAULT_TOLS)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -310,7 +311,7 @@ def test_cached_einsum_paths_are_bitwise_optimize_true(d):
 def test_neso_blocks_are_bitwise_the_per_superchannel_steady_operation(d_s, d_e, oracles):
     tols = DEFAULT_TOLS
     for scs, _ in oracles.block_instances(d_s, d_e, 36, [d_s, d_e, 73]):
-        for sc, ns in zip(scs, sup.neso_block(scs)):
+        for sc, ns in zip(scs, sup.neso_block(scs, tols=DEFAULT_TOLS)):
             state, resid, method, dim = oracles.steady_operation(sc, tols)
             assert ns.state.mat.tobytes() == state.tobytes()
             assert (ns.residual, ns.method, ns.fixed_space_dim) == (resid, method, dim)

@@ -1,9 +1,10 @@
 """Source checks over ``src/supchan``: every function that takes ``tols``
-reads it and every call passes it, no dataclass holds a memo, every family
-is one block function that returns reports, every public function, method
-and property runs under ``verify`` or ``explain``, no matrix is decomposed
-twice by a check and then an entropy, and the entry points and names the
-benchmark's tracer and launcher use stay as they expect."""
+reads it and gives it no default, every parameter is passed by some call,
+no dataclass holds a memo, every family is one block function that returns
+reports, every public function, method and property runs under ``verify``
+or ``explain``, no matrix is decomposed twice by a check and then an
+entropy, and the entry points and names the benchmark's tracer and
+launcher use stay as they expect."""
 
 import ast
 import contextlib
@@ -47,45 +48,88 @@ def test_every_tols_parameter_is_read():
     assert unread_tols_parameters() == []
 
 
-def calls_relying_on_default_tols(sources: dict[str, str]) -> tuple[list[str], int, int]:
-    """(``module:line function`` for each call in ``sources`` that passes no
-    ``tols`` to a function defined there with a ``tols`` parameter, the
-    number of such functions, the number of their calls)."""
+def tols_defaults(sources: dict[str, str]) -> list[str]:
+    """``module:function`` for each function in ``sources`` that gives its
+    ``tols`` parameter a default."""
+    found = []
+    for name, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                positional = a.posonlyargs + a.args
+                defaulted = positional[len(positional) - len(a.defaults):]
+                defaulted += [p for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                if "tols" in [p.arg for p in defaulted]:
+                    found.append(f"{name}:{node.name}")
+    return found
+
+
+def test_no_function_gives_tols_a_default():
+    # With tols required, no call can run under DEFAULT_TOLS whatever the
+    # scenario or --slack-tol sets, and only config and the package's
+    # namespace name DEFAULT_TOLS.
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert tols_defaults(sources) == []
+    assert sorted(name for name, text in sources.items() if "DEFAULT_TOLS" in text) == ["__init__", "config"]
+    probe = "def f(x, tols):\n    pass\n\ndef g(x, tols=None):\n    pass\n\ndef h(x, *, tols=None):\n    pass\n"
+    assert tols_defaults({"probe": probe}) == ["probe:g", "probe:h"]
+
+
+def unpassed_parameters(sources: dict[str, str]) -> list[str]:
+    """``module:function(parameter)`` for each parameter of a function defined
+    in ``sources`` that no call in ``sources`` passes.  A call matches every
+    function of its name, and ``Class(...)`` its ``__init__``; a starred
+    argument passes the positional parameters from its place on, and ``**``
+    all of them.  A function handed on as a value passes its required
+    parameters, which whatever calls it back must pass.  ``self``, ``*args``
+    and ``**kwargs`` are not counted."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
-    takes = {}   # function name -> positional index of tols, None when keyword-only
-    for tree in trees.values():
+    defs = {}   # callable name -> [(module, positional, keyword-only, required)]
+    for name, tree in trees.items():
+        owner = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 a = node.args
-                params = [p.arg for p in a.posonlyargs + a.args]
-                params = params[1:] if params[:1] == ["self"] else params
-                if "tols" in params:
-                    takes[node.name] = params.index("tols")
-                elif "tols" in [p.arg for p in a.kwonlyargs]:
-                    takes[node.name] = None
-    found, calls = [], 0
-    for name, tree in trees.items():
+                positional = [p.arg for p in a.posonlyargs + a.args][int(id(node) in owner):]
+                keyword_only = [p.arg for p in a.kwonlyargs]
+                required = positional[:len(positional) - len(a.defaults)]
+                required += [p for p, d in zip(keyword_only, a.kw_defaults) if d is None]
+                ref = owner[id(node)] if node.name == "__init__" else node.name
+                defs.setdefault(ref, []).append((name, positional, keyword_only, required))
+    passed = set()   # (callable name, parameter)
+    for tree in trees.values():
+        calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
+        funcs = {id(c.func) for c in calls}
         for node in ast.walk(tree):
-            f = getattr(node, "func", None)
-            callee = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-            if not isinstance(node, ast.Call) or callee not in takes:
-                continue
-            calls += 1
-            pos = takes[callee]
-            if not (any(k.arg in ("tols", None) for k in node.keywords)
-                    or any(isinstance(x, ast.Starred) for x in node.args)
-                    or (pos is not None and len(node.args) > pos)):
-                found.append(f"{name}:{node.lineno} {callee}")
-    return found, len(takes), calls
+            ref = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if isinstance(getattr(node, "ctx", None), ast.Load) and ref in defs and id(node) not in funcs:
+                passed.update((ref, p) for _, _, _, required in defs[ref] for p in required)
+        for call in calls:
+            f = call.func
+            ref = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            starred = any(isinstance(x, ast.Starred) for x in call.args)
+            for _, positional, keyword_only, _ in defs.get(ref, []):
+                given = positional if starred else positional[:len(call.args)]
+                if any(k.arg is None for k in call.keywords):
+                    given = positional + keyword_only
+                passed.update((ref, p) for p in given + [k.arg for k in call.keywords])
+    return sorted(f"{module}:{ref}({p})" for ref, entries in defs.items()
+                  for module, positional, keyword_only, _ in entries
+                  for p in positional + keyword_only if (ref, p) not in passed)
 
 
-def test_no_call_relies_on_the_default_tolerances():
-    # A call that leaves out tols would run under DEFAULT_TOLS whatever the
-    # scenario or --slack-tol sets.
-    found, functions, calls = calls_relying_on_default_tols({p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))})
-    assert found == [] and functions > 40 and calls > 100
-    probe = "def f(x, tols=None):\n    return x\n\nf(1)\nf(1, None)\nf(1, tols=None)\nm.f(*a)\nm.f(2)\n"
-    assert calls_relying_on_default_tols({"probe": probe}) == (["probe:4 f", "probe:8 f"], 1, 5)
+def test_every_parameter_of_a_src_function_is_passed_by_a_src_call():
+    # A parameter that only tests pass is generality that verify and explain
+    # never use.  cli.main(argv) is the console entry point, which the
+    # installed script calls without arguments.
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unpassed_parameters(sources) == ["cli:main(argv)"]
+    probe = ("class C:\n    def __init__(self, a, b=0):\n        pass\n\n    def m(self, x, y=1):\n        pass\n\n"
+             "def f(x, y=None, *rest, z=2, **kw):\n    pass\n\n"
+             "def g(u, v=3):\n    pass\n\n"
+             "def h(s, t=4):\n    pass\n\n"
+             "f(1, z=3)\nC(1).m(2)\nmap(g, [])\nh(*a)\n")
+    assert unpassed_parameters({"probe": probe}) == ["probe:C(b)", "probe:f(y)", "probe:g(v)", "probe:m(y)"]
 
 
 def dataclass_fields_holding_tolerances_or_memos() -> list[str]:
