@@ -10,22 +10,25 @@ under the scenario's tolerances, and trials use these objects as they are.
 ``U``, ``V``, ``H`` and ``rho_se`` stay matrices; ``rho_se`` is wrapped per
 use because ``qdpi`` splits it as d_P x d_E1 and d_Q x d_E2.  Each entry's
 size is checked at load against every family of the scenario that reads it,
-and an entry that no family of the scenario reads is refused.
+and an entry that no family of the scenario reads is refused.  One table,
+``_trial_entries``, counts the entries that one trial of each family stacks:
+a scenario whose trial exceeds ``MAX_ENTRIES`` is refused at load, and
+``_block_size`` gives each block as many trials as ``STACK_ENTRIES`` holds.
 
 ``prepare`` builds once per campaign each object that is the same in every
 trial (the superchannel of a pinned ``U`` and ``rho_se`` and its steady
 state, and the unitary and Gibbs state of ``clausius``), and each pool
-worker receives it once.  Trials run in blocks of ``_block_size``
-consecutive trials of one family, one pool task each.  Every family takes
-the one path of ``evaluate_block``: each trial of a block draws from its
-own generator, and one ``bounds.<family>_block`` call evaluates the block
-in stacked steps, with the bits of one trial at a time; a trial alone
-(``evaluate_trial``) is a block of one.  A failing block is run again one
-trial at a time, so the error raised is the earliest failing trial's.
-Campaign trials are seed-deterministic: trial t of family f draws what is
-not prepared from ``default_rng([seed, f, t])``, in the same order whether
-or not anything is prepared and regardless of worker scheduling, and
-reports are gathered in trial order.
+worker receives it once.  A block of consecutive trials of one family is one
+pool task.  Every family takes the one path of ``evaluate_block``: each
+trial of a block draws from its own generator, and one
+``bounds.<family>_block`` call evaluates the block in stacked steps, with
+the bits of one trial at a time; a trial alone (``evaluate_trial``) is a
+block of one.  A failing block is run again one trial at a time, so the
+error raised is the earliest failing trial's.  Campaign trials are
+seed-deterministic: trial t of family f draws what is not prepared from
+``default_rng([seed, f, t])``, in the same order whether or not anything is
+prepared and regardless of worker scheduling, and reports are gathered in
+trial order.
 """
 
 from __future__ import annotations
@@ -45,13 +48,9 @@ from .config import Tolerances
 from .matkernel import DimShape
 
 FAMILIES = ("spohn", "main", "clausius", "qdpi", "holevo", "mmap-consistency")
-# Trials per block: one pool task, and one stacked evaluation.
-BLOCK = 8
-# Entries of the largest matrices of its trials, (d_P d_Q)^4 for qdpi and
-# (d_S d_E d_A)^2 for mmap-consistency, that one block holds, so that stacks
-# stay near the memory of one trial at large dimensions, where stacking
-# saves no time.
-STACK_ENTRIES = 1 << 14
+# Entries that the stacks of one block hold: at large dimensions, where
+# stacking saves no time, a block stays near the memory of one trial.
+STACK_ENTRIES = 1 << 15
 TOLERANCE_NAMES = tuple(f.name for f in fields(Tolerances))
 
 
@@ -219,16 +218,11 @@ def load_scenario(text: str) -> Scenario:
     if "clausius" in scenario.families() and "U" in explicit_raw and "theta" in explicit_raw:
         raise ScenarioError("explicit.theta: clausius runs on the pinned U and does not read theta")
     dim = _dim_values(dims)
-    for family in scenario.families():
-        count = min(trials, _block_size(family, dim))
-        if family == "holevo" and count * (n_meas + 1) * dim["d_S"] ** 2 > mk.MAX_ENTRIES:
-            raise ScenarioError(f"n_measurements: {n_meas} bases of dimension {dim['d_S']} per trial, in blocks of "
-                                f"{count} trials, exceed the dense-storage limit of {mk.MAX_ENTRIES} entries")
-        for name in _STACKED[family]:
-            n = math.prod(dim[k] for k in name.split("*"))
-            if count * n * n > mk.MAX_ENTRIES:
-                raise ScenarioError(f"dims: {family} stacks {count} matrices of dimension {name}={n}, which exceed "
-                                    f"the dense-storage limit of {mk.MAX_ENTRIES} entries")
+    for family in scenario.families():   # a block of more than one trial stacks at most STACK_ENTRIES entries
+        entries = _trial_entries(family, dim, n_meas)
+        if entries > mk.MAX_ENTRIES:
+            raise ScenarioError(f"{'dims, n_measurements' if family == 'holevo' else 'dims'}: one {family} trial "
+                                f"stacks {entries} entries, beyond the dense-storage limit of {mk.MAX_ENTRIES}")
     tols = scenario.tols(Tolerances())
     explicit = {k: _read_explicit(k, v, tols) for k, v in explicit_raw.items()}
     for family in scenario.families():
@@ -303,20 +297,26 @@ _READS = {
 }
 
 
-# The matrices that the trials of each family stack, by their dimension as a
-# product of dims: joint unitaries and states, Choi and transfer matrices
-# (d_S*d_S), and the joint images of qdpi and mmap-consistency.
-_STACKED = {"spohn": ["d_S*d_S"], "main": ["d_S*d_E", "d_S*d_S"], "clausius": ["d_S*d_S"],
-            "qdpi": ["d_P*d_E1", "d_Q*d_E2", "d_P*d_Q*d_P*d_Q"], "holevo": ["d_S*d_E", "d_S*d_S"],
-            "mmap-consistency": ["d_S*d_E", "d_S*d_S", "d_S*d_E*d_A"]}
+def _trial_entries(family: str, dim: dict, n_measurements: int) -> int:
+    """Entries that one trial of ``family`` stacks, summed over every stack:
+    with k = d_S^2 Kraus operators (the most a random operation on S has),
+    the k K (x) conj(K) of spohn's transfer matrix, the k K (x) I_E of
+    ``act_block`` with rho_SE and U, holevo's n + 1 bases, qdpi's joint states
+    and Choi matrix, and the rho_SEA, V_SEA, U (x) I_A and products of ``mmap_block``."""
+    s, e, a, p, q = (dim[k] for k in ("d_S", "d_E", "d_A", "d_P", "d_Q"))
+    k, se = s * s, (s * e) ** 2
+    return {"spohn": k * s ** 4,
+            "main": (k + 2) * se,
+            "clausius": (k + 2) * s ** 4,
+            "qdpi": (p * dim["d_E1"]) ** 2 + (q * dim["d_E2"]) ** 2 + (p * q) ** 4,
+            "holevo": (k + 2) * se + (n_measurements + 1) * s * s,
+            "mmap-consistency": 2 * se + 2 * se * a * a}[family]
 
 
-def _block_size(family: str, dim: dict) -> int:
-    """Trials in one block of ``family``: ``BLOCK``, or fewer, so that a
-    block holds at most ``STACK_ENTRIES`` entries of its largest matrices."""
-    entries = {"qdpi": (dim["d_P"] * dim["d_Q"]) ** 4,
-               "mmap-consistency": (dim["d_S"] * dim["d_E"] * dim["d_A"]) ** 2}.get(family, 1)
-    return min(BLOCK, max(1, STACK_ENTRIES // entries))
+def _block_size(family: str, dim: dict, n_measurements: int) -> int:
+    """Trials in one block of ``family``: as many as ``STACK_ENTRIES``
+    entries hold, and at least one."""
+    return max(1, STACK_ENTRIES // _trial_entries(family, dim, n_measurements))
 
 
 def _dim_values(dims: dict) -> dict:
@@ -627,7 +627,8 @@ def run_campaign(scenario: Scenario, tols: Tolerances, jobs: int = 1) -> dict:
 
     The objects every trial shares (``prepare``) are built once, before
     any trial.  The trials of each family go in blocks of ``_block_size``
-    consecutive trials through ``_eval_task``: in this process when
+    consecutive trials (as many as ``STACK_ENTRIES`` entries hold, by the
+    count of ``_trial_entries``) through ``_eval_task``: in this process when
     ``jobs`` or the number of blocks is at most 1, and otherwise one block
     per task in a pool of ``min(jobs, blocks)`` worker processes (a pool
     starts all its workers at the first task), each of which receives the
@@ -636,12 +637,11 @@ def run_campaign(scenario: Scenario, tols: Tolerances, jobs: int = 1) -> dict:
     per-trial seeds are derived from (seed, family, trial), what is not
     prepared is drawn from them in the same order, and results are ordered
     by trial index, so serial and parallel executions produce identical
-    output.  The summary's wall_time
-    field is left null so reports stay byte-stable; the CLI reports timing
-    separately.
+    output.  The summary's wall_time field is left null so reports stay
+    byte-stable; the CLI reports timing separately.
     """
     families, n, dim = scenario.families(), scenario.trials, _dim_values(scenario.dims)
-    sizes = {family: _block_size(family, dim) for family in families}
+    sizes = {family: _block_size(family, dim, scenario.n_measurements) for family in families}
     tasks = [(f, range(s, min(s + sizes[f], n))) for f in families for s in range(0, n, sizes[f])]
     campaign = (scenario, tols, prepare(scenario, tols))
     jobs = min(jobs, len(tasks))

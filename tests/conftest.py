@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 
 from supchan import bounds as bd
+from supchan import campaigns as cp
 from supchan import channels as ch
 from supchan import dilation as dl
 from supchan import matkernel as mk
@@ -641,6 +642,14 @@ def random_density(d, rank, rng, labels=None, tols=DEFAULT_TOLS):
 def trial_rng(seed, trial):
     """Independent per-trial stream derived from (seed, trial)."""
     return np.random.default_rng([np.uint64(seed), np.uint64(trial)])
+
+
+def campaign_blocks(scenario):
+    """(family, trials) of each block that ``run_campaign`` cuts a scenario
+    into: consecutive runs of ``_block_size`` trials, the last one shorter."""
+    dim, n = cp._dim_values(scenario.dims), scenario.trials
+    sizes = {f: cp._block_size(f, dim, scenario.n_measurements) for f in scenario.families()}
+    return [(f, range(s, min(s + sizes[f], n))) for f in scenario.families() for s in range(0, n, sizes[f])]
 
 
 def permutation_matrix(shape, new_order):

@@ -13,7 +13,7 @@ from supchan import states as st
 from supchan import superchannel as sup
 from supchan.config import DEFAULT_TOLS
 
-from conftest import classical_channel, random_cptp, random_density
+from conftest import campaign_blocks, classical_channel, random_cptp, random_density
 
 
 def make_scenario(**kwargs):
@@ -172,10 +172,23 @@ def test_run_campaign_summary_invariant():
 
 def test_run_campaign_serial_equals_parallel():
     # Two blocks, so that jobs=2 runs a pool.
-    scn = make_scenario(trials=cp.BLOCK + 1)
+    scn = make_scenario(trials=cp._block_size("main", cp._dim_values({"d_S": 2, "d_E": 2}), 50) + 1)
+    assert len(campaign_blocks(scn)) == 2
     serial = cp.render_json(cp.run_campaign(scn, DEFAULT_TOLS, jobs=1))
     parallel = cp.render_json(cp.run_campaign(scn, DEFAULT_TOLS, jobs=2))
     assert serial == parallel
+
+
+def test_reports_do_not_depend_on_the_block_size(monkeypatch):
+    # A budget of one entry makes every block a single trial; a stacked step
+    # whose bits depend on the length of its stack would move a byte.
+    scenarios = [make_scenario(bound="all", trials=12, seed=8), pinned_d3_scenario(40)]
+    default = [cp.render_json(cp.run_campaign(scn, DEFAULT_TOLS, jobs=1)) for scn in scenarios]
+    assert [len(campaign_blocks(scn)) for scn in scenarios] == [6, 2]
+    monkeypatch.setattr(cp, "STACK_ENTRIES", 1)
+    assert [len(campaign_blocks(scn)) for scn in scenarios] == [6 * 12, 40]
+    for jobs in (1, 2):
+        assert [cp.render_json(cp.run_campaign(scn, DEFAULT_TOLS, jobs=jobs)) for scn in scenarios] == default
 
 
 def test_the_pool_has_no_more_workers_than_blocks(monkeypatch):
@@ -233,7 +246,14 @@ def test_a_pinned_superchannel_and_its_neso_are_built_once_per_campaign(monkeypa
     cp.run_campaign(make_scenario(trials=5), DEFAULT_TOLS, jobs=1)
     assert calls == {"build_block": [5], "neso_block": [5]}
     calls.update(build_block=[], neso_block=[])
-    cp.run_campaign(make_scenario(trials=20), DEFAULT_TOLS, jobs=1)
+    twenty = make_scenario(trials=20)
+    cp.run_campaign(twenty, DEFAULT_TOLS, jobs=1)
+    sizes = [len(trials) for _, trials in campaign_blocks(twenty)]
+    assert calls == {"build_block": sizes, "neso_block": sizes}
+    # With a budget of 8 trials per block, the 20 trials are three blocks.
+    monkeypatch.setattr(cp, "STACK_ENTRIES", 8 * cp._trial_entries("main", cp._dim_values(twenty.dims), 50))
+    calls.update(build_block=[], neso_block=[])
+    cp.run_campaign(twenty, DEFAULT_TOLS, jobs=1)
     assert calls == {"build_block": [8, 8, 4], "neso_block": [8, 8, 4]}
 
 
@@ -281,7 +301,11 @@ def pinned_d3_scenario(trials):
 
 def test_a_pinned_main_block_decomposes_twice_and_is_one_task(monkeypatch):
     # One stacked Kraus extraction and one stacked spectrum of sigma' per
-    # block of 8 trials, and one _eval_task call per block.
+    # block, and one _eval_task call per block; the trials fill one block
+    # and start a second.
+    scn = pinned_d3_scenario(cp._block_size("main", cp._dim_values({"d_S": 3, "d_E": 3}), 50) + 4)
+    blocks = len(campaign_blocks(scn))
+    assert blocks == 2
     calls = {"herm_eig_of": 0, "_eval_task": 0}
     for mod, name in ((mk, "herm_eig_of"), (cp, "_eval_task")):
         def counted(*args, _name=name, _real=getattr(mod, name), **kwargs):
@@ -295,9 +319,9 @@ def test_a_pinned_main_block_decomposes_twice_and_is_one_task(monkeypatch):
         calls["herm_eig_of"] = 0
         return prepared
     monkeypatch.setattr(cp, "prepare", prepare)
-    cp.run_campaign(pinned_d3_scenario(20), DEFAULT_TOLS, jobs=1)
-    assert calls["herm_eig_of"] <= 2 * math.ceil(20 / 8)
-    assert calls["_eval_task"] == math.ceil(20 / 8)
+    cp.run_campaign(scn, DEFAULT_TOLS, jobs=1)
+    assert calls["herm_eig_of"] <= 2 * blocks
+    assert calls["_eval_task"] == blocks
 
 
 # Scenarios whose first failing trial is not trial 0, with the line that the
@@ -413,11 +437,20 @@ def test_a_holevo_block_makes_one_measured_information_call(monkeypatch, explici
     assert all(r.metadata["n_measurements"] == 8 for r in reports)
 
 
-@pytest.mark.parametrize("d_p,d_q,sizes", [(2, 2, [8]), (2, 3, [8]), (3, 3, [2, 2, 2, 2])])
+def qdpi_scenario(d_p, d_q):
+    return make_scenario(trials=8, bound="qdpi", dims={"d_P": d_p, "d_Q": d_q, "d_E1": 2, "d_E2": 3})
+
+
+@pytest.mark.parametrize("d_p,d_q,sizes", [(d_p, d_q, [len(t) for _, t in campaign_blocks(qdpi_scenario(d_p, d_q))])
+                                           for d_p, d_q in ((2, 2), (2, 3), (3, 3))])
 def test_a_qdpi_block_stacks_at_most_the_stack_limit_of_joint_choi_entries(monkeypatch, d_p, d_q, sizes):
-    # (d_P d_Q)^4 entries per trial: 256 and 1296 fit eight times into
-    # STACK_ENTRIES, 6561 twice; so a campaign cuts its qdpi trials into
-    # blocks of that many, and each block gives the per-trial reports.
+    # (d_P d_E1)^2 + (d_Q d_E2)^2 + (d_P d_Q)^4 entries per trial: 308 and
+    # 1393 fit more than eight times into STACK_ENTRIES, 6678 four times; so
+    # a campaign cuts its qdpi trials into blocks of that many, and each
+    # block gives the per-trial reports.
+    scn = qdpi_scenario(d_p, d_q)
+    entries = cp._trial_entries("qdpi", cp._dim_values(scn.dims), scn.n_measurements)
+    assert max(sizes) * entries <= cp.STACK_ENTRIES
     calls = []
     real = bd.qdpi_block
 
@@ -425,7 +458,6 @@ def test_a_qdpi_block_stacks_at_most_the_stack_limit_of_joint_choi_entries(monke
         calls.append(len(sc1s))
         return real(sc1s, *args)
     monkeypatch.setattr(bd, "qdpi_block", counted)
-    scn = make_scenario(trials=8, bound="qdpi", dims={"d_P": d_p, "d_Q": d_q, "d_E1": 2, "d_E2": 3})
     reports = cp.run_campaign(scn, DEFAULT_TOLS, jobs=1)["sections"]["qdpi"]["reports"]
     assert calls == sizes
     one = [cp.evaluate_trial(scn, "qdpi", t, DEFAULT_TOLS) for t in range(8)]

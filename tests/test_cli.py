@@ -436,25 +436,26 @@ def test_a_seed_of_2_64_or_more_is_refused_at_load(tmp_path, capsys):
 def test_holevo_bases_beyond_the_storage_limit_are_refused_at_load(tmp_path, capsys, monkeypatch):
     # Refused by load_scenario, before any trial draws a basis.
     monkeypatch.setattr(st, "haar_unitaries", None)
-    limit = cp.BLOCK * 3 * 3
-    most = cp.mk.MAX_ENTRIES // limit - 1
+    # Each basis adds 3 * 3 entries to what one holevo trial stacks.
+    most = (cp.mk.MAX_ENTRIES - cp._trial_entries("holevo", cp._dim_values({"d_S": 3}), 0)) // (3 * 3)
     for n, bound in ((10 ** 12, "holevo"), (most + 1, "all")):
-        scn = write_scenario(tmp_path, trials=cp.BLOCK, bound=bound, dims={"d_S": 3}, n_measurements=n)
+        scn = write_scenario(tmp_path, trials=8, bound=bound, dims={"d_S": 3}, n_measurements=n)
         assert cli.main(["verify", "--scenario", scn, "--jobs", "1"]) == cli.EXIT_VALIDATION_ERROR
-        assert "scenario error: n_measurements: " in capsys.readouterr().err
+        assert "scenario error: dims, n_measurements: one holevo trial stacks " in capsys.readouterr().err
     for n, bound in ((most, "holevo"), (10 ** 12, "main")):
-        scn = cp.load_scenario(json.dumps({"bound": bound, "trials": cp.BLOCK, "dims": {"d_S": 3}, "n_measurements": n}))
+        scn = cp.load_scenario(json.dumps({"bound": bound, "trials": 8, "dims": {"d_S": 3}, "n_measurements": n}))
         assert scn.n_measurements == n
 
 
 def test_holevo_bases_are_sized_by_the_trials_of_one_block():
-    # A block holds min(BLOCK, trials) trials: one trial's 2^19 bases fit,
-    # eight trials' do not.
-    one = {"bound": "holevo", "trials": 1, "n_measurements": 524288}
-    assert cp.load_scenario(json.dumps(one)).n_measurements == 524288
-    with pytest.raises(cp.ScenarioError, match=r"^n_measurements: 524288 bases of dimension 2 per trial, "
-                                               r"in blocks of 8 trials, exceed"):
-        cp.load_scenario(json.dumps({**one, "trials": 8}))
+    # A trial's bases count toward its block: 50 bases of dimension 2 leave
+    # room for many trials in STACK_ENTRIES, 2^19 bases for one, so that
+    # eight trials load as well as one.
+    dim = cp._dim_values({})
+    assert cp._block_size("holevo", dim, 50) > 8 and cp._block_size("holevo", dim, 524288) == 1
+    for trials in (1, 8):
+        scn = cp.load_scenario(json.dumps({"bound": "holevo", "trials": trials, "n_measurements": 524288}))
+        assert scn.n_measurements == 524288
 
 
 def test_dims_whose_stacked_matrices_exceed_the_storage_limit_are_refused_at_load(tmp_path, capsys, monkeypatch):
@@ -464,19 +465,29 @@ def test_dims_whose_stacked_matrices_exceed_the_storage_limit_are_refused_at_loa
         monkeypatch.setattr(st, name, None)
     scn = write_scenario(tmp_path, trials=1, bound="main", dims={"d_S": 200, "d_E": 200})
     assert cli.main(["verify", "--scenario", scn, "--jobs", "1"]) == cli.EXIT_VALIDATION_ERROR
-    assert "scenario error: dims: main stacks 1 matrices of dimension d_S*d_E=40000" in capsys.readouterr().err
-    # A block stacks min(BLOCK, trials) matrices; qdpi and mmap-consistency
-    # blocks hold as many trials as STACK_ENTRIES entries allow.
-    at = {"d_S": 2, "d_E": 1024}
-    assert cp.load_scenario(json.dumps({"bound": "main", "trials": 4, "dims": at})).dims == at
-    with pytest.raises(cp.ScenarioError, match=r"^dims: main stacks 5 matrices of dimension d_S\*d_E=2048"):
-        cp.load_scenario(json.dumps({"bound": "main", "trials": 5, "dims": at}))
-    cube = {"d_S": 16, "d_E": 16, "d_A": 16}
+    assert "scenario error: dims: one main trial stacks " in capsys.readouterr().err
+    # What one trial stacks is refused beyond MAX_ENTRIES, whatever the
+    # trials; a block of more trials holds at most STACK_ENTRIES entries.
+    assert cp.STACK_ENTRIES <= cp.mk.MAX_ENTRIES
+    at = {"d_S": 2, "d_E": 836}
+    assert cp.load_scenario(json.dumps({"bound": "main", "trials": 5, "dims": at})).dims == at
+    with pytest.raises(cp.ScenarioError, match=r"^dims: one main trial stacks 16813656 entries"):
+        cp.load_scenario(json.dumps({"bound": "main", "trials": 1, "dims": {**at, "d_E": 837}}))
+    cube = {"d_S": 14, "d_E": 14, "d_A": 14}
     assert cp.load_scenario(json.dumps({"bound": "mmap-consistency", "trials": 8, "dims": cube})).dims == cube
-    with pytest.raises(cp.ScenarioError, match=r"^dims: mmap-consistency stacks 1 matrices of dimension d_S\*d_E\*d_A"):
-        cp.load_scenario(json.dumps({"bound": "mmap-consistency", "trials": 8, "dims": {**cube, "d_A": 17}}))
-    with pytest.raises(cp.ScenarioError, match=r"^dims: qdpi stacks 1 matrices of dimension d_P\*d_Q\*d_P\*d_Q=4225"):
+    with pytest.raises(cp.ScenarioError, match=r"^dims: one mmap-consistency trial stacks \d+ entries"):
+        cp.load_scenario(json.dumps({"bound": "mmap-consistency", "trials": 8, "dims": {**cube, "d_A": 15}}))
+    with pytest.raises(cp.ScenarioError, match=r"^dims: one qdpi trial stacks \d+ entries"):
         cp.load_scenario(json.dumps({"bound": "all", "trials": 8, "dims": {"d_P": 5, "d_Q": 13}}))
+
+
+def test_a_main_trial_whose_kraus_lifted_stack_exceeds_the_storage_limit_is_refused_at_load():
+    # act_block lifts each of up to d_S^2 = 4 Kraus operators to K (x) I_E:
+    # at d_E = 1024 they are 4 * 2048^2 entries, four times MAX_ENTRIES,
+    # though U and rho_SE are a quarter of it each.
+    with pytest.raises(cp.ScenarioError, match=r"^dims: one main trial stacks 25165824 entries, beyond the "
+                                               r"dense-storage limit of 16777216$"):
+        cp.load_scenario(json.dumps({"bound": "main", "trials": 4, "dims": {"d_S": 2, "d_E": 1024}}))
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

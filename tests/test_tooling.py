@@ -23,6 +23,8 @@ from supchan import cli
 from supchan import states as st
 from supchan import superchannel as sup
 
+from conftest import campaign_blocks
+
 ROOT = pathlib.Path(__file__).parent.parent
 SRC = ROOT / "src" / "supchan"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -180,7 +182,7 @@ def test_every_family_is_one_block_function_that_returns_reports(monkeypatch):
         monkeypatch.setattr(bd, name, counted)
     scn = cp.load_scenario('{"seed": 4, "trials": 11, "bound": "all", "n_measurements": 3}')
     assert cp.run_campaign(scn, cp.Tolerances(), jobs=1)["summary"]["trials"] == 11 * len(cp.FAMILIES)
-    assert calls == [(f, n) for f in cp.FAMILIES for n in (8, 3)]
+    assert calls == [(f, len(trials)) for f, trials in campaign_blocks(scn)]
 
 
 def test_the_hooks_of_the_benchmark_stay_in_place():
@@ -264,9 +266,15 @@ def test_every_trial_of_a_campaign_takes_the_one_block_path(monkeypatch):
     monkeypatch.setattr(cp, "evaluate_block", evaluate_block)
     monkeypatch.setattr(cp, "evaluate_trial", lambda *args, **kwargs: outside.append(args))
     scn = cp.load_scenario('{"seed": 4, "trials": 19, "bound": "all", "n_measurements": 3}')
-    report = cp.run_campaign(scn, cp.Tolerances(), jobs=1)
-    assert outside == [] and report["summary"]["trials"] == 19 * len(cp.FAMILIES)
-    assert blocks == [(f, list(range(s, min(s + cp.BLOCK, 19)))) for f in cp.FAMILIES for s in range(0, 19, cp.BLOCK)]
+    # At the default budget each family is one block; at 2^10 entries
+    # every family is cut into several, the last one shorter.
+    for budget in (cp.STACK_ENTRIES, 1 << 10):
+        monkeypatch.setattr(cp, "STACK_ENTRIES", budget)
+        blocks.clear()
+        report = cp.run_campaign(scn, cp.Tolerances(), jobs=1)
+        assert outside == [] and report["summary"]["trials"] == 19 * len(cp.FAMILIES)
+        assert blocks == [(f, list(trials)) for f, trials in campaign_blocks(scn)]
+    assert len(blocks) > 2 * len(cp.FAMILIES)
 
 
 def test_no_matrix_goes_to_eigvalsh_and_then_to_eigh(monkeypatch):
