@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -378,23 +379,27 @@ def scenario_echo(scenario: Scenario) -> dict:
 # Random instance generation
 # ---------------------------------------------------------------------------
 
-def random_superchannels(d_s: int, d_e: int, rngs: list[np.random.Generator | None], tols: Tolerances,
+def random_superchannels(d_s: int, d_e: int, rngs: list[np.random.Generator], tols: Tolerances,
                          explicit: dict | None = None) -> list[sup.Superchannel]:
     """One superchannel per generator, built for all generators at once.
 
     What ``explicit`` does not pin is drawn from each generator in turn:
     rho_se a Wishart state on S (x) E whose rank is drawn from
-    {1..min(4, d_S d_E)}, then U Haar.  The states and the unitaries are
-    each checked in one stacked step.
+    {1..min(4, d_S d_E)}, then the normals of U, as ``haar_unitary`` draws
+    them.  One stacked QR turns the block's normals into unitaries
+    (``states.haar_of_normals``); states and unitaries are each checked in
+    one stacked step.
     """
     ex = explicit or {}
     d = d_s * d_e
     shape = DimShape([d_s, d_e], ["S", "E"])
-    gs, us = [], []
+    gs, xs = [], []
     for rng in rngs:
         if "rho_se" not in ex:
             gs.append(st.ginibre(d, int(rng.integers(1, min(4, d) + 1)), rng))
-        us.append(ex["U"] if "U" in ex else st.haar_unitary(d, rng))
+        if "U" not in ex:
+            xs.append(rng.standard_normal((2, d, d)))
+    us = [ex["U"]] * len(rngs) if "U" in ex else st.haar_of_normals(np.array(xs))
     if "rho_se" in ex:
         rhos = [st.density(ex["rho_se"], shape, tols=tols)] * len(rngs)
     else:
@@ -668,7 +673,43 @@ def run_campaign(scenario: Scenario, tols: Tolerances, jobs: int = 1) -> dict:
 
 
 def render_json(report: dict) -> str:
-    return json.dumps(jsonable(report), sort_keys=True, indent=2) + "\n"
+    """The bytes of ``json.dumps(jsonable(report), sort_keys=True, indent=2)``
+    and a newline, written in one type-dispatched pass, since on Python 3.11
+    the stdlib's indenting encoder is pure Python: dict keys as ``jsonable``
+    makes them, each leaf through ``jsonable``, strings and keys through
+    ``encode_basestring_ascii`` and floats through ``float.__repr__``."""
+    return _render(report, "\n") + "\n"
+
+
+def _render(obj, nl: str) -> str:
+    """The indented JSON of ``obj``, whose line breaks are ``nl``."""
+    enc = _LEAVES.get(type(obj))
+    if enc is not None:
+        return enc(obj)
+    inner = nl + "  "
+    if isinstance(obj, dict):
+        items = [encode_basestring_ascii(k) + ": " + _render(v, inner)
+                 for k, v in sorted({str(k): v for k, v in obj.items()}.items())]
+        return "{" + inner + ("," + inner).join(items) + nl + "}" if items else "{}"
+    if isinstance(obj, (list, tuple)):
+        items = [_render(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + nl + "]" if items else "[]"
+    v = jsonable(obj)
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if isinstance(v, float):
+        return float.__repr__(v)
+    if v is None or isinstance(v, bool):   # jsonable leaves a bool only of an np.bool_
+        return "null" if v is None else "true" if v else "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+# The leaf types that jsonable returns as they are (a float, when finite),
+# with their JSON.
+_LEAVES = {str: encode_basestring_ascii, int: int.__repr__,
+           float: lambda v: float.__repr__(v) if math.isfinite(v) else encode_basestring_ascii(ext_to_json(v))}
 
 
 def render_csv(report: dict) -> str:

@@ -163,21 +163,24 @@ def random_pure(d: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def haar_unitaries(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    """n Haar-random unitaries, shape (n, d, d), via QR of Ginibre matrices
-    with phase fix.
-
-    Draws what n calls of ``haar_unitary`` draw, in the same order (each
-    matrix's real part, then its imaginary part), and gives the same bits.
-    """
-    x = rng.standard_normal((n, 2, d, d))
+def haar_of_normals(x: np.ndarray) -> np.ndarray:
+    """The Haar unitary of each (real, imaginary) pair of standard normal
+    d x d matrices of an (n, 2, d, d) stack: one stacked QR of the Ginibre
+    matrices with phase fix (Mezzadri, Notices AMS 54, 592, 2007), which
+    gives each unitary the bits of its own one-matrix QR."""
     q, r = np.linalg.qr((x[:, 0] + 1j * x[:, 1]) / np.sqrt(2.0))
     ph = np.diagonal(r, axis1=-2, axis2=-1).copy()
     ph /= np.abs(ph)
     return q * ph[:, None, :]
 
 
+def haar_unitaries(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """n Haar-random unitaries, shape (n, d, d), of the normals that n calls
+    of ``haar_unitary`` draw, in the same order, and with the same bits."""
+    return haar_of_normals(rng.standard_normal((n, 2, d, d)))
+
+
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary via QR of a Ginibre matrix with phase fix."""
+    """Haar-random unitary of the normals drawn next from ``rng`` (``haar_of_normals``)."""
     return haar_unitaries(1, d, rng)[0]
 

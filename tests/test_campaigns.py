@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from supchan import superchannel as sup
 from supchan.config import DEFAULT_TOLS
 
 from conftest import campaign_blocks, classical_channel, random_cptp, random_density
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def make_scenario(**kwargs):
@@ -536,6 +539,99 @@ def test_a_trial_without_prepared_objects_prepares_only_its_own_family(monkeypat
         cp.evaluate_trial(scn, "main", 0, DEFAULT_TOLS)
     with pytest.raises(ch.FixedPointError):
         cp.prepare(scn, DEFAULT_TOLS)
+
+
+@pytest.mark.parametrize("d_s,d_e,pinned", [(2, 2, False), (3, 2, False), (1, 3, False), (2, 2, True)])
+def test_random_superchannels_draw_as_one_trial_at_a_time(d_s, d_e, pinned):
+    # Each generator gives its rank and Ginibre factor, then the normals of
+    # its U as haar_unitary draws them; the block's stacked QR keeps the bits.
+    d = d_s * d_e
+    ex = {"rho_se": random_density(d, 2, np.random.default_rng(3)).mat} if pinned else {}
+
+    def rngs():
+        return [np.random.default_rng([7, d, t]) for t in range(9)]
+    block = cp.random_superchannels(d_s, d_e, rngs(), DEFAULT_TOLS, ex)
+    for sc, rng in zip(block, rngs()):
+        one = cp.random_superchannels(d_s, d_e, [rng], DEFAULT_TOLS, ex)[0]
+        assert sc.u.tobytes() == one.u.tobytes() and sc.rho_se.mat.tobytes() == one.rho_se.mat.tobytes()
+    for sc, rng in zip(block, rngs()):
+        if not pinned:
+            st.ginibre(d, int(rng.integers(1, min(4, d) + 1)), rng)
+        assert sc.u.tobytes() == st.haar_unitary(d, rng).tobytes()
+
+
+def test_only_the_v_and_basis_draws_take_a_qr_per_trial(monkeypatch):
+    # At d=2 each family's campaign is one block, and the joint unitaries of
+    # a block come from one stacked QR.  So 11 more trials add one QR each
+    # for mmap-consistency's V and for holevo's bases: 22.
+    real, calls = np.linalg.qr, []
+
+    def qr(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "qr", qr)
+    counts = []
+    for trials in (1, 12):
+        scn = make_scenario(bound="all", trials=trials, n_measurements=3)
+        assert len(campaign_blocks(scn)) == len(cp.FAMILIES)
+        calls.clear()
+        cp.run_campaign(scn, DEFAULT_TOLS, jobs=1)
+        counts.append(len(calls))
+    assert counts[1] - counts[0] == 22
+
+
+def reference_json(obj) -> str:
+    return json.dumps(cp.jsonable(obj), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("path", sorted(p for p in GOLDEN.glob("*.json") if p.name != "digests.json"),
+                         ids=lambda p: p.stem)
+def test_render_json_is_the_stdlib_encoding_of_every_golden_report(path):
+    scn = cp.load_scenario(path.read_text())
+    report = cp.run_campaign(scn, scn.tols(DEFAULT_TOLS), jobs=1)
+    assert cp.render_json(report) == reference_json(report)
+
+
+def test_render_json_is_the_stdlib_encoding_of_a_timing_report(tmp_path, monkeypatch):
+    rendered = []
+    real = cp.render_json
+    monkeypatch.setattr(cp, "render_json", lambda report: rendered.append(report) or real(report))
+    scn = tmp_path / "scn.json"
+    scn.write_text(json.dumps({"seed": 2, "trials": 3, "bound": "all", "n_measurements": 4}))
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--scenario", str(scn), "--out", str(out), "--jobs", "1", "--timing"]) == 0
+    (report,) = rendered
+    assert type(report["summary"]["wall_time"]) is float
+    assert out.read_text() == real(report) == reference_json(report)
+
+
+def test_render_json_is_the_stdlib_encoding_of_a_random_nested_structure():
+    rng = np.random.default_rng(20)
+    texts = ["", "plain", "ρ_SE → σ′ ∞", "\x00\x01\t\n\x1f\x7f", 'quote " and \\ backslash', " \U0001f600"]
+    leaves = [True, False, np.bool_(True), np.bool_(False), np.int64(-7), np.int64(2 ** 62), np.float64(0.1),
+              np.float64(np.inf), float("inf"), float("-inf"), float("nan"), np.float64(np.nan), -0.0, 0.0, None,
+              1e-300, 1.5e300, 2 ** 70, -3, 0, 1 / 3, *texts]
+    keys = [*texts, 0, 1, "1", -2.5, None, True, np.int64(4), (1, "a")]
+
+    def tree(depth):
+        kind = int(rng.integers(0, 5)) if depth else 4
+        if kind == 0:
+            return {keys[int(rng.integers(len(keys)))]: tree(depth - 1) for _ in range(int(rng.integers(0, 5)))}
+        if kind in (1, 2):
+            items = [tree(depth - 1) for _ in range(int(rng.integers(0, 4)))]
+            return items if kind == 1 else tuple(items)
+        if kind == 3:
+            return [{}, [], ()][int(rng.integers(3))]
+        return leaves[int(rng.integers(len(leaves)))]
+
+    for _ in range(200):
+        obj = {"root": tree(5), "edges": [{}, [], (), leaves, dict(zip(keys, leaves))]}
+        assert cp.render_json(obj) == reference_json(obj)
+    # A Python bool renders as 1, since jsonable tests int before np.bool_;
+    # an np.bool_ renders as true.
+    assert cp.render_json({"passed": True, "np": np.bool_(False)}) == '{\n  "np": false,\n  "passed": 1\n}\n'
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cp.render_json({"x": [object()]})
 
 
 def test_render_csv_shape():

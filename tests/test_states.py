@@ -174,6 +174,17 @@ def test_haar_unitary_and_trial_rng():
     assert not np.all(r1 == r3)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 9, 16, 32])
+def test_a_stacked_haar_qr_gives_each_unitary_the_bits_of_a_one_matrix_draw(d):
+    # LAPACK factors each matrix of a stack on its own, so a block's one
+    # stacked QR gives every unitary the bits of haar_unitary on its normals.
+    for n in (1, 2, 7, 50):
+        rngs = [np.random.default_rng([d, n, t]) for t in range(n)]
+        stacked = st.haar_of_normals(np.array([rng.standard_normal((2, d, d)) for rng in rngs]))
+        for t, u in enumerate(stacked):
+            assert u.tobytes() == st.haar_unitary(d, np.random.default_rng([d, n, t])).tobytes()
+
+
 def count_decompositions(monkeypatch):
     """The name of each numpy eigendecomposition called, in order."""
     calls = []
