@@ -365,7 +365,7 @@ def holevo_block(scs: list[sup.Superchannel], enss: list[Ensemble], haar: np.nda
     measurement.
 
     The j-th sigma'_k of every trial is one ``act_block`` (one over all
-    codewords would hold every Kraus operator of the block at once), and
+    codewords would hold the stacks of every codeword at once), and
     each average adds its terms into zeros in codeword order; the spectra
     are two stacked decompositions, and the information of every
     measurement is one ``measured_information`` call; chi and the report

@@ -299,18 +299,20 @@ _READS = {
 
 
 def _trial_entries(family: str, dim: dict, n_measurements: int) -> int:
-    """Entries that one trial of ``family`` stacks, summed over every stack:
-    with k = d_S^2 Kraus operators (the most a random operation on S has),
-    the k K (x) conj(K) of spohn's transfer matrix, the k K (x) I_E of
-    ``act_block`` with rho_SE and U, holevo's n + 1 bases, qdpi's joint states
-    and Choi matrix, and the rho_SEA, V_SEA, U (x) I_A and products of ``mmap_block``."""
+    """Entries that one trial of ``family`` stacks at once.  A Kraus-ordered
+    sum (``mk.sum_runs``) holds one term per trial: spohn's transfer matrix,
+    term and ``eig`` copies are four d_S^4 stacks; ``act_block``'s sum,
+    rho_SE, lifted K (x) I_E, U and their products six (d_S d_E)^2, or six
+    d_S^4 for the draws and fixed points where d_E < d_S, with holevo's
+    n + 1 bases; qdpi's joint states and Choi matrix, and the rho_SEA,
+    V_SEA, U (x) I_A and products of ``mmap_block``, once each."""
     s, e, a, p, q = (dim[k] for k in ("d_S", "d_E", "d_A", "d_P", "d_Q"))
-    k, se = s * s, (s * e) ** 2
-    return {"spohn": k * s ** 4,
-            "main": (k + 2) * se,
-            "clausius": (k + 2) * s ** 4,
+    se = (s * e) ** 2
+    return {"spohn": 4 * s ** 4,
+            "main": 6 * max(se, s ** 4),
+            "clausius": 6 * s ** 4,
             "qdpi": (p * dim["d_E1"]) ** 2 + (q * dim["d_E2"]) ** 2 + (p * q) ** 4,
-            "holevo": (k + 2) * se + (n_measurements + 1) * s * s,
+            "holevo": 6 * max(se, s ** 4) + (n_measurements + 1) * s * s,
             "mmap-consistency": 2 * se + 2 * se * a * a}[family]
 
 

@@ -68,7 +68,7 @@ def from_kraus_runs(kraus: np.ndarray, counts) -> list[QuantumOperation]:
     a stack, with Choi matrix sum_k vec(K_k) vec(K_k)^dag in Kraus order."""
     kraus = mk.as_matrix(kraus, stack=True)
     vecs = kraus.reshape(len(kraus), -1)
-    chois = mk.sum_runs(vecs[:, :, None] * vecs.conj()[:, None, :], counts)
+    chois = mk.sum_runs(lambda i, has: vecs[i, :, None] * vecs[i].conj()[:, None, :], counts)
     d_out, d_in = kraus.shape[-2:]
     ends = np.cumsum(counts).tolist()
     return [QuantumOperation(d_in, d_out, c, kraus[e - n:e]) for c, n, e in zip(chois, counts, ends)]
@@ -115,9 +115,9 @@ def apply_matrices(ops: list[QuantumOperation], mats: np.ndarray) -> np.ndarray:
     out = np.empty_like(mats, dtype=complex)
     by_kraus = [b for b, op in enumerate(ops) if not op.by_choi]
     if by_kraus:
-        counts = [len(ops[b].kraus) for b in by_kraus]
-        ks = np.concatenate([ops[b].kraus for b in by_kraus])
-        out[by_kraus] = mk.sum_runs(ks @ mats[np.repeat(by_kraus, counts)] @ mk.dagger(ks), counts)
+        ks, x = np.concatenate([ops[b].kraus for b in by_kraus]), mats[by_kraus]
+        out[by_kraus] = mk.sum_runs(lambda i, has: ks[i] @ x[has] @ mk.dagger(ks[i]),
+                                    [len(ops[b].kraus) for b in by_kraus])
     for b, op in enumerate(ops):
         if op.by_choi:    # tr_in[choi (I (x) X^T)]
             out[b] = np.einsum("aibj,ij->ab", op.choi.reshape(op.d_out, op.d_in, op.d_out, op.d_in), mats[b])
@@ -187,9 +187,8 @@ def channels_from_dilations(us: list[np.ndarray], taus: list[DensityMatrix],
 def transfer_matrices(ops: list[QuantumOperation]) -> np.ndarray:
     """Superoperator on row-major vec(rho) of each operation: the sum of
     K (x) conj(K) in Kraus order."""
-    ks = [op.kraus for op in ops]
-    k = np.concatenate(ks)
-    return mk.sum_runs(mk.kron_stack(k, k.conj()), [len(x) for x in ks])
+    k = np.concatenate([op.kraus for op in ops])
+    return mk.sum_runs(lambda i, has: mk.kron_stack(k[i], k[i].conj()), [len(op.kraus) for op in ops])
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,8 @@ def mmap_block(scs: list[sup.Superchannel], vs: list[np.ndarray], alphas: list[D
 
     Upsilon = tr_E[(U_SE (x) I_A) V_SEA (rho_SE (x) alpha) V_SEA^dag (U_SE (x) I_A)^dag]
     in the canonical S, E, A ordering, with V_SEA the entries of V_SA (x) I_E
-    moved from the (S, A, E) index order to (S, E, A); each step is stacked.
+    moved from the (S, A, E) index order to (S, E, A); each step is stacked,
+    and the lifts of V and rho_SE are dropped before U's product is formed.
     """
     vs = mk.as_matrix(np.array(vs), stack=True)
     ch.check_unitary(vs, tols, what="isometric-dilation unitary")
@@ -39,12 +40,12 @@ def mmap_block(scs: list[sup.Superchannel], vs: list[np.ndarray], alphas: list[D
         raise ShapeError(f"isometry system dim {vs.shape[-1] // d_a} != superchannel system dim {d_s}")
     shape_sea = DimShape([d_s, d_e, d_a], ["S", "E", "A"])
     rho_sea = mk.kron_stack(np.array([sc.rho_se.mat for sc in scs]), np.array([a.mat for a in alphas]))
-    v_sae = mk.kron_stack(vs, np.eye(d_e, dtype=complex)).reshape(-1, d_s, d_a, d_e, d_s, d_a, d_e)
-    v_full = v_sae.transpose(0, 1, 3, 2, 4, 6, 5).reshape(-1, shape_sea.dim, shape_sea.dim)
+    v_full = (mk.kron_stack(vs, np.eye(d_e, dtype=complex)).reshape(-1, d_s, d_a, d_e, d_s, d_a, d_e)
+              .transpose(0, 1, 3, 2, 4, 6, 5).reshape(-1, shape_sea.dim, shape_sea.dim))
     staged = v_full @ rho_sea @ mk.dagger(v_full)
+    del rho_sea, v_full
     u_full = mk.kron_stack(np.array([sc.u for sc in scs]), np.eye(d_a, dtype=complex))
-    evolved = u_full @ staged @ mk.dagger(u_full)
-    ups = mk.partial_trace(evolved, shape_sea, ["S", "A"])
+    ups = mk.partial_trace(u_full @ staged @ mk.dagger(u_full), shape_sea, ["S", "A"])
     upsilons = st.densities((ups + mk.dagger(ups)) / 2.0, DimShape([d_s, d_a], ["S", "A"]), tols)
     sigmas = sup.marginals(scs, "S", tols)
     s_ups = [st.entropy_of_spectrum(w) for w in st.decompose(upsilons)[0]]

@@ -96,15 +96,20 @@ def kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (p * r, q * s))
 
 
-def sum_runs(terms: np.ndarray, counts) -> np.ndarray:
-    """The sum of each run of ``counts`` consecutive terms of a stack, each
-    added into zeros in order, so with the bits of a loop over the run."""
+def sum_runs(term, counts) -> np.ndarray:
+    """The sum of each run of ``counts`` consecutive terms, each added into
+    zeros in order, so with the bits of a loop over the run.  ``term(i, has)``
+    forms the terms at flat indices ``i``, the j-th of each run ``has`` that
+    reaches j, so that a run holds one term at a time."""
     counts = np.asarray(counts)
     starts = np.cumsum(counts) - counts
-    out = np.zeros((len(counts),) + terms.shape[1:], dtype=terms.dtype)
-    for j in range(counts.max(initial=0)):
+    out = None
+    for j in range(counts.max()):
         has = np.flatnonzero(counts > j)
-        out[has] += terms[starts[has] + j]
+        t = term(starts[has] + j, has)
+        if out is None:
+            out = np.zeros((len(counts),) + t.shape[1:], dtype=t.dtype)
+        out[has] += t
     return out
 
 

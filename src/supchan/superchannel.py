@@ -81,19 +81,23 @@ def act_block(scs: list[Superchannel], ops: list[ch.QuantumOperation],
               tols: Tolerances) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """sigma' of each (superchannel, operation) pair, all of one (d_S, d_E),
     as a (B, d_S, d_S) stack, with the ``(w, V)`` that its check as density
-    matrices took.  The block's Kraus operators form one ragged stack, every
-    (K (x) I_E) rho_SE (K (x) I_E)^dag comes from one stacked product, and
-    each pair's terms are added into zeros in Kraus order."""
+    matrices took.  Each pair's terms (K (x) I_E) rho_SE (K (x) I_E)^dag are
+    added into zeros in Kraus order (``mk.sum_runs``), the j-th of every pair
+    from one stacked product, so a pair holds one lifted Kraus operator at a
+    time."""
     sc = scs[0]
     for op in ops:
         if op.d_in != sc.d_s or op.d_out != sc.d_s:
             raise ShapeError(f"operation dims ({op.d_out}, {op.d_in}) != system dim {sc.d_s}")
     ch.require_trace_preserving(ops, "act() requires a CPTP operation")
-    kraus = [op.kraus for op in ops]
-    counts = [len(k) for k in kraus]
-    kk = mk.kron_stack(np.concatenate(kraus), np.eye(sc.d_e, dtype=complex))
+    ks = np.concatenate([op.kraus for op in ops])
     rho = np.array([s.rho_se.mat for s in scs])
-    joint = mk.sum_runs(kk @ rho[np.repeat(np.arange(len(ops)), counts)] @ mk.dagger(kk), counts)
+
+    def term(i, has):
+        kk = mk.kron_stack(ks[i], np.eye(sc.d_e, dtype=complex))
+        return kk @ rho[has] @ mk.dagger(kk)
+
+    joint = mk.sum_runs(term, [len(op.kraus) for op in ops])
     u = np.array([s.u for s in scs])
     evolved = u @ joint @ mk.dagger(u)
     out = mk.partial_trace(evolved, sc.rho_se.shape, ["S"])

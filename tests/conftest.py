@@ -6,9 +6,11 @@ its per-trial routines became the stacked ``random_cptps``, ``act_block``,
 ``check_density``, ``main_block``, ``holevo_block``, ``qdpi_block``,
 ``classical_mutual_informations``, ``fixed_points``, ``neso_block``,
 ``spohn_block``, ``clausius_block``, ``dilation.mmap_block`` and
-``mmap_consistency_block``.  The tests
-compare the stacked routines with them byte for byte; the ``oracles``
-fixture hands them out.
+``mmap_consistency_block``; the ``ragged_*`` oracles are the four
+Kraus-ordered sums (``act_block``, ``transfer_matrices``,
+``apply_matrices``, ``from_kraus_runs``) as they formed every term of a
+block in one full ragged stack.  The tests compare the stacked routines
+with them byte for byte; the ``oracles`` fixture hands them out.
 
 The helpers below the oracles (one-pair forms of the stacked routines,
 named channels, Stinespring dilations, the Choi matrix of M#, the Spohn
@@ -245,6 +247,57 @@ def transfer_matrix(ks):
     for k in ks:
         t += np.kron(k, k.conj())
     return t
+
+
+def ragged_sum(terms, counts):
+    """Each run of ``counts`` consecutive terms of one full stack added into
+    zeros in order: ``mk.sum_runs`` before it formed a term at a time."""
+    counts = np.asarray(counts)
+    starts = np.cumsum(counts) - counts
+    out = np.zeros((len(counts),) + terms.shape[1:], dtype=terms.dtype)
+    for j in range(counts.max(initial=0)):
+        has = np.flatnonzero(counts > j)
+        out[has] += terms[starts[has] + j]
+    return out
+
+
+def ragged_act_block(scs, ops):
+    """``act_block``'s sigma' from every K (x) I_E of the block and a copy of
+    rho_SE per Kraus operator, each formed in one full ragged stack."""
+    counts = [len(op.kraus) for op in ops]
+    kk = mk.kron_stack(np.concatenate([op.kraus for op in ops]), np.eye(scs[0].d_e, dtype=complex))
+    rho = np.array([s.rho_se.mat for s in scs])
+    joint = ragged_sum(kk @ rho[np.repeat(np.arange(len(ops)), counts)] @ mk.dagger(kk), counts)
+    u = np.array([s.u for s in scs])
+    out = mk.partial_trace(u @ joint @ mk.dagger(u), scs[0].rho_se.shape, ["S"])
+    return (out + mk.dagger(out)) / 2.0
+
+
+def ragged_transfer_matrices(ops):
+    """``transfer_matrices`` from one full ragged stack of K (x) conj(K)."""
+    k = np.concatenate([op.kraus for op in ops])
+    return ragged_sum(mk.kron_stack(k, k.conj()), [len(op.kraus) for op in ops])
+
+
+def ragged_apply_matrices(ops, mats):
+    """``apply_matrices`` from one full ragged stack of K X K^dag, with the
+    Choi contraction of each operation given by its Choi matrix."""
+    out = np.empty_like(mats, dtype=complex)
+    by_kraus = [b for b, op in enumerate(ops) if not op.by_choi]
+    counts = [len(ops[b].kraus) for b in by_kraus]
+    ks = np.concatenate([ops[b].kraus for b in by_kraus])
+    out[by_kraus] = ragged_sum(ks @ mats[np.repeat(by_kraus, counts)] @ mk.dagger(ks), counts)
+    for b, op in enumerate(ops):
+        if op.by_choi:
+            out[b] = apply_op(op, mats[b])
+    return out
+
+
+def ragged_chois(kraus, counts):
+    """``from_kraus_runs``' Choi matrices from one full ragged stack of
+    vec(K) vec(K)^dag."""
+    vecs = kraus.reshape(len(kraus), -1)
+    return ragged_sum(vecs[:, :, None] * vecs.conj()[:, None, :], counts)
 
 
 def apply_op(op, mat):
@@ -492,7 +545,9 @@ def oracles():
                                  steady_state=steady_state, dilation_kraus=dilation_kraus, choi=choi,
                                  steady_operation=steady_operation, spohn_bound=spohn_bound,
                                  replace_kraus=replace_kraus, clausius_bound=clausius_bound,
-                                 mmap_image=mmap_image, family_trial=family_trial)
+                                 mmap_image=mmap_image, family_trial=family_trial,
+                                 ragged_act_block=ragged_act_block, ragged_transfer_matrices=ragged_transfer_matrices,
+                                 ragged_apply_matrices=ragged_apply_matrices, ragged_chois=ragged_chois)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,11 +186,13 @@ def test_run_campaign_serial_equals_parallel():
 def test_reports_do_not_depend_on_the_block_size(monkeypatch):
     # A budget of one entry makes every block a single trial; a stacked step
     # whose bits depend on the length of its stack would move a byte.
-    scenarios = [make_scenario(bound="all", trials=12, seed=8), pinned_d3_scenario(40)]
+    # The pinned d=3 campaign fills one main block and starts a second.
+    pinned = cp._block_size("main", cp._dim_values({"d_S": 3, "d_E": 3}), 50) + 4
+    scenarios = [make_scenario(bound="all", trials=12, seed=8), pinned_d3_scenario(pinned)]
     default = [cp.render_json(cp.run_campaign(scn, DEFAULT_TOLS, jobs=1)) for scn in scenarios]
     assert [len(campaign_blocks(scn)) for scn in scenarios] == [6, 2]
     monkeypatch.setattr(cp, "STACK_ENTRIES", 1)
-    assert [len(campaign_blocks(scn)) for scn in scenarios] == [6 * 12, 40]
+    assert [len(campaign_blocks(scn)) for scn in scenarios] == [6 * 12, pinned]
     for jobs in (1, 2):
         assert [cp.render_json(cp.run_campaign(scn, DEFAULT_TOLS, jobs=jobs)) for scn in scenarios] == default
 
@@ -438,6 +441,46 @@ def test_a_holevo_block_makes_one_measured_information_call(monkeypatch, explici
     assert calls == [8]
     assert [r.metadata["trial"] for r in reports] == list(range(3, 11))
     assert all(r.metadata["n_measurements"] == 8 for r in reports)
+
+
+def per_trial_peak(family, dims):
+    """Traced bytes that one more trial adds to a block's peak: (peak of a
+    9-trial block - peak of a 1-trial block) / 8, with the campaign's
+    prepared objects and the einsum path caches built beforehand."""
+    scn = make_scenario(trials=9, bound=family, dims=dims)
+    prep = cp.prepare(scn, DEFAULT_TOLS)
+    peaks = []
+    for n in (9, 1):
+        cp.evaluate_block(scn, family, range(n), DEFAULT_TOLS, prep)
+        tracemalloc.start()
+        try:
+            cp.evaluate_block(scn, family, range(n), DEFAULT_TOLS, prep)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return (peaks[0] - peaks[1]) / 8
+
+
+@pytest.mark.parametrize("family,dims", [
+    ("spohn", {"d_S": 3}), ("spohn", {"d_S": 4}),
+    ("main", {"d_S": 4, "d_E": 4}), ("main", {"d_S": 4, "d_E": 1}),
+    ("clausius", {"d_S": 3}), ("clausius", {"d_S": 4}),
+    ("holevo", {"d_S": 3, "d_E": 3}), ("holevo", {"d_S": 4, "d_E": 2})])
+def test_a_trial_holds_at_most_four_times_the_entries_it_is_counted(family, dims):
+    # Complex entries are 16 bytes.  A Kraus-ordered sum holds one term per
+    # trial at a time; where d_E < d_S, main's d_S^4 draws and fixed points
+    # outweigh its (d_S d_E)^2 stacks.
+    entries = cp._trial_entries(family, cp._dim_values(dims), 50)
+    assert per_trial_peak(family, dims) <= 4 * entries * 16
+
+
+def test_blocks_keep_d2_families_whole_and_grow_at_d4():
+    d2, d4 = cp._dim_values({"d_S": 2, "d_E": 2}), cp._dim_values({"d_S": 4, "d_E": 4, "d_A": 4})
+    assert all(cp._block_size(f, d2, 50) >= 50 for f in cp.FAMILIES)
+    # Blocks of 8/7/7/6 when a trial was counted with all d_S^2 Kraus
+    # operators lifted at once.
+    grown = {f: cp._block_size(f, d4, 50) for f in ("spohn", "main", "clausius", "holevo")}
+    assert grown == {"spohn": 32, "main": 21, "clausius": 21, "holevo": 13}
 
 
 def qdpi_scenario(d_p, d_q):

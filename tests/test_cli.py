@@ -482,9 +482,10 @@ def test_dims_whose_stacked_matrices_exceed_the_storage_limit_are_refused_at_loa
 
 
 def test_a_main_trial_whose_kraus_lifted_stack_exceeds_the_storage_limit_is_refused_at_load():
-    # act_block lifts each of up to d_S^2 = 4 Kraus operators to K (x) I_E:
-    # at d_E = 1024 they are 4 * 2048^2 entries, four times MAX_ENTRIES,
-    # though U and rho_SE are a quarter of it each.
+    # act_block holds six (d_S d_E)^2 stacks at once (its sum, rho_SE, one
+    # lifted K (x) I_E per trial, and their products): at d_E = 1024 they
+    # are 6 * 2048^2 entries, though U and rho_SE are a quarter of
+    # MAX_ENTRIES each.
     with pytest.raises(cp.ScenarioError, match=r"^dims: one main trial stacks 25165824 entries, beyond the "
                                                r"dense-storage limit of 16777216$"):
         cp.load_scenario(json.dumps({"bound": "main", "trials": 4, "dims": {"d_S": 2, "d_E": 1024}}))

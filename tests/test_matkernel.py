@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from supchan import bounds as bd
+from supchan import channels as ch
 from supchan import matkernel as mk
+from supchan import states as st
+from supchan import superchannel as sup
 from supchan.config import DEFAULT_TOLS
 from supchan.matkernel import DimShape, ShapeError, ValidationError
 
-from conftest import permutation_matrix, permute_subsystems
+from conftest import permutation_matrix, permute_subsystems, random_density
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -236,3 +239,27 @@ def test_a_check_of_a_stack_names_its_first_failing_matrix():
             eig(np.stack([good, first, good, second]))
     w, v = eig(np.stack([good, 2 * good]))
     assert w.tolist() == [[1.0, 1.0], [2.0, 2.0]] and v.shape == (2, 2, 2)
+
+
+@pytest.mark.parametrize("size", [1, 2, 7])
+@pytest.mark.parametrize("d_s,d_e", [(2, 2), (3, 2), (4, 4)])
+def test_the_kraus_ordered_sums_are_bitwise_the_full_ragged_stack(d_s, d_e, size, oracles):
+    # Each sum forms one term per operation at a time; the oracles form
+    # every term of the block in one ragged stack first.  Kraus counts run
+    # from 1 to d_S^2, and every other operation is given by its Choi matrix.
+    rng = np.random.default_rng([d_s, d_e, size])
+    ranks = rng.permutation([1 + i * (d_s * d_s - 1) // max(size - 1, 1) for i in range(size)])
+    ops = ch.random_cptps(d_s, [ch.bcsz_draw(d_s, int(r), rng) for r in ranks], tols=DEFAULT_TOLS)
+    ops = [ch.from_choi(op.choi, d_s, d_s, DEFAULT_TOLS) if b % 2 else op for b, op in enumerate(ops)]
+    assert sorted(len(op.kraus) for op in ops) == sorted(ranks.tolist())
+    shape = DimShape([d_s, d_e], ["S", "E"])
+    scs = [sup.build(st.haar_unitary(d_s * d_e, rng), st.density(random_density(d_s * d_e, 3, rng).mat, shape,
+                                                                 tols=DEFAULT_TOLS), DEFAULT_TOLS) for _ in ops]
+    sigma, _ = sup.act_block(scs, ops, DEFAULT_TOLS)
+    assert sigma.tobytes() == oracles.ragged_act_block(scs, ops).tobytes()
+    assert ch.transfer_matrices(ops).tobytes() == oracles.ragged_transfer_matrices(ops).tobytes()
+    mats = rng.standard_normal((size, d_s, d_s)) + 1j * rng.standard_normal((size, d_s, d_s))
+    assert ch.apply_matrices(ops, mats).tobytes() == oracles.ragged_apply_matrices(ops, mats).tobytes()
+    kraus, counts = np.concatenate([op.kraus for op in ops]), [len(op.kraus) for op in ops]
+    chois = np.array([op.choi for op in ch.from_kraus_runs(kraus, counts)])
+    assert chois.tobytes() == oracles.ragged_chois(kraus, counts).tobytes()
