@@ -220,8 +220,9 @@ def qdpi_block(sc1s: list[sup.Superchannel], sc2s: list[sup.Superchannel], ops: 
                tols: Tolerances, collects: list | None = None) -> list[BoundReport]:
     """Mutual information cannot grow: I[P:Q] of the output state is bounded
     by I[P:Q] of the joint operation-state, for each (superchannel,
-    superchannel, joint operation) of a block, all of one (d_P, d_Q), with
-    the bits of each on its own.
+    superchannel, joint operation) of a block, with the bits of each on its
+    own.  (d_P, d_Q) are the system dimensions of the superchannels, and
+    every joint operation must map d_P d_Q to d_P d_Q.
 
     Also evaluates the relative-entropy form through the marginal
     operations A_P, A_Q and cross-checks the two routes: the input-side
@@ -237,12 +238,10 @@ def qdpi_block(sc1s: list[sup.Superchannel], sc2s: list[sup.Superchannel], ops: 
     tensor is computed once and read by both contractions, which run per
     trial, as do the route cross-checks and the bound arithmetic.
     """
-    for sc1, sc2, op_pq in zip(sc1s, sc2s, ops):
-        if op_pq.bipartite is None:
-            raise ShapeError("qdpi requires an operation with bipartite structure")
-        d_p, d_q = op_pq.bipartite
-        if d_p != sc1.d_s or d_q != sc2.d_s:
-            raise ShapeError(f"bipartite dims {(d_p, d_q)} do not match superchannels {(sc1.d_s, sc2.d_s)}")
+    d_p, d_q = sc1s[0].d_s, sc2s[0].d_s
+    for op in ops:
+        if (op.d_in, op.d_out) != (d_p * d_q, d_p * d_q):
+            raise ShapeError(f"qdpi requires a joint operation on d_P*d_Q={d_p * d_q}; it maps {op.d_in} to {op.d_out}")
     ch.require_trace_preserving(ops, "qdpi requires a CPTP joint operation")
     chois = np.array([op.choi for op in ops])
 

@@ -8,9 +8,10 @@ in ``_read_explicit``: states become ``DensityMatrix``, operations
 ``QuantumOperation`` and the ensemble ``bounds.Ensemble``, all validated
 under the scenario's tolerances, and trials use these objects as they are.
 ``U``, ``V``, ``H`` and ``rho_se`` stay matrices; ``rho_se`` is wrapped per
-use because ``qdpi`` splits it as d_P x d_E1 and d_Q x d_E2.  Each entry's
-size is checked at load against every family of the scenario that reads it,
-and an entry that no family of the scenario reads is refused.  One table,
+use because ``qdpi`` splits it as d_P x d_E1 and d_Q x d_E2.  The dims fix
+every size: a matrix is checked against each family that reads it
+(``_READS``) before its entries are read, an operation must be trace
+preserving, and an entry that no family reads is refused.  One table,
 ``_trial_entries``, counts the entries that one trial of each family stacks:
 a scenario whose trial exceeds ``MAX_ENTRIES`` is refused at load, and
 ``_block_size`` gives each block as many trials as ``STACK_ENTRIES`` holds.
@@ -84,14 +85,19 @@ class Scenario:
 # JSON (de)serialization of matrices and extended reals
 # ---------------------------------------------------------------------------
 
-def parse_complex_matrix(obj, path: str) -> np.ndarray:
+def parse_complex_matrix(obj, path: str, readers: list[tuple]) -> np.ndarray:
     """Nested row-major lists with entries as finite numbers or [re, im]
-    pairs of finite numbers (``_finite_number``)."""
+    pairs of finite numbers (``_finite_number``), of the size x size shape
+    that each (family, product of dims, its value, size) of ``readers``
+    reads, which is checked before any entry is read."""
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise ScenarioError(f"{path}: expected a nested list of matrix rows")
     ncols = len(obj[0])
     if ncols == 0 or any(len(r) != ncols for r in obj):
         raise ScenarioError(f"{path}: rows have inconsistent lengths (non-rectangular matrix)")
+    for family, name, n, size in readers:
+        if (len(obj), ncols) != (size, size):
+            raise ScenarioError(f"{path}: {family} reads it at {name}={n}; it is {len(obj)}x{ncols}, not {size}x{size}")
     out = np.empty((len(obj), ncols), dtype=complex)
     for i, row in enumerate(obj):
         for j, entry in enumerate(row):
@@ -138,9 +144,9 @@ def jsonable(obj):
 # Scenario loading
 # ---------------------------------------------------------------------------
 
-_EXPLICIT_KEYS = ("U", "rho_se", "op_choi", "H", "sigma", "V", "alpha", "op_kraus", "beta", "theta", "ensemble")
 _TOP_KEYS = ("seed", "trials", "bound", "dims", "tolerances", "n_measurements", "explicit")
 _DIM_KEYS = ("d_S", "d_E", "d_A", "d_P", "d_Q", "d_E1", "d_E2")
+_NOT_TP = "not trace preserving: max |tr_out(choi) - I| = {:.3e}"
 
 
 def _reject_unknown(obj: dict, known: tuple[str, ...], prefix: str, what: str = "key") -> None:
@@ -225,19 +231,28 @@ def load_scenario(text: str) -> Scenario:
             raise ScenarioError(f"{'dims, n_measurements' if family == 'holevo' else 'dims'}: one {family} trial "
                                 f"stacks {entries} entries, beyond the dense-storage limit of {mk.MAX_ENTRIES}")
     tols = scenario.tols(Tolerances())
-    explicit = {k: _read_explicit(k, v, tols) for k, v in explicit_raw.items()}
-    for family in scenario.families():
-        _check_sizes(explicit, family, dims)
+    explicit = {}
+    for key, obj in explicit_raw.items():
+        readers = [(family, name, n, n * n if key == "op_choi" else n) for family in scenario.families()
+                   for name in _READS[family].get(key, ()) for n in [math.prod(dim[k] for k in name.split("*"))]]
+        explicit[key] = _read_explicit(key, obj, readers, tols)
     return replace(scenario, explicit=explicit)
 
 
-def _kraus_list(obj, path: str) -> list[np.ndarray]:
+def _kraus_operation(obj, path: str, readers: list[tuple]) -> ch.QuantumOperation:
+    """The operation of a nonempty list of Kraus matrices, which must be
+    trace preserving (within ``channels.TP_TOL``), as every family needs."""
     if not isinstance(obj, list) or not obj:
         raise ScenarioError(f"{path}: expected a nonempty list of matrices")
-    return [parse_complex_matrix(m, f"{path}[{i}]") for i, m in enumerate(obj)]
+    op = ch.from_kraus([parse_complex_matrix(m, f"{path}[{i}]", readers) for i, m in enumerate(obj)])
+    try:
+        ch.require_trace_preserving([op], _NOT_TP)
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
+    return op
 
 
-def _read_explicit(key: str, obj, tols: Tolerances):
+def _read_explicit(key: str, obj, readers: list[tuple], tols: Tolerances):
     """Parse and validate ``explicit.<key>`` into the value every trial uses."""
     path = f"explicit.{key}"
     if key in ("beta", "theta"):
@@ -248,7 +263,7 @@ def _read_explicit(key: str, obj, tols: Tolerances):
         return float(obj)
     try:
         if key == "op_kraus":
-            return ch.from_kraus(_kraus_list(obj, path))
+            return _kraus_operation(obj, path, readers)
         if key == "ensemble":
             if not isinstance(obj, dict) or "probs" not in obj or "ops_kraus" not in obj:
                 raise ScenarioError(f"{path}: expected an object with probs and ops_kraus")
@@ -261,9 +276,9 @@ def _read_explicit(key: str, obj, tols: Tolerances):
                     raise ScenarioError(f"{path}.probs[{i}]: expected a finite number, got {p!r}")
             if not isinstance(ops, list):
                 raise ScenarioError(f"{path}.ops_kraus: expected a list of Kraus lists")
-            kraus = [_kraus_list(op, f"{path}.ops_kraus[{i}]") for i, op in enumerate(ops)]
-            return bd.Ensemble(tuple(map(float, probs)), tuple(ch.from_kraus(k) for k in kraus))
-        m = parse_complex_matrix(obj, path)
+            return bd.Ensemble(tuple(map(float, probs)), tuple(
+                _kraus_operation(op, f"{path}.ops_kraus[{i}]", readers) for i, op in enumerate(ops)))
+        m = parse_complex_matrix(obj, path, readers)
         if key in ("U", "V"):
             ch.check_unitary(m, tols)
         elif key == "H":
@@ -275,12 +290,13 @@ def _read_explicit(key: str, obj, tols: Tolerances):
         elif key == "alpha":
             return st.density(m, DimShape([m.shape[0]], ["A"]), tols=tols)
         elif key == "op_choi":
-            d = int(round(math.sqrt(m.shape[0])))
-            return ch.from_choi(m, d, d, tols=tols)
+            op = ch.from_choi(m, readers[0][2], readers[0][2], tols=tols)
+            ch.require_trace_preserving([op], _NOT_TP)
+            return op
         return m
     except ScenarioError:
         raise
-    except ValueError as exc:  # ShapeError, ValidationError, mismatched shapes
+    except ValueError as exc:  # ShapeError, ValidationError
         raise ScenarioError(f"{path}: {exc}") from exc
 
 
@@ -296,6 +312,7 @@ _READS = {
     "holevo": {"U": ["d_S*d_E"], "rho_se": ["d_S*d_E"], "ensemble": ["d_S"]},
     "mmap-consistency": {"U": ["d_S*d_E"], "rho_se": ["d_S*d_E"], "V": ["d_S*d_A"], "alpha": ["d_A"]},
 }
+_EXPLICIT_KEYS = tuple(sorted({key for reads in _READS.values() for key in reads}))
 
 
 def _trial_entries(family: str, dim: dict, n_measurements: int) -> int:
@@ -327,28 +344,6 @@ def _dim_values(dims: dict) -> dict:
     dim = {k: dims.get(k, 2) for k in _DIM_KEYS}
     dim["d_A"] = dims.get("d_A", dim["d_S"])
     return dim
-
-
-def _check_sizes(explicit: dict, family: str, dims: dict) -> None:
-    """Refuse an explicit entry whose size does not fit ``family`` at ``dims``."""
-    dim = _dim_values(dims)
-    for key, names in _READS[family].items():
-        value = explicit.get(key)
-        if value is None:
-            continue
-        op = value.ops[0] if isinstance(value, bd.Ensemble) else value
-        for name in names:
-            n = math.prod(dim[k] for k in name.split("*"))
-            if isinstance(op, ch.QuantumOperation):
-                if (op.d_in, op.d_out) == (n, n):
-                    continue
-                got = f"explicit operation maps dim {op.d_in} to {op.d_out}, not {n} to {n}"
-            else:
-                m = getattr(value, "mat", value)
-                if m.shape == (n, n):
-                    continue
-                got = f"it is {m.shape[0]}x{m.shape[1]}, not {n}x{n}"
-            raise ScenarioError(f"explicit.{key}: {family} reads it at {name}={n}; {got}")
 
 
 def _explicit_json(v):
@@ -410,16 +405,15 @@ def random_superchannels(d_s: int, d_e: int, rngs: list[np.random.Generator], to
 
 
 def random_operations(d: int, rngs: list[np.random.Generator], tols: Tolerances,
-                      explicit: dict | None = None,
-                      bipartite: tuple[int, int] | None = None) -> list[ch.QuantumOperation]:
+                      explicit: dict | None = None) -> list[ch.QuantumOperation]:
     """One operation per generator: the pinned one, or a random CPTP map
     whose rank is drawn from {1..d^2}, built for all generators at once."""
     ex = explicit or {}
     op = ex.get("op_kraus", ex.get("op_choi"))
     if op is None:
         draws = [ch.bcsz_draw(d, int(rng.integers(1, d * d + 1)), rng) for rng in rngs]
-        return ch.random_cptps(d, draws, bipartite=bipartite, tols=tols)
-    return [replace(op, bipartite=bipartite)] * len(rngs)
+        return ch.random_cptps(d, draws, tols=tols)
+    return [op] * len(rngs)
 
 
 def random_ensembles(d: int, rngs: list[np.random.Generator], tols: Tolerances,
@@ -533,7 +527,7 @@ def evaluate_block(scenario: Scenario, family: str, trials, tols: Tolerances,
     elif family == "qdpi":
         sc1s = prep.draw_superchannels(d_p, dim["d_E1"], rngs, tols, ex)
         sc2s = prep.draw_superchannels(d_q, dim["d_E2"], rngs, tols, ex)
-        ops = random_operations(d_p * d_q, rngs, tols, ex, bipartite=(d_p, d_q))
+        ops = random_operations(d_p * d_q, rngs, tols, ex)
         reports = bd.qdpi_block(sc1s, sc2s, ops, tols, collects)
     elif family == "holevo":
         scs = prep.draw_superchannels(d_s, d_e, rngs, tols, ex)

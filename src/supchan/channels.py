@@ -30,9 +30,8 @@ class FixedPointError(RuntimeError):
 class QuantumOperation:
     """A CP map held in dual form: an (r, d_out, d_in) Kraus stack and its Choi matrix.
 
-    ``bipartite`` optionally records a (d_P, d_Q) tensor split shared by the
-    input and output spaces, enabling marginal operations; ``random_cptps``
-    sets it, and ``dataclasses.replace`` sets it on a given operation.
+    It carries no tensor split of its spaces: ``marginal_chois`` and
+    ``bounds.qdpi_block`` take the split from the systems it acts on.
     ``by_choi`` marks an operation given by its Choi matrix (``from_choi``),
     whose Kraus operators come from the decomposition that its CP check took.
     """
@@ -41,7 +40,6 @@ class QuantumOperation:
     d_out: int
     choi: np.ndarray
     kraus: np.ndarray
-    bipartite: tuple[int, int] | None = None
     by_choi: bool = False
 
     @property
@@ -271,14 +269,15 @@ def fixed_points(ops: list[QuantumOperation], tols: Tolerances) -> list[NessResu
     return out
 
 
-def marginal_chois(choi: np.ndarray, bipartite: tuple[int, int], keep: str, tols: Tolerances) -> np.ndarray:
+def marginal_chois(choi: np.ndarray, dims: tuple[int, int], keep: str, tols: Tolerances) -> np.ndarray:
     """The Choi matrix of the marginal operation X -> tr_disc[op(X (x) I/d_disc)]
-    on the kept subsystem, for the Choi matrix of an operation on P (x) Q or
-    for each of a stack, with ``from_choi``'s checks: the partial trace over
-    the discarded (out, in) pair, rescaled to trace d_in of the kept part."""
+    on the kept subsystem, for the Choi matrix of an operation on P (x) Q,
+    with ``dims`` = (d_P, d_Q), or for each of a stack, with ``from_choi``'s
+    checks: the partial trace over the discarded (out, in) pair, rescaled to
+    trace d_in of the kept part."""
     if keep not in ("P", "Q"):
         raise ValueError(f"keep must be 'P' or 'Q', got {keep!r}")
-    d_p, d_q = bipartite
+    d_p, d_q = dims
     shape = DimShape([d_p, d_q, d_p, d_q], ["Po", "Qo", "Pi", "Qi"])
     if keep == "P":
         reduced = mk.partial_trace(choi, shape, ["Po", "Pi"]) / d_q
@@ -310,14 +309,14 @@ def _tp_projection(w: np.ndarray, d: int) -> np.ndarray:
     return mk.as_matrix((choi + mk.dagger(choi)) / 2.0, stack=True)
 
 
-def random_cptps(d: int, draws: list[np.ndarray], tols: Tolerances,
-                 bipartite: tuple[int, int] | None = None) -> list[QuantumOperation]:
+def random_cptps(d: int, draws: list[np.ndarray], tols: Tolerances) -> list[QuantumOperation]:
     """The random CPTP map of each ``bcsz_draw``, by the Wishart/BCSZ
     construction: the PSD Wishart matrix W = G G^dag on out (x) in is
     projected onto the trace-preserving slice (``_tp_projection``), and
     again where an ill-conditioned R left it off by more than float noise
     (1e-12).  The projections, ``from_choi``'s checks and the Kraus
-    extraction run once over the stack, with the bits of each map."""
+    extraction run once over the stack, with the bits of each map.  A map
+    on P (x) Q is drawn at d = d_P d_Q; its split is the caller's."""
     choi = _tp_projection(np.array([g @ g.conj().T for g in draws]), d)
     off = np.flatnonzero(mk.max_abs(tr_out_choi(choi, d, d) - np.eye(d)) > 1e-12)
     if off.size:
@@ -325,5 +324,5 @@ def random_cptps(d: int, draws: list[np.ndarray], tols: Tolerances,
     w, v = check_cp(choi, tols)
     kraus = mk.psd_factors(w, v).reshape(-1, d, d)
     ends = np.cumsum((w > 0.0).reshape(len(draws), -1).sum(-1)).tolist()
-    return [QuantumOperation(d, d, c, kraus[a:b], bipartite)
+    return [QuantumOperation(d, d, c, kraus[a:b])
             for c, a, b in zip(choi.reshape(len(draws), *choi.shape[-2:]), [0] + ends, ends)]

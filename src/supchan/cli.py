@@ -9,8 +9,10 @@ Commands:
 Exit codes: 0 success, 1 bound failure, 2 parse error, or a file that
 cannot be read or written, 3 validation error (a --slack-tol or
 SUPCHAN_SLACK_TOL that is not a finite positive number, and a --jobs below
-1, included).  Tolerance precedence: --slack-tol flag >
-scenario file > SUPCHAN_SLACK_TOL environment variable > built-in default.
+1, included), 4 a crash: any other exception (a LinAlgError, a MemoryError,
+a broken pool), with its traceback on stderr.  Tolerance precedence:
+--slack-tol flag > scenario file > SUPCHAN_SLACK_TOL environment variable >
+built-in default.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import dataclasses
 import math
 import sys
 import time
+import traceback
 
 from . import __version__
 from . import campaigns as cp
@@ -31,6 +34,7 @@ EXIT_OK = 0
 EXIT_BOUND_FAILURE = 1
 EXIT_PARSE_ERROR = 2
 EXIT_VALIDATION_ERROR = 3
+EXIT_CRASH = 4
 
 LN2 = math.log(2.0)
 
@@ -216,11 +220,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "version":
         print(__version__)
         return EXIT_OK
-    if args.command == "verify":
-        return cmd_verify(args)
-    if args.command == "explain":
-        return cmd_explain(args)
-    return EXIT_OK
+    try:
+        return cmd_verify(args) if args.command == "verify" else cmd_explain(args)
+    except Exception:
+        traceback.print_exc()
+        return EXIT_CRASH
 
 
 if __name__ == "__main__":

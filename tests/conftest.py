@@ -218,7 +218,7 @@ def act_normalized(sc, a, tols):
 
 def qdpi(sc1, sc2, op, tols):
     """(I_in, I_out, D_in, D_out, flags) of ``qdpi_block``, one trial at a time."""
-    d_p, d_q = op.bipartite
+    d_p, d_q = sc1.d_s, sc2.d_s
     assert is_trace_preserving(op)
     x = (op.choi / op.d_in).reshape(d_p, d_q, d_p, d_q, d_p, d_q, d_p, d_q)
     x = np.transpose(x, (0, 2, 1, 3, 4, 6, 5, 7)).reshape(d_p * d_p * d_q * d_q, -1)
@@ -554,9 +554,9 @@ def oracles():
 # Library-level constructions that only the tests use
 # ---------------------------------------------------------------------------
 
-def random_cptp(d, kraus_rank, rng, bipartite=None):
+def random_cptp(d, kraus_rank, rng):
     """One random CPTP map: ``random_cptps`` of one ``bcsz_draw``."""
-    return ch.random_cptps(d, [ch.bcsz_draw(d, kraus_rank, rng)], DEFAULT_TOLS, bipartite)[0]
+    return ch.random_cptps(d, [ch.bcsz_draw(d, kraus_rank, rng)], DEFAULT_TOLS)[0]
 
 
 def fixed_point(op, tols=DEFAULT_TOLS):

@@ -6,7 +6,6 @@ is deterministic and sized to finish in well under ten minutes.
 
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -190,7 +189,7 @@ def test_criterion_6_qdpi_sweep():
         sc2 = rand_sc(2, 2, rng)
         a_p = random_cptp(2, int(rng.integers(1, 5)), rng)
         a_q = random_cptp(2, int(rng.integers(1, 5)), rng)
-        joint = replace(ch.from_kraus([np.kron(kp, kq) for kp in a_p.kraus for kq in a_q.kraus]), bipartite=(2, 2))
+        joint = ch.from_kraus([np.kron(kp, kq) for kp in a_p.kraus for kq in a_q.kraus])
         r = bd.qdpi_block([sc1], [sc2], [joint], tols=DEFAULT_TOLS)[0]
         product_ok &= abs(r.lhs) < 1e-9 and abs(r.rhs) < 1e-9
     _report("6 qdpi sweep", failures == 0 and product_ok,

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -281,7 +280,7 @@ def test_qdpi_product_operation_both_sides_vanish():
     sc2, _ = rand_sc(2, 2, seed=5001)
     a_p = random_cptp(2, 2, rng)
     a_q = random_cptp(2, 3, rng)
-    joint = replace(ch.from_kraus([np.kron(kp, kq) for kp in a_p.kraus for kq in a_q.kraus]), bipartite=(2, 2))
+    joint = ch.from_kraus([np.kron(kp, kq) for kp in a_p.kraus for kq in a_q.kraus])
     rep = bd.qdpi_block([sc1], [sc2], [joint], tols=DEFAULT_TOLS)[0]
     assert rep.passed
     assert abs(rep.lhs) <= 1e-9 and abs(rep.rhs) <= 1e-9
@@ -294,7 +293,6 @@ def test_qdpi_swap_preparation_through_depolarizing_superchannels():
     sc1 = sup.build(swap_unitary(2), rho_se, tols=DEFAULT_TOLS)
     sc2 = sup.build(swap_unitary(2), rho_se, tols=DEFAULT_TOLS)
     swap_op = unitary_channel(swap_unitary(2))
-    swap_op = ch.QuantumOperation(4, 4, swap_op.choi, swap_op.kraus, (2, 2))
     rep = bd.qdpi_block([sc1], [sc2], [swap_op], tols=DEFAULT_TOLS)[0]
     assert rep.passed
     assert abs(rep.lhs - 2 * math.log(4)) <= 1e-9  # pure maximally entangled pairs
@@ -306,7 +304,7 @@ def test_qdpi_random_sweep_small():
         rng = np.random.default_rng(5100 + seed)
         sc1, _ = rand_sc(2, 2, seed=5200 + seed)
         sc2, _ = rand_sc(2, 2, seed=5300 + seed)
-        op = random_cptp(4, int(rng.integers(1, 17)), rng, bipartite=(2, 2))
+        op = random_cptp(4, int(rng.integers(1, 17)), rng)
         rep = bd.qdpi_block([sc1], [sc2], [op], tols=DEFAULT_TOLS)[0]
         assert rep.passed, f"seed {seed}: slack {rep.slack}"
         # input-side identity between the MI and relative-entropy routes
@@ -316,10 +314,15 @@ def test_qdpi_random_sweep_small():
 
 
 def test_qdpi_requires_structure_and_tp():
+    # The superchannels fix (d_P, d_Q) = (2, 3): a joint operation must map 6 to 6.
     sc1, _ = rand_sc(2, 2, seed=5400)
-    sc2, _ = rand_sc(2, 2, seed=5401)
-    with pytest.raises(mk.ShapeError):
-        bd.qdpi_block([sc1], [sc2], [identity_channel(4)], tols=DEFAULT_TOLS)
+    sc2, _ = rand_sc(3, 2, seed=5401)
+    for d in (4, 9):
+        with pytest.raises(mk.ShapeError, match=rf"d_P\*d_Q=6; it maps {d} to {d}"):
+            bd.qdpi_block([sc1], [sc2], [identity_channel(d)], tols=DEFAULT_TOLS)
+    with pytest.raises(mk.ValidationError, match="CPTP"):
+        bd.qdpi_block([sc1], [sc2], [ch.from_kraus([np.eye(6), np.eye(6)])], tols=DEFAULT_TOLS)
+    assert bd.qdpi_block([sc1], [sc2], [identity_channel(6)], tols=DEFAULT_TOLS)[0].passed
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +535,7 @@ def test_qdpi_blocks_are_bitwise_the_per_trial_qdpi(d_p, d_q, d_e1, d_e2, oracle
         rngs = [np.random.default_rng([d_p, d_q, 3, t]) for t in block]
         pairs = [pinned if kind == 0 else (rand_sc(d_p, d_e1, [d_p, d_q, 4, t])[0],
                                            rand_sc(d_q, d_e2, [d_p, d_q, 5, t])[0]) for t in block]
-        ops = cp.random_operations(d, rngs, tols, explicit[kind - 2] if kind >= 2 else None, bipartite=(d_p, d_q))
+        ops = cp.random_operations(d, rngs, tols, explicit[kind - 2] if kind >= 2 else None)
         collects = [{} for _ in block]
         reports = bd.qdpi_block([a for a, _ in pairs], [b for _, b in pairs], ops, tols, collects)
         for (sc1, sc2), op, rep, details in zip(pairs, ops, reports, collects):

@@ -77,12 +77,14 @@ def test_load_scenario_matrix_errors_name_field_paths():
         cp.load_scenario(json.dumps(
             {"seed": 1, "trials": 1, "explicit": {"U": [[1, 0], [0]]}}
         ))
+    # a 4x4 U, the size that every family reads it at for d_S = d_E = 2, so
+    # that the entry itself is read
     with pytest.raises(cp.ScenarioError, match=r"explicit.U\[0\]\[1\]"):
         cp.load_scenario(json.dumps(
-            {"seed": 1, "trials": 1, "explicit": {"U": [[1, "x"], [0, 1]]}}
+            {"seed": 1, "trials": 1, "explicit": {"U": [[1, "x", 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}}
         ))
-    # non-square unitary passes parsing but fails validation with its name
-    with pytest.raises(cp.ScenarioError, match="explicit.U"):
+    # a non-square U is refused for its size, with its name
+    with pytest.raises(cp.ScenarioError, match=r"explicit.U: main reads it at d_S\*d_E=4; it is 3x2, not 4x4"):
         cp.load_scenario(json.dumps(
             {"seed": 1, "trials": 1, "explicit": {"U": [[1, 0], [0, 1], [0, 0]]}}
         ))
@@ -93,7 +95,7 @@ def test_load_scenario_matrix_errors_name_field_paths():
 
 
 def test_parse_complex_matrix_pairs():
-    m = cp.parse_complex_matrix([[[0.0, 1.0], 2.0], [0, [3.0, -1.0]]], "x")
+    m = cp.parse_complex_matrix([[[0.0, 1.0], 2.0], [0, [3.0, -1.0]]], "x", [("spohn", "d_S", 2, 2)])
     assert m[0, 0] == 1j and m[0, 1] == 2.0 and m[1, 1] == 3.0 - 1j
 
 

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -259,20 +258,19 @@ def test_marginal_operation_product():
     a_p = random_cptp(2, 2, rng)
     a_q = random_cptp(2, 3, rng)
     joint_kraus = [np.kron(kp, kq) for kp in a_p.kraus for kq in a_q.kraus]
-    joint = replace(ch.from_kraus(joint_kraus), bipartite=(2, 2))
-    got_p = ch.marginal_chois(joint.choi, joint.bipartite, "P", tols=DEFAULT_TOLS)
+    joint = ch.from_kraus(joint_kraus)
+    got_p = ch.marginal_chois(joint.choi, (2, 2), "P", tols=DEFAULT_TOLS)
     assert mk.max_abs(got_p - a_p.choi) <= 1e-10
-    got_q = ch.marginal_chois(joint.choi, joint.bipartite, "Q", tols=DEFAULT_TOLS)
+    got_q = ch.marginal_chois(joint.choi, (2, 2), "Q", tols=DEFAULT_TOLS)
     assert mk.max_abs(got_q - a_q.choi) <= 1e-10
     # repeated extraction from a product operation changes nothing
-    again = ch.marginal_chois(joint.choi, joint.bipartite, "P", tols=DEFAULT_TOLS)
+    again = ch.marginal_chois(joint.choi, (2, 2), "P", tols=DEFAULT_TOLS)
     assert mk.max_abs(again - got_p) == 0
 
 
 def test_marginal_operation_swap_is_depolarizing_like():
     swap_op = unitary_channel(swap_unitary(2))
-    swap_op = ch.QuantumOperation(4, 4, swap_op.choi, swap_op.kraus, (2, 2))
-    got = ch.from_choi(ch.marginal_chois(swap_op.choi, swap_op.bipartite, "P", DEFAULT_TOLS), 2, 2, DEFAULT_TOLS)
+    got = ch.from_choi(ch.marginal_chois(swap_op.choi, (2, 2), "P", DEFAULT_TOLS), 2, 2, DEFAULT_TOLS)
     # oracle: partial trace of the Choi over the Q pair, rescaled
     shape = DimShape([2, 2, 2, 2], ["Po", "Qo", "Pi", "Qi"])
     oracle = mk.partial_trace(swap_op.choi, shape, ["Po", "Pi"]) / 2
@@ -283,11 +281,13 @@ def test_marginal_operation_swap_is_depolarizing_like():
 
 
 def test_marginal_operation_requires_structure():
-    # qdpi_block reads the (d_P, d_Q) split of its marginal operations from
-    # the joint operation, and refuses one that declares none.
+    # qdpi_block takes the (d_P, d_Q) split of its marginal operations from
+    # the superchannels, here (2, 2), and refuses a joint operation that is
+    # not on d_P*d_Q = 4, before any marginal is taken.
     sc = sup.build(np.eye(4), st.density(np.eye(4) / 4, DimShape([2, 2], ["S", "E"]), tols=DEFAULT_TOLS), DEFAULT_TOLS)
-    with pytest.raises(ShapeError):
-        bd.qdpi_block([sc], [sc], [identity_channel(4)], tols=DEFAULT_TOLS)
+    for d in (2, 8):
+        with pytest.raises(ShapeError, match="d_P\\*d_Q=4"):
+            bd.qdpi_block([sc], [sc], [identity_channel(d)], tols=DEFAULT_TOLS)
 
 
 def test_compose_and_partial_swap():

@@ -253,17 +253,112 @@ def test_verify_rejects_malformed_ensemble(tmp_path, capsys, ensemble, path):
 def test_verify_rejects_an_explicit_operation_of_the_wrong_size(tmp_path, capsys):
     scn = write_scenario(tmp_path, trials=1, bound="qdpi", dims={}, explicit={"op_kraus": [EYE2]})
     assert cli.main(["verify", "--scenario", scn, "--jobs", "1"]) == cli.EXIT_VALIDATION_ERROR
-    assert "explicit operation maps dim 2 to 2, not 4 to 4" in capsys.readouterr().err
+    assert "explicit.op_kraus[0]: qdpi reads it at d_P*d_Q=4; it is 2x2, not 4x4" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bound, key, size, message", [
-    ("clausius", "H", 3, "explicit.H: clausius reads it at d_S=2; it is 3x3, not 2x2"),
-    ("main", "U", 3, "explicit.U: main reads it at d_S*d_E=4; it is 3x3, not 4x4"),
-], ids=["clausius-H", "main-U"])
-def test_verify_rejects_an_explicit_matrix_of_the_wrong_size(tmp_path, capsys, bound, key, size, message):
-    scn = write_scenario(tmp_path, trials=1, bound=bound, explicit={key: cp.matrix_to_json(np.eye(size))})
+@pytest.mark.parametrize("bound, key, matrix, message", [
+    ("clausius", "H", np.eye(3), "explicit.H: clausius reads it at d_S=2; it is 3x3, not 2x2"),
+    ("main", "U", np.eye(3), "explicit.U: main reads it at d_S*d_E=4; it is 3x3, not 4x4"),
+    ("clausius", "H", np.zeros((2, 3)), "explicit.H: clausius reads it at d_S=2; it is 2x3, not 2x2"),
+    ("spohn", "op_choi", np.eye(5), "explicit.op_choi: spohn reads it at d_S=2; it is 5x5, not 4x4"),
+], ids=["clausius-H", "main-U", "rectangular-H", "op_choi-of-5x5"])
+def test_verify_rejects_an_explicit_matrix_of_the_wrong_size(tmp_path, capsys, monkeypatch, bound, key, matrix,
+                                                              message):
+    # No entry is read before the size is checked.  Checked after its
+    # entries, the 2x3 H fails to broadcast against its adjoint, and the 5x5
+    # Choi matrix reads as a map on round(sqrt(5)) = 2.
+    calls = []
+    real = cp._finite_number
+    monkeypatch.setattr(cp, "_finite_number", lambda v: calls.append(v) or real(v))
+    scn = write_scenario(tmp_path, trials=1, bound=bound, explicit={key: cp.matrix_to_json(matrix)})
     assert cli.main(["verify", "--scenario", scn, "--jobs", "1"]) == cli.EXIT_VALIDATION_ERROR
-    assert f"scenario error: {message}" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"scenario error: {message}\n"
+    assert calls == []
+
+
+# Dims at which the products that the families read an entry at differ
+# where it matters: qdpi reads U and rho_se at d_P*d_E1 = 4 and d_Q*d_E2 = 9.
+SIZE_DIMS = {"d_S": 2, "d_E": 3, "d_A": 3, "d_P": 2, "d_Q": 3, "d_E1": 2, "d_E2": 3}
+
+
+def _size_cases():
+    """(family, key, product, shape, expected side) for every matrix-valued
+    key of every family of ``_READS`` and every product it reads the key at:
+    off by one on each side and rectangular, or, for a later product, the
+    size of the first, which that one reads."""
+    dim = cp._dim_values(SIZE_DIMS)
+    for family, reads in cp._READS.items():
+        for key, names in reads.items():
+            sides = [math.prod(dim[k] for k in name.split("*")) ** (2 if key == "op_choi" else 1) for name in names]
+            for i, (name, side) in enumerate(zip(names, sides)):
+                shapes = [(sides[0], sides[0])] if i else [(side + 1, side + 1), (side - 1, side - 1), (side, side + 1)]
+                for shape in shapes:
+                    yield pytest.param(family, key, name, shape, side, id=f"{family}-{key}-{name}-{shape[0]}x{shape[1]}")
+
+
+def _bad_matrix(shape):
+    """A matrix of ``shape`` whose first entry is not a number."""
+    m = np.zeros(shape).tolist()
+    m[0][0] = "not a number"
+    return m
+
+
+@pytest.mark.parametrize("family, key, name, shape, side", list(_size_cases()))
+def test_every_reader_refuses_an_explicit_matrix_of_the_wrong_size_before_reading_an_entry(
+        tmp_path, capsys, family, key, name, shape, side):
+    # A Kraus list and an ensemble hold a well-formed matrix before the bad
+    # one, so that the message must name the Kraus index.
+    dim = cp._dim_values(SIZE_DIMS)
+    n = math.prod(dim[k] for k in name.split("*"))
+    bad, good = _bad_matrix(shape), cp.matrix_to_json(np.eye(side))
+    path, value = f"explicit.{key}", bad
+    if key == "op_kraus":
+        path, value = f"{path}[1]", [good, bad]
+    elif key == "ensemble":
+        path, value = f"{path}.ops_kraus[1][1]", {"probs": [0.5, 0.5], "ops_kraus": [[good], [good, bad]]}
+    scn = write_scenario(tmp_path, trials=1, bound=family, dims=SIZE_DIMS, explicit={key: value})
+    assert cli.main(["verify", "--scenario", scn, "--jobs", "1"]) == cli.EXIT_VALIDATION_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"scenario error: {path}: {family} reads it at {name}={n}; "
+                   f"it is {shape[0]}x{shape[1]}, not {side}x{side}\n")
+
+
+@pytest.mark.parametrize("bound, key, value, path", [
+    ("spohn", "op_kraus", [EYE2] * 3, "explicit.op_kraus"),
+    ("main", "op_choi", cp.matrix_to_json(2 * ch.from_kraus([np.eye(2)]).choi), "explicit.op_choi"),
+    ("holevo", "ensemble", {"probs": [0.5, 0.5], "ops_kraus": [[EYE2], [EYE2, EYE2]]}, "explicit.ensemble.ops_kraus[1]"),
+], ids=["op_kraus", "op_choi", "ensemble"])
+def test_an_explicit_operation_that_is_not_trace_preserving_is_refused_at_load(tmp_path, capsys, bound, key,
+                                                                               value, path):
+    # Every family needs a CPTP operation, so one that is not is refused
+    # before any family runs, and no report is written.
+    scn = write_scenario(tmp_path, trials=1, bound=bound, explicit={key: value})
+    assert cli.main(["verify", "--scenario", scn, "--jobs", "1"]) == cli.EXIT_VALIDATION_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"scenario error: {path}: not trace preserving: max |tr_out(choi) - I| = ")
+
+
+@pytest.mark.parametrize("command", [["verify", "--jobs", "1"], ["explain", "--trial", "0"]])
+def test_a_crash_exits_4_with_its_traceback_not_as_a_bound_failure(tmp_path, capsys, monkeypatch, command):
+    def crash(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    monkeypatch.setattr(cp, "evaluate_block", crash)
+    scn = write_scenario(tmp_path, trials=1)
+    assert cli.main([command[0], "--scenario", scn] + command[1:]) == cli.EXIT_CRASH == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback (most recent call last)" in err
+    assert err.rstrip().endswith("numpy.linalg.LinAlgError: SVD did not converge")
+
+
+def test_a_keyboard_interrupt_is_not_taken_for_a_crash(tmp_path, monkeypatch):
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(cp, "evaluate_block", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["verify", "--scenario", write_scenario(tmp_path, trials=1), "--jobs", "1"])
 
 
 def test_explain_prints_the_families_before_one_that_fails(tmp_path, capsys, monkeypatch):
