@@ -18,24 +18,27 @@ a scenario whose trial exceeds ``MAX_ENTRIES`` is refused at load, and
 
 ``prepare`` builds once per campaign each object that is the same in every
 trial (the superchannel of a pinned ``U`` and ``rho_se`` and its steady
-state, and the unitary and Gibbs state of ``clausius``), and each pool
-worker receives it once.  A block of consecutive trials of one family is one
-pool task.  Every family takes the one path of ``evaluate_block``: each
-trial of a block draws from its own generator, and one
-``bounds.<family>_block`` call evaluates the block in stacked steps, with
-the bits of one trial at a time; a trial alone (``evaluate_trial``) is a
-block of one.  A failing block is run again one trial at a time, so the
-error raised is the earliest failing trial's.  Campaign trials are
-seed-deterministic: trial t of family f draws what is not prepared from
-``default_rng([seed, f, t])``, in the same order whether or not anything is
-prepared and regardless of worker scheduling, and reports are gathered in
-trial order.
+state, and the unitary and Gibbs state of ``clausius``), and forked pool
+workers inherit it.  A campaign runs in blocks of consecutive trials of one
+family, and a pool gives each process a fixed share of whole blocks.  Every
+family takes the one path of ``evaluate_block``: each trial of a block draws
+from its own generator, and one ``bounds.<family>_block`` call evaluates the
+block in stacked steps, with the bits of one trial at a time; a trial alone
+(``evaluate_trial``) is a block of one.  A failing block is run again one
+trial at a time, so the error raised is the earliest failing trial's.
+Campaign trials are seed-deterministic: trial t of family f draws what is
+not prepared from ``default_rng([seed, f, t])``, in the same order whether
+or not anything is prepared and whichever process runs it, and reports are
+gathered in trial order.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
+import os
+import pickle
 from dataclasses import dataclass, field, fields, replace
 from json.encoder import encode_basestring_ascii
 
@@ -600,20 +603,12 @@ def summarize(records: list[dict]) -> dict:
     }
 
 
-# (scenario, tols, prepared) of the campaign, set once in each pool worker.
-_worker_campaign: tuple | None = None
-
-
-def _init_worker(campaign: tuple) -> None:
-    global _worker_campaign
-    _worker_campaign = campaign
-
-
-def _eval_task(task: tuple[str, range], campaign: tuple | None = None) -> list[dict]:
-    """The records of one block of trials; a pool worker reads the campaign
-    its initializer set.  A failing block is run again one trial at a time,
-    so that the error raised is the earliest failing trial's first error."""
-    scenario, tols, prepared = campaign if campaign is not None else _worker_campaign
+def _eval_task(task: tuple[str, range], campaign: tuple) -> list[dict]:
+    """The records of one block of trials of ``campaign``, the (scenario,
+    tols, prepared) of ``run_campaign``.  A failing block is run again one
+    trial at a time, so that the error raised is the earliest failing
+    trial's first error."""
+    scenario, tols, prepared = campaign
     family, trials = task
     try:
         return [report_to_dict(r) for r in evaluate_block(scenario, family, trials, tols, prepared)]
@@ -630,11 +625,9 @@ def run_campaign(scenario: Scenario, tols: Tolerances, jobs: int = 1) -> dict:
     any trial.  The trials of each family go in blocks of ``_block_size``
     consecutive trials (as many as ``STACK_ENTRIES`` entries hold, by the
     count of ``_trial_entries``) through ``_eval_task``: in this process when
-    ``jobs`` or the number of blocks is at most 1, and otherwise one block
-    per task in a pool of ``min(jobs, blocks)`` worker processes (a pool
-    starts all its workers at the first task), each of which receives the
-    scenario, the tolerances and the prepared objects once, through the pool
-    initializer.  The report is deterministic for a fixed scenario:
+    ``jobs``, the number of blocks or the number of usable CPUs is at most 1,
+    and otherwise split among that many processes, of which this is one
+    (``_pool_blocks``).  The report is deterministic for a fixed scenario:
     per-trial seeds are derived from (seed, family, trial), what is not
     prepared is drawn from them in the same order, and results are ordered
     by trial index, so serial and parallel executions produce identical
@@ -645,17 +638,14 @@ def run_campaign(scenario: Scenario, tols: Tolerances, jobs: int = 1) -> dict:
     sizes = {family: _block_size(family, dim, scenario.n_measurements) for family in families}
     tasks = [(f, range(s, min(s + sizes[f], n))) for f in families for s in range(0, n, sizes[f])]
     campaign = (scenario, tols, prepare(scenario, tols))
-    jobs = min(jobs, len(tasks))
-    if jobs <= 1:
+    procs = min(jobs, len(tasks))
+    if procs > 1:
+        procs = min(procs, len(os.sched_getaffinity(0)))
+    if procs <= 1:
         blocks = [_eval_task(task, campaign) for task in tasks]
     else:
-        # Imported here: the pool machinery adds to the start-up time and
-        # resident size of every serial run.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
-                                 initargs=(campaign,)) as pool:
-            blocks = list(pool.map(_eval_task, tasks))
+        costs = [len(trials) * _trial_entries(f, dim, scenario.n_measurements) for f, trials in tasks]
+        blocks = _pool_blocks(tasks, campaign, _shares(costs, procs))
     records = [rec for block in blocks for rec in block]
     sections = {family: records[i * n:(i + 1) * n] for i, family in enumerate(families)}
     total = summarize(records)
@@ -666,6 +656,92 @@ def run_campaign(scenario: Scenario, tols: Tolerances, jobs: int = 1) -> dict:
                      for family, reps in sections.items()},
         "summary": total,
     }
+
+
+def _shares(costs: list[int], procs: int) -> list[list[int]]:
+    """The task indices of each of ``procs`` processes, in task order: longest
+    task first, each to the share of least cost so far (the first of equals)."""
+    shares, loads = [[] for _ in range(procs)], [0] * procs
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        k = loads.index(min(loads))
+        shares[k].append(i)
+        loads[k] += costs[i]
+    return [sorted(share) for share in shares]
+
+
+def _run_share(share: list[int], tasks: list, campaign: tuple) -> list[tuple]:
+    """(index, records) of each task of ``share`` in turn, up to the first
+    that raises, which ends the share as (index, the error)."""
+    done = []
+    for i in share:
+        try:
+            done.append((i, _eval_task(tasks[i], campaign)))
+        except Exception as exc:
+            return done + [(i, exc)]
+    return done
+
+
+def _pool_blocks(tasks: list, campaign: tuple, shares: list[list[int]]) -> list[list[dict]]:
+    """The records of every task: this process runs ``shares[0]``, and a
+    forked child each other share, sending ``_run_share`` back through a
+    pipe; a child that dies fails its first task.  The earliest failing
+    task's error is raised, as in a serial run.  Every child is reaped (and
+    first killed if this process stops early), and OpenBLAS runs one thread
+    in each process meanwhile."""
+    import signal   # not loaded by numpy, unlike ctypes and pickle
+
+    blas = _openblas_threads()
+    threads = blas[0]() if blas else None
+    children = []   # (pid, read end of its pipe, share) of each child not yet reaped
+    try:
+        if blas:
+            blas[1](1)
+        for share in shares[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:   # the child, which never returns
+                code = 1
+                try:
+                    with open(w, "wb") as fh:
+                        pickle.dump(_run_share(share, tasks, campaign), fh)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            children.append((pid, open(r, "rb"), share))
+        done = _run_share(shares[0], tasks, campaign)
+        while children:
+            pid, fh, share = children[0]
+            with fh:
+                data = fh.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            done += pickle.loads(data) if code == 0 else [
+                (share[0], RuntimeError(f"a pool worker died with exit status {code}"))]
+    finally:
+        for pid, fh, _ in children:
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        if blas:
+            blas[1](threads)
+    done.sort(key=lambda entry: entry[0])
+    for _, result in done:
+        if isinstance(result, BaseException):
+            raise result
+    return [records for _, records in done]
+
+
+def _openblas_threads() -> tuple | None:
+    """(get, set) of the thread count of the OpenBLAS in numpy's wheel, or None."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for name in os.listdir(libs) if os.path.isdir(libs) else ():
+        lib = ctypes.CDLL(os.path.join(libs, name)) if "openblas" in name else None
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+            get.argtypes, get.restype, set_.argtypes, set_.restype = [], ctypes.c_int, [ctypes.c_int], None
+            return get, set_
+    return None
 
 
 def render_json(report: dict) -> str:

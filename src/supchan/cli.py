@@ -10,9 +10,9 @@ Exit codes: 0 success, 1 bound failure, 2 parse error, or a file that
 cannot be read or written, 3 validation error (a --slack-tol or
 SUPCHAN_SLACK_TOL that is not a finite positive number, and a --jobs below
 1, included), 4 a crash: any other exception (a LinAlgError, a MemoryError,
-a broken pool), with its traceback on stderr.  Tolerance precedence:
---slack-tol flag > scenario file > SUPCHAN_SLACK_TOL environment variable >
-built-in default.
+a pool worker that died), with its traceback on stderr.  Tolerance
+precedence: --slack-tol flag > scenario file > SUPCHAN_SLACK_TOL environment
+variable > built-in default.
 """
 
 from __future__ import annotations
@@ -199,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--scenario", required=True, help="path to the scenario JSON file")
     p_verify.add_argument("--out", default=None, help="write the report here instead of stdout")
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
-    p_verify.add_argument("--jobs", type=int, default=1, help="worker processes (default: 1, this process)")
+    p_verify.add_argument("--jobs", type=int, default=1,
+                          help="processes that run the trials, this one among them (default: 1)")
     p_verify.add_argument("--bits", action="store_true", help="display entropies in bits")
     p_verify.add_argument("--slack-tol", type=float, default=None, help="override the slack tolerance")
     p_verify.add_argument("--timing", action="store_true",

@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import pathlib
+import time
 import tracemalloc
 
 import numpy as np
@@ -199,40 +201,123 @@ def test_reports_do_not_depend_on_the_block_size(monkeypatch):
         assert [cp.render_json(cp.run_campaign(scn, DEFAULT_TOLS, jobs=jobs)) for scn in scenarios] == default
 
 
+REAL_FORK = os.fork
+
+
+def count_forks(monkeypatch, limit):
+    """Wrap ``os.fork``: a fork beyond ``limit`` is refused before it starts,
+    and the forking process records each child's pid in the list returned."""
+    pids = []
+
+    def fork():
+        if len(pids) >= limit:
+            raise AssertionError(f"a fork beyond {limit}")
+        pid = REAL_FORK()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def report_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def assert_no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_the_pool_has_no_more_workers_than_blocks(monkeypatch):
-    # A fork-context pool starts all its workers at the first task.  The
-    # stand-in records its size and runs the blocks in this process.
-    import concurrent.futures
-
-    sizes = []
-
-    class InProcessPool:
-        def __init__(self, max_workers, initializer, initargs):
-            sizes.append(max_workers)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(cp, "_worker_campaign", None)
+    # This process is one of the workers, so a campaign of k blocks on c
+    # usable CPUs forks at most min(k, c) - 1 children, however large --jobs.
     def report(scn, jobs):
         return cp.render_json(cp.run_campaign(scn, DEFAULT_TOLS, jobs=jobs))
 
     one_block = make_scenario(bound="spohn", trials=1)
-    assert report(one_block, 5000) == report(one_block, 1)
-    assert sizes == []
     six_blocks = make_scenario(bound="all", trials=1, n_measurements=5)
     serial = report(six_blocks, 1)
-    for jobs, workers in ((5000, 6), (2, 2)):
+    cpus = len(os.sched_getaffinity(0))
+    for scn in (one_block, six_blocks):
+        limit = min(len(campaign_blocks(scn)), cpus) - 1
+        forks = count_forks(monkeypatch, limit)
+        assert report(scn, 100000) == report(scn, 1)
+        assert len(forks) == limit
+    report_cpus(monkeypatch, 3)
+    for jobs, limit in ((100000, 2), (2, 1)):
+        forks = count_forks(monkeypatch, limit)
         assert report(six_blocks, jobs) == serial
-        assert sizes.pop() == workers
+        assert len(forks) == limit
+    assert_no_child_is_left()
+
+
+def test_golden_reports_do_not_depend_on_the_number_of_processes(monkeypatch):
+    report_cpus(monkeypatch, 3)
+    scn = cp.load_scenario((GOLDEN / "random-all-d2.json").read_text())
+    rendered = []
+    for jobs in (1, 2, 3):
+        forks = count_forks(monkeypatch, jobs - 1)
+        report = cp.run_campaign(scn, scn.tols(DEFAULT_TOLS), jobs=jobs)
+        assert len(forks) == jobs - 1
+        rendered.append((cp.render_json(report), cp.render_csv(report)))
+    assert rendered[1] == rendered[0] and rendered[2] == rendered[0]
+
+
+def test_the_pool_splits_blocks_longest_first_to_the_least_loaded_process():
+    assert cp._shares([5, 1, 4, 4, 2], 2) == [[0, 1, 4], [2, 3]]
+    assert cp._shares([3, 3, 3, 3, 1], 2) == [[0, 2, 4], [1, 3]]
+    assert cp._shares([1, 1, 1], 3) == [[0], [1], [2]]
+
+
+def test_a_pool_worker_that_dies_exits_4_and_leaves_no_child(tmp_path, capsys, monkeypatch):
+    report_cpus(monkeypatch, 2)
+    me, real = os.getpid(), cp._eval_task
+    monkeypatch.setattr(cp, "_eval_task",
+                        lambda task, campaign: os._exit(7) if os.getpid() != me else real(task, campaign))
+    path, out = tmp_path / "scn.json", tmp_path / "r.json"
+    path.write_text(json.dumps({"seed": 1, "trials": 2, "n_measurements": 5}))
+    assert cli.main(["verify", "--scenario", str(path), "--out", str(out), "--jobs", "2"]) == cli.EXIT_CRASH
+    assert "RuntimeError: a pool worker died with exit status 7" in capsys.readouterr().err
+    assert not out.exists()
+    assert_no_child_is_left()
+
+
+def test_an_interrupt_in_this_process_kills_and_reaps_the_pool_workers(monkeypatch):
+    # The child's share would sleep for a minute; the interrupt of this
+    # process's share kills it at once.
+    report_cpus(monkeypatch, 2)
+    me = os.getpid()
+
+    def eval_task(task, campaign):
+        if os.getpid() == me:
+            raise KeyboardInterrupt
+        time.sleep(60)
+    monkeypatch.setattr(cp, "_eval_task", eval_task)
+    forks = count_forks(monkeypatch, 1)
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        cp.run_campaign(make_scenario(bound="all", trials=1, n_measurements=5), DEFAULT_TOLS, jobs=2)
+    assert len(forks) == 1 and time.monotonic() - t0 < 20
+    assert_no_child_is_left()
+
+
+def test_the_pool_runs_one_blas_thread_in_each_process_and_restores_the_count(monkeypatch):
+    blas = cp._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS with a thread-count setter")
+    report_cpus(monkeypatch, 2)
+    seen, real = [], cp._eval_task
+    monkeypatch.setattr(cp, "_eval_task", lambda task, campaign: seen.append(blas[0]()) or real(task, campaign))
+    before = blas[0]()
+    blas[1](2)
+    try:
+        forks = count_forks(monkeypatch, 1)
+        cp.run_campaign(make_scenario(bound="all", trials=1, n_measurements=5), DEFAULT_TOLS, jobs=2)
+        assert len(forks) == 1 and seen and set(seen) == {1}
+        assert blas[0]() == 2
+    finally:
+        blas[1](before)
 
 
 def test_a_pinned_superchannel_and_its_neso_are_built_once_per_campaign(monkeypatch):
@@ -345,13 +430,39 @@ FIRST_FAILURES = [
 ]
 
 
+def pool_with_the_earliest_failure_in_a_child(monkeypatch, path):
+    """Report two CPUs and cut blocks of t trials, t the earliest failing
+    trial, so that the campaign is at least two blocks and the block of
+    trials t to 2t - 1 is the forked child's share; returns the forks."""
+    scn = cp.load_scenario(path.read_text())
+    family, tols = scn.families()[0], scn.tols(DEFAULT_TOLS)
+
+    def fails(t):
+        try:
+            cp.evaluate_trial(scn, family, t, tols)
+        except ValueError:
+            return True
+        return False
+    first = next(t for t in range(scn.trials) if fails(t))
+    dim = cp._dim_values(scn.dims)
+    monkeypatch.setattr(cp, "STACK_ENTRIES", first * cp._trial_entries(family, dim, scn.n_measurements))
+    report_cpus(monkeypatch, 2)
+    blocks = campaign_blocks(scn)
+    assert blocks[1] == (family, range(first, min(2 * first, scn.trials)))
+    costs = [len(trials) * cp._trial_entries(f, dim, scn.n_measurements) for f, trials in blocks]
+    assert 1 in cp._shares(costs, 2)[1]
+    return count_forks(monkeypatch, 1)
+
+
 @pytest.mark.parametrize("spec,line", FIRST_FAILURES)
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_a_failing_block_reports_the_earliest_failing_trial(tmp_path, capsys, spec, line, jobs):
+def test_a_failing_block_reports_the_earliest_failing_trial(tmp_path, capsys, monkeypatch, spec, line, jobs):
     path = tmp_path / "scn.json"
     path.write_text(json.dumps({"trials": 16, "bound": "main", "dims": {"d_S": 2, "d_E": 2}, **spec}))
+    forks = pool_with_the_earliest_failure_in_a_child(monkeypatch, path) if jobs == 2 else []
     assert cli.main(["verify", "--scenario", str(path), "--jobs", str(jobs)]) == 3
     assert capsys.readouterr().err.strip() == line
+    assert len(forks) == jobs - 1
 
 
 # holevo and qdpi scenarios whose first failing trial is 2, 6 and 8, with
@@ -369,11 +480,14 @@ BLOCK_FIRST_FAILURES = [
 
 @pytest.mark.parametrize("spec,line", BLOCK_FIRST_FAILURES)
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_a_failing_holevo_or_qdpi_block_reports_the_earliest_failing_trial(tmp_path, capsys, spec, line, jobs):
+def test_a_failing_holevo_or_qdpi_block_reports_the_earliest_failing_trial(tmp_path, capsys, monkeypatch, spec,
+                                                                         line, jobs):
     path = tmp_path / "scn.json"
     path.write_text(json.dumps({"trials": 16, "n_measurements": 5, **spec}))
+    forks = pool_with_the_earliest_failure_in_a_child(monkeypatch, path) if jobs == 2 else []
     assert cli.main(["verify", "--scenario", str(path), "--jobs", str(jobs)]) == 3
     assert capsys.readouterr().err.strip() == line
+    assert len(forks) == jobs - 1
 
 
 # spohn, clausius and mmap-consistency scenarios whose first failing trial is
@@ -392,12 +506,14 @@ STACKED_FIRST_FAILURES = [
 
 @pytest.mark.parametrize("spec,line", STACKED_FIRST_FAILURES)
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_a_failing_spohn_clausius_or_mmap_block_reports_the_earliest_failing_trial(tmp_path, capsys, spec, line,
-                                                                                    jobs):
+def test_a_failing_spohn_clausius_or_mmap_block_reports_the_earliest_failing_trial(tmp_path, capsys, monkeypatch,
+                                                                                    spec, line, jobs):
     path = tmp_path / "scn.json"
     path.write_text(json.dumps({"trials": 16, **spec}))
+    forks = pool_with_the_earliest_failure_in_a_child(monkeypatch, path) if jobs == 2 else []
     assert cli.main(["verify", "--scenario", str(path), "--jobs", str(jobs)]) == 3
     assert capsys.readouterr().err.strip() == line
+    assert len(forks) == jobs - 1
     scn = cp.load_scenario(path.read_text())
     with pytest.raises(mk.ValidationError) as raised:
         cp.evaluate_block(scn, spec["bound"], range(8), scn.tols(DEFAULT_TOLS))
