@@ -22,7 +22,7 @@ from . import matkernel as mk
 from . import states as st
 from . import superchannel as sup
 from .config import Tolerances
-from .matkernel import DimShape, ShapeError, ValidationError
+from .matkernel import ShapeError, ValidationError
 from .states import DensityMatrix, check_density, density
 
 
@@ -81,7 +81,7 @@ def spohn_block(ops: list[ch.QuantumOperation], rhos: list[DensityMatrix], tols:
     mats = np.array([rho.mat for rho in rhos])
     out = ch.apply_matrices(ops, mats)
     out = (out + mk.dagger(out)) / 2.0
-    w_out = st.decompose(st.densities(out, DimShape([ops[0].d_out], rhos[0].shape.labels[:1]), tols))[0]
+    w_out = st.decompose(st.densities(out, tols))[0]
     w_in = st.decompose(rhos)[0]
     w_n, v_n = st.decompose([ns.state for ns in nss])
     cross = st.log_weights(np.stack([out, mats], axis=1), w_n, v_n, tols)
@@ -120,7 +120,7 @@ def main_block(scs: list[sup.Superchannel], ops: list[ch.QuantumOperation], nss:
     sigma, (w_out, _) = sup.act_block(scs, ops, tols)
     a_d = np.array([op.choi for op in ops]) / d
     w_op = mk.clamp_spectrum(np.linalg.eigvalsh(a_d)[..., ::-1], tols)
-    marg = mk.partial_trace(a_d, DimShape([d, d], ["out", "in"]), ["out"])
+    marg = mk.partial_trace(a_d, (d, d), [0])
     w_n, v = st.decompose([ns.state for ns in nss])
     cross = st.log_weights(np.stack([sigma, marg], axis=1), w_n, v, tols)
     reports = []
@@ -133,7 +133,7 @@ def main_block(scs: list[sup.Superchannel], ops: list[ch.QuantumOperation], nss:
                 "ness_method": ns.method, "ness_residual": ns.residual}
         if collects is not None and collects[b] is not None:
             # (D[A_d || E_d], D[sigma' || e]): the slack equals their difference on finite branches.
-            a_d_state = density(op.choi_state, DimShape([d, d], ["out", "in"]), tols=tols)
+            a_d_state = density(op.choi_state, tols=tols)
             e_d = ch.replace_channels([ns.state])[0].choi_state
             d_in = st.relative_entropies(a_d_state.mat[None], [st.entropy_of_spectrum(a_d_state.w)], e_d[None], tols)[0]
             collects[b].update(
@@ -166,7 +166,7 @@ def thermal_state(h: np.ndarray, beta: float, tols: Tolerances) -> tuple[Density
     gibbs = (v * fw) @ v.conj().T
     gibbs = (gibbs + gibbs.conj().T) / 2.0
     z = float(np.trace(gibbs).real)
-    return density(gibbs / z, DimShape([h.shape[0]], ["S"]), tols=tols), z
+    return density(gibbs / z, tols=tols), z
 
 
 def clausius_block(scs: list[sup.Superchannel], sigmas: list[DensityMatrix], gibbs: DensityMatrix, z: float,
@@ -246,17 +246,15 @@ def qdpi_block(sc1s: list[sup.Superchannel], sc2s: list[sup.Superchannel], ops: 
     chois = np.array([op.choi for op in ops])
 
     x = regroup_joint_choi(np.array([op.choi_state for op in ops]), d_p, d_q)
-    shape_in = DimShape([d_p, d_p, d_q, d_q], ["Po", "Pi", "Qo", "Qi"])
-    mi_in, s_in = st.mutual_informations(x, shape_in, ["Po", "Pi"], tols)
+    mi_in, s_in = st.mutual_informations(x, (d_p, d_p, d_q, d_q), [0, 1], tols)
     ms = sup.m_tensors(sc1s + sc2s)
     m1s, m2s = ms[:len(sc1s)], ms[len(sc1s):]
     rho_out = sup.joint_act_normalized(m1s, m2s, x)
-    shape_out = DimShape([d_p, d_q], ["P", "Q"])
-    mi_out, s_out = st.mutual_informations(rho_out, shape_out, ["P"], tols)
+    mi_out, s_out = st.mutual_informations(rho_out, (d_p, d_q), [0], tols)
 
     # Relative-entropy route through the marginal operations.
-    a_p = ch.marginal_chois(chois, (d_p, d_q), "P", tols) / d_p
-    a_q = ch.marginal_chois(chois, (d_p, d_q), "Q", tols) / d_q
+    a_p = ch.marginal_chois(chois, (d_p, d_q), 0, tols) / d_p
+    a_q = ch.marginal_chois(chois, (d_p, d_q), 1, tols) / d_q
     d_rel_in = st.relative_entropies(x, s_in, mk.kron_stack(a_p, a_q), tols)
     ref_out = mk.kron_stack(sup.act_normalized_block(m1s, a_p, tols), sup.act_normalized_block(m2s, a_q, tols))
     d_rel_out = st.relative_entropies(rho_out, s_out, ref_out, tols)
@@ -414,7 +412,7 @@ def mmap_consistency_block(scs: list[sup.Superchannel], vs: list[np.ndarray], al
     CONSISTENCY_TOL (lhs; rhs is the residual), for each trial of a block."""
     d_s, d_e, d_a = scs[0].d_s, scs[0].d_e, alphas[0].dim
     upsilons, deltas = dl.mmap_block(scs, vs, alphas, tols)
-    reduced = mk.partial_trace(np.array([u.mat for u in upsilons]), upsilons[0].shape, ["S"])
+    reduced = mk.partial_trace(np.array([u.mat for u in upsilons]), (d_s, d_a), [0])
     direct = sup.act_block(scs, ch.channels_from_dilations(vs, alphas, tols), tols)[0]
     reports = []
     for b, (upsilon, delta_s, residual) in enumerate(zip(upsilons, deltas, mk.max_abs(reduced - direct).tolist())):

@@ -7,8 +7,9 @@ row-major nested arrays).  ``load_scenario`` reads each explicit entry once,
 in ``_read_explicit``: states become ``DensityMatrix``, operations
 ``QuantumOperation`` and the ensemble ``bounds.Ensemble``, all validated
 under the scenario's tolerances, and trials use these objects as they are.
-``U``, ``V``, ``H`` and ``rho_se`` stay matrices; ``rho_se`` is wrapped per
-use because ``qdpi`` splits it as d_P x d_E1 and d_Q x d_E2.  The dims fix
+``U``, ``V`` and ``H`` stay matrices.  A state carries no tensor split, so
+the one checked ``rho_se`` serves every block and every split that a family
+reads it at (``qdpi`` reads it as d_P x d_E1 and d_Q x d_E2).  The dims fix
 every size: a matrix is checked against each family that reads it
 (``_READS``) before its entries are read, an operation must be trace
 preserving, and an entry that no family reads is refused.  One table,
@@ -39,6 +40,7 @@ import json
 import math
 import os
 import pickle
+import traceback
 from dataclasses import dataclass, field, fields, replace
 from json.encoder import encode_basestring_ascii
 
@@ -50,7 +52,6 @@ from . import matkernel as mk
 from . import states as st
 from . import superchannel as sup
 from .config import Tolerances
-from .matkernel import DimShape
 
 FAMILIES = ("spohn", "main", "clausius", "qdpi", "holevo", "mmap-consistency")
 # Entries that the stacks of one block hold: at large dimensions, where
@@ -286,12 +287,8 @@ def _read_explicit(key: str, obj, readers: list[tuple], tols: Tolerances):
             ch.check_unitary(m, tols)
         elif key == "H":
             mk.check_hermitian(m, tols.herm_tol * max(1.0, mk.max_abs(m)))
-        elif key == "rho_se":
-            st.density(m, tols=tols)
-        elif key == "sigma":
+        elif key in ("rho_se", "sigma", "alpha"):
             return st.density(m, tols=tols)
-        elif key == "alpha":
-            return st.density(m, DimShape([m.shape[0]], ["A"]), tols=tols)
         elif key == "op_choi":
             op = ch.from_choi(m, readers[0][2], readers[0][2], tols=tols)
             ch.require_trace_preserving([op], _NOT_TP)
@@ -392,7 +389,6 @@ def random_superchannels(d_s: int, d_e: int, rngs: list[np.random.Generator], to
     """
     ex = explicit or {}
     d = d_s * d_e
-    shape = DimShape([d_s, d_e], ["S", "E"])
     gs, xs = [], []
     for rng in rngs:
         if "rho_se" not in ex:
@@ -400,11 +396,8 @@ def random_superchannels(d_s: int, d_e: int, rngs: list[np.random.Generator], to
         if "U" not in ex:
             xs.append(rng.standard_normal((2, d, d)))
     us = [ex["U"]] * len(rngs) if "U" in ex else st.haar_of_normals(np.array(xs))
-    if "rho_se" in ex:
-        rhos = [st.density(ex["rho_se"], shape, tols=tols)] * len(rngs)
-    else:
-        rhos = st.densities(st.wishart(gs), shape, tols)
-    return sup.build_block(us, rhos, tols)
+    rhos = [ex["rho_se"]] * len(rngs) if "rho_se" in ex else st.densities(st.wishart(gs), tols)
+    return sup.build_block(us, rhos, d_s, d_e, tols)
 
 
 def random_operations(d: int, rngs: list[np.random.Generator], tols: Tolerances,
@@ -459,11 +452,11 @@ class Prepared:
 def prepare(scenario: Scenario, tols: Tolerances, families: tuple[str, ...] | None = None) -> Prepared:
     """Build once each object that is the same in every trial of the campaign.
 
-    When ``U`` and ``rho_se`` are both pinned, the superchannel is built
-    once for each (d, d_E) pair at which one of ``families`` (default: the
-    scenario's) reads ``rho_se`` (``qdpi`` splits it as d_P x d_E1 and
-    d_Q x d_E2), and its steady state once when ``main`` is among
-    them.  When ``clausius`` is among them, its unitary (the pinned ``U``
+    When ``U`` and ``rho_se`` are both pinned, the superchannel of ``U`` and
+    of the ``rho_se`` checked at load is built once for each (d, d_E) pair
+    at which one of ``families`` (default: the scenario's) reads ``rho_se``
+    (``qdpi`` splits it as d_P x d_E1 and d_Q x d_E2), and its steady state
+    once when ``main`` is among them.  When ``clausius`` is among them, its unitary (the pinned ``U``
     or the partial swap of ``theta``) and the Gibbs state and partition
     function of (``H``, ``beta``), with defaults H = diag(0, 1, ...) and
     beta = 1.  Nothing is drawn.
@@ -474,8 +467,7 @@ def prepare(scenario: Scenario, tols: Tolerances, families: tuple[str, ...] | No
     if "U" in ex and "rho_se" in ex:
         pairs = {tuple(dim[k] for k in name.split("*"))
                  for family in families for name in _READS[family].get("rho_se", [])}
-    scs = {pair: sup.build(ex["U"], st.density(ex["rho_se"], DimShape(pair, ["S", "E"]), tols=tols), tols)
-           for pair in sorted(pairs)}
+    scs = {pair: sup.build(ex["U"], ex["rho_se"], *pair, tols) for pair in sorted(pairs)}
     main_pair = (dim["d_S"], dim["d_E"])
     ns = sup.neso_block([scs[main_pair]], tols)[0] if "main" in families and main_pair in scs else None
     thermal = None
@@ -524,8 +516,8 @@ def evaluate_block(scenario: Scenario, family: str, trials, tols: Tolerances,
     elif family == "clausius":
         u, (gibbs, z), beta = prep.thermal
         anchors = np.array([a.mat for a in st.random_densities(d_s, [d_s] * len(rngs), rngs, tols)])
-        rhos = st.densities(mk.kron_stack(anchors, gibbs.mat), DimShape([d_s, d_s], ["S", "E"]), tols)
-        scs = sup.build_block([u] * len(rngs), rhos, tols)
+        rhos = st.densities(mk.kron_stack(anchors, gibbs.mat), tols)
+        scs = sup.build_block([u] * len(rngs), rhos, d_s, d_s, tols)
         reports = bd.clausius_block(scs, _states(d_s, rngs, tols, ex.get("sigma")), gibbs, z, beta, tols, collects)
     elif family == "qdpi":
         sc1s = prep.draw_superchannels(d_p, dim["d_E1"], rngs, tols, ex)
@@ -544,7 +536,7 @@ def evaluate_block(scenario: Scenario, family: str, trials, tols: Tolerances,
             alphas = [ex["alpha"]] * len(rngs)
         else:
             vecs = [st.random_pure(d_a, rng) for rng in rngs]
-            alphas = st.densities(np.array([np.outer(vec, vec.conj()) for vec in vecs]), DimShape([d_a], ["A"]), tols)
+            alphas = st.densities(np.array([np.outer(vec, vec.conj()) for vec in vecs]), tols)
         reports = bd.mmap_consistency_block(scs, vs, alphas, tols, collects)
     for t, report in zip(trials, reports):
         report.metadata.update(trial=t, seed=scenario.seed)
@@ -624,29 +616,23 @@ def run_campaign(scenario: Scenario, tols: Tolerances, jobs: int = 1) -> dict:
     The objects every trial shares (``prepare``) are built once, before
     any trial.  The trials of each family go in blocks of ``_block_size``
     consecutive trials (as many as ``STACK_ENTRIES`` entries hold, by the
-    count of ``_trial_entries``) through ``_eval_task``: in this process when
-    ``jobs``, the number of blocks or the number of usable CPUs is at most 1,
-    and otherwise split among that many processes, of which this is one
-    (``_pool_blocks``).  The report is deterministic for a fixed scenario:
-    per-trial seeds are derived from (seed, family, trial), what is not
-    prepared is drawn from them in the same order, and results are ordered
-    by trial index, so serial and parallel executions produce identical
-    output.  The summary's wall_time field is left null so reports stay
-    byte-stable; the CLI reports timing separately.
+    count of ``_trial_entries``) through ``_eval_task``, split among
+    min(``jobs``, blocks, usable CPUs) processes, of which this is one
+    (``_pool_blocks``); with one, this process runs every block.  The
+    report is deterministic for a fixed scenario: per-trial seeds are
+    derived from (seed, family, trial), what is not prepared is drawn from
+    them in the same order, and results are ordered by trial index, so
+    serial and parallel executions produce identical output.  The summary's
+    wall_time field is left null so reports stay byte-stable; the CLI
+    reports timing separately.
     """
     families, n, dim = scenario.families(), scenario.trials, _dim_values(scenario.dims)
     sizes = {family: _block_size(family, dim, scenario.n_measurements) for family in families}
     tasks = [(f, range(s, min(s + sizes[f], n))) for f in families for s in range(0, n, sizes[f])]
     campaign = (scenario, tols, prepare(scenario, tols))
-    procs = min(jobs, len(tasks))
-    if procs > 1:
-        procs = min(procs, len(os.sched_getaffinity(0)))
-    if procs <= 1:
-        blocks = [_eval_task(task, campaign) for task in tasks]
-    else:
-        costs = [len(trials) * _trial_entries(f, dim, scenario.n_measurements) for f, trials in tasks]
-        blocks = _pool_blocks(tasks, campaign, _shares(costs, procs))
-    records = [rec for block in blocks for rec in block]
+    procs = max(1, min(jobs, len(tasks), len(os.sched_getaffinity(0))))
+    costs = [len(trials) * _trial_entries(f, dim, scenario.n_measurements) for f, trials in tasks]
+    records = [rec for block in _pool_blocks(tasks, campaign, _shares(costs, procs)) for rec in block]
     sections = {family: records[i * n:(i + 1) * n] for i, family in enumerate(families)}
     total = summarize(records)
     total["wall_time"] = None
@@ -684,13 +670,12 @@ def _run_share(share: list[int], tasks: list, campaign: tuple) -> list[tuple]:
 def _pool_blocks(tasks: list, campaign: tuple, shares: list[list[int]]) -> list[list[dict]]:
     """The records of every task: this process runs ``shares[0]``, and a
     forked child each other share, sending ``_run_share`` back through a
-    pipe; a child that dies fails its first task.  The earliest failing
-    task's error is raised, as in a serial run.  Every child is reaped (and
-    first killed if this process stops early), and OpenBLAS runs one thread
-    in each process meanwhile."""
-    import signal   # not loaded by numpy, unlike ctypes and pickle
-
-    blas = _openblas_threads()
+    pipe, with the child's traceback noted on the error that ends it; a
+    child that dies fails its first task.  The earliest failing task's error
+    is raised, as in a serial run.  Every child is reaped (and first killed
+    if this process stops early), and OpenBLAS runs one thread in each
+    process meanwhile.  One share forks nothing and leaves BLAS alone."""
+    blas = _openblas_threads() if len(shares) > 1 else None
     threads = blas[0]() if blas else None
     children = []   # (pid, read end of its pipe, share) of each child not yet reaped
     try:
@@ -702,8 +687,13 @@ def _pool_blocks(tasks: list, campaign: tuple, shares: list[list[int]]) -> list[
             if pid == 0:   # the child, which never returns
                 code = 1
                 try:
+                    done = _run_share(share, tasks, campaign)
+                    exc = done[-1][1]
+                    if isinstance(exc, BaseException):   # its frames do not survive pickling; a note does
+                        exc.add_note("The pool worker's traceback (most recent call last):\n"
+                                     + "".join(traceback.format_tb(exc.__traceback__)).rstrip())
                     with open(w, "wb") as fh:
-                        pickle.dump(_run_share(share, tasks, campaign), fh)
+                        pickle.dump(done, fh)
                     code = 0
                 finally:
                     os._exit(code)
@@ -720,6 +710,7 @@ def _pool_blocks(tasks: list, campaign: tuple, shares: list[list[int]]) -> list[
                 (share[0], RuntimeError(f"a pool worker died with exit status {code}"))]
     finally:
         for pid, fh, _ in children:
+            import signal   # only to kill a child: numpy does not load it
             fh.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)

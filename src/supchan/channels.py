@@ -15,7 +15,7 @@ import numpy as np
 from . import matkernel as mk
 from . import states as st
 from .config import Tolerances
-from .matkernel import DimShape, ShapeError
+from .matkernel import ShapeError
 from .states import DensityMatrix, ginibre
 
 CP_TOL = 1e-9   # Choi min eigenvalue above -CP_TOL means completely positive
@@ -49,8 +49,7 @@ class QuantumOperation:
 
 
 def tr_out_choi(choi: np.ndarray, d_out: int, d_in: int) -> np.ndarray:
-    shape = DimShape([d_out, d_in], ["out", "in"])
-    return mk.partial_trace(choi, shape, ["in"])
+    return mk.partial_trace(choi, (d_out, d_in), [1])
 
 
 def from_kraus(kraus: list[np.ndarray]) -> QuantumOperation:
@@ -216,7 +215,7 @@ def _steady_states(ops: list[QuantumOperation], mats: np.ndarray, method: str, d
     m = m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
     resid = np.linalg.svd(apply_matrices([ops[b] for b in live], m) - m, compute_uv=False).sum(-1)
     good = ~(resid > tols.fp_tol)
-    states = st.densities(m[good], DimShape([m.shape[-1]], ["S"]), tols)
+    states = st.densities(m[good], tols)
     for b, r, state in zip(live[good].tolist(), resid[good].tolist(), states):
         out[b] = NessResult(state, r, method, int(dims[b]))
     return out
@@ -269,20 +268,13 @@ def fixed_points(ops: list[QuantumOperation], tols: Tolerances) -> list[NessResu
     return out
 
 
-def marginal_chois(choi: np.ndarray, dims: tuple[int, int], keep: str, tols: Tolerances) -> np.ndarray:
+def marginal_chois(choi: np.ndarray, dims: tuple[int, int], keep: int, tols: Tolerances) -> np.ndarray:
     """The Choi matrix of the marginal operation X -> tr_disc[op(X (x) I/d_disc)]
-    on the kept subsystem, for the Choi matrix of an operation on P (x) Q,
-    with ``dims`` = (d_P, d_Q), or for each of a stack, with ``from_choi``'s
-    checks: the partial trace over the discarded (out, in) pair, rescaled to
-    trace d_in of the kept part."""
-    if keep not in ("P", "Q"):
-        raise ValueError(f"keep must be 'P' or 'Q', got {keep!r}")
-    d_p, d_q = dims
-    shape = DimShape([d_p, d_q, d_p, d_q], ["Po", "Qo", "Pi", "Qi"])
-    if keep == "P":
-        reduced = mk.partial_trace(choi, shape, ["Po", "Pi"]) / d_q
-    else:
-        reduced = mk.partial_trace(choi, shape, ["Qo", "Qi"]) / d_p
+    on the kept subsystem (``keep`` 0 for P, 1 for Q), for the Choi matrix of
+    an operation on P (x) Q, with ``dims`` = (d_P, d_Q), or for each of a
+    stack, with ``from_choi``'s checks: the partial trace over the discarded
+    (out, in) pair, rescaled to trace d_in of the kept part."""
+    reduced = mk.partial_trace(choi, tuple(dims) * 2, [keep, keep + 2]) / dims[1 - keep]
     check_cp(reduced, tols)
     return reduced
 

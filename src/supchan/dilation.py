@@ -14,7 +14,7 @@ from . import matkernel as mk
 from . import states as st
 from . import superchannel as sup
 from .config import Tolerances
-from .matkernel import DimShape, ShapeError
+from .matkernel import ShapeError
 from .states import DensityMatrix
 
 
@@ -38,16 +38,15 @@ def mmap_block(scs: list[sup.Superchannel], vs: list[np.ndarray], alphas: list[D
     d_s, d_e = scs[0].d_s, scs[0].d_e
     if vs.shape[-1] // d_a != d_s:
         raise ShapeError(f"isometry system dim {vs.shape[-1] // d_a} != superchannel system dim {d_s}")
-    shape_sea = DimShape([d_s, d_e, d_a], ["S", "E", "A"])
     rho_sea = mk.kron_stack(np.array([sc.rho_se.mat for sc in scs]), np.array([a.mat for a in alphas]))
     v_full = (mk.kron_stack(vs, np.eye(d_e, dtype=complex)).reshape(-1, d_s, d_a, d_e, d_s, d_a, d_e)
-              .transpose(0, 1, 3, 2, 4, 6, 5).reshape(-1, shape_sea.dim, shape_sea.dim))
+              .transpose(0, 1, 3, 2, 4, 6, 5).reshape(-1, d_s * d_e * d_a, d_s * d_e * d_a))
     staged = v_full @ rho_sea @ mk.dagger(v_full)
     del rho_sea, v_full
     u_full = mk.kron_stack(np.array([sc.u for sc in scs]), np.eye(d_a, dtype=complex))
-    ups = mk.partial_trace(u_full @ staged @ mk.dagger(u_full), shape_sea, ["S", "A"])
-    upsilons = st.densities((ups + mk.dagger(ups)) / 2.0, DimShape([d_s, d_a], ["S", "A"]), tols)
-    sigmas = sup.marginals(scs, "S", tols)
+    ups = mk.partial_trace(u_full @ staged @ mk.dagger(u_full), (d_s, d_e, d_a), [0, 2])
+    upsilons = st.densities((ups + mk.dagger(ups)) / 2.0, tols)
+    sigmas = sup.marginals(scs, 0, tols)
     s_ups = [st.entropy_of_spectrum(w) for w in st.decompose(upsilons)[0]]
     s_sig = [st.entropy_of_spectrum(w) for w in st.decompose(sigmas)[0]]
     return upsilons, [a - b for a, b in zip(s_ups, s_sig)]

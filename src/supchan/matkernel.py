@@ -2,20 +2,21 @@
 and the checks of Hermitian eigendecompositions.
 
 Index convention used everywhere: a matrix on a composite space is stored
-row-major with the *leftmost* subsystem label as the slowest-varying index,
-so ``kron_stack(a, b)`` puts ``a`` on the slow index (plain Kronecker product).
-``partial_trace``, ``check_hermitian`` and ``herm_eig_of`` also take a stack
-of matrices, with the bits of one matrix at a time; a failing check of a
-stack raises the error of its first failing matrix.  No routine here
-decomposes: each check hands its one ``eigh`` to ``herm_eig_of``.
+row-major with its first subsystem as the slowest-varying index, so
+``kron_stack(a, b)`` puts ``a`` on the slow index (plain Kronecker product),
+and ``partial_trace`` takes the subsystem sizes in that order and the
+positions of the subsystems to keep.  ``partial_trace``, ``check_hermitian``
+and ``herm_eig_of`` also take a stack of matrices, with the bits of one
+matrix at a time; a failing check of a stack raises the error of its first
+failing matrix.  No routine here decomposes: each check hands its one
+``eigh`` to ``herm_eig_of``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,53 +27,11 @@ MAX_ENTRIES = 1 << 24
 
 
 class ShapeError(ValueError):
-    """Dimension or label bookkeeping error."""
+    """Dimension bookkeeping error."""
 
 
 class ValidationError(ValueError):
     """Input violates a numerical invariant (Hermiticity, PSD, trace...)."""
-
-
-@dataclass(frozen=True)
-class DimShape:
-    """Ordered subsystem dimensions with unique labels.
-
-    ``factors[i]`` is the dimension of subsystem ``labels[i]``; the product
-    of the factors must equal the matrix dimension the shape annotates.
-    """
-
-    factors: tuple[int, ...]
-    labels: tuple[str, ...]
-
-    def __init__(self, factors: Iterable[int], labels: Iterable[str]):
-        factors = tuple(int(f) for f in factors)
-        labels = tuple(str(l) for l in labels)
-        if len(factors) != len(labels):
-            raise ShapeError(f"{len(factors)} factors but {len(labels)} labels")
-        if any(f <= 0 for f in factors):
-            raise ShapeError(f"non-positive factor in {factors}")
-        if len(set(labels)) != len(labels):
-            raise ShapeError(f"duplicate labels in {labels}")
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "labels", labels)
-
-    @property
-    def dim(self) -> int:
-        return math.prod(self.factors)
-
-    def factor_of(self, label: str) -> int:
-        return self.factors[self.index_of(label)]
-
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ShapeError(f"unknown label {label!r}; have {self.labels}") from None
-
-    def subshape(self, keep: Sequence[str]) -> "DimShape":
-        """Shape of the subsystems in ``keep``, in their original order."""
-        kept = [l for l in self.labels if l in set(keep)]
-        return DimShape([self.factor_of(l) for l in kept], kept)
 
 
 def as_matrix(m: np.ndarray, stack: bool = False) -> np.ndarray:
@@ -137,36 +96,26 @@ def einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
     return np.einsum(subscripts, *operands, optimize=_einsum_path(subscripts, *(o.shape for o in operands)))
 
 
-def _check_square(m: np.ndarray, shape: DimShape) -> np.ndarray:
-    m = as_matrix(m, stack=True)
-    if m.shape[-1] != m.shape[-2]:
-        raise ShapeError(f"expected square matrix, got {m.shape}")
-    if m.shape[-1] != shape.dim:
-        raise ShapeError(f"matrix dim {m.shape[-1]} != shape dim {shape.dim} {shape.factors}")
-    return m
-
-
-def partial_trace(m: np.ndarray, shape: DimShape, keep: Sequence[str]) -> np.ndarray:
-    """Trace out every subsystem not named in ``keep``.
-
-    Kept subsystems stay in their original relative order; the result has
-    dimension equal to the product of the kept factors.  ``m`` may be a
-    stack of matrices.
-    """
-    m = _check_square(m, shape)
-    keep_set = set(keep)
-    for l in keep_set:
-        shape.index_of(l)  # raises on unknown labels
-    n, lead = len(shape.factors), m.shape[:-2]
-    t = m.reshape(lead + shape.factors + shape.factors)
+def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
+    """Trace out every subsystem whose position in ``dims`` (the subsystem
+    sizes, slowest first) is not in ``keep``; kept subsystems stay in their
+    order.  ``m`` may be a stack of matrices."""
+    m, dims, n = as_matrix(m, stack=True), tuple(dims), len(dims)
+    if m.shape[-1] != m.shape[-2] or m.shape[-1] != math.prod(dims):
+        raise ShapeError(f"expected square matrices of dim {math.prod(dims)} = prod{dims}, got {m.shape[-2:]}")
+    for k in keep:
+        if not 0 <= k < n:
+            raise ShapeError(f"keep position {k} is outside the {n} subsystems of {dims}")
+    lead = m.shape[:-2]
+    t = m.reshape(lead + dims + dims)
     # Trace row/col index pairs of discarded subsystems, highest index first
     # so earlier positions stay valid.
     removed = 0
     for i in reversed(range(n)):
-        if shape.labels[i] not in keep_set:
+        if i not in keep:
             t = np.trace(t, axis1=len(lead) + i, axis2=len(lead) + i + n - removed)
             removed += 1
-    d_keep = math.prod(f for f, l in zip(shape.factors, shape.labels) if l in keep_set)
+    d_keep = math.prod(dims[i] for i in set(keep))
     return t.reshape(lead + (d_keep, d_keep))
 
 

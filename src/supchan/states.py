@@ -15,24 +15,24 @@ import numpy as np
 
 from . import matkernel as mk
 from .config import Tolerances
-from .matkernel import DimShape, ShapeError
+from .matkernel import ShapeError
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, PSD, unit-trace matrix on a labeled tensor factor structure,
-    with the decomposition ``(w, v)`` that its check took, as ``mk.herm_eig_of``
-    returns it; all three arrays are read-only."""
+    """Hermitian, PSD, unit-trace matrix with the decomposition ``(w, v)``
+    that its check took, as ``mk.herm_eig_of`` returns it; all three arrays
+    are read-only.  It carries no tensor split: the process that reads a
+    state on a composite space holds the sizes of its factors."""
 
     mat: np.ndarray
-    shape: DimShape
     w: np.ndarray
     v: np.ndarray
 
     def __post_init__(self):
         mat = mk.as_matrix(self.mat).view()
-        if mat.shape != (self.shape.dim,) * 2:
-            raise ShapeError(f"shape dim {self.shape.dim} != matrix dim {mat.shape[0]}")
+        if mat.shape[0] != mat.shape[1]:
+            raise ShapeError(f"density matrix must be square, got {mat.shape}")
         for name, arr in (("mat", mat), ("w", np.asarray(self.w).view()), ("v", np.asarray(self.v).view())):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -41,25 +41,19 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def factor_of(self, label: str) -> int:
-        return self.shape.factor_of(label)
+
+def density(mat: np.ndarray, *, tols: Tolerances) -> DensityMatrix:
+    """Validate a matrix as a density matrix."""
+    return densities(mk.as_matrix(mat)[None], tols)[0]
 
 
-def density(mat: np.ndarray, shape: DimShape | None = None, *, tols: Tolerances) -> DensityMatrix:
-    """Validate a matrix as a density matrix and attach its shape; without
-    ``shape``, a single subsystem labeled "S"."""
-    mat = mk.as_matrix(mat)
-    if mat.shape[0] != mat.shape[1]:
-        raise ShapeError(f"density matrix must be square, got {mat.shape}")
-    return densities(mat[None], shape if shape is not None else DimShape([mat.shape[0]], ["S"]), tols)[0]
-
-
-def densities(mats: np.ndarray, shape: DimShape, tols: Tolerances) -> list[DensityMatrix]:
-    """``density`` of each matrix of a stack, all on ``shape``, with the
-    checks of the stack in one step; each keeps the decomposition that its
-    check took."""
+def densities(mats: np.ndarray, tols: Tolerances) -> list[DensityMatrix]:
+    """``density`` of each matrix of a stack, with the checks of the stack
+    in one step; each keeps the decomposition that its check took."""
     mats = mk.as_matrix(mats, stack=True)
-    return [DensityMatrix(m, shape, w, v) for m, w, v in zip(mats, *check_density(mats, tols))]
+    if mats.shape[-1] != mats.shape[-2]:
+        raise ShapeError(f"density matrix must be square, got {mats.shape[-2:]}")
+    return [DensityMatrix(m, w, v) for m, w, v in zip(mats, *check_density(mats, tols))]
 
 
 def check_density(mats: np.ndarray, tols: Tolerances) -> tuple[np.ndarray, np.ndarray]:
@@ -120,17 +114,17 @@ def relative_entropy_of(entropy: float, cross: float) -> float:
     return 0.0 if -1e-12 < d < 0.0 else d
 
 
-def mutual_informations(mats: np.ndarray, shape: DimShape, part: Sequence[str],
+def mutual_informations(mats: np.ndarray, dims: Sequence[int], part: Sequence[int],
                         tols: Tolerances) -> tuple[list[float], list[float]]:
-    """(I(part : rest), S) of each density matrix of a stack on ``shape``, with
-    I(P:Q) = S(P) + S(Q) - S(PQ): the stack is checked, and then each marginal
-    in turn, each check taking the spectra.  ``part`` must be a proper
-    nonempty subset of the labels."""
-    if not part or not set(part) < set(shape.labels):
-        raise ShapeError(f"{sorted(set(part))} is not a proper nonempty subset of {shape.labels}")
+    """(I(part : rest), S) of each density matrix of a stack on subsystems of
+    sizes ``dims`` (slowest first), with I(P:Q) = S(P) + S(Q) - S(PQ): the
+    stack is checked, and then each marginal in turn, each check taking the
+    spectra.  ``part`` must be a proper nonempty subset of the positions."""
+    if not part or not set(part) < set(range(len(dims))):
+        raise ShapeError(f"{sorted(set(part))} is not a proper nonempty subset of the positions of {tuple(dims)}")
     s = [entropy_of_spectrum(w) for w in check_density(mats, tols)[0]]
-    s_p, s_q = ([entropy_of_spectrum(w) for w in check_density(mk.partial_trace(mats, shape, keep), tols)[0]]
-                for keep in (part, [l for l in shape.labels if l not in part]))
+    s_p, s_q = ([entropy_of_spectrum(w) for w in check_density(mk.partial_trace(mats, dims, keep), tols)[0]]
+                for keep in (part, [i for i in range(len(dims)) if i not in part]))
     return [a + b - c for a, b, c in zip(s_p, s_q, s)], s
 
 
@@ -154,7 +148,7 @@ def random_densities(d: int, ranks: list[int], rngs: list[np.random.Generator], 
     """The normalized Wishart state of a d x rank Ginibre matrix drawn from
     each generator, for each (rank, generator) pair, checked in one stacked
     step."""
-    return densities(wishart([ginibre(d, r, rng) for r, rng in zip(ranks, rngs)]), DimShape([d], ["S"]), tols)
+    return densities(wishart([ginibre(d, r, rng) for r, rng in zip(ranks, rngs)]), tols)
 
 
 def random_pure(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -44,32 +44,30 @@ from .states import DensityMatrix, check_density
 @dataclass(frozen=True)
 class Superchannel:
     u: np.ndarray                 # joint unitary on S (x) E, S on the slow index
-    rho_se: DensityMatrix         # initial correlated state, labels ("S", "E")
+    rho_se: DensityMatrix         # initial correlated state on S (x) E, split as (d_s, d_e)
     d_s: int
     d_e: int
 
 
-def marginals(scs: list[Superchannel], label: str, tols: Tolerances) -> list[DensityMatrix]:
-    """sigma = tr_E rho_SE (``label`` "S") or tau = tr_S rho_SE ("E") of each
-    superchannel, all of one (d_S, d_E), checked in one stacked step."""
-    shape = scs[0].rho_se.shape
-    return st.densities(mk.partial_trace(np.array([sc.rho_se.mat for sc in scs]), shape, [label]),
-                        shape.subshape([label]), tols)
+def marginals(scs: list[Superchannel], keep: int, tols: Tolerances) -> list[DensityMatrix]:
+    """sigma = tr_E rho_SE (``keep`` 0) or tau = tr_S rho_SE (``keep`` 1) of
+    each superchannel, all of one (d_S, d_E), checked in one stacked step."""
+    dims = (scs[0].d_s, scs[0].d_e)
+    return st.densities(mk.partial_trace(np.array([sc.rho_se.mat for sc in scs]), dims, [keep]), tols)
 
 
-def build(u: np.ndarray, rho_se: DensityMatrix, tols: Tolerances) -> Superchannel:
-    """Construct the superchannel for a joint unitary and correlated state."""
-    return build_block([u], [rho_se], tols)[0]
+def build(u: np.ndarray, rho_se: DensityMatrix, d_s: int, d_e: int, tols: Tolerances) -> Superchannel:
+    """Construct the superchannel for a joint unitary and correlated state on S (x) E."""
+    return build_block([u], [rho_se], d_s, d_e, tols)[0]
 
 
-def build_block(us: list[np.ndarray], rho_ses: list[DensityMatrix], tols: Tolerances) -> list[Superchannel]:
-    """The superchannel of each (joint unitary, correlated state) pair, all of
-    one (d_S, d_E), with the unitaries checked in one stacked step."""
+def build_block(us: list[np.ndarray], rho_ses: list[DensityMatrix], d_s: int, d_e: int,
+                tols: Tolerances) -> list[Superchannel]:
+    """The superchannel of each (joint unitary, correlated state) pair, all on
+    S (x) E of sizes (d_S, d_E), with the unitaries checked in one stacked step."""
     for rho_se in rho_ses:
-        if tuple(rho_se.shape.labels) != ("S", "E"):
-            raise ShapeError(f"rho_SE must carry labels ('S', 'E'), got {rho_se.shape.labels}")
-    d_s = rho_ses[0].factor_of("S")
-    d_e = rho_ses[0].factor_of("E")
+        if rho_se.dim != d_s * d_e:
+            raise ShapeError(f"rho_SE dim {rho_se.dim} != d_S * d_E = {d_s * d_e}")
     us = mk.as_matrix(np.array(us), stack=True)
     if us.shape[-2:] != (d_s * d_e, d_s * d_e):
         raise ShapeError(f"unitary shape {us.shape[-2:]} != joint dim {d_s * d_e}")
@@ -100,7 +98,7 @@ def act_block(scs: list[Superchannel], ops: list[ch.QuantumOperation],
     joint = mk.sum_runs(term, [len(op.kraus) for op in ops])
     u = np.array([s.u for s in scs])
     evolved = u @ joint @ mk.dagger(u)
-    out = mk.partial_trace(evolved, sc.rho_se.shape, ["S"])
+    out = mk.partial_trace(evolved, (sc.d_s, sc.d_e), [0])
     out = mk.as_matrix((out + mk.dagger(out)) / 2.0, stack=True)
     return out, check_density(out, tols)
 
@@ -160,5 +158,5 @@ def neso_block(scs: list[Superchannel], tols: Tolerances) -> list[ch.NessResult]
     (``channels.replace_channels``): ``act_normalized_block`` maps its
     operation-state e (x) I/d back to e.
     """
-    taus = marginals(scs, "E", tols)
+    taus = marginals(scs, 1, tols)
     return ch.fixed_points(ch.channels_from_dilations([sc.u for sc in scs], taus, tols), tols)

@@ -23,7 +23,7 @@ replaced in the library.
 
 import math
 import types
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -36,7 +36,7 @@ from supchan import matkernel as mk
 from supchan import states as st
 from supchan import superchannel as sup
 from supchan.config import DEFAULT_TOLS
-from supchan.matkernel import DimShape, ShapeError, ValidationError
+from supchan.matkernel import ShapeError, ValidationError
 
 
 def herm_eig(m, tols):
@@ -177,12 +177,13 @@ def holevo(sc, ens, haar, tols):
     return chi, [classical_mutual_information(probs[:, None] * b) for b in born], w_avg
 
 
-def mutual_information(rho, shape, part, tols):
-    """(I(part : rest), S(rho)): each marginal checked and decomposed, then
-    rho decomposed."""
+def mutual_information(rho, dims, part, tols):
+    """(I(part : rest), S(rho)) on subsystems of sizes ``dims``, ``part`` a
+    list of positions: each marginal checked and decomposed, then rho
+    decomposed."""
     s = []
-    for keep in (part, [l for l in shape.labels if l not in part]):
-        m = mk.partial_trace(rho, shape, keep)
+    for keep in (part, [i for i in range(len(dims)) if i not in part]):
+        m = mk.partial_trace(rho, dims, keep)
         check_density(m, tols)
         s.append(entropy(herm_eig(m, tols)[0]))
     s_rho = entropy(herm_eig(rho, tols)[0])
@@ -223,13 +224,13 @@ def qdpi(sc1, sc2, op, tols):
     x = (op.choi / op.d_in).reshape(d_p, d_q, d_p, d_q, d_p, d_q, d_p, d_q)
     x = np.transpose(x, (0, 2, 1, 3, 4, 6, 5, 7)).reshape(d_p * d_p * d_q * d_q, -1)
     check_density(x, tols)
-    mi_in, s_in = mutual_information(x, DimShape([d_p, d_p, d_q, d_q], ["Po", "Pi", "Qo", "Qi"]), ["Po", "Pi"], tols)
+    mi_in, s_in = mutual_information(x, (d_p, d_p, d_q, d_q), [0, 1], tols)
     y = (d_p * d_q) * x.reshape(d_p, d_p, d_q, d_q, d_p, d_p, d_q, d_q)
     out = np.einsum("abcpqr,ABCPQR,bcBCqrQR->aApP", m_tensor(sc1), m_tensor(sc2), y,
                     optimize=True).reshape(d_p * d_q, d_p * d_q)
     out = (out + out.conj().T) / 2.0
     check_density(out, tols)
-    mi_out, s_out = mutual_information(out, DimShape([d_p, d_q], ["P", "Q"]), ["P"], tols)
+    mi_out, s_out = mutual_information(out, (d_p, d_q), [0], tols)
     c4 = op.choi.reshape(d_p, d_q, d_p, d_q, d_p, d_q, d_p, d_q)
     a_p = np.trace(np.trace(c4, axis1=3, axis2=7), axis1=1, axis2=4) / d_q / d_p
     a_q = np.trace(np.trace(c4, axis1=2, axis2=6), axis1=0, axis2=3) / d_p / d_q
@@ -269,7 +270,7 @@ def ragged_act_block(scs, ops):
     rho = np.array([s.rho_se.mat for s in scs])
     joint = ragged_sum(kk @ rho[np.repeat(np.arange(len(ops)), counts)] @ mk.dagger(kk), counts)
     u = np.array([s.u for s in scs])
-    out = mk.partial_trace(u @ joint @ mk.dagger(u), scs[0].rho_se.shape, ["S"])
+    out = mk.partial_trace(u @ joint @ mk.dagger(u), (scs[0].d_s, scs[0].d_e), [0])
     return (out + mk.dagger(out)) / 2.0
 
 
@@ -436,7 +437,7 @@ def mmap_image(sc, v, alpha, tols):
     consistency check for one superchannel and isometric dilation, with
     np.kron and the explicit permutation matrix (``permutation_matrix``)."""
     d_s, d_e, d_a = sc.d_s, sc.d_e, alpha.shape[0]
-    p = permutation_matrix(DimShape([d_s, d_e, d_a], ["S", "E", "A"]), ["S", "A", "E"])
+    p = permutation_matrix((d_s, d_e, d_a), [0, 2, 1])
     v_full = p.conj().T @ np.kron(v, np.eye(d_e, dtype=complex)) @ p
     staged = v_full @ np.kron(sc.rho_se.mat, alpha) @ v_full.conj().T
     u_full = np.kron(sc.u, np.eye(d_a, dtype=complex))
@@ -476,13 +477,13 @@ def family_trial(scenario, family, trial, tols):
         anchor = wishart(d, d, rng, tols)
         rho_se = np.kron(anchor, gibbs.mat)
         check_density(rho_se, tols)
-        rho = st.DensityMatrix(rho_se, DimShape([d, d], ["S", "E"]), *herm_eig(rho_se, tols))
+        rho = st.DensityMatrix(rho_se, *herm_eig(rho_se, tols))
         sc = sup.Superchannel(ch.partial_swap_unitary(d, math.pi / 4), rho, d, d)
         sigma = wishart(d, int(rng.integers(1, d + 1)), rng, tols)
         return clausius_bound(sc, sigma, gibbs.mat, tols)[:3]
     d_e, d_a = scenario.dims.get("d_E", 2), scenario.dims.get("d_A", d)
     rho_se = wishart(d * d_e, int(rng.integers(1, min(4, d * d_e) + 1)), rng, tols)
-    rho = st.DensityMatrix(rho_se, DimShape([d, d_e], ["S", "E"]), *herm_eig(rho_se, tols))
+    rho = st.DensityMatrix(rho_se, *herm_eig(rho_se, tols))
     sc = sup.Superchannel(st.haar_unitary(d * d_e, rng), rho, d, d_e)
     v = st.haar_unitary(d * d_a, rng)
     vec = st.random_pure(d_a, rng)
@@ -512,8 +513,8 @@ def block_instances(d_s, d_e, n, seed):
     """
     def superchannel(rng):
         raw = random_density(d_s * d_e, int(rng.integers(1, d_s * d_e + 1)), rng)
-        rho = st.density(raw.mat, DimShape([d_s, d_e], ["S", "E"]), tols=DEFAULT_TOLS)
-        return sup.build(st.haar_unitary(d_s * d_e, rng), rho, tols=DEFAULT_TOLS)
+        rho = st.density(raw.mat, tols=DEFAULT_TOLS)
+        return sup.build(st.haar_unitary(d_s * d_e, rng), rho, d_s, d_e, tols=DEFAULT_TOLS)
 
     rng = np.random.default_rng(seed)
     explicit = random_cptp(d_s, 2, rng)
@@ -574,11 +575,11 @@ def neso_op(ns):
 
 
 def sys_marginal(sc):
-    return sup.marginals([sc], "S", tols=DEFAULT_TOLS)[0]
+    return sup.marginals([sc], 0, tols=DEFAULT_TOLS)[0]
 
 
 def env_marginal(sc):
-    return sup.marginals([sc], "E", tols=DEFAULT_TOLS)[0]
+    return sup.marginals([sc], 1, tols=DEFAULT_TOLS)[0]
 
 
 def channel_from_dilation(u, tau, tols=DEFAULT_TOLS):
@@ -589,9 +590,10 @@ def replace_channel(target):
     return ch.replace_channels([target])[0]
 
 
-def marginal(rho, keep, tols=DEFAULT_TOLS):
-    """Partial trace of a density matrix onto the subsystems named in ``keep``."""
-    return st.density(mk.partial_trace(rho.mat, rho.shape, keep), rho.shape.subshape(keep), tols=tols)
+def marginal(rho, dims, keep, tols=DEFAULT_TOLS):
+    """Partial trace of a density matrix on subsystems of sizes ``dims`` onto
+    those at the positions ``keep``."""
+    return st.density(mk.partial_trace(rho.mat, dims, keep), tols=tols)
 
 
 def is_trace_preserving(op):
@@ -609,13 +611,13 @@ def apply(op, rho, tols=DEFAULT_TOLS):
         raise ShapeError(f"state dim {rho.dim} != operation d_in {op.d_in}")
     ch.require_trace_preserving([op], "operation is not trace preserving")
     out = ch.apply_matrices([op], rho.mat[None])[0]
-    return st.density((out + out.conj().T) / 2.0, DimShape([op.d_out], rho.shape.labels[:1]), tols=tols)
+    return st.density((out + out.conj().T) / 2.0, tols=tols)
 
 
 def act(sc, op):
     """sigma' for a CPTP operation on the system: ``act_block`` of one pair."""
     sigma, (w, v) = sup.act_block([sc], [op], tols=DEFAULT_TOLS)
-    return st.DensityMatrix(sigma[0], DimShape([sc.d_s], ["S"]), w[0], v[0])
+    return st.DensityMatrix(sigma[0], w[0], v[0])
 
 
 def von_neumann_entropy(rho):
@@ -634,9 +636,8 @@ def slack_identity(sc, op, ns, tols=DEFAULT_TOLS):
     """(D[A_d || E_d], D[sigma' || e]) of one main trial, each from the
     one-pair relative entropy of its own two states: the main-bound slack
     equals their difference on finite branches."""
-    shape = DimShape([sc.d_s, sc.d_s], ["out", "in"])
-    d_in = relative_entropy(st.density(op.choi_state, shape, tols=tols),
-                            st.density(neso_op(ns).choi_state, shape, tols=tols), tols)
+    d_in = relative_entropy(st.density(op.choi_state, tols=tols),
+                            st.density(neso_op(ns).choi_state, tols=tols), tols)
     return d_in, relative_entropy(act(sc, op), ns.state, tols)
 
 
@@ -686,12 +687,11 @@ def mmap(sc, iso, tols=DEFAULT_TOLS):
     return upsilons[0], deltas[0]
 
 
-def random_density(d, rank, rng, labels=None, tols=DEFAULT_TOLS):
+def random_density(d, rank, rng, tols=DEFAULT_TOLS):
     """Normalized Wishart state G G^dag / tr with G a d x rank Ginibre matrix."""
     if not 1 <= rank <= d:
         raise ValueError(f"rank {rank} out of range [1, {d}]")
-    rho = st.random_densities(d, [rank], [rng], tols)[0]
-    return rho if labels is None else replace(rho, shape=DimShape([d], labels))
+    return st.random_densities(d, [rank], [rng], tols)[0]
 
 
 def trial_rng(seed, trial):
@@ -707,21 +707,21 @@ def campaign_blocks(scenario):
     return [(f, range(s, min(s + sizes[f], n))) for f in scenario.families() for s in range(0, n, sizes[f])]
 
 
-def permutation_matrix(shape, new_order):
-    """Unitary P that reorders subsystems: P |i_old...> = |i_new...>, the
+def permutation_matrix(dims, perm):
+    """Unitary P that reorders subsystems of sizes ``dims`` so that position
+    k holds the old subsystem ``perm[k]``: P |i_old...> = |i_new...>, the
     dense form of the index moves that ``mmap_block`` and
     ``partial_swap_unitary`` make."""
-    if sorted(new_order) != sorted(shape.labels):
-        raise ShapeError(f"{list(new_order)} is not a permutation of {shape.labels}")
-    perm = [shape.index_of(l) for l in new_order]
-    d = shape.dim
-    rows = np.eye(d, dtype=complex).reshape(shape.factors + (d,))
-    return np.transpose(rows, perm + [len(perm)]).reshape(d, d)
+    if sorted(perm) != list(range(len(dims))):
+        raise ShapeError(f"{list(perm)} is not a permutation of the positions of {tuple(dims)}")
+    d = math.prod(dims)
+    rows = np.eye(d, dtype=complex).reshape(tuple(dims) + (d,))
+    return np.transpose(rows, list(perm) + [len(perm)]).reshape(d, d)
 
 
 def swap_unitary(d):
     """SWAP of two d-dimensional factors."""
-    return permutation_matrix(DimShape([d, d], ["1", "2"]), ["2", "1"])
+    return permutation_matrix((d, d), [1, 0])
 
 
 def identity_channel(d):
@@ -772,11 +772,12 @@ def compose(after, before):
     return ch.from_kraus([a @ b for a in after.kraus for b in before.kraus])
 
 
-def permute_subsystems(m, shape, new_order):
-    """Similarity transform by the subsystem permutation, with the new shape."""
-    perm = [shape.index_of(l) for l in new_order]
-    t = np.transpose(m.reshape(shape.factors * 2), perm + [p + len(perm) for p in perm])
-    return t.reshape(m.shape), DimShape([shape.factors[p] for p in perm], new_order)
+def permute_subsystems(m, dims, perm):
+    """Similarity transform by the subsystem permutation ``perm`` (as in
+    ``permutation_matrix``), with the new subsystem sizes."""
+    perm = list(perm)
+    t = np.transpose(m.reshape(tuple(dims) * 2), perm + [p + len(perm) for p in perm])
+    return t.reshape(m.shape), tuple(dims[p] for p in perm)
 
 
 def choi_of_msharp(sc):
@@ -795,8 +796,8 @@ def msharp_tp_residual(sc):
     is the deviation from that form plus the deviation of tr(W) from d^2.
     """
     d = sc.d_s
-    w = mk.partial_trace(choi_of_msharp(sc), DimShape([d, d, d], ["a", "b", "c"]), ["b", "c"])
-    g = mk.partial_trace(w, DimShape([d, d], ["b", "c"]), ["c"]) / d
+    w = mk.partial_trace(choi_of_msharp(sc), (d, d, d), [1, 2])
+    g = mk.partial_trace(w, (d, d), [1]) / d
     resid = mk.max_abs(w - np.kron(np.eye(d), g))
     return max(resid, abs(float(np.trace(w).real) - d * d) / (d * d))
 
@@ -844,8 +845,8 @@ class StinespringForm:
     ancilla_dim: int
     psi_abc: np.ndarray     # pure output vector on a (x) b (x) c
 
-    def shape_abc(self, d):
-        return DimShape([self.ancilla_dim, d, d], ["a", "b", "c"])
+    def dims_abc(self, d):
+        return (self.ancilla_dim, d, d)
 
 
 def stinespring(op, pivot_order=None):
@@ -879,4 +880,4 @@ def isometry_choi_state(iso):
     d_s, d_a = iso.d_s, iso.d_a
     # Kraus K_j = V (I_S (x) sqrt(lam_j) |a_j>), mapping S -> S (x) A
     ks = [iso.v @ np.kron(np.eye(d_s, dtype=complex), f[:, None]) for f in mk.psd_factors(iso.alpha.w, iso.alpha.v)]
-    return st.density(ch.from_kraus(ks).choi_state, DimShape([d_s * d_a, d_s], ["out", "in"]), tols=DEFAULT_TOLS)
+    return st.density(ch.from_kraus(ks).choi_state, tols=DEFAULT_TOLS)

@@ -16,7 +16,6 @@ from supchan import matkernel as mk
 from supchan import states as st
 from supchan import superchannel as sup
 from supchan.config import DEFAULT_TOLS
-from supchan.matkernel import DimShape
 
 from conftest import (act, apply, channel_from_dilation, choi_of_msharp, clausius, env_marginal, holevo_trial,
                       identity_channel, IsometricOperation, mmap, msharp_tp_residual, neso, neso_op, operation_entropy,
@@ -44,11 +43,11 @@ def rand_sc(d_s, d_e, rng, product=False):
     if product:
         sigma = random_density(d_s, d_s, rng)
         tau = random_density(d_e, d_e, rng)
-        rho = st.density(np.kron(sigma.mat, tau.mat), DimShape([d_s, d_e], ["S", "E"]), tols=DEFAULT_TOLS)
+        rho = st.density(np.kron(sigma.mat, tau.mat), tols=DEFAULT_TOLS)
     else:
         raw = random_density(d_s * d_e, int(rng.integers(1, min(4, d_s * d_e) + 1)), rng)
-        rho = st.density(raw.mat, DimShape([d_s, d_e], ["S", "E"]), tols=DEFAULT_TOLS)
-    return sup.build(st.haar_unitary(d_s * d_e, rng), rho, tols=DEFAULT_TOLS)
+        rho = st.density(raw.mat, tols=DEFAULT_TOLS)
+    return sup.build(st.haar_unitary(d_s * d_e, rng), rho, d_s, d_e, tols=DEFAULT_TOLS)
 
 
 def test_criterion_1_monotonicity_foundation():
@@ -139,8 +138,8 @@ def test_criterion_4_reduction_checks():
     for seed in range(200):
         rng = trial_rng(111, seed)
         anchor = random_density(2, 2, rng)
-        rho_se = st.density(np.kron(anchor.mat, gibbs.mat), DimShape([2, 2], ["S", "E"]), tols=DEFAULT_TOLS)
-        sc = sup.build(ch.partial_swap_unitary(2, math.pi / 4), rho_se, tols=DEFAULT_TOLS)
+        rho_se = st.density(np.kron(anchor.mat, gibbs.mat), tols=DEFAULT_TOLS)
+        sc = sup.build(ch.partial_swap_unitary(2, math.pi / 4), rho_se, 2, 2, tols=DEFAULT_TOLS)
         sigma = random_density(2, int(rng.integers(1, 3)), rng)
         rep_c = clausius(sc, sigma, h, 1.0)
         rep_m = bd.main_block([sc], [replace_channel(sigma)], [neso(sc)], tols=DEFAULT_TOLS)[0]
@@ -202,8 +201,8 @@ def test_criterion_7_holevo_sweep():
                    dims={"d_S": 2, "d_E": 2}, n_measurements=50)
     failures = rep["summary"]["failures"]
 
-    rho_se = st.density(np.eye(4) / 4, DimShape([2, 2], ["S", "E"]), tols=DEFAULT_TOLS)
-    sc = sup.build(np.eye(4, dtype=complex), rho_se, tols=DEFAULT_TOLS)
+    rho_se = st.density(np.eye(4) / 4, tols=DEFAULT_TOLS)
+    sc = sup.build(np.eye(4, dtype=complex), rho_se, 2, 2, tols=DEFAULT_TOLS)
     ens = bd.Ensemble(
         (0.5, 0.5),
         (
@@ -227,15 +226,15 @@ def test_criterion_8_dilation_identities():
         op = random_cptp(d, int(rng.integers(1, d * d + 1)), rng)
         form = stinespring(op)
         rho = np.outer(form.psi_abc, form.psi_abc.conj())
-        shape = form.shape_abc(d)
-        dev = mk.max_abs(mk.partial_trace(rho, shape, ["b", "c"]) - op.choi_state)
+        dims = form.dims_abc(d)
+        dev = mk.max_abs(mk.partial_trace(rho, dims, [1, 2]) - op.choi_state)
         worst_choi = max(worst_choi, dev)
         choi_ok &= dev <= 1e-10
         s_bc = st.entropy_of_spectrum(
-            mk.clamp_spectrum(np.linalg.eigvalsh(mk.partial_trace(rho, shape, ["b", "c"]))[::-1], tols=DEFAULT_TOLS)
+            mk.clamp_spectrum(np.linalg.eigvalsh(mk.partial_trace(rho, dims, [1, 2]))[::-1], tols=DEFAULT_TOLS)
         )
         s_a = st.entropy_of_spectrum(
-            mk.clamp_spectrum(np.linalg.eigvalsh(mk.partial_trace(rho, shape, ["a"]))[::-1], tols=DEFAULT_TOLS)
+            mk.clamp_spectrum(np.linalg.eigvalsh(mk.partial_trace(rho, dims, [0]))[::-1], tols=DEFAULT_TOLS)
         )
         worst_sym = max(worst_sym, abs(s_bc - s_a))
         sym_ok &= abs(s_bc - s_a) <= 1e-10
@@ -259,7 +258,7 @@ def test_criterion_9_isometric_dilation_map():
         rng = trial_rng(909, seed)
         sc = rand_sc(2, 2, rng)
         vec = st.random_pure(2, rng)
-        alpha = st.density(np.outer(vec, vec.conj()), DimShape([2], ["A"]), tols=DEFAULT_TOLS)
+        alpha = st.density(np.outer(vec, vec.conj()), tols=DEFAULT_TOLS)
         iso = IsometricOperation(np.eye(4, dtype=complex), alpha)
         _, delta_s = mmap(sc, iso)
         sigma_p = act(sc, identity_channel(2))

@@ -10,7 +10,7 @@ from supchan import matkernel as mk
 from supchan import states as st
 from supchan import superchannel as sup
 from supchan.config import DEFAULT_TOLS
-from supchan.matkernel import DimShape, ValidationError
+from supchan.matkernel import ValidationError
 
 from conftest import (channel_from_dilation, classical_channel, clausius, depolarizing_channel, env_marginal,
                       ext_add, identity_channel, neso, neso_op, random_cptp, random_density, replace_channel,
@@ -23,11 +23,11 @@ def rand_sc(d_s, d_e, seed, product=False):
     if product:
         sigma = random_density(d_s, d_s, rng)
         tau = random_density(d_e, d_e, rng)
-        rho = st.density(np.kron(sigma.mat, tau.mat), DimShape([d_s, d_e], ["S", "E"]), tols=DEFAULT_TOLS)
+        rho = st.density(np.kron(sigma.mat, tau.mat), tols=DEFAULT_TOLS)
     else:
         raw = random_density(d_s * d_e, int(rng.integers(1, d_s * d_e + 1)), rng)
-        rho = st.density(raw.mat, DimShape([d_s, d_e], ["S", "E"]), tols=DEFAULT_TOLS)
-    return sup.build(st.haar_unitary(d_s * d_e, rng), rho, tols=DEFAULT_TOLS), rng
+        rho = st.density(raw.mat, tols=DEFAULT_TOLS)
+    return sup.build(st.haar_unitary(d_s * d_e, rng), rho, d_s, d_e, tols=DEFAULT_TOLS), rng
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +163,9 @@ def test_main_bound_detects_known_adversarial_violation():
     # contractivity argument needs.  The verifier must report the violation.
     sigma = np.diag([0.99, 0.01]).astype(complex)
     tau = np.eye(2, dtype=complex) / 2
-    rho_se = st.density(np.kron(sigma, tau), DimShape([2, 2], ["S", "E"]), tols=DEFAULT_TOLS)
+    rho_se = st.density(np.kron(sigma, tau), tols=DEFAULT_TOLS)
     theta = math.asin(math.sqrt(0.1))
-    sc = sup.build(ch.partial_swap_unitary(2, theta), rho_se, tols=DEFAULT_TOLS)
+    sc = sup.build(ch.partial_swap_unitary(2, theta), rho_se, 2, 2, tols=DEFAULT_TOLS)
     op = classical_channel(np.array([[1.0, 0.5], [0.0, 0.5]]))
     ns = neso(sc)
     rep = bd.main_block([sc], [op], [ns], tols=DEFAULT_TOLS)[0]
@@ -210,8 +210,8 @@ def qubit_thermal_sc(beta=1.0, theta=math.pi / 4, seed=0):
     gibbs, z = bd.thermal_state(h, beta, tols=DEFAULT_TOLS)
     rng = np.random.default_rng(seed)
     anchor = random_density(2, 2, rng)
-    rho_se = st.density(np.kron(anchor.mat, gibbs.mat), DimShape([2, 2], ["S", "E"]), tols=DEFAULT_TOLS)
-    sc = sup.build(ch.partial_swap_unitary(2, theta), rho_se, tols=DEFAULT_TOLS)
+    rho_se = st.density(np.kron(anchor.mat, gibbs.mat), tols=DEFAULT_TOLS)
+    sc = sup.build(ch.partial_swap_unitary(2, theta), rho_se, 2, 2, tols=DEFAULT_TOLS)
     return sc, h, gibbs, z, rng
 
 
@@ -263,9 +263,9 @@ def test_clausius_rejects_non_thermal_fixed_point():
     rng = np.random.default_rng(5)
     tau = random_density(2, 2, rng)
     rho_se = st.density(
-        np.kron(random_density(2, 2, rng).mat, tau.mat), DimShape([2, 2], ["S", "E"]), tols=DEFAULT_TOLS
+        np.kron(random_density(2, 2, rng).mat, tau.mat), tols=DEFAULT_TOLS
     )
-    sc = sup.build(swap_unitary(2), rho_se, tols=DEFAULT_TOLS)
+    sc = sup.build(swap_unitary(2), rho_se, 2, 2, tols=DEFAULT_TOLS)
     with pytest.raises(ValidationError, match="residual"):
         clausius(sc, tau, h, 1.0)
 
@@ -289,9 +289,9 @@ def test_qdpi_product_operation_both_sides_vanish():
 def test_qdpi_swap_preparation_through_depolarizing_superchannels():
     # SWAP's operation-state is maximally correlated across the P/Q pairs;
     # superchannels that discard the system output no mutual information
-    rho_se = st.density(np.eye(4) / 4, DimShape([2, 2], ["S", "E"]), tols=DEFAULT_TOLS)
-    sc1 = sup.build(swap_unitary(2), rho_se, tols=DEFAULT_TOLS)
-    sc2 = sup.build(swap_unitary(2), rho_se, tols=DEFAULT_TOLS)
+    rho_se = st.density(np.eye(4) / 4, tols=DEFAULT_TOLS)
+    sc1 = sup.build(swap_unitary(2), rho_se, 2, 2, tols=DEFAULT_TOLS)
+    sc2 = sup.build(swap_unitary(2), rho_se, 2, 2, tols=DEFAULT_TOLS)
     swap_op = unitary_channel(swap_unitary(2))
     rep = bd.qdpi_block([sc1], [sc2], [swap_op], tols=DEFAULT_TOLS)[0]
     assert rep.passed
@@ -341,8 +341,8 @@ def test_holevo_indistinguishable_ensemble():
 
 def test_holevo_orthogonal_ensemble_attains_log2():
     # identity-like superchannel: product maximally mixed rho_SE with U = I
-    rho_se = st.density(np.eye(4) / 4, DimShape([2, 2], ["S", "E"]), tols=DEFAULT_TOLS)
-    sc = sup.build(np.eye(4, dtype=complex), rho_se, tols=DEFAULT_TOLS)
+    rho_se = st.density(np.eye(4) / 4, tols=DEFAULT_TOLS)
+    sc = sup.build(np.eye(4, dtype=complex), rho_se, 2, 2, tols=DEFAULT_TOLS)
     rng = np.random.default_rng(7)
     ens = bd.Ensemble(
         (0.5, 0.5),

@@ -1,3 +1,4 @@
+import builtins
 import json
 import math
 import os
@@ -268,6 +269,49 @@ def test_the_pool_splits_blocks_longest_first_to_the_least_loaded_process():
     assert cp._shares([5, 1, 4, 4, 2], 2) == [[0, 1, 4], [2, 3]]
     assert cp._shares([3, 3, 3, 3, 1], 2) == [[0, 2, 4], [1, 3]]
     assert cp._shares([1, 1, 1], 3) == [[0], [1], [2]]
+
+
+def test_a_serial_run_is_the_pool_with_one_share(monkeypatch):
+    # jobs=1 takes the one path of _pool_blocks with a single share, in
+    # task order: it forks nothing, leaves the BLAS threads alone and
+    # imports nothing that it needs only to kill a child.
+    def untouched():
+        raise AssertionError("the BLAS thread count was read")
+    monkeypatch.setattr(cp, "_openblas_threads", untouched)
+    shares, real_pool = [], cp._pool_blocks
+    monkeypatch.setattr(cp, "_pool_blocks", lambda tasks, campaign, s: shares.append(s) or real_pool(tasks, campaign, s))
+    imported, real_import = [], builtins.__import__
+    monkeypatch.setattr(builtins, "__import__", lambda name, *a, **k: imported.append(name) or real_import(name, *a, **k))
+    forks = count_forks(monkeypatch, 0)
+    scn = make_scenario(bound="all", trials=1, n_measurements=5)
+    cp.run_campaign(scn, DEFAULT_TOLS, jobs=1)
+    assert shares == [[list(range(len(cp.FAMILIES)))]]
+    assert forks == [] and "signal" not in imported
+
+
+def test_a_crash_in_a_pool_worker_prints_the_workers_traceback(tmp_path, capsys, monkeypatch):
+    # Only the forked child's share raises; the frames of its traceback do
+    # not survive pickling, so the child notes them on the error it sends.
+    report_cpus(monkeypatch, 2)
+    me, real = os.getpid(), cp.evaluate_block
+
+    def singular_helper_of_the_worker():
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    def evaluate_block(*args, **kwargs):
+        if os.getpid() != me:
+            singular_helper_of_the_worker()
+        return real(*args, **kwargs)
+    monkeypatch.setattr(cp, "evaluate_block", evaluate_block)
+    forks = count_forks(monkeypatch, 1)
+    path, out = tmp_path / "scn.json", tmp_path / "r.json"
+    path.write_text(json.dumps({"seed": 1, "trials": 2, "n_measurements": 5}))
+    assert cli.main(["verify", "--scenario", str(path), "--out", str(out), "--jobs", "2"]) == cli.EXIT_CRASH
+    err = capsys.readouterr().err
+    assert "numpy.linalg.LinAlgError: Singular matrix" in err
+    assert "in singular_helper_of_the_worker" in err and "The pool worker's traceback" in err
+    assert len(forks) == 1 and not out.exists()
+    assert_no_child_is_left()
 
 
 def test_a_pool_worker_that_dies_exits_4_and_leaves_no_child(tmp_path, capsys, monkeypatch):
@@ -686,6 +730,30 @@ def test_prepare_builds_only_what_the_families_read():
     assert cp.prepare(holevo, DEFAULT_TOLS, ("spohn",)) == cp.Prepared({}, None)
 
 
+@pytest.mark.parametrize("name,blocks", [("qdpi-explicit-U-rho_se-PQ-2x3-E-3x2", 2), ("main-explicit-rho_se-E3", 3)])
+def test_a_pinned_rho_se_is_decomposed_once_per_campaign(monkeypatch, name, blocks):
+    # The qdpi scenario pins U and rho_SE and reads them at (2, 3) and
+    # (3, 2); the main one pins rho_SE alone.  Each runs in blocks of two
+    # trials.  Only the check at load decomposes rho_SE: every split and
+    # every block reuses that state.
+    text = (GOLDEN / f"{name}.json").read_text()
+    raw = cp.parse_complex_matrix(json.loads(text)["explicit"]["rho_se"], "rho_se", [])
+    target = (raw + raw.conj().T) / 2.0
+    calls, real = [], np.linalg.eigh
+
+    def eigh(a, *args, **kwargs):
+        a = np.asarray(a)
+        if a.shape[-2:] == target.shape and any(np.array_equal(m, target) for m in a.reshape(-1, *target.shape)):
+            calls.append(a.shape)
+        return real(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    scn = cp.load_scenario(text)
+    monkeypatch.setattr(cp, "STACK_ENTRIES", 2 * cp._trial_entries(scn.bound, cp._dim_values(scn.dims), 50))
+    assert len(campaign_blocks(scn)) == blocks
+    cp.run_campaign(scn, scn.tols(DEFAULT_TOLS), jobs=1)
+    assert len(calls) == 1
+
+
 def test_a_trial_without_prepared_objects_prepares_only_its_own_family(monkeypatch):
     # main's steady operation cannot fail a spohn trial of the same scenario.
     def failing_neso_block(scs, tols):
@@ -707,7 +775,7 @@ def test_random_superchannels_draw_as_one_trial_at_a_time(d_s, d_e, pinned):
     # Each generator gives its rank and Ginibre factor, then the normals of
     # its U as haar_unitary draws them; the block's stacked QR keeps the bits.
     d = d_s * d_e
-    ex = {"rho_se": random_density(d, 2, np.random.default_rng(3)).mat} if pinned else {}
+    ex = {"rho_se": random_density(d, 2, np.random.default_rng(3))} if pinned else {}
 
     def rngs():
         return [np.random.default_rng([7, d, t]) for t in range(9)]

@@ -9,7 +9,7 @@ from supchan import matkernel as mk
 from supchan import states as st
 from supchan import superchannel as sup
 from supchan.config import DEFAULT_TOLS, Tolerances
-from supchan.matkernel import DimShape, ShapeError, ValidationError
+from supchan.matkernel import ShapeError, ValidationError
 
 from conftest import (apply, channel_from_dilation, compose, depolarizing_channel, fixed_point, identity_channel,
                       is_trace_preserving, partial_damping_kraus, random_cptp, random_density, relative_entropy,
@@ -132,7 +132,7 @@ def test_from_choi_keeps_the_kraus_operators_of_its_cp_check(monkeypatch, oracle
 
 def test_channel_from_dilation_identity_and_swap():
     rng = np.random.default_rng(13)
-    tau = random_density(2, 2, rng, labels=["E"])
+    tau = random_density(2, 2, rng)
     ident = channel_from_dilation(np.eye(4, dtype=complex), tau)
     rho = random_density(2, 2, rng)
     assert mk.max_abs(apply(ident, rho).mat - rho.mat) <= 1e-11
@@ -145,15 +145,11 @@ def test_channel_from_dilation_matches_direct_formula():
     rng = np.random.default_rng(17)
     for d_s, d_e in ((2, 2), (2, 3), (3, 2)):
         u = st.haar_unitary(d_s * d_e, rng)
-        tau = random_density(d_e, d_e, rng, labels=["E"])
+        tau = random_density(d_e, d_e, rng)
         op = channel_from_dilation(u, tau)
         assert is_trace_preserving(op)
         sigma = random_density(d_s, d_s, rng)
-        direct = mk.partial_trace(
-            u @ np.kron(sigma.mat, tau.mat) @ u.conj().T,
-            DimShape([d_s, d_e], ["S", "E"]),
-            ["S"],
-        )
+        direct = mk.partial_trace(u @ np.kron(sigma.mat, tau.mat) @ u.conj().T, (d_s, d_e), [0])
         assert mk.max_abs(apply(op, sigma).mat - direct) <= 1e-11
     with pytest.raises(ValidationError):
         channel_from_dilation(np.eye(4) * 2.0, tau)
@@ -259,21 +255,20 @@ def test_marginal_operation_product():
     a_q = random_cptp(2, 3, rng)
     joint_kraus = [np.kron(kp, kq) for kp in a_p.kraus for kq in a_q.kraus]
     joint = ch.from_kraus(joint_kraus)
-    got_p = ch.marginal_chois(joint.choi, (2, 2), "P", tols=DEFAULT_TOLS)
+    got_p = ch.marginal_chois(joint.choi, (2, 2), 0, tols=DEFAULT_TOLS)
     assert mk.max_abs(got_p - a_p.choi) <= 1e-10
-    got_q = ch.marginal_chois(joint.choi, (2, 2), "Q", tols=DEFAULT_TOLS)
+    got_q = ch.marginal_chois(joint.choi, (2, 2), 1, tols=DEFAULT_TOLS)
     assert mk.max_abs(got_q - a_q.choi) <= 1e-10
     # repeated extraction from a product operation changes nothing
-    again = ch.marginal_chois(joint.choi, (2, 2), "P", tols=DEFAULT_TOLS)
+    again = ch.marginal_chois(joint.choi, (2, 2), 0, tols=DEFAULT_TOLS)
     assert mk.max_abs(again - got_p) == 0
 
 
 def test_marginal_operation_swap_is_depolarizing_like():
     swap_op = unitary_channel(swap_unitary(2))
-    got = ch.from_choi(ch.marginal_chois(swap_op.choi, (2, 2), "P", DEFAULT_TOLS), 2, 2, DEFAULT_TOLS)
-    # oracle: partial trace of the Choi over the Q pair, rescaled
-    shape = DimShape([2, 2, 2, 2], ["Po", "Qo", "Pi", "Qi"])
-    oracle = mk.partial_trace(swap_op.choi, shape, ["Po", "Pi"]) / 2
+    got = ch.from_choi(ch.marginal_chois(swap_op.choi, (2, 2), 0, DEFAULT_TOLS), 2, 2, DEFAULT_TOLS)
+    # oracle: partial trace of the Choi, ordered (P_out, Q_out, P_in, Q_in), over the Q pair, rescaled
+    oracle = mk.partial_trace(swap_op.choi, (2, 2, 2, 2), [0, 2]) / 2
     assert mk.max_abs(got.choi - oracle) <= 1e-12
     # the marginal of SWAP discards P and hands out the maximally mixed state
     rho = random_density(2, 1, np.random.default_rng(0))
@@ -284,7 +279,7 @@ def test_marginal_operation_requires_structure():
     # qdpi_block takes the (d_P, d_Q) split of its marginal operations from
     # the superchannels, here (2, 2), and refuses a joint operation that is
     # not on d_P*d_Q = 4, before any marginal is taken.
-    sc = sup.build(np.eye(4), st.density(np.eye(4) / 4, DimShape([2, 2], ["S", "E"]), tols=DEFAULT_TOLS), DEFAULT_TOLS)
+    sc = sup.build(np.eye(4), st.density(np.eye(4) / 4, tols=DEFAULT_TOLS), 2, 2, DEFAULT_TOLS)
     for d in (2, 8):
         with pytest.raises(ShapeError, match="d_P\\*d_Q=4"):
             bd.qdpi_block([sc], [sc], [identity_channel(d)], tols=DEFAULT_TOLS)

@@ -9,7 +9,7 @@ from supchan import matkernel as mk
 from supchan import states as st
 from supchan import superchannel as sup
 from supchan.config import DEFAULT_TOLS
-from supchan.matkernel import DimShape, ShapeError, ValidationError
+from supchan.matkernel import ShapeError, ValidationError
 
 from conftest import (act, apply, channel_from_dilation, depolarizing_channel, identity_channel,
                       is_trace_preserving, IsometricOperation, isometry_choi_state, mmap, operation_entropy,
@@ -20,8 +20,8 @@ from conftest import (act, apply, channel_from_dilation, depolarizing_channel, i
 def rand_sc(d_s, d_e, seed):
     rng = np.random.default_rng(seed)
     raw = random_density(d_s * d_e, int(rng.integers(1, d_s * d_e + 1)), rng)
-    rho = st.density(raw.mat, DimShape([d_s, d_e], ["S", "E"]), tols=DEFAULT_TOLS)
-    return sup.build(st.haar_unitary(d_s * d_e, rng), rho, tols=DEFAULT_TOLS), rng
+    rho = st.density(raw.mat, tols=DEFAULT_TOLS)
+    return sup.build(st.haar_unitary(d_s * d_e, rng), rho, d_s, d_e, tols=DEFAULT_TOLS), rng
 
 
 def entropy_of(mat):
@@ -35,9 +35,9 @@ def test_stinespring_unitary_operation():
     assert form.ancilla_dim == 1
     psi = form.psi_abc
     rho = np.outer(psi, psi.conj())
-    shape = form.shape_abc(2)
-    s_bc = entropy_of(mk.partial_trace(rho, shape, ["b", "c"]))
-    s_a = entropy_of(mk.partial_trace(rho, shape, ["a"]))
+    dims = form.dims_abc(2)
+    s_bc = entropy_of(mk.partial_trace(rho, dims, [1, 2]))
+    s_a = entropy_of(mk.partial_trace(rho, dims, [0]))
     assert s_bc <= 1e-10 and s_a <= 1e-10
 
 
@@ -46,7 +46,7 @@ def test_stinespring_depolarizing_entropy():
     form = stinespring(op)
     psi = form.psi_abc
     rho = np.outer(psi, psi.conj())
-    s_bc = entropy_of(mk.partial_trace(rho, form.shape_abc(2), ["b", "c"]))
+    s_bc = entropy_of(mk.partial_trace(rho, form.dims_abc(2), [1, 2]))
     assert abs(s_bc - 2 * math.log(2)) <= 1e-10
     assert abs(operation_entropy(op) - 2 * math.log(2)) <= 1e-10
 
@@ -59,7 +59,7 @@ def test_stinespring_reproduces_choi_state():
             form = stinespring(op)
             assert mk.max_abs(form.v.conj().T @ form.v - np.eye(d)) <= 1e-10
             rho = np.outer(form.psi_abc, form.psi_abc.conj())
-            got = mk.partial_trace(rho, form.shape_abc(d), ["b", "c"])
+            got = mk.partial_trace(rho, form.dims_abc(d), [1, 2])
             assert mk.max_abs(got - op.choi_state) <= 1e-10
 
 
@@ -70,7 +70,7 @@ def test_stinespring_choi_origin_round_trip():
     op = ch.from_choi(base.choi, 2, 2, tols=DEFAULT_TOLS)
     form = stinespring(op)
     rho = np.outer(form.psi_abc, form.psi_abc.conj())
-    got = mk.partial_trace(rho, form.shape_abc(2), ["b", "c"])
+    got = mk.partial_trace(rho, form.dims_abc(2), [1, 2])
     assert mk.max_abs(got - op.choi_state) <= 1e-10
 
 
@@ -110,9 +110,9 @@ def test_purification_symmetry_sweep():
         op = random_cptp(d, int(rng.integers(1, d * d + 1)), rng)
         form = stinespring(op)
         rho = np.outer(form.psi_abc, form.psi_abc.conj())
-        shape = form.shape_abc(d)
-        s_bc = entropy_of(mk.partial_trace(rho, shape, ["b", "c"]))
-        s_a = entropy_of(mk.partial_trace(rho, shape, ["a"]))
+        dims = form.dims_abc(d)
+        s_bc = entropy_of(mk.partial_trace(rho, dims, [1, 2]))
+        s_a = entropy_of(mk.partial_trace(rho, dims, [0]))
         assert abs(s_bc - s_a) <= 1e-10
         assert abs(operation_entropy(op) - s_a) <= 1e-10
 
@@ -130,7 +130,7 @@ def test_operation_entropy_unitary_is_zero():
 
 
 def test_isometric_operation_validation():
-    alpha = st.density(np.diag([1.0, 0.0]), DimShape([2], ["A"]), tols=DEFAULT_TOLS)
+    alpha = st.density(np.diag([1.0, 0.0]), tols=DEFAULT_TOLS)
     with pytest.raises(ValidationError):
         IsometricOperation(np.eye(4) * 2.0, alpha)
     with pytest.raises(ShapeError):
@@ -148,16 +148,12 @@ def test_operation_of_reproduces_dilation_action():
     rng = np.random.default_rng(7)
     v = st.haar_unitary(4, rng)
     alpha_vec = st.random_pure(2, rng)
-    alpha = st.density(np.outer(alpha_vec, alpha_vec.conj()), DimShape([2], ["A"]), tols=DEFAULT_TOLS)
+    alpha = st.density(np.outer(alpha_vec, alpha_vec.conj()), tols=DEFAULT_TOLS)
     iso = IsometricOperation(v, alpha)
     op = channel_from_dilation(iso.v, iso.alpha)
     assert is_trace_preserving(op)
     sigma = random_density(2, 2, rng)
-    direct = mk.partial_trace(
-        v @ np.kron(sigma.mat, alpha.mat) @ v.conj().T,
-        DimShape([2, 2], ["S", "A"]),
-        ["S"],
-    )
+    direct = mk.partial_trace(v @ np.kron(sigma.mat, alpha.mat) @ v.conj().T, (2, 2), [0])
     assert mk.max_abs(apply(op, sigma).mat - direct) <= 1e-10
 
 
@@ -165,13 +161,12 @@ def test_isometry_choi_state_is_valid_and_tp():
     rng = np.random.default_rng(8)
     v = st.haar_unitary(4, rng)
     alpha_vec = st.random_pure(2, rng)
-    alpha = st.density(np.outer(alpha_vec, alpha_vec.conj()), DimShape([2], ["A"]), tols=DEFAULT_TOLS)
+    alpha = st.density(np.outer(alpha_vec, alpha_vec.conj()), tols=DEFAULT_TOLS)
     iso = IsometricOperation(v, alpha)
     state = isometry_choi_state(iso)
     assert abs(np.trace(state.mat).real - 1.0) <= 1e-10
     # tracing the ancilla out of the dilation Choi recovers the reduced map
-    shape = DimShape([2, 2, 2], ["So", "Ao", "in"])
-    reduced = mk.partial_trace(state.mat * 2, shape, ["So", "in"])
+    reduced = mk.partial_trace(state.mat * 2, (2, 2, 2), [0, 2])   # (S_out, A_out, in)
     assert mk.max_abs(reduced - channel_from_dilation(iso.v, iso.alpha).choi) <= 1e-10
 
 
@@ -179,7 +174,7 @@ def test_mmap_decoupled_case():
     # V = I: Upsilon = sigma' (x) alpha and delta_S = S(sigma') - S(sigma)
     sc, rng = rand_sc(2, 2, seed=9)
     alpha_vec = st.random_pure(2, rng)
-    alpha = st.density(np.outer(alpha_vec, alpha_vec.conj()), DimShape([2], ["A"]), tols=DEFAULT_TOLS)
+    alpha = st.density(np.outer(alpha_vec, alpha_vec.conj()), tols=DEFAULT_TOLS)
     iso = IsometricOperation(np.eye(4, dtype=complex), alpha)
     upsilon, delta_s = mmap(sc, iso)
     sigma_p = act(sc, identity_channel(2))
@@ -191,14 +186,14 @@ def test_mmap_decoupled_case():
 def test_mmap_swap_dilation_moves_state_to_ancilla():
     # V = SWAP_SA with alpha = |0><0| implements replace-by-|0> on the system
     sc, _ = rand_sc(2, 2, seed=10)
-    alpha = st.density(np.diag([1.0, 0.0]), DimShape([2], ["A"]), tols=DEFAULT_TOLS)
+    alpha = st.density(np.diag([1.0, 0.0]), tols=DEFAULT_TOLS)
     iso = IsometricOperation(swap_unitary(2), alpha)
     op = channel_from_dilation(iso.v, iso.alpha)
     ket0 = st.density(np.diag([1.0, 0.0]), tols=DEFAULT_TOLS)
     rho = random_density(2, 2, np.random.default_rng(11))
     assert mk.max_abs(apply(op, rho).mat - ket0.mat) <= 1e-12
     upsilon, _ = mmap(sc, iso)
-    reduced = mk.partial_trace(upsilon.mat, upsilon.shape, ["S"])
+    reduced = mk.partial_trace(upsilon.mat, (2, 2), [0])
     assert mk.max_abs(reduced - act(sc, op).mat) <= 1e-10
 
 
@@ -207,10 +202,10 @@ def test_mmap_marginal_consistency_sweep():
         sc, rng = rand_sc(2, 2, seed=100 + seed)
         v = st.haar_unitary(4, rng)
         alpha_vec = st.random_pure(2, rng)
-        alpha = st.density(np.outer(alpha_vec, alpha_vec.conj()), DimShape([2], ["A"]), tols=DEFAULT_TOLS)
+        alpha = st.density(np.outer(alpha_vec, alpha_vec.conj()), tols=DEFAULT_TOLS)
         iso = IsometricOperation(v, alpha)
         upsilon, _ = mmap(sc, iso)
-        reduced = mk.partial_trace(upsilon.mat, upsilon.shape, ["S"])
+        reduced = mk.partial_trace(upsilon.mat, (2, 2), [0])
         direct = act(sc, channel_from_dilation(iso.v, iso.alpha))
         assert mk.max_abs(reduced - direct.mat) <= 1e-10
 
@@ -222,7 +217,7 @@ def test_mmap_block_is_bitwise_the_dense_lift(oracles, d_s, d_e, d_a):
     rng = np.random.default_rng([d_s, d_e, d_a])
     scs = [rand_sc(d_s, d_e, seed=int(rng.integers(1 << 30)))[0] for _ in range(3)]
     vs = [st.haar_unitary(d_s * d_a, rng) for _ in scs]
-    alphas = [random_density(d_a, int(rng.integers(1, d_a + 1)), rng, labels=["A"]) for _ in scs]
+    alphas = [random_density(d_a, int(rng.integers(1, d_a + 1)), rng) for _ in scs]
     upsilons, deltas = dl.mmap_block(scs, vs, alphas, DEFAULT_TOLS)
     for sc, v, alpha, upsilon, delta_s in zip(scs, vs, alphas, upsilons, deltas):
         ups, want, _ = oracles.mmap_image(sc, v, alpha.mat, DEFAULT_TOLS)
@@ -232,6 +227,6 @@ def test_mmap_block_is_bitwise_the_dense_lift(oracles, d_s, d_e, d_a):
 
 def test_mmap_dim_mismatch():
     sc, _ = rand_sc(2, 2, seed=12)
-    alpha = st.density(np.diag([1.0, 0.0, 0.0]), DimShape([3], ["A"]), tols=DEFAULT_TOLS)
+    alpha = st.density(np.diag([1.0, 0.0, 0.0]), tols=DEFAULT_TOLS)
     with pytest.raises(ShapeError):
         mmap(sc, IsometricOperation(st.haar_unitary(9, np.random.default_rng(0)), alpha))

@@ -10,7 +10,7 @@ from supchan import matkernel as mk
 from supchan import states as st
 from supchan import superchannel as sup
 from supchan.config import DEFAULT_TOLS, Tolerances
-from supchan.matkernel import DimShape, ShapeError, ValidationError
+from supchan.matkernel import ShapeError, ValidationError
 
 from conftest import herm_eig, marginal, random_density, relative_entropy, trial_rng, von_neumann_entropy
 
@@ -105,42 +105,37 @@ def test_entropy_concavity_spot_check():
 
 def test_mutual_information_product_bell_classical():
     rng = np.random.default_rng(5)
-    shape = DimShape([2, 2], ["P", "Q"])
     a = random_density(2, 2, rng)
     b = random_density(2, 1, rng)
-    prod = st.density(np.kron(a.mat, b.mat), shape, tols=DEFAULT_TOLS)
-    assert abs(st.mutual_informations(prod.mat[None], shape, ["P"], tols=DEFAULT_TOLS)[0][0]) <= 1e-10
+    prod = st.density(np.kron(a.mat, b.mat), tols=DEFAULT_TOLS)
+    assert abs(st.mutual_informations(prod.mat[None], (2, 2), [0], tols=DEFAULT_TOLS)[0][0]) <= 1e-10
 
     beta = np.zeros(4, dtype=complex)
     beta[0] = beta[3] = 1 / np.sqrt(2)
-    bell = st.density(np.outer(beta, beta.conj()), shape, tols=DEFAULT_TOLS)
-    assert abs(st.mutual_informations(bell.mat[None], shape, ["P"], tols=DEFAULT_TOLS)[0][0] - 2 * math.log(2)) <= 1e-10
+    bell = st.density(np.outer(beta, beta.conj()), tols=DEFAULT_TOLS)
+    assert abs(st.mutual_informations(bell.mat[None], (2, 2), [0], tols=DEFAULT_TOLS)[0][0] - 2 * math.log(2)) <= 1e-10
 
-    classical = st.density(np.diag([0.5, 0.0, 0.0, 0.5]), shape, tols=DEFAULT_TOLS)
-    assert abs(st.mutual_informations(classical.mat[None], shape, ["P"], DEFAULT_TOLS)[0][0] - math.log(2)) <= 1e-10
+    classical = st.density(np.diag([0.5, 0.0, 0.0, 0.5]), tols=DEFAULT_TOLS)
+    assert abs(st.mutual_informations(classical.mat[None], (2, 2), [0], DEFAULT_TOLS)[0][0] - math.log(2)) <= 1e-10
 
 
 def test_mutual_information_symmetry_and_errors():
     rng = np.random.default_rng(6)
-    shape = DimShape([2, 3], ["P", "Q"])
     rho = random_density(6, 4, rng)
-    rho = st.density(rho.mat, shape, tols=DEFAULT_TOLS)
-    assert abs(st.mutual_informations(rho.mat[None], shape, ["P"], tols=DEFAULT_TOLS)[0][0]
-               - st.mutual_informations(rho.mat[None], shape, ["Q"], tols=DEFAULT_TOLS)[0][0]) <= 1e-12
-    with pytest.raises(mk.ShapeError):
-        st.mutual_informations(rho.mat[None], shape, ["P", "Q"], tols=DEFAULT_TOLS)
-    with pytest.raises(mk.ShapeError):
-        st.mutual_informations(rho.mat[None], shape, [], tols=DEFAULT_TOLS)
+    assert abs(st.mutual_informations(rho.mat[None], (2, 3), [0], tols=DEFAULT_TOLS)[0][0]
+               - st.mutual_informations(rho.mat[None], (2, 3), [1], tols=DEFAULT_TOLS)[0][0]) <= 1e-12
+    for part in ([0, 1], [], [2]):
+        with pytest.raises(mk.ShapeError, match="is not a proper nonempty subset of the positions of"):
+            st.mutual_informations(rho.mat[None], (2, 3), part, tols=DEFAULT_TOLS)
 
 
 def test_schmidt_symmetry_for_pure_bipartite():
     rng = np.random.default_rng(12)
-    shape = DimShape([2, 3], ["P", "Q"])
     for _ in range(10):
         psi = st.random_pure(6, rng)
-        rho = st.density(np.outer(psi, psi.conj()), shape, tols=DEFAULT_TOLS)
-        sp = von_neumann_entropy(marginal(rho, ["P"]))
-        sq = von_neumann_entropy(marginal(rho, ["Q"]))
+        rho = st.density(np.outer(psi, psi.conj()), tols=DEFAULT_TOLS)
+        sp = von_neumann_entropy(marginal(rho, (2, 3), [0]))
+        sq = von_neumann_entropy(marginal(rho, (2, 3), [1]))
         assert abs(sp - sq) <= 1e-10
 
 
@@ -218,7 +213,7 @@ def test_a_state_is_decomposed_once_by_its_check(monkeypatch):
     rng = np.random.default_rng(3)
     mats = st.wishart([st.ginibre(3, r, rng) for r in (1, 2, 3)])
     calls = count_decompositions(monkeypatch)
-    rhos = st.densities(mats, DimShape([3], ["S"]), tols=DEFAULT_TOLS)
+    rhos = st.densities(mats, tols=DEFAULT_TOLS)
     assert calls == ["eigh"]
     w, v = st.decompose(rhos)
     assert [von_neumann_entropy(r) for r in rhos] == [st.entropy_of_spectrum(wb) for wb in w]
@@ -236,8 +231,8 @@ def block_checks(tols):
 
     def superchannel(m):
         # With U and the operation the identity and d_E = 1, sigma' is m exactly.
-        rho_se = st.DensityMatrix(m, DimShape([2, 1], ["S", "E"]), *np.linalg.eigh(m))
-        return sup.build(np.eye(2, dtype=complex), rho_se, tols)
+        rho_se = st.DensityMatrix(m, *np.linalg.eigh(m))
+        return sup.build(np.eye(2, dtype=complex), rho_se, 2, 1, tols)
 
     def holevo(m):
         # Both the codeword and the average state are m; the codeword's check meets it first.
@@ -245,8 +240,7 @@ def block_checks(tols):
                                tols)
 
     return [lambda m: sup.act_block([superchannel(m)], [ident], tols),
-            lambda m: st.mutual_informations(np.kron(m, np.diag([1.0, 0.0]))[None], DimShape([2, 2], ["P", "Q"]),
-                                             ["P"], tols),
+            lambda m: st.mutual_informations(np.kron(m, np.diag([1.0, 0.0]))[None], (2, 2), [0], tols),
             holevo]
 
 
@@ -260,7 +254,7 @@ def test_the_psd_check_at_the_psd_floor_reads_the_kept_decomposition(monkeypatch
     with pytest.raises(ValidationError, match="negative eigenvalue -1.500e-10 below -psd_floor"):
         st.density(beyond, tols=tols)
     with pytest.raises(ValidationError, match="negative eigenvalue -1.500e-10 below -psd_floor"):
-        st.densities(np.array([edge, beyond]), DimShape([2], ["S"]), tols)
+        st.densities(np.array([edge, beyond]), tols)
     # So do act_block's sigma', the input of mutual_informations and the
     # states of holevo_block.
     for check in block_checks(tols):
@@ -269,7 +263,7 @@ def test_the_psd_check_at_the_psd_floor_reads_the_kept_decomposition(monkeypatch
             check(beyond)
     rotated = st.haar_unitary(2, np.random.default_rng(5))
     rho = st.density(edge, tols=tols)
-    stacked = st.densities(np.array([edge, rotated @ np.diag([0.7, 0.3]) @ rotated.conj().T]), DimShape([2], ["S"]), tols)
+    stacked = st.densities(np.array([edge, rotated @ np.diag([0.7, 0.3]) @ rotated.conj().T]), tols)
     calls = count_decompositions(monkeypatch)
     for r in [rho] + stacked:
         w, v = herm_eig(r.mat, tols)
@@ -287,11 +281,15 @@ def test_mat_and_cached_eigendecompositions_are_read_only():
     src[0, 0] = 0.5   # the caller's own array stays writable
 
 
-def test_replace_keeps_the_decomposition_and_checks_the_shape(monkeypatch):
-    rho = random_density(4, 3, np.random.default_rng(4))
-    calls = count_decompositions(monkeypatch)
-    rho_se = dataclasses.replace(rho, shape=DimShape([2, 2], ["S", "E"]))
-    assert rho_se.w.tobytes() == rho.w.tobytes() and rho_se.v.tobytes() == rho.v.tobytes()
-    assert calls == []
-    with pytest.raises(ShapeError, match="shape dim 6"):
-        dataclasses.replace(rho, shape=DimShape([2, 3], ["S", "E"]))
+def test_a_density_matrix_carries_no_tensor_split():
+    # A state holds its matrix and the decomposition that its check took,
+    # nothing else; the one object serves every split it is read at.
+    assert [f.name for f in dataclasses.fields(st.DensityMatrix)] == ["mat", "w", "v"]
+    rho = random_density(6, 3, np.random.default_rng(4))
+    u = np.eye(6, dtype=complex)
+    for d_s, d_e in ((2, 3), (3, 2), (6, 1)):
+        assert sup.build(u, rho, d_s, d_e, DEFAULT_TOLS).rho_se is rho
+    with pytest.raises(ShapeError, match=r"^density matrix must be square, got \(6, 2\)$"):
+        st.DensityMatrix(rho.mat[:, :2], rho.w, rho.v)
+    with pytest.raises(ShapeError, match=r"^density matrix must be square, got \(6, 2\)$"):
+        st.density(rho.mat[:, :2], tols=DEFAULT_TOLS)

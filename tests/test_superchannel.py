@@ -8,7 +8,7 @@ from supchan import matkernel as mk
 from supchan import states as st
 from supchan import superchannel as sup
 from supchan.config import DEFAULT_TOLS
-from supchan.matkernel import DimShape, ShapeError, ValidationError
+from supchan.matkernel import ShapeError, ValidationError
 
 from conftest import (act, apply, channel_from_dilation, choi_of_msharp, env_marginal, identity_channel,
                       msharp_tp_residual, neso, neso_op, random_cptp, random_density, relative_entropy, replace_channel,
@@ -20,24 +20,29 @@ def rand_sc(d_s, d_e, seed, rank=None, product=False):
     if product:
         sigma = random_density(d_s, d_s, rng)
         tau = random_density(d_e, d_e, rng)
-        rho = st.density(np.kron(sigma.mat, tau.mat), DimShape([d_s, d_e], ["S", "E"]), tols=DEFAULT_TOLS)
+        rho = st.density(np.kron(sigma.mat, tau.mat), tols=DEFAULT_TOLS)
     else:
         r = rank if rank is not None else int(rng.integers(1, d_s * d_e + 1))
         raw = random_density(d_s * d_e, r, rng)
-        rho = st.density(raw.mat, DimShape([d_s, d_e], ["S", "E"]), tols=DEFAULT_TOLS)
-    return sup.build(st.haar_unitary(d_s * d_e, rng), rho, tols=DEFAULT_TOLS), rng
+        rho = st.density(raw.mat, tols=DEFAULT_TOLS)
+    return sup.build(st.haar_unitary(d_s * d_e, rng), rho, d_s, d_e, tols=DEFAULT_TOLS), rng
 
 
 def test_build_validation():
     rng = np.random.default_rng(0)
     rho = random_density(4, 4, rng)
-    rho_se = st.density(rho.mat, DimShape([2, 2], ["S", "E"]), tols=DEFAULT_TOLS)
+    rho_se = st.density(rho.mat, tols=DEFAULT_TOLS)
     with pytest.raises(ValidationError):
-        sup.build(np.eye(4) * 1.5, rho_se, tols=DEFAULT_TOLS)
-    with pytest.raises(ShapeError):
-        sup.build(st.haar_unitary(6, rng), rho_se, tols=DEFAULT_TOLS)
-    with pytest.raises(ShapeError):
-        sup.build(np.eye(4), st.density(rho.mat, DimShape([2, 2], ["A", "B"]), tols=DEFAULT_TOLS), tols=DEFAULT_TOLS)
+        sup.build(np.eye(4) * 1.5, rho_se, 2, 2, tols=DEFAULT_TOLS)
+    with pytest.raises(ShapeError, match=r"^unitary shape \(6, 6\) != joint dim 4$"):
+        sup.build(st.haar_unitary(6, rng), rho_se, 2, 2, tols=DEFAULT_TOLS)
+
+
+def test_build_block_refuses_a_rho_se_that_is_not_on_d_s_times_d_e():
+    rho_se = random_density(4, 4, np.random.default_rng(0))
+    for d_s, d_e in ((2, 3), (3, 2), (1, 2)):
+        with pytest.raises(ShapeError, match=rf"^rho_SE dim 4 != d_S \* d_E = {d_s * d_e}$"):
+            sup.build_block([np.eye(d_s * d_e)], [rho_se], d_s, d_e, DEFAULT_TOLS)
 
 
 def test_uncorrelated_trivial_dynamics():
@@ -45,8 +50,8 @@ def test_uncorrelated_trivial_dynamics():
     rng = np.random.default_rng(1)
     sigma = random_density(2, 2, rng)
     tau = random_density(3, 3, rng)
-    rho_se = st.density(np.kron(sigma.mat, tau.mat), DimShape([2, 3], ["S", "E"]), tols=DEFAULT_TOLS)
-    sc = sup.build(np.eye(6, dtype=complex), rho_se, tols=DEFAULT_TOLS)
+    rho_se = st.density(np.kron(sigma.mat, tau.mat), tols=DEFAULT_TOLS)
+    sc = sup.build(np.eye(6, dtype=complex), rho_se, 2, 3, tols=DEFAULT_TOLS)
     got = act(sc, identity_channel(2))
     assert mk.max_abs(got.mat - sigma.mat) <= 1e-12
 
@@ -77,7 +82,7 @@ def test_act_identity_is_plain_evolution():
     sc, _ = rand_sc(2, 3, seed=7)
     got = act(sc, identity_channel(2))
     evolved = sc.u @ sc.rho_se.mat @ sc.u.conj().T
-    oracle = mk.partial_trace(evolved, sc.rho_se.shape, ["S"])
+    oracle = mk.partial_trace(evolved, (2, 3), [0])
     assert mk.max_abs(got.mat - oracle) <= 1e-12
 
 
@@ -89,7 +94,7 @@ def test_act_replace_conditions_environment():
     got = act(sc, replace_channel(pi))
     tau = env_marginal(sc)
     joint = np.kron(pi.mat, tau.mat)
-    oracle = mk.partial_trace(sc.u @ joint @ sc.u.conj().T, sc.rho_se.shape, ["S"])
+    oracle = mk.partial_trace(sc.u @ joint @ sc.u.conj().T, (2, 2), [0])
     assert mk.max_abs(got.mat - oracle) <= 1e-11
 
 
@@ -121,7 +126,7 @@ def test_act_normalized_depolarizing_input_oracle():
     d = sc.d_s
     got = sup.act_normalized_block(sup.m_tensors([sc]), [np.eye(d * d) / (d * d)], tols=DEFAULT_TOLS)[0]
     joint = np.kron(np.eye(d) / d, env_marginal(sc).mat)
-    oracle = mk.partial_trace(sc.u @ joint @ sc.u.conj().T, sc.rho_se.shape, ["S"])
+    oracle = mk.partial_trace(sc.u @ joint @ sc.u.conj().T, (2, 2), [0])
     assert mk.max_abs(got - oracle) <= 1e-11
 
 
@@ -148,11 +153,10 @@ def test_choi_of_msharp_maximally_mixed_trivial_case():
     # with rho_SE maximally mixed the system marginal is I/d and M# is
     # trace preserving on the whole operation-state space: tr_out Choi = I
     d_s = d_e = 2
-    rho_se = st.density(np.eye(4) / 4, DimShape([d_s, d_e], ["S", "E"]), tols=DEFAULT_TOLS)
-    sc = sup.build(np.eye(4, dtype=complex), rho_se, tols=DEFAULT_TOLS)
+    rho_se = st.density(np.eye(4) / 4, tols=DEFAULT_TOLS)
+    sc = sup.build(np.eye(4, dtype=complex), rho_se, d_s, d_e, tols=DEFAULT_TOLS)
     choi = choi_of_msharp(sc)
-    shape = DimShape([d_s, d_s, d_s], ["a", "b", "c"])
-    w = mk.partial_trace(choi, shape, ["b", "c"])
+    w = mk.partial_trace(choi, (d_s, d_s, d_s), [1, 2])
     assert mk.max_abs(w - np.eye(d_s * d_s)) <= 1e-10
     assert np.linalg.eigvalsh(choi)[0] >= -1e-9
 
@@ -179,8 +183,8 @@ def test_neso_swap_gives_env_marginal():
     rng = np.random.default_rng(13)
     tau = random_density(2, 2, rng)
     sigma = random_density(2, 2, rng)
-    rho_se = st.density(np.kron(sigma.mat, tau.mat), DimShape([2, 2], ["S", "E"]), tols=DEFAULT_TOLS)
-    sc = sup.build(swap_unitary(2), rho_se, tols=DEFAULT_TOLS)
+    rho_se = st.density(np.kron(sigma.mat, tau.mat), tols=DEFAULT_TOLS)
+    sc = sup.build(swap_unitary(2), rho_se, 2, 2, tols=DEFAULT_TOLS)
     ns = neso(sc)
     assert mk.max_abs(ns.state.mat - tau.mat) <= 1e-9
     assert mk.max_abs(env_marginal(sc).mat - tau.mat) <= 1e-12
@@ -191,11 +195,11 @@ def test_neso_thermal_fixed_point_oracle():
     beta, energies = 1.0, np.array([0.0, 1.0])
     gibbs = np.diag(np.exp(-beta * energies))
     gibbs /= np.trace(gibbs)
-    tau = st.density(gibbs.astype(complex), DimShape([2], ["E"]), tols=DEFAULT_TOLS)
+    tau = st.density(gibbs.astype(complex), tols=DEFAULT_TOLS)
     rng = np.random.default_rng(14)
     sigma = random_density(2, 2, rng)
-    rho_se = st.density(np.kron(sigma.mat, tau.mat), DimShape([2, 2], ["S", "E"]), tols=DEFAULT_TOLS)
-    sc = sup.build(ch.partial_swap_unitary(2, 0.6), rho_se, tols=DEFAULT_TOLS)
+    rho_se = st.density(np.kron(sigma.mat, tau.mat), tols=DEFAULT_TOLS)
+    sc = sup.build(ch.partial_swap_unitary(2, 0.6), rho_se, 2, 2, tols=DEFAULT_TOLS)
     ns = neso(sc)
     assert mk.max_abs(ns.state.mat - tau.mat) <= 1e-9
 
@@ -207,7 +211,7 @@ def test_neso_choi_structure_and_entropy_split():
     op = neso_op(ns)
     assert mk.max_abs(op.choi - np.kron(ns.state.mat, np.eye(d))) <= 1e-10
     s_opstate = von_neumann_entropy(
-        st.density(op.choi_state, DimShape([d, d], ["out", "in"]), tols=DEFAULT_TOLS)
+        st.density(op.choi_state, tols=DEFAULT_TOLS)
     )
     s_ness = von_neumann_entropy(ns.state)
     assert abs(s_opstate - (s_ness + math.log(d))) <= 1e-10
@@ -227,11 +231,10 @@ def test_msharp_monotonicity_on_operation_states():
     for seed in range(30):
         sc, rng = rand_sc(2, 2, seed=500 + seed)
         d = sc.d_s
-        shape = DimShape([d, d], ["out", "in"])
         x_op = random_cptp(d, int(rng.integers(1, 5)), rng)
         y_op = random_cptp(d, int(rng.integers(2, 5)), rng)
-        x = st.density(x_op.choi_state, shape, tols=DEFAULT_TOLS)
-        y = st.density(y_op.choi_state, shape, tols=DEFAULT_TOLS)
+        x = st.density(x_op.choi_state, tols=DEFAULT_TOLS)
+        y = st.density(y_op.choi_state, tols=DEFAULT_TOLS)
         before = relative_entropy(x, y)
         x_out, y_out = sup.act_normalized_block(sup.m_tensors([sc, sc]), [x.mat, y.mat], tols=DEFAULT_TOLS)
         after = relative_entropy(st.density(x_out, tols=DEFAULT_TOLS), st.density(y_out, tols=DEFAULT_TOLS))
@@ -248,7 +251,7 @@ def act_kron_loop(sc, op):
         kk = np.kron(k, i_e)
         joint += kk @ sc.rho_se.mat @ kk.conj().T
     evolved = sc.u @ joint @ sc.u.conj().T
-    out = mk.partial_trace(evolved, sc.rho_se.shape, ["S"])
+    out = mk.partial_trace(evolved, (sc.d_s, sc.d_e), [0])
     return (out + out.conj().T) / 2.0
 
 
@@ -257,8 +260,8 @@ def test_act_is_bitwise_the_per_kraus_kron_loop(d_s, d_e):
     rng = np.random.default_rng([d_s, d_e])
     for i in range(200):
         raw = random_density(d_s * d_e, int(rng.integers(1, d_s * d_e + 1)), rng)
-        rho_se = st.density(raw.mat, DimShape([d_s, d_e], ["S", "E"]), tols=DEFAULT_TOLS)
-        sc = sup.build(st.haar_unitary(d_s * d_e, rng), rho_se, tols=DEFAULT_TOLS)
+        rho_se = st.density(raw.mat, tols=DEFAULT_TOLS)
+        sc = sup.build(st.haar_unitary(d_s * d_e, rng), rho_se, d_s, d_e, tols=DEFAULT_TOLS)
         op = random_cptp(d_s, 1 + i % (d_s * d_s), rng)
         assert act(sc, op).mat.tobytes() == act_kron_loop(sc, op).tobytes()
 

@@ -185,14 +185,20 @@ def test_every_family_is_one_block_function_that_returns_reports(monkeypatch):
     assert calls == [(f, len(trials)) for f, trials in campaign_blocks(scn)]
 
 
-def test_the_hooks_of_the_benchmark_stay_in_place():
+def test_the_hooks_of_the_benchmark_stay_in_place(monkeypatch):
     # perfbench/tracer.py reads the family of evaluate_trial as its second
-    # argument and the (U, rho_SE) of build as its first two, and counts
+    # argument and the (U, rho_SE) of build as its first two, hashing the
+    # bytes of U and of rho_SE's .mat, and counts
     # _eval_task calls as pool tasks; perfbench/launch.py replaces
     # campaigns.run_campaign, so cmd_verify must look it up on the module.
     assert list(inspect.signature(cp.evaluate_trial).parameters)[:4] == ["scenario", "family", "trial", "tols"]
     assert callable(getattr(cp, "_eval_task", None))
     assert list(inspect.signature(sup.build).parameters)[:2] == ["u", "rho_se"]
+    built, real_build = [], sup.build
+    monkeypatch.setattr(sup, "build", lambda u, rho_se, *args: built.append(rho_se) or real_build(u, rho_se, *args))
+    scn = cp.load_scenario((GOLDEN / "qdpi-explicit-U-rho_se-PQ-2x3-E-3x2.json").read_text())
+    cp.prepare(scn, scn.tols(cp.Tolerances()))
+    assert len(built) == 2 and all(isinstance(rho_se.mat, np.ndarray) for rho_se in built)
     verify = ast.parse(inspect.getsource(cli.cmd_verify))
     calls = [n.func for n in ast.walk(verify) if isinstance(n, ast.Call)]
     assert any(isinstance(f, ast.Attribute) and f.attr == "run_campaign"
