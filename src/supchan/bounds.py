@@ -390,7 +390,7 @@ def holevo_block(scs: list[sup.Superchannel], enss: list[Ensemble], haar: np.nda
         if -1e-12 < chi < 0.0:
             chi = 0.0
         sampled = infos[b].tolist()
-        meta = {"d": d, "codewords": k, "n_measurements": len(sampled),
+        meta = {"d": d, "codewords": int(k), "n_measurements": len(sampled),
                 "best_measurement": int(np.argmax(sampled)), "chi": chi}
         if collects is not None and collects[b] is not None:
             collects[b].update(chi=chi, sampled_information=list(sampled), avg_state_eigenvalues=w_avg[b].tolist())

@@ -290,7 +290,7 @@ def _read_explicit(key: str, obj, readers: list[tuple], tols: Tolerances):
         elif key in ("rho_se", "sigma", "alpha"):
             return st.density(m, tols=tols)
         elif key == "op_choi":
-            op = ch.from_choi(m, readers[0][2], readers[0][2], tols=tols)
+            op = ch.from_chois(m, readers[0][2], readers[0][2], tols)[0]
             ch.require_trace_preserving([op], _NOT_TP)
             return op
         return m
@@ -353,7 +353,7 @@ def _explicit_json(v):
     if isinstance(v, st.DensityMatrix):
         return matrix_to_json(v.mat)
     if isinstance(v, ch.QuantumOperation):
-        return matrix_to_json(v.choi) if v.by_choi else [matrix_to_json(k) for k in v.kraus]
+        return [matrix_to_json(k) for k in v.kraus]
     if isinstance(v, bd.Ensemble):
         return {"probs": list(v.probs), "ops_kraus": [_explicit_json(op) for op in v.ops]}
     return matrix_to_json(v)
@@ -368,7 +368,7 @@ def scenario_echo(scenario: Scenario) -> dict:
         "bound": scenario.bound,
         "tolerances": scenario.tolerances,
         "n_measurements": scenario.n_measurements,
-        "explicit": {k: _explicit_json(v) for k, v in scenario.explicit.items()},
+        "explicit": {k: _explicit_json(v.choi if k == "op_choi" else v) for k, v in scenario.explicit.items()},
     }
 
 

@@ -32,15 +32,12 @@ class QuantumOperation:
 
     It carries no tensor split of its spaces: ``marginal_chois`` and
     ``bounds.qdpi_block`` take the split from the systems it acts on.
-    ``by_choi`` marks an operation given by its Choi matrix (``from_choi``),
-    whose Kraus operators come from the decomposition that its CP check took.
     """
 
     d_in: int
     d_out: int
     choi: np.ndarray
     kraus: np.ndarray
-    by_choi: bool = False
 
     @property
     def choi_state(self) -> np.ndarray:
@@ -71,20 +68,25 @@ def from_kraus_runs(kraus: np.ndarray, counts) -> list[QuantumOperation]:
     return [QuantumOperation(d_in, d_out, c, kraus[e - n:e]) for c, n, e in zip(chois, counts, ends)]
 
 
-def from_choi(choi: np.ndarray, d_out: int, d_in: int, tols: Tolerances) -> QuantumOperation:
-    """Build an operation from its (unnormalized, trace-d_in) Choi matrix,
-    with Kraus operators sqrt(lam) * v for each eigenpair with lam > 0 of
-    the decomposition that its CP check took (the numerical Kraus rank;
-    compare channels through their action, not their Kraus lists)."""
-    choi = mk.as_matrix(choi)
-    if choi.shape != (d_out * d_in, d_out * d_in):
-        raise ShapeError(f"Choi shape {choi.shape} != {(d_out * d_in,) * 2}")
-    kraus = mk.psd_factors(*check_cp(choi, tols)).reshape(-1, d_out, d_in)
-    return QuantumOperation(d_in, d_out, choi, kraus, by_choi=True)
+def from_chois(chois: np.ndarray, d_out: int, d_in: int, tols: Tolerances) -> list[QuantumOperation]:
+    """The operation of each (unnormalized, trace-d_in) Choi matrix of a
+    stack, or of one matrix, with Kraus operators sqrt(lam) * v for each
+    eigenpair with lam > 0 of the decomposition that its CP check took (the
+    numerical Kraus rank; compare channels through their action, not their
+    Kraus lists).  The check and the Kraus extraction run once over the stack."""
+    n = d_out * d_in
+    chois = mk.as_matrix(chois, stack=True)
+    if chois.shape[-2:] != (n, n):
+        raise ShapeError(f"Choi shape {chois.shape[-2:]} != {(n, n)}")
+    chois = chois.reshape(-1, n, n)
+    w, v = check_cp(chois, tols)
+    kraus = mk.psd_factors(w, v).reshape(-1, d_out, d_in)
+    ends = np.cumsum((w > 0.0).sum(-1)).tolist()
+    return [QuantumOperation(d_in, d_out, c, kraus[a:b]) for c, a, b in zip(chois, [0] + ends, ends)]
 
 
 def check_cp(choi: np.ndarray, tols: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """``from_choi``'s checks of a Choi matrix, or of each of a stack:
+    """``from_chois``' checks of a Choi matrix, or of each of a stack:
     Hermitian relative to its largest entry, and CP within CP_TOL on the
     eigenvalues of the one ``np.linalg.eigh`` of (choi + choi^dag) / 2;
     returns that decomposition as ``mk.herm_eig_of`` returns it, after its
@@ -107,18 +109,11 @@ def require_trace_preserving(ops: list[QuantumOperation], message: str) -> None:
 
 def apply_matrices(ops: list[QuantumOperation], mats: np.ndarray) -> np.ndarray:
     """The linear action of each square operation on its matrix of a stack
-    (no TP/validity checks): sum_k K X K^dag added in Kraus order, or the
-    Choi contraction for an operation given by its Choi matrix."""
-    out = np.empty_like(mats, dtype=complex)
-    by_kraus = [b for b, op in enumerate(ops) if not op.by_choi]
-    if by_kraus:
-        ks, x = np.concatenate([ops[b].kraus for b in by_kraus]), mats[by_kraus]
-        out[by_kraus] = mk.sum_runs(lambda i, has: ks[i] @ x[has] @ mk.dagger(ks[i]),
-                                    [len(ops[b].kraus) for b in by_kraus])
-    for b, op in enumerate(ops):
-        if op.by_choi:    # tr_in[choi (I (x) X^T)]
-            out[b] = np.einsum("aibj,ij->ab", op.choi.reshape(op.d_out, op.d_in, op.d_out, op.d_in), mats[b])
-    return out
+    (no TP/validity checks): sum_k K X K^dag added in Kraus order."""
+    if not ops:
+        return np.empty_like(mats, dtype=complex)
+    ks = np.concatenate([op.kraus for op in ops])
+    return mk.sum_runs(lambda i, has: ks[i] @ mats[has] @ mk.dagger(ks[i]), [len(op.kraus) for op in ops])
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +267,7 @@ def marginal_chois(choi: np.ndarray, dims: tuple[int, int], keep: int, tols: Tol
     """The Choi matrix of the marginal operation X -> tr_disc[op(X (x) I/d_disc)]
     on the kept subsystem (``keep`` 0 for P, 1 for Q), for the Choi matrix of
     an operation on P (x) Q, with ``dims`` = (d_P, d_Q), or for each of a
-    stack, with ``from_choi``'s checks: the partial trace over the discarded
+    stack, with ``from_chois``' checks: the partial trace over the discarded
     (out, in) pair, rescaled to trace d_in of the kept part."""
     reduced = mk.partial_trace(choi, tuple(dims) * 2, [keep, keep + 2]) / dims[1 - keep]
     check_cp(reduced, tols)
@@ -306,15 +301,11 @@ def random_cptps(d: int, draws: list[np.ndarray], tols: Tolerances) -> list[Quan
     construction: the PSD Wishart matrix W = G G^dag on out (x) in is
     projected onto the trace-preserving slice (``_tp_projection``), and
     again where an ill-conditioned R left it off by more than float noise
-    (1e-12).  The projections, ``from_choi``'s checks and the Kraus
-    extraction run once over the stack, with the bits of each map.  A map
-    on P (x) Q is drawn at d = d_P d_Q; its split is the caller's."""
+    (1e-12).  The projections and ``from_chois`` run once over the stack,
+    with the bits of each map.  A map on P (x) Q is drawn at d = d_P d_Q;
+    its split is the caller's."""
     choi = _tp_projection(np.array([g @ g.conj().T for g in draws]), d)
     off = np.flatnonzero(mk.max_abs(tr_out_choi(choi, d, d) - np.eye(d)) > 1e-12)
     if off.size:
         choi[off] = _tp_projection(choi[off], d)
-    w, v = check_cp(choi, tols)
-    kraus = mk.psd_factors(w, v).reshape(-1, d, d)
-    ends = np.cumsum((w > 0.0).reshape(len(draws), -1).sum(-1)).tolist()
-    return [QuantumOperation(d, d, c, kraus[a:b])
-            for c, a, b in zip(choi.reshape(len(draws), *choi.shape[-2:]), [0] + ends, ends)]
+    return from_chois(choi, d, d, tols)

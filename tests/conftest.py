@@ -68,7 +68,7 @@ def check_density(mat, tols):
 
 
 def kraus(choi, d_out, d_in, tols):
-    """The Kraus operators of ``from_choi``: the sqrt(lam) * v factors of the
+    """The Kraus operators of ``from_chois``: the sqrt(lam) * v factors of the
     Choi matrix, one at a time."""
     w, v = herm_eig(choi, tols)
     return np.array([(np.sqrt(lam) * f).reshape(d_out, d_in) for lam, f in zip(w, v.T) if lam > 0.0])
@@ -86,7 +86,7 @@ def tp_projection(w, d):
 
 
 def random_cptp_parts(d, rank, rng, tols):
-    """(Choi matrix, Kraus stack) of ``random_cptp``, with the checks of ``from_choi``."""
+    """(Choi matrix, Kraus stack) of ``random_cptp``, with the checks of ``from_chois``."""
     g = st.ginibre(d * d, rank, rng)
     choi = tp_projection(g @ g.conj().T, d)
     if float(np.abs(np.trace(choi.reshape(d, d, d, d), axis1=0, axis2=2) - np.eye(d)).max()) > 1e-12:
@@ -281,17 +281,10 @@ def ragged_transfer_matrices(ops):
 
 
 def ragged_apply_matrices(ops, mats):
-    """``apply_matrices`` from one full ragged stack of K X K^dag, with the
-    Choi contraction of each operation given by its Choi matrix."""
-    out = np.empty_like(mats, dtype=complex)
-    by_kraus = [b for b, op in enumerate(ops) if not op.by_choi]
-    counts = [len(ops[b].kraus) for b in by_kraus]
-    ks = np.concatenate([ops[b].kraus for b in by_kraus])
-    out[by_kraus] = ragged_sum(ks @ mats[np.repeat(by_kraus, counts)] @ mk.dagger(ks), counts)
-    for b, op in enumerate(ops):
-        if op.by_choi:
-            out[b] = apply_op(op, mats[b])
-    return out
+    """``apply_matrices`` from one full ragged stack of K X K^dag."""
+    counts = [len(op.kraus) for op in ops]
+    ks = np.concatenate([op.kraus for op in ops])
+    return ragged_sum(ks @ mats[np.repeat(np.arange(len(ops)), counts)] @ mk.dagger(ks), counts)
 
 
 def ragged_chois(kraus, counts):
@@ -302,10 +295,7 @@ def ragged_chois(kraus, counts):
 
 
 def apply_op(op, mat):
-    """sum_k K X K^dag in Kraus order, or the Choi contraction for an
-    operation given by its Choi matrix."""
-    if op.by_choi:
-        return np.einsum("aibj,ij->ab", op.choi.reshape(op.d_out, op.d_in, op.d_out, op.d_in), mat)
+    """sum_k K X K^dag in Kraus order."""
     out = np.zeros((op.d_out, op.d_out), dtype=complex)
     for k in op.kraus:
         out += k @ mat @ k.conj().T
@@ -318,8 +308,7 @@ def steady_state(op, tols):
     average from it, each candidate repaired and checked as a density
     matrix."""
     d = op.d_in
-    ks = kraus(op.choi, d, d, tols) if op.by_choi else op.kraus
-    evals, evecs = np.linalg.eig(transfer_matrix(ks))
+    evals, evecs = np.linalg.eig(transfer_matrix(op.kraus))
     fixed_space_dim = int(np.sum(np.abs(evals - 1.0) < 1e-8))
 
     def finish(m, method):
@@ -518,8 +507,8 @@ def block_instances(d_s, d_e, n, seed):
 
     rng = np.random.default_rng(seed)
     explicit = random_cptp(d_s, 2, rng)
-    by_kraus = ch.from_kraus(list(explicit.kraus))
-    by_choi = ch.from_choi(explicit.choi, d_s, d_s, tols=DEFAULT_TOLS)
+    kraus_given = ch.from_kraus(list(explicit.kraus))
+    choi_given = ch.from_chois(explicit.choi, d_s, d_s, DEFAULT_TOLS)[0]
     pinned = superchannel(rng)
     out, start, size, kind = [], 0, 1, 0
     while start < n:
@@ -530,7 +519,7 @@ def block_instances(d_s, d_e, n, seed):
             ranks = [1 + (start + i) % (d_s * d_s) for i in range(b)]
             ops = ch.random_cptps(d_s, [ch.bcsz_draw(d_s, r, g) for r, g in zip(ranks, rngs)], tols=DEFAULT_TOLS)
         else:
-            ops = [by_kraus if kind == 2 else by_choi] * b
+            ops = [kraus_given if kind == 2 else choi_given] * b
         out.append((scs, ops))
         start, size, kind = start + b, size % 8 + 1, (kind + 1) % 4
     return out

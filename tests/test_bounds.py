@@ -439,8 +439,7 @@ def test_main_bounds_are_bitwise_the_per_trial_main_bound(d_s, d_e, oracles):
         nss = [neso(sc) for sc in scs]
         reports = bd.main_block(scs, ops, nss, tols)
         for sc, op, ns, rep in zip(scs, ops, nss, reports):
-            ks = oracles.kraus(op.choi, d_s, d_s, tols) if op.by_choi else op.kraus
-            want = oracles.main_bound(sc, op.choi, ks, ns.state, tols)
+            want = oracles.main_bound(sc, op.choi, op.kraus, ns.state, tols)
             got = (rep.lhs, rep.rhs, rep.slack)
             assert all(type(x) is float for x in got)
             assert np.array(got).tobytes() == np.array(want).tobytes()
@@ -474,7 +473,7 @@ def test_classical_mutual_informations_are_bitwise_the_per_table_oracle(oracles)
 def explicit_ensemble(d, rng):
     """Five codewords, one held by its Choi matrix only, one of weight 0."""
     ops = [random_cptp(d, 1 + i % (d * d), rng) for i in range(5)]
-    ops[3] = ch.from_choi(ops[3].choi, d, d, tols=DEFAULT_TOLS)
+    ops[3] = ch.from_chois(ops[3].choi, d, d, DEFAULT_TOLS)[0]
     probs = rng.dirichlet(np.ones(5))
     probs[1] = 0.0
     return bd.Ensemble(tuple(float(p) for p in probs / probs.sum()), tuple(ops))
@@ -528,7 +527,7 @@ def test_qdpi_blocks_are_bitwise_the_per_trial_qdpi(d_p, d_q, d_e1, d_e2, oracle
     d = d_p * d_q
     rng = np.random.default_rng([d_p, d_q, 0])
     joint = random_cptp(d, 3, rng)
-    explicit = [{"op_kraus": ch.from_kraus(list(joint.kraus))}, {"op_choi": ch.from_choi(joint.choi, d, d, DEFAULT_TOLS)}]
+    explicit = [{"op_kraus": ch.from_kraus(list(joint.kraus))}, {"op_choi": ch.from_chois(joint.choi, d, d, DEFAULT_TOLS)[0]}]
     pinned = (rand_sc(d_p, d_e1, [d_p, d_q, 1])[0], rand_sc(d_q, d_e2, [d_p, d_q, 2])[0])
     for kind, block in enumerate(oracles.blocks(36 if d < 9 else 10)):
         kind %= 4

@@ -132,6 +132,42 @@ def test_scenario_echo_round_trip():
             assert again.explicit[k].choi.tobytes() == scn.explicit[k].choi.tobytes()
 
 
+def test_a_map_pinned_as_op_choi_or_as_its_kraus_operators_gives_the_same_spohn_records():
+    # One action per operation: an op_choi acts through the Kraus operators
+    # that from_chois took from it, so pinning those operators as op_kraus,
+    # at the same seed, sigma and dims, moves no bit of a spohn record.
+    rng = np.random.default_rng(25)
+    op = random_cptp(3, 5, rng)
+    kraus = ch.from_chois(op.choi, 3, 3, DEFAULT_TOLS)[0].kraus
+    sigma = cp.matrix_to_json(random_density(3, 2, rng).mat)
+    records = []
+    for pinned in ({"op_choi": cp.matrix_to_json(op.choi)}, {"op_kraus": [cp.matrix_to_json(k) for k in kraus]}):
+        scn = make_scenario(seed=9, trials=3, bound="spohn", dims={"d_S": 3}, explicit={**pinned, "sigma": sigma})
+        rep = cp.run_campaign(scn, DEFAULT_TOLS, jobs=1)
+        records.append(json.dumps(cp.jsonable([[r[k] for k in ("lhs", "rhs", "slack", "metadata")]
+                                               for r in rep["sections"]["spohn"]["reports"]])))
+    assert records[0] == records[1]
+
+
+def test_report_leaves_are_plain_json_types():
+    # Every value of a bound-all report reaches render_json as a Python
+    # str, int, float, bool or None: no numpy scalar rides in a record.
+    scn = make_scenario(seed=3, trials=3, bound="all", dims={})
+    rep = cp.run_campaign(scn, DEFAULT_TOLS, jobs=1)
+    leaves, todo = [], [rep]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, dict):
+            assert all(type(k) is str for k in x)
+            todo.extend(x.values())
+        elif type(x) is list:
+            todo.extend(x)
+        else:
+            leaves.append(x)
+    assert {type(x) for x in leaves} <= {str, int, float, bool, type(None)}
+    assert [r["metadata"]["codewords"] for r in rep["sections"]["holevo"]["reports"]]
+
+
 def test_ext_to_json_values():
     assert cp.ext_to_json(float("inf")) == "inf"
     assert cp.ext_to_json(float("-inf")) == "-inf"

@@ -99,7 +99,7 @@ def test_kraus_choi_round_trip_action():
     rng = np.random.default_rng(11)
     d = 4
     op = random_cptp(d, 5, rng)
-    rebuilt = ch.from_kraus(list(ch.from_choi(op.choi, d, d, tols=DEFAULT_TOLS).kraus))
+    rebuilt = ch.from_kraus(list(ch.from_chois(op.choi, d, d, DEFAULT_TOLS)[0].kraus))
     for i in range(d):
         for j in range(d):
             e = np.zeros((d, d), dtype=complex)
@@ -107,27 +107,31 @@ def test_kraus_choi_round_trip_action():
             assert mk.max_abs(ch.apply_matrices([op], e[None])[0] - ch.apply_matrices([rebuilt], e[None])[0]) <= 1e-10
 
 
-def test_from_choi_rejects_non_cp():
+def test_from_chois_rejects_non_cp():
     bad = np.diag([1.0, 1.0, 1.0, -0.5]).astype(complex)
     with pytest.raises(ValidationError):
-        ch.from_choi(bad, 2, 2, tols=DEFAULT_TOLS)
+        ch.from_chois(bad, 2, 2, tols=DEFAULT_TOLS)
+    with pytest.raises(ValidationError, match="not CP"):
+        ch.from_chois([identity_channel(2).choi, bad], 2, 2, tols=DEFAULT_TOLS)
 
 
-def test_from_choi_keeps_the_kraus_operators_of_its_cp_check(monkeypatch, oracles):
+def test_from_chois_keeps_the_kraus_operators_of_its_cp_check(monkeypatch, oracles):
     # Off-Hermitian by 5e-10: above the default herm_tol, within the override.
     choi = identity_channel(2).choi.copy()
     choi[0, 3] += 5e-10j
     tols = Tolerances(herm_tol=1e-9)
     with pytest.raises(ValidationError, match="not Hermitian"):
-        ch.from_choi(choi, 2, 2, tols=DEFAULT_TOLS)
+        ch.from_chois(choi, 2, 2, tols=DEFAULT_TOLS)
+    mixed = rand_op(2, 3, seed=5).choi
     calls = []
     real = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or real(m))
-    op = ch.from_choi(choi, 2, 2, tols=tols)
-    assert calls == [(4, 4)] and op.by_choi
-    assert op.kraus.tobytes() == oracles.kraus(choi, 2, 2, tols).tobytes()
-    assert len(op.kraus) == 1
-    assert mk.max_abs(ch.from_kraus(op.kraus).choi - choi) <= 1e-9
+    ops = ch.from_chois([choi, mixed], 2, 2, tols=tols)
+    assert calls == [(2, 4, 4)]
+    assert [op.kraus.tobytes() for op in ops] == [oracles.kraus(c, 2, 2, tols).tobytes() for c in (choi, mixed)]
+    assert [len(op.kraus) for op in ops] == [1, 3]
+    assert mk.max_abs(ch.from_kraus(ops[0].kraus).choi - choi) <= 1e-9
+    assert ops[1].choi.tobytes() == mixed.tobytes()
 
 
 def test_channel_from_dilation_identity_and_swap():
@@ -203,14 +207,24 @@ def test_fixed_point_unital_degenerate_falls_back_to_cesaro():
 
 
 @pytest.mark.parametrize("d,dim,diag", [(3, 4, [2 / 3, 0, 1 / 3]), (4, 9, [1 / 2, 0, 1 / 4, 1 / 4])])
-@pytest.mark.parametrize("by_choi", [False, True])
-def test_fixed_point_of_a_degenerate_channel_is_the_cesaro_limit(d, dim, diag, by_choi):
+@pytest.mark.parametrize("choi_given", [False, True])
+def test_fixed_point_of_a_degenerate_channel_is_the_cesaro_limit(d, dim, diag, choi_given):
     # I/d is not fixed, and the Cesaro average reaches the fixed space only
     # at rate 1/N; its limit, the part of I/d in the eigenvalue-1
-    # eigenspace, is exactly fixed.
+    # eigenspace, is exactly fixed by the Kraus-built map.  The map rebuilt
+    # from its Choi matrix acts through the Kraus operators of its CP check,
+    # so its fixed point is bitwise that of those operators given as Kraus.
     op = ch.from_kraus(partial_damping_kraus(d))
-    fp = fixed_point(ch.from_choi(op.choi, d, d, tols=DEFAULT_TOLS) if by_choi else op)
-    assert (fp.method, fp.residual, fp.fixed_space_dim) == ("cesaro", 0.0, dim)
+    if choi_given:
+        op = ch.from_chois(op.choi, d, d, DEFAULT_TOLS)[0]
+        want = fixed_point(ch.from_kraus(list(op.kraus)))
+    fp = fixed_point(op)
+    assert (fp.method, fp.fixed_space_dim) == ("cesaro", dim)
+    if choi_given:
+        assert (fp.method, fp.residual, fp.fixed_space_dim) == (want.method, want.residual, want.fixed_space_dim)
+        assert (fp.state.mat.tobytes(), fp.state.w.tobytes()) == (want.state.mat.tobytes(), want.state.w.tobytes())
+    else:
+        assert fp.residual == 0.0
     assert mk.max_abs(fp.state.mat - np.diag(diag)) <= 1e-12
 
 
@@ -266,7 +280,7 @@ def test_marginal_operation_product():
 
 def test_marginal_operation_swap_is_depolarizing_like():
     swap_op = unitary_channel(swap_unitary(2))
-    got = ch.from_choi(ch.marginal_chois(swap_op.choi, (2, 2), 0, DEFAULT_TOLS), 2, 2, DEFAULT_TOLS)
+    got = ch.from_chois(ch.marginal_chois(swap_op.choi, (2, 2), 0, DEFAULT_TOLS), 2, 2, DEFAULT_TOLS)[0]
     # oracle: partial trace of the Choi, ordered (P_out, Q_out, P_in, Q_in), over the Q pair, rescaled
     oracle = mk.partial_trace(swap_op.choi, (2, 2, 2, 2), [0, 2]) / 2
     assert mk.max_abs(got.choi - oracle) <= 1e-12
@@ -354,14 +368,14 @@ def test_transfer_matrix_and_random_cptp_lift_are_bitwise_the_kron_oracles(d, d_
         if d == d_out:
             op = random_cptp(d, rank, np.random.default_rng([d, d_out, i]))
         else:
-            op = ch.from_choi(oracle, d_out, d, tols=DEFAULT_TOLS)
+            op = ch.from_chois(oracle, d_out, d, DEFAULT_TOLS)[0]
         assert op.choi.tobytes() == oracle.tobytes()
         assert ch.transfer_matrices([op])[0].tobytes() == oracles.transfer_matrix(op.kraus).tobytes()
 
 
 def test_require_trace_preserving_checks_each_call_in_one_step(monkeypatch):
     ops = [rand_op(3, 4, seed=8), rand_op(3, 2, seed=9), rand_op(3, 3, seed=10)]
-    half = ch.from_choi(ops[1].choi / 2, 3, 3, tols=DEFAULT_TOLS)
+    half = ch.from_chois(ops[1].choi / 2, 3, 3, DEFAULT_TOLS)[0]
     calls = []
     real = ch.tr_out_choi
     monkeypatch.setattr(ch, "tr_out_choi", lambda choi, *a: calls.append(len(choi)) or real(choi, *a))
@@ -387,7 +401,7 @@ def test_random_cptps_are_bitwise_the_per_trial_construction(d, d_out, oracles):
             choi, kraus = oracles.random_cptp_parts(d, rank, np.random.default_rng([d, d_out, i]), tols)
             assert op.choi.tobytes() == choi.tobytes()
             assert op.kraus.tobytes() == kraus.tobytes()
-            assert ch.from_choi(op.choi, d, d, tols=DEFAULT_TOLS).kraus.tobytes() == kraus.tobytes()
+            assert ch.from_chois(op.choi, d, d, DEFAULT_TOLS)[0].kraus.tobytes() == kraus.tobytes()
 
 
 @pytest.mark.parametrize("d,seed", [(2, [2, 1, 712]), (3, [3, 1, 2966])])
@@ -416,7 +430,7 @@ def test_fixed_points_are_bitwise_the_per_operation_steady_state(d, oracles):
     limits = []
     if d > 2:
         damping = ch.from_kraus(partial_damping_kraus(d))
-        limits = [damping, ch.from_choi(damping.choi, d, d, tols=DEFAULT_TOLS)]
+        limits = [damping, ch.from_chois(damping.choi, d, d, DEFAULT_TOLS)[0]]
     for i, (_, ops) in enumerate(oracles.block_instances(d, 2, 60, [d, 72])):
         ops = ops[:i % 3] + limits[i % 2:i % 2 + 1] + ops[i % 3:]
         results = ch.fixed_points(ops, tols)

@@ -67,7 +67,7 @@ def test_stinespring_choi_origin_round_trip():
     # operations built from a Choi matrix dilate just as well
     rng = np.random.default_rng(2)
     base = random_cptp(2, 3, rng)
-    op = ch.from_choi(base.choi, 2, 2, tols=DEFAULT_TOLS)
+    op = ch.from_chois(base.choi, 2, 2, DEFAULT_TOLS)[0]
     form = stinespring(op)
     rho = np.outer(form.psi_abc, form.psi_abc.conj())
     got = mk.partial_trace(rho, form.dims_abc(2), [1, 2])

@@ -239,7 +239,7 @@ def test_the_kraus_ordered_sums_are_bitwise_the_full_ragged_stack(d_s, d_e, size
     rng = np.random.default_rng([d_s, d_e, size])
     ranks = rng.permutation([1 + i * (d_s * d_s - 1) // max(size - 1, 1) for i in range(size)])
     ops = ch.random_cptps(d_s, [ch.bcsz_draw(d_s, int(r), rng) for r in ranks], tols=DEFAULT_TOLS)
-    ops = [ch.from_choi(op.choi, d_s, d_s, DEFAULT_TOLS) if b % 2 else op for b, op in enumerate(ops)]
+    ops = [ch.from_chois(op.choi, d_s, d_s, DEFAULT_TOLS)[0] if b % 2 else op for b, op in enumerate(ops)]
     assert sorted(len(op.kraus) for op in ops) == sorted(ranks.tolist())
     scs = [sup.build(st.haar_unitary(d_s * d_e, rng), random_density(d_s * d_e, 3, rng), d_s, d_e, DEFAULT_TOLS)
            for _ in ops]
