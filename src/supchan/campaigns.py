@@ -17,11 +17,10 @@ preserving, and an entry that no family reads is refused.  One table,
 a scenario whose trial exceeds ``MAX_ENTRIES`` is refused at load, and
 ``_block_size`` gives each block as many trials as ``STACK_ENTRIES`` holds.
 
-``prepare`` builds once per campaign each object that is the same in every
-trial (the superchannel of a pinned ``U`` and ``rho_se`` and its steady
-state, and the unitary and Gibbs state of ``clausius``), and forked pool
-workers inherit it.  A campaign runs in blocks of consecutive trials of one
-family, and a pool gives each process a fixed share of whole blocks.  Every
+``prepare`` builds once per campaign the superchannel of a pinned ``U``
+and ``rho_se`` and its steady state, and forked pool workers inherit them.
+A campaign runs in blocks of consecutive trials of one family, and a pool
+gives each process a fixed share of whole blocks.  Every
 family takes the one path of ``evaluate_block``: each trial of a block draws
 from its own generator, and one ``bounds.<family>_block`` call evaluates the
 block in stacked steps, with the bits of one trial at a time; a trial alone
@@ -135,12 +134,10 @@ def jsonable(obj):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
+    if isinstance(obj, float):
         return ext_to_json(float(obj))
-    if isinstance(obj, (np.integer, int)):
+    if isinstance(obj, int):   # a bool too, as 1 or 0
         return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
     return obj
 
 
@@ -440,7 +437,6 @@ class Prepared:
 
     superchannels: dict         # (d, d_E) -> Superchannel of the pinned U and rho_se
     neso: ch.NessResult | None  # steady state of superchannels[d_S, d_E], when main runs
-    thermal: tuple | None = None    # (U, (Gibbs state, Z), beta) of clausius, when it runs
 
     def draw_superchannels(self, d: int, d_env: int, rngs: list[np.random.Generator],
                            tols: Tolerances, ex: dict) -> list[sup.Superchannel]:
@@ -450,16 +446,14 @@ class Prepared:
 
 
 def prepare(scenario: Scenario, tols: Tolerances, families: tuple[str, ...] | None = None) -> Prepared:
-    """Build once each object that is the same in every trial of the campaign.
+    """Build once the superchannels that are the same in every trial of the
+    campaign, and their steady state.
 
     When ``U`` and ``rho_se`` are both pinned, the superchannel of ``U`` and
     of the ``rho_se`` checked at load is built once for each (d, d_E) pair
     at which one of ``families`` (default: the scenario's) reads ``rho_se``
     (``qdpi`` splits it as d_P x d_E1 and d_Q x d_E2), and its steady state
-    once when ``main`` is among them.  When ``clausius`` is among them, its unitary (the pinned ``U``
-    or the partial swap of ``theta``) and the Gibbs state and partition
-    function of (``H``, ``beta``), with defaults H = diag(0, 1, ...) and
-    beta = 1.  Nothing is drawn.
+    once when ``main`` is among them.  Nothing is drawn.
     """
     families = scenario.families() if families is None else families
     ex, dim = scenario.explicit, _dim_values(scenario.dims)
@@ -470,13 +464,7 @@ def prepare(scenario: Scenario, tols: Tolerances, families: tuple[str, ...] | No
     scs = {pair: sup.build(ex["U"], ex["rho_se"], *pair, tols) for pair in sorted(pairs)}
     main_pair = (dim["d_S"], dim["d_E"])
     ns = sup.neso_block([scs[main_pair]], tols)[0] if "main" in families and main_pair in scs else None
-    thermal = None
-    if "clausius" in families:
-        d, h, u, beta = dim["d_S"], ex.get("H"), ex.get("U"), ex.get("beta", 1.0)
-        h = np.diag(np.arange(d, dtype=float)).astype(complex) if h is None else h
-        u = ch.partial_swap_unitary(d, ex.get("theta", math.pi / 4)) if u is None else u
-        thermal = (u, bd.thermal_state(h, beta, tols), beta)
-    return Prepared(scs, ns, thermal)
+    return Prepared(scs, ns)
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +502,10 @@ def evaluate_block(scenario: Scenario, family: str, trials, tols: Tolerances,
         nss = [prep.neso] * len(scs) if prep.neso is not None else sup.neso_block(scs, tols)
         reports = bd.main_block(scs, ops, nss, tols, collects)
     elif family == "clausius":
-        u, (gibbs, z), beta = prep.thermal
+        u = ex["U"] if "U" in ex else ch.partial_swap_unitary(d_s, ex.get("theta", math.pi / 4))
+        h = ex["H"] if "H" in ex else np.diag(np.arange(d_s, dtype=float)).astype(complex)
+        beta = ex.get("beta", 1.0)
+        gibbs, z = bd.thermal_state(h, beta, tols)
         anchors = np.array([a.mat for a in st.random_densities(d_s, [d_s] * len(rngs), rngs, tols)])
         rhos = st.densities(mk.kron_stack(anchors, gibbs.mat), tols)
         scs = sup.build_block([u] * len(rngs), rhos, d_s, d_s, tols)
@@ -739,8 +730,8 @@ def render_json(report: dict) -> str:
     """The bytes of ``json.dumps(jsonable(report), sort_keys=True, indent=2)``
     and a newline, written in one type-dispatched pass, since on Python 3.11
     the stdlib's indenting encoder is pure Python: dict keys as ``jsonable``
-    makes them, each leaf through ``jsonable``, strings and keys through
-    ``encode_basestring_ascii`` and floats through ``float.__repr__``."""
+    makes them, and each leaf, which is a ``str``, ``int``, ``float``,
+    ``bool`` or None, by ``_LEAVES``; any other leaf raises TypeError."""
     return _render(report, "\n") + "\n"
 
 
@@ -757,21 +748,12 @@ def _render(obj, nl: str) -> str:
     if isinstance(obj, (list, tuple)):
         items = [_render(v, inner) for v in obj]
         return "[" + inner + ("," + inner).join(items) + nl + "]" if items else "[]"
-    v = jsonable(obj)
-    if isinstance(v, str):
-        return encode_basestring_ascii(v)
-    if isinstance(v, float):
-        return float.__repr__(v)
-    if v is None or isinstance(v, bool):   # jsonable leaves a bool only of an np.bool_
-        return "null" if v is None else "true" if v else "false"
-    if isinstance(v, int):
-        return int.__repr__(v)
-    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-# The leaf types that jsonable returns as they are (a float, when finite),
-# with their JSON.
-_LEAVES = {str: encode_basestring_ascii, int: int.__repr__,
+# The JSON of each leaf type, as ``json.dumps(jsonable(leaf))`` writes it.  A
+# bool is written as the int that ``jsonable`` makes of it: "passed": 1.
+_LEAVES = {str: encode_basestring_ascii, int: int.__repr__, bool: int.__repr__, type(None): lambda v: "null",
            float: lambda v: float.__repr__(v) if math.isfinite(v) else encode_basestring_ascii(ext_to_json(v))}
 
 

@@ -3,16 +3,18 @@
 Commands:
   verify  --scenario FILE [--out FILE] [--format json|csv] [--jobs N]
           [--bits] [--slack-tol X] [--timing]
-  explain --scenario FILE --trial K [--bits]
+  explain --scenario FILE --trial K [--bits] [--slack-tol X]
   version
 
-Exit codes: 0 success, 1 bound failure, 2 parse error, or a file that
-cannot be read or written, 3 validation error (a --slack-tol or
-SUPCHAN_SLACK_TOL that is not a finite positive number, and a --jobs below
-1, included), 4 a crash: any other exception (a LinAlgError, a MemoryError,
-a pool worker that died), with its traceback on stderr.  Tolerance
-precedence: --slack-tol flag > scenario file > SUPCHAN_SLACK_TOL environment
-variable > built-in default.
+Exit codes: 0 success, 1 bound failure, 2 parse error (a scenario file
+that is not UTF-8 included), or a file that cannot be read or written, 3
+validation error (any ValidationError, ShapeError, ScenarioError or
+FixedPointError, which ``main`` maps, a --slack-tol or SUPCHAN_SLACK_TOL
+that is not a finite positive number, and a --jobs below 1), 4 a crash:
+any other exception (a LinAlgError, a MemoryError, a pool worker that
+died), with its traceback on stderr.  Tolerance precedence: --slack-tol
+flag > scenario file > SUPCHAN_SLACK_TOL environment variable > built-in
+default.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 import time
 import traceback
@@ -47,17 +50,30 @@ _RESIDUAL_FAMILY = "mmap-consistency"
 
 
 def _resolve_tols(scenario: cp.Scenario, slack_tol_flag: float | None) -> config.Tolerances:
-    """The tolerances by precedence; an override that is not a finite
-    positive number raises ValueError."""
-    tols = config.from_env(config.Tolerances())
+    """The tolerances by precedence: the defaults, then SUPCHAN_SLACK_TOL,
+    then the scenario's ``tolerances``, then ``--slack-tol``; an override
+    that is not a finite positive number raises ValueError."""
+    tols = config.Tolerances()
+    env = os.environ.get("SUPCHAN_SLACK_TOL")
+    if env is not None:
+        tols = dataclasses.replace(tols, slack_tol=_positive("SUPCHAN_SLACK_TOL", env))
     tols = scenario.tols(tols)
     if slack_tol_flag is not None:
-        if not math.isfinite(slack_tol_flag):
-            raise ValueError(f"--slack-tol: expected a finite number, got {slack_tol_flag!r}")
-        if slack_tol_flag <= 0:
-            raise ValueError(f"--slack-tol: expected a positive number, got {slack_tol_flag!r}")
-        tols = dataclasses.replace(tols, slack_tol=slack_tol_flag)
+        tols = dataclasses.replace(tols, slack_tol=_positive("--slack-tol", slack_tol_flag))
     return tols
+
+
+def _positive(name: str, raw: str | float) -> float:
+    """``raw`` as a finite positive float, or a ValueError naming ``name``."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{name}: expected a finite number, got {raw!r}")
+    if value <= 0:
+        raise ValueError(f"{name}: expected a positive number, got {raw!r}")
+    return value
 
 
 def _load(args: argparse.Namespace) -> tuple[cp.Scenario, config.Tolerances] | int:
@@ -69,7 +85,7 @@ def _load(args: argparse.Namespace) -> tuple[cp.Scenario, config.Tolerances] | i
     except OSError as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    except cp.ScenarioParseError as exc:
+    except (cp.ScenarioParseError, UnicodeDecodeError) as exc:
         print(f"scenario parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     except cp.ScenarioError as exc:
@@ -103,11 +119,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"error: --jobs: expected an integer >= 1, got {args.jobs}", file=sys.stderr)
         return EXIT_VALIDATION_ERROR
     t0 = time.monotonic()
-    try:
-        report = cp.run_campaign(scenario, tols, jobs=args.jobs)
-    except (ValidationError, ShapeError, cp.ScenarioError, FixedPointError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION_ERROR
+    report = cp.run_campaign(scenario, tols, jobs=args.jobs)
     wall = time.monotonic() - t0
     if args.timing:
         report["summary"]["wall_time"] = wall
@@ -165,26 +177,22 @@ def cmd_explain(args: argparse.Namespace) -> int:
         print(f"error: trial {args.trial} out of range [0, {scenario.trials})", file=sys.stderr)
         return EXIT_VALIDATION_ERROR
 
-    try:
-        for family in scenario.families():
-            details: dict = {}
-            report = cp.evaluate_trial(scenario, family, args.trial, tols, collect=details)
-            print(f"== {family} | trial {args.trial} | seed {scenario.seed} ==")
-            print(f"passed: {report.passed}   flags: {list(report.flags)}")
-            unit = _unit(family, args.bits)
-            for label, v in (("lhs", report.lhs), ("rhs", report.rhs), ("slack", report.slack)):
-                print(f"{label} ({unit}): {cp.ext_to_json(_display(v, unit == 'bits'))!r}")
-            print(f"tolerance: {report.tolerance!r}")
-            for k in sorted(report.metadata):
-                v = _display(report.metadata[k], args.bits and k.startswith(_ENTROPY_KEYS))
-                print(f"metadata.{k}: {cp.jsonable(v)!r}")
-            for k in sorted(details):
-                v = _display(details[k], args.bits and k.startswith(_ENTROPY_KEYS))
-                print(f"{k}: {cp.jsonable(v)!r}")
-            print()
-    except (ValidationError, ShapeError, cp.ScenarioError, FixedPointError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION_ERROR
+    for family in scenario.families():
+        details: dict = {}
+        report = cp.evaluate_trial(scenario, family, args.trial, tols, collect=details)
+        print(f"== {family} | trial {args.trial} | seed {scenario.seed} ==")
+        print(f"passed: {report.passed}   flags: {list(report.flags)}")
+        unit = _unit(family, args.bits)
+        for label, v in (("lhs", report.lhs), ("rhs", report.rhs), ("slack", report.slack)):
+            print(f"{label} ({unit}): {cp.ext_to_json(_display(v, unit == 'bits'))!r}")
+        print(f"tolerance: {report.tolerance!r}")
+        for k in sorted(report.metadata):
+            v = _display(report.metadata[k], args.bits and k.startswith(_ENTROPY_KEYS))
+            print(f"metadata.{k}: {cp.jsonable(v)!r}")
+        for k in sorted(details):
+            v = _display(details[k], args.bits and k.startswith(_ENTROPY_KEYS))
+            print(f"{k}: {cp.jsonable(v)!r}")
+        print()
     return EXIT_OK
 
 
@@ -223,6 +231,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
     try:
         return cmd_verify(args) if args.command == "verify" else cmd_explain(args)
+    except (ValidationError, ShapeError, cp.ScenarioError, FixedPointError) as exc:
+        print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION_ERROR
     except Exception:
         traceback.print_exc()
         return EXIT_CRASH

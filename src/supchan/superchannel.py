@@ -105,14 +105,13 @@ def act_block(scs: list[Superchannel], ops: list[ch.QuantumOperation],
 
 def m_tensors(scs: list[Superchannel]) -> list[np.ndarray]:
     """The six-index tensor M[a, b, c, p, q, r] of each superchannel of a
-    block, computed once for each distinct superchannel in it."""
-    ms = {}
+    block, one contraction each."""
+    ms = []
     for sc in scs:
-        if id(sc) not in ms:
-            u4 = sc.u.reshape(sc.d_s, sc.d_e, sc.d_s, sc.d_e)
-            r4 = sc.rho_se.mat.reshape(sc.d_s, sc.d_e, sc.d_s, sc.d_e)
-            ms[id(sc)] = mk.einsum("axby,cyrz,pxqz->abcpqr", u4, r4, u4.conj())
-    return [ms[id(sc)] for sc in scs]
+        u4 = sc.u.reshape(sc.d_s, sc.d_e, sc.d_s, sc.d_e)
+        r4 = sc.rho_se.mat.reshape(sc.d_s, sc.d_e, sc.d_s, sc.d_e)
+        ms.append(mk.einsum("axby,cyrz,pxqz->abcpqr", u4, r4, u4.conj()))
+    return ms
 
 
 def act_normalized_block(ms: list[np.ndarray], op_states, tols: Tolerances) -> np.ndarray:

@@ -63,6 +63,10 @@ def test_trace_against_log_support_detection():
     full = st.density(np.diag([0.75, 0.25]), tols=DEFAULT_TOLS)
     [[got]] = st.log_weights(mixed.mat[None, None], full.w[None], full.v[None], tols=DEFAULT_TOLS)
     assert abs(got - 0.5 * (math.log(0.75) + math.log(0.25))) <= 1e-12
+    # A kernel weight of exactly support_tol is still on the support.
+    tol = DEFAULT_TOLS.support_tol
+    edges = np.array([[np.diag([1.0 - w, w]) for w in (tol, 2 * tol)]], dtype=complex)
+    assert st.log_weights(edges, pure.w[None], pure.v[None], tols=DEFAULT_TOLS) == [[0.0, float("-inf")]]
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +317,27 @@ def test_qdpi_random_sweep_small():
         assert rep.metadata["relent_out"] >= rep.rhs - 1e-8
 
 
+@pytest.mark.parametrize("route,shift,message", [(0, 1e-6, "QDPI input identity broken"),
+                                                 (1, -1e-6, "QDPI output dominance broken")])
+def test_the_qdpi_route_cross_checks_refuse_a_gap_of_1e_6(monkeypatch, route, shift, message):
+    # A product operation gives D = I = 0 on each side; one route's relative
+    # entropies are moved by 1e-6, far beyond rounding and far below what a
+    # looser check would see.
+    rng = np.random.default_rng(6)
+    sc1, _ = rand_sc(2, 2, seed=5000)
+    sc2, _ = rand_sc(2, 2, seed=5001)
+    a_p, a_q = random_cptp(2, 2, rng), random_cptp(2, 3, rng)
+    joint = ch.from_kraus([np.kron(kp, kq) for kp in a_p.kraus for kq in a_q.kraus])
+    calls, real = [], st.relative_entropies
+
+    def shifted(*args):
+        calls.append(1)
+        return [d + shift if len(calls) == route + 1 else d for d in real(*args)]
+    monkeypatch.setattr(st, "relative_entropies", shifted)
+    with pytest.raises(ValidationError, match=message):
+        bd.qdpi_block([sc1], [sc2], [joint], tols=DEFAULT_TOLS)
+
+
 def test_qdpi_requires_structure_and_tp():
     # The superchannels fix (d_P, d_Q) = (2, 3): a joint operation must map 6 to 6.
     sc1, _ = rand_sc(2, 2, seed=5400)
@@ -337,6 +362,20 @@ def test_holevo_indistinguishable_ensemble():
     assert chi <= 1e-10
     assert max(sampled) <= 1e-9
     assert rep.passed
+
+
+@pytest.mark.parametrize("shift,chi", [(-5e-7, -5e-7), (-5e-13, 0.0)])
+def test_holevo_clips_only_float_noise_below_zero_from_chi(monkeypatch, shift, chi):
+    # With one codeword, chi = S(average) - S(sigma') is 0; the entropy of
+    # the average, the one taken after its check, is moved by shift.
+    sc, rng = rand_sc(2, 2, seed=6000)
+    ens = bd.Ensemble((1.0,), (random_cptp(2, 2, rng),))
+    checked, real_check, real_entropy = [], bd.check_density, st.entropy_of_spectrum
+    monkeypatch.setattr(bd, "check_density", lambda m, tols: checked.append(1) or real_check(m, tols))
+    monkeypatch.setattr(st, "entropy_of_spectrum", lambda w: real_entropy(w) + (shift if checked else 0.0))
+    [rep] = bd.holevo_block([sc], [ens], st.haar_unitaries(3, 2, rng)[None], DEFAULT_TOLS)
+    assert checked == [1]
+    assert rep.lhs == pytest.approx(chi, rel=0.0, abs=1e-15)
 
 
 def test_holevo_orthogonal_ensemble_attains_log2():

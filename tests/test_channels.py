@@ -228,6 +228,15 @@ def test_fixed_point_of_a_degenerate_channel_is_the_cesaro_limit(d, dim, diag, c
     assert mk.max_abs(fp.state.mat - np.diag(diag)) <= 1e-12
 
 
+def test_a_candidate_whose_negative_part_is_beyond_float_noise_is_refused():
+    # Once clamped, both candidates are fixed by the identity; only the one
+    # whose negative eigenvalue could be rounding is repaired into a state.
+    noisy, negative = (np.diag([1.0 + x, -x]).astype(complex) for x in (1e-9, 1e-6))
+    ness = ch._steady_states([identity_channel(2)] * 2, np.array([noisy, negative]), "eigen", np.array([4, 4]),
+                             DEFAULT_TOLS)
+    assert ness[0].method == "eigen" and ness[1] is None
+
+
 def test_fixed_points_check_one_residual_per_candidate(monkeypatch):
     # The eigen candidate, I/d and the Cesaro limit: no iteration of the channel.
     calls = []

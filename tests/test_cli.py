@@ -93,6 +93,17 @@ def test_an_integer_beyond_the_digit_limit_is_a_parse_error(tmp_path, capsys):
         assert err.startswith("scenario parse error: scenario is not valid JSON") and "4300" in err
 
 
+@pytest.mark.parametrize("command", [["verify", "--jobs", "1"], ["explain", "--trial", "0"]])
+def test_a_scenario_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, command):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b'\xff\xfe{"seed":1}')
+    assert cli.main([command[0], "--scenario", str(path), *command[1:]]) == cli.EXIT_PARSE_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("scenario parse error: 'utf-8' codec can't decode byte 0xff in position 0: "
+                   "invalid start byte\n")
+
+
 def test_verify_rejects_unknown_tolerance_key(tmp_path, capsys):
     scn = write_scenario(tmp_path, tolerances={"slack_tl": 0.5})
     out = tmp_path / "report.json"
@@ -202,16 +213,16 @@ def test_explain_bits_flag_converts_display(tmp_path, capsys):
 
 def test_slack_tol_precedence(tmp_path, monkeypatch):
     # env below scenario below flag
-    monkeypatch.setenv("SUPCHAN_SLACK_TOL", "0.5")
-    tols = config.from_env(config.Tolerances())
-    assert tols.slack_tol == 0.5
+    bare = cp.load_scenario(json.dumps({"seed": 1, "trials": 1, "bound": "spohn"}))
     scn = cp.load_scenario(json.dumps(
         {"seed": 1, "trials": 1, "bound": "spohn", "tolerances": {"slack_tol": 0.25}}
     ))
-    assert scn.tols(tols).slack_tol == 0.25
+    monkeypatch.setenv("SUPCHAN_SLACK_TOL", "0.5")
+    assert cli._resolve_tols(bare, None).slack_tol == 0.5
+    assert cli._resolve_tols(scn, None).slack_tol == 0.25
     assert cli._resolve_tols(scn, 0.125).slack_tol == 0.125
     monkeypatch.delenv("SUPCHAN_SLACK_TOL")
-    assert config.from_env(config.Tolerances()).slack_tol == 1e-8
+    assert cli._resolve_tols(bare, None) == config.Tolerances()
 
 
 def test_verify_rejects_unknown_scenario_keys(tmp_path, capsys):

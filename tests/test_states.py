@@ -65,6 +65,12 @@ def test_relative_entropy_nonnegative_and_faithful():
         assert relative_entropy(a, b) >= 0.0
 
 
+def test_only_float_noise_below_zero_is_clipped_from_a_relative_entropy():
+    # A genuine negative breaks Klein's inequality and must surface.
+    assert st.relative_entropy_of(0.0, 5e-7) == -5e-7
+    assert st.relative_entropy_of(0.0, 5e-13) == 0.0
+
+
 def test_relative_entropies_are_bitwise_the_one_pair_relative_entropy():
     # The stacked routine, with its one overlap step, gives the bits of the
     # one-pair routine it replaced, support mismatches (+inf) included.

@@ -3,8 +3,9 @@ reads it and gives it no default, every parameter is passed by some call,
 no dataclass holds a memo, every family is one block function that returns
 reports, every public function, method and property runs under ``verify``
 or ``explain``, no matrix is decomposed twice by a check and then an
-entropy, and the entry points and names the benchmark's tracer and
-launcher use stay as they expect."""
+entropy, the entry points and names the benchmark's tracer and launcher
+use stay as they expect, and each snippet of the mutant catalogue
+``tools/mutants.json`` occurs once in ``src/``."""
 
 import ast
 import contextlib
@@ -309,3 +310,15 @@ def test_no_matrix_goes_to_eigvalsh_and_then_to_eigh(monkeypatch):
         assert report["summary"]["trials"] == 16 * len(cp.FAMILIES)
     assert seen
     assert repeats == []
+
+
+def test_every_mutant_snippet_occurs_once_in_src():
+    # tools/mutants.py applies each mutant by its snippet: a refactor that
+    # moves a guarded line must move its mutant with it.
+    catalogue = json.loads((ROOT / "tools" / "mutants.json").read_text())
+    assert len({m["name"] for m in catalogue}) == len(catalogue)
+    sources = {path: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    for m in catalogue:
+        assert set(m) == {"name", "file", "snippet", "replacement", "reason"} and m["reason"]
+        assert m["snippet"] != m["replacement"]
+        assert [p for p, text in sources.items() for _ in range(text.count(m["snippet"]))] == [ROOT / m["file"]], m
