@@ -6,7 +6,8 @@ Each family's ``<family>_block`` evaluates a block of trials and returns
 one BoundReport per trial, with lhs, rhs and slack = lhs - rhs as
 extended reals (float with +-inf; an undefined inf - inf becomes NaN and is
 flagged "indeterminate", never silently passed).  A report passes when
-slack >= -slack_tol under extended-real ordering.
+slack >= -slack_tol under extended-real ordering.  A ``collect`` dict,
+given to a block of one trial, receives its intermediate quantities.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def _finish(name: str, lhs: float, rhs: float, tols: Tolerances, metadata: dict,
 # ---------------------------------------------------------------------------
 
 def spohn_block(ops: list[ch.QuantumOperation], rhos: list[DensityMatrix], tols: Tolerances,
-                collects: list | None = None) -> list[BoundReport]:
+                collect: dict | None = None) -> list[BoundReport]:
     """Entropy-production bound of each CPTP map of a block relative to its
     steady state, at its state, all of one dimension, with the bits of each
     on its own.  The steady states, the outputs, the spectra and the
@@ -91,9 +92,9 @@ def spohn_block(ops: list[ch.QuantumOperation], rhos: list[DensityMatrix], tols:
         t_out, t_in = cross[b]
         meta = {"d": op.d_in, "fixed_space_dim": ns.fixed_space_dim, "ness_method": ns.method,
                 "ness_residual": ns.residual}
-        if collects is not None and collects[b] is not None:
-            collects[b].update(ness_eigenvalues=w_n[b].tolist(), entropy_out=s_out, entropy_in=s_in,
-                               tr_out_log_ness=t_out, tr_in_log_ness=t_in)
+        if collect is not None:
+            collect.update(ness_eigenvalues=w_n[b].tolist(), entropy_out=s_out, entropy_in=s_in,
+                           tr_out_log_ness=t_out, tr_in_log_ness=t_in)
         # rhs = -tr[(Phi rho - rho) log e]
         reports.append(_finish("spohn", s_out - s_in, ext_sub(t_in, t_out), tols, meta))
     return reports
@@ -104,7 +105,7 @@ def spohn_block(ops: list[ch.QuantumOperation], rhos: list[DensityMatrix], tols:
 # ---------------------------------------------------------------------------
 
 def main_block(scs: list[sup.Superchannel], ops: list[ch.QuantumOperation], nss: list[ch.NessResult],
-                tols: Tolerances, collects: list | None = None) -> list[BoundReport]:
+                tols: Tolerances, collect: dict | None = None) -> list[BoundReport]:
     """The generalized entropy-production bound for correlated initial
     states, for each (superchannel, operation, steady state) of a block,
     all of one (d_S, d_E), with the bits of each on its own.
@@ -131,12 +132,12 @@ def main_block(scs: list[sup.Superchannel], ops: list[ch.QuantumOperation], nss:
         t_op -= math.log(d)
         meta = {"d_S": sc.d_s, "d_E": sc.d_e, "fixed_space_dim": ns.fixed_space_dim,
                 "ness_method": ns.method, "ness_residual": ns.residual}
-        if collects is not None and collects[b] is not None:
+        if collect is not None:
             # (D[A_d || E_d], D[sigma' || e]): the slack equals their difference on finite branches.
             a_d_state = density(op.choi_state, tols=tols)
             e_d = ch.replace_channels([ns.state])[0].choi_state
             d_in = st.relative_entropies(a_d_state.mat[None], [st.entropy_of_spectrum(a_d_state.w)], e_d[None], tols)[0]
-            collects[b].update(
+            collect.update(
                 ness_eigenvalues=w_n[b].tolist(), entropy_sigma_prime=s_out,
                 entropy_op_state=s_op, tr_sigma_log_ness=t_out, tr_op_log_neso=t_op,
                 slack_identity=(d_in, st.relative_entropy_of(s_out, t_out)))
@@ -170,7 +171,7 @@ def thermal_state(h: np.ndarray, beta: float, tols: Tolerances) -> tuple[Density
 
 
 def clausius_block(scs: list[sup.Superchannel], sigmas: list[DensityMatrix], gibbs: DensityMatrix, z: float,
-                   beta: float, tols: Tolerances, collects: list | None = None) -> list[BoundReport]:
+                   beta: float, tols: Tolerances, collect: dict | None = None) -> list[BoundReport]:
     """Clausius-form bound for each thermalizing superchannel of a block, at
     its state sigma, all of one (d_S, d_E), with the bits of each on its own;
     ``(gibbs, z)`` is ``thermal_state(h, beta, tols)``.
@@ -196,9 +197,9 @@ def clausius_block(scs: list[sup.Superchannel], sigmas: list[DensityMatrix], gib
         s_p, s_s = st.entropy_of_spectrum(w_p[b]), st.entropy_of_spectrum(w_s[b])
         t_out, t_in = cross[b]
         meta = {"d": d, "beta": beta, "Z": z, "F": math.log(z) / beta, "thermal_residual": r}
-        if collects is not None and collects[b] is not None:
-            collects[b].update(gibbs_eigenvalues=w_g.tolist(), entropy_sigma_prime=s_p, entropy_sigma=s_s,
-                               tr_sigma_prime_log_gibbs=t_out, tr_sigma_log_gibbs=t_in)
+        if collect is not None:
+            collect.update(gibbs_eigenvalues=w_g.tolist(), entropy_sigma_prime=s_p, entropy_sigma=s_s,
+                           tr_sigma_prime_log_gibbs=t_out, tr_sigma_log_gibbs=t_in)
         # The entropies of sigma (x) I/d split off a log d on each side.
         reports.append(_finish("clausius", s_p - (s_s + math.log(d)), ext_sub(t_in - math.log(d), t_out), tols, meta))
     return reports
@@ -217,7 +218,7 @@ def regroup_joint_choi(chois: np.ndarray, d_p: int, d_q: int) -> np.ndarray:
 
 
 def qdpi_block(sc1s: list[sup.Superchannel], sc2s: list[sup.Superchannel], ops: list[ch.QuantumOperation],
-               tols: Tolerances, collects: list | None = None) -> list[BoundReport]:
+               tols: Tolerances, collect: dict | None = None) -> list[BoundReport]:
     """Mutual information cannot grow: I[P:Q] of the output state is bounded
     by I[P:Q] of the joint operation-state, for each (superchannel,
     superchannel, joint operation) of a block, with the bits of each on its
@@ -271,8 +272,8 @@ def qdpi_block(sc1s: list[sup.Superchannel], sc2s: list[sup.Superchannel], ops: 
             if (r_in - r_out) > (i_in - i_out) + 1e-8:
                 raise ValidationError("QDPI routes disagree: relative-entropy slack exceeds MI slack")
         meta = {"d_P": d_p, "d_Q": d_q, "relent_in": r_in, "relent_out": r_out}
-        if collects is not None and collects[b] is not None:
-            collects[b].update(mi_in=i_in, mi_out=i_out, relent_in=r_in, relent_out=r_out)
+        if collect is not None:
+            collect.update(mi_in=i_in, mi_out=i_out, relent_in=r_in, relent_out=r_out)
         reports.append(_finish("qdpi", i_in, i_out, tols, meta, flags))
     return reports
 
@@ -349,7 +350,7 @@ def measured_information(states: list[np.ndarray], probs: list[np.ndarray], base
 
 
 def holevo_block(scs: list[sup.Superchannel], enss: list[Ensemble], haar: np.ndarray,
-                 tols: Tolerances, collects: list | None = None) -> list[BoundReport]:
+                 tols: Tolerances, collect: dict | None = None) -> list[BoundReport]:
     """Holevo quantity of the received ensemble and sampled-measurement
     checks, for each (superchannel, ensemble) of a block, all of one
     (d_S, d_E), with the bits of each on its own; chi is the report's lhs,
@@ -392,8 +393,8 @@ def holevo_block(scs: list[sup.Superchannel], enss: list[Ensemble], haar: np.nda
         sampled = infos[b].tolist()
         meta = {"d": d, "codewords": int(k), "n_measurements": len(sampled),
                 "best_measurement": int(np.argmax(sampled)), "chi": chi}
-        if collects is not None and collects[b] is not None:
-            collects[b].update(chi=chi, sampled_information=list(sampled), avg_state_eigenvalues=w_avg[b].tolist())
+        if collect is not None:
+            collect.update(chi=chi, sampled_information=list(sampled), avg_state_eigenvalues=w_avg[b].tolist())
         reports.append(_finish("holevo", chi, max(sampled), tols, meta))
     return reports
 
@@ -406,19 +407,19 @@ CONSISTENCY_TOL = 1e-10
 
 
 def mmap_consistency_block(scs: list[sup.Superchannel], vs: list[np.ndarray], alphas: list[DensityMatrix],
-                           tols: Tolerances, collects: list | None = None) -> list[BoundReport]:
+                           tols: Tolerances, collect: dict | None = None) -> list[BoundReport]:
     """The system marginal of Upsilon must equal the superchannel acting on
     the channel that the isometric dilation (V, alpha) induces, within
     CONSISTENCY_TOL (lhs; rhs is the residual), for each trial of a block."""
     d_s, d_e, d_a = scs[0].d_s, scs[0].d_e, alphas[0].dim
     upsilons, deltas = dl.mmap_block(scs, vs, alphas, tols)
     reduced = mk.partial_trace(np.array([u.mat for u in upsilons]), (d_s, d_a), [0])
-    direct = sup.act_block(scs, ch.channels_from_dilations(vs, alphas, tols), tols)[0]
+    direct = sup.act_block(scs, ch.channels_from_dilations(vs, alphas), tols)[0]
     reports = []
     for b, (upsilon, delta_s, residual) in enumerate(zip(upsilons, deltas, mk.max_abs(reduced - direct).tolist())):
         slack = CONSISTENCY_TOL - residual
         reports.append(BoundReport("mmap-consistency", CONSISTENCY_TOL, residual, slack, slack >= 0.0, 0.0,
                                    (), {"d_S": d_s, "d_E": d_e, "d_A": d_a, "delta_S": delta_s}))
-        if collects is not None and collects[b] is not None:
-            collects[b].update(residual=residual, delta_S=delta_s, upsilon_eigenvalues=upsilon.w.tolist())
+        if collect is not None:
+            collect.update(residual=residual, delta_S=delta_s, upsilon_eigenvalues=upsilon.w.tolist())
     return reports

@@ -17,19 +17,20 @@ preserving, and an entry that no family reads is refused.  One table,
 a scenario whose trial exceeds ``MAX_ENTRIES`` is refused at load, and
 ``_block_size`` gives each block as many trials as ``STACK_ENTRIES`` holds.
 
-``prepare`` builds once per campaign the superchannel of a pinned ``U``
-and ``rho_se`` and its steady state, and forked pool workers inherit them.
-A campaign runs in blocks of consecutive trials of one family, and a pool
-gives each process a fixed share of whole blocks.  Every
-family takes the one path of ``evaluate_block``: each trial of a block draws
-from its own generator, and one ``bounds.<family>_block`` call evaluates the
-block in stacked steps, with the bits of one trial at a time; a trial alone
-(``evaluate_trial``) is a block of one.  A failing block is run again one
-trial at a time, so the error raised is the earliest failing trial's.
+``prepare`` finds once per campaign the steady state of ``main``'s
+superchannel when ``U`` and ``rho_se`` are both pinned, and forked pool
+workers inherit it.  A campaign runs in blocks of consecutive trials of
+one family, and a pool gives each process a fixed share of whole blocks.
+Every family takes the one path of ``evaluate_block``: each trial of a
+block draws from its own generator, a family that reads ``rho_se`` takes
+its superchannels from ``random_superchannels``, and one
+``bounds.<family>_block`` call evaluates the block in stacked steps, with
+the bits of one trial at a time; a trial alone (``evaluate_trial``) is a
+block of one.  A failing block is run again one trial at a time, so the
+error raised is the earliest failing trial's.
 Campaign trials are seed-deterministic: trial t of family f draws what is
-not prepared from ``default_rng([seed, f, t])``, in the same order whether
-or not anything is prepared and whichever process runs it, and reports are
-gathered in trial order.
+not pinned from ``default_rng([seed, f, t])``, in the same order whichever
+process runs it, and reports are gathered in trial order.
 """
 
 from __future__ import annotations
@@ -377,14 +378,17 @@ def random_superchannels(d_s: int, d_e: int, rngs: list[np.random.Generator], to
                          explicit: dict | None = None) -> list[sup.Superchannel]:
     """One superchannel per generator, built for all generators at once.
 
-    What ``explicit`` does not pin is drawn from each generator in turn:
-    rho_se a Wishart state on S (x) E whose rank is drawn from
-    {1..min(4, d_S d_E)}, then the normals of U, as ``haar_unitary`` draws
-    them.  One stacked QR turns the block's normals into unitaries
-    (``states.haar_of_normals``); states and unitaries are each checked in
-    one stacked step.
+    With ``U`` and ``rho_se`` both pinned, their one superchannel serves
+    every generator.  Otherwise what ``explicit`` does not pin is drawn from
+    each generator in turn: rho_se a Wishart state on S (x) E whose rank is
+    drawn from {1..min(4, d_S d_E)}, then the normals of U, as
+    ``haar_unitary`` draws them.  One stacked QR turns the block's normals
+    into unitaries (``states.haar_of_normals``); states and unitaries are
+    each checked in one stacked step.
     """
     ex = explicit or {}
+    if "U" in ex and "rho_se" in ex:
+        return [sup.build(ex["U"], ex["rho_se"], d_s, d_e, tols)] * len(rngs)
     d = d_s * d_e
     gs, xs = [], []
     for rng in rngs:
@@ -428,79 +432,47 @@ def random_ensembles(d: int, rngs: list[np.random.Generator], tols: Tolerances,
 
 
 # ---------------------------------------------------------------------------
-# Trial-invariant objects
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Prepared:
-    """The objects that every trial of a campaign shares; see ``prepare``."""
-
-    superchannels: dict         # (d, d_E) -> Superchannel of the pinned U and rho_se
-    neso: ch.NessResult | None  # steady state of superchannels[d_S, d_E], when main runs
-
-    def draw_superchannels(self, d: int, d_env: int, rngs: list[np.random.Generator],
-                           tols: Tolerances, ex: dict) -> list[sup.Superchannel]:
-        """The prepared superchannel at (d, d_env) for each generator, or one drawn from each."""
-        sc = self.superchannels.get((d, d_env))
-        return [sc] * len(rngs) if sc is not None else random_superchannels(d, d_env, rngs, tols, ex)
-
-
-def prepare(scenario: Scenario, tols: Tolerances, families: tuple[str, ...] | None = None) -> Prepared:
-    """Build once the superchannels that are the same in every trial of the
-    campaign, and their steady state.
-
-    When ``U`` and ``rho_se`` are both pinned, the superchannel of ``U`` and
-    of the ``rho_se`` checked at load is built once for each (d, d_E) pair
-    at which one of ``families`` (default: the scenario's) reads ``rho_se``
-    (``qdpi`` splits it as d_P x d_E1 and d_Q x d_E2), and its steady state
-    once when ``main`` is among them.  Nothing is drawn.
-    """
-    families = scenario.families() if families is None else families
-    ex, dim = scenario.explicit, _dim_values(scenario.dims)
-    pairs = set()
-    if "U" in ex and "rho_se" in ex:
-        pairs = {tuple(dim[k] for k in name.split("*"))
-                 for family in families for name in _READS[family].get("rho_se", [])}
-    scs = {pair: sup.build(ex["U"], ex["rho_se"], *pair, tols) for pair in sorted(pairs)}
-    main_pair = (dim["d_S"], dim["d_E"])
-    ns = sup.neso_block([scs[main_pair]], tols)[0] if "main" in families and main_pair in scs else None
-    return Prepared(scs, ns)
-
-
-# ---------------------------------------------------------------------------
 # Trial evaluation
 # ---------------------------------------------------------------------------
+
+def prepare(scenario: Scenario, tols: Tolerances) -> ch.NessResult | None:
+    """The steady state that every ``main`` trial of the campaign shares:
+    with ``U`` and ``rho_se`` both pinned, that of their superchannel, found
+    once; None when ``main`` does not run or either entry is drawn."""
+    ex, dim = scenario.explicit, _dim_values(scenario.dims)
+    if "main" not in scenario.families() or "U" not in ex or "rho_se" not in ex:
+        return None
+    return sup.neso_block([sup.build(ex["U"], ex["rho_se"], dim["d_S"], dim["d_E"], tols)], tols)[0]
+
 
 def _trial_rng(scenario: Scenario, family: str, trial: int) -> np.random.Generator:
     return np.random.default_rng([np.uint64(scenario.seed), np.uint64(FAMILIES.index(family)), np.uint64(trial)])
 
 
 def evaluate_block(scenario: Scenario, family: str, trials, tols: Tolerances,
-                   prepared: Prepared | None = None,
+                   neso: ch.NessResult | None = None,
                    collect: dict | None = None) -> list[bd.BoundReport]:
     """Evaluate consecutive trials of one family; ``collect`` serves a block of one.
 
-    ``prepared`` is ``prepare(scenario, tols)``; when it is not given, only
-    what this family reads is prepared here.  Each trial draws what is not
-    prepared from its own generator, in the order a trial of one draws it,
+    ``neso`` is ``prepare(scenario, tols)``; without it, ``main`` finds the
+    steady state of each trial's superchannel.  Each trial draws what is not
+    pinned from its own generator, in the order a trial of one draws it,
     and one ``bounds.<family>_block`` call then evaluates the block in
     stacked steps, with the bits of one trial at a time.
     """
     if family not in FAMILIES:
         raise ScenarioError(f"bound: unknown family {family!r}")
-    prep = prepared if prepared is not None else prepare(scenario, tols, (family,))
     ex, dim = scenario.explicit, _dim_values(scenario.dims)
     d_s, d_e, d_a, d_p, d_q = (dim[k] for k in ("d_S", "d_E", "d_A", "d_P", "d_Q"))
     rngs = [_trial_rng(scenario, family, t) for t in trials]
-    collects = [collect] * len(rngs)
     if family == "spohn":
         ops = random_operations(d_s, rngs, tols, ex)
-        reports = bd.spohn_block(ops, _states(d_s, rngs, tols, ex.get("sigma")), tols, collects)
+        reports = bd.spohn_block(ops, _states(d_s, rngs, tols, ex.get("sigma")), tols, collect)
     elif family == "main":
-        scs = prep.draw_superchannels(d_s, d_e, rngs, tols, ex)
+        scs = random_superchannels(d_s, d_e, rngs, tols, ex)
         ops = random_operations(d_s, rngs, tols, ex)
-        nss = [prep.neso] * len(scs) if prep.neso is not None else sup.neso_block(scs, tols)
-        reports = bd.main_block(scs, ops, nss, tols, collects)
+        nss = [neso] * len(scs) if neso is not None else sup.neso_block(scs, tols)
+        reports = bd.main_block(scs, ops, nss, tols, collect)
     elif family == "clausius":
         u = ex["U"] if "U" in ex else ch.partial_swap_unitary(d_s, ex.get("theta", math.pi / 4))
         h = ex["H"] if "H" in ex else np.diag(np.arange(d_s, dtype=float)).astype(complex)
@@ -509,26 +481,26 @@ def evaluate_block(scenario: Scenario, family: str, trials, tols: Tolerances,
         anchors = np.array([a.mat for a in st.random_densities(d_s, [d_s] * len(rngs), rngs, tols)])
         rhos = st.densities(mk.kron_stack(anchors, gibbs.mat), tols)
         scs = sup.build_block([u] * len(rngs), rhos, d_s, d_s, tols)
-        reports = bd.clausius_block(scs, _states(d_s, rngs, tols, ex.get("sigma")), gibbs, z, beta, tols, collects)
+        reports = bd.clausius_block(scs, _states(d_s, rngs, tols, ex.get("sigma")), gibbs, z, beta, tols, collect)
     elif family == "qdpi":
-        sc1s = prep.draw_superchannels(d_p, dim["d_E1"], rngs, tols, ex)
-        sc2s = prep.draw_superchannels(d_q, dim["d_E2"], rngs, tols, ex)
+        sc1s = random_superchannels(d_p, dim["d_E1"], rngs, tols, ex)
+        sc2s = random_superchannels(d_q, dim["d_E2"], rngs, tols, ex)
         ops = random_operations(d_p * d_q, rngs, tols, ex)
-        reports = bd.qdpi_block(sc1s, sc2s, ops, tols, collects)
+        reports = bd.qdpi_block(sc1s, sc2s, ops, tols, collect)
     elif family == "holevo":
-        scs = prep.draw_superchannels(d_s, d_e, rngs, tols, ex)
+        scs = random_superchannels(d_s, d_e, rngs, tols, ex)
         enss = random_ensembles(d_s, rngs, tols, ex)
         haar = np.array([st.haar_unitaries(scenario.n_measurements, d_s, rng) for rng in rngs])
-        reports = bd.holevo_block(scs, enss, haar, tols, collects)
+        reports = bd.holevo_block(scs, enss, haar, tols, collect)
     else:
-        scs = prep.draw_superchannels(d_s, d_e, rngs, tols, ex)
+        scs = random_superchannels(d_s, d_e, rngs, tols, ex)
         vs = [ex["V"] if "V" in ex else st.haar_unitary(d_s * d_a, rng) for rng in rngs]
         if "alpha" in ex:
             alphas = [ex["alpha"]] * len(rngs)
         else:
             vecs = [st.random_pure(d_a, rng) for rng in rngs]
             alphas = st.densities(np.array([np.outer(vec, vec.conj()) for vec in vecs]), tols)
-        reports = bd.mmap_consistency_block(scs, vs, alphas, tols, collects)
+        reports = bd.mmap_consistency_block(scs, vs, alphas, tols, collect)
     for t, report in zip(trials, reports):
         report.metadata.update(trial=t, seed=scenario.seed)
     return reports
@@ -588,13 +560,13 @@ def summarize(records: list[dict]) -> dict:
 
 def _eval_task(task: tuple[str, range], campaign: tuple) -> list[dict]:
     """The records of one block of trials of ``campaign``, the (scenario,
-    tols, prepared) of ``run_campaign``.  A failing block is run again one
+    tols, neso) of ``run_campaign``.  A failing block is run again one
     trial at a time, so that the error raised is the earliest failing
     trial's first error."""
-    scenario, tols, prepared = campaign
+    scenario, tols, neso = campaign
     family, trials = task
     try:
-        return [report_to_dict(r) for r in evaluate_block(scenario, family, trials, tols, prepared)]
+        return [report_to_dict(r) for r in evaluate_block(scenario, family, trials, tols, neso)]
     except Exception:
         if len(trials) == 1:
             raise
@@ -604,14 +576,14 @@ def _eval_task(task: tuple[str, range], campaign: tuple) -> list[dict]:
 def run_campaign(scenario: Scenario, tols: Tolerances, jobs: int = 1) -> dict:
     """Run every family of the scenario; returns the report object.
 
-    The objects every trial shares (``prepare``) are built once, before
-    any trial.  The trials of each family go in blocks of ``_block_size``
-    consecutive trials (as many as ``STACK_ENTRIES`` entries hold, by the
+    The steady state that every ``main`` trial shares (``prepare``) is
+    found once, before any trial.  The trials of each family go in blocks
+    of ``_block_size`` consecutive trials (as many as ``STACK_ENTRIES`` entries hold, by the
     count of ``_trial_entries``) through ``_eval_task``, split among
     min(``jobs``, blocks, usable CPUs) processes, of which this is one
     (``_pool_blocks``); with one, this process runs every block.  The
     report is deterministic for a fixed scenario: per-trial seeds are
-    derived from (seed, family, trial), what is not prepared is drawn from
+    derived from (seed, family, trial), what is not pinned is drawn from
     them in the same order, and results are ordered by trial index, so
     serial and parallel executions produce identical output.  The summary's
     wall_time field is left null so reports stay byte-stable; the CLI

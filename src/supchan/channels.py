@@ -153,19 +153,18 @@ def partial_swap_unitary(d: int, theta: float) -> np.ndarray:
 # Dilations and fixed points
 # ---------------------------------------------------------------------------
 
-def channels_from_dilations(us: list[np.ndarray], taus: list[DensityMatrix],
-                            tols: Tolerances) -> list[QuantumOperation]:
+def channels_from_dilations(us: list[np.ndarray], taus: list[DensityMatrix]) -> list[QuantumOperation]:
     """The channel sigma -> tr_E[U (sigma (x) tau) U^dag] of each (U, tau)
     pair, all of one size, U on system (x) environment with the system on
     the slow index: Kraus K_(j,i) = sqrt(lam_j) (I (x) <i|) U (I (x) |v_j>),
-    for the eigenpairs (lam_j, v_j) of tau with lam_j > 0, in that order."""
+    for the eigenpairs (lam_j, v_j) of tau with lam_j > 0, in that order.
+    Each U is one that its caller has checked unitary."""
     us = mk.as_matrix(np.array(us), stack=True)
     d_e = taus[0].dim
     d_tot = us.shape[-1]
     if d_tot % d_e != 0:
         raise ShapeError(f"unitary dim {d_tot} does not factor over environment dim {d_e}")
     d_s = d_tot // d_e
-    check_unitary(us, tols, what="dilation unitary")
     w, v = st.decompose(taus)
     pos = w > 0.0
     counts = pos.sum(-1)

@@ -158,4 +158,4 @@ def neso_block(scs: list[Superchannel], tols: Tolerances) -> list[ch.NessResult]
     operation-state e (x) I/d back to e.
     """
     taus = marginals(scs, 1, tols)
-    return ch.fixed_points(ch.channels_from_dilations([sc.u for sc in scs], taus, tols), tols)
+    return ch.fixed_points(ch.channels_from_dilations([sc.u for sc in scs], taus), tols)

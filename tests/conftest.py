@@ -571,8 +571,8 @@ def env_marginal(sc):
     return sup.marginals([sc], 1, tols=DEFAULT_TOLS)[0]
 
 
-def channel_from_dilation(u, tau, tols=DEFAULT_TOLS):
-    return ch.channels_from_dilations([u], [tau], tols)[0]
+def channel_from_dilation(u, tau):
+    return ch.channels_from_dilations([u], [tau])[0]
 
 
 def replace_channel(target):
@@ -631,21 +631,21 @@ def slack_identity(sc, op, ns, tols=DEFAULT_TOLS):
 
 
 def spohn(op, rho, tols=DEFAULT_TOLS, collect=None):
-    return bd.spohn_block([op], [rho], tols, [collect])[0]
+    return bd.spohn_block([op], [rho], tols, collect)[0]
 
 
 def holevo_trial(sc, ens, haar, tols=DEFAULT_TOLS):
     """(chi, report, sampled information) of ``holevo_block`` of one pair,
     with the Haar bases ``haar`` of the trial."""
     collect = {}
-    rep = bd.holevo_block([sc], [ens], haar[None], tols, [collect])[0]
+    rep = bd.holevo_block([sc], [ens], haar[None], tols, collect)[0]
     return rep.metadata["chi"], rep, collect["sampled_information"]
 
 
 def clausius(sc, sigma, h, beta, tols=DEFAULT_TOLS, collect=None):
     """``clausius_block`` of one pair, with the Gibbs state of (h, beta)."""
     gibbs, z = bd.thermal_state(mk.as_matrix(h), beta, tols)
-    return bd.clausius_block([sc], [sigma], gibbs, z, beta, tols, [collect])[0]
+    return bd.clausius_block([sc], [sigma], gibbs, z, beta, tols, collect)[0]
 
 
 @dataclass(frozen=True)

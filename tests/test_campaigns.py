@@ -400,9 +400,11 @@ def test_the_pool_runs_one_blas_thread_in_each_process_and_restores_the_count(mo
         blas[1](before)
 
 
-def test_a_pinned_superchannel_and_its_neso_are_built_once_per_campaign(monkeypatch):
+def test_a_pinned_neso_is_found_once_per_campaign_and_its_superchannel_built_once_per_block(monkeypatch):
     # The superchannels and the steady operations of a block are each one
-    # stacked step, over every unprepared superchannel of the block at once.
+    # stacked step, over every drawn superchannel of the block at once.  A
+    # pinned (U, rho_SE) is built once per block, and once more for the
+    # steady state that every block shares.
     calls = {"build_block": [], "neso_block": []}
     for name in calls:
         def counted(scs, *args, _name=name, _real=getattr(sup, name)):
@@ -414,7 +416,13 @@ def test_a_pinned_superchannel_and_its_neso_are_built_once_per_campaign(monkeypa
         "U": cp.matrix_to_json(st.haar_unitary(4, rng)),
         "rho_se": cp.matrix_to_json(random_density(4, 2, rng).mat)})
     cp.run_campaign(pinned, DEFAULT_TOLS, jobs=1)
-    assert calls == {"build_block": [1], "neso_block": [1]}
+    assert calls == {"build_block": [1, 1], "neso_block": [1]}
+    with monkeypatch.context() as m:
+        # With a budget of 2 trials per block, the 5 trials are three blocks.
+        m.setattr(cp, "STACK_ENTRIES", 2 * cp._trial_entries("main", cp._dim_values(pinned.dims), 50))
+        calls.update(build_block=[], neso_block=[])
+        cp.run_campaign(pinned, DEFAULT_TOLS, jobs=1)
+        assert calls == {"build_block": [1] * 4, "neso_block": [1]}
     calls.update(build_block=[], neso_block=[])
     cp.run_campaign(make_scenario(trials=5), DEFAULT_TOLS, jobs=1)
     assert calls == {"build_block": [5], "neso_block": [5]}
@@ -649,16 +657,15 @@ def test_a_holevo_block_makes_one_measured_information_call(monkeypatch, explici
 
 def per_trial_peak(family, dims):
     """Traced bytes that one more trial adds to a block's peak: (peak of a
-    9-trial block - peak of a 1-trial block) / 8, with the campaign's
-    prepared objects and the einsum path caches built beforehand."""
+    9-trial block - peak of a 1-trial block) / 8, with the einsum path
+    caches built beforehand."""
     scn = make_scenario(trials=9, bound=family, dims=dims)
-    prep = cp.prepare(scn, DEFAULT_TOLS)
     peaks = []
     for n in (9, 1):
-        cp.evaluate_block(scn, family, range(n), DEFAULT_TOLS, prep)
+        cp.evaluate_block(scn, family, range(n), DEFAULT_TOLS)
         tracemalloc.start()
         try:
-            cp.evaluate_block(scn, family, range(n), DEFAULT_TOLS, prep)
+            cp.evaluate_block(scn, family, range(n), DEFAULT_TOLS)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -737,17 +744,15 @@ def test_a_later_steady_operation_failure_does_not_hide_an_earlier_trial(monkeyp
 
 def test_every_prepared_object_reaches_the_pool_workers():
     # Pins every trial-invariant entry, so that main, qdpi, holevo and
-    # mmap-consistency share the prepared superchannel and main its neso;
-    # a partial swap thermalizes, so clausius runs on the same U.
+    # mmap-consistency run on one superchannel and main on its prepared
+    # neso; a partial swap thermalizes, so clausius runs on the same U.
     rng = np.random.default_rng(12)
     explicit = {k: cp.matrix_to_json(m) for k, m in {
         "U": ch.partial_swap_unitary(2, 0.4), "rho_se": random_density(4, 3, rng).mat,
         "V": st.haar_unitary(4, rng), "alpha": random_density(2, 2, rng).mat,
         "H": np.diag([0.0, 0.7]).astype(complex)}.items()}
     scn = make_scenario(bound="all", trials=3, n_measurements=5, explicit={**explicit, "beta": 0.8})
-    prepared = cp.prepare(scn, DEFAULT_TOLS)
-    assert list(prepared.superchannels) == [(2, 2)]
-    assert prepared.neso is not None
+    assert isinstance(cp.prepare(scn, DEFAULT_TOLS), ch.NessResult)
     serial = cp.render_json(cp.run_campaign(scn, DEFAULT_TOLS, jobs=1))
     assert cp.render_json(cp.run_campaign(scn, DEFAULT_TOLS, jobs=2)) == serial
     assert json.loads(serial)["summary"]["failures"] == 0
@@ -762,16 +767,15 @@ def test_every_prepared_object_reaches_the_pool_workers():
 
 
 def test_prepare_builds_only_what_the_families_read():
+    # Only main reads a steady state of the pinned (U, rho_SE); qdpi and
+    # holevo build their superchannel in each block.
     rng = np.random.default_rng(5)
     explicit = {"U": cp.matrix_to_json(st.haar_unitary(6, rng)),
                 "rho_se": cp.matrix_to_json(random_density(6, 2, rng).mat)}
     qdpi = make_scenario(bound="qdpi", dims={"d_P": 2, "d_E1": 3, "d_Q": 3, "d_E2": 2}, explicit=explicit)
-    prepared = cp.prepare(qdpi, DEFAULT_TOLS)
-    assert sorted(prepared.superchannels) == [(2, 3), (3, 2)]
-    assert prepared.neso is None
+    assert cp.prepare(qdpi, DEFAULT_TOLS) is None
     holevo = make_scenario(bound="holevo", dims={"d_S": 2, "d_E": 3}, explicit=explicit)
-    assert cp.prepare(holevo, DEFAULT_TOLS).neso is None
-    assert cp.prepare(holevo, DEFAULT_TOLS, ("spohn",)) == cp.Prepared({}, None)
+    assert cp.prepare(holevo, DEFAULT_TOLS) is None
 
 
 @pytest.mark.parametrize("name,blocks", [("qdpi-explicit-U-rho_se-PQ-2x3-E-3x2", 2), ("main-explicit-rho_se-E3", 3)])

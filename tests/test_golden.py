@@ -83,6 +83,19 @@ def test_load_time_objects_do_not_depend_on_the_run_slack_tolerance(name):
     assert trial_numbers(scenario, dataclasses.replace(tols, slack_tol=2e-8)) == trial_numbers(scenario, tols)
 
 
+@pytest.mark.parametrize("name", EXPLICIT)
+def test_every_campaign_record_is_its_trial_alone(name):
+    # A campaign shares main's pinned steady state among its blocks; a trial
+    # alone, as explain runs it, finds its own, and the records agree bit
+    # for bit.
+    scenario = cp.load_scenario((GOLDEN / f"{name}.json").read_text())
+    tols = scenario.tols(Tolerances())
+    report = cp.run_campaign(scenario, tols, jobs=1)
+    alone = {family: [cp.report_to_dict(cp.evaluate_trial(scenario, family, t, tols))
+                      for t in range(scenario.trials)] for family in scenario.families()}
+    assert cp.render_json({f: s["reports"] for f, s in report["sections"].items()}) == cp.render_json(alone)
+
+
 if __name__ == "__main__":
     digest = explain_sha256 if sys.argv[1:] == ["explain"] else (lambda n: report_sha256(n, 1))
     names = sorted(p.stem for p in GOLDEN.glob("*.json") if p.name != "digests.json")

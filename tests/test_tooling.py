@@ -165,7 +165,7 @@ def test_no_dataclass_holds_tolerances_or_a_memo():
 
 
 def test_every_family_is_one_block_function_that_returns_reports(monkeypatch):
-    # bounds.<family>_block takes (..., tols, collects) and returns one
+    # bounds.<family>_block takes (..., tols, collect) and returns one
     # BoundReport per trial; a campaign calls it once per block.
     calls = []
     for family in cp.FAMILIES:
@@ -173,7 +173,7 @@ def test_every_family_is_one_block_function_that_returns_reports(monkeypatch):
         real = getattr(bd, name)
         sig = inspect.signature(real)
         assert sig.return_annotation == "list[BoundReport]"
-        assert list(sig.parameters)[-2:] == ["tols", "collects"]
+        assert list(sig.parameters)[-2:] == ["tols", "collect"]
 
         def counted(*args, _family=family, _real=real):
             reports = _real(*args)
@@ -197,9 +197,9 @@ def test_the_hooks_of_the_benchmark_stay_in_place(monkeypatch):
     assert list(inspect.signature(sup.build).parameters)[:2] == ["u", "rho_se"]
     built, real_build = [], sup.build
     monkeypatch.setattr(sup, "build", lambda u, rho_se, *args: built.append(rho_se) or real_build(u, rho_se, *args))
-    scn = cp.load_scenario((GOLDEN / "qdpi-explicit-U-rho_se-PQ-2x3-E-3x2.json").read_text())
+    scn = cp.load_scenario((GOLDEN / "main-explicit-U-rho_se-op_kraus.json").read_text())
     cp.prepare(scn, scn.tols(cp.Tolerances()))
-    assert len(built) == 2 and all(isinstance(rho_se.mat, np.ndarray) for rho_se in built)
+    assert len(built) == 1 and isinstance(built[0].mat, np.ndarray)
     verify = ast.parse(inspect.getsource(cli.cmd_verify))
     calls = [n.func for n in ast.walk(verify) if isinstance(n, ast.Call)]
     assert any(isinstance(f, ast.Attribute) and f.attr == "run_campaign"
