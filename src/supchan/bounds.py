@@ -234,10 +234,10 @@ def qdpi_block(sc1s: list[sup.Superchannel], sc2s: list[sup.Superchannel], ops: 
     dominates the output mutual information and the relative-entropy slack
     can only be tighter than the mutual-information slack.
 
-    The checks, the spectra, the marginal operations, the references and
-    the overlaps are each one stacked step; each superchannel's six-index
-    tensor is computed once and read by both contractions, which run per
-    trial, as do the route cross-checks and the bound arithmetic.
+    The checks, the spectra, the marginal operations, the references, the
+    overlaps, the six-index tensors of each split and the contractions that
+    read them are each one stacked step; the route cross-checks and the
+    bound arithmetic run per trial.
     """
     d_p, d_q = sc1s[0].d_s, sc2s[0].d_s
     for op in ops:
@@ -248,8 +248,7 @@ def qdpi_block(sc1s: list[sup.Superchannel], sc2s: list[sup.Superchannel], ops: 
 
     x = regroup_joint_choi(np.array([op.choi_state for op in ops]), d_p, d_q)
     mi_in, s_in = st.mutual_informations(x, (d_p, d_p, d_q, d_q), [0, 1], tols)
-    ms = sup.m_tensors(sc1s + sc2s)
-    m1s, m2s = ms[:len(sc1s)], ms[len(sc1s):]
+    m1s, m2s = sup.m_tensors(sc1s), sup.m_tensors(sc2s)
     rho_out = sup.joint_act_normalized(m1s, m2s, x)
     mi_out, s_out = st.mutual_informations(rho_out, (d_p, d_q), [0], tols)
 

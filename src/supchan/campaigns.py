@@ -22,8 +22,9 @@ superchannel when ``U`` and ``rho_se`` are both pinned, and forked pool
 workers inherit it.  A campaign runs in blocks of consecutive trials of
 one family, and a pool gives each process a fixed share of whole blocks.
 Every family takes the one path of ``evaluate_block``: each trial of a
-block draws from its own generator, a family that reads ``rho_se`` takes
-its superchannels from ``random_superchannels``, and one
+block draws from its own generator, the joint unitaries U and ``holevo``'s
+bases of a block each come from one stacked QR, a family that reads
+``rho_se`` takes its superchannels from ``random_superchannels``, and one
 ``bounds.<family>_block`` call evaluates the block in stacked steps, with
 the bits of one trial at a time; a trial alone (``evaluate_trial``) is a
 block of one.  A failing block is run again one trial at a time, so the
@@ -319,14 +320,15 @@ def _trial_entries(family: str, dim: dict, n_measurements: int) -> int:
     term and ``eig`` copies are four d_S^4 stacks; ``act_block``'s sum,
     rho_SE, lifted K (x) I_E, U and their products six (d_S d_E)^2, or six
     d_S^4 for the draws and fixed points where d_E < d_S, with holevo's
-    n + 1 bases; qdpi's joint states and Choi matrix, and the rho_SEA,
-    V_SEA, U (x) I_A and products of ``mmap_block``, once each."""
-    s, e, a, p, q = (dim[k] for k in ("d_S", "d_E", "d_A", "d_P", "d_Q"))
+    n + 1 bases; qdpi's joint states, Choi matrix and six-index tensors M
+    with their d^4 d_E^2 intermediates, and the rho_SEA, V_SEA, U (x) I_A and
+    products of ``mmap_block``, once each."""
+    s, e, a, p, q, e1, e2 = (dim[k] for k in ("d_S", "d_E", "d_A", "d_P", "d_Q", "d_E1", "d_E2"))
     se = (s * e) ** 2
     return {"spohn": 4 * s ** 4,
             "main": 6 * max(se, s ** 4),
             "clausius": 6 * s ** 4,
-            "qdpi": (p * dim["d_E1"]) ** 2 + (q * dim["d_E2"]) ** 2 + (p * q) ** 4,
+            "qdpi": (p * e1) ** 2 + (q * e2) ** 2 + (p * q) ** 4 + p ** 4 * (p * p + e1 * e1) + q ** 4 * (q * q + e2 * e2),
             "holevo": 6 * max(se, s ** 4) + (n_measurements + 1) * s * s,
             "mmap-consistency": 2 * se + 2 * se * a * a}[family]
 
@@ -490,7 +492,8 @@ def evaluate_block(scenario: Scenario, family: str, trials, tols: Tolerances,
     elif family == "holevo":
         scs = random_superchannels(d_s, d_e, rngs, tols, ex)
         enss = random_ensembles(d_s, rngs, tols, ex)
-        haar = np.array([st.haar_unitaries(scenario.n_measurements, d_s, rng) for rng in rngs])
+        haar = st.haar_of_normals(np.array([rng.standard_normal((scenario.n_measurements, 2, d_s, d_s))
+                                            for rng in rngs]))
         reports = bd.holevo_block(scs, enss, haar, tols, collect)
     else:
         scs = random_superchannels(d_s, d_e, rngs, tols, ex)

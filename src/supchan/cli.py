@@ -80,7 +80,7 @@ def _load(args: argparse.Namespace) -> tuple[cp.Scenario, config.Tolerances] | i
     """The validated scenario and its tolerances, or the exit code after
     reporting why not."""
     try:
-        with open(args.scenario, "r", encoding="utf-8") as fh:
+        with open(args.scenario, "r", encoding="utf-8-sig") as fh:
             scenario = cp.load_scenario(fh.read())
     except OSError as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)

@@ -5,11 +5,11 @@ Index convention used everywhere: a matrix on a composite space is stored
 row-major with its first subsystem as the slowest-varying index, so
 ``kron_stack(a, b)`` puts ``a`` on the slow index (plain Kronecker product),
 and ``partial_trace`` takes the subsystem sizes in that order and the
-positions of the subsystems to keep.  ``partial_trace``, ``check_hermitian``
-and ``herm_eig_of`` also take a stack of matrices, with the bits of one
-matrix at a time; a failing check of a stack raises the error of its first
-failing matrix.  No routine here decomposes: each check hands its one
-``eigh`` to ``herm_eig_of``.
+positions of the subsystems to keep.  ``einsum``, ``partial_trace``,
+``check_hermitian`` and ``herm_eig_of`` also take stacks, with the bits of
+one slice at a time; a failing check of a stack raises the error of its
+first failing matrix.  No routine here decomposes: each check hands its
+one ``eigh`` to ``herm_eig_of``.
 """
 
 from __future__ import annotations
@@ -90,10 +90,14 @@ def _einsum_path(subscripts: str, *shapes: tuple[int, ...]) -> list:
     return np.einsum_path(subscripts, *(np.empty(s) for s in shapes), optimize="greedy")[0]
 
 
-def einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
-    """``np.einsum(subscripts, *operands, optimize=True)``, with the greedy
-    contraction path searched once per operand shapes rather than per call."""
-    return np.einsum(subscripts, *operands, optimize=_einsum_path(subscripts, *(o.shape for o in operands)))
+def einsum(subscripts: str, *stacks: np.ndarray) -> np.ndarray:
+    """``np.einsum(subscripts, *operands, optimize=True)`` of each slice of
+    the stacks, as one ``np.einsum`` with a batch index on every operand and
+    the greedy path of one slice; its bits match each slice's own call for
+    the shapes the tests sweep (the batched call takes no BLAS route)."""
+    ins, out = subscripts.split("->")
+    batched = ",".join("N" + s for s in ins.split(",")) + "->N" + out
+    return np.einsum(batched, *stacks, optimize=_einsum_path(subscripts, *(o.shape[1:] for o in stacks)))
 
 
 def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:

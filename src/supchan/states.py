@@ -30,12 +30,12 @@ class DensityMatrix:
     v: np.ndarray
 
     def __post_init__(self):
-        mat = mk.as_matrix(self.mat).view()
-        if mat.shape[0] != mat.shape[1]:
-            raise ShapeError(f"density matrix must be square, got {mat.shape}")
-        for name, arr in (("mat", mat), ("w", np.asarray(self.w).view()), ("v", np.asarray(self.v).view())):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        if self.mat.ndim != 2 or self.mat.shape[0] != self.mat.shape[1]:
+            raise ShapeError(f"density matrix must be square, got {self.mat.shape}")
+        for name in ("mat", "w", "v"):
+            if getattr(self, name).flags.writeable:
+                object.__setattr__(self, name, getattr(self, name).view())
+                getattr(self, name).flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -49,11 +49,15 @@ def density(mat: np.ndarray, *, tols: Tolerances) -> DensityMatrix:
 
 def densities(mats: np.ndarray, tols: Tolerances) -> list[DensityMatrix]:
     """``density`` of each matrix of a stack, with the checks of the stack
-    in one step; each keeps the decomposition that its check took."""
+    in one step; each keeps the decomposition that its check took, and the
+    stack and its decomposition are made read-only once."""
     mats = mk.as_matrix(mats, stack=True)
     if mats.shape[-1] != mats.shape[-2]:
         raise ShapeError(f"density matrix must be square, got {mats.shape[-2:]}")
-    return [DensityMatrix(m, w, v) for m, w, v in zip(mats, *check_density(mats, tols))]
+    mats, (w, v) = mats.view(), check_density(mats, tols)
+    for arr in (mats, w, v):
+        arr.flags.writeable = False
+    return [DensityMatrix(m, wb, vb) for m, wb, vb in zip(mats, w, v)]
 
 
 def check_density(mats: np.ndarray, tols: Tolerances) -> tuple[np.ndarray, np.ndarray]:
@@ -159,22 +163,15 @@ def random_pure(d: int, rng: np.random.Generator) -> np.ndarray:
 
 def haar_of_normals(x: np.ndarray) -> np.ndarray:
     """The Haar unitary of each (real, imaginary) pair of standard normal
-    d x d matrices of an (n, 2, d, d) stack: one stacked QR of the Ginibre
+    d x d matrices of a (..., 2, d, d) stack: one stacked QR of the Ginibre
     matrices with phase fix (Mezzadri, Notices AMS 54, 592, 2007), which
     gives each unitary the bits of its own one-matrix QR."""
-    q, r = np.linalg.qr((x[:, 0] + 1j * x[:, 1]) / np.sqrt(2.0))
+    q, r = np.linalg.qr((x[..., 0, :, :] + 1j * x[..., 1, :, :]) / np.sqrt(2.0))
     ph = np.diagonal(r, axis1=-2, axis2=-1).copy()
     ph /= np.abs(ph)
-    return q * ph[:, None, :]
-
-
-def haar_unitaries(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    """n Haar-random unitaries, shape (n, d, d), of the normals that n calls
-    of ``haar_unitary`` draw, in the same order, and with the same bits."""
-    return haar_of_normals(rng.standard_normal((n, 2, d, d)))
+    return q * ph[..., None, :]
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary of the normals drawn next from ``rng`` (``haar_of_normals``)."""
-    return haar_unitaries(1, d, rng)[0]
-
+    return haar_of_normals(rng.standard_normal((1, 2, d, d)))[0]

@@ -18,10 +18,11 @@ where C is indexed (out, in) x (out, in); their agreement is asserted in
 the test suite.  ``act_block`` evaluates the operational formula for a
 block of (superchannel, operation) pairs in stacked steps, with the bits of
 each pair on its own, and returns each sigma' with the decomposition that
-its density check took.  ``m_tensors`` computes M once per superchannel
-of a block for the caller to pass to each contraction: the normalized M#
-on unit-trace operation-states A_d = C/d (``act_normalized_block``, with
-C = d * A_d), and M1# (x) M2# on joint ones (``joint_act_normalized``).
+its density check took.  ``m_tensors`` computes the M of a block's
+superchannels as one stack, for the caller to pass to each stacked
+contraction: the normalized M# on unit-trace operation-states A_d = C/d
+(``act_normalized_block``, with C = d * A_d), and M1# (x) M2# on joint
+ones (``joint_act_normalized``), each with the bits of one M at a time.
 The subsequent dynamics sigma -> tr_E[U (sigma (x) tau) U^dag] is
 ``channels.channels_from_dilations``; its steady state comes from
 ``neso_block``.  Each action takes the caller's ``tols``.
@@ -103,48 +104,44 @@ def act_block(scs: list[Superchannel], ops: list[ch.QuantumOperation],
     return out, check_density(out, tols)
 
 
-def m_tensors(scs: list[Superchannel]) -> list[np.ndarray]:
+def m_tensors(scs: list[Superchannel]) -> np.ndarray:
     """The six-index tensor M[a, b, c, p, q, r] of each superchannel of a
-    block, one contraction each."""
-    ms = []
-    for sc in scs:
-        u4 = sc.u.reshape(sc.d_s, sc.d_e, sc.d_s, sc.d_e)
-        r4 = sc.rho_se.mat.reshape(sc.d_s, sc.d_e, sc.d_s, sc.d_e)
-        ms.append(mk.einsum("axby,cyrz,pxqz->abcpqr", u4, r4, u4.conj()))
-    return ms
+    block, all of one (d_S, d_E), as one (B, d_S, ..., d_S) stack from one
+    stacked contraction (``mk.einsum``)."""
+    dims = sorted({(sc.d_s, sc.d_e) for sc in scs})
+    if len(dims) != 1:
+        raise ShapeError(f"m_tensors needs superchannels of one (d_S, d_E), got {dims}")
+    u4 = np.array([sc.u for sc in scs]).reshape(-1, *dims[0], *dims[0])
+    r4 = np.array([sc.rho_se.mat for sc in scs]).reshape(-1, *dims[0], *dims[0])
+    return mk.einsum("axby,cyrz,pxqz->abcpqr", u4, r4, u4.conj())
 
 
-def act_normalized_block(ms: list[np.ndarray], op_states, tols: Tolerances) -> np.ndarray:
-    """M#[X] of each (six-index tensor, operation-state) pair, all of one
-    d_S, as a (B, d_S, d_S) stack checked as density matrices; the
-    contraction against the Choi matrix d * X runs once per pair.
+def act_normalized_block(ms: np.ndarray, op_states, tols: Tolerances) -> np.ndarray:
+    """M#[X] of each (six-index tensor, operation-state) pair of two stacks,
+    all of one d_S, as a (B, d_S, d_S) stack checked as density matrices;
+    the contractions against the Choi matrices d * X are one ``np.einsum``.
 
     Each X is a unit-trace PSD operation-state on out (x) in.  M# is linear
     in X and CP; it preserves traces when X lies in the span of
     operation-states of trace-preserving maps (tr_out X = tr(X)/d * I), the
     domain on which it is defined."""
-    d = ms[0].shape[0]
+    d = ms.shape[1]
     xs = mk.as_matrix(op_states, stack=True)
     if xs.shape[-2:] != (d * d, d * d):
         raise ShapeError(f"operation-state shape {xs.shape[-2:]} != {(d * d, d * d)}")
-    out = np.array([np.einsum("abcpqr,bcqr->ap", m, (d * x).reshape(d, d, d, d)) for m, x in zip(ms, xs)])
+    out = np.einsum("Nabcpqr,Nbcqr->Nap", ms, (d * xs).reshape(-1, d, d, d, d))
     out = mk.as_matrix((out + mk.dagger(out)) / 2.0, stack=True)
     check_density(out, tols)
     return out
 
 
-def joint_act_normalized(m1s: list[np.ndarray], m2s: list[np.ndarray], op_states: np.ndarray) -> np.ndarray:
-    """(M1# (x) M2#)[X] of each (M1, M2, X) of a block, with X ordered
-    (P_out, P_in, Q_out, Q_in), as a Hermitian stack.
-
-    The contraction runs once per trial: a batch index would change its
-    path, and with it the bits."""
-    d1, d2 = m1s[0].shape[0], m2s[0].shape[0]
-    out = np.array([
-        mk.einsum("abcpqr,ABCPQR,bcBCqrQR->aApP", m1, m2,
-                  (d1 * d2) * np.asarray(x, dtype=complex).reshape(d1, d1, d2, d2, d1, d1, d2, d2),
-                  ).reshape(d1 * d2, d1 * d2)
-        for m1, m2, x in zip(m1s, m2s, op_states)])
+def joint_act_normalized(m1s: np.ndarray, m2s: np.ndarray, op_states: np.ndarray) -> np.ndarray:
+    """(M1# (x) M2#)[X] of each (M1, M2, X) of three stacks, with X ordered
+    (P_out, P_in, Q_out, Q_in), as a Hermitian stack from one stacked
+    contraction (``mk.einsum``)."""
+    d1, d2 = m1s.shape[1], m2s.shape[1]
+    x = (d1 * d2) * np.asarray(op_states, dtype=complex).reshape(-1, d1, d1, d2, d2, d1, d1, d2, d2)
+    out = mk.einsum("abcpqr,ABCPQR,bcBCqrQR->aApP", m1s, m2s, x).reshape(-1, d1 * d2, d1 * d2)
     return mk.as_matrix((out + mk.dagger(out)) / 2.0, stack=True)
 
 

@@ -531,7 +531,8 @@ def oracles():
                                  random_cptp_parts=random_cptp_parts, act=act_kraus, main_bound=main_bound,
                                  block_instances=block_instances, blocks=blocks,
                                  classical_mutual_information=classical_mutual_information,
-                                 holevo=holevo, qdpi=qdpi, transfer_matrix=transfer_matrix,
+                                 holevo=holevo, qdpi=qdpi, m_tensor=m_tensor, act_normalized=act_normalized,
+                                 transfer_matrix=transfer_matrix,
                                  steady_state=steady_state, dilation_kraus=dilation_kraus, choi=choi,
                                  steady_operation=steady_operation, spohn_bound=spohn_bound,
                                  replace_kraus=replace_kraus, clausius_bound=clausius_bound,
@@ -681,6 +682,12 @@ def random_density(d, rank, rng, tols=DEFAULT_TOLS):
     if not 1 <= rank <= d:
         raise ValueError(f"rank {rank} out of range [1, {d}]")
     return st.random_densities(d, [rank], [rng], tols)[0]
+
+
+def haar_unitaries(n, d, rng):
+    """n Haar unitaries, shape (n, d, d), of the normals that n calls of
+    ``states.haar_unitary`` draw, in the same order, by one stacked QR."""
+    return st.haar_of_normals(rng.standard_normal((n, 2, d, d)))
 
 
 def trial_rng(seed, trial):

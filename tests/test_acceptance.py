@@ -18,8 +18,8 @@ from supchan import superchannel as sup
 from supchan.config import DEFAULT_TOLS
 
 from conftest import (act, apply, channel_from_dilation, choi_of_msharp, clausius, env_marginal, holevo_trial,
-                      identity_channel, IsometricOperation, mmap, msharp_tp_residual, neso, neso_op, operation_entropy,
-                      random_cptp,
+                      haar_unitaries, identity_channel, IsometricOperation, mmap, msharp_tp_residual, neso, neso_op,
+                      operation_entropy, random_cptp,
                       random_density, relative_entropy, replace_channel, slack_identity, spohn, stinespring,
                       sys_marginal, trial_rng, unitary_channel, von_neumann_entropy)
 
@@ -210,7 +210,7 @@ def test_criterion_7_holevo_sweep():
             replace_channel(st.density(np.diag([0.0, 1.0]), tols=DEFAULT_TOLS)),
         ),
     )
-    haar = st.haar_unitaries(50, 2, np.random.default_rng(7))
+    haar = haar_unitaries(50, 2, np.random.default_rng(7))
     chi, _, sampled = holevo_trial(sc, ens, haar)
     orth_ok = abs(chi - math.log(2)) <= 1e-9 and max(sampled) >= math.log(2) - 1e-9
     _report("7 holevo sweep", failures == 0 and orth_ok,

@@ -13,9 +13,9 @@ from supchan.config import DEFAULT_TOLS
 from supchan.matkernel import ValidationError
 
 from conftest import (channel_from_dilation, classical_channel, clausius, depolarizing_channel, env_marginal,
-                      ext_add, identity_channel, neso, neso_op, random_cptp, random_density, replace_channel,
-                      holevo_trial, slack_identity, spohn, spohn_composition, swap_unitary, unitary_channel,
-                      von_neumann_entropy)
+                      ext_add, haar_unitaries, identity_channel, neso, neso_op, random_cptp, random_density,
+                      replace_channel, holevo_trial, slack_identity, spohn, spohn_composition, swap_unitary,
+                      unitary_channel, von_neumann_entropy)
 
 
 def rand_sc(d_s, d_e, seed, product=False):
@@ -358,7 +358,7 @@ def test_holevo_indistinguishable_ensemble():
     sc, rng = rand_sc(2, 2, seed=6000)
     op = random_cptp(2, 2, rng)
     ens = bd.Ensemble((0.5, 0.5), (op, op))
-    chi, rep, sampled = holevo_trial(sc, ens, st.haar_unitaries(10, 2, rng))
+    chi, rep, sampled = holevo_trial(sc, ens, haar_unitaries(10, 2, rng))
     assert chi <= 1e-10
     assert max(sampled) <= 1e-9
     assert rep.passed
@@ -373,7 +373,7 @@ def test_holevo_clips_only_float_noise_below_zero_from_chi(monkeypatch, shift, c
     checked, real_check, real_entropy = [], bd.check_density, st.entropy_of_spectrum
     monkeypatch.setattr(bd, "check_density", lambda m, tols: checked.append(1) or real_check(m, tols))
     monkeypatch.setattr(st, "entropy_of_spectrum", lambda w: real_entropy(w) + (shift if checked else 0.0))
-    [rep] = bd.holevo_block([sc], [ens], st.haar_unitaries(3, 2, rng)[None], DEFAULT_TOLS)
+    [rep] = bd.holevo_block([sc], [ens], haar_unitaries(3, 2, rng)[None], DEFAULT_TOLS)
     assert checked == [1]
     assert rep.lhs == pytest.approx(chi, rel=0.0, abs=1e-15)
 
@@ -390,7 +390,7 @@ def test_holevo_orthogonal_ensemble_attains_log2():
             replace_channel(st.density(np.diag([0.0, 1.0]), tols=DEFAULT_TOLS)),
         ),
     )
-    chi, rep, sampled = holevo_trial(sc, ens, st.haar_unitaries(10, 2, rng))
+    chi, rep, sampled = holevo_trial(sc, ens, haar_unitaries(10, 2, rng))
     assert abs(chi - math.log(2)) <= 1e-9
     # the eigenbasis measurement (appended last) is computational here
     assert max(sampled) >= math.log(2) - 1e-9
@@ -411,7 +411,7 @@ def test_stacked_measurement_bases_match_sequential_draws_bitwise(oracles):
         for seed in range(50):
             rng_seq, rng_stk = np.random.default_rng(seed), np.random.default_rng(seed)
             seq = [sequential_haar(d, rng_seq) for _ in range(20)]
-            stk = st.haar_unitaries(20, d, rng_stk)
+            stk = haar_unitaries(20, d, rng_stk)
             assert all(a.tobytes() == b.tobytes() for a, b in zip(seq, stk))
             assert rng_seq.random() == rng_stk.random()
             assert st.haar_unitary(d, np.random.default_rng(seed)).tobytes() == seq[0].tobytes()
@@ -438,7 +438,7 @@ def test_holevo_random_sweep_small():
         ops = tuple(random_cptp(2, int(rng.integers(1, 5)), rng) for _ in range(k))
         probs = rng.dirichlet(np.ones(k))
         ens = bd.Ensemble(tuple(float(p) for p in probs / probs.sum()), ops)
-        chi, rep, sampled = holevo_trial(sc, ens, st.haar_unitaries(25, 2, rng))
+        chi, rep, sampled = holevo_trial(sc, ens, haar_unitaries(25, 2, rng))
         assert rep.passed, f"seed {seed}"
         assert chi >= -1e-10
         assert chi <= math.log(k) + 1e-9
@@ -532,7 +532,7 @@ def test_holevo_blocks_are_bitwise_the_per_trial_holevo(d_s, d_e, oracles):
         rngs = [np.random.default_rng([d_s, d_e, t]) for t in block]
         scs = [pinned if kind == 0 else rand_sc(d_s, d_e, [d_s, d_e, 1, t])[0] for t in block]
         enss = cp.random_ensembles(d_s, rngs, tols, explicit if kind == 2 else None)
-        haar = np.array([st.haar_unitaries(6, d_s, r) for r in rngs])
+        haar = np.array([haar_unitaries(6, d_s, r) for r in rngs])
         reports = bd.holevo_block(scs, enss, haar, tols)
         for t, sc, ens, h, rep in zip(block, scs, enss, haar, reports):
             chi = rep.metadata["chi"]
@@ -544,7 +544,7 @@ def test_holevo_blocks_are_bitwise_the_per_trial_holevo(d_s, d_e, oracles):
                 p = seq.dirichlet(np.ones(k))
                 assert ens.probs == tuple(float(x) for x in p / p.sum())
                 assert [op.choi.tobytes() for op in ens.ops] == [c.tobytes() for c in chois]
-                assert st.haar_unitaries(6, d_s, seq).tobytes() == h.tobytes()
+                assert haar_unitaries(6, d_s, seq).tobytes() == h.tobytes()
             want_chi, want_sampled, want_w = oracles.holevo(sc, ens, h, tols)
             assert (chi.hex(), rep.lhs.hex(), rep.rhs.hex()) == (want_chi.hex(), want_chi.hex(), max(want_sampled).hex())
             assert rep.slack == want_chi - max(want_sampled)

@@ -676,11 +676,14 @@ def per_trial_peak(family, dims):
     ("spohn", {"d_S": 3}), ("spohn", {"d_S": 4}),
     ("main", {"d_S": 4, "d_E": 4}), ("main", {"d_S": 4, "d_E": 1}),
     ("clausius", {"d_S": 3}), ("clausius", {"d_S": 4}),
-    ("holevo", {"d_S": 3, "d_E": 3}), ("holevo", {"d_S": 4, "d_E": 2})])
+    ("holevo", {"d_S": 3, "d_E": 3}), ("holevo", {"d_S": 4, "d_E": 2}),
+    ("qdpi", {"d_P": 4, "d_Q": 1, "d_E1": 4, "d_E2": 1})])
 def test_a_trial_holds_at_most_four_times_the_entries_it_is_counted(family, dims):
     # Complex entries are 16 bytes.  A Kraus-ordered sum holds one term per
     # trial at a time; where d_E < d_S, main's d_S^4 draws and fixed points
-    # outweigh its (d_S d_E)^2 stacks.
+    # outweigh its (d_S d_E)^2 stacks, and where d_P^6 outweighs (d_P d_Q)^4,
+    # qdpi's six-index tensors and their stacked contraction outweigh its
+    # joint states.
     entries = cp._trial_entries(family, cp._dim_values(dims), 50)
     assert per_trial_peak(family, dims) <= 4 * entries * 16
 
@@ -701,10 +704,11 @@ def qdpi_scenario(d_p, d_q):
 @pytest.mark.parametrize("d_p,d_q,sizes", [(d_p, d_q, [len(t) for _, t in campaign_blocks(qdpi_scenario(d_p, d_q))])
                                            for d_p, d_q in ((2, 2), (2, 3), (3, 3))])
 def test_a_qdpi_block_stacks_at_most_the_stack_limit_of_joint_choi_entries(monkeypatch, d_p, d_q, sizes):
-    # (d_P d_E1)^2 + (d_Q d_E2)^2 + (d_P d_Q)^4 entries per trial: 308 and
-    # 1393 fit more than eight times into STACK_ENTRIES, 6678 four times; so
-    # a campaign cuts its qdpi trials into blocks of that many, and each
-    # block gives the per-trial reports.
+    # (d_P d_E1)^2 + (d_Q d_E2)^2 + (d_P d_Q)^4 entries per trial, and
+    # d^6 + d^4 d_E^2 for each split's six-index tensors: 644 and 2979 fit
+    # more than eight times into STACK_ENTRIES, 9189 three times; so a
+    # campaign cuts its qdpi trials into blocks of that many, and each block
+    # gives the per-trial reports.
     scn = qdpi_scenario(d_p, d_q)
     entries = cp._trial_entries("qdpi", cp._dim_values(scn.dims), scn.n_measurements)
     assert max(sizes) * entries <= cp.STACK_ENTRIES
@@ -837,10 +841,10 @@ def test_random_superchannels_draw_as_one_trial_at_a_time(d_s, d_e, pinned):
         assert sc.u.tobytes() == st.haar_unitary(d, rng).tobytes()
 
 
-def test_only_the_v_and_basis_draws_take_a_qr_per_trial(monkeypatch):
-    # At d=2 each family's campaign is one block, and the joint unitaries of
-    # a block come from one stacked QR.  So 11 more trials add one QR each
-    # for mmap-consistency's V and for holevo's bases: 22.
+def test_only_the_v_draw_takes_a_qr_per_trial(monkeypatch):
+    # At d=2 each family's campaign is one block, and the joint unitaries
+    # and holevo's bases of a block each come from one stacked QR.  So 11
+    # more trials add one QR each, for mmap-consistency's V.
     real, calls = np.linalg.qr, []
 
     def qr(*args, **kwargs):
@@ -854,7 +858,7 @@ def test_only_the_v_and_basis_draws_take_a_qr_per_trial(monkeypatch):
         calls.clear()
         cp.run_campaign(scn, DEFAULT_TOLS, jobs=1)
         counts.append(len(calls))
-    assert counts[1] - counts[0] == 22
+    assert counts[1] - counts[0] == 11
 
 
 def reference_json(obj) -> str:

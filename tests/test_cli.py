@@ -104,6 +104,22 @@ def test_a_scenario_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, com
                    "invalid start byte\n")
 
 
+@pytest.mark.parametrize("command", [["verify", "--jobs", "1"], ["explain", "--trial", "0"]])
+def test_a_utf8_byte_order_mark_is_ignored(tmp_path, capsys, command):
+    # RFC 8259, section 8.1: a parser may ignore a leading byte-order mark,
+    # which some editors write.  verify's report and explain's output are
+    # those of the same file without it.
+    text = b'{"seed":1,"trials":1,"bound":"spohn"}'
+    outs = []
+    for name, data in (("plain.json", text), ("bom.json", b"\xef\xbb\xbf" + text)):
+        (tmp_path / name).write_bytes(data)
+        report = tmp_path / f"{name}.out"
+        extra = ["--out", str(report)] if command[0] == "verify" else []
+        assert cli.main([command[0], "--scenario", str(tmp_path / name), *command[1:], *extra]) == 0
+        outs.append(report.read_text() if extra else capsys.readouterr().out)
+    assert outs[0] == outs[1] and "spohn" in outs[0]
+
+
 def test_verify_rejects_unknown_tolerance_key(tmp_path, capsys):
     scn = write_scenario(tmp_path, tolerances={"slack_tl": 0.5})
     out = tmp_path / "report.json"
@@ -541,7 +557,7 @@ def test_a_seed_of_2_64_or_more_is_refused_at_load(tmp_path, capsys):
 
 def test_holevo_bases_beyond_the_storage_limit_are_refused_at_load(tmp_path, capsys, monkeypatch):
     # Refused by load_scenario, before any trial draws a basis.
-    monkeypatch.setattr(st, "haar_unitaries", None)
+    monkeypatch.setattr(st, "haar_of_normals", None)
     # Each basis adds 3 * 3 entries to what one holevo trial stacks.
     most = (cp.mk.MAX_ENTRIES - cp._trial_entries("holevo", cp._dim_values({"d_S": 3}), 0)) // (3 * 3)
     for n, bound in ((10 ** 12, "holevo"), (most + 1, "all")):
@@ -567,7 +583,7 @@ def test_holevo_bases_are_sized_by_the_trials_of_one_block():
 def test_dims_whose_stacked_matrices_exceed_the_storage_limit_are_refused_at_load(tmp_path, capsys, monkeypatch):
     # A 40000 x 40000 joint unitary would be drawn by the first trial; the
     # scenario is refused by load_scenario instead, before anything is drawn.
-    for name in ("haar_unitaries", "haar_unitary", "ginibre"):
+    for name in ("haar_of_normals", "haar_unitary", "ginibre"):
         monkeypatch.setattr(st, name, None)
     scn = write_scenario(tmp_path, trials=1, bound="main", dims={"d_S": 200, "d_E": 200})
     assert cli.main(["verify", "--scenario", scn, "--jobs", "1"]) == cli.EXIT_VALIDATION_ERROR

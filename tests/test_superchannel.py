@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from supchan import campaigns as cp
 from supchan import channels as ch
 from supchan import matkernel as mk
 from supchan import states as st
@@ -290,24 +291,65 @@ def test_act_block_refuses_an_operation_that_is_not_trace_preserving():
         sup.act_block([sc, sc, sc], [ops[0], half, ops[1]], tols=DEFAULT_TOLS)
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
-def test_cached_einsum_paths_are_bitwise_optimize_true(d):
-    # m_tensors and the joint contraction of qdpi reuse one greedy path per
-    # operand shapes; the result has the bits of a fresh optimize=True search.
-    sc1, rng = rand_sc(d, 2, seed=[d, 1])
-    sc2, _ = rand_sc(d, 3, seed=[d, 2])
-    u4 = sc1.u.reshape(d, 2, d, 2)
-    r4 = sc1.rho_se.mat.reshape(d, 2, d, 2)
-    want = np.einsum("axby,cyrz,pxqz->abcpqr", u4, r4, u4.conj(), optimize=True)
-    m1, m2 = sup.m_tensors([sc1, sc2])
-    assert m1.tobytes() == want.tobytes()
-    x = (d * d) * random_cptp(d * d, 3, rng).choi_state.reshape((d,) * 8)
+BATCHES = (1, 2, 7, 300)
+SMALL_BATCHES = (1, 2, 7)
+
+
+def random_block(d_s, d_e, n, seed):
+    """n random superchannels of one (d_S, d_E), drawn as a campaign block
+    draws them, and their generators."""
+    rngs = [np.random.default_rng([*seed, n, t]) for t in range(n)]
+    return cp.random_superchannels(d_s, d_e, rngs, DEFAULT_TOLS), rngs
+
+
+@pytest.mark.parametrize("d_s,d_e,batches", [(d_s, d_e, BATCHES) for d_s in range(1, 5) for d_e in range(1, 5)]
+                         + [(5, d_e, SMALL_BATCHES) for d_e in range(1, 5)])
+def test_stacked_m_tensors_and_their_action_have_the_bits_of_each_superchannel(d_s, d_e, batches, oracles):
+    # One stacked contraction, along the greedy path of one slice, gives
+    # each superchannel the bits of its own optimize=True einsum, and the
+    # stacked action those of its own plain einsum, at every batch size;
+    # the path is searched once per slice shapes.
+    mk._einsum_path.cache_clear()
+    for n in batches:
+        scs, rngs = random_block(d_s, d_e, n, [d_s, d_e])
+        ms = sup.m_tensors(scs)
+        assert ms.shape == (n,) + (d_s,) * 6
+        ops = cp.random_operations(d_s, rngs, DEFAULT_TOLS)
+        out = sup.act_normalized_block(ms, [op.choi_state for op in ops], DEFAULT_TOLS)
+        for sc, m, op, o in zip(scs, ms, ops, out, strict=True):
+            assert m.tobytes() == oracles.m_tensor(sc).tobytes()
+            assert o.tobytes() == oracles.act_normalized(sc, op.choi_state, DEFAULT_TOLS).tobytes()
+    assert mk._einsum_path.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("d_p,d_q,batches", [(d_p, d_q, BATCHES) for d_p in range(1, 4) for d_q in range(1, 4)]
+                         + [(4, 4, SMALL_BATCHES), (4, 2, SMALL_BATCHES), (2, 4, SMALL_BATCHES)])
+def test_the_stacked_joint_action_has_the_bits_of_each_trial(d_p, d_q, batches, oracles):
+    # qdpi's contraction of M1, M2 and the joint operation-state, as one
+    # stacked call: the bits of each trial's optimize=True einsum.  At
+    # d_P = d_Q = 1 a path searched with the batch index differs.
     joint = "abcpqr,ABCPQR,bcBCqrQR->aApP"
-    want = np.einsum(joint, m1, m2, x, optimize=True)
-    hits = mk._einsum_path.cache_info().hits
-    for _ in range(2):
-        assert mk.einsum(joint, m1, m2, x).tobytes() == want.tobytes()
-    assert mk._einsum_path.cache_info().hits >= hits + 1
+    mk._einsum_path.cache_clear()
+    for n in batches:
+        sc1s, rngs = random_block(d_p, 2, n, [d_p, d_q, 1])
+        sc2s, _ = random_block(d_q, 3, n, [d_p, d_q, 2])
+        # The contraction is linear in X and checks nothing, so any X serves.
+        xs = np.array([st.ginibre((d_p * d_q) ** 2, (d_p * d_q) ** 2, rng) for rng in rngs])
+        got = sup.joint_act_normalized(sup.m_tensors(sc1s), sup.m_tensors(sc2s), xs)
+        for sc1, sc2, x, g in zip(sc1s, sc2s, xs, got, strict=True):
+            y = (d_p * d_q) * x.reshape(d_p, d_p, d_q, d_q, d_p, d_p, d_q, d_q)
+            want = np.einsum(joint, oracles.m_tensor(sc1), oracles.m_tensor(sc2), y, optimize=True)
+            want = want.reshape(d_p * d_q, d_p * d_q)
+            assert g.tobytes() == ((want + want.conj().T) / 2.0).tobytes()
+    # One search for each split's M and one for the joint contraction.
+    assert mk._einsum_path.cache_info().misses == 3
+
+
+def test_m_tensors_of_mixed_dims_is_a_shape_error():
+    scs = [rand_sc(2, 2, 1)[0], rand_sc(2, 3, 2)[0]]
+    with pytest.raises(ShapeError, match=r"^m_tensors needs superchannels of one \(d_S, d_E\), "
+                                         r"got \[\(2, 2\), \(2, 3\)\]$"):
+        sup.m_tensors(scs)
 
 
 @pytest.mark.parametrize("d_s,d_e", [(2, 2), (3, 3), (4, 4), (2, 3), (3, 2)])
