@@ -71,8 +71,9 @@ def spohn_block(ops: list[ch.QuantumOperation], rhos: list[DensityMatrix], tols:
     """Entropy-production bound of each CPTP map of a block relative to its
     steady state, at its state, all of one dimension, with the bits of each
     on its own.  The steady states, the outputs, the spectra and the
-    weights in the steady states' eigenvectors are each one stacked step;
-    the entropy sums and the bound arithmetic stay per trial.
+    weights in the steady states' eigenvectors, the entropies and the
+    weight sums are each one stacked step; the bound arithmetic stays per
+    trial.
     """
     nss = ch.fixed_points(ops, tols)
     for op, rho in zip(ops, rhos):
@@ -83,12 +84,11 @@ def spohn_block(ops: list[ch.QuantumOperation], rhos: list[DensityMatrix], tols:
     out = ch.apply_matrices(ops, mats)
     out = (out + mk.dagger(out)) / 2.0
     w_out = st.decompose(st.densities(out, tols))[0]
-    w_in = st.decompose(rhos)[0]
+    s_outs, s_ins = st.entropies(w_out), st.entropies(st.decompose(rhos)[0])
     w_n, v_n = st.decompose([ns.state for ns in nss])
     cross = st.log_weights(np.stack([out, mats], axis=1), w_n, v_n, tols)
     reports = []
-    for b, (op, ns) in enumerate(zip(ops, nss)):
-        s_out, s_in = st.entropy_of_spectrum(w_out[b]), st.entropy_of_spectrum(w_in[b])
+    for b, (op, ns, s_out, s_in) in enumerate(zip(ops, nss, s_outs, s_ins)):
         t_out, t_in = cross[b]
         meta = {"d": op.d_in, "fixed_space_dim": ns.fixed_space_dim, "ness_method": ns.method,
                 "ness_residual": ns.residual}
@@ -113,21 +113,20 @@ def main_block(scs: list[sup.Superchannel], ops: list[ch.QuantumOperation], nss:
     With E_d = e (x) I/d, log(E_d) = log(e) (x) I - log(d) I on its support,
     so tr[A_d log E_d] reduces to tr[tr_in(A_d) log e] - log d.
 
-    sigma', the spectra of sigma' and of A_d, and the weights of sigma' and
-    tr_in(A_d) in the steady state's eigenvectors are each one stacked
-    computation; the entropy sums and the bound arithmetic stay per trial.
+    sigma', the spectra of sigma' and of A_d, their entropies, and the
+    weights of sigma' and tr_in(A_d) in the steady state's eigenvectors and
+    their sums are each one stacked computation; the bound arithmetic stays
+    per trial.
     """
     d = scs[0].d_s
     sigma, (w_out, _) = sup.act_block(scs, ops, tols)
     a_d = np.array([op.choi for op in ops]) / d
-    w_op = mk.clamp_spectrum(np.linalg.eigvalsh(a_d)[..., ::-1], tols)
+    s_ops = st.entropies(mk.clamp_spectrum(np.linalg.eigvalsh(a_d)[..., ::-1], tols))
     marg = mk.partial_trace(a_d, (d, d), [0])
     w_n, v = st.decompose([ns.state for ns in nss])
     cross = st.log_weights(np.stack([sigma, marg], axis=1), w_n, v, tols)
     reports = []
-    for b, (sc, op, ns) in enumerate(zip(scs, ops, nss)):
-        s_out = st.entropy_of_spectrum(w_out[b])
-        s_op = st.entropy_of_spectrum(w_op[b])
+    for b, (sc, op, ns, s_out, s_op) in enumerate(zip(scs, ops, nss, st.entropies(w_out), s_ops)):
         t_out, t_op = cross[b]
         t_op -= math.log(d)
         meta = {"d_S": sc.d_s, "d_E": sc.d_e, "fixed_space_dim": ns.fixed_space_dim,
@@ -136,7 +135,7 @@ def main_block(scs: list[sup.Superchannel], ops: list[ch.QuantumOperation], nss:
             # (D[A_d || E_d], D[sigma' || e]): the slack equals their difference on finite branches.
             a_d_state = density(op.choi_state, tols=tols)
             e_d = ch.replace_channels([ns.state])[0].choi_state
-            d_in = st.relative_entropies(a_d_state.mat[None], [st.entropy_of_spectrum(a_d_state.w)], e_d[None], tols)[0]
+            d_in = st.relative_entropies(a_d_state.mat[None], st.entropies(a_d_state.w[None]), e_d[None], tols)[0]
             collect.update(
                 ness_eigenvalues=w_n[b].tolist(), entropy_sigma_prime=s_out,
                 entropy_op_state=s_op, tr_sigma_log_ness=t_out, tr_op_log_neso=t_op,
@@ -179,8 +178,8 @@ def clausius_block(scs: list[sup.Superchannel], sigmas: list[DensityMatrix], gib
     Validates that the fixed point of each subsequent dynamics is the Gibbs
     state of (h, beta), then evaluates the generalized bound at the
     throw-and-replace operation A_d = sigma (x) I/d.  The steady states, the
-    operations, sigma' and the spectra and overlaps are each one stacked
-    step; the entropy sums and the bound arithmetic stay per trial.
+    operations, sigma', the spectra, the entropies, the overlaps and their
+    sums are each one stacked step; the bound arithmetic stays per trial.
     """
     nss = sup.neso_block(scs, tols)
     resid = mk.max_abs(np.array([ns.state.mat for ns in nss]) - gibbs.mat)
@@ -188,13 +187,12 @@ def clausius_block(scs: list[sup.Superchannel], sigmas: list[DensityMatrix], gib
                   f"fixed point is not the Gibbs state: residual {{:.3e}} > {THERMAL_MATCH_TOL}")
     d = scs[0].d_s
     sigma_p, (w_p, _) = sup.act_block(scs, ch.replace_channels(sigmas), tols)
-    w_s = st.decompose(sigmas)[0]
+    s_ps, s_ss = st.entropies(w_p), st.entropies(st.decompose(sigmas)[0])
     w_g, v_g = gibbs.w, gibbs.v
     mats = np.stack([sigma_p, [s.mat for s in sigmas]], axis=1)
     cross = st.log_weights(mats, [w_g] * len(scs), np.array([v_g] * len(scs)), tols)
     reports = []
-    for b, r in enumerate(resid.tolist()):
-        s_p, s_s = st.entropy_of_spectrum(w_p[b]), st.entropy_of_spectrum(w_s[b])
+    for b, (r, s_p, s_s) in enumerate(zip(resid.tolist(), s_ps, s_ss)):
         t_out, t_in = cross[b]
         meta = {"d": d, "beta": beta, "Z": z, "F": math.log(z) / beta, "thermal_residual": r}
         if collect is not None:
@@ -234,10 +232,10 @@ def qdpi_block(sc1s: list[sup.Superchannel], sc2s: list[sup.Superchannel], ops: 
     dominates the output mutual information and the relative-entropy slack
     can only be tighter than the mutual-information slack.
 
-    The checks, the spectra, the marginal operations, the references, the
-    overlaps, the six-index tensors of each split and the contractions that
-    read them are each one stacked step; the route cross-checks and the
-    bound arithmetic run per trial.
+    The checks, the spectra and their entropies, the marginal operations,
+    the references, the overlaps, the six-index tensors of each split and
+    the contractions that read them are each one stacked step; the route
+    cross-checks and the bound arithmetic run per trial.
     """
     d_p, d_q = sc1s[0].d_s, sc2s[0].d_s
     for op in ops:
@@ -304,27 +302,18 @@ def classical_mutual_informations(joints: np.ndarray) -> np.ndarray:
     """I(K;M) in nats, 0 log 0 = 0, of each joint probability table of a
     stack, with the bits of each on its own.
 
-    The totals, marginals and terms are one vectorized pass.  A table's
-    positive terms are summed as a row of exactly their count, in one sum
-    per count: the pairwise sum of a row depends on its length, so zero
-    padding would move bits.
+    The totals, marginals and terms are one vectorized pass, and each
+    table's positive terms are summed as a row of exactly their count
+    (``states.row_sums``); a table of total 0 has none.
     """
     joints = np.clip(np.asarray(joints, dtype=float), 0.0, None)
     total = joints.reshape(len(joints), -1).sum(-1)
-    live = total > 0
-    joint = joints[live] / total[live, None, None]
+    joint = joints / np.where(total > 0, total, 1.0)[:, None, None]
     mask = joint > 0.0
     outer = joint.sum(axis=-1, keepdims=True) * joint.sum(axis=-2, keepdims=True)
-    terms = joint[mask] * np.log(joint[mask] / outer[mask])
-    counts = mask.sum(axis=(-2, -1))
-    starts = np.cumsum(counts) - counts
-    info = np.empty(len(joint))
-    for c in set(counts.tolist()):
-        rows = counts == c
-        info[rows] = terms[starts[rows, None] + np.arange(c)].sum(-1)
-    out = np.zeros(len(joints))
-    out[live] = info
-    return out
+    terms = np.zeros_like(joint)
+    terms[mask] = joint[mask] * np.log(joint[mask] / outer[mask])
+    return st.row_sums(terms.reshape(len(joint), -1), mask.reshape(len(joint), -1))
 
 
 def measured_information(states: list[np.ndarray], probs: list[np.ndarray], bases: np.ndarray) -> np.ndarray:
@@ -364,9 +353,9 @@ def holevo_block(scs: list[sup.Superchannel], enss: list[Ensemble], haar: np.nda
     The j-th sigma'_k of every trial is one ``act_block`` (one over all
     codewords would hold the stacks of every codeword at once), and
     each average adds its terms into zeros in codeword order; the spectra
-    are two stacked decompositions, and the information of every
-    measurement is one ``measured_information`` call; chi and the report
-    stay per trial.
+    are two stacked decompositions and their entropies two stacked sums,
+    and the information of every measurement is one
+    ``measured_information`` call; chi and the report stay per trial.
     """
     d = scs[0].d_s
     ks = np.array([len(ens.ops) for ens in enss])
@@ -379,14 +368,14 @@ def holevo_block(scs: list[sup.Superchannel], enss: list[Ensemble], haar: np.nda
         has = np.flatnonzero(ks > j)
         out, (w, _) = sup.act_block([scs[b] for b in has], [enss[b].ops[j] for b in has], tols)
         outs[starts[has] + j] = out
-        s_outs[starts[has] + j] = [st.entropy_of_spectrum(wb) for wb in w]
+        s_outs[starts[has] + j] = st.entropies(w)
         avg[has] += np.array([probs[b][j] for b in has])[:, None, None] * out
     w_avg, v_avg = check_density(mk.as_matrix(avg, stack=True), tols)
     bases = np.concatenate([haar, v_avg[:, None]], axis=1)
     infos = measured_information([outs[a:a + k] for a, k in zip(starts, ks)], probs, bases)
     reports = []
-    for b, (a, k) in enumerate(zip(starts, ks)):
-        chi = st.entropy_of_spectrum(w_avg[b]) - float(sum(p * s for p, s in zip(probs[b], s_outs[a:a + k])))
+    for b, (a, k, s_avg) in enumerate(zip(starts, ks, st.entropies(w_avg))):
+        chi = s_avg - float(sum(p * s for p, s in zip(probs[b], s_outs[a:a + k])))
         if -1e-12 < chi < 0.0:
             chi = 0.0
         sampled = infos[b].tolist()

@@ -303,7 +303,7 @@ def random_cptps(d: int, draws: list[np.ndarray], tols: Tolerances) -> list[Quan
     (1e-12).  The projections and ``from_chois`` run once over the stack,
     with the bits of each map.  A map on P (x) Q is drawn at d = d_P d_Q;
     its split is the caller's."""
-    choi = _tp_projection(np.array([g @ g.conj().T for g in draws]), d)
+    choi = _tp_projection(st.grams(draws), d)
     off = np.flatnonzero(mk.max_abs(tr_out_choi(choi, d, d) - np.eye(d)) > 1e-12)
     if off.size:
         choi[off] = _tp_projection(choi[off], d)

@@ -47,6 +47,5 @@ def mmap_block(scs: list[sup.Superchannel], vs: list[np.ndarray], alphas: list[D
     ups = mk.partial_trace(u_full @ staged @ mk.dagger(u_full), (d_s, d_e, d_a), [0, 2])
     upsilons = st.densities((ups + mk.dagger(ups)) / 2.0, tols)
     sigmas = sup.marginals(scs, 0, tols)
-    s_ups = [st.entropy_of_spectrum(w) for w in st.decompose(upsilons)[0]]
-    s_sig = [st.entropy_of_spectrum(w) for w in st.decompose(sigmas)[0]]
+    s_ups, s_sig = (st.entropies(st.decompose(rhos)[0]) for rhos in (upsilons, sigmas))
     return upsilons, [a - b for a, b in zip(s_ups, s_sig)]

@@ -78,25 +78,43 @@ def decompose(rhos: list[DensityMatrix]) -> tuple[np.ndarray, np.ndarray]:
     return np.array([r.w for r in rhos]), np.array([r.v for r in rhos])
 
 
-def entropy_of_spectrum(w: np.ndarray) -> float:
-    """Shannon entropy of a clamped spectrum in nats, with 0 log 0 = 0."""
-    w = np.asarray(w, dtype=float)
-    pos = w[w > 0.0]
-    return float(-(pos * np.log(pos)).sum())
+def row_sums(x: np.ndarray, mask: np.ndarray, by_column: bool = False) -> np.ndarray:
+    """The sum of the entries of each row of the last axis of ``x`` where
+    ``mask`` (broadcast to its shape) is set, with the bits of the row's own
+    sum: a pairwise sum's bits depend on the length of the row, so the rows
+    of each count of set entries are summed as one contiguous (rows, count)
+    array, never zero padded.  ``by_column`` lays each such array out column
+    by column, which numpy sums one column after the other, as it sums the
+    (rows, count) gather ``a[..., mask]`` of several rows."""
+    mask = np.broadcast_to(mask, x.shape)
+    counts = mask.sum(-1).ravel()
+    vals, starts, out = x[mask], np.cumsum(counts) - counts, np.empty(counts.shape)
+    for c in set(counts.tolist()):
+        rows = counts == c
+        group = vals[starts[rows, None] + np.arange(c)]
+        out[rows] = (np.asfortranarray(group) if by_column else group).sum(-1)
+    return out.reshape(x.shape[:-1])
+
+
+def entropies(w: np.ndarray) -> list[float]:
+    """The Shannon entropy in nats, with 0 log 0 = 0, of each clamped spectrum
+    of a (B, d) stack, summed over its positive entries (``row_sums``)."""
+    pos = w > 0.0
+    return (-row_sums(w * np.log(np.where(pos, w, 1.0)), pos)).tolist()
 
 
 def log_weights(xs: np.ndarray, w: np.ndarray, v: np.ndarray, tols: Tolerances) -> list[list[float]]:
     """tr[X log(base_b)] of each X of ``xs[b]``, a (B, n, d, d) stack, with
     ``(w[b], v[b])`` as ``mk.herm_eig_of`` returns it for base b; -inf when X
-    has weight above support_tol on its kernel.  The weights are one stacked
-    step; each trial sums its own, as a zero-padded row sum could move bits."""
+    has weight above support_tol on its kernel.  The weights and the sums
+    over the support and over the kernel (``row_sums``) are each one
+    stacked step, the sums by column for n > 1, as one base's (n, count)
+    gather of its X's weights was summed."""
+    w, by_column = np.asarray(w), xs.shape[1] > 1
     overlap = np.real(np.einsum("bik,bnij,bjk->bnk", v.conj(), xs, v))
-    out = []
-    for o, wb in zip(overlap, w):
-        kernel = wb == 0.0
-        t = (o[..., ~kernel] * np.log(wb[~kernel])).sum(-1)
-        out.append(np.where(o[..., kernel].sum(-1) > tols.support_tol, -np.inf, t).tolist())
-    return out
+    kernel = np.broadcast_to((w == 0.0)[:, None], overlap.shape)
+    t = row_sums(overlap * np.log(np.where(w == 0.0, 1.0, w))[:, None], ~kernel, by_column)
+    return np.where(row_sums(overlap, kernel, by_column) > tols.support_tol, -np.inf, t).tolist()
 
 
 def relative_entropies(rhos: np.ndarray, s_rhos: list, refs: np.ndarray, tols: Tolerances) -> list[float]:
@@ -126,8 +144,8 @@ def mutual_informations(mats: np.ndarray, dims: Sequence[int], part: Sequence[in
     spectra.  ``part`` must be a proper nonempty subset of the positions."""
     if not part or not set(part) < set(range(len(dims))):
         raise ShapeError(f"{sorted(set(part))} is not a proper nonempty subset of the positions of {tuple(dims)}")
-    s = [entropy_of_spectrum(w) for w in check_density(mats, tols)[0]]
-    s_p, s_q = ([entropy_of_spectrum(w) for w in check_density(mk.partial_trace(mats, dims, keep), tols)[0]]
+    s = entropies(check_density(mats, tols)[0])
+    s_p, s_q = (entropies(check_density(mk.partial_trace(mats, dims, keep), tols)[0])
                 for keep in (part, [i for i in range(len(dims)) if i not in part]))
     return [a + b - c for a, b, c in zip(s_p, s_q, s)], s
 
@@ -137,14 +155,27 @@ def mutual_informations(mats: np.ndarray, dims: Sequence[int], part: Sequence[in
 # ---------------------------------------------------------------------------
 
 def ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """Standard complex Gaussian matrix."""
-    return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
+    """Standard complex Gaussian matrix, from one draw of its real and then
+    its imaginary parts."""
+    x = rng.standard_normal((2, rows, cols))
+    return (x[0] + 1j * x[1]) / np.sqrt(2.0)
+
+
+def grams(gs: list[np.ndarray]) -> np.ndarray:
+    """G G^dag of each matrix G of a list, all of one row count, as one stack:
+    one stacked product per shape, which gives each the bits of its own."""
+    shapes, out = [g.shape for g in gs], np.empty((len(gs), len(gs[0]), len(gs[0])), dtype=complex)
+    for shape in set(shapes):
+        idx = [i for i, s in enumerate(shapes) if s == shape]
+        x = np.array([gs[i] for i in idx])
+        out[idx] = x @ mk.dagger(x)
+    return out
 
 
 def wishart(gs: list[np.ndarray]) -> np.ndarray:
     """The normalized Wishart state G G^dag / tr of each Ginibre matrix G of a
     list, as one stack."""
-    m = np.array([g @ g.conj().T for g in gs])
+    m = grams(gs)
     return m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
 
 

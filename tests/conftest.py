@@ -3,7 +3,7 @@ constructions that only the tests use.
 
 Each oracle is the one-matrix-at-a-time code that the library ran before
 its per-trial routines became the stacked ``random_cptps``, ``act_block``,
-``check_density``, ``main_block``, ``holevo_block``, ``qdpi_block``,
+``check_density``, ``entropies``, ``log_weights``, ``grams``, ``main_block``, ``holevo_block``, ``qdpi_block``,
 ``classical_mutual_informations``, ``fixed_points``, ``neso_block``,
 ``spohn_block``, ``clausius_block``, ``dilation.mmap_block`` and
 ``mmap_consistency_block``; the ``ragged_*`` oracles are the four
@@ -113,9 +113,34 @@ def act_kraus(sc, ks, tols):
     return out
 
 
-def entropy(w):
+def entropy_of_spectrum(w):
+    """Shannon entropy of one clamped spectrum in nats, with 0 log 0 = 0:
+    ``states.entropies`` one spectrum at a time."""
+    w = np.asarray(w, dtype=float)
     pos = w[w > 0.0]
-    return float(-np.sum(pos * np.log(pos)))
+    return float(-(pos * np.log(pos)).sum())
+
+
+def log_weights(xs, w, v, tols):
+    """``states.log_weights`` with the sums of each trial taken on their own:
+    its stacked weights, then each trial's support and kernel rows."""
+    overlap = np.real(np.einsum("bik,bnij,bjk->bnk", v.conj(), xs, v))
+    out = []
+    for o, wb in zip(overlap, w):
+        kernel = wb == 0.0
+        t = (o[..., ~kernel] * np.log(wb[~kernel])).sum(-1)
+        out.append(np.where(o[..., kernel].sum(-1) > tols.support_tol, -np.inf, t).tolist())
+    return out
+
+
+def grams(gs):
+    """``states.grams`` one matrix at a time."""
+    return np.array([g @ g.conj().T for g in gs])
+
+
+def ginibre(rows, cols, rng):
+    """``states.ginibre`` as two draws, the real part and then the imaginary."""
+    return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
 
 
 def trace_log(x, w, v, tols):
@@ -140,7 +165,7 @@ def main_bound(sc, choi, ks, ness, tols):
     t_out = trace_log(sigma, w_n, v_n, tols)
     marg = np.trace(a_d.reshape(d, d, d, d), axis1=1, axis2=3)
     t_op = trace_log(marg, w_n, v_n, tols) - math.log(d)
-    lhs = entropy(w_out) - entropy(w_op)
+    lhs = entropy_of_spectrum(w_out) - entropy_of_spectrum(w_op)
     rhs = math.nan if math.isinf(t_op) and math.isinf(t_out) and (t_op > 0) == (t_out > 0) else t_op - t_out
     slack = math.nan if math.isinf(lhs) and math.isinf(rhs) and (lhs > 0) == (rhs > 0) else lhs - rhs
     return lhs, rhs, slack
@@ -169,7 +194,8 @@ def holevo(sc, ens, haar, tols):
     avg = sum(p * o for p, o in zip(probs, outs))
     check_density(avg, tols)
     w_avg, v_avg = herm_eig(avg, tols)
-    chi = entropy(w_avg) - float(sum(p * entropy(herm_eig(o, tols)[0]) for p, o in zip(probs, outs)))
+    chi = entropy_of_spectrum(w_avg) - float(sum(p * entropy_of_spectrum(herm_eig(o, tols)[0])
+                                                 for p, o in zip(probs, outs)))
     if -1e-12 < chi < 0.0:
         chi = 0.0
     bases = np.concatenate([haar, v_avg[None]])
@@ -185,8 +211,8 @@ def mutual_information(rho, dims, part, tols):
     for keep in (part, [i for i in range(len(dims)) if i not in part]):
         m = mk.partial_trace(rho, dims, keep)
         check_density(m, tols)
-        s.append(entropy(herm_eig(m, tols)[0]))
-    s_rho = entropy(herm_eig(rho, tols)[0])
+        s.append(entropy_of_spectrum(herm_eig(m, tols)[0]))
+    s_rho = entropy_of_spectrum(herm_eig(rho, tols)[0])
     return s[0] + s[1] - s_rho, s_rho
 
 
@@ -384,7 +410,7 @@ def spohn_bound(op, rho, tols):
     out = (out + out.conj().T) / 2.0
     check_density(out, tols)
     w_n, v_n = herm_eig(ness, tols)
-    lhs = entropy(herm_eig(out, tols)[0]) - entropy(herm_eig(rho, tols)[0])
+    lhs = entropy_of_spectrum(herm_eig(out, tols)[0]) - entropy_of_spectrum(herm_eig(rho, tols)[0])
     t_out = trace_log(out, w_n, v_n, tols)
     t_in = trace_log(rho, w_n, v_n, tols)
     rhs = bd.ext_sub(t_in, t_out)
@@ -414,7 +440,7 @@ def clausius_bound(sc, sigma, gibbs, tols):
     assert resid <= bd.THERMAL_MATCH_TOL
     sigma_p = act_kraus(sc, replace_kraus(sigma, tols), tols)
     w_g, v_g = herm_eig(gibbs, tols)
-    lhs = entropy(herm_eig(sigma_p, tols)[0]) - (entropy(herm_eig(sigma, tols)[0]) + math.log(d))
+    lhs = entropy_of_spectrum(herm_eig(sigma_p, tols)[0]) - (entropy_of_spectrum(herm_eig(sigma, tols)[0]) + math.log(d))
     t_out = trace_log(sigma_p, w_g, v_g, tols)
     t_in = trace_log(sigma, w_g, v_g, tols)
     rhs = bd.ext_sub(t_in - math.log(d), t_out)
@@ -436,7 +462,7 @@ def mmap_image(sc, v, alpha, tols):
     check_density(ups, tols)
     sigma = np.trace(sc.rho_se.mat.reshape(d_s, d_e, d_s, d_e), axis1=1, axis2=3)
     check_density(sigma, tols)
-    delta_s = entropy(herm_eig(ups, tols)[0]) - entropy(herm_eig(sigma, tols)[0])
+    delta_s = entropy_of_spectrum(herm_eig(ups, tols)[0]) - entropy_of_spectrum(herm_eig(sigma, tols)[0])
     reduced = np.trace(ups.reshape(d_s, d_a, d_s, d_a), axis1=1, axis2=3)
     direct = act_kraus(sc, dilation_kraus(v, alpha, tols), tols)
     return ups, delta_s, float(np.abs(reduced - direct).max())
@@ -538,7 +564,9 @@ def oracles():
                                  replace_kraus=replace_kraus, clausius_bound=clausius_bound,
                                  mmap_image=mmap_image, family_trial=family_trial,
                                  ragged_act_block=ragged_act_block, ragged_transfer_matrices=ragged_transfer_matrices,
-                                 ragged_apply_matrices=ragged_apply_matrices, ragged_chois=ragged_chois)
+                                 ragged_apply_matrices=ragged_apply_matrices, ragged_chois=ragged_chois,
+                                 entropy_of_spectrum=entropy_of_spectrum, log_weights=log_weights, grams=grams,
+                                 ginibre=ginibre)
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +640,7 @@ def act(sc, op):
 
 def von_neumann_entropy(rho):
     """S(rho) = -tr[rho log rho] in nats."""
-    return st.entropy_of_spectrum(rho.w)
+    return entropy_of_spectrum(rho.w)
 
 
 def relative_entropy(rho1, rho2, tols=DEFAULT_TOLS):
@@ -868,7 +896,7 @@ def stinespring(op, pivot_order=None):
 def operation_entropy(op):
     """Entropy of the normalized Choi state of a CP map, in nats: for
     trace-preserving maps, that of the ancilla any unitary dilation discards."""
-    return st.entropy_of_spectrum(mk.clamp_spectrum(np.linalg.eigvalsh(op.choi_state)[::-1], tols=DEFAULT_TOLS))
+    return entropy_of_spectrum(mk.clamp_spectrum(np.linalg.eigvalsh(op.choi_state)[::-1], tols=DEFAULT_TOLS))
 
 
 def isometry_choi_state(iso):

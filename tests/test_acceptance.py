@@ -17,11 +17,10 @@ from supchan import states as st
 from supchan import superchannel as sup
 from supchan.config import DEFAULT_TOLS
 
-from conftest import (act, apply, channel_from_dilation, choi_of_msharp, clausius, env_marginal, holevo_trial,
-                      haar_unitaries, identity_channel, IsometricOperation, mmap, msharp_tp_residual, neso, neso_op,
-                      operation_entropy, random_cptp,
-                      random_density, relative_entropy, replace_channel, slack_identity, spohn, stinespring,
-                      sys_marginal, trial_rng, unitary_channel, von_neumann_entropy)
+from conftest import (act, apply, channel_from_dilation, choi_of_msharp, clausius, entropy_of_spectrum, env_marginal,
+                      holevo_trial, haar_unitaries, identity_channel, IsometricOperation, mmap, msharp_tp_residual,
+                      neso, neso_op, operation_entropy, random_cptp, random_density, relative_entropy, replace_channel,
+                      slack_identity, spohn, stinespring, sys_marginal, trial_rng, unitary_channel, von_neumann_entropy)
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -230,10 +229,10 @@ def test_criterion_8_dilation_identities():
         dev = mk.max_abs(mk.partial_trace(rho, dims, [1, 2]) - op.choi_state)
         worst_choi = max(worst_choi, dev)
         choi_ok &= dev <= 1e-10
-        s_bc = st.entropy_of_spectrum(
+        s_bc = entropy_of_spectrum(
             mk.clamp_spectrum(np.linalg.eigvalsh(mk.partial_trace(rho, dims, [1, 2]))[::-1], tols=DEFAULT_TOLS)
         )
-        s_a = st.entropy_of_spectrum(
+        s_a = entropy_of_spectrum(
             mk.clamp_spectrum(np.linalg.eigvalsh(mk.partial_trace(rho, dims, [0]))[::-1], tols=DEFAULT_TOLS)
         )
         worst_sym = max(worst_sym, abs(s_bc - s_a))

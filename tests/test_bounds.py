@@ -366,13 +366,14 @@ def test_holevo_indistinguishable_ensemble():
 
 @pytest.mark.parametrize("shift,chi", [(-5e-7, -5e-7), (-5e-13, 0.0)])
 def test_holevo_clips_only_float_noise_below_zero_from_chi(monkeypatch, shift, chi):
-    # With one codeword, chi = S(average) - S(sigma') is 0; the entropy of
-    # the average, the one taken after its check, is moved by shift.
+    # With one codeword, chi = S(average) - S(sigma') is 0; the entropies
+    # taken after the average's check, which are the average's, are moved
+    # by shift.
     sc, rng = rand_sc(2, 2, seed=6000)
     ens = bd.Ensemble((1.0,), (random_cptp(2, 2, rng),))
-    checked, real_check, real_entropy = [], bd.check_density, st.entropy_of_spectrum
+    checked, real_check, real_entropies = [], bd.check_density, st.entropies
     monkeypatch.setattr(bd, "check_density", lambda m, tols: checked.append(1) or real_check(m, tols))
-    monkeypatch.setattr(st, "entropy_of_spectrum", lambda w: real_entropy(w) + (shift if checked else 0.0))
+    monkeypatch.setattr(st, "entropies", lambda w: [s + (shift if checked else 0.0) for s in real_entropies(w)])
     [rep] = bd.holevo_block([sc], [ens], haar_unitaries(3, 2, rng)[None], DEFAULT_TOLS)
     assert checked == [1]
     assert rep.lhs == pytest.approx(chi, rel=0.0, abs=1e-15)

@@ -11,9 +11,9 @@ from supchan import superchannel as sup
 from supchan.config import DEFAULT_TOLS, Tolerances
 from supchan.matkernel import ShapeError, ValidationError
 
-from conftest import (apply, channel_from_dilation, compose, depolarizing_channel, fixed_point, identity_channel,
-                      is_trace_preserving, partial_damping_kraus, random_cptp, random_density, relative_entropy,
-                      replace_channel, swap_unitary, unitary_channel)
+from conftest import (apply, channel_from_dilation, compose, depolarizing_channel, entropy_of_spectrum, fixed_point,
+                      identity_channel, is_trace_preserving, partial_damping_kraus, random_cptp, random_density,
+                      relative_entropy, replace_channel, swap_unitary, unitary_channel)
 
 
 def rand_op(d, rank, seed):
@@ -83,7 +83,7 @@ def test_unitary_choi_is_rank_one():
     op = unitary_channel(u)
     w = np.linalg.eigvalsh(op.choi_state)
     assert np.sum(w > 1e-10) == 1
-    assert st.entropy_of_spectrum(mk.clamp_spectrum(w, tols=DEFAULT_TOLS)) <= 1e-10
+    assert entropy_of_spectrum(mk.clamp_spectrum(w, tols=DEFAULT_TOLS)) <= 1e-10
 
 
 def test_depolarizing_choi_maximally_mixed():

@@ -11,7 +11,7 @@ from supchan import superchannel as sup
 from supchan.config import DEFAULT_TOLS
 from supchan.matkernel import ShapeError, ValidationError
 
-from conftest import (act, apply, channel_from_dilation, depolarizing_channel, identity_channel,
+from conftest import (act, apply, channel_from_dilation, depolarizing_channel, entropy_of_spectrum, identity_channel,
                       is_trace_preserving, IsometricOperation, isometry_choi_state, mmap, operation_entropy,
                       random_cptp, random_density, stinespring, swap_unitary, sys_marginal, unitary_channel,
                       von_neumann_entropy)
@@ -26,7 +26,7 @@ def rand_sc(d_s, d_e, seed):
 
 def entropy_of(mat):
     w = mk.clamp_spectrum(np.linalg.eigvalsh(mat)[::-1], tols=DEFAULT_TOLS)
-    return st.entropy_of_spectrum(w)
+    return entropy_of_spectrum(w)
 
 
 def test_stinespring_unitary_operation():

@@ -12,7 +12,8 @@ from supchan import superchannel as sup
 from supchan.config import DEFAULT_TOLS, Tolerances
 from supchan.matkernel import ShapeError, ValidationError
 
-from conftest import herm_eig, marginal, random_density, relative_entropy, trial_rng, von_neumann_entropy
+from conftest import (entropy_of_spectrum, herm_eig, marginal, random_density, relative_entropy, trial_rng,
+                      von_neumann_entropy)
 
 
 def test_density_validation():
@@ -186,6 +187,88 @@ def test_a_stacked_haar_qr_gives_each_unitary_the_bits_of_a_one_matrix_draw(d):
             assert u.tobytes() == st.haar_unitary(d, np.random.default_rng([d, n, t])).tobytes()
 
 
+def hexes(xs):
+    return [x.hex() for x in np.ravel(xs).tolist()]
+
+
+def spectra(rng, d, counts):
+    """A (len(counts), d) stack of descending spectra, row i with counts[i]
+    positive entries of sum 1, then zeros, and in every third row a negative
+    tail past psd_floor in place of the last zeros, as clamp_spectrum keeps
+    from an eigvalsh of A_d."""
+    w = np.zeros((len(counts), d))
+    for i, c in enumerate(counts):
+        p = np.sort(rng.dirichlet(np.ones(c)))[::-1] if c else []
+        w[i, :c] = p
+        if i % 3 == 2 and c < d:
+            w[i, c:] = -np.sort(rng.uniform(1e-9, 1e-7, d - c))[::-1]
+    return w
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 9, 17, 20])
+def test_stacked_entropies_have_the_bits_of_each_spectrum_on_its_own(d, oracles):
+    # Positive counts from 0 to min(d, 17) cross numpy's 8-wide pairwise
+    # block, where a zero-padded row would associate its terms otherwise.
+    # Blocks mix the counts in a random order; a pure state's entropy and an
+    # empty spectrum's are -0.0, whose sign the hex keeps.
+    rng = np.random.default_rng([d, 30])
+    counts = list(range(min(d, 17) + 1))
+    for n in (1, 2, 7, 60):
+        w = spectra(rng, d, rng.choice(counts, n).tolist())
+        assert hexes(st.entropies(w)) == hexes([oracles.entropy_of_spectrum(wb) for wb in w])
+    pure = np.zeros((2, d))
+    pure[:, 0] = 1.0
+    pure[1, 1:] = -1e-9
+    assert hexes(st.entropies(pure)) == ["-0x0.0p+0"] * 2
+    assert hexes(st.entropies(np.zeros((1, d)))) == ["-0x0.0p+0"]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 9, 12, 17])
+def test_stacked_log_weights_have_the_bits_of_each_trial_on_its_own(d, oracles):
+    # Kernels of every size from 0 to d, mixed in one block, for one X per
+    # base and for two; with the eigenvectors the identity, the overlaps are
+    # X's diagonal exactly, so a kernel weight of exactly support_tol is met.
+    tol = DEFAULT_TOLS.support_tol
+    rng = np.random.default_rng([d, 31])
+    for n_x in (1, 2):
+        for n in (1, 3, 40):
+            kernels = rng.integers(0, d + 1, n)
+            w = spectra(rng, d, (d - kernels).tolist()).clip(0.0, None)
+            v = np.array([st.haar_unitary(d, rng) for _ in range(n)])
+            xs = st.wishart([st.ginibre(d, int(r), rng) for r in rng.integers(1, d + 1, n * n_x)])
+            xs = xs.reshape(n, n_x, d, d)
+            assert hexes(st.log_weights(xs, w, v, DEFAULT_TOLS)) == hexes(oracles.log_weights(xs, w, v, DEFAULT_TOLS))
+            eye = np.broadcast_to(np.eye(d), v.shape)
+            edges = np.zeros_like(xs)
+            diag = np.array([[np.where(wb > 0.0, (1.0 - tol * (k > 0)) / max(d - k, 1), 0.0) for _ in range(n_x)]
+                             for wb, k in zip(w, kernels)])
+            diag[kernels > 0, :, -1] += tol
+            diag[kernels > 0, n_x - 1, -1] += tol * (n_x - 1)
+            edges[..., range(d), range(d)] = diag
+            got = st.log_weights(edges, w, eye, DEFAULT_TOLS)
+            assert hexes(got) == hexes(oracles.log_weights(edges, w, eye, DEFAULT_TOLS))
+            for row, k in zip(got, kernels):
+                assert np.isfinite(row[0]) and np.isfinite(row[-1]) == (k == 0 or n_x == 1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 9, 16])
+def test_stacked_grams_have_the_bits_of_each_product_on_its_own(d, oracles):
+    # Column counts from 1 (a rank-1 Gram) to d + 2, mixed in one list.
+    rng = np.random.default_rng([d, 32])
+    for n in (1, 2, 7, 40):
+        gs = [st.ginibre(d, int(c), rng) for c in rng.integers(1, d + 3, n)]
+        assert st.grams(gs).tobytes() == oracles.grams(gs).tobytes()
+
+
+def test_a_one_call_ginibre_draw_is_the_two_call_draw(oracles):
+    # One (2, rows, cols) draw is the real part's draw and then the
+    # imaginary part's, and leaves the generator where the two calls do.
+    for rows, cols in ((1, 1), (2, 1), (3, 5), (16, 4), (9, 9)):
+        a, b = np.random.default_rng([rows, cols]), np.random.default_rng([rows, cols])
+        assert st.ginibre(rows, cols, a).tobytes() == oracles.ginibre(rows, cols, b).tobytes()
+        assert a.standard_normal(3).tobytes() == b.standard_normal(3).tobytes()
+
+
 def count_decompositions(monkeypatch):
     """The name of each numpy eigendecomposition called, in order."""
     calls = []
@@ -222,7 +305,7 @@ def test_a_state_is_decomposed_once_by_its_check(monkeypatch):
     rhos = st.densities(mats, tols=DEFAULT_TOLS)
     assert calls == ["eigh"]
     w, v = st.decompose(rhos)
-    assert [von_neumann_entropy(r) for r in rhos] == [st.entropy_of_spectrum(wb) for wb in w]
+    assert [von_neumann_entropy(r) for r in rhos] == [entropy_of_spectrum(wb) for wb in w]
     st.log_weights(mats[:, None], w, v, tols=DEFAULT_TOLS)
     ch.replace_channels(rhos)
     assert calls == ["eigh"]
